@@ -12,12 +12,21 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import bench_json, emit, full_scale
+from benchmarks.conftest import bench_json, emit, full_scale, smoke_mode
 from repro.experiments import exp1, format_table
 from repro.experiments.exp1 import run_experiment1
 
 
 def _params():
+    if smoke_mode():
+        # Far below the per-run time budget, so the search-effort
+        # counts in the rows are exact and ``bench_diff`` can gate them.
+        return dict(
+            relations_values=(2, 4, 6),
+            equalities_values=(1, 3, 5),
+            attributes=24,
+            repeats=2,
+        )
     if full_scale():
         return dict(
             relations_values=(1, 2, 3, 4, 5, 6, 7, 8),
@@ -42,7 +51,7 @@ def test_fig5_optimal_ftree_search(benchmark):
         "Figure 5: optimal f-tree time and cost s(T)",
         format_table(exp1.headers(), exp1.as_cells(rows)),
     )
-    bench_json("fig5_optimisation", {"rows": rows})
+    bench_json("fig5_optimisation", {"rows": rows}, workload=_params())
     # Paper shapes: cost 1 for up to two relations, never wild.
     for row in rows:
         if row.relations <= 2:

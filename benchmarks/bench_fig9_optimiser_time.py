@@ -60,6 +60,7 @@ def test_fig9_optimiser_times(benchmark):
             "total_greedy_seconds": total_greedy,
             "greedy_speedup": total_full / max(total_greedy, 1e-9),
         },
+        workload=_params(),
     )
     assert total_greedy < total_full
 

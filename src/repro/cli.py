@@ -640,10 +640,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
     pipeline that executes it (the serving-layer twin of fig 7/8)."""
     from repro import ops
     from repro.obs.profile import profile_plan
+    from repro.optimiser.bitspace import COUNTERS as OPTIMISER_COUNTERS
     from repro.query.query import Query
 
     db = _load_database_arg(args)
     query = parse_query(args.query)
+    searched = OPTIMISER_COUNTERS.snapshot()
     fdb = FDB(db, plan_search=args.planner, encoding="arena")
     # Mirror QuerySession.run_on: factorise the base join, apply the
     # constants, then restructure for the equalities via an f-plan --
@@ -664,6 +666,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
             print(f"  [{i}] {step}")
     else:
         print("f-plan: identity (no restructuring needed)")
+    # What the two searches above cost (the tallies are process-wide).
+    print(report.optimiser_line(OPTIMISER_COUNTERS.since(searched)))
     result, profile = profile_plan(plan, fr)
     if query.projection is not None:
         result = ops.project(result, query.projection)

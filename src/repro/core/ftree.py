@@ -319,7 +319,7 @@ class FTree:
         if self._key is None:
             self._key = (
                 tuple(root.key() for root in self.roots),
-                tuple(sorted(tuple(sorted(e)) for e in self.edges)),
+                self.edges.key(),
             )
         return self._key
 

@@ -8,7 +8,10 @@ the f-trees it traverses, and f-plans compare lexicographically by
 ``(s(f), s(T_final))`` -- the paper's ``<max x <s(T)`` order.
 
 Covers are memoised on the (path classes, edges) pair: during the
-optimiser's search thousands of trees share paths.
+optimiser's search thousands of trees share paths.  Behind that memo
+sits the process-wide signature-keyed LP memo of
+:mod:`repro.costs.edge_cover`, which the integer-coded optimisers
+(:mod:`repro.optimiser.bitspace`) consult directly.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import FrozenSet, List, Sequence, Tuple
 
-from repro.core.ftree import FTree
-from repro.costs.edge_cover import CoverError, fractional_edge_cover
+from repro.core.ftree import FTree, label_key
+from repro.costs.edge_cover import SIGNATURE_COVERS, CoverError
 
 _Classes = Tuple[FrozenSet[str], ...]
 _Edges = FrozenSet[FrozenSet[str]]
@@ -26,7 +29,14 @@ _Edges = FrozenSet[FrozenSet[str]]
 
 @lru_cache(maxsize=262144)
 def _cover_cached(classes: _Classes, edges: _Edges) -> Fraction:
-    return fractional_edge_cover(list(classes), list(edges))
+    # Edges numbered as SearchSpace numbers them, so both share entries.
+    numbered = list(enumerate(sorted(edges, key=label_key)))
+    return SIGNATURE_COVERS.cover(
+        frozenset(
+            sum(1 << i for i, edge in numbered if edge & cls)
+            for cls in classes
+        )
+    )
 
 
 def path_cover(
@@ -132,3 +142,4 @@ class PlanCost:
 def clear_cover_cache() -> None:
     """Reset the memoised covers (between benchmark configurations)."""
     _cover_cached.cache_clear()
+    SIGNATURE_COVERS.clear()

@@ -19,7 +19,7 @@ from repro import ops
 from repro.core.build import ENCODINGS, factorise
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
-from repro.optimiser.exhaustive import exhaustive_fplan
+from repro.optimiser.exhaustive import SearchExhausted, exhaustive_fplan
 from repro.optimiser.fplan import FPlan
 from repro.optimiser.ftree_optimiser import (
     FTreeOptimiser,
@@ -102,6 +102,9 @@ class FDB:
             from repro.costs.cardinality import Statistics
 
             self._stats = Statistics.of_database(database)
+        #: Exhaustive f-plan searches that hit their state cap and were
+        #: answered by the greedy heuristic instead (monotone).
+        self.fplan_search_exhausted = 0
 
     # -- flat input path ------------------------------------------------------
 
@@ -162,10 +165,19 @@ class FDB:
         tree: FTree,
         equalities: Sequence[Tuple[str, str]],
     ) -> FPlan:
-        """Optimise an f-plan for equality selections on ``tree``."""
+        """Optimise an f-plan for equality selections on ``tree``.
+
+        An exhaustive search that runs into its state cap degrades to
+        the greedy heuristic (a valid, possibly costlier plan) rather
+        than failing the request; :attr:`fplan_search_exhausted`
+        counts how often.
+        """
         pairs = list(equalities)
         if self.plan_search == "exhaustive":
-            return exhaustive_fplan(tree, pairs, stats=self._stats)
+            try:
+                return exhaustive_fplan(tree, pairs, stats=self._stats)
+            except SearchExhausted:
+                self.fplan_search_exhausted += 1
         return greedy_fplan(tree, pairs, stats=self._stats)
 
     def evaluate_on(

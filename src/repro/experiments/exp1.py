@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable, List, Sequence
 
 from repro.costs.cost_model import clear_cover_cache
+from repro.optimiser.bitspace import COUNTERS
 from repro.optimiser.ftree_optimiser import (
     FTreeOptimiser,
     query_classes_and_edges,
@@ -32,6 +33,11 @@ class Exp1Row:
     mean_time_seconds: float
     mean_cost: float
     max_cost: float
+    #: Search effort summed over the repeats (``optimiser`` counters;
+    #: exact for a fixed seed unless a run hits its time budget).
+    subproblems: int = 0
+    pruned: int = 0
+    cover_lp_solves: int = 0
 
 
 def run_experiment1(
@@ -58,6 +64,7 @@ def run_experiment1(
                 continue
             times: List[float] = []
             costs: List[Fraction] = []
+            counted = COUNTERS.snapshot()
             for rep in range(repeats):
                 run_seed = seed + 1000 * r + 10 * k + rep
                 db = random_database(
@@ -72,6 +79,7 @@ def run_experiment1(
                 ).optimise()
                 times.append(time.perf_counter() - start)
                 costs.append(cost)
+            effort = COUNTERS.since(counted)
             rows.append(
                 Exp1Row(
                     relations=r,
@@ -80,6 +88,9 @@ def run_experiment1(
                     mean_cost=sum(float(c) for c in costs)
                     / len(costs),
                     max_cost=float(max(costs)),
+                    subproblems=effort["ftree_subproblems"],
+                    pruned=effort["ftree_pruned"],
+                    cover_lp_solves=effort["cover_lp_solves"],
                 )
             )
     return rows

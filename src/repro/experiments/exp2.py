@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.costs.cost_model import clear_cover_cache
+from repro.optimiser.bitspace import COUNTERS
 from repro.optimiser.exhaustive import exhaustive_fplan
 from repro.optimiser.ftree_optimiser import (
     FTreeOptimiser,
@@ -34,6 +35,14 @@ from repro.workloads.generator import (
 )
 
 
+#: The full search's ``optimiser`` counters reported per row.
+_EFFORT = (
+    "fplan_states_expanded",
+    "fplan_states_generated",
+    "cover_lp_solves",
+)
+
+
 @dataclass(frozen=True)
 class Exp2Row:
     input_equalities: int  # K
@@ -44,6 +53,11 @@ class Exp2Row:
     greedy_result_cost: float
     full_time_seconds: float
     greedy_time_seconds: float
+    #: Full-search effort summed over the repeats (``optimiser``
+    #: counters; exact for a fixed seed).
+    states_expanded: int = 0
+    states_generated: int = 0
+    cover_lp_solves: int = 0
 
 
 def run_experiment2(
@@ -62,6 +76,7 @@ def run_experiment2(
             if k + l_eq >= attributes:
                 continue
             samples: List[Tuple[float, float, float, float, float, float]] = []
+            effort = dict.fromkeys(_EFFORT, 0)
             for rep in range(repeats):
                 run_seed = seed + 997 * k + 31 * l_eq + rep
                 db = random_database(
@@ -78,9 +93,13 @@ def run_experiment2(
                     continue  # result tree too small for L merges
 
                 clear_cover_cache()
+                counted = COUNTERS.snapshot()
                 start = time.perf_counter()
                 full = exhaustive_fplan(tree, followups)
                 full_time = time.perf_counter() - start
+                spent = COUNTERS.since(counted)
+                for name in _EFFORT:
+                    effort[name] += spent[name]
 
                 clear_cover_cache()
                 start = time.perf_counter()
@@ -111,6 +130,9 @@ def run_experiment2(
                     greedy_result_cost=mean[3],
                     full_time_seconds=mean[4],
                     greedy_time_seconds=mean[5],
+                    states_expanded=effort["fplan_states_expanded"],
+                    states_generated=effort["fplan_states_generated"],
+                    cover_lp_solves=effort["cover_lp_solves"],
                 )
             )
     return rows

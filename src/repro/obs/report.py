@@ -28,6 +28,26 @@ def result_cache_line(counters: Optional[Dict[str, Any]]) -> Optional[str]:
     )
 
 
+def optimiser_line(counters: Optional[Dict[str, Any]]) -> Optional[str]:
+    """The ``optimiser:`` line: how much searching the plans cost.
+
+    All counts but the LP ones repeat exactly for a fixed workload, so
+    a jump between two runs is a different search, not noise.
+    """
+    if not counters:
+        return None
+    return (
+        f"optimiser: {counters['ftree_searches']} f-tree searches "
+        f"({counters['ftree_subproblems']} subproblems, "
+        f"{counters['ftree_pruned']} pruned), "
+        f"{counters['fplan_searches']} f-plan searches "
+        f"({counters['fplan_states_expanded']} states expanded, "
+        f"{counters['fplan_states_generated']} generated), "
+        f"{counters['cover_lp_solves']} cover LPs solved, "
+        f"{counters['cover_memo_hits']} memo hits"
+    )
+
+
 def session_lines(
     snapshot: Dict[str, Any],
     total_queries: Optional[int] = None,
@@ -63,6 +83,9 @@ def session_lines(
     results = result_cache_line(caches.get("results"))
     if results is not None:
         lines.append(results)
+    optimiser = optimiser_line(snapshot.get("optimiser"))
+    if optimiser is not None:
+        lines.append(optimiser)
     store = snapshot.get("plan_store")
     if store is not None:
         line = (

@@ -2,6 +2,9 @@
 
 - :mod:`repro.optimiser.ftree_optimiser` -- optimal f-tree for a query
   on flat input (memoised DP with symmetry reduction; Experiment 1);
+- :mod:`repro.optimiser.bitspace` -- the integer coding both searches
+  run on (classes as bit positions, class sets as masks) and the
+  ``optimiser`` counters;
 - :mod:`repro.optimiser.ftree_space` -- exhaustive enumeration of
   normalised f-trees (cross-checks and space-size reporting);
 - :mod:`repro.optimiser.fplan` -- f-plans: operator sequences with

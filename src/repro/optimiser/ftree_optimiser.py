@@ -22,27 +22,33 @@ hits.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
-from typing import (
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.ftree import FNode, FTree
-from repro.costs.cost_model import path_cover
+from repro.optimiser.bitspace import COUNTERS, CoverTally, SearchSpace
 from repro.query.hypergraph import Hypergraph
 from repro.query.query import Query
 from repro.relational.database import Database
 
 Label = FrozenSet[str]
 
+#: A solved subproblem: (cost, root bit, child components).
+_Solved = Tuple[Fraction, int, Tuple[int, ...]]
+
 
 class FTreeOptimiser:
     """Minimal-``s(T)`` normalised f-tree over given classes and edges.
+
+    The search runs over the integer coding of
+    :class:`~repro.optimiser.bitspace.SearchSpace`: a component or an
+    ancestor chain is a bit mask over the classes in canonical order.
+    Which of several equally cheap trees is returned is part of the
+    contract (plan identity is pinned by
+    ``tests/data/optimiser_golden.json``): candidate roots are tried in
+    order of their partial-path cover, ties in canonical class order,
+    and only a strictly cheaper root replaces the incumbent.
 
     >>> from repro.query.hypergraph import Hypergraph
     >>> opt = FTreeOptimiser(
@@ -69,117 +75,108 @@ class FTreeOptimiser:
         self.edges = edges
         self.time_budget = time_budget
         self._deadline: Optional[float] = None
-        self._memo: Dict[
-            Tuple[FrozenSet[Label], FrozenSet[Label]],
-            Tuple[Fraction, FNode],
-        ] = {}
-        self._cover_memo: Dict[FrozenSet[Label], Fraction] = {}
-        self._signature: Dict[Label, FrozenSet[FrozenSet[str]]] = {
-            label: frozenset(
-                edge for edge in edges if edge & label
-            )
-            for label in self.classes
-        }
-
-    # -- covers ---------------------------------------------------------------
-
-    def cover(self, classes: FrozenSet[Label]) -> Fraction:
-        """Fractional cover of a class set, decomposed by connectivity."""
-        cached = self._cover_memo.get(classes)
-        if cached is not None:
-            return cached
-        total = Fraction(0)
-        for group in self.edges.components(sorted(classes, key=sorted)):
-            total += path_cover(list(group), self.edges.edges)
-        self._cover_memo[classes] = total
-        return total
-
-    # -- search ---------------------------------------------------------------
+        self._space = SearchSpace(self.classes, edges)
+        #: (component mask, ancestor mask) -> solved subproblem.
+        self._memo: Dict[Tuple[int, int], _Solved] = {}
+        self._pruned = 0
 
     def optimise(self) -> Tuple[FTree, Fraction]:
         """Return an optimal normalised f-tree and its ``s(T)``."""
         if self.time_budget is not None:
-            import time
-
             self._deadline = time.perf_counter() + self.time_budget
-        components = self.edges.components(self.classes)
+        space = self._space
+        tally = CoverTally()
+        solved_before = len(self._memo)
+        pruned_before = self._pruned
         roots: List[FNode] = []
         worst = Fraction(0)
-        for component in components:
-            cost, node = self._best(
-                frozenset(component), frozenset()
+        try:
+            for component in space.components(space.full):
+                cost = self._best(component, 0)[0]
+                roots.append(self._subtree(component, 0))
+                if cost > worst:
+                    worst = cost
+        finally:
+            COUNTERS.add(
+                ftree_searches=1,
+                ftree_subproblems=len(self._memo) - solved_before,
+                ftree_pruned=self._pruned - pruned_before,
+                **tally.counts(),
             )
-            roots.append(node)
-            if cost > worst:
-                worst = cost
         return FTree(roots, self.edges), worst
 
-    def _representative_roots(
-        self, component: FrozenSet[Label]
-    ) -> List[Label]:
-        """One candidate root per edge-signature (symmetry classes)."""
-        seen: Dict[FrozenSet[FrozenSet[str]], Label] = {}
-        for label in sorted(component, key=sorted):
-            signature = self._signature[label]
-            if signature not in seen:
-                seen[signature] = label
-        return list(seen.values())
+    def _subtree(self, component: int, ancestors: int) -> FNode:
+        """Materialise the memoised winner of a solved subproblem."""
+        _, root, parts = self._memo[(component, ancestors)]
+        path = ancestors | root
+        return FNode(
+            self._space.labels[root.bit_length() - 1],
+            [self._subtree(part, path) for part in parts],
+        )
 
-    def _best(
-        self, component: FrozenSet[Label], ancestors: FrozenSet[Label]
-    ) -> Tuple[Fraction, FNode]:
+    def _best(self, component: int, ancestors: int) -> _Solved:
         """Cheapest subtree over ``component`` below chain ``ancestors``."""
         key = (component, ancestors)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
 
-        candidates = self._representative_roots(component)
-        # Order by the partial-path lower bound so good roots come
-        # first and the bound prunes more.
-        scored = sorted(
-            (self.cover(ancestors | {root}), root)
-            for root in candidates
-        )
-        if self._deadline is not None:
-            import time
-
-            if time.perf_counter() > self._deadline:
-                scored = scored[:1]  # greedy fallback past deadline
+        space = self._space
+        cover = space.cover
+        signature = space.signature
+        # One candidate root per edge signature (classes covered by the
+        # same edges are interchangeable), scored by the partial-path
+        # lower bound so good roots come first and the bound prunes
+        # more.  Sorting (cover, bit) pairs keeps equal covers in
+        # canonical class order.
+        seen = set()
+        scored: List[Tuple[Fraction, int]] = []
+        rest = component
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            sig = signature[low.bit_length() - 1]
+            if sig not in seen:
+                seen.add(sig)
+                scored.append((cover(ancestors | low), low))
+        scored.sort()
+        if (
+            self._deadline is not None
+            and time.perf_counter() > self._deadline
+        ):
+            scored = scored[:1]  # greedy fallback past deadline
         best_cost: Optional[Fraction] = None
-        best_node: Optional[FNode] = None
-        for lower, root in scored:
+        best_root = 0
+        best_parts: Tuple[int, ...] = ()
+        for tried, (lower, root) in enumerate(scored):
             if best_cost is not None and lower >= best_cost:
-                break  # monotone: no deeper path can be cheaper
-            rest = component - {root}
-            path = ancestors | {root}
-            if not rest:
+                # monotone: no deeper path can be cheaper
+                self._pruned += len(scored) - tried
+                break
+            remainder = component ^ root
+            if not remainder:
                 cost = lower
-                children: List[FNode] = []
+                parts: Tuple[int, ...] = ()
             else:
+                path = ancestors | root
+                parts = space.components(remainder)
                 cost = Fraction(0)
-                children = []
                 pruned = False
-                for sub in self.edges.components(
-                    sorted(rest, key=sorted)
-                ):
-                    sub_cost, sub_node = self._best(
-                        frozenset(sub), path
-                    )
-                    children.append(sub_node)
-                    if sub_cost > cost:
-                        cost = sub_cost
+                for part in parts:
+                    part_cost = self._best(part, path)[0]
+                    if part_cost > cost:
+                        cost = part_cost
                     if best_cost is not None and cost >= best_cost:
                         pruned = True
                         break
                 if pruned:
+                    self._pruned += 1
                     continue
             if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_node = FNode(root, children)
-        assert best_cost is not None and best_node is not None
-        self._memo[key] = (best_cost, best_node)
-        return self._memo[key]
+                best_cost, best_root, best_parts = cost, root, parts
+        assert best_cost is not None
+        solved = self._memo[key] = (best_cost, best_root, best_parts)
+        return solved
 
 
 def query_classes_and_edges(

@@ -110,14 +110,13 @@ def _scenarios(
         candidates.append(
             [Step("merge", (min(node_a.label), min(node_b.label)))]
         )
-    for first, second in ((a_attr, b_attr), (b_attr, a_attr)):
-        scenario = _promote_to_ancestor(tree, first, second)
-        if scenario is not None:
-            candidates.append(scenario)
-    in_disjoint_trees = _promote_to_ancestor(
-        tree, a_attr, b_attr
-    ) is None
-    if in_disjoint_trees and not same_parent:
+    promotions = [
+        _promote_to_ancestor(tree, first, second)
+        for first, second in ((a_attr, b_attr), (b_attr, a_attr))
+    ]
+    candidates.extend(steps for steps in promotions if steps is not None)
+    # Neither node can be swapped above the other: disjoint trees.
+    if promotions[0] is None and not same_parent:
         steps = _promote_to_root(tree, a_attr)
         middle = _apply_steps(tree, steps)[-1]
         steps = steps + _promote_to_root(middle, b_attr)

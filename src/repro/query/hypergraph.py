@@ -22,6 +22,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Optional,
     Sequence,
     Set,
     Tuple,
@@ -33,16 +34,26 @@ Edge = FrozenSet[str]
 class Hypergraph:
     """An immutable multiset-free hypergraph over attribute names."""
 
-    __slots__ = ("_edges",)
+    __slots__ = ("_edges", "_key")
 
     def __init__(self, edges: Iterable[AbstractSet[str]] = ()) -> None:
         self._edges: FrozenSet[Edge] = frozenset(
             frozenset(edge) for edge in edges if edge
         )
+        self._key: Optional[Tuple[Tuple[str, ...], ...]] = None
 
     @property
     def edges(self) -> FrozenSet[Edge]:
         return self._edges
+
+    def key(self) -> Tuple[Tuple[str, ...], ...]:
+        """Canonical form: sorted edges of sorted attributes (cached --
+        every f-tree over these edges embeds it in its own key)."""
+        if self._key is None:
+            self._key = tuple(
+                sorted(tuple(sorted(edge)) for edge in self._edges)
+            )
+        return self._key
 
     def __iter__(self) -> Iterator[Edge]:
         return iter(self._edges)

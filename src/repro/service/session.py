@@ -59,6 +59,7 @@ from repro.costs.cardinality import Statistics, estimate_representation_size
 from repro.engine import FDB
 from repro.exec import Executor, SerialExecutor
 from repro.ivm import ResultCache
+from repro.optimiser.bitspace import COUNTERS as OPTIMISER_COUNTERS
 from repro.optimiser.fplan import FPlan
 from repro.query.query import Query, QueryError, equality_partition
 from repro.relational.budget import Budget
@@ -84,6 +85,7 @@ class SessionStats:
     fplan_hits: int = 0
     fplan_misses: int = 0
     fplan_evictions: int = 0
+    fplan_search_exhausted: int = 0
     stats_builds: int = 0
     invalidations: int = 0
     delta_refreshes: int = 0
@@ -298,6 +300,9 @@ class QuerySession:
         self._traces = self.registry.counter("traces_total")
         self.registry.register("session", self.stats.as_dict)
         self.registry.register("caches", self.cache_counters)
+        # Process-wide, like the adapter tallies under ``caches``: the
+        # searches are plain functions with no session to report to.
+        self.registry.register("optimiser", OPTIMISER_COUNTERS.snapshot)
         self.registry.register(
             "submitter",
             lambda: (
@@ -669,8 +674,12 @@ class QuerySession:
                 self.stats.fplan_misses += 1
                 hit = False
                 pairs = [(eq.left, eq.right) for eq in query.equalities]
+                exhausted = self._fdb.fplan_search_exhausted
                 with obs_trace.span("fplan-optimise"):
                     plan = self._fdb.plan_for(current.tree, pairs)
+                self.stats.fplan_search_exhausted += (
+                    self._fdb.fplan_search_exhausted - exhausted
+                )
                 if self._fplans.put(key, plan) is not None:
                     self.stats.fplan_evictions += 1
             with obs_trace.span("fplan-execute", steps=len(plan.steps)):

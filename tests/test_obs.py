@@ -306,6 +306,50 @@ def test_report_session_lines_render_snapshot():
     assert any(line.startswith("results:") for line in lines)
 
 
+# -- the optimiser namespace --------------------------------------------------
+
+
+def _optimiser_delta(run):
+    """What one fresh session adds to the process-wide tallies."""
+    from repro.optimiser.bitspace import COUNTERS
+
+    before = COUNTERS.snapshot()
+    with QuerySession(_database(), encoding="arena") as session:
+        run(session)
+        assert session.snapshot()["optimiser"] == COUNTERS.snapshot()
+        lines = session_lines(session.snapshot())
+    return COUNTERS.since(before), lines
+
+
+def test_optimiser_counts_repeat_exactly_for_a_fixed_query():
+    def run(session):
+        base = session.run(
+            parse_query("SELECT * FROM R0, R1, R2 WHERE a01 = a02")
+        )
+        follow = parse_query(
+            "SELECT * FROM R0, R1, R2 WHERE a00 = a04 AND a03 = a05"
+        )
+        session.run_on(base.factorised, follow)
+
+    first, lines = _optimiser_delta(run)
+    second, _ = _optimiser_delta(run)
+    assert first["ftree_searches"] == 1
+    assert first["fplan_searches"] == 1
+    assert first["ftree_subproblems"] > 0
+    assert first["fplan_states_generated"] >= (
+        first["fplan_states_expanded"]
+    ) > 0
+    # The LP counts depend on how warm the process-wide memo is; every
+    # other count is a function of the searches alone.
+    deterministic = [k for k in first if not k.startswith("cover_")]
+    assert len(deterministic) == 6
+    assert {k: first[k] for k in deterministic} == {
+        k: second[k] for k in deterministic
+    }
+    assert second["cover_lp_solves"] == 0  # all solved the first time
+    assert any(line.startswith("optimiser: ") for line in lines)
+
+
 # -- propagation: process pool ----------------------------------------------
 
 
@@ -446,5 +490,7 @@ def test_cli_explain_profile_smoke(tmp_path, capsys):
     assert code == 0
     assert "f-tree" in out
     assert "f-plan" in out
+    assert "optimiser: 1 f-tree searches" in out
+    assert "1 f-plan searches" in out
     assert "kernel" in out  # the per-operator table header
     assert "total:" in out

@@ -326,6 +326,39 @@ def test_run_on_caches_fplans(session):
     assert first.plan is second.plan
 
 
+def test_run_on_survives_an_exhausted_fplan_search(db, monkeypatch):
+    """A search that hits its state cap degrades to the greedy plan
+    instead of failing the request -- and says so in the stats."""
+    import functools
+
+    import repro.engine
+    from repro.optimiser import SearchExhausted, exhaustive_fplan
+
+    session = QuerySession(db)
+    fr = session.run(parse_query("SELECT * FROM R, S, U")).factorised
+    follow = Query.make([], equalities=[("b", "c"), ("d", "e")])
+    pairs = [(eq.left, eq.right) for eq in follow.equalities]
+    with pytest.raises(SearchExhausted):
+        exhaustive_fplan(fr.tree, pairs, max_states=1)
+
+    monkeypatch.setattr(
+        repro.engine,
+        "exhaustive_fplan",
+        functools.partial(exhaustive_fplan, max_states=1),
+    )
+    result = session.run_on(fr, follow)
+    assert session.stats.fplan_search_exhausted == 1
+    flat = session.run(
+        parse_query("SELECT * FROM R, S, U WHERE b = c AND d = e"),
+        engine="flat",
+    )
+    assert result.rows() == flat.rows()
+    assert result.rows()  # a non-trivial answer: (.., 2, 2, 8, 8) etc.
+    # The degraded plan is cached like any other: no second search.
+    assert session.run_on(fr, follow).cached
+    assert session.stats.fplan_search_exhausted == 1
+
+
 def test_session_context_manager_closes_sqlite(db):
     with QuerySession(db) as session:
         result = session.run(parse_query(JOIN), engine="sqlite")
