@@ -231,11 +231,12 @@ def test_arena_hot_paths(tmp_path):
 
     # Acceptance floors (not timed at smoke scale; the >= 2x headline
     # over the paper workloads is asserted in bench_fig7 / bench_fig8).
-    # Build is near parity by design -- the candidate intersection
-    # dominates and is shared by both encodings -- so its floor only
-    # guards against the arena writer regressing badly.
+    # Both encodings walk the same cached tries, so build time is what
+    # the emitter costs: one column append per entry against a tuple,
+    # a ProductRep and a list per entry (2.4-2.9x here; it was ~1.1x
+    # while per-query index builds dominated both).
     if not smoke_mode():
-        assert build_speedup > 0.9, f"arena build slower: {build_speedup:.2f}x"
+        assert build_speedup > 1.5, f"arena build slower: {build_speedup:.2f}x"
         assert enumerate_speedup > 1.0, (
             f"arena enumeration slower: {enumerate_speedup:.2f}x"
         )

@@ -26,6 +26,18 @@ from repro.experiments.exp3 import run_experiment3
 
 
 def _params():
+    if smoke_mode():
+        # Seconds, not minutes; every size and ``factorise`` count in
+        # the rows is exact, so ``bench_diff`` can gate them.
+        return dict(
+            sizes=(60, 120),
+            k_values=(2, 3),
+            distributions=("uniform", "zipf"),
+            timeout=10.0,
+            max_rows=200_000,
+            include_combinatorial=True,
+            combinatorial_k=(3, 5),
+        )
     if full_scale():
         return dict(
             sizes=(1000, 3162, 10000, 31623, 100000),
@@ -65,6 +77,7 @@ def test_fig7_flat_evaluation(benchmark):
             "arena_eval_seconds": arena_eval,
             "arena_eval_speedup": object_eval / max(arena_eval, 1e-9),
         },
+        workload=_params(),
     )
     # Encoding acceptance: with the optimiser factored out, evaluating
     # the paper workloads (factorise + size + count over the optimal

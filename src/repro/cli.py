@@ -639,6 +639,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     ``--profile``, the per-operator kernel timing of the arena
     pipeline that executes it (the serving-layer twin of fig 7/8)."""
     from repro import ops
+    from repro.core.build import COUNTERS as FACTORISE_COUNTERS
     from repro.obs.profile import profile_plan
     from repro.optimiser.bitspace import COUNTERS as OPTIMISER_COUNTERS
     from repro.query.query import Query
@@ -646,6 +647,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     db = _load_database_arg(args)
     query = parse_query(args.query)
     searched = OPTIMISER_COUNTERS.snapshot()
+    factorised = FACTORISE_COUNTERS.snapshot()
     fdb = FDB(db, plan_search=args.planner, encoding="arena")
     # Mirror QuerySession.run_on: factorise the base join, apply the
     # constants, then restructure for the equalities via an f-plan --
@@ -676,6 +678,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         f"{result.size()} singletons"
     )
     if args.profile:
+        print(report.factorise_line(FACTORISE_COUNTERS.since(factorised)))
         print(profile.format_table())
     return 0
 

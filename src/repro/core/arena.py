@@ -46,13 +46,13 @@ visits them.
 from __future__ import annotations
 
 import threading
-import weakref
 from array import array
 from itertools import accumulate
 from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -185,7 +185,6 @@ class _Skeleton:
         "roots",
         "end",
         "index",
-        "__weakref__",
     )
 
     def __init__(self, tree: FTree) -> None:
@@ -342,12 +341,14 @@ class ArenaWriter:
     """Append-only arena construction with subtree rollback.
 
     The ground-representation builder (:class:`repro.core.build.
-    ArenaFactoriser`) and the selection filter both construct arenas
-    entry by entry: children are written first, and an entry whose
-    children forest turns out empty is *rolled back* by truncating
-    every descendant column to its recorded watermark (pre-order makes
-    descendants a contiguous index range, so a watermark is one length
-    per descendant column).
+    ArenaFactoriser`), the selection filter and the f-plan kernels all
+    construct arenas entry by entry: children are written first, and
+    an entry whose children forest turns out empty is *rolled back*.
+    Two ways to do that: :meth:`mark` / :meth:`rollback` record one
+    watermark per descendant column up front (pre-order makes
+    descendants a contiguous index range); :meth:`truncate` needs only
+    the watermark of a direct child and finds the deeper ones in the
+    columns themselves.
     """
 
     __slots__ = (
@@ -387,10 +388,6 @@ class ArenaWriter:
         # (type, value) key tuple on the build hot path.
         self._intern: Dict[type, Dict[object, int]] = {}
 
-    @property
-    def index(self) -> Dict[FrozenSet[str], int]:
-        return self.skel.index
-
     def intern(self, value: object) -> int:
         if self._shared:
             return self.pool.intern(value)  # type: ignore[union-attr]
@@ -403,9 +400,6 @@ class ArenaWriter:
             self.pool.append(value)
         return vid
 
-    def entry_count(self, idx: int) -> int:
-        return len(self.values[idx])
-
     def mark(self, idx: int) -> List[int]:
         """Watermarks of every descendant column of ``idx``."""
         values = self.values
@@ -413,15 +407,6 @@ class ArenaWriter:
             len(values[k])
             for k in range(idx + 1, self.skel.end[idx])
         ]
-
-    def commit(self, idx: int, value: object, marks: List[int]) -> None:
-        """Seal one entry of node ``idx``: its children (written since
-        :meth:`mark`) become the entry's child ranges."""
-        values = self.values
-        for j, k in enumerate(self.skel.children[idx]):
-            self.child_lo[idx][j].append(marks[k - idx - 1])
-            self.child_hi[idx][j].append(len(values[k]))
-        values[idx].append(self.intern(value))
 
     def rollback(self, idx: int, marks: List[int]) -> None:
         """Discard everything written below ``idx`` since :meth:`mark`."""
@@ -434,28 +419,42 @@ class ArenaWriter:
             for slot in self.child_hi[k]:
                 del slot[watermark:]
 
-    def extend_leaf(self, idx: int, leaf_values: Sequence[object]) -> None:
+    def truncate(self, idx: int, watermark: int) -> int:
+        """Discard node ``idx``'s entries from ``watermark`` on, with
+        everything they own below; returns the entries discarded.
+
+        Needs no watermark per descendant: the first discarded entry's
+        ``child_lo`` *is* each child column's watermark, because child
+        unions tile their column in parent-entry order.
+        """
+        column = self.values[idx]
+        discarded = len(column) - watermark
+        if not discarded:
+            return 0
+        los, his = self.child_lo[idx], self.child_hi[idx]
+        for j, k in enumerate(self.skel.children[idx]):
+            discarded += self.truncate(k, los[j][watermark])
+            del los[j][watermark:]
+            del his[j][watermark:]
+        del column[watermark:]
+        return discarded
+
+    def extend_leaf(self, idx: int, leaf_values: Iterable[object]) -> None:
         """Fast path: append a whole leaf union (no children, no marks)."""
-        if not leaf_values:
-            return
+        column = self.values[idx]
         if self._shared:
-            pool_intern = self.pool.intern  # type: ignore[union-attr]
-            self.values[idx].extend(
-                pool_intern(value) for value in leaf_values
-            )
+            column.extend(map(self.pool.intern, leaf_values))  # type: ignore[union-attr]
             return
         # Candidate lists are homogeneous in practice: resolve the
-        # per-type intern table once per union, not once per value.
-        table = self._intern.get(leaf_values[0].__class__)
-        if table is None:
-            table = self._intern[leaf_values[0].__class__] = {}
-        pool = self.pool
-        column = self.values[idx]
-        first_class = leaf_values[0].__class__
+        # per-type intern table once per run of one type, not once per
+        # value.
+        tables, pool = self._intern, self.pool
+        table: Dict[object, int] = {}
+        current_class = None
         for value in leaf_values:
-            if value.__class__ is not first_class:
-                column.append(self.intern(value))
-                continue
+            if value.__class__ is not current_class:
+                current_class = value.__class__
+                table = tables.setdefault(current_class, {})
             vid = table.get(value)
             if vid is None:
                 vid = table[value] = len(pool)
@@ -763,9 +762,10 @@ def tuple_count(arena: Optional[ArenaRep]) -> int:
 #   no dict lookups per row; the technique FDB's descendants (LMFAO
 #   and friends) apply to aggregation, applied here to enumeration.
 #
-# Compiled enumerators are cached per skeleton (weakly) and keyed by
-# the requested attribute order, so arenas sharing a skeleton (e.g. a
-# selection filter's output) share the machine-made loop nest.
+# Compiled enumerators are cached by what their source text depends on
+# -- the skeleton's shape, its nodes' attributes and the output order
+# -- so every arena of that shape shares the machine-made loop nest,
+# whichever skeleton object it carries (each build makes a fresh one).
 
 #: CPython rejects more than ~20 statically nested blocks; deeper
 #: skeletons use the recursive walk.
@@ -775,9 +775,14 @@ _MAX_CODEGEN_NODES = 18
 #: one-off exec/compile cost dominates the loop savings.
 _CODEGEN_MIN_ENTRIES = 32
 
-_ENUM_CACHE: "weakref.WeakKeyDictionary[_Skeleton, Dict[Tuple[str, ...], Callable]]" = (
-    weakref.WeakKeyDictionary()
-)
+#: Distinct loop nests kept compiled (oldest out).
+_ENUM_CACHE_SIZE = 256
+
+_ENUM_CACHE: Dict[tuple, Callable[["ArenaRep"], Iterator[tuple]]] = {}
+
+# Guards insertion and eviction (a miss compiles outside it; lookups
+# are lock-free).
+_ENUM_CACHE_LOCK = threading.Lock()
 
 
 def _compile_rows(
@@ -785,10 +790,10 @@ def _compile_rows(
 ) -> Callable[[ArenaRep], Iterator[tuple]]:
     """Build (or fetch) the compiled enumerator for one skeleton and
     output attribute order."""
-    per_skel = _ENUM_CACHE.setdefault(skel, {})
-    cached = per_skel.get(order)
-    if cached is not None:
-        return cached
+    key = (skel.roots, tuple(skel.children), tuple(skel.attr_tuples), order)
+    compiled = _ENUM_CACHE.get(key)
+    if compiled is not None:
+        return compiled
 
     slot_of = {attr: i for i, attr in enumerate(order)}
     lines: List[str] = [
@@ -835,7 +840,10 @@ def _compile_rows(
     namespace: Dict[str, object] = {}
     exec("\n".join(lines), namespace)  # noqa: S102 - self-generated
     compiled = namespace["_rows"]
-    per_skel[order] = compiled
+    with _ENUM_CACHE_LOCK:
+        while len(_ENUM_CACHE) >= _ENUM_CACHE_SIZE:
+            del _ENUM_CACHE[next(iter(_ENUM_CACHE))]
+        _ENUM_CACHE[key] = compiled
     return compiled
 
 

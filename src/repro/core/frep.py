@@ -134,21 +134,3 @@ def iter_unions(product: ProductRep) -> Iterator[UnionRep]:
             yield union
             for _, child in union.entries:
                 stack.append(child)
-
-
-def merge_sorted_values(
-    left: List[Value], right: List[Value]
-) -> List[Value]:
-    """Sorted intersection of two sorted distinct value lists."""
-    out: List[Value] = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] < right[j]:
-            i += 1
-        elif right[j] < left[i]:
-            j += 1
-        else:
-            out.append(left[i])
-            i += 1
-            j += 1
-    return out

@@ -79,6 +79,31 @@ class SerialExecutor(Executor):
         ]
 
 
+class _CallerPool:
+    """A thread pool of one worker, run by the thread that submits.
+
+    A coordinator that hands each task to a lone worker thread and
+    sleeps until it is done evaluates in exactly the order a loop
+    would, plus two thread switches per wave whose latency is the
+    operating system's and varies with the load on the machine.
+    ``submit`` therefore runs the task at once and returns its
+    finished future, errors included.
+    """
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(
+        self, wait: bool = True, cancel_futures: bool = False
+    ) -> None:
+        pass
+
+
 class ParallelExecutor(Executor):
     """Fan queries (and shards) out over a worker pool.
 
@@ -89,8 +114,9 @@ class ParallelExecutor(Executor):
     pool:
         ``"process"`` (real parallelism; the database snapshot is
         shipped to each worker once per version), ``"thread"``
-        (correctness-only fallback, GIL-bound), or ``"auto"`` (probe
-        for process support, fall back to threads).
+        (correctness-only fallback, GIL-bound; a pool of one thread
+        is the calling thread), or ``"auto"`` (probe for process
+        support, fall back to threads).
 
     The pool is built lazily against a ``(database, version)`` token
     and discarded whenever the version moves, so workers never serve
@@ -146,14 +172,17 @@ class ParallelExecutor(Executor):
                     pool.shutdown(wait=False, cancel_futures=True)
                 if self.requested_pool == "process":
                     raise
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers
-                )
+                self._pool = self._thread_pool()
                 self.pool_kind = "thread"
         else:
-            self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
+            self._pool = self._thread_pool()
             self.pool_kind = "thread"
         self._token = token
+
+    def _thread_pool(self):
+        if self.max_workers == 1:
+            return _CallerPool()
+        return ThreadPoolExecutor(max_workers=self.max_workers)
 
     def invalidate(self) -> None:
         self.close()

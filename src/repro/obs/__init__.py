@@ -39,6 +39,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    Tally,
 )
 from repro.obs.profile import PlanProfile, profile_plan
 from repro.obs.slowlog import SlowQueryLog
@@ -56,6 +57,7 @@ __all__ = [
     "advise",
     "profile_plan",
     "SlowQueryLog",
+    "Tally",
     "Trace",
     "activate",
     "context",

@@ -119,6 +119,45 @@ class Histogram:
         return {"count": count, "sum": total, "buckets": rows}
 
 
+class Tally:
+    """Process-wide named tallies behind one collector namespace.
+
+    For layers whose work is counted in plain local ints and folded in
+    once per finished unit (an optimiser search, a factorisation) --
+    one lock acquisition per unit, none per step.  ``snapshot`` is the
+    collector; ``since`` turns two snapshots into one unit's own share.
+
+    >>> tally = Tally(("searches", "states"))
+    >>> before = tally.snapshot()
+    >>> tally.add(searches=1, states=40)
+    >>> tally.since(before)
+    {'searches': 1, 'states': 40}
+    """
+
+    __slots__ = ("_lock", "_counts")
+
+    def __init__(self, fields: Sequence[str]) -> None:
+        self._lock = threading.Lock()
+        self._counts: Dict[str, int] = dict.fromkeys(fields, 0)
+
+    def add(self, **deltas: int) -> None:
+        """Fold one finished unit's tallies in."""
+        with self._lock:
+            for name, delta in deltas.items():
+                self._counts[name] += delta
+
+    def snapshot(self) -> Dict[str, int]:
+        with self._lock:
+            return dict(self._counts)
+
+    def since(self, before: Dict[str, int]) -> Dict[str, int]:
+        """Tallies added after the snapshot ``before`` was taken."""
+        return {
+            name: count - before[name]
+            for name, count in self.snapshot().items()
+        }
+
+
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
 

@@ -48,6 +48,23 @@ def optimiser_line(counters: Optional[Dict[str, Any]]) -> Optional[str]:
     )
 
 
+def factorise_line(counters: Optional[Dict[str, Any]]) -> Optional[str]:
+    """The ``factorise:`` line: what building representations from
+    flat relations cost.  Every count repeats exactly for a fixed
+    workload; a trie build where a hit was expected means a relation
+    object was replaced (or queried along more paths than it keeps)."""
+    if not counters:
+        return None
+    return (
+        f"factorise: {counters['calls']} calls, "
+        f"{counters['trie_builds']} tries built "
+        f"({counters['trie_rows_scanned']} rows scanned), "
+        f"{counters['trie_hits']} trie hits, "
+        f"{counters['entries_committed']} entries committed, "
+        f"{counters['entries_rolled_back']} rolled back"
+    )
+
+
 def session_lines(
     snapshot: Dict[str, Any],
     total_queries: Optional[int] = None,
@@ -86,6 +103,9 @@ def session_lines(
     optimiser = optimiser_line(snapshot.get("optimiser"))
     if optimiser is not None:
         lines.append(optimiser)
+    factorised = factorise_line(snapshot.get("factorise"))
+    if factorised is not None:
+        lines.append(factorised)
     store = snapshot.get("plan_store")
     if store is not None:
         line = (

@@ -26,28 +26,27 @@ accumulates plain ints and flushes them here once, at its end.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.core.ftree import label_key
 from repro.costs.edge_cover import SIGNATURE_COVERS
+from repro.obs.metrics import Tally
 from repro.query.hypergraph import Hypergraph
 
 Label = FrozenSet[str]
 
 
-class OptimiserCounters:
-    """Process-wide tallies of optimiser work (one per process/worker).
-
-    Everything but the two ``cover_*`` counts is a deterministic
-    function of the searches run: it repeats exactly for a fixed query,
-    so a change in ``fplan_states_expanded`` means a different search,
-    not a noisy machine.  The cover counts depend on how warm the
-    process-wide LP memo was.
-    """
-
-    FIELDS = (
+#: The ``optimiser`` metrics namespace, registered by every
+#: :class:`~repro.service.session.QuerySession`: process-wide tallies
+#: of optimiser work (one per process/worker).  Everything but the two
+#: ``cover_*`` counts is a deterministic function of the searches run:
+#: it repeats exactly for a fixed query, so a change in
+#: ``fplan_states_expanded`` means a different search, not a noisy
+#: machine.  The cover counts depend on how warm the process-wide LP
+#: memo was.
+COUNTERS = Tally(
+    (
         "ftree_searches",
         "ftree_subproblems",
         "ftree_pruned",
@@ -57,32 +56,7 @@ class OptimiserCounters:
         "cover_lp_solves",
         "cover_memo_hits",
     )
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts: Dict[str, int] = dict.fromkeys(self.FIELDS, 0)
-
-    def add(self, **deltas: int) -> None:
-        """Fold one finished search's tallies in."""
-        with self._lock:
-            for name, delta in deltas.items():
-                self._counts[name] += delta
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-    def since(self, before: Dict[str, int]) -> Dict[str, int]:
-        """Tallies added after the snapshot ``before`` was taken."""
-        return {
-            name: count - before[name]
-            for name, count in self.snapshot().items()
-        }
-
-
-#: Module-level optimiser instrumentation, registered by every
-#: :class:`~repro.service.session.QuerySession` as ``optimiser``.
-COUNTERS = OptimiserCounters()
+)
 
 
 class CoverTally:

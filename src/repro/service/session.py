@@ -53,6 +53,7 @@ from repro import ops
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import SlowQueryLog
+from repro.core.build import COUNTERS as FACTORISE_COUNTERS
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
 from repro.costs.cardinality import Statistics, estimate_representation_size
@@ -301,8 +302,10 @@ class QuerySession:
         self.registry.register("session", self.stats.as_dict)
         self.registry.register("caches", self.cache_counters)
         # Process-wide, like the adapter tallies under ``caches``: the
-        # searches are plain functions with no session to report to.
+        # searches and the factoriser are plain functions with no
+        # session to report to.
         self.registry.register("optimiser", OPTIMISER_COUNTERS.snapshot)
+        self.registry.register("factorise", FACTORISE_COUNTERS.snapshot)
         self.registry.register(
             "submitter",
             lambda: (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -12,6 +14,17 @@ from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
 from repro.relational.relation import Relation
 from repro.workloads import grocery_database, query_q1, query_q2
+
+
+def load_script(name: str):
+    """Import ``scripts/<name>.py`` (the golden-corpus generators) as a
+    module, so a test can rebuild what the script wrote."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "scripts", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

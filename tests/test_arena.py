@@ -278,6 +278,53 @@ def test_random_projections_agree_between_encodings(seed):
     assert sorted(set(got.rows())) == sorted(set(expected.rows()))
 
 
+# -- the compiled enumerator ---------------------------------------------------
+
+
+def _chain_arena(seed: int):
+    """A three-node arena big enough for the compiled enumerator."""
+    db = random_database(
+        relations=1, attributes=3, tuples=60, domain=6, seed=seed
+    )
+    tree = FTree.from_nested(
+        [("a00", [("a01", [("a02", [])])])],
+        edges=[{"a00", "a01", "a02"}],
+    )
+    rep = factorise([db["R0"]], tree, encoding="arena")
+    assert rep.entry_count >= arena._CODEGEN_MIN_ENTRIES
+    return rep
+
+
+def test_equal_skeletons_share_one_compiled_enumerator():
+    """Every build makes a fresh skeleton object; the loop nest is
+    keyed by what its source depends on, so it is compiled once per
+    shape and slot assignment, not once per query."""
+    first, second = _chain_arena(360), _chain_arena(361)
+    assert first.skel is not second.skel
+    order = ("a02", "a00", "a01")
+    compiled = arena._compile_rows(first.skel, order)
+    assert arena._compile_rows(second.skel, order) is compiled
+    assert arena._compile_rows(first.skel, ("a00", "a01")) is not compiled
+    for rep in (first, second):
+        assert list(compiled(rep)) == list(
+            arena._iter_rows_walk(rep, order)
+        )
+        assert list(arena.iter_rows(rep, order)) == list(compiled(rep))
+
+
+def test_compiled_enumerator_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(arena, "_ENUM_CACHE_SIZE", 2)
+    monkeypatch.setattr(arena, "_ENUM_CACHE", {})
+    rep = _chain_arena(362)
+    orders = [("a00",), ("a01",), ("a02",), ("a00", "a01")]
+    for order in orders:
+        arena._compile_rows(rep.skel, order)
+        assert len(arena._ENUM_CACHE) <= 2
+    # Oldest out: the last two orders are the ones still compiled.
+    kept = list(arena._ENUM_CACHE.values())
+    assert [arena._compile_rows(rep.skel, o) for o in orders[2:]] == kept
+
+
 # -- writer/validation internals ---------------------------------------------
 
 
@@ -287,11 +334,12 @@ def test_writer_rollback_truncates_descendants():
         edges=[{"a", "b"}, {"a", "c"}],
     )
     writer = ArenaWriter(tree)
-    root = writer.index[frozenset({"a"})]
+    index = writer.skel.index
+    root = index[frozenset({"a"})]
     marks = writer.mark(root)
-    writer.extend_leaf(writer.index[frozenset({"b"})], [1, 2])
+    writer.extend_leaf(index[frozenset({"b"})], [1, 2])
     writer.rollback(root, marks)
-    assert writer.entry_count(writer.index[frozenset({"b"})]) == 0
+    assert len(writer.values[index[frozenset({"b"})]]) == 0
 
 
 def test_intern_distinguishes_equal_values_of_different_types():

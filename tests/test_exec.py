@@ -122,6 +122,34 @@ def test_parallel_executor_sharded_database(db, queries, strategy):
             assert result.rows() == reference_rows(db, query)
 
 
+def test_one_thread_pool_runs_in_the_calling_thread(db, queries):
+    """``max_workers=1, pool="thread"`` fans out per (query, shard) like
+    any pool but starts no thread: same answers, worker spans still
+    come back, and a failing task still raises from ``result()``."""
+    import threading
+
+    from repro.obs import Trace, activate
+
+    sdb = ShardedDatabase.from_database(db, shards=3)
+    executor = ParallelExecutor(max_workers=1, pool="thread")
+    threads = threading.active_count()
+    trace = Trace()
+    with QuerySession(sdb, executor=executor) as session:
+        with activate(trace):
+            results = session.run_batch(queries)
+        assert executor.pool_kind == "thread"
+        assert threading.active_count() == threads
+        for query, result in zip(queries, results):
+            assert result.rows() == reference_rows(db, query)
+        shard_spans = [
+            r for r in trace.records if r["name"] == "worker:shard"
+        ]
+        assert len(shard_spans) == 3 * len(queries)
+        failed = executor._pool.submit(lambda: 1 // 0)
+        with pytest.raises(ZeroDivisionError):
+            failed.result()
+
+
 def test_parallel_executor_uses_and_fills_plan_cache(db, queries):
     executor = ParallelExecutor(max_workers=2)
     with QuerySession(db, executor=executor) as session:

@@ -18,7 +18,6 @@ from repro.core.frep import (
     UnionRep,
     check_sorted,
     iter_unions,
-    merge_sorted_values,
     singleton_union,
 )
 from repro.core.ftree import FNode, FTree
@@ -71,12 +70,6 @@ def test_singleton_union_shape():
 def test_iter_unions_visits_all():
     count = sum(1 for _ in iter_unions(small_data()))
     assert count == 3  # one a-union + two nested b-unions
-
-
-def test_merge_sorted_values():
-    assert merge_sorted_values([1, 2, 4], [2, 3, 4]) == [2, 4]
-    assert merge_sorted_values([], [1]) == []
-    assert merge_sorted_values([1], [1]) == [1]
 
 
 def test_copy_is_deep():

@@ -511,6 +511,38 @@ def test_result_cache_never_serves_stale_entries():
             assert served.version == db.version
 
 
+def test_warm_tries_never_serve_stale_rows():
+    """The factoriser caches one trie per relation path *on* the
+    relation.  With every trie warm before each mutation, the answer
+    after it must still be the flat engines' (which share no index
+    with it): the mutated relation is a new object without tries, the
+    untouched ones keep object and tries."""
+    db = _database(6)
+    rng = random.Random(6)
+    pool = _pool(db, 6)
+    with QuerySession(
+        db, encoding="arena", check_invariants=True
+    ) as session:
+        for step in range(12):
+            for query in pool:  # every access path warm
+                FDB(db, encoding="arena").evaluate(query)
+            before = {relation.name: relation for relation in db}
+            history = [mutate(db, rng)]
+            replaced = [
+                name for name, old in before.items() if db[name] is not old
+            ]
+            assert len(replaced) <= 1, history
+            for name, old in before.items():
+                if name in replaced:
+                    assert db[name]._tries == {}, history
+                else:
+                    assert db[name]._tries == old._tries, history
+            for query in rng.sample(pool, 2):
+                check(
+                    db, query, lambda q: session.run(q).rows(), step, history
+                )
+
+
 # -- repro.ivm unit behaviour -------------------------------------------------
 
 

@@ -350,6 +350,33 @@ def test_optimiser_counts_repeat_exactly_for_a_fixed_query():
     assert any(line.startswith("optimiser: ") for line in lines)
 
 
+# -- the factorise namespace ---------------------------------------------------
+
+
+def test_factorise_counts_repeat_exactly_for_a_fixed_query():
+    from repro.core.build import COUNTERS
+
+    def delta():
+        before = COUNTERS.snapshot()
+        with QuerySession(_database(), encoding="arena") as session:
+            for _ in range(2):  # the second run is a result-cache hit
+                session.run(
+                    parse_query("SELECT * FROM R0, R1, R2 WHERE a01 = a02")
+                )
+            assert session.snapshot()["factorise"] == COUNTERS.snapshot()
+            lines = session_lines(session.snapshot())
+        return COUNTERS.since(before), lines
+
+    first, lines = delta()
+    second, _ = delta()
+    assert first == second  # fresh databases: tries are built both times
+    assert first["calls"] == 1
+    assert first["trie_builds"] == 3 and first["trie_hits"] == 0
+    assert first["trie_rows_scanned"] == sum(len(r) for r in _database())
+    assert first["entries_committed"] > 0
+    assert any(line.startswith("factorise: ") for line in lines)
+
+
 # -- propagation: process pool ----------------------------------------------
 
 
@@ -492,5 +519,6 @@ def test_cli_explain_profile_smoke(tmp_path, capsys):
     assert "f-plan" in out
     assert "optimiser: 1 f-tree searches" in out
     assert "1 f-plan searches" in out
+    assert "factorise: 1 calls, 2 tries built (5 rows scanned)" in out
     assert "kernel" in out  # the per-operator table header
     assert "total:" in out

@@ -12,28 +12,16 @@ same states expanded, same neighbours generated -- only cheaper per
 state.
 """
 
-import importlib.util
 import json
-import os
 
 import pytest
 
 from repro.costs.cardinality import Statistics
 from repro.optimiser import exhaustive_fplan, optimal_ftree
 from repro.optimiser.bitspace import COUNTERS
+from tests.conftest import load_script
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _load_generator():
-    path = os.path.join(ROOT, "scripts", "gen_optimiser_golden.py")
-    spec = importlib.util.spec_from_file_location("gen_golden", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-gen = _load_generator()
+gen = load_script("gen_optimiser_golden")
 
 with open(gen.GOLDEN_PATH, encoding="utf-8") as handle:
     GOLDEN = json.load(handle)
