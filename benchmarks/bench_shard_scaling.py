@@ -16,7 +16,13 @@ parallelism:
                   factorised results are unioned before projection).
 
 Correctness is asserted unconditionally: every configuration must
-return the same per-query tuple counts.  The throughput acceptance --
+return the same per-query tuple counts.  Beside the timings, every
+configuration records what its fan-out did in deterministic counts --
+``shard_tasks`` (the (query, shard) evaluations) and the ``union``
+namespace's ``parts`` / ``entries_in`` / ``entries_out`` (how much
+replicated subtree work the recombination collapsed) -- which
+``scripts/bench_diff.py`` gates against the committed baseline at any
+scale.  The throughput acceptance --
 the best parallel configuration beats serial -- is checked whenever
 the workload is timed (default and full scale; smoke mode only checks
 agreement) and the pool is a real process pool (a thread fallback is
@@ -31,6 +37,8 @@ import pytest
 
 from benchmarks.conftest import bench_json, emit, full_scale, smoke_mode
 from repro.exec import ParallelExecutor, SerialExecutor
+from repro.obs import Trace, activate
+from repro.ops.union import COUNTERS as UNION_COUNTERS
 from repro.service import QuerySession
 from repro.storage import ShardedDatabase
 from repro.workloads import random_database, repeated_query_workload
@@ -38,18 +46,20 @@ from repro.workloads import random_database, repeated_query_workload
 
 def _params():
     if smoke_mode():
+        # A small domain, so that the tiny joins are not empty and the
+        # gated union counts have something to count.
         return dict(
             relations=3, attributes=6, tuples=8, equalities=2,
-            unique=3, total=6, workers=2, shards=2,
+            unique=3, total=6, workers=2, shards=2, domain=2,
         )
     if full_scale():
         return dict(
             relations=7, attributes=21, tuples=12, equalities=6,
-            unique=24, total=48, workers=4, shards=4,
+            unique=24, total=48, workers=4, shards=4, domain=20,
         )
     return dict(
         relations=6, attributes=18, tuples=10, equalities=5,
-        unique=16, total=24, workers=4, shards=4,
+        unique=16, total=24, workers=4, shards=4, domain=20,
     )
 
 
@@ -59,7 +69,7 @@ def _setup():
         relations=p["relations"],
         attributes=p["attributes"],
         tuples=p["tuples"],
-        domain=20,
+        domain=p["domain"],
         seed=13,
     )
     workload = repeated_query_workload(
@@ -73,13 +83,25 @@ def _setup():
 
 
 def _run(db, workload, executor):
-    """One cold session end-to-end; returns (counts, seconds, session)."""
+    """One cold session end-to-end; returns (counts, seconds, session
+    stats, fan-out counts)."""
+    unioned = UNION_COUNTERS.snapshot()
+    trace = Trace()
     start = time.perf_counter()
-    with QuerySession(db, executor=executor) as session:
-        counts = [r.count() for r in session.run_batch(workload)]
+    with QuerySession(db, executor=executor, encoding="arena") as session:
+        with activate(trace):
+            results = session.run_batch(workload)
+        counts = [r.count() for r in results]
         elapsed = time.perf_counter() - start
         stats = session.stats
-    return counts, elapsed, stats
+    unioned = UNION_COUNTERS.since(unioned)
+    fan_out = {
+        "shard_tasks": sum(
+            record["name"] == "worker:shard" for record in trace.records
+        ),
+        **{k: unioned[k] for k in ("parts", "entries_in", "entries_out")},
+    }
+    return counts, elapsed, stats, fan_out
 
 
 @pytest.mark.benchmark(group="shard-scaling")
@@ -104,10 +126,12 @@ def test_shard_scaling_throughput():
     counts_by_label = {}
     times = {}
     pool_kinds = {}
+    fan_outs = {}
     for label, database, executor in configs:
-        counts, elapsed, stats = _run(database, workload, executor)
+        counts, elapsed, stats, fan_out = _run(database, workload, executor)
         counts_by_label[label] = counts
         times[label] = elapsed
+        fan_outs[label] = fan_out
         pool_kinds[label] = getattr(executor, "pool_kind", None)
         pool_note = (
             f", {pool_kinds[label]} pool" if pool_kinds[label] else ""
@@ -116,7 +140,10 @@ def test_shard_scaling_throughput():
             f"{label:14s} {elapsed:8.3f} s  "
             f"{len(workload) / max(elapsed, 1e-9):7.1f} q/s  "
             f"({stats.plan_misses} compiled, "
-            f"{stats.batch_deduped} deduped{pool_note})"
+            f"{stats.batch_deduped} deduped{pool_note}; "
+            f"{fan_out['shard_tasks']} shard tasks, union "
+            f"{fan_out['entries_in']} -> {fan_out['entries_out']} entries "
+            f"over {fan_out['parts']} parts)"
         )
 
     serial_label = configs[0][0]
@@ -139,20 +166,20 @@ def test_shard_scaling_throughput():
         ),
     )
 
-    bench_json(
-        "shard_scaling",
-        {
-            "workload_queries": len(workload),
-            "unique_templates": p["unique"],
-            "database_tuples": db.total_size,
-            "seconds": times,
-            "pool_kinds": pool_kinds,
-            "best_parallel_speedup": (
-                times[serial_label] / max(best_parallel, 1e-9)
-            ),
-        },
-        workload=p,
-    )
+    payload = {
+        "workload_queries": len(workload),
+        "unique_templates": p["unique"],
+        "database_tuples": db.total_size,
+        "seconds": times,
+        "pool_kinds": pool_kinds,
+        "fan_out": fan_outs,
+    }
+    if not smoke_mode():
+        # Sub-10 ms smoke timings measure pool start-up, not scaling.
+        payload["best_parallel_speedup"] = (
+            times[serial_label] / max(best_parallel, 1e-9)
+        )
+    bench_json("shard_scaling", payload, workload=p)
 
     # Correctness first: every configuration returns the same answers.
     for label, counts in counts_by_label.items():

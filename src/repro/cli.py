@@ -640,7 +640,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
     pipeline that executes it (the serving-layer twin of fig 7/8)."""
     from repro import ops
     from repro.core.build import COUNTERS as FACTORISE_COUNTERS
+    from repro.exec import worker
     from repro.obs.profile import profile_plan
+    from repro.ops.union import COUNTERS as UNION_COUNTERS
     from repro.optimiser.bitspace import COUNTERS as OPTIMISER_COUNTERS
     from repro.query.query import Query
 
@@ -648,13 +650,29 @@ def cmd_explain(args: argparse.Namespace) -> int:
     query = parse_query(args.query)
     searched = OPTIMISER_COUNTERS.snapshot()
     factorised = FACTORISE_COUNTERS.snapshot()
+    unioned = UNION_COUNTERS.snapshot()
     fdb = FDB(db, plan_search=args.planner, encoding="arena")
     # Mirror QuerySession.run_on: factorise the base join, apply the
     # constants, then restructure for the equalities via an f-plan --
     # the path whose per-kernel cost --profile exposes.
     base = Query.make(query.relations)
     tree = fdb.optimal_tree(base)
-    fr = fdb.factorise_query(base, tree=tree)
+    if isinstance(db, ShardedDatabase) and db.shard_count > 1:
+        # A sharded store evaluates per shard and recombines, as its
+        # executors do, so --profile can show what the fan-out cost.
+        fanout = db.fanout_relation(base.relations)
+        fr = worker.combine_shards(
+            [
+                worker.evaluate_shard(
+                    db, False, base, tree, index, fanout, "arena"
+                )
+                for index in range(db.shard_count)
+            ],
+            base,
+            False,
+        )
+    else:
+        fr = fdb.factorise_query(base, tree=tree)
     for cond in query.constants:
         if cond.attribute not in fr.tree.attributes():
             raise SystemExit(f"unknown attribute {cond.attribute!r}")
@@ -679,6 +697,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
     )
     if args.profile:
         print(report.factorise_line(FACTORISE_COUNTERS.since(factorised)))
+        unioned = report.union_line(UNION_COUNTERS.since(unioned))
+        if unioned is not None:
+            print(unioned)
         print(profile.format_table())
     return 0
 

@@ -333,8 +333,9 @@ class ParallelExecutor(Executor):
                 )
 
         # Gather.  Reported ``elapsed`` is evaluation time only --
-        # worker-side for full tasks, critical path (slowest shard)
-        # plus recombination for sharded ones; queueing behind other
+        # worker-side for full tasks, critical path (slowest shard, or
+        # all shards where the pool runs them on the caller) plus
+        # recombination for sharded ones; queueing behind other
         # queries and the shared compile wave are excluded, keeping
         # per-query numbers comparable with the serial executor's.
         results = []
@@ -384,7 +385,10 @@ class ParallelExecutor(Executor):
                 fr = worker.project_result(
                     fr, query, session.check_invariants
                 )
-                elapsed = max(seconds for seconds, _, _ in parts) + (
+                # A caller-run pool evaluates the shards back to back:
+                # their times add up instead of overlapping.
+                overlap = sum if isinstance(self._pool, _CallerPool) else max
+                elapsed = overlap(seconds for seconds, _, _ in parts) + (
                     time.perf_counter() - combine_start
                 )
             results.append(

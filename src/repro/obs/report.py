@@ -65,6 +65,24 @@ def factorise_line(counters: Optional[Dict[str, Any]]) -> Optional[str]:
     )
 
 
+def union_line(counters: Optional[Dict[str, Any]]) -> Optional[str]:
+    """The ``union:`` line: what recombining shard results cost and
+    saved.  ``entries in -> out`` is the replicated work of the
+    fan-outs (each shard re-derives the subtrees off the partitioned
+    relation's path; the union collapses the copies).  ``None`` until
+    a union has run -- unsharded sessions never print it."""
+    if not counters or not counters["calls"]:
+        return None
+    return (
+        f"union: {counters['calls']} calls over "
+        f"{counters['parts']} parts, "
+        f"{counters['entries_in']} entries in -> "
+        f"{counters['entries_out']} out "
+        f"({counters['entries_in'] / max(counters['entries_out'], 1):.2f}x "
+        f"replicated), {counters['ids_remapped']} ids remapped"
+    )
+
+
 def session_lines(
     snapshot: Dict[str, Any],
     total_queries: Optional[int] = None,
@@ -106,6 +124,9 @@ def session_lines(
     factorised = factorise_line(snapshot.get("factorise"))
     if factorised is not None:
         lines.append(factorised)
+    unioned = union_line(snapshot.get("union"))
+    if unioned is not None:
+        lines.append(unioned)
     store = snapshot.get("plan_store")
     if store is not None:
         line = (

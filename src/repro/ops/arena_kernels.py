@@ -31,9 +31,19 @@ up-front, chained by a generated driver, and cached weakly per plan --
 the kernel-at-a-time object path remains as the differential oracle
 and fallback.
 
-:func:`union_arena` and :func:`product_arena` cover the remaining
-binary operators, including cross-pool id remapping when the inputs do
-not share a value pool.
+The union comes in two kernels with one result (see
+:mod:`repro.ops.union` for the two contracts): :func:`union_arenas`
+recombines k shard results in one level-synchronous pass -- per f-tree
+node, the k value columns end to end, one sort-and-group on
+(output parent, value rank), child ranges as prefix sums -- and
+:func:`union_arena` is the pairwise two-pointer merge kept for delta
+maintenance, where one side is tiny.  Both take value ids across pools
+through :func:`_pool_remaps` when the inputs do not share one;
+:func:`product_arena` covers the remaining binary operator.
+The level pass is written over four column primitives, each with a
+numpy body and a stdlib body under the module's usual ``_np is not
+None`` switch: without numpy it is the same algorithm, one sort per
+node, not a fallback to the fold.
 """
 
 from __future__ import annotations
@@ -41,9 +51,11 @@ from __future__ import annotations
 import heapq
 import weakref
 from array import array
+from itertools import accumulate, chain, repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.arena import (
+    ArenaError,
     ArenaRep,
     ValuePool,
     _as_np,
@@ -185,31 +197,38 @@ def _copy_run(
         _copy_run(src, w, skids[j], dkids[j], c_lo, c_hi, vmap)
 
 
-def _pool_rank(pool):
-    """Sort rank of every pool id by its decoded value, as an int64
-    numpy table -- ids whose values compare *equal* (interning is
-    per-type, so ``1`` and ``1.0`` hold distinct ids) share a rank,
-    mirroring the heap path's equality grouping.  Returns ``False``
-    when the pool holds incomparable values (the caller falls back to
-    the heap) or numpy is unavailable.
-    """
-    if _np is None:
-        return False
-    size = len(pool)
-    try:
-        order = sorted(range(size), key=pool.__getitem__)
-    except TypeError:
-        return False
-    rank = _np.empty(size, dtype=_np.int64)
+def _value_ranks(ids: Sequence[int], pool) -> Tuple[List[int], int]:
+    """Dense sort rank of each of the distinct ``ids`` by its decoded
+    value (aligned with ``ids``), and the number of ranks.  Ids whose
+    values compare *equal* share a rank (interning is per-type, so
+    ``1`` and ``1.0`` hold distinct ids) -- the equality grouping of
+    the heap and two-pointer merges.  Incomparable values raise
+    ``TypeError``, as they would there."""
+    values = [pool[vid] for vid in ids]  # decode once: pools may be slow
+    ranks = [0] * len(values)
     current = -1
-    previous = object()
-    for vid in order:
-        value = pool[vid]
+    previous = None
+    for e in sorted(range(len(values)), key=values.__getitem__):
+        value = values[e]
         if current < 0 or value != previous:
             current += 1
             previous = value
-        rank[vid] = current
-    return rank
+        ranks[e] = current
+    return ranks, current + 1
+
+
+def _pool_rank(pool):
+    """:func:`_value_ranks` of every pool id, as an int64 numpy table.
+    Returns ``False`` when the pool holds incomparable values (the
+    caller falls back to the heap) or numpy is unavailable.
+    """
+    if _np is None:
+        return False
+    try:
+        ranks, _ = _value_ranks(range(len(pool)), pool)
+    except TypeError:
+        return False
+    return _np.asarray(ranks, dtype=_np.int64)
 
 
 # -- the per-occurrence driver ------------------------------------------------
@@ -1106,47 +1125,60 @@ def compiled_plan_for(plan) -> CompiledArenaPlan:
 # -- union and product --------------------------------------------------------
 
 
-def _right_remap(left_pool, right_pool):
-    """An id remap table taking right-pool ids into (an extension of)
-    the left pool; returns ``(out_pool, vmap)``."""
-    if isinstance(left_pool, ValuePool):
-        # Shared pools are append-only: intern the right values in
-        # place so the output keeps the sharing identity.
-        ids = [left_pool.intern(value) for value in right_pool]
-        out_pool = left_pool
+def _pool_remaps(pools: Sequence[object]):
+    """``(out_pool, vmaps)`` for arenas about to share one output:
+    ``vmaps[t]`` is an id table taking ``pools[t]`` into ``out_pool``,
+    or ``None`` where that pool *is* the first one.  The first pool is
+    extended by the others' unseen values in part order -- a
+    :class:`ValuePool` in place (shared pools are append-only, and the
+    output keeps the sharing identity), a list pool as a copy -- with
+    one intern table for the whole call."""
+    first = pools[0]
+    if all(pool is first for pool in pools):
+        return first, [None] * len(pools)
+    if isinstance(first, ValuePool):
+        out_pool = first
+        intern_value = first.intern
     else:
-        out_pool = list(left_pool)
+        out_pool = list(first)
         intern: Dict[type, Dict[object, int]] = {}
         for vid, value in enumerate(out_pool):
-            table = intern.setdefault(value.__class__, {})
-            table.setdefault(value, vid)
-        ids = []
-        for value in right_pool:
+            intern.setdefault(value.__class__, {}).setdefault(value, vid)
+
+        def intern_value(value: object) -> int:
             table = intern.setdefault(value.__class__, {})
             vid = table.get(value)
             if vid is None:
                 vid = table[value] = len(out_pool)
                 out_pool.append(value)
-            ids.append(vid)
-    if _np is not None:
-        return out_pool, _np.asarray(ids, dtype=_np.int64)
-    return out_pool, ids
+            return vid
+
+    vmaps: List[object] = []
+    for pool in pools:
+        if pool is first:
+            vmaps.append(None)
+            continue
+        ids = [intern_value(value) for value in pool]
+        vmaps.append(
+            ids if _np is None else _np.asarray(ids, dtype=_np.int64)
+        )
+    return out_pool, vmaps
 
 
 def union_arena(left: ArenaRep, right: ArenaRep) -> ArenaRep:
-    """Structural union of two arenas over the same f-tree: a decoded
-    two-pointer merge per union occurrence, with one-sided runs
-    bulk-copied.  Shares the left pool when both inputs already do
-    (the shared-pool shard path); otherwise right ids are remapped
-    through one vectorised table.  Exactness needs branch-compatible
-    inputs, as in :func:`repro.ops.union.union`."""
+    """The *delta merge*: structural union of two arenas over the same
+    f-tree by a decoded two-pointer merge per union occurrence, with
+    one-sided runs bulk-copied.  Its work is proportional to the
+    smaller side's entries plus the runs between them, which is what
+    :func:`repro.ivm.apply_deltas` wants (a cached result of hundreds
+    of entries meets a delta of a handful); k comparable parts go
+    through :func:`union_arenas` instead, once.  Shares the left pool
+    when both inputs already do; otherwise right ids are remapped
+    through one table.  Exactness needs branch-compatible inputs, as
+    in :func:`repro.ops.union.union`."""
     skel = left.skel
     w = _Writer(skel)
-    if left.pool is right.pool:
-        out_pool = left.pool
-        vmap = None
-    else:
-        out_pool, vmap = _right_remap(left.pool, right.pool)
+    out_pool, (_, vmap) = _pool_remaps((left.pool, right.pool))
     lpool = left.pool
     rpool = right.pool
 
@@ -1193,6 +1225,165 @@ def union_arena(left: ArenaRep, right: ArenaRep) -> ArenaRep:
             r, 0, len(left.values[r]), 0, len(right.values[r])
         )
     return w.finish(out_pool)
+
+
+# -- the k-way shard union: one pass per f-tree node ---------------------------
+#
+# Column primitives, each realised with numpy or with the stdlib alone.
+# A "vector" below is an int64 ndarray or a list of ints accordingly.
+
+
+def _column(vector) -> array:
+    """A vector as an arena column."""
+    out = _i64()
+    if _np is not None:
+        out.frombytes(vector.astype(_np.int64, copy=False).tobytes())
+    else:
+        out.extend(vector)
+    return out
+
+
+def _gather(columns: Sequence[object], vmaps: Sequence[object]):
+    """The columns end to end, each taken through its id table."""
+    if _np is not None:
+        return _np.concatenate(
+            [
+                _as_np(column) if vmap is None else vmap[_as_np(column)]
+                for column, vmap in zip(columns, vmaps)
+            ]
+        )
+    out: List[int] = []
+    for column, vmap in zip(columns, vmaps):
+        out.extend(
+            column if vmap is None else map(vmap.__getitem__, column)
+        )
+    return out
+
+
+def _spread(slots, los: Sequence[object], his: Sequence[object]):
+    """``slots[e]`` repeated once per child entry of input entry ``e``
+    (child ranges ``[lo, hi)`` given per part, end to end): the owner
+    vector of the child column, valid because child ranges tile it."""
+    if _np is not None:
+        widths = _np.concatenate(
+            [_as_np(hi) - _as_np(lo) for lo, hi in zip(los, his)]
+        )
+        return _np.repeat(slots, widths)
+    widths = (hi - lo for lo, hi in zip(chain(*los), chain(*his)))
+    return list(chain.from_iterable(map(repeat, slots, widths)))
+
+
+def _group(ids, owners, n_owners: int, pool):
+    """Merge one node's concatenated entries: ``(out_ids, slots,
+    counts)`` -- the output column, the output index of every input
+    entry, and the number of output entries per owner (the output
+    index of the parent entry; ``owners=None`` for a root).
+
+    Entries with one owner and ``==``-equal values form one output
+    entry, emitted in (owner, value) order and carrying the id of the
+    first of them in input order -- the left-most part's.
+    """
+    n = len(ids)
+    if _np is not None:
+        distinct, inverse = _np.unique(ids, return_inverse=True)
+        rank, ranks = _value_ranks(distinct.tolist(), pool)
+        keys = _np.asarray(rank, dtype=_np.int64)[inverse]
+        if owners is not None:
+            keys += owners * ranks
+        order = _np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        fresh = _np.empty(n, dtype=bool)
+        fresh[0] = True
+        _np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+        winners = order[fresh]
+        slots = _np.empty(n, dtype=_np.int64)
+        slots[order] = _np.cumsum(fresh) - 1
+        if owners is None:
+            counts = _np.asarray([len(winners)], dtype=_np.int64)
+        else:
+            counts = _np.bincount(owners[winners], minlength=n_owners)
+        return ids[winners], slots, counts
+    distinct = list(set(ids))
+    rank, ranks = _value_ranks(distinct, pool)
+    rank = dict(zip(distinct, rank))
+    if owners is None:
+        owners = [0] * n
+        keys = [rank[vid] for vid in ids]
+    else:
+        keys = [o * ranks + rank[vid] for o, vid in zip(owners, ids)]
+    out_ids: List[int] = []
+    slots = [0] * n
+    counts = [0] * n_owners
+    last = -1
+    for e in sorted(range(n), key=keys.__getitem__):
+        if keys[e] != last:
+            last = keys[e]
+            out_ids.append(ids[e])
+            counts[owners[e]] += 1
+        slots[e] = len(out_ids) - 1
+    return out_ids, slots, counts
+
+
+def _ranges(counts) -> Tuple[array, array]:
+    """Tiling ``(child_lo, child_hi)`` for per-entry child counts."""
+    if _np is not None:
+        his = _np.cumsum(counts)
+        return _column(his - counts), _column(his)
+    bounds = list(accumulate(counts, initial=0))
+    return _column(bounds[:-1]), _column(bounds[1:])
+
+
+def union_arenas(parts: Sequence[ArenaRep]) -> ArenaRep:
+    """Structural union of k >= 2 non-empty arenas over one f-tree, one
+    pass per f-tree node (level-synchronous): the *shard recombination*.
+
+    Visiting nodes in pre-order, each node's k value columns are put
+    end to end (ids taken into the output pool, see
+    :func:`_pool_remaps`), every entry tagged with the output index of
+    its parent entry, and :func:`_group` sorts and merges them in one
+    go; the parent's child ranges are prefix sums of the per-parent
+    group counts, and each child column inherits its owner vector
+    through :func:`_spread`.  O(#nodes) column operations with numpy
+    (one sort per node without), every output column written once --
+    against k-1 rewrites of the growing result by a fold of
+    :func:`union_arena`, whose output this reproduces byte for byte.
+    Exactness needs branch-compatible inputs, as there.
+    """
+    skel = parts[0].skel
+    out_pool, vmaps = _pool_remaps([part.pool for part in parts])
+    n = len(skel)
+    values: List[array] = [None] * n  # type: ignore[list-item]
+    child_lo: List[List[array]] = [[] for _ in range(n)]
+    child_hi: List[List[array]] = [[] for _ in range(n)]
+    #: Per node, left by its parent: (owner vector, number of output
+    #: entries the parent has); a root has one virtual owner.
+    pending: List[Tuple[object, int]] = [(None, 1)] * n
+    for i in range(n):  # pre-order: parents come before their children
+        ids = _gather([part.values[i] for part in parts], vmaps)
+        owners, n_owners = pending[i]
+        pending[i] = (None, 0)  # the vector is as long as the column
+        if owners is not None and len(owners) != len(ids):
+            raise ArenaError(
+                f"node {skel.parent[i]}: child ranges do not tile "
+                f"the column of node {i}"
+            )
+        out_ids, slots, counts = _group(ids, owners, n_owners, out_pool)
+        values[i] = _column(out_ids)
+        p = skel.parent[i]
+        if p != -1:
+            # Children are visited in slot order, so appending lines
+            # the ranges up with ``skel.children[p]``.
+            lo, hi = _ranges(counts)
+            child_lo[p].append(lo)
+            child_hi[p].append(hi)
+        for j, k in enumerate(skel.children[i]):
+            spread = _spread(
+                slots,
+                [part.child_lo[i][j] for part in parts],
+                [part.child_hi[i][j] for part in parts],
+            )
+            pending[k] = (spread, len(out_ids))
+    return ArenaRep(skel, values, child_lo, child_hi, out_pool)
 
 
 def product_arena(

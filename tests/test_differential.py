@@ -111,6 +111,13 @@ def test_session_facade_matches_direct_engines():
     session.close()
 
 
+#: Shard counts of the sharded rows: 2 is the old pairwise union, 8 is
+#: more parts than most of these unions have entries (empty shards,
+#: one-entry columns).
+SHARD_COUNTS = [2, 3, 8]
+
+
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize(
     "db_seed,query_seed,count,strategy",
     [
@@ -120,14 +127,14 @@ def test_session_facade_matches_direct_engines():
     ],
 )
 def test_sharded_parallel_path_agrees_with_all_engines(
-    db_seed, query_seed, count, strategy
+    db_seed, query_seed, count, strategy, shards
 ):
     """ShardedDatabase + ParallelExecutor joins the harness (PR-1
     policy): the per-shard union path must agree with FDB, the flat
     engine and SQLite on the same seeded random SPJ batches."""
     db = _database(db_seed)
     sharded = ShardedDatabase.from_database(
-        db, shards=3, strategy=strategy
+        db, shards=shards, strategy=strategy
     )
     queries = _queries(db, query_seed, count)
     executor = ParallelExecutor(max_workers=3)
@@ -139,7 +146,7 @@ def test_sharded_parallel_path_agrees_with_all_engines(
             order, expected = fdb_rows(db, query)
             context = (
                 f"seed {db_seed}/{query_seed} query {index} "
-                f"({strategy}): {query}"
+                f"({strategy} x {shards}): {query}"
             )
             assert result.rows() == expected, context
             assert flat_rows(db, query, order) == expected, context
@@ -249,12 +256,14 @@ def test_arena_engine_path_agrees():
             ), context
 
 
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize("strategy", ["hash", "round_robin"])
-def test_arena_sharded_parallel_path_agrees(strategy):
-    """Arena encoding through the sharded + parallel union path."""
+def test_arena_sharded_parallel_path_agrees(strategy, shards):
+    """Arena encoding through the sharded + parallel union path (the
+    level-synchronous ``union_arenas`` kernel)."""
     db = _database(108)
     sharded = ShardedDatabase.from_database(
-        db, shards=3, strategy=strategy
+        db, shards=shards, strategy=strategy
     )
     queries = _queries(db, 208, 15)
     executor = ParallelExecutor(max_workers=3)
@@ -268,7 +277,8 @@ def test_arena_sharded_parallel_path_agrees(strategy):
         for index, (query, result) in enumerate(zip(queries, results)):
             _, expected = fdb_rows(db, query)
             context = (
-                f"arena sharded ({strategy}), query {index}: {query}"
+                f"arena sharded ({strategy} x {shards}), "
+                f"query {index}: {query}"
             )
             assert result.rows() == expected, context
 

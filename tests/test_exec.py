@@ -150,6 +150,30 @@ def test_one_thread_pool_runs_in_the_calling_thread(db, queries):
             failed.result()
 
 
+def test_caller_run_fan_out_reports_the_sum_of_its_shards(
+    db, monkeypatch
+):
+    """Shard tasks that run back to back on the caller add up:
+    ``elapsed`` (what ``repro_query_seconds`` and the slow log see)
+    used to report only the slowest of them."""
+    timings = []
+    traced_call = worker.traced_call
+
+    def recording(ctx, fn, *args):
+        seconds, result, records = traced_call(ctx, fn, *args)
+        timings.append(seconds)
+        return seconds, result, records
+
+    monkeypatch.setattr(worker, "traced_call", recording)
+    sdb = ShardedDatabase.from_database(db, shards=4)
+    executor = ParallelExecutor(max_workers=1, pool="thread")
+    query = Query.make(["R0", "R1"], equalities=[("a00", "a02")])
+    with QuerySession(sdb, executor=executor) as session:
+        result = session.run(query)
+    assert len(timings) == 4 and min(timings) > 0
+    assert result.elapsed >= sum(timings) > max(timings)
+
+
 def test_parallel_executor_uses_and_fills_plan_cache(db, queries):
     executor = ParallelExecutor(max_workers=2)
     with QuerySession(db, executor=executor) as session:
