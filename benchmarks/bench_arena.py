@@ -1,30 +1,32 @@
-"""Arena encoding benchmark: build, enumerate, load, and memory.
+"""Arena benchmark: build, enumerate, load, and memory.
 
-The arena (:mod:`repro.core.arena`) exists to make the factorised hot
-path allocation-free: flat interned-value and offset-range columns
-instead of one Python object per union entry.  This benchmark measures
-the four claims on paper-shaped workloads (the combinatorial database
-of Experiments 3/4 and a hierarchical many-to-many join) and writes
-them to ``BENCH_arena.json`` for the cross-PR diff:
+The arena (:mod:`repro.core.arena`) is the engine's one physical
+representation because it makes the factorised hot path
+allocation-free: flat interned-value and offset-range columns instead
+of one Python object per union entry.  This benchmark keeps that
+choice measured, against the object-at-a-time reference implementation
+(:mod:`repro.reference`, the tests' oracle), on paper-shaped workloads
+(the combinatorial database of Experiments 3/4 and a hierarchical
+many-to-many join), and writes ``BENCH_arena.json`` for the cross-PR
+diff:
 
 - **build**: ground-representation construction from the input
-  relations over the optimal f-tree, object vs arena;
+  relations over the optimal f-tree, reference vs arena;
 - **enumerate**: streaming every tuple of the result (the compiled
   per-skeleton loop nest vs the object walk), plus count and size;
-- **load**: ``repro.persist`` round trip -- the ``arena`` blob kind
-  reloads columns ~O(bytes) while the ``factorised`` kind rebuilds the
-  object graph;
+- **load**: ``repro.persist`` round trip of the ``arena`` blob
+  (columns reload ~O(bytes)); there is no object blob to compare with
+  any more, so this is one column;
 - **memory**: retained bytes of the built representation (tracemalloc).
 
-Correctness (both encodings describe the same relation) is asserted at
-every scale; the speedup floors are skipped in smoke mode, and the
-headline >= 2x acceptance lives with the paper workloads in
-``bench_fig7`` / ``bench_fig8``.
+Correctness (both describe the same relation) is asserted at every
+scale; the speedup floors are skipped in smoke mode.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import time
 import tracemalloc
 
@@ -37,6 +39,8 @@ from repro.engine import FDB
 from repro.persist import load, save
 from repro.query.parser import parse_query
 from repro.query.query import Query
+from repro.reference import ObjectRelation
+from repro.reference import factorise as reference_factorise
 from repro.relational.database import Database
 from repro.workloads import combinatorial_database, random_equalities
 
@@ -119,11 +123,9 @@ def test_arena_hot_paths(tmp_path):
         "build_arena_seconds": 0.0,
         "enumerate_object_seconds": 0.0,
         "enumerate_arena_seconds": 0.0,
-        "load_object_seconds": 0.0,
         "load_arena_seconds": 0.0,
         "memory_object_bytes": 0,
         "memory_arena_bytes": 0,
-        "object_file_bytes": 0,
         "arena_file_bytes": 0,
         "result_tuples": 0,
         "result_singletons": 0,
@@ -131,14 +133,13 @@ def test_arena_hot_paths(tmp_path):
 
     for label, relations, tree in _workloads(p):
         build_obj, product = _best_of(
-            p["repeats"], lambda: factorise(relations, tree)
+            p["repeats"], lambda: reference_factorise(relations, tree)
         )
         build_arena, columns = _best_of(
-            p["repeats"],
-            lambda: factorise(relations, tree, encoding="arena"),
+            p["repeats"], lambda: factorise(relations, tree)
         )
-        fr = FactorisedRelation(tree, product)
-        fa = FactorisedRelation(tree, arena=columns)
+        fr = ObjectRelation(tree, product)
+        fa = FactorisedRelation(tree, columns)
 
         # Correctness before speed, at every scale.
         assert fa.count() == fr.count() and fa.size() == fr.size()
@@ -151,33 +152,24 @@ def test_arena_hot_paths(tmp_path):
         )
         assert object_rows == arena_rows == fr.count()
 
-        object_path = str(tmp_path / f"{label}-object.fdbp")
         arena_path = str(tmp_path / f"{label}-arena.fdbp")
-        save(fr, object_path)
         save(fa, arena_path)
-        load_obj, reloaded_obj = _best_of(
-            p["repeats"], lambda: load(object_path)
-        )
         load_arena, reloaded_arena = _best_of(
             p["repeats"], lambda: load(arena_path)
         )
-        assert reloaded_obj.count() == reloaded_arena.count() == fr.count()
+        assert reloaded_arena.count() == fr.count()
 
-        import os
-
-        totals["object_file_bytes"] += os.path.getsize(object_path)
         totals["arena_file_bytes"] += os.path.getsize(arena_path)
         totals["build_object_seconds"] += build_obj
         totals["build_arena_seconds"] += build_arena
         totals["enumerate_object_seconds"] += enum_obj
         totals["enumerate_arena_seconds"] += enum_arena
-        totals["load_object_seconds"] += load_obj
         totals["load_arena_seconds"] += load_arena
         totals["memory_object_bytes"] += _retained_bytes(
-            lambda: factorise(relations, tree)
+            lambda: reference_factorise(relations, tree)
         )
         totals["memory_arena_bytes"] += _retained_bytes(
-            lambda: factorise(relations, tree, encoding="arena")
+            lambda: factorise(relations, tree)
         )
         totals["result_tuples"] += fr.count()
         totals["result_singletons"] += fr.size()
@@ -188,15 +180,12 @@ def test_arena_hot_paths(tmp_path):
     enumerate_speedup = totals["enumerate_object_seconds"] / max(
         totals["enumerate_arena_seconds"], 1e-9
     )
-    load_speedup = totals["load_object_seconds"] / max(
-        totals["load_arena_seconds"], 1e-9
-    )
     memory_reduction = totals["memory_object_bytes"] / max(
         totals["memory_arena_bytes"], 1
     )
 
     emit(
-        "Arena encoding: hot-path speedups over the object encoding",
+        "Arena: hot-path speedups over the object reference",
         "\n".join(
             [
                 f"result: {totals['result_tuples']} tuples, "
@@ -207,9 +196,8 @@ def test_arena_hot_paths(tmp_path):
                 f"enumerate: object {totals['enumerate_object_seconds']:8.4f}s"
                 f"  arena {totals['enumerate_arena_seconds']:8.4f}s"
                 f"  ({enumerate_speedup:5.2f}x)",
-                f"codec load: object {totals['load_object_seconds']:8.4f}s"
-                f"  arena {totals['load_arena_seconds']:8.4f}s"
-                f"  ({load_speedup:5.2f}x)",
+                f"codec load: arena {totals['load_arena_seconds']:8.4f}s"
+                f"  ({totals['arena_file_bytes']} bytes)",
                 f"retained:  object {totals['memory_object_bytes']:9d}B"
                 f"  arena {totals['memory_arena_bytes']:9d}B"
                 f"  ({memory_reduction:5.2f}x smaller)",
@@ -223,15 +211,13 @@ def test_arena_hot_paths(tmp_path):
             **totals,
             "build_speedup": build_speedup,
             "enumerate_speedup": enumerate_speedup,
-            "load_speedup": load_speedup,
             "memory_reduction": memory_reduction,
         },
         workload=_params(),
     )
 
-    # Acceptance floors (not timed at smoke scale; the >= 2x headline
-    # over the paper workloads is asserted in bench_fig7 / bench_fig8).
-    # Both encodings walk the same cached tries, so build time is what
+    # Acceptance floors (not timed at smoke scale).
+    # Both builders walk the same cached tries, so build time is what
     # the emitter costs: one column append per entry against a tuple,
     # a ProductRep and a list per entry (2.4-2.9x here; it was ~1.1x
     # while per-query index builds dominated both).
@@ -240,7 +226,6 @@ def test_arena_hot_paths(tmp_path):
         assert enumerate_speedup > 1.0, (
             f"arena enumeration slower: {enumerate_speedup:.2f}x"
         )
-        assert load_speedup > 1.0, f"arena load slower: {load_speedup:.2f}x"
         assert memory_reduction > 1.0, (
             f"arena retains more memory: {memory_reduction:.2f}x"
         )

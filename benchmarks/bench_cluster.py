@@ -75,7 +75,7 @@ def test_one_replica_down_stays_within_2x_of_healthy(tmp_path):
 
     servers = [
         ServerThread(
-            QuerySession(persist.load(path), encoding="arena"),
+            QuerySession(persist.load(path)),
             owned_shards=[],
         )
         for _ in range(WORKERS)

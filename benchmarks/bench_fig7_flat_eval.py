@@ -67,27 +67,7 @@ def test_fig7_flat_evaluation(benchmark):
         "(FDB vs RDB vs SQLite)",
         format_table(exp3.headers(), exp3.as_cells(rows)),
     )
-    object_eval = sum(r.fdb_object_eval_seconds for r in rows)
-    arena_eval = sum(r.fdb_arena_eval_seconds for r in rows)
-    bench_json(
-        "fig7_flat_eval",
-        {
-            "rows": rows,
-            "object_eval_seconds": object_eval,
-            "arena_eval_seconds": arena_eval,
-            "arena_eval_speedup": object_eval / max(arena_eval, 1e-9),
-        },
-        workload=_params(),
-    )
-    # Encoding acceptance: with the optimiser factored out, evaluating
-    # the paper workloads (factorise + size + count over the optimal
-    # tree) in the arena encoding must be >= 2x faster than the object
-    # encoding in aggregate.  (Not timed at smoke scale.)
-    if not smoke_mode():
-        assert object_eval >= 2.0 * arena_eval, (
-            f"arena evaluation not >= 2x over objects: "
-            f"object {object_eval:.3f}s vs arena {arena_eval:.3f}s"
-        )
+    bench_json("fig7_flat_eval", {"rows": rows}, workload=_params())
     # Shape 1: factorised never larger than flat (modulo empties).
     for row in rows:
         if row.flat_size_elements > 0 and not math.isnan(

@@ -55,10 +55,10 @@ def _sessions_and_queries(p):
     # result_cache_size=0: repeats must re-evaluate, not replay the
     # ivm cache, or we would be timing a dict lookup in both columns.
     off = QuerySession(
-        db, encoding="arena", tracing=False, result_cache_size=0
+        db, tracing=False, result_cache_size=0
     )
     on = QuerySession(
-        db, encoding="arena", tracing=True, result_cache_size=0
+        db, tracing=True, result_cache_size=0
     )
     return off, on, queries
 
@@ -172,7 +172,7 @@ def test_federated_scrape_overhead_is_near_free():
     queries = random_spj_queries(
         db, p["queries"], seed=31, max_relations=3, max_equalities=2
     )
-    server = ServerThread(QuerySession(sharded, encoding="arena"))
+    server = ServerThread(QuerySession(sharded))
     key = f"{server.address[0]}:{server.address[1]}"
     executor = ReplicatedExecutor(
         [key], replication_factor=1, timeout=60

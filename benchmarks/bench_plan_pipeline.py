@@ -1,24 +1,21 @@
-"""Whole-f-plan pipeline benchmark: object vs arena vs fused kernels.
+"""Whole-f-plan pipeline benchmark: reference vs kernels vs fused chain.
 
-The arena-native operator kernels (:mod:`repro.ops.arena_kernels`)
-exist so a restructuring f-plan -- the swap/merge chains behind the
-Figure 7/8 follow-up selections -- never leaves the columnar encoding.
-This benchmark runs the same seeded restructuring plans three ways on
-paper-shaped inputs and writes ``BENCH_plan_pipeline.json`` for the
-cross-PR diff:
+A restructuring f-plan -- the swap/merge chains behind the Figure 7/8
+follow-up selections -- runs as columnar kernels
+(:mod:`repro.ops.arena_kernels`).  This benchmark runs the same seeded
+restructuring plans three ways on paper-shaped inputs and writes
+``BENCH_plan_pipeline.json`` for the cross-PR diff:
 
-- **object**: the kernel-at-a-time object path (the pre-arena engine
-  and the differential oracle);
+- **object**: the operator-at-a-time reference implementation
+  (:func:`repro.reference.execute_plan`, the differential oracle);
 - **arena steps**: the same plan replayed one columnar kernel at a
-  time (each step pays its own writer + finish);
-- **arena fused**: ``FPlan.execute`` on arena input -- the whole plan
-  compiled once (weakly cached) into a chain of prepared kernels.
+  time through the public ``repro.ops`` functions (each step pays its
+  own writer + finish);
+- **arena fused**: ``FPlan.execute`` -- the whole plan compiled once
+  (weakly cached) into a chain of prepared kernels.
 
-``adapter_round_trips`` counts arena->object conversions during the
-arena runs and is asserted (and baseline-gated) to be **zero**: a
-kernel silently falling back to the object encoding fails this
-benchmark even when it happens to be fast.  The fused-vs-object
-speedup floor is >= 2x in smoke mode and >= 6x at default/full scale.
+The fused-vs-object speedup floor is >= 2x in smoke mode and >= 6x at
+default/full scale.
 """
 
 from __future__ import annotations
@@ -28,10 +25,11 @@ import time
 import pytest
 
 from benchmarks.conftest import bench_json, emit, full_scale, smoke_mode
-from repro.core.factorised import ADAPTER
+from repro import ops
 from repro.engine import FDB
 from repro.query.parser import parse_query
 from repro.query.query import Query
+from repro.reference import ReferenceEngine, execute_plan
 from repro.relational.database import Database
 from repro.workloads import (
     combinatorial_database,
@@ -97,6 +95,14 @@ def _workloads(p):
     return out
 
 
+_STEP_OPS = {
+    "swap": ops.swap,
+    "merge": ops.merge,
+    "absorb": ops.absorb,
+    "push": ops.push_up,
+}
+
+
 def _best_of(repeats, fn):
     best = float("inf")
     result = None
@@ -118,12 +124,11 @@ def test_plan_pipeline_fused_vs_object():
         "plans_with_steps": 0,
         "total_steps": 0,
         "result_tuples": 0,
-        "adapter_round_trips": 0,
     }
 
     for label, db, base, followups in _workloads(p):
-        object_engine = FDB(db)
-        arena_engine = FDB(db, encoding="arena")
+        object_engine = ReferenceEngine(db)
+        arena_engine = FDB(db)
         tree = object_engine.optimal_tree(base)
         object_fr = object_engine.factorise_query(base, tree=tree)
         arena_fr = arena_engine.factorise_query(base, tree=tree)
@@ -136,28 +141,23 @@ def test_plan_pipeline_fused_vs_object():
                 totals["total_steps"] += len(plan.steps)
 
             object_secs, object_out = _best_of(
-                p["repeats"], lambda: plan.execute(object_fr)
+                p["repeats"], lambda: execute_plan(plan, object_fr)
             )
 
             def arena_stepwise():
                 current = arena_fr
                 for step in plan.steps:
-                    current = step.apply(current)
+                    current = _STEP_OPS[step.kind](current, *step.args)
                 return current
 
-            before = ADAPTER.snapshot()["to_object_calls"]
             step_secs, step_out = _best_of(
                 p["repeats"], arena_stepwise
             )
             fused_secs, fused_out = _best_of(
                 p["repeats"], lambda: plan.execute(arena_fr)
             )
-            after = ADAPTER.snapshot()["to_object_calls"]
-            totals["adapter_round_trips"] += after - before
 
             # Correctness before speed, at every scale.
-            assert step_out.encoding == "arena"
-            assert fused_out.encoding == "arena"
             count = object_out.count()
             assert step_out.count() == fused_out.count() == count, (
                 f"{label} plan {plan}"
@@ -194,16 +194,12 @@ def test_plan_pipeline_fused_vs_object():
                 f"arena fused: {totals['arena_fused_seconds']:8.4f}s"
                 f"  ({fused_speedup:5.2f}x, "
                 f"{fusion_gain:4.2f}x over stepwise)",
-                f"adapter round trips: {totals['adapter_round_trips']}",
             ]
         ),
     )
 
     assert totals["plans_with_steps"] >= 1, (
         "no followup produced a restructuring plan"
-    )
-    assert totals["adapter_round_trips"] == 0, (
-        "arena plan execution fell back to the object encoding"
     )
     floor = 2.0 if smoke_mode() else 6.0
     assert fused_speedup >= floor, (

@@ -74,11 +74,10 @@ def test_pipelined_clients_beat_sequential_connection():
     # The served session pushes CPU-bound evaluation through the
     # existing ParallelExecutor: coalesced waves then evaluate on all
     # cores, which a one-at-a-time connection can never exploit.
-    with QuerySession(db, encoding="arena") as reference:
+    with QuerySession(db) as reference:
         expected = {str(q): reference.run(q).rows() for q in queries}
     session = QuerySession(
         db,
-        encoding="arena",
         executor=ParallelExecutor(max_workers=p["workers"]),
     )
 

@@ -88,7 +88,7 @@ def _run(db, workload, executor):
     unioned = UNION_COUNTERS.snapshot()
     trace = Trace()
     start = time.perf_counter()
-    with QuerySession(db, executor=executor, encoding="arena") as session:
+    with QuerySession(db, executor=executor) as session:
         with activate(trace):
             results = session.run_batch(workload)
         counts = [r.count() for r in results]

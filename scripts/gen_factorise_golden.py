@@ -29,7 +29,8 @@ data.  It draws a seeded corpus of (relations, f-tree) cases from the
 
 and records, per case, a SHA-256 over ``values`` / ``child_lo`` /
 ``child_hi`` / ``pool`` of the arena built with a private and with a
-shared pool, a SHA-256 of the object encoding, and the result's entry,
+shared pool, a SHA-256 of the object representation built by the
+reference factoriser (:mod:`repro.reference`), and the result's entry,
 singleton and tuple counts.  ``tests/test_trie_build.py`` rebuilds
 every case and asserts equality with the committed file, which was
 generated **at the parent commit of the trie-cursor factoriser**
@@ -48,10 +49,10 @@ import random
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.arena import ArenaRep, ValuePool, tuple_count
-from repro.core.build import ArenaFactoriser, Factoriser
-from repro.core.frep import ProductRep
+from repro.core.build import Factoriser
 from repro.core.ftree import FNode, FTree, label_key
 from repro.optimiser.ftree_optimiser import optimal_ftree
+from repro.reference import ObjectFactoriser, ProductRep
 from repro.relational.operators import select_constant as flat_select
 from repro.relational.relation import Relation
 from repro.workloads import (
@@ -143,9 +144,9 @@ def input_digest(relations: Sequence[Relation], tree: FTree) -> str:
 
 def case_record(relations: Sequence[Relation], tree: FTree) -> dict:
     """Everything the corpus pins about one case's output."""
-    private = ArenaFactoriser(relations, tree).run()
-    shared = ArenaFactoriser(relations, tree).run(ValuePool())
-    product = Factoriser(relations, tree).run()
+    private = Factoriser(relations, tree).run()
+    shared = Factoriser(relations, tree).run(ValuePool())
+    product = ObjectFactoriser(relations, tree).run()
     return dict(
         private=arena_digest(private),
         shared=arena_digest(shared),

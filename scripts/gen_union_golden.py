@@ -110,7 +110,6 @@ def shard_parts(
     parts = [
         FDB(
             sharded.shard_view(index, fanout),
-            encoding="arena",
             shared_pool=pool_of_shard(),
         ).factorise_query(query, tree=tree)
         for index in range(shards)
@@ -124,8 +123,8 @@ def union_record(parts: List[FactorisedRelation]) -> dict:
     """Everything the corpus pins about one union."""
     # Fingerprint the input first: a shared or pickled ValuePool is
     # extended in place by the union.
-    given = base._sha([base.arena_digest(part.arena) for part in parts])
-    arena = ops.union_all(parts).arena
+    given = base._sha([base.arena_digest(part.rep) for part in parts])
+    arena = ops.union_all(parts).rep
     return dict(
         parts=given,
         live=sum(not part.is_empty() for part in parts),
@@ -152,9 +151,7 @@ def _draw(make, seed: int, entries: int):
         drawn = make(seed)
         if drawn is not None:
             db, query, tree = drawn
-            arena = FDB(db, encoding="arena").factorise_query(
-                query, tree=tree
-            ).arena
+            arena = FDB(db).factorise_query(query, tree=tree).rep
             if arena is not None and arena.entry_count >= entries:
                 return seed, db, query, tree
         seed += 1

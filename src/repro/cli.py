@@ -9,13 +9,13 @@ Subcommands:
                  against a saved database, ``--db``, with a disk-backed
                  plan store, ``--plan-store``; ``--connect`` sends the
                  batch to a remote server instead);
-- ``serve``      expose a session over TCP (:mod:`repro.net`): arena
-                 encoding and a plan store by default, pipelined
-                 clients, graceful drain on SIGINT/SIGTERM;
+- ``serve``      expose a session over TCP (:mod:`repro.net`): a plan
+                 store by default, pipelined clients, graceful drain
+                 on SIGINT/SIGTERM;
 - ``save``       persist a (possibly sharded) database in the binary
                  FDBP format;
 - ``load``       inspect a persisted file and optionally query it;
-- ``compile``    factorise a query result and save it to a file;
+- ``compile``    factorise a query result and save it as an FDBP blob;
 - ``stats``      show f-tree, sizes and costs of a saved factorisation
                  -- or, with ``--connect``, a live server's unified
                  metrics snapshot (``--prometheus`` for scrape text);
@@ -39,7 +39,7 @@ import time
 from typing import List, Optional, Sequence
 
 from repro import persist
-from repro.core import serialize
+from repro.core.factorised import FactorisedRelation
 from repro.costs.cost_model import s_tree
 from repro.engine import FDB
 from repro.experiments import (
@@ -112,11 +112,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.connect:
         return _cmd_query_remote(args)
     db = _load(args.csv)
-    fdb = FDB(
-        db,
-        plan_search=args.planner,
-        encoding="arena" if args.arena else "object",
-    )
+    fdb = FDB(db, plan_search=args.planner)
     query = parse_query(args.query)
     start = time.perf_counter()
     fr = fdb.evaluate(query)
@@ -178,12 +174,10 @@ def _cmd_batch_remote(args: argparse.Namespace) -> int:
                         f"{result.elapsed:.4f}s  {result.query}"
                     )
             host, port = client.address
-            info = client.server_info
             print(
                 f"{len(results)} queries in {elapsed:.4f}s "
                 f"({len(results) / max(elapsed, 1e-9):.1f} q/s) "
-                f"[remote {host}:{port}, {info.get('encoding')} "
-                f"encoding]"
+                f"[remote {host}:{port}]"
             )
             # The remote stats frame is the server's registry
             # snapshot: the same structure session.snapshot() yields
@@ -289,7 +283,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         executor=executor,
         cache_size=args.cache_size,
         plan_store=plan_store,
-        encoding="arena" if args.arena else "object",
     )
     start = time.perf_counter()
     try:
@@ -315,8 +308,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if isinstance(db, ShardedDatabase):
         layout.append(f"{db.shard_count} shards ({db.strategy})")
     layout.append(session.executor.describe())
-    if args.arena:
-        layout.append("arena encoding")
     print(
         f"{len(results)} queries in {elapsed:.4f}s "
         f"({len(results) / max(elapsed, 1e-9):.1f} q/s) "
@@ -399,7 +390,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         executor=executor,
         cache_size=args.cache_size,
         plan_store=plan_store,
-        encoding=args.encoding,
         slow_log=slow_log,
     )
 
@@ -426,7 +416,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 + ",".join(str(i) for i in owned_shards)
             )
         shape.append(session.executor.describe())
-        shape.append(f"{args.encoding} encoding")
         if plan_store is not None:
             shape.append(f"plan store at {plan_store.path}")
         print(
@@ -523,7 +512,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     db = _load(args.csv)
     fdb = FDB(db)
     fr = fdb.evaluate(parse_query(args.query))
-    serialize.save(fr, args.output)
+    persist.save(fr, args.output)
     print(
         f"saved {fr.count()} tuples as {fr.size()} singletons "
         f"to {args.output}"
@@ -539,7 +528,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
             "pass a saved factorisation, or --connect HOST:PORT for "
             "a live server's metrics"
         )
-    fr = serialize.load_path(args.factorisation)
+    try:
+        fr = persist.load(args.factorisation)
+    except persist.PersistError as exc:
+        raise SystemExit(f"cannot load {args.factorisation!r}: {exc}")
+    if not isinstance(fr, FactorisedRelation):
+        raise SystemExit(
+            f"{args.factorisation!r} holds a {type(fr).__name__}, "
+            f"not a factorisation"
+        )
     _print_result(fr, flat=False, limit=0)
     return 0
 
@@ -651,7 +648,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     searched = OPTIMISER_COUNTERS.snapshot()
     factorised = FACTORISE_COUNTERS.snapshot()
     unioned = UNION_COUNTERS.snapshot()
-    fdb = FDB(db, plan_search=args.planner, encoding="arena")
+    fdb = FDB(db, plan_search=args.planner)
     # Mirror QuerySession.run_on: factorise the base join, apply the
     # constants, then restructure for the equalities via an f-plan --
     # the path whose per-kernel cost --profile exposes.
@@ -664,7 +661,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         fr = worker.combine_shards(
             [
                 worker.evaluate_shard(
-                    db, False, base, tree, index, fanout, "arena"
+                    db, False, base, tree, index, fanout
                 )
                 for index in range(db.shard_count)
             ],
@@ -774,14 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="CSV relation files (header row = attribute names)",
         )
 
-    def add_arena(p):
-        p.add_argument(
-            "--arena",
-            action="store_true",
-            help="evaluate in the flat columnar arena encoding "
-            "(identical answers, faster hot paths)",
-        )
-
     def add_connect(p):
         p.add_argument(
             "--connect",
@@ -800,7 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["exhaustive", "greedy"],
         default="exhaustive",
     )
-    add_arena(q)
     q.add_argument(
         "--flat", action="store_true", help="print flat rows"
     )
@@ -828,7 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["exhaustive", "greedy"],
         default="exhaustive",
     )
-    add_arena(b)
     b.add_argument(
         "--engine",
         choices=["auto", "fdb", "flat", "sqlite"],
@@ -961,12 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--planner",
         choices=["exhaustive", "greedy"],
         default="exhaustive",
-    )
-    srv.add_argument(
-        "--encoding",
-        choices=["arena", "object"],
-        default="arena",
-        help="physical result encoding (default: arena, the hot one)",
     )
     srv.add_argument(
         "--plan-store",

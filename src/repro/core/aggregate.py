@@ -1,65 +1,92 @@
-"""Aggregates computed directly on f-representations.
+"""Aggregates computed directly on the arena.
 
 The paper's Section 2 notes that factorised representations are
 "compilations of query results that allow for efficient subsequent
 processing"; counting is the canonical example (and the follow-up work
 on FDB -- F and LMFAO -- is built around factorised aggregation).  The
-functions here evaluate the standard SQL aggregates over a factorised
-relation *without enumerating tuples*:
+functions here evaluate the standard SQL aggregates over an
+:class:`~repro.core.arena.ArenaRep` *without enumerating tuples*, one
+bottom-up pass over the per-node columns each:
 
-- ``COUNT(*)`` is a sum-product over the representation (linear time
-  in ``|E|`` instead of the possibly exponential tuple count);
-- ``SUM(A)`` pairs each subexpression with (count, sum) and combines
-  them through unions (add) and products (cross-multiply);
-- ``MIN(A)``/``MAX(A)`` propagate bounds; the unions' value order
-  makes the root-level extremes available in constant time when ``A``
-  labels a root;
-- ``COUNT(DISTINCT A)`` and ``GROUP BY`` on a *root* attribute fall
-  out of the union structure.
+- ``COUNT(*)`` is a sum-product (:func:`repro.core.arena.tuple_count`);
+- ``SUM(A)`` pairs every entry with (count, sum) and combines them
+  through unions (add) and products (cross-multiply);
+- ``MIN(A)``/``MAX(A)``/``COUNT(DISTINCT A)`` read ``A``'s node column;
+- ``GROUP BY A`` multiplies, per entry of ``A``'s node, the tuples
+  below it by the context accumulated down the root-to-node path.
 
-All functions take the usual (nodes, product) pair; the
-:class:`~repro.core.factorised.FactorisedRelation` facade exposes them
-as the ``sum``/``avg``/``min``/``max``/``count_distinct``/
+``None`` encodes the empty relation throughout.  The
+:class:`~repro.core.factorised.FactorisedRelation` facade exposes these
+as its ``sum``/``avg``/``min``/``max``/``count_distinct``/
 ``group_count`` methods.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import accumulate
+from typing import Dict, List, Optional, Tuple
 
-from repro.core import arena as _arena
-from repro.core.arena import ArenaRep
-from repro.core.frep import ProductRep, UnionRep
-from repro.core.ftree import FNode
-from repro.core.size import tuple_count
-
-Rep = Union[ProductRep, ArenaRep]
+from repro.core.arena import (
+    ArenaRep,
+    _column_total,
+    _entry_counts,
+    _np,
+    _prefix,
+)
 
 
 class AggregateError(ValueError):
     """Raised for aggregates over unknown attributes."""
 
 
-#: (tuple count, sum of the target attribute over all tuples)
-_CountSum = Tuple[int, float]
+def _require_attribute(arena: ArenaRep, attribute: str) -> int:
+    for i, label in enumerate(arena.skel.labels):
+        if attribute in label:
+            return i
+    raise AggregateError(f"unknown attribute {attribute!r}")
 
 
-def count(nodes: Sequence[FNode], product: Optional[Rep]) -> int:
-    """``COUNT(*)`` -- alias of :func:`repro.core.size.tuple_count`."""
-    return tuple_count(nodes, product)
-
-
-def _count_sum_forest(
-    nodes: Sequence[FNode],
-    product: ProductRep,
-    attribute: str,
-) -> _CountSum:
+def _count_sum(
+    arena: ArenaRep, attribute: str
+) -> Tuple[int, float]:
+    """(tuple count, SUM(attribute)) via one exact bottom-up pass."""
+    skel = arena.skel
+    n = len(skel)
+    # Per node: prefix sums of per-entry (count, sum), so parents read
+    # child segments in O(1).
+    cnt_prefix: List[List[int]] = [[] for _ in range(n)]
+    sum_prefix: List[List[float]] = [[] for _ in range(n)]
+    pool = arena.pool
+    for idx in range(n - 1, -1, -1):
+        m = len(arena.values[idx])
+        kids = skel.children[idx]
+        here = attribute in skel.labels[idx]
+        column = arena.values[idx]
+        cnts: List[int] = []
+        sums: List[float] = []
+        for e in range(m):
+            forest_count = 1
+            forest_sum = 0.0
+            for j, k in enumerate(kids):
+                lo = arena.child_lo[idx][j][e]
+                hi = arena.child_hi[idx][j][e]
+                part_count = cnt_prefix[k][hi] - cnt_prefix[k][lo]
+                part_sum = sum_prefix[k][hi] - sum_prefix[k][lo]
+                forest_sum = (
+                    forest_sum * part_count + part_sum * forest_count
+                )
+                forest_count *= part_count
+            if here:
+                forest_sum += float(pool[column[e]]) * forest_count  # type: ignore[arg-type]
+            cnts.append(forest_count)
+            sums.append(forest_sum)
+        cnt_prefix[idx] = _prefix(cnts)
+        sum_prefix[idx] = list(accumulate(sums, initial=0.0))
     total_count = 1
     total_sum = 0.0
-    for node, union in zip(nodes, product.factors):
-        part_count, part_sum = _count_sum_union(node, union, attribute)
-        # Product rule: counts multiply; sums cross-multiply with the
-        # counts of the other factors.
+    for r in skel.roots:
+        part_count = cnt_prefix[r][-1]
+        part_sum = sum_prefix[r][-1]
         total_sum = total_sum * part_count + part_sum * total_count
         total_count *= part_count
         if total_count == 0:
@@ -67,185 +94,109 @@ def _count_sum_forest(
     return total_count, total_sum
 
 
-def _count_sum_union(
-    node: FNode, union: UnionRep, attribute: str
-) -> _CountSum:
-    total_count = 0
-    total_sum = 0.0
-    here = attribute in node.label
-    for value, child in union.entries:
-        child_count, child_sum = _count_sum_forest(
-            node.children, child, attribute
-        )
-        total_count += child_count
-        total_sum += child_sum
-        if here:
-            total_sum += float(value) * child_count  # type: ignore[arg-type]
-    return total_count, total_sum
-
-
-def sum_of(
-    nodes: Sequence[FNode],
-    product: Optional[Rep],
-    attribute: str,
-) -> float:
+def sum_of(arena: Optional[ArenaRep], attribute: str) -> float:
     """``SUM(attribute)`` over all represented tuples."""
-    if product is None:
+    if arena is None:
         return 0.0
-    if isinstance(product, ArenaRep):
-        return _arena.sum_of(product, attribute)
-    if not any(attribute in n.subtree_attributes() for n in nodes):
-        raise AggregateError(f"unknown attribute {attribute!r}")
-    return _count_sum_forest(nodes, product, attribute)[1]
+    _require_attribute(arena, attribute)
+    return _count_sum(arena, attribute)[1]
 
 
 def average(
-    nodes: Sequence[FNode],
-    product: Optional[Rep],
-    attribute: str,
+    arena: Optional[ArenaRep], attribute: str
 ) -> Optional[float]:
     """``AVG(attribute)``; ``None`` on the empty relation."""
-    if product is None:
+    if arena is None:
         return None
-    if isinstance(product, ArenaRep):
-        return _arena.average(product, attribute)
-    total_count, total_sum = _count_sum_forest(
-        nodes, product, attribute
-    )
-    if not any(attribute in n.subtree_attributes() for n in nodes):
-        raise AggregateError(f"unknown attribute {attribute!r}")
+    _require_attribute(arena, attribute)
+    total_count, total_sum = _count_sum(arena, attribute)
     return total_sum / total_count if total_count else None
 
 
-def _extreme(
-    nodes: Sequence[FNode],
-    product: Optional[Rep],
-    attribute: str,
-    minimum: bool,
-):
-    if product is None:
+def extreme(arena: Optional[ArenaRep], attribute: str, minimum: bool):
+    """``MIN``/``MAX``; ``None`` on the empty relation.  Every arena
+    entry is reachable (no empty unions), so the extreme over the
+    node's whole value column is the answer."""
+    if arena is None:
         return None
-    if isinstance(product, ArenaRep):
-        return _arena.extreme(product, attribute, minimum)
-    found: List[object] = []
-
-    def walk(ns: Sequence[FNode], prod: ProductRep) -> None:
-        for node, union in zip(ns, prod.factors):
-            if attribute in node.label:
-                # Unions are value-sorted: first/last entry suffices
-                # *for this occurrence*.
-                entry = union.entries[0 if minimum else -1]
-                found.append(entry[0])
-                continue  # deeper occurrences are under other values
-            if any(
-                attribute in c.subtree_attributes()
-                for c in node.children
-            ):
-                for _, child in union.entries:
-                    walk(node.children, child)
-
-    walk(nodes, product)
-    if not found:
-        raise AggregateError(f"unknown attribute {attribute!r}")
+    idx = _require_attribute(arena, attribute)
+    pool = arena.pool
+    found = (pool[vid] for vid in arena.values[idx])
     return min(found) if minimum else max(found)
 
 
-def min_of(nodes, product, attribute: str):
-    """``MIN(attribute)``; ``None`` on the empty relation."""
-    return _extreme(nodes, product, attribute, minimum=True)
-
-
-def max_of(nodes, product, attribute: str):
-    """``MAX(attribute)``; ``None`` on the empty relation."""
-    return _extreme(nodes, product, attribute, minimum=False)
-
-
-def count_distinct(
-    nodes: Sequence[FNode],
-    product: Optional[Rep],
-    attribute: str,
-) -> int:
+def count_distinct(arena: Optional[ArenaRep], attribute: str) -> int:
     """``COUNT(DISTINCT attribute)``."""
-    if product is None:
+    if arena is None:
         return 0
-    if isinstance(product, ArenaRep):
-        return _arena.count_distinct(product, attribute)
-    values: set = set()
-
-    def walk(ns: Sequence[FNode], prod: ProductRep) -> None:
-        for node, union in zip(ns, prod.factors):
-            if attribute in node.label:
-                # Only values whose subtree is non-empty exist -- the
-                # invariant guarantees that, so collect them all.
-                values.update(v for v, _ in union.entries)
-                continue
-            if any(
-                attribute in c.subtree_attributes()
-                for c in node.children
-            ):
-                for _, child in union.entries:
-                    walk(node.children, child)
-
-    walk(nodes, product)
-    if not values and not any(
-        attribute in n.subtree_attributes() for n in nodes
-    ):
-        raise AggregateError(f"unknown attribute {attribute!r}")
-    return len(values)
+    idx = _require_attribute(arena, attribute)
+    # Decode through the pool: interning is per *type* (1, 1.0 and
+    # True occupy distinct slots), but COUNT(DISTINCT) uses value
+    # equality, under which they collapse.
+    pool = arena.pool
+    return len({pool[vid] for vid in set(arena.values[idx])})
 
 
 def group_count(
-    nodes: Sequence[FNode],
-    product: Optional[Rep],
-    attribute: str,
+    arena: Optional[ArenaRep], attribute: str
 ) -> Dict[object, int]:
-    """``SELECT attribute, COUNT(*) GROUP BY attribute``.
+    """GROUP BY ``attribute`` with COUNT(*), without enumeration.
 
-    Cheapest when ``attribute`` labels a root (one pass over the root
-    union); otherwise falls back to combining per-occurrence counts
-    weighted by the surrounding context, still without enumeration.
+    Per entry ``e`` of the attribute's node: tuples containing it are
+    ``above(e) * below(e)`` -- the context multiplier accumulated down
+    the root-to-node path times the entry's children-forest count.
     """
-    if product is None:
+    if arena is None:
         return {}
-    if isinstance(product, ArenaRep):
-        return _arena.group_count(product, attribute)
+    target = _require_attribute(arena, attribute)
+    skel = arena.skel
+    counts = _entry_counts(arena)
+    totals = {r: _column_total(counts[r]) for r in skel.roots}
+
+    # Root-to-target path.
+    path = [target]
+    while skel.parent[path[-1]] != -1:
+        path.append(skel.parent[path[-1]])
+    path.reverse()
+
+    root = path[0]
+    context = 1
+    for r in skel.roots:
+        if r != root:
+            context *= totals[r]
+    above: List[int] = [context] * len(arena.values[root])
+
+    def seg_count(idx: int, j: int, e: int) -> int:
+        k = skel.children[idx][j]
+        child = counts[k]
+        lo = arena.child_lo[idx][j][e]
+        hi = arena.child_hi[idx][j][e]
+        if _np is not None and isinstance(child, _np.ndarray):
+            return int(child[lo:hi].sum(dtype=object))
+        return sum(child[lo:hi])
+
+    for step, idx in enumerate(path[:-1]):
+        next_node = path[step + 1]
+        slot = skel.children[idx].index(next_node)
+        next_above: List[int] = [0] * len(arena.values[next_node])
+        for e in range(len(arena.values[idx])):
+            others = above[e]
+            for j in range(len(skel.children[idx])):
+                if j != slot:
+                    others *= seg_count(idx, j, e)
+            lo = arena.child_lo[idx][slot][e]
+            hi = arena.child_hi[idx][slot][e]
+            for t in range(lo, hi):
+                next_above[t] = others
+        above = next_above
+
+    pool = arena.pool
+    column = arena.values[target]
+    below = counts[target]
+    if _np is not None and isinstance(below, _np.ndarray):
+        below = below.tolist()
     out: Dict[object, int] = {}
-
-    def walk(
-        ns: Sequence[FNode], prod: ProductRep, multiplier: int
-    ) -> None:
-        # Count of tuples contributed by the *other* factors at this
-        # level, per chosen entry of the factor containing `attribute`.
-        target_idx = None
-        for i, node in enumerate(ns):
-            if attribute in node.subtree_attributes():
-                target_idx = i
-                break
-        if target_idx is None:
-            return
-        others = 1
-        for i, (node, union) in enumerate(zip(ns, prod.factors)):
-            if i != target_idx:
-                others *= _union_count(node, union)
-        node = ns[target_idx]
-        union = prod.factors[target_idx]
-        if attribute in node.label:
-            for value, child in union.entries:
-                below = tuple_count(node.children, child)
-                out[value] = out.get(value, 0) + (
-                    multiplier * others * below
-                )
-        else:
-            for _, child in union.entries:
-                walk(node.children, child, multiplier * others)
-
-    walk(nodes, product, 1)
+    for e, vid in enumerate(column):
+        value = pool[vid]
+        out[value] = out.get(value, 0) + above[e] * below[e]
     return out
-
-
-def _union_count(node: FNode, union: UnionRep) -> int:
-    return sum(
-        tuple_count(node.children, child) for _, child in union.entries
-    )
-
-

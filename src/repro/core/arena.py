@@ -1,13 +1,17 @@
-"""A flat, columnar arena encoding of structured f-representations.
+"""The arena: the engine's one physical form of f-representations.
 
-The object encoding of :mod:`repro.core.frep` spends one Python object
-per union entry (a ``(value, ProductRep)`` tuple inside a ``UnionRep``
-inside a ``ProductRep``), so every hot-path walk -- building, counting,
-enumerating, aggregating -- is dominated by allocator churn and
-attribute chasing.  The memory-resident-encoding literature (Szépkúti's
-compact multidimensional layouts, EMBANKS' disk-based indexes) shows
-the alternative: a *flat, offset-addressed* encoding of the same
-hierarchy.
+Definition 2 of the paper fixes the shape of an f-representation over
+an f-tree ``T``: over a forest it is a product with one factor per
+tree; over a tree rooted at a node it is a union over distinct values,
+sorted strictly increasing (the order constraint the swap and merge
+algorithms rely on), each value paired with an f-representation over
+the children forest.  Spelled as one Python object per union entry
+(the :mod:`repro.reference` oracle does exactly that), every hot-path
+walk -- building, counting, enumerating, aggregating -- is dominated
+by allocator churn and attribute chasing.  The literature on
+memory-resident layouts (Szépkúti's compact multidimensional arrays,
+EMBANKS' disk-based indexes) shows the alternative: a *flat,
+offset-addressed* layout of the same hierarchy.
 
 :class:`ArenaRep` stores an f-representation as parallel integer
 columns, one set per f-tree node (nodes numbered in canonical
@@ -22,18 +26,18 @@ pre-order):
 - ``pool`` -- the interned distinct values; ids are indices into it.
 
 One union entry therefore costs ``1 + 2 * #children`` machine-word
-array slots instead of a tuple, a ``ProductRep`` and per-child
-``UnionRep`` objects.  Columns are :class:`array.array` (``'q'``,
-int64) so they also serialise as raw bytes (see the ``arena`` blob kind
-in :mod:`repro.persist.codec`).  When numpy is importable the counting
+array slots.  Columns are :class:`array.array` (``'q'``, int64) so they
+also serialise as raw bytes (see the ``arena`` blob kind in
+:mod:`repro.persist.codec`).  When numpy is importable the counting
 kernels use vectorised segment sums (with an explicit int64 overflow
 guard falling back to exact Python integers); the stdlib path is always
 available and always exact.
 
-Conventions match the object encoding: the *empty* relation is encoded
-as ``None`` (never as an empty arena), and the nullary tuple
-(``ProductRep([])`` over a forest with no trees) is an arena with zero
-nodes, which counts one tuple and enumerates a single empty row.
+Conventions: the *empty* relation is encoded as ``None`` (never as an
+empty arena) and inside a non-empty arena no union is ever empty (the
+operators prune eagerly); the nullary tuple (a forest with no trees) is
+an arena with zero nodes, which counts one tuple and enumerates a
+single empty row.
 
 The arena is immutable by convention: operators never mutate columns in
 place, and derived arenas (selection filters, subtree-dropping
@@ -60,7 +64,6 @@ from typing import (
     Tuple,
 )
 
-from repro.core.frep import FRepError, ProductRep, UnionRep
 from repro.core.ftree import FTree
 
 try:  # optional acceleration; the stdlib path below is always complete
@@ -72,6 +75,10 @@ except ImportError:  # pragma: no cover - exercised on numpy-free CI
 #: overflow; counts that may exceed it are computed with exact Python
 #: integers instead of numpy.
 _INT64_SAFE = 1 << 62
+
+
+class FRepError(ValueError):
+    """Raised when an f-representation violates its invariants."""
 
 
 class ArenaError(FRepError):
@@ -302,37 +309,6 @@ class ArenaRep:
             list(self.pool),
         )
 
-    # -- conversion --------------------------------------------------------
-
-    def to_product(self) -> ProductRep:
-        """Rebuild the object encoding (inverse of :func:`from_product`)."""
-        skel, pool = self.skel, self.pool
-        values, child_lo, child_hi = (
-            self.values,
-            self.child_lo,
-            self.child_hi,
-        )
-
-        def build_union(idx: int, lo: int, hi: int) -> UnionRep:
-            kids = skel.children[idx]
-            column = values[idx]
-            los, his = child_lo[idx], child_hi[idx]
-            entries = []
-            for e in range(lo, hi):
-                factors = [
-                    build_union(k, los[j][e], his[j][e])
-                    for j, k in enumerate(kids)
-                ]
-                entries.append((pool[column[e]], ProductRep(factors)))
-            return UnionRep(entries)
-
-        return ProductRep(
-            [
-                build_union(r, 0, len(values[r]))
-                for r in self.skel.roots
-            ]
-        )
-
 
 # -- incremental construction ------------------------------------------------
 
@@ -341,7 +317,7 @@ class ArenaWriter:
     """Append-only arena construction with subtree rollback.
 
     The ground-representation builder (:class:`repro.core.build.
-    ArenaFactoriser`), the selection filter and the f-plan kernels all
+    Factoriser`), the selection filter and the f-plan kernels all
     construct arenas entry by entry: children are written first, and
     an entry whose children forest turns out empty is *rolled back*.
     Two ways to do that: :meth:`mark` / :meth:`rollback` record one
@@ -466,7 +442,7 @@ class ArenaWriter:
 
         Rollbacks may leave interned values no surviving entry uses;
         remapping ids to first-use order keeps the pool tight and the
-        encoding deterministic for a given construction order.  A
+        arena deterministic for a given construction order.  A
         *shared* :class:`ValuePool` is never compacted: its ids are
         also referenced by other arenas.
         """
@@ -490,52 +466,6 @@ class ArenaWriter:
         return ArenaRep(
             self.skel, self.values, self.child_lo, self.child_hi, pool
         )
-
-
-# -- conversion from the object encoding -------------------------------------
-
-
-def from_product(
-    tree: FTree, product: Optional[ProductRep]
-) -> Optional[ArenaRep]:
-    """Encode an object representation into an arena (``None`` = empty)."""
-    if product is None:
-        return None
-    writer = ArenaWriter(tree)
-    skel = writer.skel
-    values = writer.values
-    child_lo, child_hi = writer.child_lo, writer.child_hi
-    intern = writer.intern
-
-    def emit_union(idx: int, union: UnionRep) -> None:
-        kids = skel.children[idx]
-        if not kids:
-            values[idx].extend(
-                intern(value) for value, _ in union.entries
-            )
-            return
-        for value, child in union.entries:
-            starts = [len(values[k]) for k in kids]
-            for k, factor in zip(kids, child.factors):
-                emit_union(k, factor)
-            for j, k in enumerate(kids):
-                child_lo[idx][j].append(starts[j])
-                child_hi[idx][j].append(len(values[k]))
-            values[idx].append(intern(value))
-
-    if len(product.factors) != len(skel.roots):
-        raise ArenaError(
-            f"product arity {len(product.factors)} does not match "
-            f"forest arity {len(skel.roots)}"
-        )
-    for r, union in zip(skel.roots, product.factors):
-        emit_union(r, union)
-    return writer.finish()
-
-
-def to_product(arena: Optional[ArenaRep]) -> Optional[ProductRep]:
-    """Decode an arena back to the object encoding (``None`` = empty)."""
-    return None if arena is None else arena.to_product()
 
 
 # -- validation --------------------------------------------------------------
@@ -624,21 +554,36 @@ def validate_arena_bounds(
                 )
 
 
+def validate_tree(tree: FTree) -> None:
+    """Check the f-tree side: path constraint must hold."""
+    if not tree.satisfies_path_constraint():
+        raise FRepError(
+            f"f-tree violates the path constraint: {tree.pretty_inline()}"
+        )
+
+
 def validate_arena(tree: FTree, arena: Optional[ArenaRep]) -> None:
-    """Full structural checks: bounds plus the per-union strict value
-    order.  Complements (not replaces) the object-level
-    :func:`repro.core.validate.validate_relation`."""
+    """Full structural checks: bounds, no empty union, the per-union
+    strict value order, and exactly one value per union of a
+    ``constant`` node."""
     if arena is None:
         return
     validate_arena_bounds(tree, arena)
     skel = arena.skel
     pool = arena.pool
+    constant = {node.label for node in tree.iter_nodes() if node.constant}
+    single = [label in constant for label in skel.labels]
 
     def check_union(idx: int, lo: int, hi: int) -> None:
         column = arena.values[idx]
         if lo >= hi:
             raise ArenaError(
                 f"node {idx}: empty union inside a non-empty arena"
+            )
+        if single[idx] and hi - lo != 1:
+            raise ArenaError(
+                f"constant node {sorted(skel.labels[idx])} holds "
+                f"{hi - lo} values"
             )
         for e in range(lo + 1, hi):
             if not pool[column[e - 1]] < pool[column[e]]:
@@ -895,11 +840,10 @@ def _iter_rows_walk(
 def iter_rows(
     arena: Optional[ArenaRep], attributes: Sequence[str]
 ) -> Iterator[tuple]:
-    """Yield tuples projected onto ``attributes``, in exactly the order
-    the object-encoding walk produces them (depth-first, unions in
-    value order).  Large arenas with shallow skeletons run through the
-    compiled per-skeleton loop nest; everything else takes the
-    recursive walk -- both produce identical sequences."""
+    """Yield tuples projected onto ``attributes``, depth-first with
+    unions in value order.  Large arenas with shallow skeletons run
+    through the compiled per-skeleton loop nest; everything else takes
+    the recursive walk -- both produce identical sequences."""
     if arena is None:
         return
     known = {
@@ -909,8 +853,7 @@ def iter_rows(
     }
     for attr in attributes:
         if attr not in known:
-            # The object walk raises KeyError on its first row; a
-            # silent None column would turn a typo into wrong data.
+            # A silent None column would turn a typo into wrong data.
             raise KeyError(attr)
     node_count = arena.node_count
     if (
@@ -926,7 +869,8 @@ def iter_rows(
 def iter_assignments(
     arena: Optional[ArenaRep],
 ) -> Iterator[Dict[str, object]]:
-    """Yield every tuple as an attr->value dict (object-walk order)."""
+    """Yield every tuple as an attr->value dict (:func:`iter_rows`
+    order)."""
     if arena is None:
         return
     attrs: List[str] = []
@@ -934,163 +878,6 @@ def iter_assignments(
         attrs.extend(label)
     for row in iter_rows(arena, attrs):
         yield dict(zip(attrs, row))
-
-
-# -- aggregates --------------------------------------------------------------
-
-
-def _require_attribute(arena: ArenaRep, attribute: str) -> int:
-    from repro.core.aggregate import AggregateError
-
-    for i, label in enumerate(arena.skel.labels):
-        if attribute in label:
-            return i
-    raise AggregateError(f"unknown attribute {attribute!r}")
-
-
-def count(arena: Optional[ArenaRep]) -> int:
-    return tuple_count(arena)
-
-
-def _count_sum(
-    arena: ArenaRep, attribute: str
-) -> Tuple[int, float]:
-    """(tuple count, SUM(attribute)) via one exact bottom-up pass."""
-    skel = arena.skel
-    n = len(skel)
-    # Per node: prefix sums of per-entry (count, sum), so parents read
-    # child segments in O(1).
-    cnt_prefix: List[List[int]] = [[] for _ in range(n)]
-    sum_prefix: List[List[float]] = [[] for _ in range(n)]
-    pool = arena.pool
-    for idx in range(n - 1, -1, -1):
-        m = len(arena.values[idx])
-        kids = skel.children[idx]
-        here = attribute in skel.labels[idx]
-        column = arena.values[idx]
-        cnts: List[int] = []
-        sums: List[float] = []
-        for e in range(m):
-            forest_count = 1
-            forest_sum = 0.0
-            for j, k in enumerate(kids):
-                lo = arena.child_lo[idx][j][e]
-                hi = arena.child_hi[idx][j][e]
-                part_count = cnt_prefix[k][hi] - cnt_prefix[k][lo]
-                part_sum = sum_prefix[k][hi] - sum_prefix[k][lo]
-                forest_sum = (
-                    forest_sum * part_count + part_sum * forest_count
-                )
-                forest_count *= part_count
-            if here:
-                forest_sum += float(pool[column[e]]) * forest_count  # type: ignore[arg-type]
-            cnts.append(forest_count)
-            sums.append(forest_sum)
-        cnt_prefix[idx] = _prefix(cnts)
-        sum_prefix[idx] = list(accumulate(sums, initial=0.0))
-    total_count = 1
-    total_sum = 0.0
-    for r in skel.roots:
-        part_count = cnt_prefix[r][-1]
-        part_sum = sum_prefix[r][-1]
-        total_sum = total_sum * part_count + part_sum * total_count
-        total_count *= part_count
-        if total_count == 0:
-            return 0, 0.0
-    return total_count, total_sum
-
-
-def sum_of(arena: ArenaRep, attribute: str) -> float:
-    _require_attribute(arena, attribute)
-    return _count_sum(arena, attribute)[1]
-
-
-def average(arena: ArenaRep, attribute: str) -> Optional[float]:
-    _require_attribute(arena, attribute)
-    total_count, total_sum = _count_sum(arena, attribute)
-    return total_sum / total_count if total_count else None
-
-
-def extreme(arena: ArenaRep, attribute: str, minimum: bool):
-    """MIN/MAX: every arena entry is reachable (no empty unions), so
-    the extreme over the node's whole value column is the answer."""
-    idx = _require_attribute(arena, attribute)
-    pool = arena.pool
-    found = (pool[vid] for vid in arena.values[idx])
-    return min(found) if minimum else max(found)
-
-
-def count_distinct(arena: ArenaRep, attribute: str) -> int:
-    idx = _require_attribute(arena, attribute)
-    # Decode through the pool: interning is per *type* (1, 1.0 and
-    # True occupy distinct slots), but COUNT(DISTINCT) uses value
-    # equality, under which they collapse -- exactly as the object
-    # encoding's value set does.
-    pool = arena.pool
-    return len({pool[vid] for vid in set(arena.values[idx])})
-
-
-def group_count(
-    arena: ArenaRep, attribute: str
-) -> Dict[object, int]:
-    """GROUP BY ``attribute`` with COUNT(*), without enumeration.
-
-    Per entry ``e`` of the attribute's node: tuples containing it are
-    ``above(e) * below(e)`` -- the context multiplier accumulated down
-    the root-to-node path times the entry's children-forest count.
-    """
-    target = _require_attribute(arena, attribute)
-    skel = arena.skel
-    counts = _entry_counts(arena)
-    totals = {r: _column_total(counts[r]) for r in skel.roots}
-
-    # Root-to-target path.
-    path = [target]
-    while skel.parent[path[-1]] != -1:
-        path.append(skel.parent[path[-1]])
-    path.reverse()
-
-    root = path[0]
-    context = 1
-    for r in skel.roots:
-        if r != root:
-            context *= totals[r]
-    above: List[int] = [context] * len(arena.values[root])
-
-    def seg_count(idx: int, j: int, e: int) -> int:
-        k = skel.children[idx][j]
-        child = counts[k]
-        lo = arena.child_lo[idx][j][e]
-        hi = arena.child_hi[idx][j][e]
-        if _np is not None and isinstance(child, _np.ndarray):
-            return int(child[lo:hi].sum(dtype=object))
-        return sum(child[lo:hi])
-
-    for step, idx in enumerate(path[:-1]):
-        next_node = path[step + 1]
-        slot = skel.children[idx].index(next_node)
-        next_above: List[int] = [0] * len(arena.values[next_node])
-        for e in range(len(arena.values[idx])):
-            others = above[e]
-            for j in range(len(skel.children[idx])):
-                if j != slot:
-                    others *= seg_count(idx, j, e)
-            lo = arena.child_lo[idx][slot][e]
-            hi = arena.child_hi[idx][slot][e]
-            for t in range(lo, hi):
-                next_above[t] = others
-        above = next_above
-
-    pool = arena.pool
-    column = arena.values[target]
-    below = counts[target]
-    if _np is not None and isinstance(below, _np.ndarray):
-        below = below.tolist()
-    out: Dict[object, int] = {}
-    for e, vid in enumerate(column):
-        value = pool[vid]
-        out[value] = out.get(value, 0) + above[e] * below[e]
-    return out
 
 
 # -- operator kernels --------------------------------------------------------

@@ -40,26 +40,26 @@ creates a new one, so a trie cannot go stale and is reclaimed with its
 relation; shard views and delta views share the database's relation
 objects and therefore its tries.
 
-What gets written is contractual, not incidental: both emitters visit
-candidates in the same order and intern values at the same moments, so
-the arena -- column contents and pool order, private or shared pool --
-is byte for byte what the per-node indexes this module used to build
-produced (``tests/data/factorise_golden.json`` pins it).  Persisted
-blobs, wire frames and size ratios do not depend on the builder.
+Entries go straight into the arena's flat integer columns
+(:class:`~repro.core.arena.ArenaWriter`): children are written first,
+and an entry whose children forest comes up empty is rolled back by
+truncating what its earlier children wrote.  What gets written is
+contractual, not incidental: candidates are visited in a fixed order
+and values interned at fixed moments, so the arena -- column contents
+and pool order, private or shared pool -- is byte for byte what the
+per-node indexes this module used to build produced
+(``tests/data/factorise_golden.json`` pins it).  Persisted blobs, wire
+frames and size ratios do not depend on the builder.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.arena import ArenaRep, ArenaWriter, _skeleton_of
 from repro.core.ftree import FTree, FTreeError
-from repro.core.frep import ProductRep, UnionRep
 from repro.obs.metrics import Tally
 from repro.relational.relation import Relation
-
-#: Physical encodings :func:`factorise` can produce.
-ENCODINGS = ("object", "arena")
 
 #: The ``factorise`` metrics namespace, registered by every
 #: :class:`~repro.service.session.QuerySession`: process-wide tallies,
@@ -128,10 +128,8 @@ class Factoriser:
     """Reusable factorisation of a fixed set of relations over an f-tree.
 
     The constructor resolves one trie per relation path (building the
-    ones the relations do not hold yet); :meth:`run` walks them.  This
-    class emits the object encoding and is the arena builder's
-    differential oracle: :class:`ArenaFactoriser` walks the same tries
-    with the same cursors and differs only in what it writes.
+    ones the relations do not hold yet); :meth:`run` walks them and
+    appends the result to arena columns.
 
     >>> from repro.relational.relation import Relation
     >>> from repro.core.ftree import FTree
@@ -139,8 +137,8 @@ class Factoriser:
     >>> tree = FTree.from_nested([("a", [("b", [])])],
     ...                          edges=[{"a", "b"}])
     >>> rep = Factoriser([r], tree).run()
-    >>> [(v, u) for v, u in rep.factors[0].entries][0][0]
-    1
+    >>> [rep.pool[vid] for vid in rep.values[0]]
+    [1, 2]
     """
 
     def __init__(
@@ -219,74 +217,7 @@ class Factoriser:
             emits[idx] = make(idx, cursors, self._sources[idx], kids)
         return [emits[root] for root in skel.roots]
 
-    def run(self) -> Optional[ProductRep]:
-        """Compute the representation; ``None`` for an empty result."""
-        discarded = [0]
-
-        def make(idx, cursors, sources, kids):
-            candidates = _candidates_fn(cursors, sources)
-            moves = _moves(sources)
-
-            def emit() -> Optional[Tuple[UnionRep, int]]:
-                """(the node's union under the current cursors, its
-                entries including everything below); ``None`` when
-                the union is empty."""
-                entries: List[Tuple[object, ProductRep]] = []
-                total = 0
-                for value in candidates():
-                    for read, write in moves:
-                        cursors[write] = cursors[read][value]
-                    factors: List[UnionRep] = []
-                    below = 0
-                    for kid in kids:
-                        got = kid()
-                        if got is None:
-                            discarded[0] += below
-                            break
-                        factors.append(got[0])
-                        below += got[1]
-                    else:
-                        entries.append((value, ProductRep(factors)))
-                        total += below + 1
-                if not entries:
-                    return None
-                return UnionRep(entries), total
-
-            return emit
-
-        factors: List[UnionRep] = []
-        committed = 0
-        for emit in self._compile(make):
-            got = emit()
-            if got is None:
-                discarded[0] += committed
-                committed = 0
-                factors = None
-                break
-            factors.append(got[0])
-            committed += got[1]
-        COUNTERS.add(
-            calls=1,
-            entries_committed=committed,
-            entries_rolled_back=discarded[0],
-        )
-        return None if factors is None else ProductRep(factors)
-
-
-class ArenaFactoriser(Factoriser):
-    """Factorise straight into the arena encoding.
-
-    Walks the tries exactly as :class:`Factoriser` does but appends
-    entries into flat integer columns (:class:`~repro.core.arena.
-    ArenaWriter`) instead of allocating one Python object per union
-    entry: children are written first, and an entry whose children
-    forest comes up empty is rolled back by truncating what its
-    earlier children wrote -- the exact analogue of the object
-    builder's eager pruning, so both encodings always hold the same
-    representation.
-    """
-
-    def run(self, pool=None) -> Optional[ArenaRep]:  # type: ignore[override]
+    def run(self, pool=None) -> Optional[ArenaRep]:
         """Compute the arena representation; ``None`` when empty.
 
         ``pool`` interns values into a shared :class:`~repro.core.
@@ -383,21 +314,7 @@ class ArenaFactoriser(Factoriser):
 
 
 def factorise(
-    relations: Sequence[Relation],
-    tree: FTree,
-    encoding: str = "object",
-    pool=None,
-) -> Optional[Union[ProductRep, ArenaRep]]:
-    """One-shot factorisation in the requested physical encoding.
-
-    ``pool`` (arena encoding only) interns values into a shared
-    :class:`~repro.core.arena.ValuePool` -- see
-    :meth:`ArenaFactoriser.run`.
-    """
-    if encoding == "object":
-        return Factoriser(relations, tree).run()
-    if encoding == "arena":
-        return ArenaFactoriser(relations, tree).run(pool)
-    raise ValueError(
-        f"unknown encoding {encoding!r}; pick one of {ENCODINGS}"
-    )
+    relations: Sequence[Relation], tree: FTree, pool=None
+) -> Optional[ArenaRep]:
+    """One-shot factorisation; ``pool`` as in :meth:`Factoriser.run`."""
+    return Factoriser(relations, tree).run(pool)

@@ -3,11 +3,11 @@
 This is the paper's formal representation system taken literally:
 relational algebra expressions built from the empty relation, the
 nullary tuple, attribute singletons ``<A:a>``, unions and products.
-The structured form in :mod:`repro.core.frep` is the engine's working
+The arena of :mod:`repro.core.arena` is the engine's working
 representation; this AST exists for
 
 - faithful display (the factorisations printed in Examples 1 and 2),
-- interoperability tests (structured -> AST -> relation round-trips),
+- interoperability tests (arena -> AST -> relation round-trips),
 - the formal ``size`` measure: the number of singletons.
 """
 
@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from repro.core.ftree import FNode, FTree
-from repro.core.frep import ProductRep, UnionRep
+from repro.core.arena import ArenaRep
 
 
 class ExprError(ValueError):
@@ -174,42 +173,46 @@ class Product(Expression):
         return sep.join(rendered)
 
 
-def from_structured(
-    nodes: Sequence[FNode], product: ProductRep
-) -> Expression:
-    """Convert a structured representation over a forest to the AST."""
-    if len(nodes) != len(product.factors):
-        raise ExprError(
-            f"forest arity {len(nodes)} != product arity "
-            f"{len(product.factors)}"
-        )
-    if not nodes:
-        return Nullary()
-    parts: List[Expression] = []
-    for node, union in zip(nodes, product.factors):
-        parts.append(_union_to_expr(node, union))
-    if len(parts) == 1:
-        return parts[0]
-    return Product(parts)
+def expression_of(arena: ArenaRep) -> Expression:
+    """AST of a (non-empty) arena: one walk over its columns."""
+    skel, pool = arena.skel, arena.pool
+    values, child_lo, child_hi = (
+        arena.values,
+        arena.child_lo,
+        arena.child_hi,
+    )
 
+    def forest(units: List[Tuple[int, int, int]]) -> Expression:
+        """``units``: one (node, lo, hi) union occurrence per tree."""
+        if not units:
+            return Nullary()
+        parts = [union(idx, lo, hi) for idx, lo, hi in units]
+        return parts[0] if len(parts) == 1 else Product(parts)
 
-def _union_to_expr(node: FNode, union: UnionRep) -> Expression:
-    if not union.entries:
-        raise ExprError("empty union inside a structured representation")
-    terms: List[Expression] = []
-    for value, child in union.entries:
-        singletons: List[Expression] = [
-            Singleton(attr, value) for attr in sorted(node.label)
-        ]
-        if node.children:
-            sub = from_structured(node.children, child)
-            singletons.append(sub)
-        terms.append(
-            singletons[0] if len(singletons) == 1 else Product(singletons)
-        )
-    return terms[0] if len(terms) == 1 else Union(terms)
+    def union(idx: int, lo: int, hi: int) -> Expression:
+        if lo >= hi:
+            raise ExprError("empty union inside an arena")
+        kids = skel.children[idx]
+        terms: List[Expression] = []
+        for e in range(lo, hi):
+            value = pool[values[idx][e]]
+            singletons: List[Expression] = [
+                Singleton(attr, value) for attr in skel.attr_tuples[idx]
+            ]
+            if kids:
+                singletons.append(
+                    forest(
+                        [
+                            (k, child_lo[idx][j][e], child_hi[idx][j][e])
+                            for j, k in enumerate(kids)
+                        ]
+                    )
+                )
+            terms.append(
+                singletons[0]
+                if len(singletons) == 1
+                else Product(singletons)
+            )
+        return terms[0] if len(terms) == 1 else Union(terms)
 
-
-def expression_of(tree: FTree, product: ProductRep) -> Expression:
-    """AST of a full factorised relation."""
-    return from_structured(tree.roots, product)
+    return forest([(r, 0, len(values[r])) for r in skel.roots])

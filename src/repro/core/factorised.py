@@ -1,122 +1,25 @@
-"""The user-facing factorised relation: an f-tree plus its data.
+"""The user-facing factorised relation: an f-tree plus its arena.
 
 A :class:`FactorisedRelation` bundles an :class:`~repro.core.ftree.
-FTree` with a representation over it (``None`` encodes the empty
-relation) and offers the logical-layer view of Section 1: the relation
-*is* a relation -- it can be enumerated, counted, compared and exported
-flat -- while the physical layer stays factorised.
-
-Two physical encodings back the same logical relation:
-
-- the **object** encoding (:class:`~repro.core.frep.ProductRep` /
-  ``UnionRep`` trees) -- what the f-plan operators rewrite;
-- the **arena** encoding (:class:`~repro.core.arena.ArenaRep`) -- flat
-  interned-value and offset-range columns for the hot paths (build,
-  count, size, enumeration, aggregates, near-verbatim serialisation).
-
-Construct with ``data=`` for the object encoding or ``arena=`` for the
-arena; :attr:`encoding` names the primary one.  Conversion is lazy in
-both directions: reading :attr:`data` on an arena-backed relation
-materialises (and caches) the object form, so every existing operator
-keeps working unchanged -- this is the transparent arena->object
-adapter the f-plan operators (swap, merge, absorb, normalise) rely on
--- and reading :attr:`arena` on an object-backed relation builds the
-columns.  All logical-view methods run on the primary encoding.
+FTree` with the :class:`~repro.core.arena.ArenaRep` over it (``None``
+encodes the empty relation) and offers the logical-layer view of
+Section 1: the relation *is* a relation -- it can be enumerated,
+counted, aggregated, compared and exported flat -- while the physical
+layer stays factorised.  The arena is the one physical representation
+the engine builds, restructures, stores and ships; every method below
+runs on its columns.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
+from repro.core import aggregate
 from repro.core import arena as arena_mod
 from repro.core.arena import ArenaRep
-from repro.core.enumerate import Assignment, iter_assignments, iter_rows
-from repro.core.expr import Expression, Empty, expression_of
-from repro.core.frep import ProductRep
+from repro.core.expr import Empty, Expression, expression_of
 from repro.core.ftree import FTree
-from repro.core.size import data_elements, representation_size, tuple_count
-from repro.core.validate import validate_relation
 from repro.relational.relation import Relation
-
-#: The physical encodings a relation can be backed by.
-ENCODINGS = ("object", "arena")
-
-
-class _Unset:
-    """Sentinel for a not-yet-materialised encoding (pickle-stable)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<unset>"
-
-    def __reduce__(self):
-        return (_unset, ())
-
-
-def _unset() -> "_Unset":
-    return _UNSET
-
-
-_UNSET = _Unset()
-
-
-class AdapterCounters:
-    """Process-wide tallies of arena<->object adapter conversions.
-
-    The whole point of the arena-native pipeline is that these stay at
-    zero on the hot path; they are surfaced in session/server STATS and
-    gated by ``benchmarks/bench_plan_pipeline.py`` so an operator that
-    silently falls back to the object encoding shows up as a counted
-    (and benchmark-failing) regression rather than a quiet slowdown.
-    """
-
-    __slots__ = (
-        "_lock",
-        "to_object_calls",
-        "to_arena_calls",
-        "bytes_to_object",
-        "bytes_to_arena",
-    )
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.reset()
-
-    def reset(self) -> None:
-        self.to_object_calls = 0
-        self.to_arena_calls = 0
-        self.bytes_to_object = 0
-        self.bytes_to_arena = 0
-
-    def note_to_object(self, nbytes: int) -> None:
-        with self._lock:
-            self.to_object_calls += 1
-            self.bytes_to_object += nbytes
-
-    def note_to_arena(self, nbytes: int) -> None:
-        with self._lock:
-            self.to_arena_calls += 1
-            self.bytes_to_arena += nbytes
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "to_object_calls": self.to_object_calls,
-                "to_arena_calls": self.to_arena_calls,
-                "bytes_to_object": self.bytes_to_object,
-                "bytes_to_arena": self.bytes_to_arena,
-            }
-
-    @property
-    def round_trips(self) -> int:
-        """Conversions out of the arena encoding (the costly direction)."""
-        return self.to_object_calls
-
-
-#: Module-level adapter instrumentation (one per process/worker).
-ADAPTER = AdapterCounters()
 
 
 class FactorisedRelation:
@@ -132,70 +35,13 @@ class FactorisedRelation:
     3
     >>> fr.size()  # 2 a-singletons + 3 b-singletons
     5
-    >>> fa = fr.to_arena()
-    >>> (fa.encoding, fa.count(), fa.size())
-    ('arena', 3, 5)
     """
 
-    __slots__ = ("tree", "_object", "_arena", "_primary")
+    __slots__ = ("tree", "rep")
 
-    def __init__(
-        self,
-        tree: FTree,
-        data: Union[Optional[ProductRep], "_Unset"] = _UNSET,
-        *,
-        arena: Union[Optional[ArenaRep], "_Unset"] = _UNSET,
-    ) -> None:
-        if data is _UNSET and arena is _UNSET:
-            raise ValueError(
-                "FactorisedRelation needs data= (object encoding) "
-                "or arena= (arena encoding)"
-            )
+    def __init__(self, tree: FTree, rep: Optional[ArenaRep]) -> None:
         self.tree = tree
-        self._object = data
-        self._arena = arena
-        self._primary = "object" if data is not _UNSET else "arena"
-
-    # -- encodings -----------------------------------------------------------
-
-    @property
-    def encoding(self) -> str:
-        """The primary physical encoding ("object" or "arena")."""
-        return self._primary
-
-    @property
-    def data(self) -> Optional[ProductRep]:
-        """The object encoding (materialised from the arena on demand)."""
-        if self._object is _UNSET:
-            rep = self._arena
-            ADAPTER.note_to_object(0 if rep is None else rep.nbytes())
-            self._object = arena_mod.to_product(rep)
-        return self._object  # type: ignore[return-value]
-
-    @property
-    def arena(self) -> Optional[ArenaRep]:
-        """The arena encoding (materialised from the objects on demand)."""
-        if self._arena is _UNSET:
-            self._arena = arena_mod.from_product(self.tree, self._object)
-            rep = self._arena
-            ADAPTER.note_to_arena(0 if rep is None else rep.nbytes())
-        return self._arena  # type: ignore[return-value]
-
-    def to_arena(self) -> "FactorisedRelation":
-        """This relation with the arena as primary encoding."""
-        if self._primary == "arena":
-            return self
-        return FactorisedRelation(self.tree, arena=self.arena)
-
-    def to_object(self) -> "FactorisedRelation":
-        """This relation with the objects as primary encoding."""
-        if self._primary == "object":
-            return self
-        return FactorisedRelation(self.tree, self.data)
-
-    def _active(self):
-        """The primary representation (what the logical view runs on)."""
-        return self._arena if self._primary == "arena" else self._object
+        self.rep = rep
 
     # -- relational view -----------------------------------------------------
 
@@ -205,29 +51,31 @@ class FactorisedRelation:
         return tuple(sorted(self.tree.attributes()))
 
     def is_empty(self) -> bool:
-        return self._active() is None
+        return self.rep is None
 
     def size(self) -> int:
         """Representation size ``|E|``: the number of singletons."""
-        return representation_size(self.tree.roots, self._active())
+        return arena_mod.representation_size(self.rep)
 
     def count(self) -> int:
         """Number of represented tuples, without enumeration."""
-        return tuple_count(self.tree.roots, self._active())
+        return arena_mod.tuple_count(self.rep)
 
     def flat_data_elements(self) -> int:
-        """Size of the *flat* equivalent in data elements."""
-        return data_elements(self.tree.roots, self._active())
+        """Size of the *flat* equivalent in data elements: #tuples x
+        #attributes, the unit Figures 7 and 8 use for the relational
+        engines."""
+        return self.count() * len(self.tree.attributes())
 
-    def __iter__(self) -> Iterator[Assignment]:
-        return iter_assignments(self.tree.roots, self._active())
+    def __iter__(self) -> Iterator[Dict[str, object]]:
+        return arena_mod.iter_assignments(self.rep)
 
     def rows(
         self, attributes: Optional[Sequence[str]] = None
     ) -> Iterator[tuple]:
         """Iterate tuples projected onto ``attributes`` (default all)."""
         order = self.attributes if attributes is None else tuple(attributes)
-        return iter_rows(self.tree.roots, self._active(), order)
+        return arena_mod.iter_rows(self.rep, order)
 
     def to_relation(self, name: str = "flat") -> Relation:
         """Materialise the flat relation (use with care on big data)."""
@@ -235,53 +83,35 @@ class FactorisedRelation:
 
     def to_expression(self) -> Expression:
         """The Definition-1 expression AST of this representation."""
-        if self.data is None:
+        if self.rep is None:
             return Empty(self.tree.attributes())
-        return expression_of(self.tree, self.data)
+        return expression_of(self.rep)
 
     # -- aggregates (computed without enumeration) -----------------------------
 
     def sum(self, attribute: str) -> float:
         """``SUM(attribute)`` over all represented tuples."""
-        from repro.core import aggregate
-
-        return aggregate.sum_of(self.tree.roots, self._active(), attribute)
+        return aggregate.sum_of(self.rep, attribute)
 
     def avg(self, attribute: str) -> Optional[float]:
         """``AVG(attribute)``; ``None`` on the empty relation."""
-        from repro.core import aggregate
-
-        return aggregate.average(
-            self.tree.roots, self._active(), attribute
-        )
+        return aggregate.average(self.rep, attribute)
 
     def min(self, attribute: str):
         """``MIN(attribute)``; ``None`` on the empty relation."""
-        from repro.core import aggregate
-
-        return aggregate.min_of(self.tree.roots, self._active(), attribute)
+        return aggregate.extreme(self.rep, attribute, minimum=True)
 
     def max(self, attribute: str):
         """``MAX(attribute)``; ``None`` on the empty relation."""
-        from repro.core import aggregate
-
-        return aggregate.max_of(self.tree.roots, self._active(), attribute)
+        return aggregate.extreme(self.rep, attribute, minimum=False)
 
     def count_distinct(self, attribute: str) -> int:
         """``COUNT(DISTINCT attribute)``."""
-        from repro.core import aggregate
-
-        return aggregate.count_distinct(
-            self.tree.roots, self._active(), attribute
-        )
+        return aggregate.count_distinct(self.rep, attribute)
 
     def group_count(self, attribute: str):
         """``GROUP BY attribute`` with ``COUNT(*)`` per group."""
-        from repro.core import aggregate
-
-        return aggregate.group_count(
-            self.tree.roots, self._active(), attribute
-        )
+        return aggregate.group_count(self.rep, attribute)
 
     # -- comparisons and checks ----------------------------------------------
 
@@ -303,16 +133,9 @@ class FactorisedRelation:
         return set(self.rows(order)) == flat
 
     def validate(self) -> "FactorisedRelation":
-        """Check all structural invariants; returns self for chaining.
-
-        An arena primary is checked twice: the cheap arena-level bounds
-        and order checks, then the full object-level validation on the
-        (lazily converted) object form -- correctness never forks
-        between the encodings.
-        """
-        if self._arena is not _UNSET:
-            arena_mod.validate_arena(self.tree, self._arena)
-        validate_relation(self.tree, self.data)
+        """Check all structural invariants; returns self for chaining."""
+        arena_mod.validate_tree(self.tree)
+        arena_mod.validate_arena(self.tree, self.rep)
         return self
 
     # -- display ---------------------------------------------------------------
@@ -324,15 +147,11 @@ class FactorisedRelation:
     def __repr__(self) -> str:
         return (
             f"FactorisedRelation(attrs={list(self.attributes)}, "
-            f"size={self.size()}, tuples={self.count()}, "
-            f"encoding={self.encoding})"
+            f"size={self.size()}, tuples={self.count()})"
         )
 
     def copy(self) -> "FactorisedRelation":
-        if self._primary == "arena":
-            rep = self._arena
-            return FactorisedRelation(
-                self.tree, arena=None if rep is None else rep.copy()
-            )
-        data = None if self._object is None else self._object.copy()
-        return FactorisedRelation(self.tree, data)
+        rep = self.rep
+        return FactorisedRelation(
+            self.tree, None if rep is None else rep.copy()
+        )

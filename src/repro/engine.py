@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro import ops
-from repro.core.build import ENCODINGS, factorise
+from repro.core.build import factorise
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
 from repro.optimiser.exhaustive import SearchExhausted, exhaustive_fplan
@@ -46,11 +46,11 @@ class FDB:
     check_invariants:
         When true, every produced representation is validated against
         the structural invariants (for tests and debugging).
-    encoding:
-        Physical encoding of produced representations: ``"object"``
-        (``ProductRep`` trees) or ``"arena"`` (the flat columnar
-        encoding of :mod:`repro.core.arena`; same relations, faster
-        build/count/enumerate hot paths).
+    shared_pool:
+        Intern values into this shared :class:`~repro.core.arena.
+        ValuePool` (one per worker/connection) instead of a private
+        pool per result, so independently built results recombine by
+        id -- see :meth:`repro.core.build.Factoriser.run`.
 
     >>> from repro.relational import Database
     >>> from repro.query import parse_query
@@ -71,17 +71,12 @@ class FDB:
         check_invariants: bool = False,
         cost_model: str = "asymptotic",
         statistics=None,
-        encoding: str = "object",
         shared_pool=None,
     ) -> None:
         if plan_search not in ("exhaustive", "greedy"):
             raise ValueError(f"unknown plan search {plan_search!r}")
         if cost_model not in ("asymptotic", "estimates"):
             raise ValueError(f"unknown cost model {cost_model!r}")
-        if encoding not in ENCODINGS:
-            raise ValueError(
-                f"unknown encoding {encoding!r}; pick one of {ENCODINGS}"
-            )
         if statistics is not None and cost_model != "estimates":
             raise ValueError(
                 "statistics only apply with cost_model='estimates'"
@@ -90,10 +85,6 @@ class FDB:
         self.plan_search = plan_search
         self.check_invariants = check_invariants
         self.cost_model = cost_model
-        self.encoding = encoding
-        # Arena encoding only: intern values into this shared
-        # ValuePool (one per worker/connection) so independently built
-        # results recombine by id -- see ArenaFactoriser.run.
         self.shared_pool = shared_pool
         # ``statistics`` lets a session share one catalogue across
         # engines instead of rescanning the database per engine.
@@ -135,13 +126,9 @@ class FDB:
                 if cond.attribute in relation.schema:
                     relation = flat_select(relation, cond)
             relations.append(relation)
-        data = factorise(
-            relations, tree, encoding=self.encoding, pool=self.shared_pool
+        fr = FactorisedRelation(
+            tree, factorise(relations, tree, pool=self.shared_pool)
         )
-        if self.encoding == "arena":
-            fr = FactorisedRelation(tree, arena=data)
-        else:
-            fr = FactorisedRelation(tree, data)
         for cond in query.constants:
             if cond.op == "=":
                 fr = ops.select_constant(fr, cond)

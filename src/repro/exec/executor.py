@@ -162,7 +162,6 @@ class ParallelExecutor(Executor):
                         session.plan_search,
                         session.cost_model,
                         session.check_invariants,
-                        session.encoding,
                     ),
                 )
                 pool.submit(worker.ping).result(timeout=60)
@@ -231,7 +230,6 @@ class ParallelExecutor(Executor):
                 session.check_invariants,
                 query,
                 tree,
-                session.encoding,
             )
         )
 
@@ -254,7 +252,6 @@ class ParallelExecutor(Executor):
                 tree,
                 index,
                 fanout,
-                session.encoding,
             )
         )
 

@@ -60,18 +60,15 @@ def init_worker(
     plan_search: str,
     cost_model: str,
     check_invariants: bool,
-    encoding: str = "object",
 ) -> None:
     """Pool initializer: build one engine per worker process."""
     _STATE["database"] = database
     _STATE["check_invariants"] = check_invariants
-    _STATE["encoding"] = encoding
     _STATE["engine"] = FDB(
         database,
         plan_search=plan_search,
         cost_model=cost_model,
         check_invariants=check_invariants,
-        encoding=encoding,
     )
 
 
@@ -127,7 +124,6 @@ def execute_task(
         bool(_STATE["check_invariants"]),
         query,
         tree,
-        str(_STATE.get("encoding", "object")),
     )
 
 
@@ -146,7 +142,6 @@ def join_task(
         bool(_STATE["check_invariants"]),
         query,
         tree,
-        str(_STATE.get("encoding", "object")),
     )
 
 
@@ -163,7 +158,6 @@ def shard_task(
         tree,
         index,
         fanout,
-        str(_STATE.get("encoding", "object")),
     )
 
 
@@ -193,7 +187,6 @@ def evaluate_join(
     check_invariants: bool,
     query: Query,
     tree: FTree,
-    encoding: str = "object",
 ) -> FactorisedRelation:
     """Evaluate one query over the full database **without** the
     projection: factorised join over the precompiled tree, constants
@@ -202,10 +195,7 @@ def evaluate_join(
     engine = FDB(
         database,
         check_invariants=check_invariants,
-        encoding=encoding,
-        shared_pool=(
-            shared_pool_for(database) if encoding == "arena" else None
-        ),
+        shared_pool=shared_pool_for(database),
     )
     with obs_trace.span("factorise"):
         return engine.factorise_query(query, tree=tree)
@@ -229,11 +219,10 @@ def evaluate_full(
     check_invariants: bool,
     query: Query,
     tree: FTree,
-    encoding: str = "object",
 ) -> FactorisedRelation:
     """Evaluate one query over the full database: factorised join over
     the precompiled tree, constants inside, projection applied."""
-    fr = evaluate_join(database, check_invariants, query, tree, encoding)
+    fr = evaluate_join(database, check_invariants, query, tree)
     return project_result(fr, query, check_invariants)
 
 
@@ -244,7 +233,6 @@ def evaluate_shard(
     tree: FTree,
     index: int,
     fanout: str,
-    encoding: str = "object",
 ) -> FactorisedRelation:
     """Evaluate one query over one shard view, **without** projection.
 
@@ -255,13 +243,10 @@ def evaluate_shard(
     engine = FDB(
         view,
         check_invariants=check_invariants,
-        encoding=encoding,
         # Key the pool on the sharded parent: every shard of a
         # snapshot interns into the same pool, which is what makes the
         # coordinator-side union recombine ids verbatim.
-        shared_pool=(
-            shared_pool_for(database) if encoding == "arena" else None
-        ),
+        shared_pool=shared_pool_for(database),
     )
     with obs_trace.span("shard", shard=index):
         return engine.factorise_query(query, tree=tree)
@@ -272,8 +257,8 @@ def combine_shards(
 ) -> FactorisedRelation:
     """Union per-shard factorised results and apply the projection.
 
-    ``parts`` must hold one result per shard (an empty shard yields a
-    ``data=None`` relation, never a missing entry) -- an empty list
+    ``parts`` must hold one result per shard (an empty shard yields an
+    empty relation, never a missing entry) -- an empty list
     here would silently masquerade as an empty *result*, so it is an
     error instead.  ``project=False`` stops after the union, for
     coordinators that cache the unprojected join result

@@ -55,10 +55,6 @@ class Exp3Row:
     fdb_time_seconds: float
     rdb_time_seconds: float
     sqlite_time_seconds: float
-    #: Plan fixed, evaluation only: factorise + report size and count,
-    #: in the object encoding vs the columnar arena encoding.
-    fdb_object_eval_seconds: float = DNF
-    fdb_arena_eval_seconds: float = DNF
     #: What the FDB evaluation's one ``factorise`` call did (the
     #: ``factorise`` counters): deterministic, so diffable across PRs.
     trie_builds: int = 0
@@ -87,37 +83,6 @@ def _measure_fdb(db: Database, query: Query):
     spent = COUNTERS.since(counted)
     work = {name: spent[name] for name in _WORK_FIELDS}
     return float(fr.size()), elapsed, fr, work
-
-
-def _measure_encodings(db: Database, query: Query) -> (float, float):
-    """Per-encoding evaluation time with the optimiser factored out.
-
-    Both encodings evaluate the same fixed f-tree (the optimal one) and
-    then report size and count -- exactly what every Figure 7 cell
-    needs -- so the pair isolates the physical-encoding cost the arena
-    exists to cut (both runs find the relations' tries built by the
-    FDB measurement before them).  Raises AssertionError if the
-    encodings ever disagree on those measures (they must not).
-    """
-    object_engine = FDB(db)
-    tree = object_engine.optimal_tree(query)
-
-    start = time.perf_counter()
-    fr = object_engine.factorise_query(query, tree=tree)
-    object_size, object_count = fr.size(), fr.count()
-    object_seconds = time.perf_counter() - start
-
-    arena_engine = FDB(db, encoding="arena")
-    start = time.perf_counter()
-    fa = arena_engine.factorise_query(query, tree=tree)
-    arena_size, arena_count = fa.size(), fa.count()
-    arena_seconds = time.perf_counter() - start
-
-    assert (object_size, object_count) == (arena_size, arena_count), (
-        f"encodings disagree on {query}: "
-        f"{(object_size, object_count)} != {(arena_size, arena_count)}"
-    )
-    return object_seconds, arena_seconds
 
 
 def _measure_rdb(
@@ -194,7 +159,6 @@ def run_experiment3(
                     ),
                 )
                 fdb_size, fdb_time, fr, work = _measure_fdb(db, query)
-                object_eval, arena_eval = _measure_encodings(db, query)
                 flat_size, rdb_time = _measure_rdb(
                     db, query, timeout, max_rows
                 )
@@ -220,8 +184,6 @@ def run_experiment3(
                         fdb_time_seconds=fdb_time,
                         rdb_time_seconds=rdb_time,
                         sqlite_time_seconds=sqlite_time,
-                        fdb_object_eval_seconds=object_eval,
-                        fdb_arena_eval_seconds=arena_eval,
                         **work,
                     )
                 )
@@ -237,7 +199,6 @@ def run_experiment3(
                     ),
                 )
                 fdb_size, fdb_time, fr, work = _measure_fdb(db, query)
-                object_eval, arena_eval = _measure_encodings(db, query)
                 flat_size, rdb_time = _measure_rdb(
                     db, query, timeout, max_rows
                 )
@@ -260,8 +221,6 @@ def run_experiment3(
                         fdb_time_seconds=fdb_time,
                         rdb_time_seconds=rdb_time,
                         sqlite_time_seconds=sqlite_time,
-                        fdb_object_eval_seconds=object_eval,
-                        fdb_arena_eval_seconds=arena_eval,
                         **work,
                     )
                 )
@@ -279,8 +238,6 @@ def headers() -> List[str]:
         "FDB t[s]",
         "RDB t[s]",
         "SQLite t[s]",
-        "obj eval[s]",
-        "arena eval[s]",
     ]
 
 
@@ -296,8 +253,6 @@ def as_cells(rows: Iterable[Exp3Row]) -> List[List[object]]:
             row.fdb_time_seconds,
             row.rdb_time_seconds,
             row.sqlite_time_seconds,
-            row.fdb_object_eval_seconds,
-            row.fdb_arena_eval_seconds,
         ]
         for row in rows
     ]

@@ -39,41 +39,6 @@ class Exp4Row:
     flat_result_elements: float
     fdb_time_seconds: float
     rdb_time_seconds: float
-    #: Consuming the factorised *input* (enumerate every tuple, plus
-    #: count and size) in each physical encoding; NaN when the flat
-    #: materialisation was skipped as too large.
-    consume_object_seconds: float = DNF
-    consume_arena_seconds: float = DNF
-
-
-def _measure_consumption(fr) -> (float, float):
-    """Seconds to enumerate + count + size the factorised input, in
-    the object encoding and in the arena encoding.
-
-    This is the work RDB's side of Figure 8 starts from (materialising
-    the flat input) and the canonical use of a *compiled* factorised
-    result; the conversion itself is not timed -- an arena-evaluated
-    pipeline holds its results in columns already.
-    """
-    order = fr.attributes
-    fa = fr.to_arena()
-
-    start = time.perf_counter()
-    object_rows = sum(1 for _ in fr.rows(order))
-    object_count, object_size = fr.count(), fr.size()
-    object_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    arena_rows = sum(1 for _ in fa.rows(order))
-    arena_count, arena_size = fa.count(), fa.size()
-    arena_seconds = time.perf_counter() - start
-
-    assert (object_rows, object_count, object_size) == (
-        arena_rows,
-        arena_count,
-        arena_size,
-    ), "encodings disagree while consuming the factorised input"
-    return object_seconds, arena_seconds
 
 
 def run_experiment4(
@@ -101,10 +66,8 @@ def run_experiment4(
                 continue
             flat_count = fr.count()
             flat = None
-            consume_object = consume_arena = DNF
             if flat_count <= max_flat_tuples:
                 flat = fr.to_relation("flat")
-                consume_object, consume_arena = _measure_consumption(fr)
 
             for l_eq in l_values:
                 try:
@@ -152,8 +115,6 @@ def run_experiment4(
                         flat_result_elements=flat_size,
                         fdb_time_seconds=fdb_time,
                         rdb_time_seconds=rdb_time,
-                        consume_object_seconds=consume_object,
-                        consume_arena_seconds=consume_arena,
                     )
                 )
     return rows
@@ -168,8 +129,6 @@ def headers() -> List[str]:
         "flat size",
         "FDB t[s]",
         "RDB t[s]",
-        "obj consume[s]",
-        "arena consume[s]",
     ]
 
 
@@ -183,8 +142,6 @@ def as_cells(rows: Iterable[Exp4Row]) -> List[List[object]]:
             row.flat_result_elements,
             row.fdb_time_seconds,
             row.rdb_time_seconds,
-            row.consume_object_seconds,
-            row.consume_arena_seconds,
         ]
         for row in rows
     ]

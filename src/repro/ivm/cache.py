@@ -88,7 +88,6 @@ class ResultCache:
         self,
         query: Query,
         database: Database,
-        encoding: str = "object",
         check_invariants: bool = False,
     ) -> Optional[CachedResult]:
         """The up-to-date entry for ``query``'s join, or ``None``.
@@ -107,7 +106,6 @@ class ResultCache:
             folded = apply_deltas(
                 entry,
                 database,
-                encoding=encoding,
                 check_invariants=check_invariants,
             )
             if folded is None:

@@ -125,22 +125,18 @@ def delta_result(
     tree: FTree,
     relation: str,
     rows: Sequence[Tuple[object, ...]],
-    encoding: str = "object",
     check_invariants: bool = False,
 ) -> FactorisedRelation:
     """Factorise the delta term ``Q(D[relation -> rows])`` over the
     cached result's own ``tree`` (so the caller can union it in)."""
     view = delta_view(database, query, relation, rows)
-    engine = FDB(
-        view, check_invariants=check_invariants, encoding=encoding
-    )
+    engine = FDB(view, check_invariants=check_invariants)
     return engine.factorise_query(join_query(query), tree=tree)
 
 
 def apply_deltas(
     entry: "CachedResult",
     database: Database,
-    encoding: str = "object",
     check_invariants: bool = False,
 ) -> Optional[Tuple[int, int]]:
     """Catch ``entry`` up to ``database.version`` in place.
@@ -165,7 +161,6 @@ def apply_deltas(
             entry.tree,
             delta.relation,
             delta.inserted,
-            encoding=encoding,
             check_invariants=check_invariants,
         )
         if check_invariants:

@@ -94,7 +94,7 @@ class RemoteSession:
         Reject inbound frames larger than this.
     wire_pool:
         Opt into the shared wire value pool (on by default, used only
-        when the server advertises it): arena-encoded results arrive
+        when the server advertises it): factorised results arrive
         as columns over one per-connection interned pool, shipped
         incrementally, and all results on this connection share the
         receiver pool -- so shard parts recombine by id in
@@ -147,8 +147,8 @@ class RemoteSession:
                 f"{self.address[0]}:{self.address[1]} did not say hello "
                 f"(got {hello[0] if hello else 'EOF'})"
             )
-        #: The server's hello header: protocol version, encoding,
-        #: shard layout, relation names, database version.
+        #: The server's hello header: protocol version, shard layout,
+        #: relation names, database version.
         self.server_info: Dict[str, Any] = hello[1]
         #: The connection's shared wire pool (decoder side); responses
         #: are decoded on the single reader thread, in arrival order,

@@ -822,7 +822,6 @@ class ReplicatedExecutor(RemoteExecutor):
                 tree,
                 index,
                 fanout,
-                session.encoding,
             )
 
     def _gather_full(self, session, query: Query, tree, task):
@@ -853,5 +852,4 @@ class ReplicatedExecutor(RemoteExecutor):
                 session.check_invariants,
                 query,
                 tree,
-                session.encoding,
             )

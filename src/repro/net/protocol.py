@@ -22,8 +22,8 @@ schema-level facts (request ids, SQL text, engine names, counters);
 the *payload* carries bulk data in the FDBP binary format of
 :mod:`repro.persist.codec`.  That reuse is the point of the protocol:
 a factorised query result is serialised by the same codec that
-persists it, so results travel *factorised* -- an arena-encoded result
-ships its interned pool plus near-verbatim column bytes, and the
+persists it, so results travel *factorised* -- a result ships its
+interned pool plus near-verbatim column bytes, and the
 client's deserialisation cost is ~O(bytes) (the PR-4 ~27x codec-load
 property becomes a wire property).
 
@@ -313,8 +313,7 @@ def pack_result(
 ) -> Tuple[Dict[str, Any], bytes]:
     """(meta, payload) for one evaluated query (see module docstring).
 
-    With ``pool``, arena-encoded factorised results go out in the
-    pooled form; the caller owns the encoder's commit/rollback (the
+    With ``pool``, factorised results go out in the pooled form; the caller owns the encoder's commit/rollback (the
     watermark may only advance once the frame actually went out).
     """
     meta: Dict[str, Any] = {
@@ -334,7 +333,7 @@ def pack_result(
     if include_spans and result.spans:
         meta["spans"] = result.spans
     if result.factorised is not None:
-        if pool is not None and result.factorised.encoding == "arena":
+        if pool is not None:
             meta["payload"] = "fdbp-pool"
             return meta, pool.encode(result.factorised)
         meta["payload"] = "fdbp"

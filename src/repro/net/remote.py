@@ -339,7 +339,6 @@ class RemoteExecutor(Executor):
                 tree,
                 index,
                 fanout,
-                session.encoding,
             )
 
     def _gather_full(self, session, query: Query, tree, pending):
@@ -360,7 +359,6 @@ class RemoteExecutor(Executor):
                 session.check_invariants,
                 query,
                 tree,
-                session.encoding,
             )
 
     @staticmethod

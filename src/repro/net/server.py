@@ -284,7 +284,9 @@ class QueryServer:
         return {
             "protocol": protocol.PROTOCOL_VERSION,
             "server": "repro.net",
-            "encoding": self.session.encoding,
+            # The one representation there is; a literal so clients
+            # of earlier builds, which read it, still parse the hello.
+            "encoding": "arena",
             "max_frame": self.max_frame,
             "sharded": sharded,
             "shard_count": database.shard_count if sharded else 1,
@@ -583,7 +585,7 @@ class QueryServer:
             # ``remote[i]:``.
             meta["spans"] = records
         pool = pool_enc if header.get("pool") else None
-        if pool is not None and fr.encoding == "arena":
+        if pool is not None:
             # Pooled part results are what lets a RemoteExecutor
             # coordinator union per-shard arenas by id: every part on
             # this connection references the same client-side pool.
@@ -619,7 +621,6 @@ class QueryServer:
         query = parse_query(str(header["sql"]))
         database = self.session.database
         check = self.session.check_invariants
-        encoding = self.session.encoding
         if kind == "shard":
             if not isinstance(database, ShardedDatabase):
                 raise ProtocolError(
@@ -653,7 +654,6 @@ class QueryServer:
                 tree,
                 index,
                 fanout,
-                encoding,
             )
             self._record_heat(index, elapsed, fr)
         else:
@@ -664,7 +664,6 @@ class QueryServer:
                 check,
                 query,
                 tree,
-                encoding,
             )
         return elapsed, fr, records
 
@@ -803,8 +802,8 @@ class QueryServer:
 
     def describe_stats(self, rid=None) -> Dict[str, Any]:
         """The ``STATS`` response header: one registry snapshot --
-        server, session, cache, queue, store, ivm and adapter counters
-        in one document (see :mod:`repro.obs.metrics`)."""
+        server, session, cache, queue, store and ivm counters in one
+        document (see :mod:`repro.obs.metrics`)."""
         return {"id": rid, **self.registry.snapshot()}
 
     async def _handle_metrics(

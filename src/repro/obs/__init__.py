@@ -8,9 +8,8 @@ path:
 - :mod:`repro.obs.metrics` -- ``Counter``/``Gauge``/``Histogram``
   instruments plus a :class:`MetricsRegistry` whose collector
   namespaces absorb the previously scattered counters
-  (``ServerStats``, session/plan-cache/plan-store/ivm counters, the
-  process-wide ``ADAPTER`` tallies) behind one ``snapshot()`` and a
-  Prometheus text exposition;
+  (``ServerStats``, session/plan-cache/plan-store/ivm counters)
+  behind one ``snapshot()`` and a Prometheus text exposition;
 - :mod:`repro.obs.trace` -- contextvar-propagated monotonic-clock
   spans over the query lifecycle (parse -> optimise -> plan cache ->
   per-shard execution -> union -> projection -> serve), carried

@@ -5,9 +5,8 @@ operator restructuring cost (fig 7/8), optimiser time vs evaluation
 time (fig 9) -- yet before this module the serving stack could only
 answer with scattered ad-hoc counter dicts: ``ServerStats`` on the
 network tier, :meth:`~repro.service.session.QuerySession.
-cache_counters` on the serving tier, the process-wide ``ADAPTER``
-conversion tallies on the core tier.  :class:`MetricsRegistry` pulls
-them behind one snapshot:
+cache_counters` on the serving tier, process-wide tallies on the core
+tier.  :class:`MetricsRegistry` pulls them behind one snapshot:
 
 - **primitive instruments** -- :class:`Counter`, :class:`Gauge`,
   :class:`Histogram` -- cheap enough for hot paths (an increment is
@@ -15,9 +14,9 @@ them behind one snapshot:
   lock), created on demand and owned by the registry;
 - **collectors** -- callables registered under a namespace whose
   return dict is spliced into the snapshot verbatim.  Existing
-  counter owners (``SessionStats``, ``PlanCache``, ``ServerStats``,
-  ``ADAPTER``) keep their own state and merely *register*; the
-  hand-rolled merge sites disappear.
+  counter owners (``SessionStats``, ``PlanCache``, ``ServerStats``)
+  keep their own state and merely *register*; the hand-rolled merge
+  sites disappear.
 
 ``snapshot()`` returns a plain nested dict (JSON-safe, ships in a
 ``stats``/``metrics`` wire frame); :meth:`MetricsRegistry.
@@ -180,10 +179,10 @@ class MetricsRegistry:
 
     >>> registry = MetricsRegistry()
     >>> registry.counter("frames_total").inc()
-    >>> registry.register("adapter", lambda: {"to_arena_calls": 3})
+    >>> registry.register("union", lambda: {"calls": 3})
     >>> snap = registry.snapshot()
-    >>> snap["metrics"]["frames_total"], snap["adapter"]
-    (1, {'to_arena_calls': 3})
+    >>> snap["metrics"]["frames_total"], snap["union"]
+    (1, {'calls': 3})
     """
 
     def __init__(self) -> None:

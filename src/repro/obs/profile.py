@@ -4,8 +4,8 @@ The paper's restructuring experiments time whole plans; this module
 times each *operator kernel* of a compiled arena pipeline
 (:func:`~repro.ops.arena_kernels.compiled_plan_for`) individually --
 elapsed seconds plus the output arena's entry/singleton counts and
-byte volume, i.e. the throughput each kernel sustained on the columnar
-encoding.  Profiling is strictly **opt-in**: the hot
+byte volume, i.e. the throughput each kernel sustained on the
+columns.  Profiling is strictly **opt-in**: the hot
 ``CompiledArenaPlan.execute`` path stays a generated straight-line
 driver; :func:`profile_plan` replays the same prepared kernels one at
 a time with a clock around each.
@@ -114,7 +114,7 @@ class PlanProfile:
 
 
 def profile_plan(plan, fr):
-    """Execute ``plan`` on arena input ``fr``, timing every kernel.
+    """Execute ``plan`` on ``fr``, timing every kernel.
 
     Returns ``(result, PlanProfile)`` where ``result`` is the same
     :class:`~repro.core.factorised.FactorisedRelation` the fused
@@ -129,9 +129,9 @@ def profile_plan(plan, fr):
     profile = PlanProfile()
     if fr.is_empty():
         profile.empty = True
-        return FactorisedRelation(compiled.out_tree, arena=None), profile
+        return FactorisedRelation(compiled.out_tree, None), profile
 
-    arena = fr.arena
+    arena = fr.rep
     profile.in_entries = arena.entry_count
     profile.in_singletons = arena.singleton_count()
     for index, (step, kernel) in enumerate(
@@ -156,7 +156,7 @@ def profile_plan(plan, fr):
                 out_nbytes=0,
             ))
             return (
-                FactorisedRelation(compiled.out_tree, arena=None),
+                FactorisedRelation(compiled.out_tree, None),
                 profile,
             )
         profile.rows.append(KernelTiming(
@@ -170,4 +170,4 @@ def profile_plan(plan, fr):
             out_nbytes=out.nbytes(),
         ))
         arena = out
-    return FactorisedRelation(compiled.out_tree, arena=arena), profile
+    return FactorisedRelation(compiled.out_tree, arena), profile

@@ -5,7 +5,11 @@ transform (``*_tree``) used by the optimisers to explore the space of
 f-trees cheaply, and the full *data* transform on a
 :class:`~repro.core.factorised.FactorisedRelation`, rewriting every
 occurrence of the affected fragment while preserving the value-order
-constraint, the path constraint and normalisation.
+constraint, the path constraint and normalisation.  The data transform
+is a direct call of the operator's prepared columnar kernel
+(:mod:`repro.ops.arena_kernels`, :mod:`repro.core.arena`); the
+object-at-a-time implementations the kernels are tested against live
+in :mod:`repro.reference.ops`.
 
 ========================  ==================================  ===========
 operator                   module                              paper
@@ -35,7 +39,7 @@ from repro.ops.normalise import (
     push_up_tree,
     pushable_nodes,
 )
-from repro.ops.swap import swap, swap_reference, swap_tree
+from repro.ops.swap import swap, swap_tree
 from repro.ops.merge import merge, merge_tree
 from repro.ops.absorb import absorb, absorb_tree
 from repro.ops.select import select_constant, select_constant_tree
@@ -61,7 +65,6 @@ __all__ = [
     "select_constant",
     "select_constant_tree",
     "swap",
-    "swap_reference",
     "swap_tree",
     "union",
     "union_all",

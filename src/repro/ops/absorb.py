@@ -14,18 +14,13 @@ cf. Example 10).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
 from repro.core.factorised import FactorisedRelation
-from repro.core.frep import ProductRep, UnionRep
 from repro.core.ftree import FNode, FTree
-from repro.ops.base import (
-    OperatorError,
-    rewrite_at_level,
-    sort_pairs,
-    subtree_index,
-)
-from repro.ops.normalise import normalise, normalise_tree
+from repro.ops import arena_kernels
+from repro.ops.base import OperatorError
+from repro.ops.normalise import normalise_tree
 
 
 def _absorb_parts(
@@ -75,87 +70,6 @@ def absorb_tree(tree: FTree, a_attr: str, b_attr: str) -> FTree:
 def absorb(
     fr: FactorisedRelation, a_attr: str, b_attr: str
 ) -> FactorisedRelation:
-    """Absorb on a factorised relation (restriction + normalisation).
-
-    Arena-backed relations run the columnar kernel chain of
-    :mod:`repro.ops.arena_kernels` (restriction kernel + replayed
-    push-ups); this object path is its oracle.
-    """
-    tree = fr.tree
-    node_a, node_b = _absorb_parts(tree, a_attr, b_attr)
-    structural, merged = _structural_tree(tree, node_a, node_b)
-    if fr.encoding == "arena":
-        from repro.ops import arena_kernels
-
-        chain = arena_kernels.kernel_for(tree, "absorb", (a_attr, b_attr))
-        if fr.is_empty():
-            return FactorisedRelation(chain.out_tree, arena=None)
-        return FactorisedRelation(chain.out_tree, arena=chain.run(fr.arena))
-    if fr.data is None:
-        normalised, _ = normalise_tree(structural)
-        return FactorisedRelation(normalised, None)
-
-    b_anchor = next(iter(node_b.label))
-
-    def restrict(
-        forest: Sequence[FNode],
-        factors: Sequence[UnionRep],
-        a_value: object,
-    ) -> Optional[List[UnionRep]]:
-        """Restrict B's union to ``a_value`` below this forest."""
-        labels = [n.label for n in forest]
-        if node_b.label in labels:
-            i_b = labels.index(node_b.label)
-            matched = factors[i_b].find(a_value)
-            if matched is None:
-                return None
-            nodes = [n for k, n in enumerate(forest) if k != i_b]
-            outs = [f for k, f in enumerate(factors) if k != i_b]
-            nodes += list(node_b.children)
-            outs += list(matched.factors)
-            _, sorted_facts = sort_pairs(nodes, outs)
-            return sorted_facts
-        idx = subtree_index(forest, b_anchor)
-        node, union = forest[idx], factors[idx]
-        new_entries: List[Tuple[object, ProductRep]] = []
-        for value, child in union.entries:
-            res = restrict(node.children, child.factors, a_value)
-            if res is not None:
-                new_entries.append((value, ProductRep(res)))
-        if not new_entries:
-            return None
-        out = list(factors)
-        out[idx] = UnionRep(new_entries)
-        return out
-
-    parent = tree.parent_of(node_a)
-    old_level = list(parent.children) if parent is not None else list(
-        tree.roots
-    )
-    i_a = [n.label for n in old_level].index(node_a.label)
-
-    def rewrite(factors: List[UnionRep]) -> Optional[List[UnionRep]]:
-        union_a = factors[i_a]
-        new_entries: List[Tuple[object, ProductRep]] = []
-        for a_value, prod in union_a.entries:
-            res = restrict(node_a.children, prod.factors, a_value)
-            if res is not None:
-                new_entries.append((a_value, ProductRep(res)))
-        if not new_entries:
-            return None
-        nodes = [n for k, n in enumerate(old_level) if k != i_a]
-        outs = [f for k, f in enumerate(factors) if k != i_a]
-        nodes.append(merged)
-        outs.append(UnionRep(new_entries))
-        _, sorted_factors = sort_pairs(nodes, outs)
-        return sorted_factors
-
-    new_factors = rewrite_at_level(
-        tree.roots, fr.data.factors, next(iter(node_a.label)), rewrite
-    )
-    if new_factors is None:
-        normalised, _ = normalise_tree(structural)
-        return FactorisedRelation(normalised, None)
-    return normalise(
-        FactorisedRelation(structural, ProductRep(new_factors))
-    )
+    """Absorb on a factorised relation: the restriction kernel, then
+    the replayed push-ups of the normalisation."""
+    return arena_kernels.apply(fr, "absorb", (a_attr, b_attr))

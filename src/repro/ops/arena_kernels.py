@@ -1,11 +1,7 @@
-"""Arena-native kernels for the restructuring f-plan operators.
+"""Columnar kernels for the restructuring f-plan operators.
 
-The object implementations in :mod:`repro.ops.swap`, ``merge``,
-``normalise`` and ``absorb`` rewrite ``UnionRep``/``ProductRep`` trees
-one Python object at a time; for arena-backed relations they used to
-run through the lazy arena->object adapter, paying two full encoding
-conversions per restructuring step.  This module re-implements each
-operator directly on the flat columns of
+Each operator of :mod:`repro.ops.swap`, ``merge``, ``normalise`` and
+``absorb`` is implemented here, directly on the flat columns of
 :class:`~repro.core.arena.ArenaRep`:
 
 - value ids are copied **verbatim** (every kernel's output shares its
@@ -13,9 +9,10 @@ operator directly on the flat columns of
 - subtrees untouched by an operator move as contiguous column runs
   (:func:`_copy_run`: one ``memcpy``-shaped append per column, offsets
   fixed up by a constant shift), never entry by entry;
-- the per-occurrence driving loop (:class:`_LevelKernel.run`) mirrors
-  :func:`repro.ops.base.rewrite_at_level` exactly, including its
-  eager pruning of emptied unions.
+- the per-occurrence driving loop (:class:`_LevelKernel.run`) locates
+  every occurrence of the level at which the operator's anchor node
+  sits and prunes emptied unions eagerly on the way back up (the
+  contract of :func:`repro.reference.ops.rewrite_at_level`).
 
 Every kernel is *prepared* once per (f-tree, operator, args) -- node
 indices, child-slot mappings and the destination skeleton are resolved
@@ -27,9 +24,7 @@ cache of :mod:`repro.core.arena` warm).
 
 :func:`compiled_plan_for` lifts this to whole f-plans: all step
 kernels of an :class:`~repro.optimiser.fplan.FPlan` are prepared
-up-front, chained by a generated driver, and cached weakly per plan --
-the kernel-at-a-time object path remains as the differential oracle
-and fallback.
+up-front, chained by a generated driver, and cached weakly per plan.
 
 The union comes in two kernels with one result (see
 :mod:`repro.ops.union` for the two contracts): :func:`union_arenas`
@@ -238,8 +233,7 @@ class _LevelKernel:
     """Base of the prepared single-operator kernels.
 
     A restructuring operator rewrites every *occurrence* of the level
-    at which its anchor node sits (:func:`repro.ops.base.
-    rewrite_at_level`).  :meth:`run` walks the spine -- the chain of
+    at which its anchor node sits.  :meth:`run` walks the spine -- the chain of
     the anchor's ancestors -- per entry, calls the operator-specific
     :meth:`level` at each occurrence, prunes entries whose rewritten
     occurrence emptied (rollback), and bulk-copies everything off the
@@ -810,7 +804,7 @@ class PushKernel(_LevelKernel):
         vals_a = arena.values[sa]
         a_cl, a_ch = arena.child_lo[sa], arena.child_hi[sa]
         # All copies of B's union are equal by independence; hoist the
-        # first (exactly the object operator's choice).
+        # first.
         _copy_run(
             arena,
             w,
@@ -897,8 +891,7 @@ class _AbsorbStructuralKernel(_LevelKernel):
         hi = arena.child_hi[sx][j_cont][e]
         if splice is not None:
             # The continuation member is B itself: restrict its union
-            # to a_val -- bisect_left on the decoded column, exactly
-            # UnionRep.find.
+            # to a_val -- bisect_left on the decoded column.
             sb = self.sb
             vals_b = arena.values[sb]
             pool = arena.pool
@@ -1046,6 +1039,17 @@ def kernel_for(tree: FTree, kind: str, args: Sequence[str] = ()):
     return kernel
 
 
+def apply(
+    fr: FactorisedRelation, kind: str, args: Sequence[str] = ()
+) -> FactorisedRelation:
+    """One operator on a relation: ``fr`` through the prepared kernel
+    for ``kind`` on its f-tree (the empty relation only changes tree)."""
+    kernel = kernel_for(fr.tree, kind, args)
+    return FactorisedRelation(
+        kernel.out_tree, None if fr.is_empty() else kernel.run(fr.rep)
+    )
+
+
 # -- whole-plan compilation ---------------------------------------------------
 
 
@@ -1055,7 +1059,7 @@ class CompiledArenaPlan:
     All per-step preparation (skeletons, slot mappings, normalisation
     traces) happens once at compile time; execution is one generated
     driver running kernel after kernel over flat columns -- no f-tree
-    transforms, no per-step key assertions, no object materialisation.
+    transforms, no per-step key assertions.
     """
 
     __slots__ = ("kernels", "steps", "out_tree", "_drive")
@@ -1080,9 +1084,10 @@ class CompiledArenaPlan:
 
     def execute(self, fr: FactorisedRelation) -> FactorisedRelation:
         if fr.is_empty():
-            return FactorisedRelation(self.out_tree, arena=None)
-        result = self._drive(fr.arena, self.kernels)
-        return FactorisedRelation(self.out_tree, arena=result)
+            return FactorisedRelation(self.out_tree, None)
+        return FactorisedRelation(
+            self.out_tree, self._drive(fr.rep, self.kernels)
+        )
 
 
 _DRIVER_CACHE: Dict[int, Callable] = {}

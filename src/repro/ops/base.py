@@ -1,107 +1,7 @@
-"""Shared machinery of the f-plan operators.
-
-Every operator of Section 3 transforms an f-tree *and* every occurrence
-of the affected fragment inside the f-representation.  Tree and data
-are kept positionally aligned (factor ``i`` of a product belongs to
-tree ``i`` of the forest, in canonical label order), so operators
-
-1. compute the new local forest (a list of nodes) together with the
-   matching factor list,
-2. sort both with :func:`sort_pairs` so the canonical order of
-   :class:`~repro.core.ftree.FNode`/:class:`~repro.core.ftree.FTree`
-   construction is mirrored exactly in the data, and
-3. use :func:`rewrite_at_level` to locate and rewrite every occurrence
-   of the level at which the anchor node sits, propagating emptiness
-   upward (an entry whose children forest became empty is dropped; a
-   union left with no entries empties its own level, recursively --
-   this is the eager pruning that keeps representations free of empty
-   unions).
-"""
+"""The error every f-plan operator raises on an illegal configuration."""
 
 from __future__ import annotations
-
-from typing import Callable, List, Optional, Sequence, Tuple
-
-from repro.core.ftree import FNode, label_key
-from repro.core.frep import ProductRep, UnionRep
 
 
 class OperatorError(ValueError):
     """Raised when an operator is applied to an illegal configuration."""
-
-
-#: A level rewriter: receives the factor list of one occurrence of the
-#: anchor's level and returns the new factor list, or ``None`` when the
-#: level became empty.
-LevelFn = Callable[[List[UnionRep]], Optional[List[UnionRep]]]
-
-
-def sort_pairs(
-    nodes: Sequence[FNode], factors: Sequence[UnionRep]
-) -> Tuple[List[FNode], List[UnionRep]]:
-    """Sort (node, factor) pairs by the canonical node order."""
-    pairs = sorted(
-        zip(nodes, factors), key=lambda pair: label_key(pair[0].label)
-    )
-    return [n for n, _ in pairs], [f for _, f in pairs]
-
-
-def level_index(forest: Sequence[FNode], attribute: str) -> Optional[int]:
-    """Index of the tree whose *root* holds ``attribute``, if any."""
-    for i, node in enumerate(forest):
-        if attribute in node.label:
-            return i
-    return None
-
-
-def subtree_index(forest: Sequence[FNode], attribute: str) -> int:
-    """Index of the tree whose subtree contains ``attribute``."""
-    for i, node in enumerate(forest):
-        if attribute in node.subtree_attributes():
-            return i
-    raise OperatorError(f"attribute {attribute!r} not under this forest")
-
-
-def rewrite_at_level(
-    forest: Sequence[FNode],
-    factors: List[UnionRep],
-    anchor: str,
-    fn: LevelFn,
-) -> Optional[List[UnionRep]]:
-    """Apply ``fn`` at every occurrence of the level holding ``anchor``.
-
-    ``forest``/``factors`` describe the *input* structure.  When the
-    anchor labels one of the forest's roots, ``fn`` rewrites this
-    occurrence directly.  Otherwise the rewrite recurses into the tree
-    containing the anchor; entries whose rewritten children forest is
-    empty are dropped, and ``None`` is returned if the union (and hence
-    this whole level) becomes empty.
-    """
-    if level_index(forest, anchor) is not None:
-        return fn(list(factors))
-    idx = subtree_index(forest, anchor)
-    node, union = forest[idx], factors[idx]
-    new_entries: List[Tuple[object, ProductRep]] = []
-    for value, child in union.entries:
-        rewritten = rewrite_at_level(
-            node.children, child.factors, anchor, fn
-        )
-        if rewritten is not None:
-            new_entries.append((value, ProductRep(rewritten)))
-    if not new_entries:
-        return None
-    out = list(factors)
-    out[idx] = UnionRep(new_entries)
-    return out
-
-
-def factor_of(
-    forest: Sequence[FNode],
-    factors: Sequence[UnionRep],
-    node: FNode,
-) -> UnionRep:
-    """The factor aligned with ``node`` at this level."""
-    for candidate, factor in zip(forest, factors):
-        if candidate.label == node.label:
-            return factor
-    raise OperatorError(f"node {node!r} not at this level")

@@ -3,7 +3,9 @@
 Merging enforces an equality ``A = B`` between *sibling* nodes: the two
 nodes fuse into one labelled by the union of their attribute classes,
 with the children of both.  On data it is a sort-merge join of the two
-sibling unions:
+sibling unions (:class:`repro.ops.arena_kernels.MergeKernel`: a decoded
+merge of the two value columns; matched entries adopt both child
+forests as bulk column runs):
 
     ( U_a <A:a> x E_a ) x ( U_b <B:b> x F_b )
         ==>  U_{a=b} <A:a> x <B:b> x E_a x F_b
@@ -16,16 +18,12 @@ paths only get shorter).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from repro.core.factorised import FactorisedRelation
-from repro.core.frep import ProductRep, UnionRep
 from repro.core.ftree import FNode, FTree
-from repro.ops.base import (
-    OperatorError,
-    rewrite_at_level,
-    sort_pairs,
-)
+from repro.ops import arena_kernels
+from repro.ops.base import OperatorError
 
 
 def _merge_parts(
@@ -70,67 +68,5 @@ def merge_tree(tree: FTree, a_attr: str, b_attr: str) -> FTree:
 def merge(
     fr: FactorisedRelation, a_attr: str, b_attr: str
 ) -> FactorisedRelation:
-    """Merge on a factorised relation: sort-merge join of the unions.
-
-    Arena-backed relations run the columnar kernel of
-    :mod:`repro.ops.arena_kernels`; this object path is its oracle.
-    """
-    tree = fr.tree
-    node_a, node_b, merged = _merge_parts(tree, a_attr, b_attr)
-    new_tree = merge_tree(tree, a_attr, b_attr)
-    if fr.encoding == "arena":
-        from repro.ops import arena_kernels
-
-        kernel = arena_kernels.kernel_for(tree, "merge", (a_attr, b_attr))
-        if fr.is_empty():
-            return FactorisedRelation(new_tree, arena=None)
-        return FactorisedRelation(new_tree, arena=kernel.run(fr.arena))
-    if fr.data is None:
-        return FactorisedRelation(new_tree, None)
-
-    parent = tree.parent_of(node_a)
-    old_level = list(parent.children) if parent is not None else list(
-        tree.roots
-    )
-    labels = [n.label for n in old_level]
-    i_a = labels.index(node_a.label)
-    i_b = labels.index(node_b.label)
-
-    def rewrite(factors: List[UnionRep]) -> Optional[List[UnionRep]]:
-        union_a, union_b = factors[i_a], factors[i_b]
-        out: List[Tuple[object, ProductRep]] = []
-        i = j = 0
-        a_entries, b_entries = union_a.entries, union_b.entries
-        while i < len(a_entries) and j < len(b_entries):
-            a_value, a_child = a_entries[i]
-            b_value, b_child = b_entries[j]
-            if a_value < b_value:
-                i += 1
-            elif b_value < a_value:
-                j += 1
-            else:
-                _, sorted_facts = sort_pairs(
-                    list(node_a.children) + list(node_b.children),
-                    a_child.factors + b_child.factors,
-                )
-                out.append((a_value, ProductRep(sorted_facts)))
-                i += 1
-                j += 1
-        if not out:
-            return None
-        nodes = [
-            n for k, n in enumerate(old_level) if k not in (i_a, i_b)
-        ]
-        outs = [
-            f for k, f in enumerate(factors) if k not in (i_a, i_b)
-        ]
-        nodes.append(merged)
-        outs.append(UnionRep(out))
-        _, sorted_factors = sort_pairs(nodes, outs)
-        return sorted_factors
-
-    new_factors = rewrite_at_level(
-        tree.roots, fr.data.factors, next(iter(node_a.label)), rewrite
-    )
-    data = None if new_factors is None else ProductRep(new_factors)
-    return FactorisedRelation(new_tree, data)
+    """Merge on a factorised relation: sort-merge join of the unions."""
+    return arena_kernels.apply(fr, "merge", (a_attr, b_attr))

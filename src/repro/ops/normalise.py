@@ -17,16 +17,12 @@ representation.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.factorised import FactorisedRelation
-from repro.core.frep import ProductRep, UnionRep
 from repro.core.ftree import FNode, FTree
-from repro.ops.base import (
-    OperatorError,
-    rewrite_at_level,
-    sort_pairs,
-)
+from repro.ops import arena_kernels
+from repro.ops.base import OperatorError
 
 
 def pushable_nodes(tree: FTree) -> List[FNode]:
@@ -56,67 +52,8 @@ def push_up_tree(tree: FTree, b_attr: str) -> FTree:
 
 
 def push_up(fr: FactorisedRelation, b_attr: str) -> FactorisedRelation:
-    """Push-up on a factorised relation (tree and data together).
-
-    Arena-backed relations run the columnar kernel of
-    :mod:`repro.ops.arena_kernels`; this object path is its oracle.
-    """
-    tree = fr.tree
-    node_b = tree.node_of(b_attr)
-    node_a = tree.parent_of(node_b)
-    new_tree = push_up_tree(tree, b_attr)
-    if fr.encoding == "arena":
-        from repro.ops import arena_kernels
-
-        kernel = arena_kernels.kernel_for(tree, "push", (b_attr,))
-        if fr.is_empty():
-            return FactorisedRelation(new_tree, arena=None)
-        return FactorisedRelation(new_tree, arena=kernel.run(fr.arena))
-    if fr.data is None:
-        return FactorisedRelation(new_tree, None)
-    assert node_a is not None
-
-    a_anchor = next(iter(node_a.label))
-    j_b = [c.label for c in node_a.children].index(node_b.label)
-    other_children = [
-        c for c in node_a.children if c.label != node_b.label
-    ]
-    new_a = node_a.with_children(other_children)
-
-    # The rewriter needs the old level's forest to align factors with
-    # nodes; that forest is wherever node_a sits in the old tree.
-    parent = tree.parent_of(node_a)
-    old_level = list(parent.children) if parent is not None else list(
-        tree.roots
-    )
-
-    def rewrite(factors: List[UnionRep]) -> Optional[List[UnionRep]]:
-        i_a = [n.label for n in old_level].index(node_a.label)
-        union_a = factors[i_a]
-        # All copies of B's union are equal by independence; take the
-        # first (the union is never empty inside valid data).
-        union_b = union_a.entries[0][1].factors[j_b]
-        reduced = UnionRep(
-            (
-                value,
-                ProductRep(
-                    child.factors[:j_b] + child.factors[j_b + 1 :]
-                ),
-            )
-            for value, child in union_a.entries
-        )
-        nodes = [n for k, n in enumerate(old_level) if k != i_a]
-        outs = [f for k, f in enumerate(factors) if k != i_a]
-        nodes += [new_a, node_b]
-        outs += [reduced, union_b]
-        _, sorted_factors = sort_pairs(nodes, outs)
-        return sorted_factors
-
-    new_factors = rewrite_at_level(
-        tree.roots, fr.data.factors, a_anchor, rewrite
-    )
-    data = None if new_factors is None else ProductRep(new_factors)
-    return FactorisedRelation(new_tree, data)
+    """Push-up on a factorised relation (tree and data together)."""
+    return arena_kernels.apply(fr, "push", (b_attr,))
 
 
 def normalise_tree(tree: FTree) -> Tuple[FTree, List[str]]:
@@ -140,24 +77,11 @@ def normalise_tree(tree: FTree) -> Tuple[FTree, List[str]]:
 
 
 def normalise(fr: FactorisedRelation) -> FactorisedRelation:
-    """The normalisation operator ``eta`` on a factorised relation."""
-    if fr.encoding == "arena":
-        from repro.ops import arena_kernels
-
-        chain = arena_kernels.kernel_for(fr.tree, "normalise")
-        if not chain.kernels:
-            return fr
-        if fr.is_empty():
-            return FactorisedRelation(chain.out_tree, arena=None)
-        return FactorisedRelation(
-            chain.out_tree, arena=chain.run(fr.arena)
-        )
-    current = fr
-    while True:
-        candidates = pushable_nodes(current.tree)
-        if not candidates:
-            return current
-        node = max(
-            candidates, key=lambda n: len(current.tree.ancestors(n))
-        )
-        current = push_up(current, next(iter(node.label)))
+    """The normalisation operator ``eta`` on a factorised relation:
+    the push-up trace of :func:`normalise_tree`, replayed on data."""
+    chain = arena_kernels.kernel_for(fr.tree, "normalise")
+    if not chain.kernels:
+        return fr
+    return FactorisedRelation(
+        chain.out_tree, None if fr.is_empty() else chain.run(fr.rep)
+    )

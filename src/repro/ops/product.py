@@ -2,18 +2,18 @@
 
 The product of two f-representations over disjoint attribute sets is
 just their concatenation: the result f-tree is the forest of the two
-input f-trees, the result data the concatenation of the two factor
-lists (re-sorted into canonical order), in time linear in the inputs.
-All constraints -- value order, path constraint, normalisation -- are
-trivially preserved.
+input f-trees, and the result arena adopts both inputs' columns
+(:func:`repro.ops.arena_kernels.product_arena`: zero copies under a
+shared pool), in time linear in the inputs.  All constraints -- value
+order, path constraint, normalisation -- are trivially preserved.
 """
 
 from __future__ import annotations
 
 from repro.core.factorised import FactorisedRelation
-from repro.core.frep import ProductRep
 from repro.core.ftree import FTree
-from repro.ops.base import OperatorError, sort_pairs
+from repro.ops import arena_kernels
+from repro.ops.base import OperatorError
 from repro.query.hypergraph import Hypergraph
 
 
@@ -31,29 +31,10 @@ def product_tree(left: FTree, right: FTree) -> FTree:
 def product(
     left: FactorisedRelation, right: FactorisedRelation
 ) -> FactorisedRelation:
-    """Cartesian product of two factorised relations.
-
-    Arena-backed inputs combine by column adoption (zero copies under
-    a shared pool) in :func:`repro.ops.arena_kernels.product_arena`.
-    """
+    """Cartesian product of two factorised relations."""
     tree = product_tree(left.tree, right.tree)
-    arena_side = left.encoding == "arena" or right.encoding == "arena"
     if left.is_empty() or right.is_empty():
-        if arena_side:
-            return FactorisedRelation(tree, arena=None)
         return FactorisedRelation(tree, None)
-    if arena_side:
-        from repro.ops import arena_kernels
-
-        return FactorisedRelation(
-            tree,
-            arena=arena_kernels.product_arena(
-                tree, left.arena, right.arena
-            ),
-        )
-    if left.data is None or right.data is None:
-        return FactorisedRelation(tree, None)
-    nodes = list(left.tree.roots) + list(right.tree.roots)
-    factors = list(left.data.factors) + list(right.data.factors)
-    _, sorted_factors = sort_pairs(nodes, factors)
-    return FactorisedRelation(tree, ProductRep(sorted_factors))
+    return FactorisedRelation(
+        tree, arena_kernels.product_arena(tree, left.rep, right.rep)
+    )

@@ -18,16 +18,15 @@ Projection proceeds in three phases, following the paper:
 3. **Normalisation**, since the structural changes may enable pushing
    subtrees up.
 
-Arena-backed inputs take a columnar fast path when the projection
-removes *whole subtrees* and keeps every remaining label intact (the
-common "root prefix" shape): the surviving columns transfer verbatim
-(:func:`repro.core.arena.drop_subtrees`) and no swaps are needed.  The
-fast path skips the final normalisation pass -- a pure representation
-choice; the denoted relation is identical.  Projections needing swaps
-or leaf drops stay columnar too (the swap and normalise kernels of
-:mod:`repro.ops.arena_kernels`, the leaf case of ``drop_subtrees``);
-only phase-1 label reduction falls back to the object path via the
-lazy ``data`` adapter.
+Every phase runs on columns.  A projection that removes *whole
+subtrees* and keeps every remaining label intact (the common "root
+prefix" shape) takes a fast path: the surviving columns transfer
+verbatim (:func:`repro.core.arena.drop_subtrees`), no swaps are needed,
+and the final normalisation pass is skipped -- a pure representation
+choice; the denoted relation is identical.  Otherwise label reduction
+rebinds columns to the relabelled nodes, node elimination is the swap
+kernel of :mod:`repro.ops.arena_kernels` plus the leaf case of
+``drop_subtrees``, and normalisation replays push-up kernels.
 """
 
 from __future__ import annotations
@@ -36,9 +35,8 @@ from typing import AbstractSet, List, Optional, Sequence
 
 from repro.core import arena as arena_mod
 from repro.core.factorised import FactorisedRelation
-from repro.core.frep import ProductRep, UnionRep
 from repro.core.ftree import FNode, FTree
-from repro.ops.base import OperatorError, subtree_index
+from repro.ops.base import OperatorError
 from repro.ops.normalise import normalise, normalise_tree
 from repro.ops.swap import swap
 
@@ -48,9 +46,10 @@ def _reduce_labels(
 ) -> FactorisedRelation:
     """Phase 1: shrink partially-kept labels; rewrite edges.
 
-    Shrinking a label changes the node's canonical sort key, so tree
-    and data are rebuilt in lockstep, re-sorting siblings (and their
-    aligned factors) by the new labels at every level.
+    Shrinking labels never touches the data: every column binds
+    unchanged to the relabelled node, with child slots re-sorted to
+    the new canonical sibling order.  (Shrunk labels stay pairwise
+    disjoint, so the rebinding is one-to-one.)
     """
     tree = fr.tree
     substitution = {}
@@ -73,25 +72,6 @@ def _reduce_labels(
             node.constant,
         )
 
-    def data_transform(
-        nodes: Sequence[FNode], product: ProductRep
-    ) -> List[UnionRep]:
-        """Factors aligned with the re-sorted transformed forest."""
-        pairs = []
-        for node, union in zip(nodes, product.factors):
-            new_union = UnionRep(
-                (
-                    value,
-                    ProductRep(
-                        data_transform(node.children, child)
-                    ),
-                )
-                for value, child in union.entries
-            )
-            pairs.append((node_transform(node), new_union))
-        pairs.sort(key=lambda pair: tuple(sorted(pair[0].label)))
-        return [factor for _, factor in pairs]
-
     new_edges = tree.edges.__class__(
         frozenset(substitution.get(attr, attr) for attr in edge)
         for edge in tree.edges
@@ -100,49 +80,37 @@ def _reduce_labels(
         [node_transform(root) for root in tree.roots], new_edges
     )
     if fr.is_empty():
-        if fr.encoding == "arena":
-            return FactorisedRelation(new_tree, arena=None)
         return FactorisedRelation(new_tree, None)
-    if fr.encoding == "arena":
-        # Shrinking labels never touches the data: every column binds
-        # unchanged to the relabelled node, with child slots re-sorted
-        # to the new canonical sibling order.  (Shrunk labels stay
-        # pairwise disjoint, so the rebinding is one-to-one.)
-        arena = fr.arena
-        sskel = arena.skel
-        dskel = arena_mod._skeleton_of(new_tree)
+    arena = fr.rep
+    sskel = arena.skel
+    dskel = arena_mod._skeleton_of(new_tree)
 
-        def shrunk(label):
-            kept_attrs = label & keep
-            return frozenset(kept_attrs) if kept_attrs else label
+    def shrunk(label):
+        kept_attrs = label & keep
+        return frozenset(kept_attrs) if kept_attrs else label
 
-        n = len(dskel)
-        values = [None] * n
-        child_lo = [None] * n
-        child_hi = [None] * n
-        for si in range(len(sskel)):
-            di = dskel.index[shrunk(sskel.labels[si])]
-            values[di] = arena.values[si]
-            src_slot = {
-                shrunk(sskel.labels[k]): j
-                for j, k in enumerate(sskel.children[si])
-            }
-            child_lo[di] = [
-                arena.child_lo[si][src_slot[dskel.labels[dk]]]
-                for dk in dskel.children[di]
-            ]
-            child_hi[di] = [
-                arena.child_hi[si][src_slot[dskel.labels[dk]]]
-                for dk in dskel.children[di]
-            ]
-        return FactorisedRelation(
-            new_tree,
-            arena=arena_mod.ArenaRep(
-                dskel, values, child_lo, child_hi, arena.pool
-            ),
-        )
+    n = len(dskel)
+    values = [None] * n
+    child_lo = [None] * n
+    child_hi = [None] * n
+    for si in range(len(sskel)):
+        di = dskel.index[shrunk(sskel.labels[si])]
+        values[di] = arena.values[si]
+        src_slot = {
+            shrunk(sskel.labels[k]): j
+            for j, k in enumerate(sskel.children[si])
+        }
+        child_lo[di] = [
+            arena.child_lo[si][src_slot[dskel.labels[dk]]]
+            for dk in dskel.children[di]
+        ]
+        child_hi[di] = [
+            arena.child_hi[si][src_slot[dskel.labels[dk]]]
+            for dk in dskel.children[di]
+        ]
     return FactorisedRelation(
-        new_tree, ProductRep(data_transform(tree.roots, fr.data))
+        new_tree,
+        arena_mod.ArenaRep(dskel, values, child_lo, child_hi, arena.pool),
     )
 
 
@@ -153,59 +121,33 @@ def _drop_leaf(
     tree = fr.tree
     new_edges = tree.edges.merge_edges_touching(node.label)
     new_tree = tree.replace_node(node.label, []).with_edges(new_edges)
-    if fr.encoding == "arena":
-        if fr.is_empty():
-            return FactorisedRelation(new_tree, arena=None)
-        # A leaf is a one-node subtree: the general subtree-drop
-        # kernel removes its column (and its slot in the parent).
-        arena = fr.arena
-        return FactorisedRelation(
-            new_tree,
-            arena=arena_mod.drop_subtrees(
-                arena, new_tree, [arena.skel.index[node.label]]
-            ),
-        )
-    if fr.data is None:
+    if fr.is_empty():
         return FactorisedRelation(new_tree, None)
-
-    anchor = next(iter(node.label))
-
-    def drop(
-        forest: Sequence[FNode], factors: Sequence[UnionRep]
-    ) -> List[UnionRep]:
-        labels = [n.label for n in forest]
-        if node.label in labels:
-            idx = labels.index(node.label)
-            return [f for k, f in enumerate(factors) if k != idx]
-        idx = subtree_index(forest, anchor)
-        inner, union = forest[idx], factors[idx]
-        out = list(factors)
-        out[idx] = UnionRep(
-            (value, ProductRep(drop(inner.children, child.factors)))
-            for value, child in union.entries
-        )
-        return out
-
+    # A leaf is a one-node subtree: the general subtree-drop kernel
+    # removes its column (and its slot in the parent).
+    arena = fr.rep
     return FactorisedRelation(
-        new_tree, ProductRep(drop(tree.roots, fr.data.factors))
+        new_tree,
+        arena_mod.drop_subtrees(
+            arena, new_tree, [arena.skel.index[node.label]]
+        ),
     )
 
 
 def project_tree(tree: FTree, attributes: Sequence[str]) -> FTree:
     """Tree-level projection (shape of the result's f-tree)."""
-    keep = frozenset(attributes)
-    placeholder = FactorisedRelation(tree, None)
-    return project(placeholder, attributes).tree
+    return project(FactorisedRelation(tree, None), attributes).tree
 
 
-def _arena_subtree_drop(
+def _subtree_drop(
     fr: FactorisedRelation, keep: AbstractSet[str]
 ) -> Optional[FactorisedRelation]:
-    """The arena fast path: drop whole subtrees, keep columns verbatim.
+    """The fast path for a non-empty relation: drop whole subtrees,
+    keep columns verbatim.
 
     Applies only when every node label is fully kept or fully dropped
     and no kept node sits below a dropped one; returns ``None``
-    otherwise (the caller falls back to the object path).
+    otherwise (the caller runs the three general phases).
     """
     tree = fr.tree
     dropped_roots: List[FNode] = []
@@ -223,10 +165,8 @@ def _arena_subtree_drop(
                 dropped_roots.append(node)
     if not dropped_all:
         return fr
-    arena = fr.arena
-    if arena is None:
-        return None  # empty relations keep the object tree path
-    # Edges: the same merges the object path performs when it drops
+    arena = fr.rep
+    # Edges: the same merges the general path performs when it drops
     # the subtree leaf by leaf, deepest first.
     edges = tree.edges
     for node in sorted(
@@ -242,8 +182,7 @@ def _arena_subtree_drop(
     skel = arena.skel
     dropped_ids = [skel.index[node.label] for node in dropped_roots]
     return FactorisedRelation(
-        new_tree,
-        arena=arena_mod.drop_subtrees(arena, new_tree, dropped_ids),
+        new_tree, arena_mod.drop_subtrees(arena, new_tree, dropped_ids)
     )
 
 
@@ -257,8 +196,8 @@ def project(
         raise OperatorError(
             f"cannot project onto unknown attributes {sorted(unknown)}"
         )
-    if fr.encoding == "arena" and not fr.is_empty():
-        fast = _arena_subtree_drop(fr, keep)
+    if not fr.is_empty():
+        fast = _subtree_drop(fr, keep)
         if fast is not None:
             return fast
     current = _reduce_labels(fr, keep)
@@ -274,9 +213,6 @@ def project(
             break
         # Prefer a marked node with no marked node below it whose
         # subtree is smallest -- fewer swaps to reach a leaf.
-        def depth(node: FNode) -> int:
-            return len(current.tree.ancestors(node))
-
         candidates = [
             node
             for node in marked
@@ -292,7 +228,7 @@ def project(
         )
         if target.children:
             # Swap the marked node below its first child (swap
-            # handles empty and arena-backed relations itself).
+            # handles empty relations itself).
             current = swap(
                 current,
                 next(iter(target.label)),
@@ -304,7 +240,5 @@ def project(
     # Phase 3: normalise.
     if current.is_empty():
         tree, _ = normalise_tree(current.tree)
-        if current.encoding == "arena":
-            return FactorisedRelation(tree, arena=None)
         return FactorisedRelation(tree, None)
     return normalise(current)

@@ -4,32 +4,36 @@ One pass over the representation removes the entries of every union of
 ``A``'s node whose value fails the comparison; emptied unions prune
 their surrounding entries, cascading upward exactly like the paper's
 "if the union becomes empty ... we then remove that expression too".
+On the arena that pass is the mask-and-compact kernel
+:func:`repro.core.arena.select_filter` (the tree is unchanged by the
+filter itself -- the skeleton ignores constant flags).
 
 For an *equality* comparison the node becomes a constant: all its
 values equal ``c``, so it is independent of every other node -- its
 attributes are removed from the dependency edges, the node is marked
 ``constant`` (ignored by ``s(T)``), and a normalisation pass floats it
-towards the root, as described at the end of Section 3.3.
-
-Arena-backed inputs stay columnar for every comparison: the filter is
-the mask-and-compact kernel :func:`repro.core.arena.select_filter`
-(the tree is unchanged by the filter itself -- the skeleton ignores
-constant flags), and for equality the subsequent normalisation replays
-the constant tree's push-up trace through the prepared kernels of
+towards the root, as described at the end of Section 3.3: the constant
+tree's push-up trace is replayed through the prepared kernels of
 :mod:`repro.ops.arena_kernels`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
-
 from repro.core import arena as arena_mod
 from repro.core.factorised import FactorisedRelation
-from repro.core.frep import ProductRep, UnionRep
 from repro.core.ftree import FNode, FTree
-from repro.ops.base import subtree_index
-from repro.ops.normalise import normalise, normalise_tree
+from repro.ops import arena_kernels
+from repro.ops.normalise import normalise_tree
 from repro.query.query import ConstantCondition
+
+
+def _constant_tree(tree: FTree, node: FNode) -> FTree:
+    """``tree`` with ``node`` marked constant and its attributes
+    dropped from the dependency edges (not yet normalised)."""
+    if node.constant:
+        return tree
+    tree = tree.replace_node(node.label, [node.as_constant()])
+    return tree.with_edges(tree.edges.without_attributes(node.label))
 
 
 def select_constant_tree(tree: FTree, cond: ConstantCondition) -> FTree:
@@ -37,12 +41,7 @@ def select_constant_tree(tree: FTree, cond: ConstantCondition) -> FTree:
     node = tree.node_of(cond.attribute)
     if cond.op != "=":
         return tree
-    if not node.constant:
-        tree = tree.replace_node(node.label, [node.as_constant()])
-        tree = tree.with_edges(
-            tree.edges.without_attributes(node.label)
-        )
-    normalised, _ = normalise_tree(tree)
+    normalised, _ = normalise_tree(_constant_tree(tree, node))
     return normalised
 
 
@@ -50,94 +49,25 @@ def select_constant(
     fr: FactorisedRelation, cond: ConstantCondition
 ) -> FactorisedRelation:
     """Apply ``sigma_{A theta c}`` to a factorised relation."""
-    tree = fr.tree
-    node = tree.node_of(cond.attribute)
+    node = fr.tree.node_of(cond.attribute)
     if fr.is_empty():
-        empty_tree = select_constant_tree(tree, cond)
-        if fr.encoding == "arena":
-            return FactorisedRelation(empty_tree, arena=None)
-        return FactorisedRelation(empty_tree, None)
-
-    if fr.encoding == "arena" and cond.op != "=":
+        return FactorisedRelation(
+            select_constant_tree(fr.tree, cond), None
+        )
+    if cond.op != "=":
         # Non-equality selections leave the tree untouched, so the
         # whole operator is the columnar filter kernel.
         filtered = arena_mod.select_filter(
-            fr.arena, cond.attribute, cond.test
+            fr.rep, cond.attribute, cond.test
         )
-        if filtered is None:
-            return FactorisedRelation(
-                select_constant_tree(tree, cond), arena=None
-            )
-        return FactorisedRelation(tree, arena=filtered)
-
-    if fr.encoding == "arena":
-        # Equality: the filter kernel leaves the node layout intact
-        # (the skeleton ignores constant flags), then the push-up
-        # kernels replay the normalisation trace of the constant tree.
-        from repro.ops import arena_kernels
-
-        const_tree = tree
-        if not node.constant:
-            const_tree = tree.replace_node(
-                node.label, [node.as_constant()]
-            )
-            const_tree = const_tree.with_edges(
-                const_tree.edges.without_attributes(node.label)
-            )
-        chain = arena_kernels.kernel_for(const_tree, "normalise")
-        filtered = arena_mod.select_filter(
-            fr.arena, cond.attribute, cond.test
-        )
-        if filtered is not None:
-            filtered = chain.run(filtered)
-        return FactorisedRelation(chain.out_tree, arena=filtered)
-
-    anchor = cond.attribute
-
-    def filter_forest(
-        forest: Sequence[FNode], factors: Sequence[UnionRep]
-    ) -> Optional[List[UnionRep]]:
-        labels = [n.label for n in forest]
-        if node.label in labels:
-            idx = labels.index(node.label)
-            union = factors[idx]
-            kept = [
-                (value, child)
-                for value, child in union.entries
-                if cond.test(value)
-            ]
-            if not kept:
-                return None
-            out = list(factors)
-            out[idx] = UnionRep(kept)
-            return out
-        idx = subtree_index(forest, anchor)
-        inner_node, union = forest[idx], factors[idx]
-        new_entries: List[Tuple[object, ProductRep]] = []
-        for value, child in union.entries:
-            res = filter_forest(inner_node.children, child.factors)
-            if res is not None:
-                new_entries.append((value, ProductRep(res)))
-        if not new_entries:
-            return None
-        out = list(factors)
-        out[idx] = UnionRep(new_entries)
-        return out
-
-    new_factors = filter_forest(tree.roots, fr.data.factors)
-    if new_factors is None:
-        return FactorisedRelation(select_constant_tree(tree, cond), None)
-    if cond.op != "=":
-        return FactorisedRelation(tree, ProductRep(new_factors))
-
-    # Equality: mark constant, drop its attributes from the dependency
-    # edges and normalise (the node floats towards the root).
-    const_tree = tree
-    if not node.constant:
-        const_tree = tree.replace_node(node.label, [node.as_constant()])
-        const_tree = const_tree.with_edges(
-            const_tree.edges.without_attributes(node.label)
-        )
-    return normalise(
-        FactorisedRelation(const_tree, ProductRep(new_factors))
+        return FactorisedRelation(fr.tree, filtered)
+    # Equality: the filter kernel leaves the node layout intact, then
+    # the push-up kernels replay the normalisation trace of the
+    # constant tree.
+    chain = arena_kernels.kernel_for(
+        _constant_tree(fr.tree, node), "normalise"
     )
+    filtered = arena_mod.select_filter(fr.rep, cond.attribute, cond.test)
+    if filtered is not None:
+        filtered = chain.run(filtered)
+    return FactorisedRelation(chain.out_tree, filtered)

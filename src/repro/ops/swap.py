@@ -8,26 +8,22 @@ of ``B`` that do not depend on ``A`` (the forest ``T_B``) move up with
     U_a ( <A:a> x E_a x U_b ( <B:b> x F_b x G_ab ) )
         ==>  U_b ( <B:b> x F_b x U_a ( <A:a> x E_a x G_ab ) )
 
-The data algorithm is the paper's Figure 4, verbatim: a min-priority
-queue keyed by the next ``B``-value of every ``A``-group merges the
-sorted inner unions in overall sorted order, giving the quasilinear
-``O(N log N)`` bound of Proposition 2.  ``swap_reference`` is a naive
-dictionary-based implementation used for differential testing.
+The data algorithm is the paper's Figure 4 on columns
+(:class:`repro.ops.arena_kernels.SwapKernel`): a min-priority queue
+keyed by the next ``B``-value of every ``A``-group merges the sorted
+inner unions in overall sorted order, giving the quasilinear
+``O(N log N)`` bound of Proposition 2; subtree payloads move as bulk
+column runs, and leaf-shaped swaps collapse to one argsort.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.factorised import FactorisedRelation
-from repro.core.frep import ProductRep, UnionRep
 from repro.core.ftree import FNode, FTree
-from repro.ops.base import (
-    OperatorError,
-    rewrite_at_level,
-    sort_pairs,
-)
+from repro.ops import arena_kernels
+from repro.ops.base import OperatorError
 
 
 def _swap_parts(
@@ -66,170 +62,5 @@ def swap_tree(tree: FTree, a_attr: str, b_attr: str) -> FTree:
 def swap(
     fr: FactorisedRelation, a_attr: str, b_attr: str
 ) -> FactorisedRelation:
-    """Swap on a factorised relation -- the Figure 4 algorithm.
-
-    Arena-backed relations take the columnar kernel of
-    :mod:`repro.ops.arena_kernels` (same heap merge, bulk subtree
-    copies, no object materialisation); the object path below is its
-    differential oracle.
-    """
-    tree = fr.tree
-    node_a, node_b, a_others, t_b, t_ab = _swap_parts(
-        tree, a_attr, b_attr
-    )
-    new_tree = swap_tree(tree, a_attr, b_attr)
-    if fr.encoding == "arena":
-        from repro.ops import arena_kernels
-
-        kernel = arena_kernels.kernel_for(tree, "swap", (a_attr, b_attr))
-        if fr.is_empty():
-            return FactorisedRelation(new_tree, arena=None)
-        return FactorisedRelation(new_tree, arena=kernel.run(fr.arena))
-    if fr.data is None:
-        return FactorisedRelation(new_tree, None)
-
-    new_a = FNode(node_a.label, a_others + t_ab, node_a.constant)
-    new_b = FNode(node_b.label, t_b + [new_a], node_b.constant)
-
-    parent = tree.parent_of(node_a)
-    old_level = list(parent.children) if parent is not None else list(
-        tree.roots
-    )
-    i_a = [n.label for n in old_level].index(node_a.label)
-    j_b = [c.label for c in node_a.children].index(node_b.label)
-    b_children = list(node_b.children)
-    tb_idx = [
-        k for k, c in enumerate(b_children)
-        if any(c.label == t.label for t in t_b)
-    ]
-    tab_idx = [
-        k for k, c in enumerate(b_children)
-        if any(c.label == t.label for t in t_ab)
-    ]
-
-    def rewrite(factors: List[UnionRep]) -> Optional[List[UnionRep]]:
-        union_a = factors[i_a]
-        # -- Figure 4: regroup by B using a min-priority queue --------
-        heap: List[Tuple[object, int]] = []
-        positions: List[int] = []
-        for idx, (_, prod_a) in enumerate(union_a.entries):
-            inner = prod_a.factors[j_b]
-            positions.append(0)
-            heapq.heappush(heap, (inner.entries[0][0], idx))
-
-        out_entries: List[Tuple[object, ProductRep]] = []
-        while heap:
-            b_min = heap[0][0]
-            f_bmin: Optional[List[UnionRep]] = None
-            inner_entries: List[Tuple[object, ProductRep]] = []
-            while heap and heap[0][0] == b_min:
-                _, idx = heapq.heappop(heap)
-                a_value, prod_a = union_a.entries[idx]
-                inner = prod_a.factors[j_b]
-                _, prod_b = inner.entries[positions[idx]]
-                if f_bmin is None:
-                    f_bmin = [prod_b.factors[k] for k in tb_idx]
-                g_ab = [prod_b.factors[k] for k in tab_idx]
-                e_a = [
-                    f for k, f in enumerate(prod_a.factors) if k != j_b
-                ]
-                nodes = a_others + t_ab
-                facts = e_a + g_ab
-                _, sorted_facts = sort_pairs(nodes, facts)
-                inner_entries.append(
-                    (a_value, ProductRep(sorted_facts))
-                )
-                positions[idx] += 1
-                if positions[idx] < len(inner.entries):
-                    heapq.heappush(
-                        heap, (inner.entries[positions[idx]][0], idx)
-                    )
-            assert f_bmin is not None
-            union_a_inner = UnionRep(inner_entries)
-            nodes = t_b + [new_a]
-            facts = f_bmin + [union_a_inner]
-            _, sorted_facts = sort_pairs(nodes, facts)
-            out_entries.append((b_min, ProductRep(sorted_facts)))
-
-        union_b = UnionRep(out_entries)
-        nodes = [n for k, n in enumerate(old_level) if k != i_a]
-        outs = [f for k, f in enumerate(factors) if k != i_a]
-        nodes.append(new_b)
-        outs.append(union_b)
-        _, sorted_factors = sort_pairs(nodes, outs)
-        return sorted_factors
-
-    a_anchor = next(iter(node_a.label))
-    new_factors = rewrite_at_level(
-        tree.roots, fr.data.factors, a_anchor, rewrite
-    )
-    data = None if new_factors is None else ProductRep(new_factors)
-    return FactorisedRelation(new_tree, data)
-
-
-def swap_reference(
-    fr: FactorisedRelation, a_attr: str, b_attr: str
-) -> FactorisedRelation:
-    """Sort-based swap used to cross-check the Figure 4 algorithm."""
-    tree = fr.tree
-    node_a, node_b, a_others, t_b, t_ab = _swap_parts(
-        tree, a_attr, b_attr
-    )
-    new_tree = swap_tree(tree, a_attr, b_attr)
-    if fr.data is None:
-        return FactorisedRelation(new_tree, None)
-
-    new_a = FNode(node_a.label, a_others + t_ab, node_a.constant)
-    parent = tree.parent_of(node_a)
-    old_level = list(parent.children) if parent is not None else list(
-        tree.roots
-    )
-    i_a = [n.label for n in old_level].index(node_a.label)
-    j_b = [c.label for c in node_a.children].index(node_b.label)
-    b_children = list(node_b.children)
-    tb_idx = [
-        k for k, c in enumerate(b_children)
-        if any(c.label == t.label for t in t_b)
-    ]
-    tab_idx = [
-        k for k, c in enumerate(b_children)
-        if any(c.label == t.label for t in t_ab)
-    ]
-
-    def rewrite(factors: List[UnionRep]) -> Optional[List[UnionRep]]:
-        union_a = factors[i_a]
-        grouped: Dict[object, List[Tuple[object, ProductRep]]] = {}
-        f_of_b: Dict[object, List[UnionRep]] = {}
-        for a_value, prod_a in union_a.entries:
-            e_a = [f for k, f in enumerate(prod_a.factors) if k != j_b]
-            for b_value, prod_b in prod_a.factors[j_b].entries:
-                f_of_b.setdefault(
-                    b_value, [prod_b.factors[k] for k in tb_idx]
-                )
-                g_ab = [prod_b.factors[k] for k in tab_idx]
-                _, sorted_facts = sort_pairs(
-                    a_others + t_ab, e_a + g_ab
-                )
-                grouped.setdefault(b_value, []).append(
-                    (a_value, ProductRep(sorted_facts))
-                )
-        out_entries = []
-        for b_value in sorted(grouped):
-            _, sorted_facts = sort_pairs(
-                t_b + [new_a],
-                f_of_b[b_value] + [UnionRep(grouped[b_value])],
-            )
-            out_entries.append((b_value, ProductRep(sorted_facts)))
-        nodes = [n for k, n in enumerate(old_level) if k != i_a]
-        outs = [f for k, f in enumerate(factors) if k != i_a]
-        _, sorted_factors = sort_pairs(
-            nodes + [FNode(node_b.label, t_b + [new_a], node_b.constant)],
-            outs + [UnionRep(out_entries)],
-        )
-        return sorted_factors
-
-    new_factors = rewrite_at_level(
-        tree.roots, fr.data.factors, next(iter(node_a.label)), rewrite
-    )
-    data = None if new_factors is None else ProductRep(new_factors)
-    return FactorisedRelation(new_tree, data)
+    """Swap on a factorised relation -- the Figure 4 algorithm."""
+    return arena_kernels.apply(fr, "swap", (a_attr, b_attr))

@@ -9,7 +9,7 @@ shard database holds a disjoint horizontal partition of a single
 *fan-out* relation plus full copies of the others -- and recombines the
 k per-shard factorised results here.  The parts are of comparable size
 and mostly *overlap*: every shard re-derives the subtrees that do not
-depend on the fan-out relation.  Arena parts are therefore merged in
+depend on the fan-out relation.  The parts are therefore merged in
 one level-synchronous pass, one bulk sort-and-group per f-tree node
 (:func:`repro.ops.arena_kernels.union_arenas`): every output column is
 written once, where folding the pairwise merge would decode and
@@ -26,11 +26,10 @@ result, delta) pairs of one ``append_requery`` benchmark round (median
 
 Both are the same *structural* union, byte for byte
 (``tests/test_union_kway.py`` holds the fold of the one against the
-other): two :class:`~repro.core.frep.UnionRep` factors merge by value,
-and where both sides carry the same value the child
-:class:`~repro.core.frep.ProductRep` forests union factor-wise; the
-left-most side's value id survives.  The object-encoded reference
-(:func:`_union_products`) spells that out.
+other): the unions of a node merge by value, and where both sides
+carry the same value their child forests union factor-wise; the
+left-most side's value id survives.  :func:`repro.reference.ops.union`
+spells that out on objects.
 
 Factor-wise union of products is **not** sound for arbitrary inputs:
 ``(B1 x C1) u (B2 x C2)`` only equals ``(B1 u B2) x (C1 u C2)`` when
@@ -53,11 +52,9 @@ random SPJ space, per the PR-1 policy.
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.core.factorised import FactorisedRelation
-from repro.core.frep import ProductRep, UnionRep, Value
 from repro.obs.metrics import Tally
 from repro.ops import arena_kernels
 from repro.ops.base import OperatorError
@@ -77,41 +74,6 @@ COUNTERS = Tally(
 )
 
 
-def _union_products(left: ProductRep, right: ProductRep) -> ProductRep:
-    """Factor-wise union of two aligned products (see module docs)."""
-    if len(left.factors) != len(right.factors):
-        raise OperatorError(
-            f"cannot union products of arity {len(left.factors)} "
-            f"and {len(right.factors)}"
-        )
-    return ProductRep(
-        _union_unions(a, b)
-        for a, b in zip(left.factors, right.factors)
-    )
-
-
-def _union_unions(left: UnionRep, right: UnionRep) -> UnionRep:
-    """Sorted merge of two unions; common values recurse."""
-    out: List[Tuple[Value, ProductRep]] = []
-    i = j = 0
-    a, b = left.entries, right.entries
-    while i < len(a) and j < len(b):
-        va, vb = a[i][0], b[j][0]
-        if va < vb:
-            out.append(a[i])
-            i += 1
-        elif vb < va:
-            out.append(b[j])
-            j += 1
-        else:
-            out.append((va, _union_products(a[i][1], b[j][1])))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return UnionRep(out)
-
-
 def _require_same_tree(
     left: FactorisedRelation, right: FactorisedRelation
 ) -> None:
@@ -128,22 +90,16 @@ def union(
     """Union two factorised relations over the *same* f-tree: the
     **delta merge** (see the module docstring).
 
-    Sub-representations appearing on one side only are shared, not
-    copied (operators treat representations as immutable).  Exactness
-    requires branch-compatible inputs -- see the module docstring.
+    Exactness requires branch-compatible inputs -- see the module
+    docstring.
     """
     _require_same_tree(left, right)
     if left.is_empty():
         return right
     if right.is_empty():
         return left
-    if left.encoding == "arena" and right.encoding == "arena":
-        return FactorisedRelation(
-            left.tree,
-            arena=arena_kernels.union_arena(left.arena, right.arena),
-        )
     return FactorisedRelation(
-        left.tree, _union_products(left.data, right.data)
+        left.tree, arena_kernels.union_arena(left.rep, right.rep)
     )
 
 
@@ -154,11 +110,10 @@ def union_all(
     **shard recombination** (see the module docstring); ``None`` for
     an empty list.
 
-    Empty parts drop out and a lone non-empty part is returned as is.
-    Arena parts are merged in one level-synchronous pass
+    Empty parts drop out and a lone non-empty part is returned as is;
+    the others are merged in one level-synchronous pass
     (:func:`repro.ops.arena_kernels.union_arenas`), tallied once in
-    :data:`COUNTERS`; with an object-encoded part among them the
-    reference :func:`_union_products` folds the object forms.
+    :data:`COUNTERS`.
     """
     parts = list(parts)
     if not parts:
@@ -169,11 +124,7 @@ def union_all(
     if len(live) < 2:
         return live[0] if live else parts[-1]
     tree = live[0].tree
-    if any(part.encoding != "arena" for part in live):
-        return FactorisedRelation(
-            tree, reduce(_union_products, (part.data for part in live))
-        )
-    arenas = [part.arena for part in live]
+    arenas = [part.rep for part in live]
     merged = arena_kernels.union_arenas(arenas)
     COUNTERS.add(
         calls=1,
@@ -186,4 +137,4 @@ def union_all(
             if arena.pool is not arenas[0].pool
         ),
     )
-    return FactorisedRelation(tree, arena=merged)
+    return FactorisedRelation(tree, merged)

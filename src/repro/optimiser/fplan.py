@@ -15,6 +15,7 @@ from typing import List, Sequence, Tuple
 
 from repro import ops
 from repro.core.factorised import FactorisedRelation
+from repro.ops.arena_kernels import compiled_plan_for
 from repro.core.ftree import FTree
 from repro.costs.cost_model import PlanCost
 
@@ -40,17 +41,6 @@ class Step:
             return ops.absorb_tree(tree, *self.args)
         if self.kind == "push":
             return ops.push_up_tree(tree, *self.args)
-        raise ValueError(f"unknown step kind {self.kind!r}")
-
-    def apply(self, fr: FactorisedRelation) -> FactorisedRelation:
-        if self.kind == "swap":
-            return ops.swap(fr, *self.args)
-        if self.kind == "merge":
-            return ops.merge(fr, *self.args)
-        if self.kind == "absorb":
-            return ops.absorb(fr, *self.args)
-        if self.kind == "push":
-            return ops.push_up(fr, *self.args)
         raise ValueError(f"unknown step kind {self.kind!r}")
 
     def __str__(self) -> str:
@@ -85,31 +75,15 @@ class FPlan:
         return self.trees[-1]
 
     def execute(self, fr: FactorisedRelation) -> FactorisedRelation:
-        """Replay the plan on data; checks tree agreement per step.
-
-        Arena-backed relations run the whole plan as one compiled
-        chain of prepared columnar kernels (weakly cached per plan,
-        see :mod:`repro.ops.arena_kernels`); per-step tree agreement
-        is then checked once at compile time instead of per execution.
-        The kernel-at-a-time loop below doubles as the fallback and
-        the differential oracle.
-        """
+        """Run the plan on data: the whole plan as one compiled chain
+        of prepared columnar kernels (weakly cached per plan, see
+        :mod:`repro.ops.arena_kernels`); per-step tree agreement is
+        checked once, when the chain is compiled."""
         if fr.tree.key() != self.input_tree.key():
             raise ValueError(
                 "plan input f-tree does not match the relation's f-tree"
             )
-        if fr.encoding == "arena" and self.steps:
-            from repro.ops.arena_kernels import compiled_plan_for
-
-            return compiled_plan_for(self).execute(fr)
-        current = fr
-        for step, expected in zip(self.steps, self.trees[1:]):
-            current = step.apply(current)
-            if current.tree.key() != expected.key():
-                raise AssertionError(
-                    f"step {step} produced an unexpected f-tree"
-                )
-        return current
+        return compiled_plan_for(self).execute(fr)
 
     def then(self, more: Sequence[Step]) -> "FPlan":
         """A new plan extending this one."""

@@ -18,7 +18,7 @@ Every persisted object is one *blob*::
 - the *header* is a small JSON object with the schema-level facts
   (attribute names, relation names, database version, shard layout),
   readable without touching the payload;
-- the *payload* carries the data itself in the compact value encoding
+- the *payload* carries the data itself in the compact value format
   below, guarded by a CRC32 and an explicit length, so truncation and
   bit-rot are detected before anything is decoded.
 
@@ -30,17 +30,16 @@ relations can hold; exotic types raise :class:`PersistError` at save
 time rather than round-tripping approximately.
 
 A factorised representation is *already* the compressed form of its
-relation, so the payload of a ``factorised`` blob is simply the
-structured representation walked depth-first -- no further compression
-pass is applied (see ``benchmarks/bench_persist.py`` for the size
-comparison against the flat CSV equivalent).
-
-An *arena*-encoded representation (:mod:`repro.core.arena`) gets its
-own blob kind: the interned value pool is tag-encoded once, and the
-per-node integer columns are written as raw little-endian int64 byte
-runs.  Loading is therefore ~O(bytes) -- ``array.frombytes`` plus a
-bounds check -- instead of an object-graph rebuild, which is the point
-of persisting query results in the hot encoding.
+relation, so no further compression pass is applied (see
+``benchmarks/bench_persist.py`` for the size comparison against the
+flat CSV equivalent).  A factorised relation persists as an ``arena``
+blob (:mod:`repro.core.arena`): the interned value pool is tag-encoded
+once, and the per-node integer columns are written as raw
+little-endian int64 byte runs.  Loading is therefore ~O(bytes) --
+``array.frombytes`` plus a bounds check.  (The ``factorised`` kind --
+an object representation walked depth-first -- is retired: no build
+writes it, and reading one raises :class:`PersistError` telling the
+caller to re-evaluate and re-save.)
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ except ImportError:  # pragma: no cover - exercised on numpy-free CI
 from repro.core import arena as arena_mod
 from repro.core.arena import ArenaRep
 from repro.core.factorised import FactorisedRelation
-from repro.core.frep import ProductRep, UnionRep
 from repro.core.ftree import FNode, FTree
 from repro.optimiser.fplan import FPlan, Step
 from repro.query.hypergraph import Hypergraph
@@ -83,7 +81,6 @@ KINDS = (
     "database",
     "ftree",
     "fplan",
-    "factorised",
     "arena",
     "plan-entry",
     "shard-manifest",
@@ -98,7 +95,7 @@ class PersistError(ValueError):
     """Raised for unreadable, corrupt or incompatible persisted data."""
 
 
-# -- value encoding ----------------------------------------------------------
+# -- value format ------------------------------------------------------------
 
 _TAG_NONE = 0
 _TAG_FALSE = 1
@@ -241,6 +238,13 @@ def write_blob(
     handle: BinaryIO, kind: str, header: Dict[str, Any], payload: bytes
 ) -> None:
     """Write one framed blob: magic, version, kind, header, payload."""
+    if kind == "factorised":  # written by earlier builds only
+        raise PersistError(
+            "blob kind 'factorised' is retired: it holds an "
+            "object-encoded factorised result, which this build no "
+            "longer reads; re-evaluate the query and save the result "
+            "again (it is then written as an 'arena' blob)"
+        )
     if kind not in KINDS:
         raise PersistError(f"unknown blob kind {kind!r}")
     kind_bytes = kind.encode("ascii")
@@ -286,6 +290,13 @@ def read_header(handle: BinaryIO) -> Tuple[str, Dict[str, Any]]:
         kind = _exactly(handle, kind_len, "kind").decode("ascii")
     except UnicodeDecodeError as exc:
         raise PersistError("malformed blob kind") from exc
+    if kind == "factorised":  # written by earlier builds only
+        raise PersistError(
+            "blob kind 'factorised' is retired: it holds an "
+            "object-encoded factorised result, which this build no "
+            "longer reads; re-evaluate the query and save the result "
+            "again (it is then written as an 'arena' blob)"
+        )
     if kind not in KINDS:
         raise PersistError(f"unknown blob kind {kind!r}")
     (header_len,) = struct.unpack(">I", _exactly(handle, 4, "header length"))
@@ -532,82 +543,7 @@ def _decode_fplan(payload: bytes) -> FPlan:
         raise PersistError(f"invalid persisted f-plan: {exc}") from exc
 
 
-# -- factorised relations ----------------------------------------------------
-
-
-def _encode_union(out: BinaryIO, union: UnionRep) -> None:
-    _write_varint(out, len(union.entries))
-    for value, child in union.entries:
-        write_value(out, value)
-        _encode_product(out, child)
-
-
-def _encode_product(out: BinaryIO, product: ProductRep) -> None:
-    _write_varint(out, len(product.factors))
-    for union in product.factors:
-        _encode_union(out, union)
-
-
-def _decode_union(src: BinaryIO) -> UnionRep:
-    count = _read_varint(src)
-    entries = []
-    for _ in range(count):
-        value = read_value(src)
-        entries.append((value, _decode_product(src)))
-    return UnionRep(entries)
-
-
-def _decode_product(src: BinaryIO) -> ProductRep:
-    return ProductRep(
-        [_decode_union(src) for _ in range(_read_varint(src))]
-    )
-
-
-def _encode_factorised(
-    fr: FactorisedRelation,
-) -> Tuple[Dict[str, Any], bytes]:
-    out = io.BytesIO()
-    tree_bytes = _encode_ftree(fr.tree)
-    _write_varint(out, len(tree_bytes))
-    out.write(tree_bytes)
-    if fr.data is None:
-        out.write(bytes((0,)))
-    else:
-        out.write(bytes((1,)))
-        _encode_product(out, fr.data)
-    header = {
-        "attributes": list(fr.attributes),
-        "empty": fr.data is None,
-        "singletons": fr.size(),
-    }
-    return header, out.getvalue()
-
-
-def _decode_factorised(payload: bytes) -> FactorisedRelation:
-    src = io.BytesIO(payload)
-    tree_len = _read_varint(src)
-    tree_bytes = src.read(tree_len)
-    if len(tree_bytes) != tree_len:
-        raise PersistError("truncated factorised-relation tree")
-    tree = _decode_ftree(tree_bytes)
-    flag = src.read(1)
-    if not flag:
-        raise PersistError("truncated factorised-relation payload")
-    data: Optional[ProductRep]
-    data = None if flag[0] == 0 else _decode_product(src)
-    if src.read(1):
-        raise PersistError("factorised payload has trailing bytes")
-    fr = FactorisedRelation(tree, data)
-    try:
-        fr.validate()
-    except ValueError as exc:
-        raise PersistError(
-            f"persisted factorisation violates its invariants: {exc}"
-        ) from exc
-    return fr
-
-
-# -- arena-encoded factorised relations --------------------------------------
+# -- factorised relations (arena blobs) ---------------------------------------
 #
 # Columns are array('q') (exactly 8-byte signed on every CPython
 # platform); the file format fixes little-endian so blobs are portable
@@ -689,7 +625,7 @@ def _encode_arena(fr: FactorisedRelation) -> Tuple[Dict[str, Any], bytes]:
     tree_bytes = _encode_ftree(fr.tree)
     _write_varint(out, len(tree_bytes))
     out.write(tree_bytes)
-    rep = fr.arena
+    rep = fr.rep
     if rep is None:
         out.write(bytes((0,)))
         payload = out.getvalue()
@@ -698,7 +634,6 @@ def _encode_arena(fr: FactorisedRelation) -> Tuple[Dict[str, Any], bytes]:
                 "attributes": list(fr.attributes),
                 "empty": True,
                 "singletons": 0,
-                "encoding": "arena",
             },
             payload,
         )
@@ -717,7 +652,6 @@ def _encode_arena(fr: FactorisedRelation) -> Tuple[Dict[str, Any], bytes]:
         "attributes": list(fr.attributes),
         "empty": False,
         "singletons": rep.singleton_count(),
-        "encoding": "arena",
     }
     return header, out.getvalue()
 
@@ -742,7 +676,7 @@ def _decode_arena_from(src, read_column) -> FactorisedRelation:
     if flag[0] == 0:
         if src.read(1):
             raise PersistError("arena payload has trailing bytes")
-        return FactorisedRelation(tree, arena=None)
+        return FactorisedRelation(tree, None)
     pool = [read_value(src) for _ in range(_read_varint(src))]
     skel = arena_mod._skeleton_of(tree)
     node_count = _read_varint(src)
@@ -775,12 +709,12 @@ def _decode_arena_from(src, read_column) -> FactorisedRelation:
         raise PersistError(
             f"persisted arena violates its invariants: {exc}"
         ) from exc
-    return FactorisedRelation(tree, arena=rep)
+    return FactorisedRelation(tree, rep)
 
 
 # -- pooled arena payloads (the wire's shared value pool) --------------------
 #
-# A connection that streams many arena-encoded results (per-shard
+# A connection that streams many factorised results (per-shard
 # parts, batch answers, repeated queries) re-ships the same interned
 # values over and over in every ``arena`` blob.  The *pooled* payload
 # form below amortises that: both ends keep one value pool per
@@ -847,7 +781,7 @@ class ArenaPoolEncoder:
         tree_bytes = _encode_ftree(fr.tree)
         _write_varint(out, len(tree_bytes))
         out.write(tree_bytes)
-        rep = fr.arena
+        rep = fr.rep
         if rep is None:
             out.write(bytes((0,)))
         else:
@@ -921,7 +855,7 @@ class ArenaPoolDecoder:
         if flag[0] == 0:
             if src.read(1):
                 raise PersistError("pooled arena payload has trailing bytes")
-            return FactorisedRelation(tree, arena=None)
+            return FactorisedRelation(tree, None)
         base = _read_varint(src)
         if base != len(self.values):
             raise PersistError(
@@ -973,7 +907,7 @@ class ArenaPoolDecoder:
             raise PersistError(
                 f"pooled arena violates its invariants: {exc}"
             ) from exc
-        return FactorisedRelation(tree, arena=rep)
+        return FactorisedRelation(tree, rep)
 
 
 # -- sharded databases (per-shard files + manifest) --------------------------
@@ -1164,13 +1098,8 @@ def encode(obj: object) -> Tuple[str, Dict[str, Any], bytes]:
         header, payload = _encode_fplan(obj)
         return "fplan", header, payload
     if isinstance(obj, FactorisedRelation):
-        # The blob kind follows the relation's primary encoding, so
-        # arena-evaluated results reload straight into their columns.
-        if obj.encoding == "arena":
-            header, payload = _encode_arena(obj)
-            return "arena", header, payload
-        header, payload = _encode_factorised(obj)
-        return "factorised", header, payload
+        header, payload = _encode_arena(obj)
+        return "arena", header, payload
     raise PersistError(
         f"cannot persist objects of type {type(obj).__name__}"
     )
@@ -1187,8 +1116,6 @@ def decode(kind: str, header: Dict[str, Any], payload: bytes) -> object:
             return _decode_ftree(payload)
         if kind == "fplan":
             return _decode_fplan(payload)
-        if kind == "factorised":
-            return _decode_factorised(payload)
         if kind == "arena":
             return _decode_arena(payload)
     except PersistError:

@@ -15,12 +15,9 @@ We exploit that rigidity and store f-representations structurally:
   constraint, which the swap/merge algorithms rely on).
 
 The *empty* relation has no structured form: by convention the wrapper
-:class:`repro.core.factorised.FactorisedRelation` stores ``None`` for
+:class:`repro.reference.relation.ObjectRelation` stores ``None`` for
 it, and inside a non-empty representation no union is ever empty (the
 operators prune eagerly).  The nullary tuple is ``ProductRep([])``.
-
-A generic expression AST mirroring Definition 1 verbatim lives in
-:mod:`repro.core.expr`; conversions between the two forms are there.
 """
 
 from __future__ import annotations
@@ -28,16 +25,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Iterator, List, Optional, Tuple
 
+from repro.core.arena import FRepError
+
 Value = object
 
 
 def _entry_value(entry: Tuple[Value, "ProductRep"]) -> Value:
     """Sort key for bisecting ``UnionRep.entries`` by value."""
     return entry[0]
-
-
-class FRepError(ValueError):
-    """Raised when a structured representation violates its invariants."""
 
 
 class ProductRep:

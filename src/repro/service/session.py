@@ -195,11 +195,8 @@ class QuerySession:
         store.  Sessions watch its
         :attr:`~repro.relational.database.Database.version` and drop
         every cache when it moves.
-    plan_search / cost_model / encoding:
-        Forwarded to :class:`~repro.engine.FDB`.  ``encoding="arena"``
-        evaluates factorised results in the flat columnar encoding of
-        :mod:`repro.core.arena` (``repro batch --arena`` on the CLI);
-        answers are identical, the hot paths faster.
+    plan_search / cost_model:
+        Forwarded to :class:`~repro.engine.FDB`.
     fallback_budget:
         Estimated-singleton threshold above which ``auto`` queries are
         routed to the flat engine; ``None`` disables the fallback.
@@ -262,7 +259,6 @@ class QuerySession:
         executor: Optional[Executor] = None,
         cache_size: Optional[int] = None,
         plan_store: Optional["PlanStore"] = None,
-        encoding: str = "object",
         result_cache_size: Optional[int] = 64,
         tracing: bool = True,
         slow_log: Optional[SlowQueryLog] = None,
@@ -271,7 +267,6 @@ class QuerySession:
         self.database = database
         self.plan_search = plan_search
         self.cost_model = cost_model
-        self.encoding = encoding
         self.fallback_budget = fallback_budget
         self.budget = budget
         self.check_invariants = check_invariants
@@ -302,9 +297,8 @@ class QuerySession:
         self._traces = self.registry.counter("traces_total")
         self.registry.register("session", self.stats.as_dict)
         self.registry.register("caches", self.cache_counters)
-        # Process-wide, like the adapter tallies under ``caches``: the
-        # searches, the factoriser and the shard union are plain
-        # functions with no session to report to.
+        # Process-wide: the searches, the factoriser and the shard
+        # union are plain functions with no session to report to.
         self.registry.register("optimiser", OPTIMISER_COUNTERS.snapshot)
         self.registry.register("factorise", FACTORISE_COUNTERS.snapshot)
         self.registry.register("union", UNION_COUNTERS.snapshot)
@@ -363,7 +357,6 @@ class QuerySession:
             check_invariants=self.check_invariants,
             cost_model=self.cost_model,
             statistics=shared,
-            encoding=self.encoding,
         )
         self._flat = RelationalEngine(self.database, budget=self.budget)
         if self._results is not None:
@@ -406,7 +399,6 @@ class QuerySession:
                 check_invariants=self.check_invariants,
                 cost_model=self.cost_model,
                 statistics=self.statistics(),
-                encoding=self.encoding,
             )
         self.executor.invalidate()
 
@@ -423,13 +415,8 @@ class QuerySession:
         return len(self._plans) + len(self._fplans)
 
     def cache_counters(self) -> Dict[str, Dict[str, int]]:
-        """Counters of the plan caches, the delta-maintained result
-        cache (zeros when result caching is disabled) and the
-        process-wide arena<->object adapter tallies -- the latter so a
-        kernel silently falling back to the object encoding shows up
-        in STATS as counted round trips."""
-        from repro.core.factorised import ADAPTER
-
+        """Counters of the plan caches and the delta-maintained result
+        cache (zeros when result caching is disabled)."""
         return {
             "plans": self._plans.counters(),
             "fplans": self._fplans.counters(),
@@ -438,13 +425,12 @@ class QuerySession:
                 if self._results is not None
                 else ResultCache().counters()
             ),
-            "adapter": ADAPTER.snapshot(),
         }
 
     def snapshot(self) -> Dict:
         """The unified observability snapshot (:mod:`repro.obs`):
         instruments plus every registered collector namespace --
-        session stats, cache/ivm/adapter counters, submitter, plan
+        session stats, cache/ivm counters, submitter, plan
         store, slow log, and (when a server grafted itself on) the
         server counters."""
         return self.registry.snapshot()
@@ -809,7 +795,6 @@ class QuerySession:
         entry = self._results.lookup(
             query,
             self.database,
-            encoding=self.encoding,
             check_invariants=self.check_invariants,
         )
         if entry is None:

@@ -4,21 +4,14 @@ import random
 
 import pytest
 
-from repro.core.aggregate import (
-    AggregateError,
-    average,
-    count,
-    count_distinct,
-    group_count,
-    max_of,
-    min_of,
-    sum_of,
-)
+from repro.core.aggregate import AggregateError
 from repro.core.build import factorise
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
 from repro.engine import FDB
 from repro.query.query import Query
+from repro.reference import aggregate as reference_aggregate
+from repro.reference import to_object
 from repro.relational.relation import Relation
 from repro.workloads import grocery_database, query_q1
 from tests.conftest import random_small_database
@@ -38,7 +31,9 @@ def reference(fr):
 
 
 def test_count_matches_enumeration(fr):
-    assert count(fr.tree.roots, fr.data) == len(reference(fr))
+    assert fr.count() == len(reference(fr))
+    obj = to_object(fr)
+    assert reference_aggregate.count(obj.tree.roots, obj.data) == fr.count()
 
 
 def test_sum_matches_enumeration(fr):
@@ -127,6 +122,13 @@ def test_aggregates_match_enumeration_on_random_data(seed):
     for d in rows:
         expected[d[attr]] = expected.get(d[attr], 0) + 1
     assert groups == expected
+    # The recursive object walkers are the oracle: same answers.
+    obj = to_object(fr)
+    assert obj.sum(attr) == pytest.approx(fr.sum(attr))
+    assert obj.avg(attr) == pytest.approx(fr.avg(attr))
+    assert (obj.min(attr), obj.max(attr)) == (fr.min(attr), fr.max(attr))
+    assert obj.count_distinct(attr) == fr.count_distinct(attr)
+    assert obj.group_count(attr) == groups
 
 
 def test_sum_is_linear_not_exponential():

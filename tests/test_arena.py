@@ -1,13 +1,13 @@
-"""Tests for the columnar arena encoding (:mod:`repro.core.arena`).
+"""Tests for the arena (:mod:`repro.core.arena`) against its oracle.
 
-The contract under test: the arena and object encodings are two
-physical layouts of the *same* representation -- conversion round-trips
-exactly, enumeration order is identical, every derived measure (size,
-count, aggregates) agrees, and the operator fast paths (non-equality
-selection, subtree-dropping projection) never fork from the object
-reference.  Properties run over >= 50 seeded random databases plus the
-documented edge cases: the empty relation (``None``) and the nullary
-tuple (``ProductRep([])`` / a zero-node arena).
+The contract under test: the arena holds exactly the representation
+the object reference (:mod:`repro.reference`) holds -- conversion
+round-trips exactly, enumeration order is identical, every derived
+measure (size, count, aggregates) agrees, and the operator fast paths
+(non-equality selection, subtree-dropping projection) never fork from
+the reference operators.  Properties run over >= 50 seeded random
+databases plus the documented edge cases: the empty relation (``None``)
+and the nullary tuple (``ProductRep([])`` / a zero-node arena).
 """
 
 from __future__ import annotations
@@ -20,13 +20,23 @@ from repro.core import arena
 from repro.core.arena import ArenaError, ArenaRep, ArenaWriter
 from repro.core.build import factorise
 from repro.core.factorised import FactorisedRelation
-from repro.core.frep import ProductRep
 from repro.core.ftree import FTree
 from repro.engine import FDB
 from repro.ops import project, select_constant
 from repro.query.hypergraph import Hypergraph
 from repro.query.parser import parse_query
 from repro.query.query import ConstantCondition
+from repro.reference import (
+    ObjectRelation,
+    ProductRep,
+    ReferenceEngine,
+    from_object,
+    from_product,
+    to_object,
+    to_product,
+)
+from repro.reference import factorise as reference_factorise
+from repro.reference import ops as reference_ops
 from repro.workloads import random_database, random_spj_queries
 
 #: >= 50 seeded databases for the round-trip / order properties.
@@ -41,7 +51,7 @@ def _result_pair(seed: int):
     query = random_spj_queries(
         db, 1, seed=seed + 1000, max_relations=3, max_equalities=2
     )[0]
-    return FDB(db).evaluate(query), db, query
+    return ReferenceEngine(db).evaluate(query), db, query
 
 
 def _nonempty_result(seed: int):
@@ -56,13 +66,13 @@ def _nonempty_result(seed: int):
 @pytest.mark.parametrize("seed", PROPERTY_SEEDS)
 def test_round_trip_and_enumeration_order(seed):
     fr, db, query = _result_pair(seed)
-    rep = arena.from_product(fr.tree, fr.data)
+    rep = from_product(fr.tree, fr.data)
     # Round trip is exact (including the empty relation).
-    assert arena.to_product(rep) == fr.data
+    assert to_product(rep) == fr.data
     if fr.data is None:
         assert rep is None
         return
-    fa = FactorisedRelation(fr.tree, arena=rep)
+    fa = FactorisedRelation(fr.tree, rep)
     order = fr.attributes
     # Identical enumeration order, not merely equal row sets.
     assert list(fa.rows(order)) == list(fr.rows(order))
@@ -75,7 +85,7 @@ def test_round_trip_and_enumeration_order(seed):
 
 @pytest.mark.parametrize("seed", PROPERTY_SEEDS[:10])
 def test_direct_arena_build_matches_object_build(seed):
-    """ArenaFactoriser output == from_product(object factorisation)."""
+    """Factoriser output == from_product(object factorisation)."""
     db = random_database(
         relations=3, attributes=7, tuples=6, domain=4, seed=seed
     )
@@ -85,22 +95,22 @@ def test_direct_arena_build_matches_object_build(seed):
     fdb = FDB(db)
     tree = fdb.optimal_tree(query)
     relations = [db[name] for name in query.relations]
-    product = factorise(relations, tree)
-    built = factorise(relations, tree, encoding="arena")
-    assert arena.to_product(built) == product
+    product = reference_factorise(relations, tree)
+    built = factorise(relations, tree)
+    assert to_product(built) == product
     if product is not None:
         order = tuple(sorted(tree.attributes()))
         assert list(arena.iter_rows(built, order)) == list(
-            FactorisedRelation(tree, product).rows(order)
+            ObjectRelation(tree, product).rows(order)
         )
 
 
 @pytest.mark.parametrize("seed", PROPERTY_SEEDS[:12])
-def test_aggregates_agree_between_encodings(seed):
+def test_aggregates_agree_with_reference(seed):
     fr, db, query = _result_pair(seed)
     if fr.is_empty():
         pytest.skip("empty result: aggregates covered separately")
-    fa = fr.to_arena()
+    fa = from_object(fr)
     for attribute in fr.attributes:
         assert fa.sum(attribute) == pytest.approx(fr.sum(attribute))
         assert fa.avg(attribute) == pytest.approx(fr.avg(attribute))
@@ -114,61 +124,42 @@ def test_aggregates_agree_between_encodings(seed):
 
 def test_empty_relation_round_trip():
     tree = FTree.from_nested([("a", [("b", [])])], [{"a", "b"}])
-    assert arena.from_product(tree, None) is None
-    assert arena.to_product(None) is None
-    fa = FactorisedRelation(tree, arena=None)
+    assert from_product(tree, None) is None
+    assert to_product(None) is None
+    fa = FactorisedRelation(tree, None)
     assert fa.is_empty()
     assert fa.count() == 0 and fa.size() == 0
     assert list(fa.rows()) == []
-    assert fa.data is None  # lazy conversion of the empty arena
-    assert fa.to_object().is_empty()
+    assert to_object(fa).is_empty()
 
 
 def test_nullary_tuple_round_trip():
     """ProductRep([]) over an empty forest <-> a zero-node arena."""
     tree = FTree([], Hypergraph([]))
     nullary = ProductRep([])
-    rep = arena.from_product(tree, nullary)
+    rep = from_product(tree, nullary)
     assert rep is not None and rep.node_count == 0
-    assert arena.to_product(rep) == nullary
+    assert to_product(rep) == nullary
     assert arena.tuple_count(rep) == 1
     assert list(arena.iter_rows(rep, ())) == [()]
-    fa = FactorisedRelation(tree, arena=rep)
+    fa = FactorisedRelation(tree, rep)
     assert not fa.is_empty()
     assert fa.count() == 1 and fa.size() == 0
 
 
-def test_lazy_conversion_both_ways_and_primary_encoding():
-    fr, _, _ = _nonempty_result(301)
-    assert fr.encoding == "object"
-    fa = fr.to_arena()
-    assert fa.encoding == "arena"
-    assert fa.to_arena() is fa  # already primary
-    back = fa.to_object()
-    assert back.encoding == "object"
-    assert back.data == fr.data
-    # Reading .data on an arena-primary relation materialises objects
-    # without changing the primary encoding.
-    assert fa.data == fr.data
-    assert fa.encoding == "arena"
-
-
-def test_copy_preserves_encoding_and_isolates_columns():
+def test_copy_isolates_columns():
     fr, _, _ = _nonempty_result(302)
-    fa = fr.to_arena()
+    fa = from_object(fr)
     clone = fa.copy()
-    assert clone.encoding == "arena"
     assert list(clone.rows()) == list(fa.rows())
-    clone.arena.values[0][0] = clone.arena.values[0][0]  # same buffer?
-    assert clone.arena.values[0] is not fa.arena.values[0]
+    assert clone.rep.values[0] is not fa.rep.values[0]
 
 
 def test_arena_pickle_round_trip():
-    """Process-pool workers ship arena-backed results by pickle."""
+    """Process-pool workers ship results by pickle."""
     fr, _, _ = _nonempty_result(303)
-    fa = fr.to_arena()
+    fa = from_object(fr)
     loaded = pickle.loads(pickle.dumps(fa))
-    assert loaded.encoding == "arena"
     assert list(loaded.rows()) == list(fa.rows())
     loaded.validate()
 
@@ -199,13 +190,12 @@ def _grocery_like():
 @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "!="])
 def test_select_fast_path_matches_object_path(op):
     db, query = _grocery_like()
-    fo = FDB(db).evaluate(query)
-    fa = FDB(db, encoding="arena").evaluate(query)
+    fo = ReferenceEngine(db).evaluate(query)
+    fa = FDB(db).evaluate(query)
     for attribute in fo.attributes:
         cond = ConstantCondition(attribute, op, 2)
-        expected = select_constant(fo, cond)
+        expected = reference_ops.select_constant(fo, cond)
         got = select_constant(fa, cond)
-        assert got.encoding == "arena" or got.is_empty()
         assert sorted(got.rows()) == sorted(expected.rows()), (
             attribute,
             op,
@@ -214,66 +204,66 @@ def test_select_fast_path_matches_object_path(op):
             got.validate()
 
 
-def test_select_equality_falls_back_and_agrees():
+def test_select_equality_agrees():
     db, query = _grocery_like()
-    fo = FDB(db).evaluate(query)
-    fa = FDB(db, encoding="arena").evaluate(query)
+    fo = ReferenceEngine(db).evaluate(query)
+    fa = FDB(db).evaluate(query)
     cond = ConstantCondition("item", "=", 3)
-    expected = select_constant(fo, cond)
+    expected = reference_ops.select_constant(fo, cond)
     got = select_constant(fa, cond)
     assert sorted(got.rows()) == sorted(expected.rows())
 
 
-def test_select_fast_path_empty_result_keeps_arena_encoding():
+def test_select_fast_path_empty_result():
     db, query = _grocery_like()
-    fa = FDB(db, encoding="arena").evaluate(query)
+    fa = FDB(db).evaluate(query)
     cond = ConstantCondition("oid", "<", -1)
     got = select_constant(fa, cond)
     assert got.is_empty()
-    assert got.encoding == "arena"
+    assert got.tree.key() == fa.tree.key()
 
 
 def test_project_subtree_drop_fast_path():
-    """A projection that removes whole subtrees keeps the arena and
-    agrees with the object path's relation."""
+    """A projection that removes whole subtrees shares the surviving
+    columns and agrees with the object path's relation."""
     db, query = _grocery_like()
-    fo = FDB(db).evaluate(query)
-    fa = FDB(db, encoding="arena").evaluate(query)
+    fo = ReferenceEngine(db).evaluate(query)
+    fa = FDB(db).evaluate(query)
     # Find a projection that drops a leaf subtree: project onto all
     # attributes of the tree except one leaf node's.
     tree = fa.tree
     leaves = [n for n in tree.iter_nodes() if not n.children]
     target = leaves[-1]
     keep = sorted(tree.attributes() - target.label)
-    expected = project(fo, keep)
+    expected = reference_ops.project(fo, keep)
     got = project(fa, keep)
-    assert got.encoding == "arena"
+    assert got.rep.pool is fa.rep.pool
     assert sorted(got.rows()) == sorted(expected.rows())
     got.validate()
 
 
 def test_project_identity_returns_input():
     db, query = _grocery_like()
-    fa = FDB(db, encoding="arena").evaluate(query)
+    fa = FDB(db).evaluate(query)
     assert project(fa, sorted(fa.tree.attributes())) is fa
 
 
 @pytest.mark.parametrize("seed", PROPERTY_SEEDS[:15])
-def test_random_projections_agree_between_encodings(seed):
-    """Projection over arena inputs (fast path or fallback) always
-    matches the object reference."""
+def test_random_projections_agree_with_reference(seed):
+    """Projection (fast path or general phases) always matches the
+    object reference."""
     import random
 
     rng = random.Random(seed)
     fr, db, query = _result_pair(seed)
     if fr.is_empty():
         pytest.skip("empty result")
-    fa = fr.to_arena()
+    fa = from_object(fr)
     attrs = list(fr.attributes)
     keep = sorted(
         rng.sample(attrs, rng.randint(1, len(attrs)))
     )
-    expected = project(fr, keep)
+    expected = reference_ops.project(fr, keep)
     got = project(fa, keep)
     assert sorted(set(got.rows())) == sorted(set(expected.rows()))
 
@@ -290,7 +280,7 @@ def _chain_arena(seed: int):
         [("a00", [("a01", [("a02", [])])])],
         edges=[{"a00", "a01", "a02"}],
     )
-    rep = factorise([db["R0"]], tree, encoding="arena")
+    rep = factorise([db["R0"]], tree)
     assert rep.entry_count >= arena._CODEGEN_MIN_ENTRIES
     return rep
 
@@ -354,7 +344,7 @@ def test_validate_arena_rejects_mismatched_tree():
     fr, _, _ = _nonempty_result(304)
     if fr.is_empty():
         pytest.skip("empty result")
-    rep = fr.to_arena().arena
+    rep = from_object(fr).rep
     other = FTree.from_nested([("zz", [])], edges=[])
     with pytest.raises(ArenaError):
         arena.validate_arena(other, rep)
@@ -362,8 +352,8 @@ def test_validate_arena_rejects_mismatched_tree():
 
 def test_validate_arena_rejects_bad_ranges():
     db, query = _grocery_like()
-    fa = FDB(db, encoding="arena").evaluate(query)
-    broken = fa.arena.copy()
+    fa = FDB(db).evaluate(query)
+    broken = fa.rep.copy()
     for slots in broken.child_hi:
         if slots and len(slots[0]):
             slots[0][0] = 10_000_000
@@ -372,11 +362,43 @@ def test_validate_arena_rejects_bad_ranges():
         arena.validate_arena_bounds(fa.tree, broken)
 
 
+def test_validate_arena_enforces_the_constant_node_rule():
+    """A ``constant`` node holds exactly one value per union (what an
+    equality selection leaves behind); a hand-built two-value union
+    under one is well-formed in every other respect -- sorted, tiled,
+    in bounds -- and must still be rejected."""
+    from repro.core.ftree import FNode
+
+    tree = FTree(
+        [FNode({"c"}, [FNode({"x"}, [])], constant=True)],
+        Hypergraph([]),
+    )
+    good = ArenaWriter(tree)
+    good.extend_leaf(1, [7, 8])
+    good.child_lo[0][0].append(0)
+    good.child_hi[0][0].append(2)
+    good.values[0].append(good.intern(5))
+    arena.validate_arena(tree, good.finish())
+
+    bad = ArenaWriter(tree)
+    for value, (lo, hi) in ((5, (0, 1)), (6, (1, 2))):
+        bad.extend_leaf(1, [value + 2])
+        bad.child_lo[0][0].append(lo)
+        bad.child_hi[0][0].append(hi)
+        bad.values[0].append(bad.intern(value))
+    rep = bad.finish()
+    arena.validate_arena_bounds(tree, rep)  # structurally fine
+    with pytest.raises(ArenaError, match="constant node"):
+        arena.validate_arena(tree, rep)
+    with pytest.raises(ArenaError, match="constant node"):
+        FactorisedRelation(tree, rep).validate()
+
+
 def test_pool_is_compacted_after_build():
     """Rolled-back entries must not leave dangling pool values."""
     db, query = _grocery_like()
-    fa = FDB(db, encoding="arena").evaluate(query)
-    rep = fa.arena
+    fa = FDB(db).evaluate(query)
+    rep = fa.rep
     used = set()
     for column in rep.values:
         used.update(column)
@@ -394,8 +416,8 @@ def test_count_distinct_collapses_equal_values_of_different_types():
     db = Database()
     db.add_rows("R", ("a", "c"), [(1, 1), (2, 1.0), (3, True), (4, 2)])
     q = parse_query("SELECT * FROM R")
-    fo = FDB(db).evaluate(q)
-    fa = FDB(db, encoding="arena").evaluate(q)
+    fo = ReferenceEngine(db).evaluate(q)
+    fa = FDB(db).evaluate(q)
     assert fo.count_distinct("c") == fa.count_distinct("c") == 2
 
 
@@ -409,7 +431,7 @@ def test_bounds_check_rejects_non_contiguous_ranges():
         "R", ("a", "b"), [(1, 1), (1, 2), (2, 3), (2, 4)]
     )
     tree = FTree.from_nested([("a", [("b", [])])], [{"a", "b"}])
-    rep = factorise([r], tree, encoding="arena")
+    rep = factorise([r], tree)
     arena.validate_arena_bounds(tree, rep)  # healthy baseline
     # Swap the two a-entries' b-ranges: [0,2) and [2,4) become [2,4)
     # and [0,2) -- every offset stays in bounds and non-empty, but the
@@ -429,7 +451,7 @@ def test_bounds_check_rejects_non_contiguous_ranges():
 
 def test_iter_rows_unknown_attribute_raises_like_objects():
     fr, _, _ = _nonempty_result(306)
-    fa = fr.to_arena()
+    fa = from_object(fr)
     with pytest.raises(KeyError):
         list(fr.rows(["not_an_attribute"]))
     with pytest.raises(KeyError):

@@ -1,18 +1,15 @@
-"""Seeded property tests: arena-native operators equal their object twins.
+"""Seeded property tests: the operator kernels equal their object twins.
 
-Every f-plan operator now has a columnar kernel that runs directly on
-the arena encoding (:mod:`repro.ops.arena_kernels`); the object
-implementations are kept as the differential oracle.  These tests pin
-the equivalence on the shapes the kernels are easiest to get wrong:
+Every f-plan operator is a columnar kernel on the arena
+(:mod:`repro.ops.arena_kernels`); the object implementations in
+:mod:`repro.reference.ops` are the differential oracle.  These tests
+pin the equivalence on the shapes the kernels are easiest to get wrong:
 
-- empty inputs (``arena=None`` must propagate, never materialise);
+- empty inputs (``None`` must propagate);
 - single-row relations (every union is a singleton, every child range
   is ``[0, 1)``);
 - deep chain skeletons (per-level recursion depth equals tree height);
-- randomly drawn operator applications over seeded databases, with
-  the arena<->object adapter counters asserted flat across the arena
-  run -- an operator that silently falls back to the object encoding
-  fails here, not just in the benchmarks.
+- randomly drawn operator applications over seeded databases.
 """
 
 from __future__ import annotations
@@ -26,19 +23,22 @@ import pytest
 from repro import ops
 from repro.core.arena import validate_arena
 from repro.core.build import factorise
-from repro.core.factorised import ADAPTER, FactorisedRelation
+from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
 from repro.engine import FDB
 from repro.query.query import ConstantCondition, Query
+from repro.reference import ObjectRelation, ReferenceEngine
+from repro.reference import factorise as reference_factorise
+from repro.reference import ops as reference_ops
 from repro.workloads import random_database, random_spj_queries
 
 #: Database seeds for the randomized sweeps.
 SEEDS = [301, 302, 303]
 
 _STEP_OPS = {
-    "swap": ops.swap,
-    "merge": ops.merge,
-    "absorb": ops.absorb,
+    "swap": (ops.swap, reference_ops.swap),
+    "merge": (ops.merge, reference_ops.merge),
+    "absorb": (ops.absorb, reference_ops.absorb),
 }
 
 
@@ -50,32 +50,30 @@ def _database(seed: int, tuples: int = 6):
 
 def _twins(
     db, query: Query
-) -> Tuple[FactorisedRelation, FactorisedRelation]:
-    """The same factorised join in both encodings, over one tree."""
+) -> Tuple[FactorisedRelation, ObjectRelation]:
+    """The same factorised join from the engine and from the
+    reference, over one tree."""
     tree = FDB(db).optimal_tree(query)
-    arena_fr = FDB(db, encoding="arena").factorise_query(
-        query, tree=tree
-    )
-    object_fr = FDB(db).factorise_query(query, tree=tree)
+    arena_fr = FDB(db).factorise_query(query, tree=tree)
+    object_fr = ReferenceEngine(db).factorise_query(query, tree=tree)
     return arena_fr, object_fr
 
 
-def _rows(fr: FactorisedRelation) -> Tuple[tuple, List[tuple]]:
+def _rows(fr) -> Tuple[tuple, List[tuple]]:
     order = tuple(sorted(fr.tree.attributes()))
     return order, sorted(set(fr.rows(order)))
 
 
 def _assert_twin(
     arena_out: FactorisedRelation,
-    object_out: FactorisedRelation,
+    object_out: ObjectRelation,
     context: str,
 ) -> None:
-    assert arena_out.encoding == "arena", f"{context}: fell back to object"
     assert (
         arena_out.tree.key() == object_out.tree.key()
     ), f"{context}: trees diverge"
-    if arena_out.arena is not None:
-        validate_arena(arena_out.tree, arena_out.arena)
+    if arena_out.rep is not None:
+        validate_arena(arena_out.tree, arena_out.rep)
     assert _rows(arena_out) == _rows(object_out), context
 
 
@@ -111,8 +109,11 @@ def _candidate_steps(
     return steps[:limit]
 
 
-def _apply(kind: str, fr: FactorisedRelation, args) -> FactorisedRelation:
-    return _STEP_OPS[kind](fr, *args)
+def _apply(kind: str, fr, args):
+    """One restructuring step, by the kernel or by its object twin."""
+    engine_op, reference_op = _STEP_OPS[kind]
+    op = engine_op if isinstance(fr, FactorisedRelation) else reference_op
+    return op(fr, *args)
 
 
 # -- randomized operator sweep ------------------------------------------------
@@ -130,13 +131,7 @@ def test_random_steps_match_object_twin(seed):
         base = Query.make(query.relations)
         arena_fr, object_fr = _twins(db, base)
         for kind, args in _candidate_steps(arena_fr.tree, rng):
-            before = ADAPTER.snapshot()["to_object_calls"]
             arena_out = _apply(kind, arena_fr, args)
-            after = ADAPTER.snapshot()["to_object_calls"]
-            assert after == before, (
-                f"seed {seed} {kind}{args}: arena op took "
-                f"{after - before} adapter round trips"
-            )
             object_out = _apply(kind, object_fr, args)
             _assert_twin(
                 arena_out, object_out, f"seed {seed} {kind}{args}"
@@ -161,18 +156,18 @@ def test_select_project_normalise_match_object_twin(seed):
             cond = ConstantCondition(attr, op, rng.randint(1, 5))
             _assert_twin(
                 ops.select_constant(arena_fr, cond),
-                ops.select_constant(object_fr, cond),
+                reference_ops.select_constant(object_fr, cond),
                 f"seed {seed} select {cond}",
             )
         keep = rng.sample(attrs, rng.randint(1, len(attrs)))
         _assert_twin(
             ops.project(arena_fr, keep),
-            ops.project(object_fr, keep),
+            reference_ops.project(object_fr, keep),
             f"seed {seed} project {keep}",
         )
         _assert_twin(
             ops.normalise(arena_fr),
-            ops.normalise(object_fr),
+            reference_ops.normalise(object_fr),
             f"seed {seed} normalise",
         )
 
@@ -197,15 +192,15 @@ def test_union_and_product_match_object_twin(seed):
     query = Query.make(names[:2])
     tree = FDB(db).optimal_tree(query)
     arena_parts = [
-        FDB(h, encoding="arena").factorise_query(query, tree=tree)
-        for h in halves
+        FDB(h).factorise_query(query, tree=tree) for h in halves
     ]
     object_parts = [
-        FDB(h).factorise_query(query, tree=tree) for h in halves
+        ReferenceEngine(h).factorise_query(query, tree=tree)
+        for h in halves
     ]
     _assert_twin(
         ops.union(*arena_parts),
-        ops.union(*object_parts),
+        reference_ops.union(*object_parts),
         f"seed {seed} union",
     )
     # Product: two joins over disjoint relation subsets.
@@ -214,7 +209,7 @@ def test_union_and_product_match_object_twin(seed):
     b_arena, b_object = _twins(db, qb)
     _assert_twin(
         ops.product(a_arena, b_arena),
-        ops.product(a_object, b_object),
+        reference_ops.product(a_object, b_object),
         f"seed {seed} product",
     )
 
@@ -223,7 +218,7 @@ def test_union_and_product_match_object_twin(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_empty_inputs_stay_arena_and_match(seed):
+def test_empty_inputs_stay_empty_and_match(seed):
     db = _database(seed)
     rng = random.Random(seed + 2)
     names = sorted(rel.name for rel in db)
@@ -234,23 +229,21 @@ def test_empty_inputs_stay_arena_and_match(seed):
     attr = sorted(arena_fr.tree.attributes())[0]
     nope = ConstantCondition(attr, "<", -10_000)
     arena_empty = ops.select_constant(arena_fr, nope)
-    object_empty = ops.select_constant(object_fr, nope)
+    object_empty = reference_ops.select_constant(object_fr, nope)
     assert arena_empty.is_empty() and object_empty.is_empty()
-    assert arena_empty.encoding == "arena"
     for kind, args in _candidate_steps(arena_empty.tree, rng, limit=6):
         arena_out = _apply(kind, arena_empty, args)
         object_out = _apply(kind, object_empty, args)
         context = f"seed {seed} empty {kind}{args}"
         assert arena_out.is_empty(), context
-        assert arena_out.encoding == "arena", context
         assert (
             arena_out.tree.key() == object_out.tree.key()
         ), context
     attrs = sorted(arena_empty.tree.attributes())
     keep = attrs[: max(1, len(attrs) // 2)]
     arena_proj = ops.project(arena_empty, keep)
-    object_proj = ops.project(object_empty, keep)
-    assert arena_proj.is_empty() and arena_proj.encoding == "arena"
+    object_proj = reference_ops.project(object_empty, keep)
+    assert arena_proj.is_empty()
     assert arena_proj.tree.key() == object_proj.tree.key()
     # Union with an empty side preserves the non-empty input verbatim.
     assert ops.union(arena_empty, arena_fr).count() == arena_fr.count()
@@ -304,20 +297,17 @@ def _chain(depth: int, rows_per_level: int = 2):
 def test_deep_chain_skeleton_matches():
     depth = 60
     tree, relations = _chain(depth)
-    arena_fr = FactorisedRelation(
-        tree, arena=factorise(relations, tree, encoding="arena")
-    )
-    object_fr = FactorisedRelation(
-        tree, factorise(relations, tree)
+    arena_fr = FactorisedRelation(tree, factorise(relations, tree))
+    object_fr = ObjectRelation(
+        tree, reference_factorise(relations, tree)
     )
     # Swap at the very bottom of the chain, then renormalise: the
     # kernels recurse the full spine both ways.
     a, b = f"x{depth - 2:03d}", f"x{depth - 1:03d}"
-    before = ADAPTER.snapshot()["to_object_calls"]
     arena_out = ops.normalise(ops.swap(arena_fr, a, b))
-    after = ADAPTER.snapshot()["to_object_calls"]
-    assert after == before, "deep chain took adapter round trips"
-    object_out = ops.normalise(ops.swap(object_fr, a, b))
+    object_out = reference_ops.normalise(
+        reference_ops.swap(object_fr, a, b)
+    )
     _assert_twin(arena_out, object_out, "deep chain swap+normalise")
 
 
@@ -326,14 +316,14 @@ def test_deep_chain_skeleton_matches():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_compiled_plans_match_object_stepwise(seed):
-    """``FPlan.execute`` on arena input runs the fused compiled chain;
-    it must agree with the object path's kernel-at-a-time replay."""
+    """``FPlan.execute`` runs the fused compiled chain; it must agree
+    with the reference's operator-at-a-time replay."""
     db = _database(seed)
     queries = random_spj_queries(
         db, 5, seed=seed + 900, max_relations=3, max_equalities=3
     )
-    arena_engine = FDB(db, encoding="arena")
-    object_engine = FDB(db)
+    arena_engine = FDB(db)
+    object_engine = ReferenceEngine(db)
     with_steps = 0
     for index, query in enumerate(queries):
         base = Query.make(query.relations)
@@ -344,14 +334,8 @@ def test_compiled_plans_match_object_stepwise(seed):
                 (eq.left, eq.right) for eq in query.equalities
             ],
         )
-        before = ADAPTER.snapshot()["to_object_calls"]
         arena_out, arena_plan = arena_engine.evaluate_on(
             arena_fr, followup
-        )
-        after = ADAPTER.snapshot()["to_object_calls"]
-        assert after == before, (
-            f"seed {seed} query {index}: compiled plan took "
-            f"{after - before} adapter round trips"
         )
         object_out, object_plan = object_engine.evaluate_on(
             object_fr, followup

@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from repro.core import arena
 from repro.core.build import Factoriser, factorise
-from repro.core.enumerate import iter_assignments, iter_rows
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree, FTreeError
-from repro.core.size import representation_size, tuple_count
 from repro.query.query import Query
+from repro.reference import ProductRep
+from repro.reference import factorise as reference_factorise
+from repro.reference.walkers import iter_assignments, iter_rows
 from repro.relational.database import Database
 from repro.relational.engine import RelationalEngine
 from repro.relational.relation import Relation
@@ -111,19 +113,21 @@ def test_enumeration_order_is_sorted():
 def test_iter_rows_projection_order():
     r = Relation.from_rows("R", ("a", "b"), [(1, 2)])
     tree = FTree.from_nested([("a", [("b", [])])], [{"a", "b"}])
-    rep = factorise([r], tree)
+    assert list(arena.iter_rows(factorise([r], tree), ("b", "a"))) == [
+        (2, 1)
+    ]
+    rep = reference_factorise([r], tree)
     assert list(iter_rows(tree.roots, rep, ("b", "a"))) == [(2, 1)]
 
 
 def test_iter_assignments_none_is_empty():
     tree = FTree.from_nested([("a", [])], [{"a"}])
     assert list(iter_assignments(tree.roots, None)) == []
+    assert list(arena.iter_assignments(None)) == []
 
 
 def test_nullary_product_enumerates_one_tuple():
-    assert list(iter_assignments((), __import__(
-        "repro.core.frep", fromlist=["ProductRep"]
-    ).ProductRep())) == [{}]
+    assert list(iter_assignments((), ProductRep())) == [{}]
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1,12 +1,12 @@
 """Unit tests for the command-line interface."""
 
-import json
 import os
 import subprocess
 import sys
 
 import pytest
 
+from repro import persist
 from repro.cli import main
 from repro.relational.csvio import dump_database
 from repro.workloads import grocery_database
@@ -67,7 +67,7 @@ def test_query_greedy_planner(csv_dir, capsys):
 
 
 def test_compile_and_stats_round_trip(csv_dir, tmp_path, capsys):
-    out_path = str(tmp_path / "compiled.json")
+    out_path = str(tmp_path / "compiled.fdbp")
     code = main(
         [
             "compile",
@@ -82,14 +82,35 @@ def test_compile_and_stats_round_trip(csv_dir, tmp_path, capsys):
     )
     assert code == 0
     assert os.path.exists(out_path)
-    with open(out_path) as handle:
-        doc = json.load(handle)
-    assert doc["format"] == "fdb-factorised"
+    assert persist.inspect(out_path)["kind"] == "arena"
 
     code = main(["stats", out_path])
     assert code == 0
     out = capsys.readouterr().out
-    assert "tuples" in out
+    assert "6 tuples, 15 singletons" in out
+
+
+def test_stats_refuses_files_that_hold_no_factorisation(csv_dir, tmp_path):
+    db_path = str(tmp_path / "db.fdbp")
+    assert main(["save", "--csv", csv_dir["Orders"], "-o", db_path]) == 0
+    with pytest.raises(SystemExit, match="not a factorisation"):
+        main(["stats", db_path])
+    with pytest.raises(SystemExit, match="cannot load"):
+        main(["stats", str(tmp_path / "missing.fdbp")])
+
+
+def test_the_arena_flags_are_gone(csv_dir, capsys):
+    """``--arena`` / ``--encoding`` selected between two encodings;
+    with one left they are argparse errors, not silently accepted."""
+    for argv in (
+        ["batch", "--arena", "--csv", csv_dir["Orders"], "--sql", "x"],
+        ["query", "SELECT oid FROM Orders", "--arena"],
+        ["serve", "--csv", csv_dir["Orders"], "--encoding", "arena"],
+    ):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_experiment_command(capsys):

@@ -78,7 +78,7 @@ class Cluster:
         persist.save(self.sharded, self.path)
         self.servers = [
             ServerThread(
-                QuerySession(persist.load(self.path), encoding="arena"),
+                QuerySession(persist.load(self.path)),
                 owned_shards=[] if own else None,
             )
             for _ in range(workers)
@@ -232,7 +232,7 @@ def test_cluster_answers_from_the_surviving_copy(tmp_path):
     with QuerySession(sharded) as plain:
         expected = [plain.run(q).rows() for q in queries]
     server = ServerThread(
-        QuerySession(persist.load(good), encoding="arena")
+        QuerySession(persist.load(good))
     )
     dead_port = server.address[1] + 1  # nothing listens there
     dead_key = f"127.0.0.1:{dead_port}"
@@ -266,7 +266,7 @@ def test_cluster_answers_from_the_surviving_copy(tmp_path):
 def test_ownership_contract_over_the_wire(tmp_path):
     db = _database(77)
     sharded = ShardedDatabase.from_database(db, shards=2)
-    session = QuerySession(sharded, encoding="arena")
+    session = QuerySession(sharded)
     query = _queries(db, 78, 1)[0]
     with QuerySession(
         ShardedDatabase.from_database(db, shards=2)
@@ -527,7 +527,7 @@ def test_quarantine_blocks_attempts_then_half_open_probe_recovers(
     path = str(tmp_path / "saved")
     persist.save(sharded, path)
     server = ServerThread(
-        QuerySession(persist.load(path), encoding="arena")
+        QuerySession(persist.load(path))
     )
     proxy = ChaosProxy(server.address)
     executor = ReplicatedExecutor(
@@ -671,7 +671,7 @@ def test_version_mismatched_worker_is_skipped_then_reprobed(tmp_path):
     persist.save(sharded, path)
     ahead = persist.load(path)
     ahead.extend_rows("R0", [(99, 99)])  # the worker runs one ahead
-    server = ServerThread(QuerySession(ahead, encoding="arena"))
+    server = ServerThread(QuerySession(ahead))
     executor = ReplicatedExecutor(
         [server.address], replication_factor=1, timeout=30
     )

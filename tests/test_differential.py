@@ -5,8 +5,10 @@ on the full SPJ space, not just the hand-picked paper workloads.  The
 harness draws seeded random SPJ queries (random relation subsets,
 non-redundant equalities, constant comparisons over actual attribute
 values, random projections) via :mod:`repro.workloads.generator` and
-asserts that the factorised engine, the flat relational engine and the
-SQLite comparator return exactly the same sorted result tuples.
+asserts that the factorised engine, its object-at-a-time reference
+implementation (:mod:`repro.reference`), the flat relational engine
+and the SQLite comparator return exactly the same sorted result
+tuples.
 
 All seeds are fixed, so a failure is reproducible by query index.
 """
@@ -20,6 +22,7 @@ import pytest
 from repro.engine import FDB
 from repro.exec import ParallelExecutor, SerialExecutor
 from repro.query.query import Query
+from repro.reference import ReferenceEngine
 from repro.relational.database import Database
 from repro.relational.engine import RelationalEngine
 from repro.relational.sqlite_engine import SQLiteEngine
@@ -50,6 +53,15 @@ def fdb_rows(
 ) -> Tuple[Tuple[str, ...], List[tuple]]:
     """FDB result as (sorted attribute order, sorted distinct rows)."""
     fr = FDB(db, check_invariants=True).evaluate(query)
+    order = fr.attributes
+    return order, sorted(set(fr.rows(order)))
+
+
+def reference_rows(
+    db: Database, query: Query
+) -> Tuple[Tuple[str, ...], List[tuple]]:
+    """The reference implementation's result, as :func:`fdb_rows`."""
+    fr = ReferenceEngine(db, check_invariants=True).evaluate(query)
     order = fr.attributes
     return order, sorted(set(fr.rows(order)))
 
@@ -89,6 +101,7 @@ def test_engines_agree_on_random_spj_queries(
         for index, query in enumerate(queries):
             order, expected = fdb_rows(db, query)
             context = f"seed {db_seed}/{query_seed} query {index}: {query}"
+            assert reference_rows(db, query) == (order, expected), context
             assert flat_rows(db, query, order) == expected, context
             assert (
                 sqlite_rows(sqlite, db, query, order) == expected
@@ -237,18 +250,19 @@ def test_session_fallback_path_agrees():
     assert session.stats.fallbacks == len(queries)
 
 
-def test_arena_engine_path_agrees():
-    """The arena-encoded engine joins the harness (PR-1 policy): same
-    seeded random SPJ batches, exactly the same answers as the object
-    encoding, the flat engine and SQLite."""
+def test_fdb_agrees_with_the_reference_implementation():
+    """FDB vs ``repro.reference`` (PR-1 policy): on the same seeded
+    random SPJ batches the engine, served through a session, gives
+    exactly the answers of the object-at-a-time reference, the flat
+    engine and SQLite."""
     db = _database(107)
     queries = _queries(db, 207, 20)
     with QuerySession(
-        db, encoding="arena", check_invariants=True
+        db, check_invariants=True
     ) as session, SQLiteEngine(db) as sqlite:
         for index, query in enumerate(queries):
-            order, expected = fdb_rows(db, query)
-            context = f"arena engine, query {index}: {query}"
+            order, expected = reference_rows(db, query)
+            context = f"FDB vs reference, query {index}: {query}"
             assert session.run(query).rows() == expected, context
             assert flat_rows(db, query, order) == expected, context
             assert (
@@ -258,9 +272,9 @@ def test_arena_engine_path_agrees():
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize("strategy", ["hash", "round_robin"])
-def test_arena_sharded_parallel_path_agrees(strategy, shards):
-    """Arena encoding through the sharded + parallel union path (the
-    level-synchronous ``union_arenas`` kernel)."""
+def test_sharded_parallel_path_agrees_with_the_reference(strategy, shards):
+    """The sharded + parallel union path (the level-synchronous
+    ``union_arenas`` kernel) against the reference implementation."""
     db = _database(108)
     sharded = ShardedDatabase.from_database(
         db, shards=shards, strategy=strategy
@@ -270,14 +284,13 @@ def test_arena_sharded_parallel_path_agrees(strategy, shards):
     with QuerySession(
         sharded,
         executor=executor,
-        encoding="arena",
         check_invariants=True,
     ) as session:
         results = session.run_batch(queries)
         for index, (query, result) in enumerate(zip(queries, results)):
-            _, expected = fdb_rows(db, query)
+            _, expected = reference_rows(db, query)
             context = (
-                f"arena sharded ({strategy} x {shards}), "
+                f"sharded vs reference ({strategy} x {shards}), "
                 f"query {index}: {query}"
             )
             assert result.rows() == expected, context
@@ -298,7 +311,7 @@ def test_served_path_agrees_with_all_engines(
 
     db = _database(db_seed)
     queries = _queries(db, query_seed, count)
-    session = QuerySession(db, encoding="arena", check_invariants=True)
+    session = QuerySession(db, check_invariants=True)
     with ServerThread(session) as server, RemoteSession(
         server.address
     ) as client, SQLiteEngine(db) as sqlite:
@@ -343,7 +356,7 @@ def test_remote_executor_multi_worker_path_agrees(
     path = str(tmp_path / "sharded")
     persist.save(sharded, path)
     queries = _queries(db, query_seed, count)
-    worker_a = QuerySession(persist.load(path), encoding="arena")
+    worker_a = QuerySession(persist.load(path))
     worker_b = QuerySession(persist.load(path))
     with ServerThread(worker_a) as server_a, ServerThread(
         worker_b
@@ -415,7 +428,7 @@ def test_replicated_cluster_with_one_dead_worker_agrees(
     queries = _queries(db, query_seed, count)
     servers = [
         ServerThread(
-            QuerySession(persist.load(path), encoding="arena"),
+            QuerySession(persist.load(path)),
             owned_shards=[],
         )
         for _ in range(3)
@@ -476,11 +489,11 @@ def test_arena_saved_then_reloaded_results_agree(tmp_path):
 
     db = _database(109)
     queries = _queries(db, 209, 10)
-    with QuerySession(db, encoding="arena") as session:
+    with QuerySession(db) as session:
         for index, query in enumerate(queries):
             result = session.run(query, engine="fdb")
             fr = result.factorised
-            if fr is None or fr.encoding != "arena":
+            if fr is None:
                 continue
             path = str(tmp_path / f"result-{index}.fdbp")
             persist.save(fr, path)
@@ -493,20 +506,18 @@ def test_arena_saved_then_reloaded_results_agree(tmp_path):
 
 
 @pytest.mark.parametrize("db_seed,query_seed,count", BATCHES)
-def test_arena_native_plans_agree_without_adapter_round_trips(
+def test_fplans_on_factorised_input_agree_with_the_reference(
     db_seed, query_seed, count
 ):
     """Force every query through the factorised-input path: factorise
     the bare join first, then run selections/projection as an f-plan
-    over it, on both encodings.  The arena side must match the object
-    side, the one-shot engines and SQLite -- and must never round-trip
-    through the object encoding (the adapter counter stays flat)."""
-    from repro.core.factorised import ADAPTER
-
+    over it, in the engine (one compiled kernel chain) and in the
+    reference (operator at a time).  Both must match each other, the
+    one-shot engines and SQLite."""
     db = _database(db_seed)
     sqlite = SQLiteEngine(db)
-    arena_engine = FDB(db, encoding="arena")
-    object_engine = FDB(db)
+    arena_engine = FDB(db)
+    object_engine = ReferenceEngine(db)
     restructured = 0
     for index, query in enumerate(_queries(db, query_seed, count)):
         base = Query.make(query.relations)
@@ -524,17 +535,11 @@ def test_arena_native_plans_agree_without_adapter_round_trips(
             projection=query.projection,
         )
         context = (
-            f"arena plans, seed {db_seed}/{query_seed} "
+            f"f-plans, seed {db_seed}/{query_seed} "
             f"query {index}: {query}"
         )
-        before = ADAPTER.snapshot()["to_object_calls"]
         arena_out, arena_plan = arena_engine.evaluate_on(
             arena_fr, followup
-        )
-        after = ADAPTER.snapshot()["to_object_calls"]
-        assert after == before, (
-            f"{context}: {after - before} adapter round trips "
-            f"during plan {arena_plan}"
         )
         object_out, object_plan = object_engine.evaluate_on(
             object_fr, followup
@@ -542,7 +547,6 @@ def test_arena_native_plans_agree_without_adapter_round_trips(
         assert str(arena_plan) == str(object_plan), context
         if arena_plan.steps:
             restructured += 1
-        assert arena_out.encoding == "arena", context
         order, expected = fdb_rows(db, query)
         assert sorted(set(arena_out.rows(order))) == expected, context
         assert sorted(set(object_out.rows(order))) == expected, context

@@ -21,6 +21,7 @@ import repro.optimiser.greedy
 import repro.query.equivalence
 import repro.query.parser
 import repro.query.query
+import repro.reference.relation
 import repro.relational.csvio
 import repro.relational.database
 import repro.relational.engine
@@ -45,6 +46,7 @@ MODULES = [
     repro.query.equivalence,
     repro.query.parser,
     repro.query.query,
+    repro.reference.relation,
     repro.relational.csvio,
     repro.relational.database,
     repro.relational.engine,

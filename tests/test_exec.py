@@ -57,9 +57,9 @@ def test_union_with_empty_side_returns_other(db):
     from repro.core.factorised import FactorisedRelation
 
     hollow = FactorisedRelation(full.tree, None)
-    assert ops.union(full, hollow).data is full.data
-    assert ops.union(hollow, full).data is full.data
-    assert ops.union(hollow, hollow).data is None
+    assert ops.union(full, hollow).rep is full.rep
+    assert ops.union(hollow, full).rep is full.rep
+    assert ops.union(hollow, hollow).rep is None
     assert empty.count() == 0
 
 

@@ -2,13 +2,19 @@
 
 import pytest
 
+from repro.core import FRepError
 from repro.core.build import factorise
 from repro.core.factorised import FactorisedRelation
-from repro.core.frep import FRepError, ProductRep, UnionRep
 from repro.core.ftree import FNode, FTree
-from repro.core.size import data_elements, representation_size, tuple_count
-from repro.core.validate import validate, validate_relation
 from repro.query.hypergraph import Hypergraph
+from repro.reference import ProductRep, UnionRep, to_object
+from repro.reference.walkers import (
+    data_elements,
+    representation_size,
+    tuple_count,
+    validate,
+    validate_relation,
+)
 from repro.relational.relation import Relation
 
 
@@ -27,17 +33,17 @@ def test_attributes_sorted(fr):
 
 def test_size_counts_singletons(fr):
     assert fr.size() == 5
-    assert representation_size(fr.tree.roots, fr.data) == 5
+    assert representation_size(fr.tree.roots, to_object(fr).data) == 5
 
 
 def test_count_without_enumeration(fr):
     assert fr.count() == 3
-    assert tuple_count(fr.tree.roots, fr.data) == 3
+    assert tuple_count(fr.tree.roots, to_object(fr).data) == 3
 
 
 def test_flat_data_elements(fr):
     assert fr.flat_data_elements() == 3 * 2
-    assert data_elements(fr.tree.roots, fr.data) == 6
+    assert data_elements(fr.tree.roots, to_object(fr).data) == 6
 
 
 def test_empty_relation():
@@ -79,9 +85,18 @@ def test_pretty_is_definition1_text(fr):
 
 def test_copy_is_independent(fr):
     clone = fr.copy()
-    clone.data.factors[0].entries.pop()
+    # Drop the a=2 entry (and the b-union below it) from the clone.
+    rep = clone.rep
+    for column in (rep.values[0], rep.child_lo[0][0], rep.child_hi[0][0]):
+        column.pop()
+    rep.values[1].pop()
     assert fr.count() == 3
     assert clone.count() != 3
+    obj = to_object(fr)
+    obj_clone = obj.copy()
+    obj_clone.data.factors[0].entries.pop()
+    assert obj.count() == 3
+    assert obj_clone.count() != 3
 
 
 def test_validate_catches_misalignment():
@@ -121,6 +136,8 @@ def test_validate_relation_checks_path_constraint():
     )
     with pytest.raises(FRepError):
         validate_relation(tree, None)
+    with pytest.raises(FRepError):
+        FactorisedRelation(tree, None).validate()
 
 
 def test_repr_mentions_size_and_count(fr):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import FRepError
 from repro.core.expr import (
     Empty,
     ExprError,
@@ -10,17 +11,16 @@ from repro.core.expr import (
     Singleton,
     Union,
     expression_of,
-    from_structured,
 )
-from repro.core.frep import (
-    FRepError,
+from repro.core.ftree import FNode, FTree
+from repro.reference import from_product
+from repro.reference.frep import (
     ProductRep,
     UnionRep,
     check_sorted,
     iter_unions,
     singleton_union,
 )
-from repro.core.ftree import FNode, FTree
 from repro.query.hypergraph import Hypergraph
 
 
@@ -122,9 +122,14 @@ def test_expression_semantics_distributivity():
     assert factored.size() == 3 and flat.size() == 4
 
 
+def from_structured(tree, data):
+    """The AST of an object representation, through its arena."""
+    return expression_of(from_product(tree, data))
+
+
 def test_from_structured_round_trip():
     tree = small_tree()
-    expr = from_structured(tree.roots, small_data())
+    expr = from_structured(tree, small_data())
     assert expr.size() == 2 + 3  # 2 a-singletons + 3 b-singletons
     assert expr.tuples() == {
         (("a", 1), ("b", 1)),
@@ -136,29 +141,35 @@ def test_from_structured_round_trip():
 def test_expression_of_multi_attribute_label():
     tree = FTree.from_nested([(("a", "b"), [])], edges=[{"a"}, {"b"}])
     data = ProductRep([UnionRep([(1, ProductRep())])])
-    expr = expression_of(tree, data)
+    expr = from_structured(tree, data)
     assert expr.tuples() == {(("a", 1), ("b", 1))}
     assert expr.size() == 2
+    assert expr.to_text(unicode_glyphs=False) == "<a:1> x <b:1>"
+
+
+def test_nullary_tuple_renders_as_nullary():
+    nullary = FTree([], Hypergraph([]))
+    assert isinstance(from_structured(nullary, ProductRep()), Nullary)
 
 
 def test_to_text_glyphs():
     tree = small_tree()
-    text = from_structured(tree.roots, small_data()).to_text()
+    text = from_structured(tree, small_data()).to_text()
     assert "⟨a:1⟩" in text and "∪" in text and "×" in text
-    ascii_text = from_structured(tree.roots, small_data()).to_text(
+    ascii_text = from_structured(tree, small_data()).to_text(
         unicode_glyphs=False
     )
-    assert "<a:1>" in ascii_text
+    assert ascii_text == "<a:1> x (<b:1> u <b:2>) u <a:2> x <b:2>"
 
 
-def test_from_structured_arity_mismatch():
+def test_arity_mismatch_rejected():
     tree = small_tree()
-    with pytest.raises(ExprError):
-        from_structured(tree.roots, ProductRep([]))
+    with pytest.raises(FRepError):
+        from_structured(tree, ProductRep([]))
 
 
-def test_empty_union_in_structured_rejected():
+def test_empty_union_rejected():
     tree = small_tree()
     bad = ProductRep([UnionRep([])])
     with pytest.raises(ExprError):
-        from_structured(tree.roots, bad)
+        from_structured(tree, bad)

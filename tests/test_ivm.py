@@ -12,9 +12,10 @@ byte-identical (sorted flat tuples) to
 - the flat relational engine, and
 - SQLite.
 
-50 sequences run over four paths -- flat, arena, sharded + parallel
-executor, and served over the wire protocol (mutating through the
-client's ``mutate`` frames) -- with all seeds fixed, so a failure
+50 sequences run over four paths -- flat, flat recomputed by the
+``repro.reference`` implementation instead of a fresh engine, sharded
++ parallel executor, and served over the wire protocol (mutating
+through the client's ``mutate`` frames) -- with all seeds fixed, so a failure
 reproduces by sequence seed and mutation history.
 
 Alongside the harness: property tests for version monotonicity and
@@ -37,6 +38,7 @@ from repro.engine import FDB
 from repro.exec import ParallelExecutor
 from repro.ivm import absorbable, join_query
 from repro.query.query import Query
+from repro.reference import ReferenceEngine
 from repro.relational.database import Database
 from repro.relational.engine import RelationalEngine
 from repro.relational.sqlite_engine import SQLiteEngine
@@ -53,7 +55,7 @@ POOL = 5
 
 #: Sequence seeds per path -- 18 + 12 + 10 + 10 = 50 sequences.
 SEQ_FLAT = list(range(18))
-SEQ_ARENA = list(range(18, 30))
+SEQ_REFERENCE = list(range(18, 30))
 SEQ_SHARDED = list(range(30, 40))
 SEQ_SERVED = list(range(40, 50))
 
@@ -89,6 +91,16 @@ def fdb_rows(
 ) -> Tuple[Tuple[str, ...], List[tuple]]:
     """Recompute from scratch: a fresh engine, no caches."""
     fr = FDB(db, check_invariants=True).evaluate(query)
+    order = fr.attributes
+    return order, sorted(set(fr.rows(order)))
+
+
+def reference_rows(
+    db: Database, query: Query
+) -> Tuple[Tuple[str, ...], List[tuple]]:
+    """Recompute from scratch in the object-at-a-time reference
+    implementation (:mod:`repro.reference`)."""
+    fr = ReferenceEngine(db, check_invariants=True).evaluate(query)
     order = fr.attributes
     return order, sorted(set(fr.rows(order)))
 
@@ -169,8 +181,9 @@ def check(
     run_query: Callable[[Query], List[tuple]],
     seed: int,
     history: List[str],
+    recompute=fdb_rows,
 ) -> None:
-    order, expected = fdb_rows(db, query)
+    order, expected = recompute(db, query)
     context = f"seed {seed}, after {history}: {query}"
     assert run_query(query) == expected, context
     assert flat_rows(db, query, order) == expected, context
@@ -182,17 +195,18 @@ def run_sequence(
     db: Database,
     run_query: Callable[[Query], List[tuple]],
     wire=None,
+    recompute=fdb_rows,
 ) -> None:
     """One interleaved mutation/query sequence against one path."""
     rng = random.Random(seed)
     pool = _pool(db, seed)
     history: List[str] = []
     for query in pool:  # warm every cache tier pre-mutation
-        check(db, query, run_query, seed, history)
+        check(db, query, run_query, seed, history, recompute)
     for _ in range(STEPS):
         history.append(mutate(db, rng, wire=wire))
         for query in rng.sample(pool, 2):
-            check(db, query, run_query, seed, history)
+            check(db, query, run_query, seed, history, recompute)
 
 
 # -- the four paths -----------------------------------------------------------
@@ -207,13 +221,19 @@ def test_flat_path_sequences(seed):
         assert counters["hits"] + counters["misses"] > 0
 
 
-@pytest.mark.parametrize("seed", _seed_params(SEQ_ARENA, fast=3))
-def test_arena_path_sequences(seed):
+@pytest.mark.parametrize("seed", _seed_params(SEQ_REFERENCE, fast=3))
+def test_flat_path_sequences_against_the_reference(seed):
+    """The same path, recomputed by :mod:`repro.reference` instead of
+    by a fresh engine: a delta-maintained answer must also be what the
+    object-at-a-time implementation derives from scratch."""
     db = _database(seed)
-    with QuerySession(
-        db, encoding="arena", check_invariants=True
-    ) as session:
-        run_sequence(seed, db, lambda q: session.run(q).rows())
+    with QuerySession(db, check_invariants=True) as session:
+        run_sequence(
+            seed,
+            db,
+            lambda q: session.run(q).rows(),
+            recompute=reference_rows,
+        )
 
 
 @pytest.mark.parametrize("seed", _seed_params(SEQ_SHARDED, fast=3))
@@ -234,7 +254,7 @@ def test_served_path_sequences(seed):
     from repro.net import RemoteSession, ServerThread
 
     db = _database(seed)
-    session = QuerySession(db, encoding="arena", check_invariants=True)
+    session = QuerySession(db, check_invariants=True)
     with ServerThread(session) as server, RemoteSession(
         server.address
     ) as client:
@@ -248,7 +268,7 @@ def test_served_path_sequences(seed):
 def test_harness_covers_at_least_fifty_sequences():
     assert (
         len(SEQ_FLAT)
-        + len(SEQ_ARENA)
+        + len(SEQ_REFERENCE)
         + len(SEQ_SHARDED)
         + len(SEQ_SERVED)
         >= 50
@@ -258,14 +278,14 @@ def test_harness_covers_at_least_fifty_sequences():
 # -- delta maintenance is actually exercised ---------------------------------
 
 
-@pytest.mark.parametrize("encoding", ["object", "arena"])
-def test_append_requery_is_delta_maintained(encoding):
+@pytest.mark.parametrize(
+    "recompute", [fdb_rows, reference_rows], ids=["fdb", "reference"]
+)
+def test_append_requery_is_delta_maintained(recompute):
     """query -> absorbable append -> same query must be served from
     the caught-up cache entry, not recomputed, and still be exact."""
     db = _database(7)
-    with QuerySession(
-        db, encoding=encoding, check_invariants=True
-    ) as session:
+    with QuerySession(db, check_invariants=True) as session:
         pool = _pool(db, 7)
         for query in pool:
             session.run(query)
@@ -276,7 +296,7 @@ def test_append_requery_is_delta_maintained(encoding):
             name, [tuple(9 for _ in relation.attributes)]
         )
         result = session.run(target)
-        _, expected = fdb_rows(db, target)
+        _, expected = recompute(db, target)
         assert result.rows() == expected
         assert result.cached, "append-then-requery must serve warm"
         counters = session.cache_counters()["results"]
@@ -521,11 +541,11 @@ def test_warm_tries_never_serve_stale_rows():
     rng = random.Random(6)
     pool = _pool(db, 6)
     with QuerySession(
-        db, encoding="arena", check_invariants=True
+        db, check_invariants=True
     ) as session:
         for step in range(12):
             for query in pool:  # every access path warm
-                FDB(db, encoding="arena").evaluate(query)
+                FDB(db).evaluate(query)
             before = {relation.name: relation for relation in db}
             history = [mutate(db, rng)]
             replaced = [
@@ -638,18 +658,16 @@ def test_plan_survives_absorbable_append_dies_on_schema_change(
     assert cold.counters()["writes"] == 1
 
 
-def test_delta_merged_arena_result_runs_fused_plans():
-    """A delta-maintained arena result (a :func:`repro.ops.union` of
-    the original result and its catch-up terms) must feed straight
-    into the fused compiled-plan path: restructuring selections over
-    it run arena-native, adapter-free, and exact."""
+def test_delta_merged_result_runs_fused_plans():
+    """A delta-maintained result (a :func:`repro.ops.union` of the
+    original result and its catch-up terms) must feed straight into
+    the fused compiled-plan path: restructuring selections over it
+    stay exact."""
     from itertools import combinations
-
-    from repro.core.factorised import ADAPTER
 
     db = _database(11)
     with QuerySession(
-        db, encoding="arena", check_invariants=True
+        db, check_invariants=True
     ) as session:
         pool = _pool(db, 11)
         for query in pool:
@@ -665,9 +683,9 @@ def test_delta_merged_arena_result_runs_fused_plans():
         counters = session.cache_counters()["results"]
         assert counters["delta_merges"] >= 1
         fr = result.factorised
-        assert fr is not None and fr.encoding == "arena"
+        assert fr is not None
 
-    engine = FDB(db, encoding="arena")
+    engine = FDB(db)
     order = tuple(sorted(fr.tree.attributes()))
     base_rows = set(fr.rows(order))
     fused = 0
@@ -676,13 +694,7 @@ def test_delta_merged_arena_result_runs_fused_plans():
         plan = engine.plan_for(fr.tree, [(a, b)])
         if not plan.steps:
             continue
-        before = ADAPTER.snapshot()["to_object_calls"]
         out, plan = engine.evaluate_on(fr, followup)
-        after = ADAPTER.snapshot()["to_object_calls"]
-        assert after == before, (
-            f"{after - before} adapter round trips during {plan}"
-        )
-        assert out.encoding == "arena"
         ia, ib = order.index(a), order.index(b)
         expected = sorted(
             {row for row in base_rows if row[ia] == row[ib]}

@@ -43,7 +43,7 @@ def _database(seed: int = 61):
 @pytest.fixture()
 def served():
     """A live server over a small random database."""
-    session = QuerySession(_database(), encoding="arena")
+    session = QuerySession(_database())
     with ServerThread(session) as server:
         yield server
     # Gauge hygiene: after the drain every admission and connection
@@ -89,7 +89,7 @@ def test_decode_rejects_foreign_and_corrupt_bodies():
 def test_result_pack_unpack_round_trips_all_payload_kinds():
     db = _database()
     query = parse_query("SELECT a00 FROM R0")
-    with QuerySession(db, encoding="arena") as session:
+    with QuerySession(db) as session:
         for engine in ("fdb", "flat", "sqlite"):
             result = session.run(query, engine=engine)
             meta, payload = protocol.pack_result(result)
@@ -228,7 +228,7 @@ def test_malformed_sql_is_a_per_request_error(served):
 
 
 def test_pipelining_under_tight_admission_bound():
-    session = QuerySession(_database(62), encoding="arena")
+    session = QuerySession(_database(62))
     with ServerThread(session, max_pending=2) as server:
         with RemoteSession(server.address) as client:
             queries = random_spj_queries(
@@ -261,10 +261,10 @@ def test_stats_document_shape(served):
         assert stats["session"]["queries"] >= 1
         assert "plans" in stats["caches"]
         # The stats frame is the unified registry snapshot: the
-        # instruments and the adapter tallies ride along.
+        # instruments ride along.
         assert "metrics" in stats
         assert stats["metrics"]["query_seconds"]["count"] >= 1
-        assert "adapter" in stats["caches"]
+        assert set(stats["caches"]) == {"plans", "fplans", "results"}
 
 
 def test_metrics_frame_returns_snapshot_and_prometheus_text(served):
@@ -280,7 +280,7 @@ def test_metrics_frame_returns_snapshot_and_prometheus_text(served):
 
 
 def test_prometheus_http_endpoint_scrapes():
-    session = QuerySession(_database(91), encoding="arena")
+    session = QuerySession(_database(91))
     with ServerThread(session, metrics_port=0) as server:
         with RemoteSession(server.address) as client:
             client.run("SELECT a00 FROM R0")
@@ -295,7 +295,7 @@ def test_prometheus_http_endpoint_scrapes():
             body = response.read().decode("utf-8")
         assert "repro_query_seconds_bucket" in body
         assert "repro_server_requests" in body
-        assert "repro_caches_adapter_to_arena_calls" in body
+        assert "repro_caches_plans_hits" in body
         # Anything else is a 404, and the server survives it.
         import urllib.error
 
@@ -306,7 +306,7 @@ def test_prometheus_http_endpoint_scrapes():
 
 
 def test_graceful_drain_completes_inflight_work():
-    session = QuerySession(_database(64), encoding="arena")
+    session = QuerySession(_database(64))
     server = ServerThread(session)
     client = RemoteSession(server.address)
     futures = [
@@ -401,7 +401,7 @@ def test_remote_executor_degrades_to_local_when_workers_die(tmp_path):
     sharded = ShardedDatabase.from_database(db, shards=2)
     path = str(tmp_path / "sharded")
     persist.save(sharded, path)
-    worker_session = QuerySession(persist.load(path), encoding="arena")
+    worker_session = QuerySession(persist.load(path))
     queries = random_spj_queries(
         db, 4, seed=66, max_relations=2, max_equalities=2
     )
@@ -459,7 +459,7 @@ def test_version_mismatch_is_reprobed_when_the_coordinator_catches_up(
     persist.save(sharded, path)
     ahead = persist.load(path)
     ahead.extend_rows("R0", [(99, 99)])  # worker runs one ahead
-    with ServerThread(QuerySession(ahead, encoding="arena")) as server:
+    with ServerThread(QuerySession(ahead)) as server:
         executor = RemoteExecutor([server.address], timeout=30)
         with QuerySession(sharded, executor=executor) as coordinator:
             queries = random_spj_queries(
@@ -505,7 +505,7 @@ def test_cli_batch_connect(served, capsys):
 def test_oversized_response_degrades_to_per_request_error():
     """A response bigger than max_frame must become an error frame,
     never a connection-killing oversized frame."""
-    session = QuerySession(_database(69), encoding="arena")
+    session = QuerySession(_database(69))
     with ServerThread(session, max_frame=512) as server:
         with RemoteSession(server.address, max_frame=512) as client:
             # The cartesian product result blob exceeds 512 bytes ...

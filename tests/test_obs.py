@@ -209,7 +209,7 @@ def test_prometheus_endpoint_http_hygiene():
     hanging or resetting."""
     import http.client
 
-    session = QuerySession(_database(93), encoding="arena")
+    session = QuerySession(_database(93))
     with ServerThread(session, metrics_port=0) as server:
         host, port = server.server.metrics_address
 
@@ -248,7 +248,7 @@ def test_prometheus_endpoint_http_hygiene():
 
 
 def test_session_results_carry_spans_and_trace_id():
-    with QuerySession(_database(), encoding="arena") as session:
+    with QuerySession(_database()) as session:
         result = session.run(parse_query("SELECT a00 FROM R0, R1 WHERE a01 = a02"))
         assert result.trace_id is not None
         names = _span_names(result)
@@ -283,7 +283,7 @@ def test_session_slow_log_records_plan_and_spans():
 
 
 def test_run_on_profiles_fplan_spans():
-    with QuerySession(_database(), encoding="arena") as session:
+    with QuerySession(_database()) as session:
         base = session.run(parse_query("SELECT * FROM R0, R1"))
         follow = parse_query("SELECT * FROM R0, R1 WHERE a00 = a02")
         result = session.run_on(base.factorised, follow)
@@ -314,7 +314,7 @@ def _optimiser_delta(run):
     from repro.optimiser.bitspace import COUNTERS
 
     before = COUNTERS.snapshot()
-    with QuerySession(_database(), encoding="arena") as session:
+    with QuerySession(_database()) as session:
         run(session)
         assert session.snapshot()["optimiser"] == COUNTERS.snapshot()
         lines = session_lines(session.snapshot())
@@ -358,7 +358,7 @@ def test_factorise_counts_repeat_exactly_for_a_fixed_query():
 
     def delta():
         before = COUNTERS.snapshot()
-        with QuerySession(_database(), encoding="arena") as session:
+        with QuerySession(_database()) as session:
             for _ in range(2):  # the second run is a result-cache hit
                 session.run(
                     parse_query("SELECT * FROM R0, R1, R2 WHERE a01 = a02")
@@ -385,7 +385,7 @@ def test_spans_cross_the_pool_boundary():
 
     db = ShardedDatabase.from_database(_database(83), shards=2)
     executor = ParallelExecutor(max_workers=2)
-    with QuerySession(db, executor=executor, encoding="arena") as session:
+    with QuerySession(db, executor=executor) as session:
         result = session.run(parse_query("SELECT a00 FROM R0, R1 WHERE a01 = a02"))
         names = _span_names(result)
         # Worker-side spans come back prefixed, one per shard ...
@@ -400,7 +400,7 @@ def test_spans_cross_the_pool_boundary():
 
 def test_trace_id_crosses_the_wire_into_the_server_slow_log():
     log = SlowQueryLog(threshold=0.0)
-    session = QuerySession(_database(85), encoding="arena", slow_log=log)
+    session = QuerySession(_database(85), slow_log=log)
     with ServerThread(session) as server:
         with RemoteSession(server.address) as client:
             trace = Trace()
@@ -421,7 +421,7 @@ def test_trace_id_crosses_the_wire_into_the_server_slow_log():
 
 
 def test_untraced_remote_results_stay_lean():
-    session = QuerySession(_database(85), encoding="arena")
+    session = QuerySession(_database(85))
     with ServerThread(session) as server:
         with RemoteSession(server.address) as client:
             result = client.run("SELECT a00 FROM R0")
@@ -434,7 +434,7 @@ def test_remote_executor_merges_remote_and_fallback_spans(tmp_path):
     db = ShardedDatabase.from_database(_database(87), shards=2)
     path = str(tmp_path / "sharded")
     persist.save(db, path)
-    worker_session = QuerySession(persist.load(path), encoding="arena")
+    worker_session = QuerySession(persist.load(path))
     server = ServerThread(worker_session)
     executor = RemoteExecutor([server.address], timeout=30)
     coordinator = QuerySession(db, executor=executor, result_cache_size=0)
@@ -460,7 +460,7 @@ def test_remote_executor_merges_remote_and_fallback_spans(tmp_path):
 
 def test_profile_plan_times_every_kernel():
     db = _database(89)
-    with QuerySession(db, encoding="arena") as session:
+    with QuerySession(db) as session:
         base = session.run(parse_query("SELECT * FROM R0, R1"))
         fr = base.factorised
         pairs = [("a00", "a02")]
@@ -483,7 +483,7 @@ def test_profile_plan_times_every_kernel():
 
 def test_profile_plan_identity_and_empty_inputs():
     db = _database(89)
-    with QuerySession(db, encoding="arena") as session:
+    with QuerySession(db) as session:
         base = session.run(parse_query("SELECT * FROM R0"))
         fr = base.factorised
         plan = session._fdb.plan_for(fr.tree, [])

@@ -10,6 +10,7 @@ yield wrong data); a stale store entry must be skipped and evicted.
 
 from __future__ import annotations
 
+import io
 import os
 import random
 import struct
@@ -35,6 +36,7 @@ from repro.persist import (
 from repro.persist.codec import read_blob, write_blob
 from repro.query.parser import parse_query
 from repro.query.query import Query
+from repro.reference import to_product
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.service import QuerySession
@@ -162,7 +164,7 @@ def test_factorised_relation_round_trip(tmp_path):
     loaded = load(path)
     assert isinstance(loaded, FactorisedRelation)
     assert loaded.tree == fr.tree
-    assert loaded.data == fr.data
+    assert to_product(loaded.rep) == to_product(fr.rep)
     assert sorted(loaded.rows()) == sorted(fr.rows())
 
 
@@ -210,7 +212,7 @@ def test_round_trip_property_over_seeded_random_inputs(tmp_path):
             save(fr, fr_path)
             loaded = load(fr_path)
             assert loaded.tree == fr.tree
-            assert loaded.data == fr.data
+            assert to_product(loaded.rep) == to_product(fr.rep)
 
 
 def test_inspect_reads_header_without_decoding(tmp_path):
@@ -722,43 +724,62 @@ def _arena_join_result():
     query = parse_query(
         "SELECT * FROM Orders, Listings WHERE o_key = l_key"
     )
-    return FDB(db, encoding="arena").evaluate(query)
+    return FDB(db).evaluate(query)
 
 
 def test_arena_relation_round_trip(tmp_path):
     fr = _arena_join_result()
-    assert fr.encoding == "arena"
     path = str(tmp_path / "result.fdbp")
     save(fr, path)
     assert inspect(path)["kind"] == "arena"
     loaded = load(path)
-    assert loaded.encoding == "arena"
     assert loaded.tree == fr.tree
     assert list(loaded.rows()) == list(fr.rows())
     assert loaded.count() == fr.count()
     loaded.validate()
 
 
-def test_arena_blob_agrees_with_object_blob(tmp_path):
-    """The same relation through both blob kinds decodes equal."""
-    fr = _arena_join_result()
-    arena_path = str(tmp_path / "arena.fdbp")
-    object_path = str(tmp_path / "object.fdbp")
-    save(fr, arena_path)
-    save(fr.to_object(), object_path)
-    assert inspect(object_path)["kind"] == "factorised"
-    left, right = load(arena_path), load(object_path)
-    assert list(left.rows()) == list(right.rows())
-    assert left.data == right.data  # lazy conversion meets objects
+#: An object-encoded result of R = {(1,1),(1,2),(2,2)} over a -> b,
+#: written by ``persist.save`` at the parent commit of the one-encoding
+#: PR -- the last build that could write blob kind ``factorised``.
+LEGACY_OBJECT_BLOB = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)),
+    "data",
+    "legacy_object_result.fdbp",
+)
+
+
+def test_retired_object_blob_is_refused_loudly_by_name():
+    """Nothing writes kind ``factorised`` any more; reading one must
+    say which kind it is and what to do about it -- a ``PersistError``,
+    never a ``KeyError``/``AttributeError`` from a missing decoder."""
+    from repro.persist import codec
+
+    assert os.path.getsize(LEGACY_OBJECT_BLOB) <= 1024
+    with open(LEGACY_OBJECT_BLOB, "rb") as handle:
+        blob = handle.read()
+    assert blob[:4] == codec.MAGIC and b"factorised" in blob[:20]
+    readers = (
+        lambda: load(LEGACY_OBJECT_BLOB),
+        lambda: load(LEGACY_OBJECT_BLOB, mmap=True),
+        lambda: inspect(LEGACY_OBJECT_BLOB),
+        lambda: read_blob(io.BytesIO(blob)),
+    )
+    for read in readers:
+        with pytest.raises(PersistError) as caught:
+            read()
+        message = str(caught.value)
+        assert "'factorised'" in message and "retired" in message
+        assert "re-evaluate" in message and "save" in message
+    assert "factorised" not in codec.KINDS
 
 
 def test_empty_arena_relation_round_trip(tmp_path):
     fr = _arena_join_result()
-    empty = FactorisedRelation(fr.tree, arena=None)
+    empty = FactorisedRelation(fr.tree, None)
     path = str(tmp_path / "empty.fdbp")
     save(empty, path)
     loaded = load(path)
-    assert loaded.encoding == "arena"
     assert loaded.is_empty()
     assert loaded.tree == fr.tree
 
@@ -808,7 +829,6 @@ def test_mmap_arena_load_round_trips(tmp_path):
     path = str(tmp_path / "result.fdbp")
     save(fr, path)
     mapped = load(path, mmap=True)
-    assert mapped.encoding == "arena"
     assert mapped.tree == fr.tree
     assert list(mapped.rows()) == list(fr.rows())
     assert mapped.count() == fr.count()
@@ -860,7 +880,7 @@ def test_mmap_stdlib_fallback_path(tmp_path, monkeypatch):
     save(fr, path)
     monkeypatch.setattr(codec, "_np", None)
     mapped = load(path, mmap=True)
-    assert isinstance(mapped.arena.values[0], array)
+    assert isinstance(mapped.rep.values[0], array)
     assert list(mapped.rows()) == list(fr.rows())
 
 

@@ -30,11 +30,12 @@ from repro.ops import (
     project,
     select_constant,
     swap,
-    swap_reference,
 )
 from repro.optimiser import exhaustive_fplan, greedy_fplan
 from repro.optimiser.ftree_optimiser import optimal_ftree
 from repro.query.query import ConstantCondition, Query
+from repro.reference import ReferenceEngine, to_object, to_product
+from repro.reference.ops import swap_reference
 from repro.relational.database import Database
 from repro.relational.engine import RelationalEngine
 from tests.conftest import assignments, filtered, flat_assignments
@@ -97,6 +98,8 @@ def test_factorised_equals_flat(db_query):
     fr = FDB(db, check_invariants=True).evaluate(query)
     flat = RelationalEngine(db).evaluate(query)
     assert assignments(fr) == flat_assignments(flat)
+    oracle = ReferenceEngine(db, check_invariants=True).evaluate(query)
+    assert assignments(oracle) == flat_assignments(flat)
 
 
 @SETTINGS
@@ -142,8 +145,10 @@ def test_swap_preserves_relation(db_query, pick):
     out = swap(
         fr, min(parent.label), min(node.label)
     ).validate()
-    ref = swap_reference(fr, min(parent.label), min(node.label))
-    assert out.data == ref.data
+    ref = swap_reference(
+        to_object(fr), min(parent.label), min(node.label)
+    )
+    assert to_product(out.rep) == ref.data
     assert assignments(out) == assignments(fr)
     assert out.tree.satisfies_path_constraint()
     assert out.tree.is_normalised()

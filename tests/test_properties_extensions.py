@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core import serialize
 from repro.engine import FDB
 from repro.ops import absorb, push_up, pushable_nodes
 from repro.query.equivalence import UnionFind
+from repro.persist import codec
 from repro.query.query import ConstantCondition, EqualityCondition, Query
+from repro.reference import to_product
 from repro.workloads import permuted_variant
 from tests.conftest import assignments
 from tests.test_properties import databases, databases_with_query
@@ -26,9 +27,9 @@ SETTINGS = settings(max_examples=30, deadline=None)
 def test_serialisation_round_trip(db_query):
     db, query = db_query
     fr = FDB(db).evaluate(query)
-    restored = serialize.loads(serialize.dumps(fr))
+    restored = codec.decode(*codec.encode(fr))
     assert restored.tree.key() == fr.tree.key()
-    assert restored.data == fr.data
+    assert to_product(restored.rep) == to_product(fr.rep)
     assert assignments(restored) == assignments(fr)
 
 

@@ -367,18 +367,23 @@ def test_session_context_manager_closes_sqlite(db):
     assert session._sqlite is None
 
 
-def test_session_arena_encoding_serves_and_caches(db):
-    with QuerySession(db, encoding="arena") as session:
+def test_session_serves_and_caches_factorised_results(db):
+    with QuerySession(db) as session:
         cold = session.run(parse_query(JOIN))
         warm = session.run(parse_query(JOIN))
         assert cold.factorised is not None
-        assert cold.factorised.encoding == "arena"
+        assert cold.factorised.rep is not None
         assert not cold.cached and warm.cached
         assert cold.rows() == warm.rows()
     with QuerySession(db) as reference:
         assert reference.run(parse_query(JOIN)).rows() == cold.rows()
 
 
-def test_session_rejects_unknown_encoding(db):
-    with pytest.raises(ValueError, match="encoding"):
-        QuerySession(db, encoding="columnar")
+def test_there_is_no_encoding_to_choose(db):
+    """One physical representation: the knob is gone outright, not
+    aliased or ignored."""
+    from repro.engine import FDB
+
+    for factory in (QuerySession, FDB):
+        with pytest.raises(TypeError, match="encoding"):
+            factory(db, encoding="arena")

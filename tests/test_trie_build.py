@@ -24,13 +24,15 @@ from itertools import islice, permutations
 from hypothesis import given, settings, strategies as st
 
 from repro import persist
-from repro.core.arena import ValuePool
-from repro.core.build import COUNTERS, ArenaFactoriser, Factoriser, factorise
-from repro.core.enumerate import iter_rows
+from repro.core.arena import ValuePool, iter_rows
+from repro.core.build import COUNTERS, Factoriser, factorise
 from repro.core.ftree import FNode, FTree
 from repro.optimiser.ftree_optimiser import optimal_ftree
 from repro.query.hypergraph import Hypergraph
 from repro.query.query import Query
+from repro.reference import ObjectFactoriser, to_product
+from repro.reference import factorise as reference_factorise
+from repro.reference.walkers import iter_rows as reference_iter_rows
 from repro.relational.database import Database
 from repro.relational.engine import RelationalEngine
 from repro.relational.relation import TRIE_CACHE_SIZE, Relation
@@ -67,9 +69,8 @@ def test_factorise_writes_the_golden_arenas():
         assert gen.input_digest(relations, tree) == want["input"], case
         got = gen.case_record(relations, tree)
         assert got == {key: want[key] for key in got}, case
-        # Both encodings hold one representation.
-        arena = ArenaFactoriser(relations, tree).run()
-        decoded = None if arena is None else arena.to_product()
+        # The arena decodes to what the reference factoriser builds.
+        decoded = to_product(Factoriser(relations, tree).run())
         assert gen.product_digest(decoded) == want["object"], case
 
 
@@ -114,15 +115,17 @@ def _joins(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(_joins(), st.sampled_from(["object", "arena"]))
-def test_factorised_rows_are_the_flat_join(join, encoding):
+@given(_joins(), st.sampled_from(["reference", "arena"]))
+def test_factorised_rows_are_the_flat_join(join, builder):
     db, query, tree = join
     flat = RelationalEngine(db).evaluate(query)
     order = flat.attributes
-    data = factorise(
-        [db[name] for name in query.relations], tree, encoding=encoding
-    )
-    rows = sorted(iter_rows(tree.roots, data, order))
+    relations = [db[name] for name in query.relations]
+    if builder == "arena":
+        rows = sorted(iter_rows(factorise(relations, tree), order))
+    else:
+        data = reference_factorise(relations, tree)
+        rows = sorted(reference_iter_rows(tree.roots, data, order))
     assert rows == sorted(flat.rows)
     assert len(set(rows)) == len(rows)
 
@@ -133,7 +136,7 @@ def test_factorised_rows_are_the_flat_join(join, encoding):
 def _warm(db, query):
     tree, _ = optimal_ftree(db, query)
     relations = [db[name] for name in query.relations]
-    return tree, factorise(relations, tree, encoding="arena")
+    return tree, factorise(relations, tree)
 
 
 def _flat(db, query, order):
@@ -161,9 +164,7 @@ def test_mutations_replace_the_relation_and_its_tries():
             assert db[name] is before[name]
             assert db[name]._tries
         _, arena = _warm(db, query)
-        assert sorted(
-            iter_rows(tree.roots, arena, order)
-        ) == _flat(db, query, order)
+        assert sorted(iter_rows(arena, order)) == _flat(db, query, order)
         # The replaced relation's tries went with it, not into a
         # module-level cache: nothing else holds them.
         old = before.pop("R0")
@@ -180,8 +181,8 @@ def test_trie_cache_is_capped_per_relation():
         for attr in reversed(order):
             node = FNode({attr}, [] if node is None else [node])
         tree = FTree([node], Hypergraph([set(attrs)]))
-        arena = factorise([wide], tree, encoding="arena")
-        assert sorted(iter_rows(tree.roots, arena, attrs)) == wide.rows
+        arena = factorise([wide], tree)
+        assert sorted(iter_rows(arena, attrs)) == wide.rows
         assert len(wide._tries) <= TRIE_CACHE_SIZE
     assert len(wide._tries) == TRIE_CACHE_SIZE
     # Oldest out: the first access path is gone, the last one is kept.
@@ -205,7 +206,6 @@ def test_concurrent_factorisation_over_shared_relations():
                 factorise(
                     [db[name] for name in q.relations],
                     tree,
-                    encoding="arena",
                     pool=ValuePool(),
                 )
             )
@@ -263,21 +263,21 @@ def test_relation_pickles_without_its_caches(tmp_path):
 # -- the factorise counters ----------------------------------------------------
 
 
-def test_counters_repeat_exactly_and_agree_across_encodings():
-    def spent(encoding):
+def test_counters_repeat_exactly_and_agree_with_the_reference():
+    def spent(build):
         db = random_database(3, 7, 25, domain=8, seed=55)
         query = random_query(db, 3, seed=56)
         tree, _ = optimal_ftree(db, query)
         relations = [db[name] for name in query.relations]
         before = COUNTERS.snapshot()
-        first = factorise(relations, tree, encoding=encoding)
+        first = build(relations, tree)
         cold = COUNTERS.since(before)
         before = COUNTERS.snapshot()
-        factorise(relations, tree, encoding=encoding)
+        build(relations, tree)
         return first, cold, COUNTERS.since(before), relations
 
-    arena, cold, warm, relations = spent("arena")
-    assert cold == spent("arena")[1] == spent("object")[1]
+    arena, cold, warm, relations = spent(factorise)
+    assert cold == spent(factorise)[1] == spent(reference_factorise)[1]
     assert cold["calls"] == 1
     assert cold["trie_builds"] == 3 and cold["trie_hits"] == 0
     assert cold["trie_rows_scanned"] == sum(map(len, relations))
@@ -291,7 +291,7 @@ def test_counters_repeat_exactly_and_agree_across_encodings():
 def test_committed_entries_over_the_corpus_are_the_golden_total():
     """Same representation, cheaper construction: what the counters
     call committed is exactly what the parent commit's arenas held."""
-    for factoriser in (ArenaFactoriser, Factoriser):
+    for factoriser in (Factoriser, ObjectFactoriser):
         before = COUNTERS.snapshot()
         for _, relations, tree in gen.cases():
             factoriser(relations, tree).run()

@@ -32,6 +32,8 @@ from repro.ops import arena_kernels
 from repro.ops.base import OperatorError
 from repro.ops.union import COUNTERS
 from repro.query.query import Query
+from repro.reference import ops as reference_ops
+from repro.reference import to_object, to_product
 from repro.service import QuerySession
 from repro.storage import ShardedDatabase
 from repro.workloads import random_database, random_spj_query
@@ -94,7 +96,7 @@ def test_union_all_writes_the_golden_arenas(name):
 
 def test_union_is_the_unsharded_relation():
     for case, db, query, tree in gen.cases():
-        whole = FDB(db, encoding="arena").factorise_query(query, tree=tree)
+        whole = FDB(db).factorise_query(query, tree=tree)
         for shards in (2, 8):
             parts = gen.shard_parts(db, query, tree, shards, "hash", "shared")
             union = ops.union_all(parts).validate()
@@ -140,8 +142,8 @@ def test_union_all_is_the_fold_of_the_delta_merge(
     folded = reduce(ops.union, parts())
     with realisation(name):
         merged = ops.union_all(parts())
-    assert arena_digest(merged.arena) == arena_digest(folded.arena)
-    whole = FDB(db, encoding="arena").factorise_query(query, tree=tree)
+    assert arena_digest(merged.rep) == arena_digest(folded.rep)
+    whole = FDB(db).factorise_query(query, tree=tree)
     assert sorted(merged.rows()) == sorted(whole.rows())
     merged.validate()
 
@@ -162,39 +164,37 @@ def test_no_parts_is_none():
 
 
 def test_a_lone_live_part_is_returned_as_is(parts):
-    hollow = FactorisedRelation(parts[0].tree, arena=None)
+    hollow = FactorisedRelation(parts[0].tree, None)
     assert ops.union_all([hollow, parts[1], hollow]) is parts[1]
     assert ops.union_all([parts[2]]) is parts[2]
     assert ops.union_all([hollow, hollow]).is_empty()
 
 
 def test_differing_trees_raise_even_when_a_part_is_empty(parts):
-    other = FDB(
-        random_database(1, 2, tuples=3, seed=1), encoding="arena"
-    ).evaluate(Query.make(["R0"]))
+    other = FDB(random_database(1, 2, tuples=3, seed=1)).evaluate(
+        Query.make(["R0"])
+    )
     with pytest.raises(OperatorError):
         ops.union_all(parts + [other])
     with pytest.raises(OperatorError):
-        ops.union_all(parts + [FactorisedRelation(other.tree, arena=None)])
+        ops.union_all(parts + [FactorisedRelation(other.tree, None)])
 
 
-def test_arena_parts_never_take_the_pairwise_merge(parts, monkeypatch):
+def test_parts_never_take_the_pairwise_merge(parts, monkeypatch):
     def pairwise(*args):
-        raise AssertionError("union_all folded arena parts")
+        raise AssertionError("union_all folded its parts")
 
     monkeypatch.setattr(arena_kernels, "union_arena", pairwise)
     # (``repro.ops.union`` the attribute is the function, not the module)
     monkeypatch.setattr(sys.modules["repro.ops.union"], "union", pairwise)
-    assert ops.union_all(parts).encoding == "arena"
+    assert not ops.union_all(parts).is_empty()
 
 
-def test_an_object_part_folds_the_reference_union(parts):
-    mixed = [parts[0].to_object()] + parts[1:]
+def test_the_reference_union_folds_to_the_same_representation(parts):
     before = COUNTERS.snapshot()
-    union = ops.union_all(mixed)
-    assert COUNTERS.since(before)["calls"] == 0
-    assert union.encoding == "object"
-    assert union.same_relation(ops.union_all(parts))
+    folded = reduce(reference_ops.union, [to_object(part) for part in parts])
+    assert COUNTERS.since(before)["calls"] == 0  # the oracle is untallied
+    assert folded.data == to_product(ops.union_all(parts).rep)
 
 
 @pytest.mark.parametrize("name", REALISATIONS)
@@ -229,7 +229,7 @@ def test_private_pools_are_interned_once_in_part_order(name):
 
 @pytest.mark.parametrize("name", REALISATIONS)
 def test_child_ranges_that_do_not_tile_are_refused(parts, name):
-    live = [part.arena for part in parts if not part.is_empty()]
+    live = [part.rep for part in parts if not part.is_empty()]
     broken = live[1].copy()
     node = next(i for i, kids in enumerate(broken.skel.children) if kids)
     broken.child_hi[node][0][-1] += 1
@@ -248,8 +248,8 @@ def test_union_counts_flush_once_per_union_all(parts):
     assert spent == dict(
         calls=1,
         parts=len(live),
-        entries_in=sum(part.arena.entry_count for part in live),
-        entries_out=union.arena.entry_count,
+        entries_in=sum(part.rep.entry_count for part in live),
+        entries_out=union.rep.entry_count,
         ids_remapped=0,  # one shared pool
     )
     assert spent["entries_in"] > spent["entries_out"]
@@ -268,7 +268,7 @@ def test_the_session_reports_the_union_namespace():
 
     def delta():
         before = COUNTERS.snapshot()
-        with QuerySession(sdb, executor=executor, encoding="arena") as session:
+        with QuerySession(sdb, executor=executor) as session:
             for _ in range(2):  # the second run is a result-cache hit
                 session.run(query)
             assert session.snapshot()["union"] == COUNTERS.snapshot()
