@@ -17,12 +17,22 @@ import math
 
 import pytest
 
-from benchmarks.conftest import bench_json, emit, full_scale
+from benchmarks.conftest import bench_json, emit, full_scale, smoke_mode
 from repro.experiments import exp4, format_table
 from repro.experiments.exp4 import run_experiment4
 
 
 def _params():
+    if smoke_mode():
+        # About a second; every result size in the rows is exact (the
+        # plans are the optimiser's, the arenas the kernels'), so
+        # ``bench_diff`` can gate them.
+        return dict(
+            k_values=(2, 4),
+            l_values=(1, 2, 3),
+            distributions=("uniform",),
+            timeout=10.0,
+        )
     if full_scale():
         return dict(
             k_values=tuple(range(1, 9)),
@@ -48,7 +58,7 @@ def test_fig8_factorised_evaluation(benchmark):
         "flat (RDB) results",
         format_table(exp4.headers(), exp4.as_cells(rows)),
     )
-    bench_json("fig8_factorised_eval", {"rows": rows})
+    bench_json("fig8_factorised_eval", {"rows": rows}, workload=_params())
     for row in rows:
         # Factorised result never exceeds its flat equivalent.
         if row.flat_result_elements > 0 and not math.isnan(

@@ -317,9 +317,9 @@ class ArenaWriter:
     """Append-only arena construction with subtree rollback.
 
     The ground-representation builder (:class:`repro.core.build.
-    Factoriser`), the selection filter and the f-plan kernels all
-    construct arenas entry by entry: children are written first, and
-    an entry whose children forest turns out empty is *rolled back*.
+    Factoriser`) and the selection filter construct arenas entry by
+    entry: children are written first, and an entry whose children
+    forest turns out empty is *rolled back*.
     Two ways to do that: :meth:`mark` / :meth:`rollback` record one
     watermark per descendant column up front (pre-order makes
     descendants a contiguous index range); :meth:`truncate` needs only

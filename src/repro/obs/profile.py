@@ -8,7 +8,8 @@ byte volume, i.e. the throughput each kernel sustained on the
 columns.  Profiling is strictly **opt-in**: the hot
 ``CompiledArenaPlan.execute`` path stays a generated straight-line
 driver; :func:`profile_plan` replays the same prepared kernels one at
-a time with a clock around each.
+a time with a clock around each -- the kernels of a chain (an absorb
+is a restriction followed by push-ups) each get their own row.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Any, Dict, List, Optional, Tuple
 class KernelTiming:
     """One kernel's run: what it did and what it produced."""
 
-    index: int
+    index: int  # the f-plan step; the rows of one chain share it
     op: str  # the f-plan step, e.g. "chi(a, b)"
     kind: str  # swap / merge / absorb / push
     kernel: str  # the kernel class that ran
@@ -123,7 +124,7 @@ def profile_plan(plan, fr):
     numbers are honest about the production code path.
     """
     from repro.core.factorised import FactorisedRelation
-    from repro.ops.arena_kernels import compiled_plan_for
+    from repro.ops.arena_kernels import KernelChain, compiled_plan_for
 
     compiled = compiled_plan_for(plan)
     profile = PlanProfile()
@@ -137,37 +138,33 @@ def profile_plan(plan, fr):
     for index, (step, kernel) in enumerate(
         zip(compiled.steps, compiled.kernels)
     ):
-        start = perf_counter()
-        out = kernel.run(arena)
-        seconds = perf_counter() - start
-        profile.total_seconds += seconds
-        if out is None:
-            # A pruning kernel emptied the representation: the result
-            # is the empty relation over the plan's output f-tree.
-            profile.pruned_at = index
+        # A chain (absorb = the restriction plus the replayed push-ups
+        # of the normalisation) reports every kernel it runs as a row
+        # of its own, under the step's index and operator.
+        chain = isinstance(kernel, KernelChain)
+        for part in kernel.kernels if chain else (kernel,):
+            start = perf_counter()
+            out = part.run(arena)
+            seconds = perf_counter() - start
+            profile.total_seconds += seconds
             profile.rows.append(KernelTiming(
                 index=index,
                 op=str(step),
                 kind=step.kind,
-                kernel=type(kernel).__name__,
+                kernel=type(part).__name__,
                 seconds=seconds,
-                out_entries=0,
-                out_singletons=0,
-                out_nbytes=0,
+                out_entries=0 if out is None else out.entry_count,
+                out_singletons=0 if out is None else out.singleton_count(),
+                out_nbytes=0 if out is None else out.nbytes(),
             ))
-            return (
-                FactorisedRelation(compiled.out_tree, None),
-                profile,
-            )
-        profile.rows.append(KernelTiming(
-            index=index,
-            op=str(step),
-            kind=step.kind,
-            kernel=type(kernel).__name__,
-            seconds=seconds,
-            out_entries=out.entry_count,
-            out_singletons=out.singleton_count(),
-            out_nbytes=out.nbytes(),
-        ))
-        arena = out
+            if out is None:
+                # A pruning kernel emptied the representation: the
+                # result is the empty relation over the plan's output
+                # f-tree.
+                profile.pruned_at = index
+                return (
+                    FactorisedRelation(compiled.out_tree, None),
+                    profile,
+                )
+            arena = out
     return FactorisedRelation(compiled.out_tree, arena), profile

@@ -65,6 +65,23 @@ def factorise_line(counters: Optional[Dict[str, Any]]) -> Optional[str]:
     )
 
 
+def kernels_line(counters: Optional[Dict[str, Any]]) -> Optional[str]:
+    """The ``kernels:`` line: what the f-plan operator kernels did.
+    ``pruned`` are the entries their mask cascades dropped (merge,
+    absorb); ``None`` until a kernel has run."""
+    if not counters or not counters["runs"]:
+        return None
+    return (
+        f"kernels: {counters['runs']} runs, "
+        f"{counters['entries_in']} entries in -> "
+        f"{counters['entries_out']} out "
+        f"({counters['entries_pruned']} pruned), "
+        f"{counters['gathers']} forest gathers, "
+        f"{counters['cache_size']} prepared "
+        f"({counters['cache_evictions']} evicted)"
+    )
+
+
 def union_line(counters: Optional[Dict[str, Any]]) -> Optional[str]:
     """The ``union:`` line: what recombining shard results cost and
     saved.  ``entries in -> out`` is the replicated work of the
@@ -124,6 +141,9 @@ def session_lines(
     factorised = factorise_line(snapshot.get("factorise"))
     if factorised is not None:
         lines.append(factorised)
+    kernels = kernels_line(snapshot.get("kernels"))
+    if kernels is not None:
+        lines.append(kernels)
     unioned = union_line(snapshot.get("union"))
     if unioned is not None:
         lines.append(unioned)

@@ -70,6 +70,7 @@ def absorb_tree(tree: FTree, a_attr: str, b_attr: str) -> FTree:
 def absorb(
     fr: FactorisedRelation, a_attr: str, b_attr: str
 ) -> FactorisedRelation:
-    """Absorb on a factorised relation: the restriction kernel, then
-    the replayed push-ups of the normalisation."""
+    """Absorb on a factorised relation: the restriction kernel
+    (:class:`repro.ops.arena_kernels.RestrictKernel`), then the
+    replayed push-ups of the normalisation."""
     return arena_kernels.apply(fr, "absorb", (a_attr, b_attr))

@@ -2,25 +2,44 @@
 
 Each operator of :mod:`repro.ops.swap`, ``merge``, ``normalise`` and
 ``absorb`` is implemented here, directly on the flat columns of
-:class:`~repro.core.arena.ArenaRep`:
+:class:`~repro.core.arena.ArenaRep`, **level-synchronously**: one pass
+per f-tree node over whole columns, never a walk per entry.
 
 - value ids are copied **verbatim** (every kernel's output shares its
   input's pool), so no interning happens on the hot path;
-- subtrees untouched by an operator move as contiguous column runs
-  (:func:`_copy_run`: one ``memcpy``-shaped append per column, offsets
-  fixed up by a constant shift), never entry by entry;
-- the per-occurrence driving loop (:class:`_LevelKernel.run`) locates
-  every occurrence of the level at which the operator's anchor node
-  sits and prunes emptied unions eagerly on the way back up (the
-  contract of :func:`repro.reference.ops.rewrite_at_level`).
+- columns an operator does not touch are not copied at all: the output
+  arena shares them with its input (arenas are immutable);
+- what an operator does rewrite is spelled with two column primitives.
+  The **forest gather** (:func:`_gather_forest`) takes the child
+  forests of entries ``idx`` of one node -- any order, repeats allowed
+  -- as, per descendant node, one indexed read of the value column, a
+  child index vector expanded from the gathered ranges, and child
+  ranges that are prefix sums of the gathered widths.  The **mask
+  cascade** (:func:`_cascade`) takes keep masks on some columns,
+  carries them up the ancestor chain (an entry survives iff its
+  continuation union keeps an entry: a cumulative keep count read at
+  ``hi`` and ``lo``), down to every descendant, and compacts each
+  affected node once -- the eager pruning of emptied unions that is the
+  contract of :func:`repro.reference.ops.rewrite_at_level`;
+- each operator then is index arithmetic on its own level's columns
+  over composite (occurrence, value-rank) keys: swap is one stable
+  sort of the (a, b) pairs plus three gathers, merge a sorted
+  intersection plus one cascade, absorb an owner vector from ``A``
+  down to ``B``, an equality mask and one cascade, push-up one gather
+  of the first copies.  Only the distinct ids of the compared columns
+  are ever decoded and ranked (:func:`_rank_columns`), never the pool.
+
+Every primitive has a numpy body and a stdlib body under the module's
+usual ``_np is not None`` switch: without numpy it is the same
+algorithm, one pass per node, not a different one.
 
 Every kernel is *prepared* once per (f-tree, operator, args) -- node
 indices, child-slot mappings and the destination skeleton are resolved
-at prepare time and cached -- so repeated executions (plan replays,
-shard fan-out, IVM delta merges) run without touching the f-tree at
-all, and arenas produced by the same prepared kernel share one
-destination skeleton (keeping the per-skeleton enumeration codegen
-cache of :mod:`repro.core.arena` warm).
+at prepare time and cached (least recently used out) -- so repeated
+executions (plan replays, shard fan-out, IVM delta merges) run without
+touching the f-tree at all, and arenas produced by the same prepared
+kernel share one destination skeleton.  Runs are tallied in
+:data:`COUNTERS`, the ``kernels`` metrics namespace.
 
 :func:`compiled_plan_for` lifts this to whole f-plans: all step
 kernels of an :class:`~repro.optimiser.fplan.FPlan` are prepared
@@ -32,21 +51,19 @@ recombines k shard results in one level-synchronous pass -- per f-tree
 node, the k value columns end to end, one sort-and-group on
 (output parent, value rank), child ranges as prefix sums -- and
 :func:`union_arena` is the pairwise two-pointer merge kept for delta
-maintenance, where one side is tiny.  Both take value ids across pools
-through :func:`_pool_remaps` when the inputs do not share one;
+maintenance, where one side is tiny and bulk runs (:func:`_copy_run`)
+beat whole-column passes.  Both take value ids across pools through
+:func:`_pool_remaps` when the inputs do not share one;
 :func:`product_arena` covers the remaining binary operator.
-The level pass is written over four column primitives, each with a
-numpy body and a stdlib body under the module's usual ``_np is not
-None`` switch: without numpy it is the same algorithm, one sort per
-node, not a fallback to the fold.
 """
 
 from __future__ import annotations
 
-import heapq
+import threading
 import weakref
 from array import array
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
+from operator import and_, eq, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.arena import (
@@ -62,134 +79,32 @@ from repro.core.arena import (
 )
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
+from repro.obs.metrics import Tally
+
+#: The ``kernels`` metrics namespace (see :func:`counters`), registered
+#: by every :class:`~repro.service.session.QuerySession`: process-wide
+#: tallies of operator-kernel runs, folded in once per run.
+#: ``entries_in`` / ``entries_out`` are whole-arena entry counts before
+#: and after, ``entries_pruned`` the entries mask cascades dropped,
+#: ``gathers`` the forest gathers issued, ``cache_evictions`` the
+#: prepared kernels pushed out of the cache.  All repeat exactly for a
+#: fixed sequence of calls.
+COUNTERS = Tally(
+    (
+        "runs",
+        "entries_in",
+        "entries_out",
+        "entries_pruned",
+        "gathers",
+        "cache_evictions",
+    )
+)
 
 
-def _extend_shifted(dest: array, source, lo: int, hi: int, delta: int) -> None:
-    """Append ``source[lo:hi] + delta`` to ``dest`` (bulk, both column
-    kinds: ``array('q')`` and mmap-backed int64 ndarrays)."""
-    if delta == 0:
-        _extend_ids(dest, source, lo, hi)
-    elif _np is not None:
-        view = _as_np(source)[lo:hi] + delta
-        dest.frombytes(view.tobytes())
-    else:
-        dest.extend(x + delta for x in source[lo:hi])
-
-
-class _Writer:
-    """Append-only column writer that never interns.
-
-    The operator kernels copy value ids verbatim from their input (the
-    output shares the input pool), so unlike
-    :class:`~repro.core.arena.ArenaWriter` there is no intern table:
-    :meth:`commit_id` takes the id directly.  ``mark``/``rollback``
-    give the same contiguous-subtree transaction the build path uses.
-    """
-
-    __slots__ = ("skel", "values", "child_lo", "child_hi", "scratch")
-
-    def __init__(self, skel: _Skeleton) -> None:
-        n = len(skel)
-        self.skel = skel
-        self.values: List[array] = [_i64() for _ in range(n)]
-        self.child_lo: List[List[array]] = [
-            [_i64() for _ in skel.children[i]] for i in range(n)
-        ]
-        self.child_hi: List[List[array]] = [
-            [_i64() for _ in skel.children[i]] for i in range(n)
-        ]
-        #: Per-run kernel scratch (e.g. the decoded pool rank table of
-        #: the vectorised swap).  Lives on the writer, not the kernel:
-        #: prepared kernels are cached and shared across executions --
-        #: and threads -- while a writer belongs to exactly one run.
-        self.scratch: Dict[str, object] = {}
-
-    def mark(self, idx: int) -> List[int]:
-        values = self.values
-        return [
-            len(values[k]) for k in range(idx + 1, self.skel.end[idx])
-        ]
-
-    def commit_id(self, idx: int, vid: int, marks: List[int]) -> None:
-        values = self.values
-        for j, k in enumerate(self.skel.children[idx]):
-            self.child_lo[idx][j].append(marks[k - idx - 1])
-            self.child_hi[idx][j].append(len(values[k]))
-        values[idx].append(vid)
-
-    def mark_children(self, idx: int) -> List[int]:
-        """Direct-children watermarks only -- for commit sites that
-        never roll back (:meth:`mark` snapshots the whole descendant
-        range, which the hot per-entry loops cannot afford)."""
-        values = self.values
-        return [len(values[k]) for k in self.skel.children[idx]]
-
-    def commit_children(
-        self, idx: int, vid: int, cmarks: List[int]
-    ) -> None:
-        values = self.values
-        child_lo = self.child_lo[idx]
-        child_hi = self.child_hi[idx]
-        for j, k in enumerate(self.skel.children[idx]):
-            child_lo[j].append(cmarks[j])
-            child_hi[j].append(len(values[k]))
-        values[idx].append(vid)
-
-    def rollback(self, idx: int, marks: List[int]) -> None:
-        for k, watermark in zip(
-            range(idx + 1, self.skel.end[idx]), marks
-        ):
-            del self.values[k][watermark:]
-            for slot in self.child_lo[k]:
-                del slot[watermark:]
-            for slot in self.child_hi[k]:
-                del slot[watermark:]
-
-    def finish(self, pool) -> ArenaRep:
-        return ArenaRep(
-            self.skel, self.values, self.child_lo, self.child_hi, pool
-        )
-
-
-def _copy_run(
-    src: ArenaRep,
-    w: _Writer,
-    si: int,
-    di: int,
-    lo: int,
-    hi: int,
-    vmap=None,
-) -> None:
-    """Bulk-append entries ``[lo, hi)`` of src node ``si`` (and their
-    whole descendant forests) to dst node ``di``.
-
-    Requires structurally identical subtrees under ``si`` and ``di``
-    (same labels; canonical child sorting then makes the child orders
-    coincide, so the recursion is positional).  Values copy verbatim,
-    or through ``vmap`` (an id remap table) for cross-pool copies;
-    child ranges copy with one constant shift per (slot, run).
-    """
-    if hi <= lo:
-        return
-    if vmap is None:
-        _extend_ids(w.values[di], src.values[si], lo, hi)
-    elif _np is not None:
-        col = _as_np(src.values[si])[lo:hi]
-        w.values[di].frombytes(vmap[col].tobytes())
-    else:
-        column = src.values[si]
-        w.values[di].extend(vmap[column[e]] for e in range(lo, hi))
-    skids = src.skel.children[si]
-    dkids = w.skel.children[di]
-    for j in range(len(skids)):
-        los = src.child_lo[si][j]
-        his = src.child_hi[si][j]
-        c_lo = los[lo]
-        c_hi = his[hi - 1]
-        delta = len(w.values[dkids[j]]) - c_lo
-        _extend_shifted(w.child_lo[di][j], los, lo, hi, delta)
-        _extend_shifted(w.child_hi[di][j], his, lo, hi, delta)
-        _copy_run(src, w, skids[j], dkids[j], c_lo, c_hi, vmap)
+def counters() -> Dict[str, int]:
+    """The ``kernels`` collector: :data:`COUNTERS` plus the number of
+    prepared kernels currently cached."""
+    return dict(COUNTERS.snapshot(), cache_size=len(_KERNEL_CACHE))
 
 
 def _value_ranks(ids: Sequence[int], pool) -> Tuple[List[int], int]:
@@ -197,8 +112,8 @@ def _value_ranks(ids: Sequence[int], pool) -> Tuple[List[int], int]:
     value (aligned with ``ids``), and the number of ranks.  Ids whose
     values compare *equal* share a rank (interning is per-type, so
     ``1`` and ``1.0`` hold distinct ids) -- the equality grouping of
-    the heap and two-pointer merges.  Incomparable values raise
-    ``TypeError``, as they would there."""
+    a decoded sort-merge.  Incomparable values raise ``TypeError``, as
+    they would there."""
     values = [pool[vid] for vid in ids]  # decode once: pools may be slow
     ranks = [0] * len(values)
     current = -1
@@ -212,761 +127,569 @@ def _value_ranks(ids: Sequence[int], pool) -> Tuple[List[int], int]:
     return ranks, current + 1
 
 
-def _pool_rank(pool):
-    """:func:`_value_ranks` of every pool id, as an int64 numpy table.
-    Returns ``False`` when the pool holds incomparable values (the
-    caller falls back to the heap) or numpy is unavailable.
-    """
+# -- column primitives --------------------------------------------------------
+#
+# Each realised with numpy or with the stdlib alone.  A "vector" below
+# is an int64 (a mask: bool) ndarray or a list accordingly; a "column"
+# is what an arena holds (``array('q')`` or an mmap-backed ndarray).
+
+
+def _column(vector) -> array:
+    """A vector as an arena column."""
+    out = _i64()
     if _np is None:
-        return False
-    try:
-        ranks, _ = _value_ranks(range(len(pool)), pool)
-    except TypeError:
-        return False
-    return _np.asarray(ranks, dtype=_np.int64)
+        out.extend(vector)
+    elif len(vector):  # (an empty memoryview cannot be cast)
+        vector = _np.ascontiguousarray(vector, dtype=_np.int64)
+        out.frombytes(vector.data.cast("B"))
+    return out
 
 
-# -- the per-occurrence driver ------------------------------------------------
+def _take(column, idx):
+    """``column[idx]`` for an index vector (any order, repeats)."""
+    if _np is not None:
+        return _as_np(column)[idx]
+    return list(map(column.__getitem__, idx))
 
 
-class _LevelKernel:
+def _spread(slots, los: Sequence[object], his: Sequence[object]):
+    """``slots[e]`` repeated once per child entry of input entry ``e``
+    (child ranges ``[lo, hi)`` given per part, end to end): the owner
+    vector of the child column, valid because child ranges tile it."""
+    if _np is not None:
+        widths = _np.concatenate(
+            [_as_np(hi) - _as_np(lo) for lo, hi in zip(los, his)]
+        )
+        return _np.repeat(slots, widths)
+    widths = (hi - lo for lo, hi in zip(chain(*los), chain(*his)))
+    return list(chain.from_iterable(map(repeat, slots, widths)))
+
+
+def _owners(lo, hi, of=None):
+    """For every child entry of the slot ``(lo, hi)``, the index of
+    the entry that owns it -- or what ``of`` holds at that index."""
+    if of is None:
+        n = len(lo)
+        of = range(n) if _np is None else _np.arange(n, dtype=_np.int64)
+    return _spread(of, [lo], [hi])
+
+
+def _ranges(counts) -> Tuple[array, array]:
+    """Tiling ``(child_lo, child_hi)`` for per-entry child counts."""
+    if _np is not None:
+        his = _np.cumsum(counts)
+        return _column(his - counts), _column(his)
+    bounds = list(accumulate(counts, initial=0))
+    return _column(bounds[:-1]), _column(bounds[1:])
+
+
+def _expand(lo, hi, idx):
+    """``(widths, inner)``: the number of child entries of each of the
+    entries ``idx`` of one child slot, and the indices of those child
+    entries, run after run."""
+    if _np is not None:
+        idx = _np.asarray(idx, dtype=_np.int64)
+        first = _as_np(lo)[idx]
+        widths = _as_np(hi)[idx] - first
+        ends = _np.cumsum(widths)
+        first -= ends - widths
+        inner = _np.repeat(first, widths)
+        inner += _np.arange(len(inner), dtype=_np.int64)
+        return widths, inner
+    first, last = _take(lo, idx), _take(hi, idx)
+    return (
+        list(map(sub, last, first)),
+        list(chain.from_iterable(map(range, first, last))),
+    )
+
+
+def _rank_columns(pool, columns: Sequence[object]):
+    """``(rank vectors, number of ranks)``: every id of ``columns``
+    replaced by its dense value rank, ranked jointly.  Only the
+    distinct ids present are decoded and sorted -- a shared pool holds
+    the values of every attribute of the database, comparable with
+    these or not -- so ``TypeError`` means incomparable values *within*
+    the compared columns."""
+    if _np is not None:
+        views = [_as_np(column) for column in columns]
+        present = _np.zeros(len(pool), dtype=bool)
+        for view in views:
+            present[view] = True
+        distinct = _np.flatnonzero(present)
+        rank, ranks = _value_ranks(distinct.tolist(), pool)
+        table = _np.empty(len(present), dtype=_np.int64)
+        table[distinct] = rank
+        return [table[view] for view in views], ranks
+    distinct = list(set(chain(*columns)))
+    rank, ranks = _value_ranks(distinct, pool)
+    table = dict(zip(distinct, rank))
+    return [list(map(table.__getitem__, c)) for c in columns], ranks
+
+
+def _keys(owners, ranks, stride: int):
+    """Composite (owner, value-rank) sort keys; ``owners=None`` when
+    there is one owner (a root level)."""
+    if owners is None:
+        return ranks
+    if _np is not None:
+        return owners * stride + ranks
+    return [o * stride + r for o, r in zip(owners, ranks)]
+
+
+def _sort_groups(keys):
+    """``(order, starts, counts)``: the stable sort order of ``keys``
+    and, per run of equal keys in that order, where it starts and how
+    long it is."""
+    n = len(keys)
+    if _np is not None:
+        order = _np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        fresh = _np.empty(n, dtype=bool)
+        fresh[0] = True
+        _np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+        starts = _np.flatnonzero(fresh)
+        return order, starts, _np.diff(starts, append=n)
+    order = sorted(range(n), key=keys.__getitem__)
+    starts = [
+        i
+        for i in range(n)
+        if i == 0 or keys[order[i]] != keys[order[i - 1]]
+    ]
+    return order, starts, list(map(sub, starts[1:] + [n], starts))
+
+
+def _match(left, right):
+    """Keep masks of two strictly increasing key vectors: the entries
+    whose key the other side holds too (a sorted intersection)."""
+    if _np is not None:
+        at = _np.searchsorted(right, left)
+        at[at == len(right)] = 0
+        keep_left = right[at] == left
+        keep_right = _np.zeros(len(right), dtype=bool)
+        keep_right[at[keep_left]] = True
+        return keep_left, keep_right
+    common = set(left).intersection(right)
+    return (
+        list(map(common.__contains__, left)),
+        list(map(common.__contains__, right)),
+    )
+
+
+def _count_slots(slots, n: int):
+    """How often each of ``0..n-1`` occurs in ``slots``."""
+    if _np is not None:
+        return _np.bincount(slots, minlength=n)
+    counts = [0] * n
+    for slot in slots:
+        counts[slot] += 1
+    return counts
+
+
+def _kept(mask, lo, hi):
+    """How many child entries ``mask`` keeps for every entry of the
+    slot ``(lo, hi)``: a cumulative keep count read at both ends."""
+    if _np is not None:
+        total = _np.zeros(len(mask) + 1, dtype=_np.int64)
+        _np.cumsum(mask, out=total[1:])
+        return total[_as_np(hi)] - total[_as_np(lo)]
+    total = list(accumulate(mask, initial=0))
+    return [total[h] - total[l] for l, h in zip(lo, hi)]
+
+
+def _both(mask, other):
+    """The conjunction of two masks; one of them may be ``None``."""
+    if mask is None or other is None:
+        return other if mask is None else mask
+    return mask & other if _np is not None else list(map(and_, mask, other))
+
+
+def _compress(vector, mask):
+    """The entries of ``vector`` (or column) that ``mask`` keeps."""
+    if _np is not None:
+        return _as_np(vector)[mask]
+    return list(compress(vector, mask))
+
+
+# -- the two forest primitives ------------------------------------------------
+
+
+def _hangs_in(skel: _Skeleton, node: int) -> Tuple[int, int]:
+    """``(parent, slot)``: the child slot ``node`` hangs in;
+    ``(-1, -1)`` for a root."""
+    p = skel.parent[node]
+    return (p, skel.children[p].index(node)) if p != -1 else (-1, -1)
+
+
+class _Columns:
+    """One kernel run's working columns, in *source* node numbering.
+
+    They start out as the input arena's own columns, shared and never
+    mutated; the primitives replace the ones an operator rewrites, and
+    :meth:`_Kernel.run` relabels the lot into the destination skeleton.
+    ``pruned`` and ``gathers`` are the run's tallies.
+    """
+
+    __slots__ = ("values", "lo", "hi", "pruned", "gathers")
+
+    def __init__(self, arena: ArenaRep) -> None:
+        self.values = list(arena.values)
+        self.lo = [list(slots) for slots in arena.child_lo]
+        self.hi = [list(slots) for slots in arena.child_hi]
+        self.pruned = 0
+        self.gathers = 0
+
+
+def _gather_forest(
+    arena: ArenaRep,
+    out: _Columns,
+    node: int,
+    idx,
+    slots: Sequence[int],
+) -> None:
+    """The forest gather: the child forests in ``slots`` of entries
+    ``idx`` of ``node`` (any order, repeats allowed, possibly none).
+
+    Writes the gathered child ranges of those slots (aligned with
+    ``idx``) and every column below them; ``node``'s own value column
+    is its caller's business.  One node at a time, each index vector
+    dropped as soon as its children's are expanded from it.
+    """
+    out.gathers += 1
+    children = arena.skel.children
+    pending = [(node, j, idx) for j in slots]
+    while pending:
+        node, j, idx = pending.pop()
+        widths, inner = _expand(
+            arena.child_lo[node][j], arena.child_hi[node][j], idx
+        )
+        out.lo[node][j], out.hi[node][j] = _ranges(widths)
+        child = children[node][j]
+        out.values[child] = _column(_take(arena.values[child], inner))
+        pending.extend(
+            (child, k, inner) for k in range(len(children[child]))
+        )
+
+
+def _cascade(
+    arena: ArenaRep, out: _Columns, masks: Dict[int, object]
+) -> bool:
+    """The mask cascade: drop the entries ``masks`` (node -> keep mask
+    over its column) rejects, everything they own and every ancestor
+    entry they leave with an empty union.  ``False`` when the whole
+    relation empties; otherwise every affected node's columns are
+    compacted into ``out``, once each.
+    """
+    skel = arena.skel
+    every, some = (
+        (all, any) if _np is None else (_np.ndarray.all, _np.ndarray.any)
+    )
+    keep = {n: mask for n, mask in masks.items() if not every(mask)}
+    #: Kept child entries per parent entry, by child node.  Still right
+    #: after the way down: that only drops entries of dropped parents.
+    counted = {}
+    # Up, children before parents: an entry survives iff each masked
+    # child union of it keeps an entry.  A level that loses nothing
+    # ends the climb (and leaves its siblings' subtrees shared).
+    for node in range(max(keep, default=0), 0, -1):
+        if node not in keep or skel.parent[node] == -1:
+            continue
+        p, j = _hangs_in(skel, node)
+        counts = counted[node] = _kept(
+            keep[node], arena.child_lo[p][j], arena.child_hi[p][j]
+        )
+        alive = counts > 0 if _np is not None else [c > 0 for c in counts]
+        if not every(alive):
+            keep[p] = _both(keep.get(p), alive)
+    for r in skel.roots:
+        if r in keep and not some(keep[r]):
+            return False
+    # Down, parents before children: a dropped entry takes its forest.
+    for node in range(min(keep, default=0) + 1, len(skel)):
+        if skel.parent[node] in keep:
+            p, j = _hangs_in(skel, node)
+            below = _owners(
+                arena.child_lo[p][j], arena.child_hi[p][j], keep[p]
+            )
+            keep[node] = _both(keep.get(node), below)
+    # Compact: every masked node rewrites its value column and the
+    # ranges of the slot it hangs in (its parent may have lost nothing).
+    for node, mask in keep.items():
+        column = _column(_compress(arena.values[node], mask))
+        out.pruned += len(mask) - len(column)
+        out.values[node] = column
+        p, j = _hangs_in(skel, node)
+        if p != -1:
+            counts = counted.get(node)
+            if counts is None:
+                counts = _kept(
+                    mask, arena.child_lo[p][j], arena.child_hi[p][j]
+                )
+            if p in keep:
+                counts = _compress(counts, keep[p])
+            out.lo[p][j], out.hi[p][j] = _ranges(counts)
+    return True
+
+
+# -- the operator kernels -----------------------------------------------------
+
+
+class _Kernel:
     """Base of the prepared single-operator kernels.
 
-    A restructuring operator rewrites every *occurrence* of the level
-    at which its anchor node sits.  :meth:`run` walks the spine -- the chain of
-    the anchor's ancestors -- per entry, calls the operator-specific
-    :meth:`level` at each occurrence, prunes entries whose rewritten
-    occurrence emptied (rollback), and bulk-copies everything off the
-    spine.  Subclasses fill in :meth:`level`, which must write **all**
-    destination members of the rewritten level (the level is where the
-    forest changes shape, so only the subclass knows the mapping) and
-    return ``False`` when the occurrence emptied.
+    A restructuring operator rewrites the level at which its operands
+    sit -- in every occurrence at once -- and leaves every other column
+    alone.  Preparation resolves where each destination column comes
+    from: destination node ``d`` takes the value column of source node
+    ``value_src[d]`` and, per child, the range columns of source slot
+    ``slot_src[d][child]`` -- by default the slot that child's label
+    hangs in in the source tree.  :meth:`run` lets the subclass's
+    :meth:`rewrite` replace working columns, then relabels.
     """
 
     __slots__ = (
-        "src_tree",
-        "out_tree",
-        "sskel",
-        "dskel",
-        "anchor",
-        "p",
-        "level_nodes",
-        "spine",
-        "passthrough",
+        "src_tree", "out_tree", "sskel", "dskel", "value_src", "slot_src",
     )
 
     def __init__(
-        self, tree: FTree, out_tree: FTree, anchor_label
+        self,
+        tree: FTree,
+        sskel: _Skeleton,
+        out_tree: FTree,
+        renamed: Optional[Dict[object, int]] = None,
+        slot_of: Optional[Dict[int, Tuple[int, int]]] = None,
     ) -> None:
+        """``renamed``: destination label -> source node, for labels
+        the source tree does not have; ``slot_of``: source node ->
+        the source slot whose ranges its destination node takes over,
+        where that is not the node's own."""
         self.src_tree = tree
         self.out_tree = out_tree
-        sskel = _skeleton_of(tree)
-        dskel = _skeleton_of(out_tree)
         self.sskel = sskel
-        self.dskel = dskel
-        sa = sskel.index[anchor_label]
-        self.anchor = sa
-        p = sskel.parent[sa]
-        self.p = p
-        self.level_nodes: Tuple[int, ...] = (
-            sskel.roots if p == -1 else sskel.children[p]
-        )
-        # Spine: the anchor's ancestors, root first.  Per spine node:
-        # (src idx, dst idx, continuation slot, passthrough child
-        # copies) -- labels above the level are untouched by every
-        # operator here, so dst nodes resolve by label.
-        spine: List[Tuple[int, int, int, List[Tuple[int, int, int]]]] = []
-        chain: List[int] = []
-        x = p
-        while x != -1:
-            chain.append(x)
-            x = sskel.parent[x]
-        chain.reverse()
-        for d, sx in enumerate(chain):
-            dx = dskel.index[sskel.labels[sx]]
-            if d + 1 < len(chain):
-                nxt = chain[d + 1]
-                j_cont = sskel.children[sx].index(nxt)
-                passthrough = [
-                    (j, k, dskel.index[sskel.labels[k]])
-                    for j, k in enumerate(sskel.children[sx])
-                    if j != j_cont
-                ]
-            else:
-                # The chain's last node is the level's parent: walk()
-                # hands its entries straight to level(), which owns
-                # every level member -- no continuation slot, and no
-                # passthrough (whose labels may not even survive the
-                # operator, e.g. a merged-away sibling).
-                j_cont = -1
-                passthrough = []
-            spine.append((sx, dx, j_cont, passthrough))
-        self.spine = spine
-        # Level members the operator leaves untouched; subclasses
-        # remove their operands from this list.
-        self.passthrough: List[Tuple[int, int, int]] = []
-
-    def _keep_members(self, consumed: Sequence[int]) -> None:
-        """Record the level members copied verbatim by :meth:`level`."""
-        skip = set(consumed)
-        self.passthrough = [
-            (pos, m, self.dskel.index[self.sskel.labels[m]])
-            for pos, m in enumerate(self.level_nodes)
-            if m not in skip
+        dskel = self.dskel = _skeleton_of(out_tree)
+        index = {**sskel.index, **(renamed or {})}
+        self.value_src = [index[label] for label in dskel.labels]
+        slot_of = slot_of or {}
+        self.slot_src = [
+            [
+                slot_of.get(s) or _hangs_in(sskel, s)
+                for s in map(self.value_src.__getitem__, kids)
+            ]
+            for kids in dskel.children
         ]
 
-    def _rng(
-        self, arena: ArenaRep, pos: int, node: int, e: Optional[int]
-    ) -> Tuple[int, int]:
-        """Entry range of level member ``node`` at occurrence ``e``."""
-        if e is None:
-            return 0, len(arena.values[node])
-        return (
-            arena.child_lo[self.p][pos][e],
-            arena.child_hi[self.p][pos][e],
-        )
-
-    def _copy_passthrough(
-        self, arena: ArenaRep, w: _Writer, e: Optional[int]
-    ) -> None:
-        for pos, m, dm in self.passthrough:
-            lo, hi = self._rng(arena, pos, m, e)
-            _copy_run(arena, w, m, dm, lo, hi)
-
-    def level(
-        self, arena: ArenaRep, w: _Writer, e: Optional[int]
+    def rewrite(
+        self, arena: ArenaRep, out: _Columns
     ) -> bool:  # pragma: no cover - abstract
+        """Replace the working columns the operator changes; ``False``
+        when the relation empties."""
         raise NotImplementedError
 
     def run(self, arena: ArenaRep) -> Optional[ArenaRep]:
-        w = _Writer(self.dskel)
-        if self.p == -1:
-            if not self.level(arena, w, None):
-                return None
-            return w.finish(arena.pool)
-        spine = self.spine
-        sskel = self.sskel
-        last = len(spine) - 1
+        out = _Columns(arena)
+        result = None
+        if self.rewrite(arena, out):
+            result = ArenaRep(
+                self.dskel,
+                [out.values[s] for s in self.value_src],
+                [[out.lo[s][j] for s, j in row] for row in self.slot_src],
+                [[out.hi[s][j] for s, j in row] for row in self.slot_src],
+                arena.pool,
+            )
+        COUNTERS.add(
+            runs=1,
+            entries_in=arena.entry_count,
+            entries_out=0 if result is None else result.entry_count,
+            entries_pruned=out.pruned,
+            gathers=out.gathers,
+        )
+        return result
 
-        def walk(d: int, lo: int, hi: int) -> bool:
-            sx, dx, j_cont, passthrough = spine[d]
-            vals = arena.values[sx]
-            kept = False
-            if d == last:
-                for e in range(lo, hi):
-                    marks = w.mark(dx)
-                    if self.level(arena, w, e):
-                        w.commit_id(dx, vals[e], marks)
-                        kept = True
-                    else:
-                        w.rollback(dx, marks)
-                return kept
-            los = arena.child_lo[sx][j_cont]
-            his = arena.child_hi[sx][j_cont]
-            for e in range(lo, hi):
-                marks = w.mark(dx)
-                if walk(d + 1, los[e], his[e]):
-                    for j, k, dk in passthrough:
-                        _copy_run(
-                            arena,
-                            w,
-                            k,
-                            dk,
-                            arena.child_lo[sx][j][e],
-                            arena.child_hi[sx][j][e],
-                        )
-                    w.commit_id(dx, vals[e], marks)
-                    kept = True
-                else:
-                    w.rollback(dx, marks)
-            return kept
-
-        root = spine[0][0]
-        if not walk(0, 0, len(arena.values[root])):
+    def _occurrences(self, arena: ArenaRep, node: int):
+        """The occurrence (parent entry) of every entry of a level
+        member; ``None`` at the root level, where there is one."""
+        p, pos = _hangs_in(self.sskel, node)
+        if p == -1:
             return None
-        for r in sskel.roots:
-            if r != root:
-                _copy_run(
-                    arena,
-                    w,
-                    r,
-                    self.dskel.index[sskel.labels[r]],
-                    0,
-                    len(arena.values[r]),
-                )
-        return w.finish(arena.pool)
+        return _owners(arena.child_lo[p][pos], arena.child_hi[p][pos])
 
 
-# -- swap ---------------------------------------------------------------------
+class SwapKernel(_Kernel):
+    """``chi_{A,B}`` on columns (Figure 4, all occurrences at once).
 
+    Every ``B`` entry is one (a, b) pair.  One stable sort of the pairs
+    by (occurrence, rank of b) gives the output order: runs of equal
+    keys are the new ``B`` entries, headed by their first pair (the
+    smallest ``a``, as the heap merge pops it), the pairs themselves
+    the new ``A`` entries.  The payloads follow by forest gather:
+    ``E_a`` by the pairs' ``A`` index, ``T_ab`` by their ``B`` index,
+    ``T_b`` by the heads' ``B`` index.  A swap never prunes.
+    """
 
-class SwapKernel(_LevelKernel):
-    """``chi_{A,B}`` on columns: the Figure 4 heap merge, with all
-    subtree payloads (``E_a``, ``F_b``, ``G_ab``) moved as bulk runs."""
-
-    __slots__ = (
-        "sa",
-        "sb",
-        "a_pos",
-        "j_b",
-        "dna",
-        "dnb",
-        "e_slots",
-        "tb_slots",
-        "tab_slots",
-        "j_a_slot",
-        "leaf_fast",
-        "copy_plan",
-    )
+    __slots__ = ("sa", "sb", "j_b", "e_slots", "tb_slots", "tab_slots")
 
     def __init__(self, tree: FTree, a_attr: str, b_attr: str) -> None:
         from repro.ops.swap import _swap_parts, swap_tree
 
-        node_a, node_b, a_others, t_b, t_ab = _swap_parts(
-            tree, a_attr, b_attr
-        )
+        node_a, node_b, _, t_b, _ = _swap_parts(tree, a_attr, b_attr)
+        sskel = _skeleton_of(tree)
+        sa = self.sa = sskel.index[node_a.label]
+        sb = self.sb = sskel.index[node_b.label]
+        self.j_b = sskel.children[sa].index(sb)
+        # B takes over the slot A hung in, A the slot B hung in.
+        slot_of = {sa: (sa, self.j_b)}
+        if sskel.parent[sa] != -1:
+            slot_of[sb] = _hangs_in(sskel, sa)
         super().__init__(
-            tree, swap_tree(tree, a_attr, b_attr), node_a.label
+            tree, sskel, swap_tree(tree, a_attr, b_attr), slot_of=slot_of
         )
-        sskel, dskel = self.sskel, self.dskel
-        self.sa = sskel.index[node_a.label]
-        self.sb = sskel.index[node_b.label]
-        self.a_pos = self.level_nodes.index(self.sa)
-        self.j_b = sskel.children[self.sa].index(self.sb)
-        self.dna = dskel.index[node_a.label]
-        self.dnb = dskel.index[node_b.label]
         self.e_slots = [
-            (j, k, dskel.index[sskel.labels[k]])
-            for j, k in enumerate(sskel.children[self.sa])
-            if j != self.j_b
+            j for j in range(len(sskel.children[sa])) if j != self.j_b
         ]
         tb_labels = {t.label for t in t_b}
         self.tb_slots = [
-            (j, k, dskel.index[sskel.labels[k]])
-            for j, k in enumerate(sskel.children[self.sb])
+            j
+            for j, k in enumerate(sskel.children[sb])
             if sskel.labels[k] in tb_labels
         ]
         self.tab_slots = [
-            (j, k, dskel.index[sskel.labels[k]])
-            for j, k in enumerate(sskel.children[self.sb])
+            j
+            for j, k in enumerate(sskel.children[sb])
             if sskel.labels[k] not in tb_labels
         ]
-        self._keep_members((self.sa,))
-        # Leaf-shaped swap (B is A's only subtree and carries none of
-        # its own): the whole occurrence reduces to one argsort-and-
-        # group over the B column -- no per-entry Python at all.
-        self.j_a_slot = dskel.children[self.dnb].index(self.dna)
-        self.leaf_fast = (
-            _np is not None
-            and not self.e_slots
-            and not self.tb_slots
-            and not self.tab_slots
-            and not dskel.children[self.dna]
-        )
-        # Batched-run copy plan: a swap never prunes an occurrence
-        # (every A entry owns a non-empty B union), so every column
-        # except the two swapped nodes' copies verbatim.  Resolve the
-        # per-node slot mapping now; the slot that pointed at A points
-        # at B's node in the output (the subtree root's label changed).
-        self.copy_plan: List[
-            Tuple[int, int, List[Tuple[int, int, int]]]
-        ] = []
-        if self.leaf_fast:
-            for si in range(len(sskel)):
-                if si == self.sa or si == self.sb:
-                    continue
-                di = dskel.index[sskel.labels[si]]
-                slots = []
-                for j, k in enumerate(sskel.children[si]):
-                    dst_label = (
-                        node_b.label
-                        if k == self.sa
-                        else sskel.labels[k]
-                    )
-                    dj = dskel.children[di].index(
-                        dskel.index[dst_label]
-                    )
-                    slots.append((j, dj, k))
-                self.copy_plan.append((si, di, slots))
 
-    def run(self, arena: ArenaRep) -> Optional[ArenaRep]:
-        """Whole-column batched swap: one argsort over a composite
-        (occurrence, value-rank) key replaces the per-occurrence walk
-        entirely.  Falls back to the generic driver when the shape is
-        not leaf-fast, the pool is not comparable, or columns are not
-        occurrence-contiguous."""
-        if not self.leaf_fast:
-            return super().run(arena)
-        rank = _pool_rank(arena.pool)
-        if rank is False:
-            return super().run(arena)
-        np = _np
-        sskel = self.sskel
-        sa, sb, p = self.sa, self.sb, self.p
-        vals_a = _as_np(arena.values[sa])
-        vals_b = _as_np(arena.values[sb])
-        n_a = len(vals_a)
-        if n_a == 0:
-            return None
-        bl = _as_np(arena.child_lo[sa][self.j_b])
-        bh = _as_np(arena.child_hi[sa][self.j_b])
-        if len(vals_b) != int((bh - bl).sum()):
-            return super().run(arena)
-        if p != -1:
-            occ_lo = _as_np(arena.child_lo[p][self.a_pos])
-            occ_hi = _as_np(arena.child_hi[p][self.a_pos])
-            if n_a != int((occ_hi - occ_lo).sum()):
-                return super().run(arena)
-            a_occ = np.repeat(
-                np.arange(len(occ_lo), dtype=np.int64),
-                occ_hi - occ_lo,
+    def rewrite(self, arena: ArenaRep, out: _Columns) -> bool:
+        sa, sb, j_b = self.sa, self.sb, self.j_b
+        owner = _owners(arena.child_lo[sa][j_b], arena.child_hi[sa][j_b])
+        (rank_b,), stride = _rank_columns(arena.pool, [arena.values[sb]])
+        occurrence = self._occurrences(arena, sa)  # of every A entry ...
+        if occurrence is not None:
+            occurrence = _take(occurrence, owner)  # ... of every pair
+        order, starts, counts = _sort_groups(
+            _keys(occurrence, rank_b, stride)
+        )
+        heads = _take(order, starts)
+        pairs_a = _take(owner, order)
+        out.values[sa] = _column(_take(arena.values[sa], pairs_a))
+        out.values[sb] = _column(_take(arena.values[sb], heads))
+        out.lo[sa][j_b], out.hi[sa][j_b] = _ranges(counts)
+        if occurrence is not None:
+            p, pos = _hangs_in(self.sskel, sa)
+            out.lo[p][pos], out.hi[p][pos] = _ranges(
+                _count_slots(
+                    _take(occurrence, heads), len(arena.values[p])
+                )
             )
-        else:
-            occ_lo = None
-            a_occ = np.zeros(n_a, dtype=np.int64)
-        owners = np.repeat(
-            np.arange(n_a, dtype=np.int64), bh - bl
-        )
-        kb = rank[vals_b]
-        occ_b = a_occ[owners]
-        stride = int(kb.max()) + 1 if len(kb) else 1
-        order = np.argsort(occ_b * stride + kb, kind="stable")
-        comp_sorted = (occ_b * stride + kb)[order]
-        boundary = (
-            np.flatnonzero(comp_sorted[1:] != comp_sorted[:-1]) + 1
-        )
-        n_out = len(comp_sorted)
-        starts = np.concatenate(
-            (np.zeros(1, dtype=np.int64), boundary)
-        )
-        ends = np.concatenate(
-            (boundary, np.asarray([n_out], dtype=np.int64))
-        )
-        w = _Writer(self.dskel)
-        w.values[self.dna].frombytes(
-            vals_a[owners[order]].tobytes()
-        )
-        b_sorted = vals_b[order]
-        w.values[self.dnb].frombytes(b_sorted[starts].tobytes())
-        w.child_lo[self.dnb][self.j_a_slot].frombytes(
-            starts.tobytes()
-        )
-        w.child_hi[self.dnb][self.j_a_slot].frombytes(
-            ends.tobytes()
-        )
-        if p != -1:
-            per_occ = np.bincount(
-                occ_b[order][starts], minlength=len(occ_lo)
-            ).astype(np.int64)
-            group_hi = np.cumsum(per_occ)
-            group_lo = group_hi - per_occ
-        for si, di, slots in self.copy_plan:
-            column = arena.values[si]
-            _extend_ids(w.values[di], column, 0, len(column))
-            for j, dj, k in slots:
-                if si == p and k == sa:
-                    w.child_lo[di][dj].frombytes(group_lo.tobytes())
-                    w.child_hi[di][dj].frombytes(group_hi.tobytes())
-                    continue
-                src_lo = arena.child_lo[si][j]
-                src_hi = arena.child_hi[si][j]
-                _extend_ids(w.child_lo[di][dj], src_lo, 0, len(src_lo))
-                _extend_ids(w.child_hi[di][dj], src_hi, 0, len(src_hi))
-        return w.finish(arena.pool)
-
-    def _level_vectorised(
-        self, arena: ArenaRep, w: _Writer, e: Optional[int], rank
-    ) -> bool:
-        np = _np
-        sa, sb = self.sa, self.sb
-        a_lo, a_hi = self._rng(arena, self.a_pos, sa, e)
-        if a_hi <= a_lo:
-            return self._level_heap(arena, w, e)
-        bl = _as_np(arena.child_lo[sa][self.j_b])
-        bh = _as_np(arena.child_hi[sa][self.j_b])
-        seg_lo = int(bl[a_lo])
-        seg_hi = int(bh[a_hi - 1])
-        counts = bh[a_lo:a_hi] - bl[a_lo:a_hi]
-        if seg_hi - seg_lo != int(counts.sum()):
-            # Non-contiguous B runs inside the occurrence; take the
-            # cursor-per-entry heap instead of gathering.
-            return self._level_heap(arena, w, e)
-        b_seg = _as_np(arena.values[sb])[seg_lo:seg_hi]
-        n_out = len(b_seg)
-        if n_out == 0:
-            return False
-        owners = np.repeat(
-            np.arange(a_lo, a_hi, dtype=np.int64), counts
-        )
-        order = np.argsort(rank[b_seg], kind="stable")
-        b_sorted = b_seg[order]
-        keys = rank[b_sorted]
-        boundary = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-        starts = np.concatenate(
-            (np.zeros(1, dtype=np.int64), boundary)
-        )
-        ends = np.concatenate(
-            (boundary, np.asarray([n_out], dtype=np.int64))
-        )
-        dna, dnb = self.dna, self.dnb
-        base_a = len(w.values[dna])
-        a_ids = _as_np(arena.values[sa])[owners[order]]
-        w.values[dna].frombytes(a_ids.tobytes())
-        slot = self.j_a_slot
-        w.child_lo[dnb][slot].frombytes((starts + base_a).tobytes())
-        w.child_hi[dnb][slot].frombytes((ends + base_a).tobytes())
-        w.values[dnb].frombytes(b_sorted[starts].tobytes())
-        self._copy_passthrough(arena, w, e)
-        return True
-
-    def level(
-        self, arena: ArenaRep, w: _Writer, e: Optional[int]
-    ) -> bool:
-        if self.leaf_fast:
-            rank = w.scratch.get("swap_rank")
-            if rank is None:
-                rank = _pool_rank(arena.pool)
-                w.scratch["swap_rank"] = rank
-            if rank is not False:
-                return self._level_vectorised(arena, w, e, rank)
-        return self._level_heap(arena, w, e)
-
-    def _level_heap(
-        self, arena: ArenaRep, w: _Writer, e: Optional[int]
-    ) -> bool:
-        sa, sb = self.sa, self.sb
-        a_lo, a_hi = self._rng(arena, self.a_pos, sa, e)
-        vals_a = arena.values[sa]
-        vals_b = arena.values[sb]
-        bl = arena.child_lo[sa][self.j_b]
-        bh = arena.child_hi[sa][self.j_b]
-        a_cl, a_ch = arena.child_lo[sa], arena.child_hi[sa]
-        b_cl, b_ch = arena.child_lo[sb], arena.child_hi[sb]
-        pool = arena.pool
-        dna, dnb = self.dna, self.dnb
-
-        # Figure 4: one cursor per A-entry into its inner B-union,
-        # merged by a min-heap keyed on the next (decoded) B value.
-        n = a_hi - a_lo
-        positions: List[int] = [0] * n
-        heap: List[Tuple[object, int]] = []
-        for i in range(n):
-            b0 = bl[a_lo + i]
-            positions[i] = b0
-            heap.append((pool[vals_b[b0]], i))
-        heapq.heapify(heap)
-
-        while heap:
-            b_min = heap[0][0]
-            group_marks = w.mark_children(dnb)
-            b_vid = -1
-            first = True
-            while heap and heap[0][0] == b_min:
-                _, i = heapq.heappop(heap)
-                a_e = a_lo + i
-                bp = positions[i]
-                if first:
-                    first = False
-                    b_vid = vals_b[bp]
-                    for j, k, dk in self.tb_slots:
-                        _copy_run(
-                            arena, w, k, dk, b_cl[j][bp], b_ch[j][bp]
-                        )
-                marks_a = w.mark_children(dna)
-                for j, k, dk in self.e_slots:
-                    _copy_run(
-                        arena, w, k, dk, a_cl[j][a_e], a_ch[j][a_e]
-                    )
-                for j, k, dk in self.tab_slots:
-                    _copy_run(
-                        arena, w, k, dk, b_cl[j][bp], b_ch[j][bp]
-                    )
-                w.commit_children(dna, vals_a[a_e], marks_a)
-                positions[i] = bp + 1
-                if bp + 1 < bh[a_e]:
-                    heapq.heappush(
-                        heap, (pool[vals_b[bp + 1]], i)
-                    )
-            w.commit_children(dnb, b_vid, group_marks)
-        self._copy_passthrough(arena, w, e)
+        _gather_forest(arena, out, sa, pairs_a, self.e_slots)
+        _gather_forest(arena, out, sb, order, self.tab_slots)
+        _gather_forest(arena, out, sb, heads, self.tb_slots)
         return True
 
 
-# -- merge --------------------------------------------------------------------
+class MergeKernel(_Kernel):
+    """``mu_{A,B}`` on columns: the sorted intersection of the two
+    sibling columns' (occurrence, value-rank) keys gives two keep
+    masks, one cascade prunes what they reject (and the occurrences
+    they empty), and the survivors -- equally many on both sides of
+    every occurrence, in the same order -- become the merged node:
+    ``A``'s value ids, both child-slot sets."""
 
-
-class MergeKernel(_LevelKernel):
-    """``mu_{A,B}`` on columns: a decoded sort-merge of the two
-    sibling value columns; matched entries adopt both child forests."""
-
-    __slots__ = ("sa", "sb", "a_pos", "b_pos", "dm", "a_slots", "b_slots")
+    __slots__ = ("sa", "sb")
 
     def __init__(self, tree: FTree, a_attr: str, b_attr: str) -> None:
         from repro.ops.merge import _merge_parts, merge_tree
 
         node_a, node_b, merged = _merge_parts(tree, a_attr, b_attr)
-        super().__init__(
-            tree, merge_tree(tree, a_attr, b_attr), node_a.label
-        )
-        sskel, dskel = self.sskel, self.dskel
+        sskel = _skeleton_of(tree)
         self.sa = sskel.index[node_a.label]
         self.sb = sskel.index[node_b.label]
-        self.a_pos = self.level_nodes.index(self.sa)
-        self.b_pos = self.level_nodes.index(self.sb)
-        self.dm = dskel.index[merged.label]
-        self.a_slots = [
-            (j, k, dskel.index[sskel.labels[k]])
-            for j, k in enumerate(sskel.children[self.sa])
-        ]
-        self.b_slots = [
-            (j, k, dskel.index[sskel.labels[k]])
-            for j, k in enumerate(sskel.children[self.sb])
-        ]
-        self._keep_members((self.sa, self.sb))
+        super().__init__(
+            tree,
+            sskel,
+            merge_tree(tree, a_attr, b_attr),
+            renamed={merged.label: self.sa},
+        )
 
-    def level(
-        self, arena: ArenaRep, w: _Writer, e: Optional[int]
-    ) -> bool:
+    def rewrite(self, arena: ArenaRep, out: _Columns) -> bool:
         sa, sb = self.sa, self.sb
-        a_lo, a_hi = self._rng(arena, self.a_pos, sa, e)
-        b_lo, b_hi = self._rng(arena, self.b_pos, sb, e)
-        vals_a, vals_b = arena.values[sa], arena.values[sb]
-        a_cl, a_ch = arena.child_lo[sa], arena.child_hi[sa]
-        b_cl, b_ch = arena.child_lo[sb], arena.child_hi[sb]
-        pool = arena.pool
-        dm = self.dm
-        i, j = a_lo, b_lo
-        kept = False
-        while i < a_hi and j < b_hi:
-            av = pool[vals_a[i]]
-            bv = pool[vals_b[j]]
-            if av < bv:
-                i += 1
-            elif bv < av:
-                j += 1
-            else:
-                marks = w.mark_children(dm)
-                for js, k, dk in self.a_slots:
-                    _copy_run(
-                        arena, w, k, dk, a_cl[js][i], a_ch[js][i]
-                    )
-                for js, k, dk in self.b_slots:
-                    _copy_run(
-                        arena, w, k, dk, b_cl[js][j], b_ch[js][j]
-                    )
-                w.commit_children(dm, vals_a[i], marks)
-                kept = True
-                i += 1
-                j += 1
-        if not kept:
-            return False
-        self._copy_passthrough(arena, w, e)
-        return True
+        (rank_a, rank_b), stride = _rank_columns(
+            arena.pool, [arena.values[sa], arena.values[sb]]
+        )
+        keep_a, keep_b = _match(
+            _keys(self._occurrences(arena, sa), rank_a, stride),
+            _keys(self._occurrences(arena, sb), rank_b, stride),
+        )
+        return _cascade(arena, out, {sa: keep_a, sb: keep_b})
 
 
-# -- push-up ------------------------------------------------------------------
+class PushKernel(_Kernel):
+    """``psi_B`` on columns: ``B``'s union does not depend on ``A``, so
+    all its copies within one occurrence are equal; gather the one
+    below each occurrence's first ``A`` entry as the hoisted ``B``, and
+    let ``A`` keep its other columns verbatim."""
 
-
-class PushKernel(_LevelKernel):
-    """``psi_B`` on columns: hoist ``B``'s (independent, hence
-    everywhere-equal) union from the first ``A`` entry, then re-emit
-    the ``A`` union without the ``B`` slot."""
-
-    __slots__ = ("sa", "sb", "a_pos", "j_b", "dna", "dnb", "e_slots")
+    __slots__ = ("sa", "j_b")
 
     def __init__(self, tree: FTree, b_attr: str) -> None:
         from repro.ops.normalise import push_up_tree
 
         node_b = tree.node_of(b_attr)
         node_a = tree.parent_of(node_b)
-        super().__init__(
-            tree, push_up_tree(tree, b_attr), node_a.label
-        )
-        sskel, dskel = self.sskel, self.dskel
+        sskel = _skeleton_of(tree)
+        super().__init__(tree, sskel, push_up_tree(tree, b_attr))
         self.sa = sskel.index[node_a.label]
-        self.sb = sskel.index[node_b.label]
-        self.a_pos = self.level_nodes.index(self.sa)
-        self.j_b = sskel.children[self.sa].index(self.sb)
-        self.dna = dskel.index[node_a.label]
-        self.dnb = dskel.index[node_b.label]
-        self.e_slots = [
-            (j, k, dskel.index[sskel.labels[k]])
-            for j, k in enumerate(sskel.children[self.sa])
-            if j != self.j_b
-        ]
-        self._keep_members((self.sa,))
+        self.j_b = sskel.children[self.sa].index(sskel.index[node_b.label])
 
-    def level(
-        self, arena: ArenaRep, w: _Writer, e: Optional[int]
-    ) -> bool:
-        sa = self.sa
-        a_lo, a_hi = self._rng(arena, self.a_pos, sa, e)
-        vals_a = arena.values[sa]
-        a_cl, a_ch = arena.child_lo[sa], arena.child_hi[sa]
-        # All copies of B's union are equal by independence; hoist the
-        # first.
-        _copy_run(
-            arena,
-            w,
-            self.sb,
-            self.dnb,
-            a_cl[self.j_b][a_lo],
-            a_ch[self.j_b][a_lo],
-        )
-        dna = self.dna
-        for a_e in range(a_lo, a_hi):
-            marks = w.mark_children(dna)
-            for j, k, dk in self.e_slots:
-                _copy_run(arena, w, k, dk, a_cl[j][a_e], a_ch[j][a_e])
-            w.commit_children(dna, vals_a[a_e], marks)
-        self._copy_passthrough(arena, w, e)
+    def rewrite(self, arena: ArenaRep, out: _Columns) -> bool:
+        p, pos = _hangs_in(self.sskel, self.sa)
+        firsts = [0] if p == -1 else arena.child_lo[p][pos]
+        _gather_forest(arena, out, self.sa, firsts, (self.j_b,))
         return True
 
 
-# -- absorb -------------------------------------------------------------------
+class RestrictKernel(_Kernel):
+    """The restriction phase of ``alpha_{A,B}``: an owner vector
+    carried from ``A`` down to ``B`` says which ``A`` entry encloses
+    every ``B`` entry; the ``B`` entries whose value equals it are
+    kept, one cascade prunes the rest (up to the root where unions
+    empty), and the survivors -- one per surviving entry of ``B``'s
+    parent -- hand their child slots to that parent."""
 
-
-class _AbsorbStructuralKernel(_LevelKernel):
-    """The restriction phase of ``alpha_{A,B}``: below every ``A``
-    entry, descend to ``B``'s occurrences, keep only the entry whose
-    value equals the enclosing ``A`` value (binary search on the
-    decoded column), splice ``B``'s children into its parent, and
-    prune emptied unions on the way back up."""
-
-    __slots__ = ("sa", "sb", "a_pos", "dm", "path")
+    __slots__ = ("sa", "sb", "path")
 
     def __init__(self, tree: FTree, a_attr: str, b_attr: str) -> None:
         from repro.ops.absorb import _absorb_parts, _structural_tree
 
         node_a, node_b = _absorb_parts(tree, a_attr, b_attr)
         structural, merged = _structural_tree(tree, node_a, node_b)
-        super().__init__(tree, structural, node_a.label)
-        sskel, dskel = self.sskel, self.dskel
-        sa = sskel.index[node_a.label]
-        sb = sskel.index[node_b.label]
-        self.sa = sa
-        self.sb = sb
-        self.a_pos = self.level_nodes.index(sa)
-        self.dm = dskel.index[merged.label]
-        # Owners of the forests on the path from A down to B's parent;
-        # per owner: (src idx, dst idx, continuation slot, passthrough
-        # child copies, splice pairs -- the last only at B's parent).
-        chain: List[int] = []
-        x = sskel.parent[sb]
+        sskel = _skeleton_of(tree)
+        sa = self.sa = sskel.index[node_a.label]
+        self.sb = sskel.index[node_b.label]
+        super().__init__(
+            tree, sskel, structural, renamed={merged.label: sa}
+        )
+        #: The slots leading from A down to B, top first.
+        self.path: List[Tuple[int, int]] = []
+        x = self.sb
         while x != sa:
-            chain.append(x)
+            self.path.insert(0, _hangs_in(sskel, x))
             x = sskel.parent[x]
-        chain.append(sa)
-        chain.reverse()
-        path = []
-        for d, sx in enumerate(chain):
-            dx = self.dm if sx == sa else dskel.index[sskel.labels[sx]]
-            nxt = chain[d + 1] if d + 1 < len(chain) else sb
-            j_cont = sskel.children[sx].index(nxt)
-            passthrough = [
-                (j, k, dskel.index[sskel.labels[k]])
-                for j, k in enumerate(sskel.children[sx])
-                if j != j_cont
-            ]
-            splice = None
-            if nxt == sb:
-                splice = [
-                    (j, k, dskel.index[sskel.labels[k]])
-                    for j, k in enumerate(sskel.children[sb])
-                ]
-            path.append((sx, dx, j_cont, passthrough, splice))
-        self.path = path
-        self._keep_members((sa,))
 
-    def _below(
-        self,
-        arena: ArenaRep,
-        w: _Writer,
-        d: int,
-        e: int,
-        a_val: object,
-    ) -> bool:
-        sx, _, j_cont, passthrough, splice = self.path[d]
-        lo = arena.child_lo[sx][j_cont][e]
-        hi = arena.child_hi[sx][j_cont][e]
-        if splice is not None:
-            # The continuation member is B itself: restrict its union
-            # to a_val -- bisect_left on the decoded column.
-            sb = self.sb
-            vals_b = arena.values[sb]
-            pool = arena.pool
-            p_lo, p_hi = lo, hi
-            while p_lo < p_hi:
-                mid = (p_lo + p_hi) // 2
-                if pool[vals_b[mid]] < a_val:
-                    p_lo = mid + 1
-                else:
-                    p_hi = mid
-            if p_lo >= hi or pool[vals_b[p_lo]] != a_val:
-                return False
-            for j, k, dk in splice:
-                _copy_run(
-                    arena,
-                    w,
-                    k,
-                    dk,
-                    arena.child_lo[sb][j][p_lo],
-                    arena.child_hi[sb][j][p_lo],
-                )
-            for j, k, dk in passthrough:
-                _copy_run(
-                    arena,
-                    w,
-                    k,
-                    dk,
-                    arena.child_lo[sx][j][e],
-                    arena.child_hi[sx][j][e],
-                )
-            return True
-        nxt_sx, nxt_dx = self.path[d + 1][0], self.path[d + 1][1]
-        vals = arena.values[nxt_sx]
-        kept = False
-        for t in range(lo, hi):
-            marks = w.mark(nxt_dx)
-            if self._below(arena, w, d + 1, t, a_val):
-                w.commit_id(nxt_dx, vals[t], marks)
-                kept = True
-            else:
-                w.rollback(nxt_dx, marks)
-        if not kept:
-            return False
-        for j, k, dk in passthrough:
-            _copy_run(
-                arena,
-                w,
-                k,
-                dk,
-                arena.child_lo[sx][j][e],
-                arena.child_hi[sx][j][e],
+    def rewrite(self, arena: ArenaRep, out: _Columns) -> bool:
+        owner = None  # the A entry above every entry of the path node
+        for node, j in self.path:
+            owner = _owners(
+                arena.child_lo[node][j], arena.child_hi[node][j], owner
             )
-        return True
-
-    def level(
-        self, arena: ArenaRep, w: _Writer, e: Optional[int]
-    ) -> bool:
-        sa = self.sa
-        a_lo, a_hi = self._rng(arena, self.a_pos, sa, e)
-        vals_a = arena.values[sa]
-        pool = arena.pool
-        dm = self.dm
-        kept = False
-        for a_e in range(a_lo, a_hi):
-            a_vid = vals_a[a_e]
-            marks = w.mark(dm)
-            if self._below(arena, w, 0, a_e, pool[a_vid]):
-                w.commit_id(dm, a_vid, marks)
-                kept = True
-            else:
-                w.rollback(dm, marks)
-        if not kept:
-            return False
-        self._copy_passthrough(arena, w, e)
-        return True
+        (rank_a, rank_b), _ = _rank_columns(
+            arena.pool, [arena.values[self.sa], arena.values[self.sb]]
+        )
+        enclosing = _take(rank_a, owner)
+        keep = (
+            enclosing == rank_b
+            if _np is not None
+            else list(map(eq, enclosing, rank_b))
+        )
+        return _cascade(arena, out, {self.sb: keep})
 
 
 class KernelChain:
@@ -1004,9 +727,9 @@ def _normalise_chain(tree: FTree) -> KernelChain:
 
 
 def _absorb_chain(tree: FTree, a_attr: str, b_attr: str) -> KernelChain:
-    structural = _AbsorbStructuralKernel(tree, a_attr, b_attr)
-    tail = _normalise_chain(structural.out_tree)
-    return KernelChain([structural] + tail.kernels, tail.out_tree)
+    restrict = RestrictKernel(tree, a_attr, b_attr)
+    tail = _normalise_chain(restrict.out_tree)
+    return KernelChain([restrict] + tail.kernels, tail.out_tree)
 
 
 # -- prepared-kernel cache ----------------------------------------------------
@@ -1019,23 +742,36 @@ _PREPARERS: Dict[str, Callable[..., object]] = {
     "normalise": _normalise_chain,
 }
 
+#: Prepared kernels, least recently used first (a plain dict keeps
+#: insertion order; a hit re-inserts its entry).
 _KERNEL_CACHE: Dict[tuple, object] = {}
 _KERNEL_CACHE_MAX = 512
+_KERNEL_CACHE_LOCK = threading.Lock()
 
 
 def kernel_for(tree: FTree, kind: str, args: Sequence[str] = ()):
     """The prepared arena kernel for ``kind`` (``swap``/``merge``/
     ``push``/``absorb``/``normalise``) on ``tree``, cached by the
     tree's canonical key so plan replays and repeated shard/delta
-    executions skip preparation (and share destination skeletons,
-    keeping the enumeration codegen cache warm)."""
+    executions skip preparation (and share destination skeletons).
+    A full cache evicts its least recently used kernel, so a stream
+    of never-repeating plans cannot flush the hot ones."""
     key = (tree.key(), kind, tuple(args))
-    kernel = _KERNEL_CACHE.get(key)
-    if kernel is None:
-        if len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
-            _KERNEL_CACHE.clear()
-        kernel = _PREPARERS[kind](tree, *args)
+    with _KERNEL_CACHE_LOCK:
+        kernel = _KERNEL_CACHE.pop(key, None)
+        if kernel is not None:
+            _KERNEL_CACHE[key] = kernel
+            return kernel
+    kernel = _PREPARERS[kind](tree, *args)  # prepared outside the lock
+    evicted = 0
+    with _KERNEL_CACHE_LOCK:
+        if key not in _KERNEL_CACHE:  # (a racing preparer may have won)
+            while len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
+                del _KERNEL_CACHE[next(iter(_KERNEL_CACHE))]
+                evicted += 1
         _KERNEL_CACHE[key] = kernel
+    if evicted:
+        COUNTERS.add(cache_evictions=evicted)
     return kernel
 
 
@@ -1170,6 +906,99 @@ def _pool_remaps(pools: Sequence[object]):
     return out_pool, vmaps
 
 
+def _extend_shifted(dest: array, source, lo: int, hi: int, delta: int) -> None:
+    """Append ``source[lo:hi] + delta`` to ``dest`` (bulk, both column
+    kinds: ``array('q')`` and mmap-backed int64 ndarrays)."""
+    if delta == 0:
+        _extend_ids(dest, source, lo, hi)
+    elif _np is not None:
+        view = _as_np(source)[lo:hi] + delta
+        dest.frombytes(view.tobytes())
+    else:
+        dest.extend(x + delta for x in source[lo:hi])
+
+
+class _Writer:
+    """Append-only column writer for the delta merge: value ids go in
+    verbatim (no intern table), and an entry is committed after its
+    children with the watermarks taken before them."""
+
+    __slots__ = ("skel", "values", "child_lo", "child_hi")
+
+    def __init__(self, skel: _Skeleton) -> None:
+        n = len(skel)
+        self.skel = skel
+        self.values: List[array] = [_i64() for _ in range(n)]
+        self.child_lo: List[List[array]] = [
+            [_i64() for _ in skel.children[i]] for i in range(n)
+        ]
+        self.child_hi: List[List[array]] = [
+            [_i64() for _ in skel.children[i]] for i in range(n)
+        ]
+
+    def mark_children(self, idx: int) -> List[int]:
+        """Watermarks of ``idx``'s direct child columns."""
+        values = self.values
+        return [len(values[k]) for k in self.skel.children[idx]]
+
+    def commit_children(
+        self, idx: int, vid: int, cmarks: List[int]
+    ) -> None:
+        values = self.values
+        child_lo = self.child_lo[idx]
+        child_hi = self.child_hi[idx]
+        for j, k in enumerate(self.skel.children[idx]):
+            child_lo[j].append(cmarks[j])
+            child_hi[j].append(len(values[k]))
+        values[idx].append(vid)
+
+    def finish(self, pool) -> ArenaRep:
+        return ArenaRep(
+            self.skel, self.values, self.child_lo, self.child_hi, pool
+        )
+
+
+def _copy_run(
+    src: ArenaRep,
+    w: _Writer,
+    si: int,
+    di: int,
+    lo: int,
+    hi: int,
+    vmap=None,
+) -> None:
+    """Bulk-append entries ``[lo, hi)`` of src node ``si`` (and their
+    whole descendant forests) to dst node ``di``.
+
+    Requires structurally identical subtrees under ``si`` and ``di``
+    (same labels; canonical child sorting then makes the child orders
+    coincide, so the recursion is positional).  Values copy verbatim,
+    or through ``vmap`` (an id remap table) for cross-pool copies;
+    child ranges copy with one constant shift per (slot, run).
+    """
+    if hi <= lo:
+        return
+    if vmap is None:
+        _extend_ids(w.values[di], src.values[si], lo, hi)
+    elif _np is not None:
+        col = _as_np(src.values[si])[lo:hi]
+        w.values[di].frombytes(vmap[col].tobytes())
+    else:
+        column = src.values[si]
+        w.values[di].extend(vmap[column[e]] for e in range(lo, hi))
+    skids = src.skel.children[si]
+    dkids = w.skel.children[di]
+    for j in range(len(skids)):
+        los = src.child_lo[si][j]
+        his = src.child_hi[si][j]
+        c_lo = los[lo]
+        c_hi = his[hi - 1]
+        delta = len(w.values[dkids[j]]) - c_lo
+        _extend_shifted(w.child_lo[di][j], los, lo, hi, delta)
+        _extend_shifted(w.child_hi[di][j], his, lo, hi, delta)
+        _copy_run(src, w, skids[j], dkids[j], c_lo, c_hi, vmap)
+
+
 def union_arena(left: ArenaRep, right: ArenaRep) -> ArenaRep:
     """The *delta merge*: structural union of two arenas over the same
     f-tree by a decoded two-pointer merge per union occurrence, with
@@ -1233,19 +1062,6 @@ def union_arena(left: ArenaRep, right: ArenaRep) -> ArenaRep:
 
 
 # -- the k-way shard union: one pass per f-tree node ---------------------------
-#
-# Column primitives, each realised with numpy or with the stdlib alone.
-# A "vector" below is an int64 ndarray or a list of ints accordingly.
-
-
-def _column(vector) -> array:
-    """A vector as an arena column."""
-    out = _i64()
-    if _np is not None:
-        out.frombytes(vector.astype(_np.int64, copy=False).tobytes())
-    else:
-        out.extend(vector)
-    return out
 
 
 def _gather(columns: Sequence[object], vmaps: Sequence[object]):
@@ -1265,77 +1081,36 @@ def _gather(columns: Sequence[object], vmaps: Sequence[object]):
     return out
 
 
-def _spread(slots, los: Sequence[object], his: Sequence[object]):
-    """``slots[e]`` repeated once per child entry of input entry ``e``
-    (child ranges ``[lo, hi)`` given per part, end to end): the owner
-    vector of the child column, valid because child ranges tile it."""
-    if _np is not None:
-        widths = _np.concatenate(
-            [_as_np(hi) - _as_np(lo) for lo, hi in zip(los, his)]
-        )
-        return _np.repeat(slots, widths)
-    widths = (hi - lo for lo, hi in zip(chain(*los), chain(*his)))
-    return list(chain.from_iterable(map(repeat, slots, widths)))
-
-
 def _group(ids, owners, n_owners: int, pool):
     """Merge one node's concatenated entries: ``(out_ids, slots,
     counts)`` -- the output column, the output index of every input
     entry, and the number of output entries per owner (the output
-    index of the parent entry; ``owners=None`` for a root).
+    index of the parent entry; ``owners=None`` for a root, which has
+    no ranges to count for).
 
     Entries with one owner and ``==``-equal values form one output
     entry, emitted in (owner, value) order and carrying the id of the
     first of them in input order -- the left-most part's.
     """
-    n = len(ids)
+    (rank,), ranks = _rank_columns(pool, [ids])
+    order, starts, sizes = _sort_groups(_keys(owners, rank, ranks))
+    winners = _take(order, starts)
     if _np is not None:
-        distinct, inverse = _np.unique(ids, return_inverse=True)
-        rank, ranks = _value_ranks(distinct.tolist(), pool)
-        keys = _np.asarray(rank, dtype=_np.int64)[inverse]
-        if owners is not None:
-            keys += owners * ranks
-        order = _np.argsort(keys, kind="stable")
-        ordered = keys[order]
-        fresh = _np.empty(n, dtype=bool)
-        fresh[0] = True
-        _np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
-        winners = order[fresh]
-        slots = _np.empty(n, dtype=_np.int64)
-        slots[order] = _np.cumsum(fresh) - 1
-        if owners is None:
-            counts = _np.asarray([len(winners)], dtype=_np.int64)
-        else:
-            counts = _np.bincount(owners[winners], minlength=n_owners)
-        return ids[winners], slots, counts
-    distinct = list(set(ids))
-    rank, ranks = _value_ranks(distinct, pool)
-    rank = dict(zip(distinct, rank))
-    if owners is None:
-        owners = [0] * n
-        keys = [rank[vid] for vid in ids]
+        slots = _np.empty(len(ids), dtype=_np.int64)
+        slots[order] = _np.repeat(
+            _np.arange(len(starts), dtype=_np.int64), sizes
+        )
     else:
-        keys = [o * ranks + rank[vid] for o, vid in zip(owners, ids)]
-    out_ids: List[int] = []
-    slots = [0] * n
-    counts = [0] * n_owners
-    last = -1
-    for e in sorted(range(n), key=keys.__getitem__):
-        if keys[e] != last:
-            last = keys[e]
-            out_ids.append(ids[e])
-            counts[owners[e]] += 1
-        slots[e] = len(out_ids) - 1
-    return out_ids, slots, counts
-
-
-def _ranges(counts) -> Tuple[array, array]:
-    """Tiling ``(child_lo, child_hi)`` for per-entry child counts."""
-    if _np is not None:
-        his = _np.cumsum(counts)
-        return _column(his - counts), _column(his)
-    bounds = list(accumulate(counts, initial=0))
-    return _column(bounds[:-1]), _column(bounds[1:])
+        slots = [0] * len(ids)
+        for slot, (start, size) in enumerate(zip(starts, sizes)):
+            for e in order[start:start + size]:
+                slots[e] = slot
+    counts = (
+        None
+        if owners is None
+        else _count_slots(_take(owners, winners), n_owners)
+    )
+    return _take(ids, winners), slots, counts
 
 
 def union_arenas(parts: Sequence[ArenaRep]) -> ArenaRep:

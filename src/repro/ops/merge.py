@@ -3,9 +3,10 @@
 Merging enforces an equality ``A = B`` between *sibling* nodes: the two
 nodes fuse into one labelled by the union of their attribute classes,
 with the children of both.  On data it is a sort-merge join of the two
-sibling unions (:class:`repro.ops.arena_kernels.MergeKernel`: a decoded
-merge of the two value columns; matched entries adopt both child
-forests as bulk column runs):
+sibling unions (:class:`repro.ops.arena_kernels.MergeKernel`: the
+sorted intersection of the two value columns' (occurrence, value-rank)
+keys, then one mask cascade; matched entries adopt both child
+forests):
 
     ( U_a <A:a> x E_a ) x ( U_b <B:b> x F_b )
         ==>  U_{a=b} <A:a> x <B:b> x E_a x F_b

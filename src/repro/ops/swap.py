@@ -8,12 +8,14 @@ of ``B`` that do not depend on ``A`` (the forest ``T_B``) move up with
     U_a ( <A:a> x E_a x U_b ( <B:b> x F_b x G_ab ) )
         ==>  U_b ( <B:b> x F_b x U_a ( <A:a> x E_a x G_ab ) )
 
-The data algorithm is the paper's Figure 4 on columns
-(:class:`repro.ops.arena_kernels.SwapKernel`): a min-priority queue
-keyed by the next ``B``-value of every ``A``-group merges the sorted
-inner unions in overall sorted order, giving the quasilinear
-``O(N log N)`` bound of Proposition 2; subtree payloads move as bulk
-column runs, and leaf-shaped swaps collapse to one argsort.
+The data algorithm is the paper's Figure 4 on columns, for all
+occurrences of the swapped level at once
+(:class:`repro.ops.arena_kernels.SwapKernel`): where Figure 4 merges
+the sorted inner unions of one occurrence through a min-priority queue
+keyed by the next ``B``-value of every ``A``-group, the kernel sorts
+every (a, b) pair of the column once, stably, by (occurrence, rank of
+b) -- the same order, the same quasilinear ``O(N log N)`` bound of
+Proposition 2 -- and moves the subtree payloads by forest gather.
 """
 
 from __future__ import annotations
@@ -62,5 +64,5 @@ def swap_tree(tree: FTree, a_attr: str, b_attr: str) -> FTree:
 def swap(
     fr: FactorisedRelation, a_attr: str, b_attr: str
 ) -> FactorisedRelation:
-    """Swap on a factorised relation -- the Figure 4 algorithm."""
+    """Swap on a factorised relation (Figure 4, column-wise)."""
     return arena_kernels.apply(fr, "swap", (a_attr, b_attr))

@@ -62,6 +62,7 @@ from repro.exec import Executor, SerialExecutor
 from repro.ivm import ResultCache
 from repro.optimiser.bitspace import COUNTERS as OPTIMISER_COUNTERS
 from repro.optimiser.fplan import FPlan
+from repro.ops.arena_kernels import counters as kernel_counters
 from repro.ops.union import COUNTERS as UNION_COUNTERS
 from repro.query.query import Query, QueryError, equality_partition
 from repro.relational.budget import Budget
@@ -297,10 +298,12 @@ class QuerySession:
         self._traces = self.registry.counter("traces_total")
         self.registry.register("session", self.stats.as_dict)
         self.registry.register("caches", self.cache_counters)
-        # Process-wide: the searches, the factoriser and the shard
-        # union are plain functions with no session to report to.
+        # Process-wide: the searches, the factoriser, the operator
+        # kernels and the shard union are plain functions with no
+        # session to report to.
         self.registry.register("optimiser", OPTIMISER_COUNTERS.snapshot)
         self.registry.register("factorise", FACTORISE_COUNTERS.snapshot)
+        self.registry.register("kernels", kernel_counters)
         self.registry.register("union", UNION_COUNTERS.snapshot)
         self.registry.register(
             "submitter",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import os
 import random
@@ -12,6 +13,7 @@ import pytest
 from repro import FDB, Database, Query, RelationalEngine
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
+from repro.ops import arena_kernels
 from repro.relational.relation import Relation
 from repro.workloads import grocery_database, query_q1, query_q2
 
@@ -25,6 +27,24 @@ def load_script(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+#: How the column primitives of :mod:`repro.ops.arena_kernels` may run
+#: here: with numpy when it is importable (CI installs it on one leg
+#: only), without it always.
+REALISATIONS = ["stdlib"] if arena_kernels._np is None else ["numpy", "stdlib"]
+
+
+@contextlib.contextmanager
+def realisation(name):
+    """Run the kernels' primitives the named way for the block."""
+    saved = arena_kernels._np
+    if name == "stdlib":
+        arena_kernels._np = None
+    try:
+        yield
+    finally:
+        arena_kernels._np = saved
 
 
 @pytest.fixture

@@ -15,13 +15,12 @@ pin the equivalence on the shapes the kernels are easiest to get wrong:
 from __future__ import annotations
 
 import random
-from itertools import combinations
 from typing import List, Tuple
 
 import pytest
 
 from repro import ops
-from repro.core.arena import validate_arena
+from repro.core.arena import ValuePool, validate_arena
 from repro.core.build import factorise
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
@@ -31,6 +30,7 @@ from repro.reference import ObjectRelation, ReferenceEngine
 from repro.reference import factorise as reference_factorise
 from repro.reference import ops as reference_ops
 from repro.workloads import random_database, random_spj_queries
+from tests.conftest import REALISATIONS, load_script, realisation
 
 #: Database seeds for the randomized sweeps.
 SEEDS = [301, 302, 303]
@@ -77,36 +77,11 @@ def _assert_twin(
     assert _rows(arena_out) == _rows(object_out), context
 
 
-def _candidate_steps(
-    tree: FTree, rng: random.Random, limit: int = 8
-) -> List[Tuple[str, Tuple[str, str]]]:
-    """Applicable restructuring steps, mirroring the optimiser's
-    neighbour enumeration (swaps between parent/child, merges between
-    siblings, absorbs along ancestor paths)."""
-    steps: List[Tuple[str, Tuple[str, str]]] = []
-    nodes = list(tree.iter_nodes())
-    for node in nodes:
-        parent = tree.parent_of(node)
-        if parent is not None:
-            steps.append(("swap", (min(parent.label), min(node.label))))
-    for left, right in combinations(nodes, 2):
-        parent_l = tree.parent_of(left)
-        parent_r = tree.parent_of(right)
-        same_parent = (parent_l is None and parent_r is None) or (
-            parent_l is not None
-            and parent_r is not None
-            and parent_l.label == parent_r.label
-        )
-        if same_parent:
-            steps.append(
-                ("merge", (min(left.label), min(right.label)))
-            )
-        elif tree.is_ancestor(left, right):
-            steps.append(
-                ("absorb", (min(left.label), min(right.label)))
-            )
-    rng.shuffle(steps)
-    return steps[:limit]
+#: Applicable restructuring steps, mirroring the optimiser's neighbour
+#: enumeration (swaps between parent/child, merges between siblings,
+#: absorbs along ancestor paths); shared with the f-plan golden corpus,
+#: which pins the arenas these sweeps produce.
+_candidate_steps = load_script("gen_fplan_golden").candidate_steps
 
 
 def _apply(kind: str, fr, args):
@@ -309,6 +284,61 @@ def test_deep_chain_skeleton_matches():
         reference_ops.swap(object_fr, a, b)
     )
     _assert_twin(arena_out, object_out, "deep chain swap+normalise")
+
+
+# -- only the compared columns are ranked --------------------------------------
+
+
+@pytest.mark.parametrize("name", REALISATIONS)
+@pytest.mark.parametrize("shared", [False, True])
+def test_a_str_column_elsewhere_leaves_int_operators_alone(shared, name):
+    """A pool -- a shared :class:`ValuePool` above all -- holds the
+    values of every attribute.  The operators rank the ids of the
+    columns they compare, never the pool: ``str`` values that sit
+    beside the ``int`` operands (here even in the payload the swap
+    moves) are not their business."""
+    from repro.relational.relation import Relation
+
+    rng = random.Random(7)
+    relations = [
+        Relation.from_rows(
+            "R",
+            ("a", "b", "s"),
+            [
+                (rng.randint(1, 4), rng.randint(1, 4), rng.choice("xyz"))
+                for _ in range(20)
+            ],
+        ),
+        Relation.from_rows(
+            "S",
+            ("c", "d"),
+            [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(10)],
+        ),
+    ]
+    tree = FTree.from_nested(
+        [("a", [("b", [("s", [])])]), ("c", [("d", [])])],
+        edges=[{"a", "b", "s"}, {"c", "d"}],
+    )
+    pool = ValuePool(["unrelated", 0.5]) if shared else None
+    arena_fr = FactorisedRelation(tree, factorise(relations, tree, pool))
+    object_fr = ObjectRelation(tree, reference_factorise(relations, tree))
+    assert {type(value) for value in arena_fr.rep.pool} >= {int, str}
+    for kind, args in (
+        ("swap", ("a", "b")),
+        ("merge", ("a", "c")),
+        ("absorb", ("a", "b")),
+        ("absorb", ("c", "d")),
+    ):
+        with realisation(name):
+            arena_out = _apply(kind, arena_fr, args)
+        _assert_twin(
+            arena_out,
+            _apply(kind, object_fr, args),
+            f"{kind}{args} beside a str column",
+        )
+    # Values that do not compare *within* the operands still raise.
+    with realisation(name), pytest.raises(TypeError):
+        ops.absorb(arena_fr, "a", "s")
 
 
 # -- whole-plan compilation ---------------------------------------------------

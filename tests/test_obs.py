@@ -471,7 +471,13 @@ def test_profile_plan_times_every_kernel():
         # the fused driver does.
         fused = plan.execute(fr)
         assert sorted(result.rows()) == sorted(fused.rows())
-        assert len(profile.rows) <= len(plan.steps)
+        # One row per kernel run: a chain step (absorb) has several.
+        assert [row.index for row in profile.rows] == sorted(
+            row.index for row in profile.rows
+        )
+        assert {row.index for row in profile.rows} <= set(
+            range(len(plan.steps))
+        )
         assert profile.total_seconds >= 0.0
         for row in profile.rows:
             assert row.kind in ("swap", "merge", "absorb", "push")
@@ -479,6 +485,51 @@ def test_profile_plan_times_every_kernel():
         table = profile.format_table()
         assert "operator" in table and "kernel" in table
         assert "total:" in table
+
+
+def test_profile_plan_reports_the_kernels_of_a_chain_separately():
+    """An absorb is a restriction plus the push-ups its normalisation
+    replays: each gets a row, under the step's index and operator."""
+    from repro.core.build import factorise
+    from repro.core.factorised import FactorisedRelation
+    from repro.core.ftree import FTree
+    from repro.optimiser.fplan import FPlan, Step
+    from repro.relational.relation import Relation
+
+    schemas = [
+        ("a", "x"), ("x", "y"), ("y", "b"), ("b", "c"),
+        ("a", "i"), ("x", "j"), ("y", "k"),
+    ]
+    tree = FTree.from_nested(
+        [
+            (
+                "a",
+                [
+                    ("x", [("y", [("b", [("c", [])]), ("k", [])]), ("j", [])]),
+                    ("i", []),
+                ],
+            )
+        ],
+        edges=[set(attrs) for attrs in schemas],
+    )
+    relations = [
+        Relation.from_rows(
+            "R_" + "_".join(attrs), attrs, [(u, v) for u in (1, 2) for v in (1, 2)]
+        )
+        for attrs in schemas
+    ]
+    fr = FactorisedRelation(tree, factorise(relations, tree))
+    plan = FPlan(tree, [Step("absorb", ("a", "b"))])
+    result, profile = profile_plan(plan, fr)
+    assert sorted(result.rows()) == sorted(plan.execute(fr).rows())
+    kernels = [row.kernel for row in profile.rows]
+    assert kernels[0] == "RestrictKernel"
+    assert len(kernels) >= 2 and set(kernels[1:]) == {"PushKernel"}
+    assert {(row.index, row.op, row.kind) for row in profile.rows} == {
+        (0, "alpha(a, b)", "absorb")
+    }
+    assert profile.total_seconds == sum(row.seconds for row in profile.rows)
+    assert profile.format_table().count("alpha(a, b)") == len(kernels)
 
 
 def test_profile_plan_identity_and_empty_inputs():

@@ -13,7 +13,6 @@ The retained pairwise ``ops.union`` (the delta merge of ``repro.ivm``)
 is the differential oracle for the new kernel on random queries.
 """
 
-import contextlib
 import json
 import sys
 from array import array
@@ -37,28 +36,13 @@ from repro.reference import to_object, to_product
 from repro.service import QuerySession
 from repro.storage import ShardedDatabase
 from repro.workloads import random_database, random_spj_query
-from tests.conftest import load_script
+from tests.conftest import REALISATIONS, load_script, realisation
 
 gen = load_script("gen_union_golden")
 arena_digest = gen.base.arena_digest
 
 with open(gen.GOLDEN_PATH, encoding="utf-8") as handle:
     GOLDEN = json.load(handle)
-
-#: How the kernel's column primitives may run here: with numpy when it
-#: is importable (CI installs it on one leg only), without it always.
-REALISATIONS = ["stdlib"] if arena_kernels._np is None else ["numpy", "stdlib"]
-
-
-@contextlib.contextmanager
-def realisation(name):
-    saved = arena_kernels._np
-    if name == "stdlib":
-        arena_kernels._np = None
-    try:
-        yield
-    finally:
-        arena_kernels._np = saved
 
 
 # -- arena identity ------------------------------------------------------------
