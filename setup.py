@@ -1,13 +1,35 @@
-"""Setuptools shim.
+"""Package metadata for the ``repro`` FDB reproduction.
 
-The canonical metadata lives in pyproject.toml; this file exists so the
-package can be installed in environments without the ``wheel`` package
-(PEP 660 editable installs need to build a wheel):
+The code lives under ``src/``; the version is read from
+``src/repro/__init__.py`` without importing the package.  numpy is
+optional: every vectorised kernel has a stdlib twin, so the ``numpy``
+extra only selects the faster realisation (CI runs one job with it and
+one without).
 
     python setup.py develop        # editable install without wheel
-    pip install -e .               # where wheel is available
+    pip install -e ".[numpy]"      # where wheel is available
 """
 
-from setuptools import setup
+import os
+import re
 
-setup()
+from setuptools import find_packages, setup
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+with open(os.path.join(HERE, "src", "repro", "__init__.py")) as handle:
+    VERSION = re.search(
+        r'^__version__ = "([^"]+)"', handle.read(), re.MULTILINE
+    ).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description=(
+        "FDB: a query engine for factorised relational databases"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    extras_require={"numpy": ["numpy"]},
+)

@@ -1,9 +1,14 @@
-"""The execution layer: strategies for running compiled queries.
+"""The execution layer: the one loop that runs deduplicated queries.
 
 Sits between the storage layer (:mod:`repro.storage`) and the serving
-layer (:mod:`repro.service`): sessions compile and cache plans, then
-hand the actual evaluation to an :class:`Executor` -- serial
-in-process, or parallel over a worker pool with per-shard fan-out.
+layer (:mod:`repro.service`): a session hands each batch to its
+:class:`Executor`, whose :meth:`Executor.execute` is the same sequence
+for every executor -- plan lookup and compilation, explosion fallback,
+result cache, one task per query or per (query, shard), union, result
+caching, projection.  The executors differ only in where a task runs:
+in the caller (:class:`SerialExecutor`), on a worker pool
+(:class:`ParallelExecutor`), or on shard-worker servers
+(:class:`repro.net.RemoteExecutor`, :class:`repro.net.ReplicatedExecutor`).
 """
 
 from repro.exec.executor import (

@@ -2,17 +2,24 @@
 
 The serving layer (:mod:`repro.service`) owns *what* to run -- plan
 caching, deduplication, fallback routing -- and delegates *how* to run
-it to an :class:`Executor`:
+it to an :class:`Executor`.  Every executor evaluates through the one
+loop of :meth:`Executor.execute` (plans, explosion fallback, result
+cache, one whole-query task or one task per shard, union, cache,
+projection); the subclasses keep only where a task runs:
 
-- :class:`SerialExecutor` evaluates one query at a time in the calling
-  process (the semantics this repository always had);
-- :class:`ParallelExecutor` fans work out over a process pool (thread
-  pool where processes are unavailable): cache-missed queries are
+- :class:`SerialExecutor` runs each query as one task in the calling
+  process, a :class:`~repro.storage.ShardedDatabase` through its
+  merged view (the semantics this repository always had);
+- :class:`ParallelExecutor` submits to a process pool (thread pool
+  where processes are unavailable): cache-missed queries are
   *compiled* in parallel (Figure 9: the optimiser dominates per-query
-  cost, so parallelising it is what moves throughput), then executed
+  cost, so parallelising it is what moves throughput), then evaluated
   in parallel -- per query on a flat database, per (query, shard) on a
-  :class:`~repro.storage.ShardedDatabase`, whose partial factorised
-  results are unioned via :mod:`repro.ops.union` before projection.
+  sharded one, whose partial factorised results are unioned via
+  :mod:`repro.ops.union` before projection;
+- :class:`repro.net.RemoteExecutor` and
+  :class:`repro.net.ReplicatedExecutor` submit to shard-worker servers
+  over the wire.
 
 Executors never construct result objects themselves; they hand
 factorised results back through the session's wrapper hooks, keeping
@@ -29,7 +36,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.exec import worker
 from repro.obs import trace as obs_trace
@@ -38,45 +45,6 @@ from repro.storage.sharded import ShardedDatabase
 
 #: Accepted ``pool`` arguments for :class:`ParallelExecutor`.
 POOL_KINDS = ("auto", "process", "thread")
-
-
-class Executor:
-    """How a session evaluates its (already deduplicated) queries.
-
-    The ``session`` argument of :meth:`execute` is a
-    :class:`~repro.service.session.QuerySession`; executors use its
-    documented executor hooks (``lookup_plan`` / ``store_plan`` /
-    ``_execute_serial`` / ``_wrap_fdb_result`` / ``_fallback_result``
-    / ``_serve_cached`` / ``_cache_result``) and never touch engines
-    directly.
-    """
-
-    name = "base"
-
-    def execute(self, session, queries: Sequence[Query], engine: str):
-        """Evaluate ``queries`` (unique within the call), returning
-        results in order."""
-        raise NotImplementedError
-
-    def invalidate(self) -> None:
-        """The session's database version moved; drop derived state."""
-
-    def close(self) -> None:
-        """Release pools and other resources (idempotent)."""
-
-    def describe(self) -> str:
-        return self.name
-
-
-class SerialExecutor(Executor):
-    """One query at a time, in-process -- the reference semantics."""
-
-    name = "serial"
-
-    def execute(self, session, queries: Sequence[Query], engine: str):
-        return [
-            session._execute_serial(query, engine) for query in queries
-        ]
 
 
 class _CallerPool:
@@ -104,6 +72,236 @@ class _CallerPool:
         pass
 
 
+#: Runs in-caller work (serial tasks, coordinator-side compiles) as
+#: finished futures; stateless, so one serves every executor.
+_CALLER = _CallerPool()
+
+
+def _in_caller(fn, *args) -> Tuple[float, object, List[dict]]:
+    """A task run in the caller's own trace: its spans are already
+    recorded, so it hands back none."""
+    seconds, result = worker.timed_call(fn, *args)
+    return seconds, result, []
+
+
+class Executor:
+    """How a session evaluates its (already deduplicated) queries.
+
+    :meth:`execute` is the whole evaluation sequence, shared by every
+    executor.  Its ``session`` argument is a
+    :class:`~repro.service.session.QuerySession`; the loop uses its
+    documented executor hooks (``lookup_plan`` / ``store_plan`` /
+    ``_optimise`` / ``_would_explode`` / ``_fallback_result`` /
+    ``_flat_result`` / ``_sqlite_result`` / ``_serve_cached`` /
+    ``_cache_result`` / ``_wrap_fdb_result``) and never touches
+    engines directly.
+
+    A subclass says only how a task is submitted and gathered:
+
+    - ``_prepare(session)`` -- per-call setup before any submission;
+    - ``_submit_compile(session, query)`` -> a future of the f-tree
+      (default: the session's optimiser, in the caller);
+    - ``_submit(session, query, tree, shard=None, fanout=None)`` -> a
+      pending task: the whole query, or one shard, unprojected;
+    - ``_gather(pending)`` -> ``(seconds, result)`` (default: a future
+      of :func:`~repro.exec.worker.traced_call`'s triple);
+
+    plus two fixed properties, :attr:`fans_out` and :attr:`times_add`.
+    """
+
+    name = "base"
+    #: Evaluate a :class:`~repro.storage.ShardedDatabase` as one task
+    #: per (query, shard) and union the parts; ``False`` evaluates its
+    #: merged view as one whole-query task.
+    fans_out = True
+    #: Whether one query's task times add up (the tasks ran back to
+    #: back on the caller) rather than overlap.
+    times_add = False
+
+    def execute(self, session, queries: Sequence[Query], engine: str):
+        """Evaluate ``queries`` (unique within the call), returning
+        results in order."""
+        if engine == "flat":
+            return [
+                session._flat_result(q, time.perf_counter(), cached=False)
+                for q in queries
+            ]
+        if engine == "sqlite":
+            return [
+                session._sqlite_result(q, time.perf_counter())
+                for q in queries
+            ]
+        if not queries:
+            return []
+        self._prepare(session)
+        database = session.database
+        shards = (
+            database.shard_count
+            if self.fans_out and isinstance(database, ShardedDatabase)
+            else 1
+        )
+
+        # Plans.  A miss is validated here, so a schema error raises in
+        # the caller and not inside a task, then compiled; the misses
+        # resolve as one wave.  ``planning`` is each query's own share
+        # of the caller's clock (lookup, plus a compile run in the
+        # caller), never its wait on the shared wave.
+        plans: List = []
+        planning: List[float] = []
+        misses: List[Tuple[int, Future]] = []
+        for i, query in enumerate(queries):
+            start = time.perf_counter()
+            plans.append(session.lookup_plan(query))
+            if plans[i] is None:
+                query.validate_against(database.schema())
+                misses.append((i, self._submit_compile(session, query)))
+            planning.append(time.perf_counter() - start)
+        hits = [plan is not None for plan in plans]
+        if misses:
+            with obs_trace.span("compile-wave", misses=len(misses)):
+                for i, future in misses:
+                    plans[i] = session.store_plan(
+                        queries[i], future.result()
+                    )
+
+        # Fan out: every task is submitted before the first is awaited.
+        # Explosion fallbacks run on the flat engine in the gather loop;
+        # a warm (or caught-up) result-cache entry needs no task.
+        jobs: List[Tuple[str, object]] = []
+        for query, plan in zip(queries, plans):
+            if engine == "auto" and session._would_explode(plan):
+                jobs.append(("fallback", None))
+                continue
+            start = time.perf_counter()
+            with obs_trace.span("result-cache"):
+                served = session._serve_cached(query)
+            if served is not None:
+                jobs.append(
+                    ("served", (time.perf_counter() - start, served))
+                )
+            elif shards > 1:
+                fanout = database.fanout_relation(query.relations)
+                tasks = [
+                    self._submit(session, query, plan.tree, s, fanout)
+                    for s in range(shards)
+                ]
+                jobs.append(("tasks", tasks))
+            else:
+                jobs.append(
+                    ("tasks", [self._submit(session, query, plan.tree)])
+                )
+
+        # Gather.  ``elapsed`` is the query's planning share plus its
+        # evaluation: task times (summed where they ran back to back,
+        # else the slowest) and recombination.  Queueing behind other
+        # queries and the shared compile wave are excluded.
+        results = []
+        for query, plan, hit, planned, (kind, payload) in zip(
+            queries, plans, hits, planning, jobs
+        ):
+            if kind == "fallback":
+                results.append(
+                    session._fallback_result(
+                        query, time.perf_counter() - planned, cached=hit
+                    )
+                )
+                continue
+            if kind == "served":
+                seconds, fr = payload
+                results.append(
+                    session._wrap_fdb_result(
+                        query, fr, cached=True, elapsed=planned + seconds
+                    )
+                )
+                continue
+            parts = [self._gather(pending) for pending in payload]
+            start = time.perf_counter()
+            if len(parts) == 1:
+                fr = parts[0][1]
+            else:
+                fr = worker.combine_shards(
+                    [part for _, part in parts],
+                    query,
+                    session.check_invariants,
+                    project=False,
+                )
+            session._cache_result(query, plan.tree, fr)
+            fr = worker.project_result(
+                fr, query, session.check_invariants
+            )
+            total = sum if self.times_add else max
+            elapsed = (
+                planned
+                + total(seconds for seconds, _ in parts)
+                + (time.perf_counter() - start)
+            )
+            results.append(
+                session._wrap_fdb_result(
+                    query, fr, cached=hit, elapsed=elapsed
+                )
+            )
+        return results
+
+    # -- the submit / gather hooks -----------------------------------------
+
+    def _prepare(self, session) -> None:
+        """Per-call setup before the first submission."""
+
+    def _submit_compile(self, session, query: Query) -> Future:
+        return _CALLER.submit(session._optimise, query)
+
+    def _submit(
+        self,
+        session,
+        query: Query,
+        tree,
+        shard: Optional[int] = None,
+        fanout: Optional[str] = None,
+    ):
+        raise NotImplementedError
+
+    def _gather(self, pending) -> Tuple[float, object]:
+        seconds, fr, records = pending.result()
+        trace = obs_trace.current()
+        if trace is not None and records:
+            trace.extend(records, prefix="worker:")
+        return seconds, fr
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def invalidate(self) -> None:
+        """The session's database version moved; drop derived state."""
+
+    def close(self) -> None:
+        """Release pools and other resources (idempotent)."""
+
+    def describe(self) -> str:
+        return self.name
+
+
+class SerialExecutor(Executor):
+    """One query at a time, in-process -- the reference semantics.
+
+    A :class:`~repro.storage.ShardedDatabase` is evaluated through its
+    merged view, one task per query: in the caller, fanning out would
+    only add the union's cost.
+    """
+
+    name = "serial"
+    fans_out = False
+    times_add = True
+
+    def _submit(self, session, query, tree, shard=None, fanout=None):
+        return _CALLER.submit(
+            _in_caller,
+            worker.evaluate_join,
+            session.database,
+            session.check_invariants,
+            query,
+            tree,
+        )
+
+
 class ParallelExecutor(Executor):
     """Fan queries (and shards) out over a worker pool.
 
@@ -121,7 +319,7 @@ class ParallelExecutor(Executor):
     The pool is built lazily against a ``(database, version)`` token
     and discarded whenever the version moves, so workers never serve
     stale snapshots.  ``flat`` and ``sqlite`` engine requests are not
-    parallelised -- they run through the session's serial path.
+    parallelised -- they run on the caller.
     """
 
     name = "parallel"
@@ -146,7 +344,7 @@ class ParallelExecutor(Executor):
 
     # -- pool lifecycle ----------------------------------------------------
 
-    def _ensure_pool(self, session) -> None:
+    def _prepare(self, session) -> None:
         token = (id(session.database), session.database.version)
         if self._pool is not None and self._token == token:
             return
@@ -196,6 +394,10 @@ class ParallelExecutor(Executor):
         kind = self.pool_kind or self.requested_pool
         return f"parallel ({kind} pool, {self.max_workers} workers)"
 
+    @property
+    def times_add(self) -> bool:
+        return isinstance(self._pool, _CallerPool)
+
     # -- task submission (process pools use the shipped snapshot) ----------
 
     def _submit_compile(self, session, query: Query) -> Future:
@@ -213,184 +415,24 @@ class ParallelExecutor(Executor):
             )
         )
 
-    def _submit_full(self, session, query: Query, tree) -> Future:
-        # Workers return the *unprojected* join result; the
-        # coordinator caches it for delta maintenance, then projects.
+    def _submit(self, session, query, tree, shard=None, fanout=None):
         # The active trace context (a plain dict) rides along so
         # worker-side spans come back correlated.
         ctx = obs_trace.context()
         if self.pool_kind == "process":
-            return self._pool.submit(worker.join_task, query, tree, ctx)
-        return self._pool.submit(
-            partial(
-                worker.traced_call,
-                ctx,
-                worker.evaluate_join,
-                session.database,
-                session.check_invariants,
-                query,
-                tree,
-            )
-        )
-
-    def _submit_shard(
-        self, session, query: Query, tree, index: int, fanout: str
-    ) -> Future:
-        ctx = obs_trace.context()
-        if self.pool_kind == "process":
             return self._pool.submit(
-                worker.shard_task, query, tree, index, fanout, ctx
+                worker.pool_task, ctx, query, tree, shard, fanout
             )
         return self._pool.submit(
             partial(
                 worker.traced_call,
                 ctx,
-                worker.evaluate_shard,
+                worker.evaluate,
                 session.database,
                 session.check_invariants,
                 query,
                 tree,
-                index,
+                shard,
                 fanout,
             )
         )
-
-    # -- execution ---------------------------------------------------------
-
-    def execute(self, session, queries: Sequence[Query], engine: str):
-        if not queries:
-            return []
-        if engine in ("flat", "sqlite"):
-            # Nothing to parallelise: these engines exist as cross
-            # checks, not throughput paths.
-            return [
-                session._execute_serial(query, engine)
-                for query in queries
-            ]
-        self._ensure_pool(session)
-
-        # Wave 1: compile every cache miss concurrently.  Validation
-        # stays in the coordinator so schema errors raise in the
-        # caller, not inside a worker.
-        plans: Dict[int, Tuple[object, bool]] = {}
-        pending: List[Tuple[int, Future]] = []
-        for i, query in enumerate(queries):
-            plan = session.lookup_plan(query)
-            if plan is not None:
-                plans[i] = (plan, True)
-            else:
-                query.validate_against(session.database.schema())
-                pending.append((i, self._submit_compile(session, query)))
-        if pending:
-            with obs_trace.span("compile-wave", misses=len(pending)):
-                for i, future in pending:
-                    plans[i] = (
-                        session.store_plan(queries[i], future.result()),
-                        False,
-                    )
-
-        # Wave 2: fan execution out -- per query, or per (query, shard)
-        # on a sharded store.  Explosion fallbacks run serially in the
-        # coordinator (they are flat-engine work by definition).
-        database = session.database
-        sharded = (
-            isinstance(database, ShardedDatabase)
-            and database.shard_count > 1
-        )
-        jobs: List[Tuple[str, object]] = []
-        for i, query in enumerate(queries):
-            plan, hit = plans[i]
-            if engine == "auto" and session._would_explode(plan):
-                jobs.append(("fallback", None))
-                continue
-            # Delta-maintained result cache: a warm (or caught-up)
-            # entry skips evaluation entirely -- nothing to fan out.
-            serve_start = time.perf_counter()
-            served = session._serve_cached(query)
-            if served is not None:
-                jobs.append(
-                    ("served", (served, time.perf_counter() - serve_start))
-                )
-            elif sharded:
-                fanout = database.fanout_relation(query.relations)
-                jobs.append(
-                    (
-                        "shards",
-                        [
-                            self._submit_shard(
-                                session, query, plan.tree, s, fanout
-                            )
-                            for s in range(database.shard_count)
-                        ],
-                    )
-                )
-            else:
-                jobs.append(
-                    ("full", self._submit_full(session, query, plan.tree))
-                )
-
-        # Gather.  Reported ``elapsed`` is evaluation time only --
-        # worker-side for full tasks, critical path (slowest shard, or
-        # all shards where the pool runs them on the caller) plus
-        # recombination for sharded ones; queueing behind other
-        # queries and the shared compile wave are excluded, keeping
-        # per-query numbers comparable with the serial executor's.
-        results = []
-        for i, query in enumerate(queries):
-            plan, hit = plans[i]
-            kind, payload = jobs[i]
-            if kind == "fallback":
-                results.append(
-                    session._fallback_result(
-                        query, time.perf_counter(), cached=hit
-                    )
-                )
-                continue
-            if kind == "served":
-                fr, elapsed = payload
-                results.append(
-                    session._wrap_fdb_result(
-                        query, fr, cached=True, elapsed=elapsed
-                    )
-                )
-                continue
-            trace = obs_trace.current()
-            if kind == "full":
-                elapsed, fr, records = payload.result()
-                if trace is not None and records:
-                    trace.extend(records, prefix="worker:")
-                finish_start = time.perf_counter()
-                session._cache_result(query, plan.tree, fr)
-                fr = worker.project_result(
-                    fr, query, session.check_invariants
-                )
-                elapsed += time.perf_counter() - finish_start
-            else:
-                parts = [future.result() for future in payload]
-                if trace is not None:
-                    for _, _, records in parts:
-                        if records:
-                            trace.extend(records, prefix="worker:")
-                combine_start = time.perf_counter()
-                fr = worker.combine_shards(
-                    [part for _, part, _ in parts],
-                    query,
-                    session.check_invariants,
-                    project=False,
-                )
-                session._cache_result(query, plan.tree, fr)
-                fr = worker.project_result(
-                    fr, query, session.check_invariants
-                )
-                # A caller-run pool evaluates the shards back to back:
-                # their times add up instead of overlapping.
-                overlap = sum if isinstance(self._pool, _CallerPool) else max
-                elapsed = overlap(seconds for seconds, _, _ in parts) + (
-                    time.perf_counter() - combine_start
-                )
-            results.append(
-                session._wrap_fdb_result(
-                    query, fr, cached=hit, elapsed=elapsed
-                )
-            )
-        return results

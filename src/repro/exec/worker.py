@@ -1,17 +1,22 @@
-"""Pool-worker entry points for the parallel executor.
+"""Task bodies shared by every executor.
 
-A :class:`~repro.exec.executor.ParallelExecutor` ships the database to
-each worker process **once** (via the pool initializer) and afterwards
-sends only small task tuples -- (query, f-tree, shard index) -- so the
-per-task pickling cost stays independent of the data size.  The
-``*_task`` functions below read that per-process state; the
-``*_direct`` functions take the database explicitly and back both the
-thread-pool fallback (same process, no globals needed) and unit tests.
+Every :class:`~repro.exec.executor.Executor` evaluates through the one
+loop of :meth:`~repro.exec.executor.Executor.execute`; a *task* is one
+call of :func:`evaluate` -- a whole query, or one (query, shard) pair
+-- returning the **unprojected** result the coordinator unions, caches
+and projects.  Where it runs is the executor's business: in the caller
+(``SerialExecutor``), in a pool worker (``ParallelExecutor``), or on a
+shard-worker server (``repro.net``; the server calls the same
+functions).
 
-Workers are stateless beyond the database snapshot: a mutation bumps
-``Database.version`` in the coordinator, which discards the pool and
-spawns a fresh one against the new snapshot (see
-``ParallelExecutor._ensure_pool``).
+A process pool ships the database to each worker **once** (via the
+pool initializer) and afterwards sends only small task tuples --
+(query, f-tree, shard index) -- so the per-task pickling cost stays
+independent of the data size; :func:`pool_task` reads that per-process
+state.  Workers are stateless beyond the database snapshot: a mutation
+bumps ``Database.version`` in the coordinator, which discards the pool
+and spawns a fresh one against the new snapshot (see
+``ParallelExecutor._prepare``).
 """
 
 from __future__ import annotations
@@ -115,53 +120,29 @@ def compile_task(query: Query) -> FTree:
     return _STATE["engine"].optimal_tree(query)
 
 
-def execute_task(
-    query: Query, tree: FTree
-) -> Tuple[float, FactorisedRelation]:
-    return timed_call(
-        evaluate_full,
-        _STATE["database"],
-        bool(_STATE["check_invariants"]),
-        query,
-        tree,
-    )
-
-
-def join_task(
-    query: Query, tree: FTree, ctx: Optional[dict] = None
+def pool_task(
+    ctx: Optional[dict],
+    query: Query,
+    tree: FTree,
+    shard: Optional[int] = None,
+    fanout: Optional[str] = None,
 ) -> Tuple[float, FactorisedRelation, List[dict]]:
-    """Like :func:`execute_task` but **without** the projection, so the
-    coordinator can cache the join result for delta maintenance
-    (:mod:`repro.ivm`) before projecting.  ``ctx`` carries the
-    coordinator's trace context; worker-side spans come back as the
-    third tuple element."""
+    """Process-pool body of one task over the shipped snapshot.
+    ``ctx`` carries the coordinator's trace context; worker-side spans
+    come back as the third tuple element."""
     return traced_call(
         ctx,
-        evaluate_join,
+        evaluate,
         _STATE["database"],
         bool(_STATE["check_invariants"]),
         query,
         tree,
-    )
-
-
-def shard_task(
-    query: Query, tree: FTree, index: int, fanout: str,
-    ctx: Optional[dict] = None,
-) -> Tuple[float, FactorisedRelation, List[dict]]:
-    return traced_call(
-        ctx,
-        evaluate_shard,
-        _STATE["database"],
-        bool(_STATE["check_invariants"]),
-        query,
-        tree,
-        index,
+        shard,
         fanout,
     )
 
 
-# -- direct variants (thread fallback, tests) ------------------------------
+# -- direct variants (threads, the caller, servers, tests) -----------------
 
 
 def compile_direct(
@@ -191,12 +172,14 @@ def evaluate_join(
     """Evaluate one query over the full database **without** the
     projection: factorised join over the precompiled tree, constants
     inside.  The unprojected form is what the coordinator's result
-    cache keeps for delta maintenance."""
-    engine = FDB(
-        database,
-        check_invariants=check_invariants,
-        shared_pool=shared_pool_for(database),
-    )
+    cache keeps for delta maintenance.
+
+    The result interns into a private pool: a whole-query result is
+    never unioned, and the codec ships a result's whole pool, so a
+    shared (never compacted) pool would put every value of the
+    snapshot into each wire frame and pool pickle.
+    """
+    engine = FDB(database, check_invariants=check_invariants)
     with obs_trace.span("factorise"):
         return engine.factorise_query(query, tree=tree)
 
@@ -250,6 +233,23 @@ def evaluate_shard(
     )
     with obs_trace.span("shard", shard=index):
         return engine.factorise_query(query, tree=tree)
+
+
+def evaluate(
+    database,
+    check_invariants: bool,
+    query: Query,
+    tree: FTree,
+    shard: Optional[int] = None,
+    fanout: Optional[str] = None,
+) -> FactorisedRelation:
+    """One executor task, unprojected: the whole query
+    (``shard=None``) or one shard view of it."""
+    if shard is None:
+        return evaluate_join(database, check_invariants, query, tree)
+    return evaluate_shard(
+        database, check_invariants, query, tree, shard, fanout
+    )
 
 
 def combine_shards(

@@ -12,14 +12,15 @@ Turns the library into a service, the fourth layer of the stack
   :class:`~repro.net.client.RemoteSession`, mirroring
   :class:`~repro.service.session.QuerySession`;
 - :mod:`repro.net.remote` -- :class:`~repro.net.remote.RemoteExecutor`,
-  fanning per-(query, shard) evaluation out over multiple hosts and
-  degrading to local execution when a worker is lost;
-- :mod:`repro.net.cluster` -- the robustness tier on top:
-  :class:`~repro.net.cluster.ClusterMap` (consistent-hash replicated
-  shard ownership) and :class:`~repro.net.cluster.ReplicatedExecutor`
-  (retry on the next replica with timeouts and jittered backoff,
-  quarantine with half-open probes, loud local degrade only when all
-  replicas of a shard are down).
+  the executor loop with its tasks sent to worker hosts: each task
+  walks a chain of workers (retry on the next with timeouts and
+  jittered backoff, quarantine with half-open probes, a loud local
+  degrade only when the whole chain failed); its chain is every
+  worker;
+- :mod:`repro.net.cluster` -- :class:`~repro.net.cluster.ClusterMap`
+  (consistent-hash replicated shard ownership) and
+  :class:`~repro.net.cluster.ReplicatedExecutor` (the same wire path
+  with each shard's R ring replicas as its chain).
 """
 
 from repro.net.client import NetError, RemoteSession, parse_address

@@ -52,7 +52,16 @@ _UNSET = object()
 
 class NetError(RuntimeError):
     """A remote request failed: server-side error, lost connection,
-    or protocol violation."""
+    or protocol violation.
+
+    ``server_type`` names the server-side exception class of an error
+    the server answered with (``"QueryError"``, ``"OwnershipError"``,
+    ...); it is ``None`` for transport failures.
+    """
+
+    def __init__(self, message: str, server_type: Optional[str] = None):
+        super().__init__(message)
+        self.server_type = server_type
 
 
 def parse_address(address: Address) -> Tuple[str, int]:
@@ -322,9 +331,9 @@ class RemoteSession:
     def submit_execute(
         self, query: Union[Query, str], tree: FTree
     ) -> Future:
-        """Evaluate a whole query on the worker (projection applied);
-        resolves to ``(worker_seconds, FactorisedRelation,
-        span_records)``."""
+        """Evaluate a whole query on the worker; resolves to
+        ``(worker_seconds, FactorisedRelation, span_records)`` without
+        projection."""
         query = _as_query(query)
         _, future = self._request(
             "execute",
@@ -547,9 +556,10 @@ class RemoteSession:
         context: Tuple,
     ):
         if kind == "error":
+            server_type = str(header.get("type", "error"))
             raise NetError(
-                f"server error ({header.get('type', 'error')}): "
-                f"{header.get('error')}"
+                f"server error ({server_type}): {header.get('error')}",
+                server_type=server_type,
             )
         shape = context[0] if context else None
         if kind == "result" and shape == "result":

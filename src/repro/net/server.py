@@ -657,9 +657,11 @@ class QueryServer:
             )
             self._record_heat(index, elapsed, fr)
         else:
+            # Unprojected like a shard part: the coordinator caches the
+            # join for delta maintenance, then projects.
             elapsed, fr, records = worker_mod.traced_call(
                 ctx,
-                worker_mod.evaluate_full,
+                worker_mod.evaluate_join,
                 database,
                 check,
                 query,

@@ -513,9 +513,13 @@ class QuerySession:
         if cached is not None:
             return cached, True
         query.validate_against(self.database.schema())
+        return self.store_plan(query, self._optimise(query)), False
+
+    def _optimise(self, query: Query) -> FTree:
+        """Executor hook: run the f-tree optimiser for a validated
+        plan-cache miss (callers :meth:`store_plan` the tree)."""
         with obs_trace.span("optimise"):
-            tree = self._fdb.optimal_tree(query)
-        return self.store_plan(query, tree), False
+            return self._fdb.optimal_tree(query)
 
     def _would_explode(self, plan: CachedPlan) -> bool:
         if self.fallback_budget is None:
@@ -588,9 +592,10 @@ class QuerySession:
         executor.  Snapshot semantics depend on it: a
         :class:`~repro.exec.ParallelExecutor` pins the snapshot its
         pool workers hold for every pooled (factorised-path) query,
-        while the serial path -- and the fallback/flat/sqlite routes
-        of either executor -- read the live database, so mutating it
-        mid-batch from another thread yields mixed-version answers.
+        while the serial executor -- and the fallback/flat/sqlite
+        routes of every executor -- read the live database, so
+        mutating it mid-batch from another thread yields mixed-version
+        answers.
         """
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; pick {ENGINES}")
@@ -704,42 +709,6 @@ class QuerySession:
     # Executors evaluate queries through these; they encapsulate result
     # construction and engine access so the execution layer never
     # imports the serving layer.
-
-    def _execute_serial(self, query: Query, engine: str) -> SessionResult:
-        """Evaluate one query in-process (the serial reference path)."""
-        start = time.perf_counter()
-        if engine == "flat":
-            return self._flat_result(query, start, cached=False)
-        if engine == "sqlite":
-            return self._sqlite_result(query, start)
-        plan, hit = self.compile(query)
-        if engine == "auto" and self._would_explode(plan):
-            return self._fallback_result(query, start, cached=hit)
-        with obs_trace.span("result-cache"):
-            served = self._serve_cached(query)
-        if served is not None:
-            return SessionResult(
-                query=query,
-                engine="fdb",
-                cached=True,
-                elapsed=time.perf_counter() - start,
-                factorised=served,
-            )
-        with obs_trace.span("factorise"):
-            fr = self._fdb.factorise_query(query, tree=plan.tree)
-        self._cache_result(query, plan.tree, fr)
-        if query.projection is not None:
-            with obs_trace.span("project"):
-                fr = ops.project(fr, query.projection)
-            if self.check_invariants:
-                fr.validate()
-        return SessionResult(
-            query=query,
-            engine="fdb",
-            cached=hit,
-            elapsed=time.perf_counter() - start,
-            factorised=fr,
-        )
 
     def _flat_result(
         self, query: Query, start: float, cached: bool

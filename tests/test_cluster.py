@@ -295,6 +295,29 @@ def test_ownership_contract_over_the_wire(tmp_path):
         assert stats.ownership_rejections == 2
 
 
+def test_failures_are_classified_by_the_servers_error_type():
+    """A worker error whose *message* mentions OwnershipError (here a
+    query naming a relation of that name) is a worker error, not a
+    routing miss: classification reads the server's error type."""
+    db = _database(98)
+    with QuerySession(db) as local:
+        plan, _ = local.compile(_queries(db, 99, 1)[0])
+    executor = ReplicatedExecutor(["w:1"], replication_factor=1)
+    with ServerThread(QuerySession(db)) as server:
+        with RemoteSession(server.address) as client:
+            with pytest.raises(NetError) as caught:
+                client.submit_execute(
+                    "SELECT * FROM OwnershipError", plan.tree
+                ).result(30)
+    exc = caught.value
+    assert "OwnershipError" in str(exc)
+    assert exc.server_type == "QueryError"
+    executor._record_failure(0, exc)
+    assert executor.worker_errors == 1
+    assert executor.ownership_misses == 0
+    assert executor.quarantines == 0
+
+
 def test_ownership_rejects_unsharded_and_out_of_range():
     with QuerySession(_database(79)) as flat_session:
         with pytest.raises(ProtocolError, match="unsharded"):

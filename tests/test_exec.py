@@ -99,6 +99,39 @@ def test_serial_executor_matches_reference(db, queries):
             assert session.run(query).rows() == reference_rows(db, query)
 
 
+def test_serial_executor_evaluates_the_merged_view(db, queries):
+    """No fan-out in the caller: a sharded database is one task per
+    query, so no shard span and no union."""
+    from repro.obs import Trace, activate
+    from repro.ops.union import COUNTERS
+
+    sdb = ShardedDatabase.from_database(db, shards=3)
+    before = COUNTERS.snapshot()
+    trace = Trace()
+    with QuerySession(sdb, executor=SerialExecutor()) as session:
+        with activate(trace):
+            results = session.run_batch(queries)
+    for query, result in zip(queries, results):
+        assert result.rows() == reference_rows(db, query)
+    names = [record["name"] for record in trace.records]
+    assert "factorise" in names
+    assert not any(name.endswith("shard") for name in names)
+    assert COUNTERS.since(before)["calls"] == 0
+
+
+def test_every_executor_runs_the_one_execute_loop():
+    from repro.exec import Executor
+    from repro.net import RemoteExecutor, ReplicatedExecutor
+
+    for cls in (
+        SerialExecutor,
+        ParallelExecutor,
+        RemoteExecutor,
+        ReplicatedExecutor,
+    ):
+        assert cls.execute is Executor.execute, cls
+
+
 @pytest.mark.parametrize("pool", ["process", "thread"])
 def test_parallel_executor_flat_database(db, queries, pool):
     executor = ParallelExecutor(max_workers=2, pool=pool)

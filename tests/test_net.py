@@ -425,6 +425,34 @@ def test_remote_executor_degrades_to_local_when_workers_die(tmp_path):
         coordinator.close()
 
 
+def test_remote_executor_degrades_visibly_in_the_registry(tmp_path):
+    """A RemoteExecutor session that degrades to local shows it in the
+    unified snapshot and on the Prometheus text, like a cluster."""
+    db = _database(69)
+    sharded = ShardedDatabase.from_database(db, shards=2)
+    path = str(tmp_path / "sharded")
+    persist.save(sharded, path)
+    server = ServerThread(QuerySession(persist.load(path)))
+    executor = RemoteExecutor([server.address], timeout=30)
+    queries = random_spj_queries(
+        db, 2, seed=69, max_relations=2, max_equalities=1
+    )
+    with QuerySession(sharded, executor=executor) as coordinator:
+        try:
+            coordinator.run(queries[0])
+            assert coordinator.snapshot()["cluster"]["degrade_to_local"] == 0
+        finally:
+            server.stop()  # its only worker dies
+        coordinator.run(queries[1])
+        snap = coordinator.snapshot()
+        text = coordinator.registry.prometheus_text()
+    assert snap["cluster"]["degrade_to_local"] > 0
+    assert snap["cluster"]["quarantined_workers"] == 1
+    events = [e["event"] for e in snap["flight"]["events"]]
+    assert "degrade-to-local" in events
+    assert "repro_cluster_degrade_to_local" in text
+
+
 def test_remote_executor_skips_version_mismatched_workers(tmp_path):
     db = _database(67)
     sharded = ShardedDatabase.from_database(db, shards=2)
