@@ -39,8 +39,8 @@ sequences made of f-plan steps the digest of the fused
 - ``bench``: a mid-sized combinatorial input in the ``fplan_followup``
   shape.
 
-``tests/test_fplan_golden.py`` rebuilds every case under both
-realisations of the kernels and asserts equality with the committed
+``tests/test_fplan_golden.py`` rebuilds every case and asserts
+equality with the committed
 file, which was generated **at the parent commit of the
 level-synchronous f-plan kernels** (PR 19; the kernels were
 per-occurrence walks with ``mark`` / ``rollback`` there) and committed
@@ -478,7 +478,7 @@ def _walks() -> Iterator[Case]:
 
 
 def _bench() -> Iterator[Case]:
-    # The fplan_followup shape at a size the stdlib realisation replays
+    # The fplan_followup shape at a size the kernels replay
     # in well under a second: two binary and two ternary uniform
     # relations joined by one or two equalities, then follow-up plans.
     for i in range(3):

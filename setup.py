@@ -1,13 +1,12 @@
 """Package metadata for the ``repro`` FDB reproduction.
 
 The code lives under ``src/``; the version is read from
-``src/repro/__init__.py`` without importing the package.  numpy is
-optional: every vectorised kernel has a stdlib twin, so the ``numpy``
-extra only selects the faster realisation (CI runs one job with it and
-one without).
+``src/repro/__init__.py`` without importing the package.  numpy is a
+required dependency: the arena's column primitives
+(``repro.core.columns``) have one body each, a numpy one.
 
     python setup.py develop        # editable install without wheel
-    pip install -e ".[numpy]"      # where wheel is available
+    pip install -e .               # where wheel is available
 """
 
 import os
@@ -31,5 +30,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    extras_require={"numpy": ["numpy"]},
+    install_requires=["numpy"],
 )

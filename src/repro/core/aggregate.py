@@ -30,7 +30,7 @@ from repro.core.arena import (
     ArenaRep,
     _column_total,
     _entry_counts,
-    _np,
+    _ints,
     _prefix,
 )
 
@@ -171,9 +171,7 @@ def group_count(
         child = counts[k]
         lo = arena.child_lo[idx][j][e]
         hi = arena.child_hi[idx][j][e]
-        if _np is not None and isinstance(child, _np.ndarray):
-            return int(child[lo:hi].sum(dtype=object))
-        return sum(child[lo:hi])
+        return _column_total(child[lo:hi])
 
     for step, idx in enumerate(path[:-1]):
         next_node = path[step + 1]
@@ -192,9 +190,7 @@ def group_count(
 
     pool = arena.pool
     column = arena.values[target]
-    below = counts[target]
-    if _np is not None and isinstance(below, _np.ndarray):
-        below = below.tolist()
+    below = _ints(counts[target])
     out: Dict[object, int] = {}
     for e, vid in enumerate(column):
         value = pool[vid]

@@ -26,12 +26,12 @@ pre-order):
 - ``pool`` -- the interned distinct values; ids are indices into it.
 
 One union entry therefore costs ``1 + 2 * #children`` machine-word
-array slots.  Columns are :class:`array.array` (``'q'``, int64) so they
-also serialise as raw bytes (see the ``arena`` blob kind in
-:mod:`repro.persist.codec`).  When numpy is importable the counting
-kernels use vectorised segment sums (with an explicit int64 overflow
-guard falling back to exact Python integers); the stdlib path is always
-available and always exact.
+array slots.  Columns are :class:`array.array` (``'q'``, int64) or
+int64 views of a mapped file, so they also serialise as raw bytes (see
+the ``arena`` blob kind in :mod:`repro.persist.codec`).  Whole-column
+work -- counting, validation, the selection mask -- goes through the
+numpy primitives of :mod:`repro.core.columns`; counts switch to exact
+Python integers wherever int64 could overflow.
 
 Conventions: the *empty* relation is encoded as ``None`` (never as an
 empty arena) and inside a non-empty arena no union is ever empty (the
@@ -64,12 +64,17 @@ from typing import (
     Tuple,
 )
 
+from repro.core.columns import (
+    _as_np,
+    _column_bounds,
+    _extend_ids,
+    _extend_shifted,
+    _forest_counts,
+    _i64,
+    _runs,
+    _value_mask,
+)
 from repro.core.ftree import FTree
-
-try:  # optional acceleration; the stdlib path below is always complete
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free CI
-    _np = None
 
 #: Pre-multiplication bound under which int64 arithmetic cannot
 #: overflow; counts that may exceed it are computed with exact Python
@@ -83,28 +88,6 @@ class FRepError(ValueError):
 
 class ArenaError(FRepError):
     """Raised when an arena violates its structural invariants."""
-
-
-def _i64() -> array:
-    return array("q")
-
-
-def _extend_ids(dest: array, source, lo: int, hi: int) -> None:
-    """Append ``source[lo:hi]`` (an ``array('q')`` or an int64 ndarray,
-    e.g. an mmap-backed column view) to ``dest`` verbatim."""
-    if _np is not None and isinstance(source, _np.ndarray):
-        dest.frombytes(source[lo:hi].tobytes())
-    else:
-        dest.extend(source[lo:hi])
-
-
-def _as_np(column):
-    """An int64 ndarray view of a column (``None`` without numpy)."""
-    if _np is None:
-        return None
-    if isinstance(column, _np.ndarray):
-        return column
-    return _np.frombuffer(column, dtype=_np.int64)
 
 
 class ValuePool:
@@ -471,23 +454,13 @@ class ArenaWriter:
 # -- validation --------------------------------------------------------------
 
 
-def _column_bounds(column: array) -> Tuple[int, int]:
-    """(min, max) of a column, vectorised when numpy is present."""
-    if not len(column):
-        return 0, -1
-    if _np is not None:
-        view = _np.frombuffer(column, dtype=_np.int64)
-        return int(view.min()), int(view.max())
-    return min(column), max(column)
-
-
 def validate_arena_bounds(
     tree: FTree, arena: Optional[ArenaRep]
 ) -> None:
     """Flat structural checks: skeleton alignment, column parallelism,
-    id and range bounds, and DFS contiguity.  O(entries) integer scans
-    (vectorised under numpy), so the persistence layer can afford them
-    on every load.
+    id and range bounds, and DFS contiguity.  O(entries) vectorised
+    integer scans, so the persistence layer can afford them on every
+    load.
 
     The *contiguity* (exact tiling) check matters beyond tidiness:
     every construction path appends child unions in parent-entry
@@ -532,22 +505,11 @@ def validate_arena_bounds(
                     f"node {i}: child ranges do not tile the child "
                     f"column [0, {limit})"
                 )
-            if _np is not None:
-                lo_view = _np.frombuffer(los, dtype=_np.int64)
-                hi_view = _np.frombuffer(his, dtype=_np.int64)
-                bad = not bool((lo_view < hi_view).all())
-                if not bad and len(column) > 1:
-                    bad = not bool(
-                        (lo_view[1:] == hi_view[:-1]).all()
-                    )
-            else:
-                bad = any(lo >= hi for lo, hi in zip(los, his))
-                if not bad:
-                    bad = any(
-                        los[e + 1] != his[e]
-                        for e in range(len(column) - 1)
-                    )
-            if bad:
+            lo_view, hi_view = _as_np(los), _as_np(his)
+            if not (
+                (lo_view < hi_view).all()
+                and (lo_view[1:] == hi_view[:-1]).all()
+            ):
                 raise ArenaError(
                     f"node {i}: child ranges are empty, overlap or "
                     f"leave gaps (unions must tile in DFS order)"
@@ -615,71 +577,49 @@ def _prefix(counts: List[int]) -> List[int]:
     return list(accumulate(counts, initial=0))
 
 
+def _ints(counts) -> List[int]:
+    """A per-entry count column as exact Python integers."""
+    return counts if isinstance(counts, list) else counts.tolist()
+
+
 def _entry_counts(arena: ArenaRep) -> List[object]:
     """Per node, per entry: tuples represented below-and-including the
-    entry (the children-forest product).  Bottom-up; numpy-vectorised
-    per node when the segment sums provably fit int64, exact Python
-    integers otherwise."""
+    entry (the children-forest product).  Bottom-up; one vectorised
+    pass per node (an int64 vector) while the segment sums provably fit
+    int64, exact Python integers (a list) from there up."""
     skel = arena.skel
     n = len(skel)
-    counts: List[object] = [None] * n  # list[int] or int64 ndarray
+    counts: List[object] = [None] * n
     for idx in range(n - 1, -1, -1):
         m = len(arena.values[idx])
-        kids = skel.children[idx]
-        if not kids:
-            counts[idx] = (
-                _np.ones(m, dtype=_np.int64)
-                if _np is not None
-                else [1] * m
+        below = [counts[k] for k in skel.children[idx]]
+        bound = 1
+        for child in below:
+            if isinstance(child, list):
+                break
+            peak = int(child.max()) if len(child) else 0
+            bound *= max(peak * len(child), 1)
+            if bound > _INT64_SAFE:
+                break
+        else:
+            counts[idx] = _forest_counts(
+                below, arena.child_lo[idx], arena.child_hi[idx], m
             )
             continue
-        if _np is not None and all(
-            isinstance(counts[k], _np.ndarray) for k in kids
+        total = [1] * m
+        for child, los, his in zip(
+            below, arena.child_lo[idx], arena.child_hi[idx]
         ):
-            bound = 1
-            for k in kids:
-                child = counts[k]
-                peak = int(child.max()) if len(child) else 0
-                bound *= max(peak * len(child), 1)
-                if bound > _INT64_SAFE:
-                    break
-            if bound <= _INT64_SAFE:
-                total = _np.ones(m, dtype=_np.int64)
-                for j, k in enumerate(kids):
-                    child = counts[k]
-                    prefix = _np.zeros(
-                        len(child) + 1, dtype=_np.int64
-                    )
-                    _np.cumsum(child, out=prefix[1:])
-                    lo = _np.frombuffer(
-                        arena.child_lo[idx][j], dtype=_np.int64
-                    )
-                    hi = _np.frombuffer(
-                        arena.child_hi[idx][j], dtype=_np.int64
-                    )
-                    total *= prefix[hi] - prefix[lo]
-                counts[idx] = total
-                continue
-        # Exact fallback (also the numpy-free path).
-        total_list = [1] * m
-        for j, k in enumerate(kids):
-            child = counts[k]
-            if _np is not None and isinstance(child, _np.ndarray):
-                child = child.tolist()
-            prefix = _prefix(child)
-            los = arena.child_lo[idx][j]
-            his = arena.child_hi[idx][j]
+            prefix = _prefix(_ints(child))
             for e in range(m):
-                total_list[e] *= prefix[his[e]] - prefix[los[e]]
-        counts[idx] = total_list
+                total[e] *= prefix[his[e]] - prefix[los[e]]
+        counts[idx] = total
     return counts
 
 
 def _column_total(column) -> int:
     """Exact Python-int sum of a per-entry count column."""
-    if _np is not None and isinstance(column, _np.ndarray):
-        return sum(column.tolist())
-    return sum(column)
+    return sum(_ints(column))
 
 
 def tuple_count(arena: Optional[ArenaRep]) -> int:
@@ -883,43 +823,6 @@ def iter_assignments(
 # -- operator kernels --------------------------------------------------------
 
 
-def _extend_offset(dest: array, source: array, lo: int, hi: int, delta: int) -> None:
-    """Append ``source[lo:hi] + delta`` to ``dest``."""
-    if delta == 0:
-        dest.extend(source[lo:hi])
-    elif _np is not None:
-        shifted = (
-            _np.frombuffer(source, dtype=_np.int64)[lo:hi] + delta
-        )
-        dest.frombytes(shifted.astype(_np.int64).tobytes())
-    else:
-        dest.extend(x + delta for x in source[lo:hi])
-
-
-def _keep_lookup(
-    arena: ArenaRep, target: int, predicate: Callable[[object], bool]
-):
-    """A per-value-id keep table for ``target``'s column.
-
-    The predicate runs once per *distinct id actually present* in the
-    column (never over the whole pool: a shared pool holds values of
-    every attribute, on which the predicate could be meaningless), and
-    the per-entry test collapses into an integer table lookup.
-    """
-    column = arena.values[target]
-    pool = arena.pool
-    if _np is not None:
-        col = _as_np(column)
-        keep = _np.zeros(len(pool), dtype=bool)
-        for vid in _np.unique(col).tolist():
-            keep[vid] = bool(predicate(pool[vid]))
-        return keep, col
-    keep_dict: Dict[int, bool] = {}
-    for vid in set(column):
-        keep_dict[vid] = bool(predicate(pool[vid]))
-    return keep_dict, None
-
-
 def select_filter(
     arena: ArenaRep,
     attribute: str,
@@ -952,7 +855,7 @@ def select_filter(
     # The output shares the input pool: value ids are copied verbatim.
     writer.pool = pool  # type: ignore[attr-defined]
 
-    keep, target_np = _keep_lookup(arena, target, predicate)
+    keep = _value_mask(arena.values[target], pool, predicate)
 
     def copy_bulk(idx: int, lo: int, hi: int) -> None:
         _extend_ids(new_values[idx], arena.values[idx], lo, hi)
@@ -962,41 +865,20 @@ def select_filter(
             child_lo = los[lo]
             child_hi = his[hi - 1]
             delta = len(new_values[k]) - child_lo
-            _extend_offset(new_lo[idx][j], los, lo, hi, delta)
-            _extend_offset(new_hi[idx][j], his, lo, hi, delta)
+            _extend_shifted(new_lo[idx][j], los, lo, hi, delta)
+            _extend_shifted(new_hi[idx][j], his, lo, hi, delta)
             copy_bulk(k, child_lo, child_hi)
 
     def copy_target(lo: int, hi: int) -> bool:
         """Mask the target occurrence, bulk-copy the kept runs."""
-        if target_np is not None:
-            mask = keep[target_np[lo:hi]]
-            if mask.all():
-                copy_bulk(target, lo, hi)
-                return True
-            hits = _np.flatnonzero(mask)
-            if not len(hits):
-                return False
-            # Compact consecutive hits into [start, stop) runs.
-            breaks = _np.flatnonzero(_np.diff(hits) > 1) + 1
-            for run in _np.split(hits, breaks):
-                copy_bulk(
-                    target, lo + int(run[0]), lo + int(run[-1]) + 1
-                )
+        mask = keep[lo:hi]
+        if mask.all():
+            copy_bulk(target, lo, hi)
             return True
-        column = arena.values[target]
-        kept = False
-        e = lo
-        while e < hi:
-            if not keep[column[e]]:
-                e += 1
-                continue
-            stop = e + 1
-            while stop < hi and keep[column[stop]]:
-                stop += 1
-            copy_bulk(target, e, stop)
-            kept = True
-            e = stop
-        return kept
+        runs = _runs(mask)
+        for start, stop in runs:
+            copy_bulk(target, lo + start, lo + stop)
+        return bool(runs)
 
     def copy_union(idx: int, lo: int, hi: int) -> bool:
         if idx == target:

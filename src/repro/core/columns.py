@@ -1,0 +1,270 @@
+"""Column primitives: the one place the engine speaks numpy.
+
+An arena (:mod:`repro.core.arena`) is parallel int64 columns -- value
+ids and child ranges per f-tree node -- and everything that rewrites,
+counts, validates or serialises it whole-column at a time is spelled
+with the primitives below, each with one numpy body.  numpy is a
+declared dependency; this is the only module under ``src/repro`` that
+imports it, so how a column operation is realised is decided here and
+nowhere else.
+
+Vocabulary: a *column* is what an arena holds -- an ``array('q')``
+(what every writer appends to) or an mmap-backed int64 ndarray (what
+:func:`repro.persist.load` with ``mmap=True`` hands out); a *vector* is
+an int64 (a *mask*: bool) ndarray, a transient of one pass.
+:func:`_column` turns a vector into a column, :func:`_as_np` views a
+column as a vector without copying.
+"""
+
+from __future__ import annotations
+
+from array import array
+from typing import Callable, List, Sequence, Tuple
+
+import numpy as np
+
+
+def _i64() -> array:
+    """A new, empty arena column."""
+    return array("q")
+
+
+def _as_np(column):
+    """An int64 ndarray view of a column (no copy)."""
+    if isinstance(column, np.ndarray):
+        return column
+    return np.frombuffer(column, dtype=np.int64)
+
+
+def _column(vector) -> array:
+    """A vector as an arena column."""
+    out = _i64()
+    if len(vector):  # (an empty memoryview cannot be cast)
+        vector = np.ascontiguousarray(vector, dtype=np.int64)
+        out.frombytes(vector.data.cast("B"))
+    return out
+
+
+def _extend_ids(dest: array, source, lo: int, hi: int, vmap=None) -> None:
+    """Append ``source[lo:hi]`` to ``dest`` -- verbatim, or taken through
+    the id table ``vmap`` (cross-pool copies)."""
+    if vmap is not None:
+        dest.frombytes(_as_np(vmap)[_as_np(source)[lo:hi]].tobytes())
+    elif isinstance(source, np.ndarray):
+        dest.frombytes(source[lo:hi].tobytes())
+    else:
+        dest.extend(source[lo:hi])
+
+
+def _extend_shifted(dest: array, source, lo: int, hi: int, delta: int) -> None:
+    """Append ``source[lo:hi] + delta`` to ``dest`` (child ranges moved
+    to where their child entries land in the destination)."""
+    if delta == 0:
+        _extend_ids(dest, source, lo, hi)
+    else:
+        dest.frombytes((_as_np(source)[lo:hi] + delta).tobytes())
+
+
+def _column_bounds(column) -> Tuple[int, int]:
+    """``(min, max)`` of a column; ``(0, -1)`` when it is empty."""
+    if not len(column):
+        return 0, -1
+    view = _as_np(column)
+    return int(view.min()), int(view.max())
+
+
+def _take(column, idx):
+    """``column[idx]`` for an index vector (any order, repeats)."""
+    return _as_np(column)[idx]
+
+
+def _spread(slots, los: Sequence[object], his: Sequence[object]):
+    """``slots[e]`` repeated once per child entry of input entry ``e``
+    (child ranges ``[lo, hi)`` given per part, end to end): the owner
+    vector of the child column, valid because child ranges tile it."""
+    widths = np.concatenate(
+        [_as_np(hi) - _as_np(lo) for lo, hi in zip(los, his)]
+    )
+    return np.repeat(slots, widths)
+
+
+def _owners(lo, hi, of=None):
+    """For every child entry of the slot ``(lo, hi)``, the index of
+    the entry that owns it -- or what ``of`` holds at that index."""
+    if of is None:
+        of = np.arange(len(lo), dtype=np.int64)
+    return _spread(of, [lo], [hi])
+
+
+def _ranges(counts) -> Tuple[array, array]:
+    """Tiling ``(child_lo, child_hi)`` for per-entry child counts."""
+    his = np.cumsum(counts)
+    return _column(his - counts), _column(his)
+
+
+def _expand(lo, hi, idx):
+    """``(widths, inner)``: the number of child entries of each of the
+    entries ``idx`` of one child slot, and the indices of those child
+    entries, run after run."""
+    idx = np.asarray(idx, dtype=np.int64)
+    first = _as_np(lo)[idx]
+    widths = _as_np(hi)[idx] - first
+    ends = np.cumsum(widths)
+    first -= ends - widths
+    inner = np.repeat(first, widths)
+    inner += np.arange(len(inner), dtype=np.int64)
+    return widths, inner
+
+
+def _value_ranks(ids: Sequence[int], pool) -> Tuple[List[int], int]:
+    """Dense sort rank of each of the distinct ``ids`` by its decoded
+    value (aligned with ``ids``), and the number of ranks.  Ids whose
+    values compare *equal* share a rank (interning is per-type, so
+    ``1`` and ``1.0`` hold distinct ids) -- the equality grouping of
+    a decoded sort-merge.  Incomparable values raise ``TypeError``, as
+    they would there."""
+    values = [pool[vid] for vid in ids]  # decode once: pools may be slow
+    ranks = [0] * len(values)
+    current = -1
+    previous = None
+    for e in sorted(range(len(values)), key=values.__getitem__):
+        value = values[e]
+        if current < 0 or value != previous:
+            current += 1
+            previous = value
+        ranks[e] = current
+    return ranks, current + 1
+
+
+def _rank_columns(pool, columns: Sequence[object]):
+    """``(rank vectors, number of ranks)``: every id of ``columns``
+    replaced by its dense value rank, ranked jointly.  Only the
+    distinct ids present are decoded and sorted -- a shared pool holds
+    the values of every attribute of the database, comparable with
+    these or not -- so ``TypeError`` means incomparable values *within*
+    the compared columns."""
+    views = [_as_np(column) for column in columns]
+    present = np.zeros(len(pool), dtype=bool)
+    for view in views:
+        present[view] = True
+    distinct = np.flatnonzero(present)
+    rank, ranks = _value_ranks(distinct.tolist(), pool)
+    table = np.empty(len(present), dtype=np.int64)
+    table[distinct] = rank
+    return [table[view] for view in views], ranks
+
+
+def _keys(owners, ranks, stride: int):
+    """Composite (owner, value-rank) sort keys; ``owners=None`` when
+    there is one owner (a root level)."""
+    if owners is None:
+        return ranks
+    return owners * stride + ranks
+
+
+def _sort_groups(keys):
+    """``(order, starts, counts)``: the stable sort order of ``keys``
+    and, per run of equal keys in that order, where it starts and how
+    long it is."""
+    n = len(keys)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    fresh = np.empty(n, dtype=bool)
+    fresh[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    return order, starts, np.diff(starts, append=n)
+
+
+def _scatter(order, vector):
+    """The vector ``out`` with ``out[order] = vector``, for a
+    permutation ``order`` (what :func:`_take` undoes)."""
+    out = np.empty_like(vector)
+    out[order] = vector
+    return out
+
+
+def _match(left, right):
+    """Keep masks of two strictly increasing key vectors: the entries
+    whose key the other side holds too (a sorted intersection)."""
+    at = np.searchsorted(right, left)
+    at[at == len(right)] = 0
+    keep_left = right[at] == left
+    keep_right = np.zeros(len(right), dtype=bool)
+    keep_right[at[keep_left]] = True
+    return keep_left, keep_right
+
+
+def _count_slots(slots, n: int):
+    """How often each of ``0..n-1`` occurs in ``slots``."""
+    return np.bincount(slots, minlength=n)
+
+
+def _segment_sums(weights, lo, hi):
+    """For every entry of the slot ``(lo, hi)``, the sum of ``weights``
+    (one per child entry) over its child range: a cumulative sum read
+    at both ends.  With a keep mask for weights, the child entries the
+    mask keeps."""
+    total = np.zeros(len(weights) + 1, dtype=np.int64)
+    np.cumsum(weights, out=total[1:])
+    return total[_as_np(hi)] - total[_as_np(lo)]
+
+
+def _forest_counts(weights: Sequence[object], los, his, m: int):
+    """For every one of a node's ``m`` entries, the product over its
+    child slots of the slot's ``weights`` summed over the entry's child
+    range (:func:`_segment_sums`); ``1`` each for a leaf.  The caller
+    guarantees the products fit int64."""
+    total = np.ones(m, dtype=np.int64)
+    for weight, lo, hi in zip(weights, los, his):
+        total *= _segment_sums(weight, lo, hi)
+    return total
+
+
+def _both(mask, other):
+    """The conjunction of two masks; one of them may be ``None``."""
+    if mask is None or other is None:
+        return other if mask is None else mask
+    return mask & other
+
+
+def _compress(vector, mask):
+    """The entries of ``vector`` (or column) that ``mask`` keeps."""
+    return _as_np(vector)[mask]
+
+
+def _gather(columns: Sequence[object], vmaps: Sequence[object]):
+    """The columns end to end, each taken through its id table
+    (``None``: verbatim)."""
+    return np.concatenate(
+        [
+            _as_np(column) if vmap is None else _take(vmap, _as_np(column))
+            for column, vmap in zip(columns, vmaps)
+        ]
+    )
+
+
+def _value_mask(column, pool, predicate: Callable[[object], bool]):
+    """The keep mask of ``predicate`` over a column's decoded values.
+
+    The predicate runs once per *distinct id present*, in id order
+    (never over the whole pool: a shared pool holds values of every
+    attribute, on which the predicate could be meaningless), and the
+    per-entry test is one table lookup.
+    """
+    view = _as_np(column)
+    table = np.zeros(len(pool), dtype=bool)
+    for vid in np.unique(view).tolist():
+        table[vid] = bool(predicate(pool[vid]))
+    return table[view]
+
+
+def _runs(mask) -> List[Tuple[int, int]]:
+    """``[start, stop)`` of every maximal run of kept entries."""
+    hits = np.flatnonzero(mask)
+    if not len(hits):
+        return []
+    breaks = np.flatnonzero(np.diff(hits) > 1) + 1
+    return [
+        (int(run[0]), int(run[-1]) + 1) for run in np.split(hits, breaks)
+    ]

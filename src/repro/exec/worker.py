@@ -197,18 +197,6 @@ def project_result(
     return fr
 
 
-def evaluate_full(
-    database,
-    check_invariants: bool,
-    query: Query,
-    tree: FTree,
-) -> FactorisedRelation:
-    """Evaluate one query over the full database: factorised join over
-    the precompiled tree, constants inside, projection applied."""
-    fr = evaluate_join(database, check_invariants, query, tree)
-    return project_result(fr, query, check_invariants)
-
-
 def evaluate_shard(
     database: ShardedDatabase,
     check_invariants: bool,

@@ -495,6 +495,9 @@ class RemoteSession:
         finally:
             with self._state_lock:
                 self._closed = True
+            # close() returns early once _closed is set, so the reader
+            # owns the socket on this path (closing twice is harmless).
+            self._sock.close()
             self._fail_pending(
                 error or NetError("connection closed by server")
             )

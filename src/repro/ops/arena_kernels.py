@@ -27,11 +27,13 @@ per f-tree node over whole columns, never a walk per entry.
   intersection plus one cascade, absorb an owner vector from ``A``
   down to ``B``, an equality mask and one cascade, push-up one gather
   of the first copies.  Only the distinct ids of the compared columns
-  are ever decoded and ranked (:func:`_rank_columns`), never the pool.
+  are ever decoded and ranked (:func:`~repro.core.columns._rank_columns`),
+  never the pool.
 
-Every primitive has a numpy body and a stdlib body under the module's
-usual ``_np is not None`` switch: without numpy it is the same
-algorithm, one pass per node, not a different one.
+The whole-column operations they are built from (take, expand, rank,
+sort-and-group, sorted intersection, segment sums, compress) are the
+primitives of :mod:`repro.core.columns`; this module holds only the
+two forest primitives, the operator kernels and the unions.
 
 Every kernel is *prepared* once per (f-tree, operator, args) -- node
 indices, child-slot mappings and the destination skeleton are resolved
@@ -62,20 +64,36 @@ from __future__ import annotations
 import threading
 import weakref
 from array import array
-from itertools import accumulate, chain, compress, repeat
-from operator import and_, eq, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.arena import (
     ArenaError,
     ArenaRep,
     ValuePool,
-    _as_np,
-    _extend_ids,
-    _i64,
-    _np,
     _skeleton_of,
     _Skeleton,
+)
+from repro.core.columns import (
+    _as_np,
+    _both,
+    _column,
+    _compress,
+    _count_slots,
+    _expand,
+    _extend_ids,
+    _extend_shifted,
+    _gather,
+    _i64,
+    _keys,
+    _match,
+    _owners,
+    _rank_columns,
+    _ranges,
+    _scatter,
+    _segment_sums,
+    _sort_groups,
+    _spread,
+    _take,
 )
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
@@ -105,209 +123,6 @@ def counters() -> Dict[str, int]:
     """The ``kernels`` collector: :data:`COUNTERS` plus the number of
     prepared kernels currently cached."""
     return dict(COUNTERS.snapshot(), cache_size=len(_KERNEL_CACHE))
-
-
-def _value_ranks(ids: Sequence[int], pool) -> Tuple[List[int], int]:
-    """Dense sort rank of each of the distinct ``ids`` by its decoded
-    value (aligned with ``ids``), and the number of ranks.  Ids whose
-    values compare *equal* share a rank (interning is per-type, so
-    ``1`` and ``1.0`` hold distinct ids) -- the equality grouping of
-    a decoded sort-merge.  Incomparable values raise ``TypeError``, as
-    they would there."""
-    values = [pool[vid] for vid in ids]  # decode once: pools may be slow
-    ranks = [0] * len(values)
-    current = -1
-    previous = None
-    for e in sorted(range(len(values)), key=values.__getitem__):
-        value = values[e]
-        if current < 0 or value != previous:
-            current += 1
-            previous = value
-        ranks[e] = current
-    return ranks, current + 1
-
-
-# -- column primitives --------------------------------------------------------
-#
-# Each realised with numpy or with the stdlib alone.  A "vector" below
-# is an int64 (a mask: bool) ndarray or a list accordingly; a "column"
-# is what an arena holds (``array('q')`` or an mmap-backed ndarray).
-
-
-def _column(vector) -> array:
-    """A vector as an arena column."""
-    out = _i64()
-    if _np is None:
-        out.extend(vector)
-    elif len(vector):  # (an empty memoryview cannot be cast)
-        vector = _np.ascontiguousarray(vector, dtype=_np.int64)
-        out.frombytes(vector.data.cast("B"))
-    return out
-
-
-def _take(column, idx):
-    """``column[idx]`` for an index vector (any order, repeats)."""
-    if _np is not None:
-        return _as_np(column)[idx]
-    return list(map(column.__getitem__, idx))
-
-
-def _spread(slots, los: Sequence[object], his: Sequence[object]):
-    """``slots[e]`` repeated once per child entry of input entry ``e``
-    (child ranges ``[lo, hi)`` given per part, end to end): the owner
-    vector of the child column, valid because child ranges tile it."""
-    if _np is not None:
-        widths = _np.concatenate(
-            [_as_np(hi) - _as_np(lo) for lo, hi in zip(los, his)]
-        )
-        return _np.repeat(slots, widths)
-    widths = (hi - lo for lo, hi in zip(chain(*los), chain(*his)))
-    return list(chain.from_iterable(map(repeat, slots, widths)))
-
-
-def _owners(lo, hi, of=None):
-    """For every child entry of the slot ``(lo, hi)``, the index of
-    the entry that owns it -- or what ``of`` holds at that index."""
-    if of is None:
-        n = len(lo)
-        of = range(n) if _np is None else _np.arange(n, dtype=_np.int64)
-    return _spread(of, [lo], [hi])
-
-
-def _ranges(counts) -> Tuple[array, array]:
-    """Tiling ``(child_lo, child_hi)`` for per-entry child counts."""
-    if _np is not None:
-        his = _np.cumsum(counts)
-        return _column(his - counts), _column(his)
-    bounds = list(accumulate(counts, initial=0))
-    return _column(bounds[:-1]), _column(bounds[1:])
-
-
-def _expand(lo, hi, idx):
-    """``(widths, inner)``: the number of child entries of each of the
-    entries ``idx`` of one child slot, and the indices of those child
-    entries, run after run."""
-    if _np is not None:
-        idx = _np.asarray(idx, dtype=_np.int64)
-        first = _as_np(lo)[idx]
-        widths = _as_np(hi)[idx] - first
-        ends = _np.cumsum(widths)
-        first -= ends - widths
-        inner = _np.repeat(first, widths)
-        inner += _np.arange(len(inner), dtype=_np.int64)
-        return widths, inner
-    first, last = _take(lo, idx), _take(hi, idx)
-    return (
-        list(map(sub, last, first)),
-        list(chain.from_iterable(map(range, first, last))),
-    )
-
-
-def _rank_columns(pool, columns: Sequence[object]):
-    """``(rank vectors, number of ranks)``: every id of ``columns``
-    replaced by its dense value rank, ranked jointly.  Only the
-    distinct ids present are decoded and sorted -- a shared pool holds
-    the values of every attribute of the database, comparable with
-    these or not -- so ``TypeError`` means incomparable values *within*
-    the compared columns."""
-    if _np is not None:
-        views = [_as_np(column) for column in columns]
-        present = _np.zeros(len(pool), dtype=bool)
-        for view in views:
-            present[view] = True
-        distinct = _np.flatnonzero(present)
-        rank, ranks = _value_ranks(distinct.tolist(), pool)
-        table = _np.empty(len(present), dtype=_np.int64)
-        table[distinct] = rank
-        return [table[view] for view in views], ranks
-    distinct = list(set(chain(*columns)))
-    rank, ranks = _value_ranks(distinct, pool)
-    table = dict(zip(distinct, rank))
-    return [list(map(table.__getitem__, c)) for c in columns], ranks
-
-
-def _keys(owners, ranks, stride: int):
-    """Composite (owner, value-rank) sort keys; ``owners=None`` when
-    there is one owner (a root level)."""
-    if owners is None:
-        return ranks
-    if _np is not None:
-        return owners * stride + ranks
-    return [o * stride + r for o, r in zip(owners, ranks)]
-
-
-def _sort_groups(keys):
-    """``(order, starts, counts)``: the stable sort order of ``keys``
-    and, per run of equal keys in that order, where it starts and how
-    long it is."""
-    n = len(keys)
-    if _np is not None:
-        order = _np.argsort(keys, kind="stable")
-        ordered = keys[order]
-        fresh = _np.empty(n, dtype=bool)
-        fresh[0] = True
-        _np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
-        starts = _np.flatnonzero(fresh)
-        return order, starts, _np.diff(starts, append=n)
-    order = sorted(range(n), key=keys.__getitem__)
-    starts = [
-        i
-        for i in range(n)
-        if i == 0 or keys[order[i]] != keys[order[i - 1]]
-    ]
-    return order, starts, list(map(sub, starts[1:] + [n], starts))
-
-
-def _match(left, right):
-    """Keep masks of two strictly increasing key vectors: the entries
-    whose key the other side holds too (a sorted intersection)."""
-    if _np is not None:
-        at = _np.searchsorted(right, left)
-        at[at == len(right)] = 0
-        keep_left = right[at] == left
-        keep_right = _np.zeros(len(right), dtype=bool)
-        keep_right[at[keep_left]] = True
-        return keep_left, keep_right
-    common = set(left).intersection(right)
-    return (
-        list(map(common.__contains__, left)),
-        list(map(common.__contains__, right)),
-    )
-
-
-def _count_slots(slots, n: int):
-    """How often each of ``0..n-1`` occurs in ``slots``."""
-    if _np is not None:
-        return _np.bincount(slots, minlength=n)
-    counts = [0] * n
-    for slot in slots:
-        counts[slot] += 1
-    return counts
-
-
-def _kept(mask, lo, hi):
-    """How many child entries ``mask`` keeps for every entry of the
-    slot ``(lo, hi)``: a cumulative keep count read at both ends."""
-    if _np is not None:
-        total = _np.zeros(len(mask) + 1, dtype=_np.int64)
-        _np.cumsum(mask, out=total[1:])
-        return total[_as_np(hi)] - total[_as_np(lo)]
-    total = list(accumulate(mask, initial=0))
-    return [total[h] - total[l] for l, h in zip(lo, hi)]
-
-
-def _both(mask, other):
-    """The conjunction of two masks; one of them may be ``None``."""
-    if mask is None or other is None:
-        return other if mask is None else mask
-    return mask & other if _np is not None else list(map(and_, mask, other))
-
-
-def _compress(vector, mask):
-    """The entries of ``vector`` (or column) that ``mask`` keeps."""
-    if _np is not None:
-        return _as_np(vector)[mask]
-    return list(compress(vector, mask))
 
 
 # -- the two forest primitives ------------------------------------------------
@@ -380,10 +195,7 @@ def _cascade(
     compacted into ``out``, once each.
     """
     skel = arena.skel
-    every, some = (
-        (all, any) if _np is None else (_np.ndarray.all, _np.ndarray.any)
-    )
-    keep = {n: mask for n, mask in masks.items() if not every(mask)}
+    keep = {n: mask for n, mask in masks.items() if not mask.all()}
     #: Kept child entries per parent entry, by child node.  Still right
     #: after the way down: that only drops entries of dropped parents.
     counted = {}
@@ -394,14 +206,14 @@ def _cascade(
         if node not in keep or skel.parent[node] == -1:
             continue
         p, j = _hangs_in(skel, node)
-        counts = counted[node] = _kept(
+        counts = counted[node] = _segment_sums(
             keep[node], arena.child_lo[p][j], arena.child_hi[p][j]
         )
-        alive = counts > 0 if _np is not None else [c > 0 for c in counts]
-        if not every(alive):
+        alive = counts > 0
+        if not alive.all():
             keep[p] = _both(keep.get(p), alive)
     for r in skel.roots:
-        if r in keep and not some(keep[r]):
+        if r in keep and not keep[r].any():
             return False
     # Down, parents before children: a dropped entry takes its forest.
     for node in range(min(keep, default=0) + 1, len(skel)):
@@ -421,7 +233,7 @@ def _cascade(
         if p != -1:
             counts = counted.get(node)
             if counts is None:
-                counts = _kept(
+                counts = _segment_sums(
                     mask, arena.child_lo[p][j], arena.child_hi[p][j]
                 )
             if p in keep:
@@ -683,12 +495,7 @@ class RestrictKernel(_Kernel):
         (rank_a, rank_b), _ = _rank_columns(
             arena.pool, [arena.values[self.sa], arena.values[self.sb]]
         )
-        enclosing = _take(rank_a, owner)
-        keep = (
-            enclosing == rank_b
-            if _np is not None
-            else list(map(eq, enclosing, rank_b))
-        )
+        keep = _take(rank_a, owner) == rank_b
         return _cascade(arena, out, {self.sb: keep})
 
 
@@ -899,23 +706,8 @@ def _pool_remaps(pools: Sequence[object]):
         if pool is first:
             vmaps.append(None)
             continue
-        ids = [intern_value(value) for value in pool]
-        vmaps.append(
-            ids if _np is None else _np.asarray(ids, dtype=_np.int64)
-        )
+        vmaps.append(_as_np(array("q", map(intern_value, pool))))
     return out_pool, vmaps
-
-
-def _extend_shifted(dest: array, source, lo: int, hi: int, delta: int) -> None:
-    """Append ``source[lo:hi] + delta`` to ``dest`` (bulk, both column
-    kinds: ``array('q')`` and mmap-backed int64 ndarrays)."""
-    if delta == 0:
-        _extend_ids(dest, source, lo, hi)
-    elif _np is not None:
-        view = _as_np(source)[lo:hi] + delta
-        dest.frombytes(view.tobytes())
-    else:
-        dest.extend(x + delta for x in source[lo:hi])
 
 
 class _Writer:
@@ -978,14 +770,7 @@ def _copy_run(
     """
     if hi <= lo:
         return
-    if vmap is None:
-        _extend_ids(w.values[di], src.values[si], lo, hi)
-    elif _np is not None:
-        col = _as_np(src.values[si])[lo:hi]
-        w.values[di].frombytes(vmap[col].tobytes())
-    else:
-        column = src.values[si]
-        w.values[di].extend(vmap[column[e]] for e in range(lo, hi))
+    _extend_ids(w.values[di], src.values[si], lo, hi, vmap)
     skids = src.skel.children[si]
     dkids = w.skel.children[di]
     for j in range(len(skids)):
@@ -1064,23 +849,6 @@ def union_arena(left: ArenaRep, right: ArenaRep) -> ArenaRep:
 # -- the k-way shard union: one pass per f-tree node ---------------------------
 
 
-def _gather(columns: Sequence[object], vmaps: Sequence[object]):
-    """The columns end to end, each taken through its id table."""
-    if _np is not None:
-        return _np.concatenate(
-            [
-                _as_np(column) if vmap is None else vmap[_as_np(column)]
-                for column, vmap in zip(columns, vmaps)
-            ]
-        )
-    out: List[int] = []
-    for column, vmap in zip(columns, vmaps):
-        out.extend(
-            column if vmap is None else map(vmap.__getitem__, column)
-        )
-    return out
-
-
 def _group(ids, owners, n_owners: int, pool):
     """Merge one node's concatenated entries: ``(out_ids, slots,
     counts)`` -- the output column, the output index of every input
@@ -1095,16 +863,8 @@ def _group(ids, owners, n_owners: int, pool):
     (rank,), ranks = _rank_columns(pool, [ids])
     order, starts, sizes = _sort_groups(_keys(owners, rank, ranks))
     winners = _take(order, starts)
-    if _np is not None:
-        slots = _np.empty(len(ids), dtype=_np.int64)
-        slots[order] = _np.repeat(
-            _np.arange(len(starts), dtype=_np.int64), sizes
-        )
-    else:
-        slots = [0] * len(ids)
-        for slot, (start, size) in enumerate(zip(starts, sizes)):
-            for e in order[start:start + size]:
-                slots[e] = slot
+    # In sorted order every entry's output slot is its group's index.
+    slots = _scatter(order, _owners(starts, starts + sizes))
     counts = (
         None
         if owners is None
@@ -1123,8 +883,8 @@ def union_arenas(parts: Sequence[ArenaRep]) -> ArenaRep:
     its parent entry, and :func:`_group` sorts and merges them in one
     go; the parent's child ranges are prefix sums of the per-parent
     group counts, and each child column inherits its owner vector
-    through :func:`_spread`.  O(#nodes) column operations with numpy
-    (one sort per node without), every output column written once --
+    through :func:`_spread`.  O(#nodes) column operations, every
+    output column written once --
     against k-1 rewrites of the growing result by a fold of
     :func:`union_arena`, whose output this reproduces byte for byte.
     Exactness needs branch-compatible inputs, as there.

@@ -36,7 +36,9 @@ flat CSV equivalent).  A factorised relation persists as an ``arena``
 blob (:mod:`repro.core.arena`): the interned value pool is tag-encoded
 once, and the per-node integer columns are written as raw
 little-endian int64 byte runs.  Loading is therefore ~O(bytes) --
-``array.frombytes`` plus a bounds check.  (The ``factorised`` kind --
+``array.frombytes`` plus a bounds check -- and a memory-mapped load
+(``load(path, mmap=True)``) does not even copy: each column is an
+int64 view into the mapping.  (The ``factorised`` kind --
 an object representation walked depth-first -- is retired: no build
 writes it, and reading one raises :class:`PersistError` telling the
 caller to re-evaluate and re-save.)
@@ -56,13 +58,9 @@ import zlib
 from array import array
 from typing import Any, BinaryIO, Dict, List, Optional, Tuple
 
-try:  # optional: zero-copy mmap column views (stdlib path copies)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free CI
-    _np = None
-
 from repro.core import arena as arena_mod
 from repro.core.arena import ArenaRep
+from repro.core.columns import _as_np, _column_bounds, _take
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FNode, FTree
 from repro.optimiser.fplan import FPlan, Step
@@ -546,13 +544,13 @@ def _decode_fplan(payload: bytes) -> FPlan:
 # -- factorised relations (arena blobs) ---------------------------------------
 #
 # Columns are array('q') (exactly 8-byte signed on every CPython
-# platform); the file format fixes little-endian so blobs are portable
-# across hosts.
+# platform) or int64 ndarrays; the file format fixes little-endian so
+# blobs are portable across hosts.
 
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _write_i64_column(out: BinaryIO, column: array) -> None:
+def _write_i64_column(out: BinaryIO, column) -> None:
     _write_varint(out, len(column))
     if _BIG_ENDIAN:  # pragma: no cover - little-endian dev machines
         column = array("q", column)
@@ -602,17 +600,14 @@ class _BufferReader:
 
 
 def _read_i64_column_mapped(src: _BufferReader):
-    """A column straight off a mapped buffer.
-
-    With numpy the result is a zero-copy ``int64`` *view* into the
-    mapping -- bytes are only paged in when a kernel touches them; the
-    stdlib fallback copies into an ``array('q')`` (still one pass, no
-    object decode).
+    """A column straight off a mapped buffer: a zero-copy ``int64``
+    *view* into the mapping -- bytes are only paged in when a kernel
+    touches them.  (A big-endian host copies and byteswaps instead.)
     """
     count = _read_varint(src)
     raw = src.view(8 * count)
-    if _np is not None and not _BIG_ENDIAN:
-        return _np.frombuffer(raw, dtype="<i8")
+    if not _BIG_ENDIAN:
+        return _as_np(raw)
     column = array("q")
     column.frombytes(raw)
     if _BIG_ENDIAN:  # pragma: no cover
@@ -700,7 +695,7 @@ def _decode_arena_from(src, read_column) -> FactorisedRelation:
     if src.read(1):
         raise PersistError("arena payload has trailing bytes")
     rep = ArenaRep(skel, values, child_lo, child_hi, pool)
-    # Flat integer bounds scans only (vectorised under numpy): loading
+    # Flat, vectorised integer bounds scans only: loading
     # stays ~O(bytes).  Value-order validation is available explicitly
     # via FactorisedRelation.validate().
     try:
@@ -730,18 +725,6 @@ def _decode_arena_from(src, read_column) -> FactorisedRelation:
 # on the same connection, in order.  It is therefore a wire-only form,
 # never written to disk, and both sides fall back to plain ``arena``
 # blobs when either end does not opt in.
-
-
-def _write_i64_any(out: BinaryIO, column) -> None:
-    """Write an int64 column that may be array('q'), ndarray or any
-    int iterable (remapped columns)."""
-    if _np is not None and isinstance(column, _np.ndarray):
-        _write_varint(out, len(column))
-        out.write(column.astype("<i8", copy=False).tobytes())
-        return
-    if not isinstance(column, array):
-        column = array("q", column)
-    _write_i64_column(out, column)
 
 
 class ArenaPoolEncoder:
@@ -790,7 +773,7 @@ class ArenaPoolEncoder:
             if src_pool is self.pool:
                 vmap = None
             else:
-                vmap = [self.pool.intern(value) for value in src_pool]
+                vmap = array("q", map(self.pool.intern, src_pool))
             base = (
                 self.shipped if self._pending is None else self._pending
             )
@@ -800,24 +783,16 @@ class ArenaPoolEncoder:
             for value in delta:
                 write_value(out, value)
             self._pending = base + len(delta)
-            if vmap is None:
-                remap = lambda column: column  # noqa: E731
-            elif _np is not None:
-                vmap_arr = _np.asarray(vmap, dtype=_np.int64)
-                remap = lambda column: vmap_arr[  # noqa: E731
-                    arena_mod._as_np(column)
-                ]
-            else:
-                remap = lambda column: array(  # noqa: E731
-                    "q", (vmap[vid] for vid in column)
-                )
             skel = rep.skel
             _write_varint(out, len(skel))
             for i in range(len(skel)):
-                _write_i64_any(out, remap(rep.values[i]))
+                column = rep.values[i]
+                if vmap is not None:
+                    column = _take(vmap, _as_np(column))
+                _write_i64_column(out, column)
                 for j in range(len(skel.children[i])):
-                    _write_i64_any(out, rep.child_lo[i][j])
-                    _write_i64_any(out, rep.child_hi[i][j])
+                    _write_i64_column(out, rep.child_lo[i][j])
+                    _write_i64_column(out, rep.child_hi[i][j])
         body = out.getvalue()
         return body + struct.pack(">I", zlib.crc32(body))
 
@@ -889,14 +864,8 @@ class ArenaPoolDecoder:
             raise PersistError("pooled arena payload has trailing bytes")
         limit = len(self.values)
         for column in values:
-            if not len(column):
-                continue
-            if _np is not None:
-                arr = _np.frombuffer(column, dtype=_np.int64)
-                bad = int(arr.max()) >= limit or int(arr.min()) < 0
-            else:  # pragma: no cover - numpy-free fallback
-                bad = max(column) >= limit or min(column) < 0
-            if bad:
+            low, high = _column_bounds(column)
+            if low < 0 or high >= limit:
                 raise PersistError(
                     "pooled arena value id outside the connection pool"
                 )
@@ -1157,9 +1126,8 @@ def load(path: str, mmap: bool = False) -> object:
     unreadable, truncated, corrupt or version-incompatible.
 
     ``mmap=True`` memory-maps ``arena`` blobs instead of reading them:
-    the integer columns become zero-copy views into the mapping (numpy
-    ``int64`` views when numpy is available, ``array('q')`` copies
-    otherwise), so opening a large persisted result costs ~O(page
+    the integer columns become zero-copy ``int64`` views into the
+    mapping, so opening a large persisted result costs ~O(page
     faults) of the bytes actually touched rather than a full read.
     Trade-off: the payload CRC is **not** verified up front (that
     would page the whole file in); the structural bounds check still

@@ -8,16 +8,13 @@ per-occurrence walks there: a heap merge per swapped level, one-entry
 committed unchanged.  What an operator writes is cached, persisted and
 shipped, so its bytes -- column contents, which value id heads a
 swapped group when ``1`` / ``True`` / ``1.0`` meet in one union -- are
-part of the operators' contract, after every step of a plan, for the
-numpy realisation of the primitives and for the stdlib one.
+part of the operators' contract, after every step of a plan.
 """
 
 import json
 
-import pytest
-
 from repro.core.arena import validate_arena
-from tests.conftest import REALISATIONS, load_script, realisation
+from tests.conftest import load_script
 
 gen = load_script("gen_fplan_golden")
 
@@ -79,20 +76,16 @@ def test_corpus_meets_its_floor():
     assert sum("fused" in case for case in cases) >= 150
 
 
-@pytest.mark.parametrize("name", REALISATIONS)
-def test_operators_write_the_golden_arenas(name):
+def test_operators_write_the_golden_arenas():
     want = iter(GOLDEN["cases"])
-    with realisation(name):
-        for case, fr, steps in gen.cases():
-            got = gen.case_record(case, fr, steps)
-            assert got == next(want), (name, case)
+    for case, fr, steps in gen.cases():
+        got = gen.case_record(case, fr, steps)
+        assert got == next(want), case
     assert next(want, None) is None
 
 
-@pytest.mark.parametrize("name", REALISATIONS)
-def test_every_output_is_a_valid_arena(name):
-    with realisation(name):
-        for case, fr, steps in gen.cases():
-            for out in gen.outputs_of(fr, steps):
-                if out.rep is not None and out.rep.entry_count <= 5_000:
-                    validate_arena(out.tree, out.rep)
+def test_every_output_is_a_valid_arena():
+    for case, fr, steps in gen.cases():
+        for out in gen.outputs_of(fr, steps):
+            if out.rep is not None and out.rep.entry_count <= 5_000:
+                validate_arena(out.tree, out.rep)

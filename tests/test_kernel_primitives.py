@@ -7,14 +7,15 @@ that share no code with them, and the prepared-kernel cache.
   (the per-entry walk with ``mark`` / ``rollback`` behind constant
   selections), with the same mask spelled as a predicate;
 
-both under the numpy and the stdlib realisation, with every output
-checked by ``validate_arena`` (child ranges tile, no union is empty).
+with every output checked by ``validate_arena`` (child ranges tile, no
+union is empty).
 """
 
 import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core.arena import ArenaRep, select_filter, validate_arena
@@ -22,21 +23,19 @@ from repro.core.ftree import FTree
 from repro.engine import FDB
 from repro.obs.report import kernels_line, session_lines
 from repro.ops import arena_kernels
+from repro.core.columns import _column, _take
 from repro.ops.arena_kernels import (
     COUNTERS,
     _cascade,
     _Columns,
-    _column,
     _copy_run,
     _gather_forest,
-    _take,
     _Writer,
     kernel_for,
 )
 from repro.query.query import Query
 from repro.service import QuerySession
 from repro.workloads import random_database
-from tests.conftest import REALISATIONS, realisation
 
 SEEDS = [11, 12, 13, 14, 15, 16]
 
@@ -59,9 +58,8 @@ def _lists(columns):
 # -- forest gather -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", REALISATIONS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_forest_gather_is_the_concatenation_of_one_entry_runs(seed, name):
+def test_forest_gather_is_the_concatenation_of_one_entry_runs(seed):
     arena = _arena(seed).rep
     skel = arena.skel
     rng = random.Random(seed)
@@ -77,12 +75,11 @@ def test_forest_gather_is_the_concatenation_of_one_entry_runs(seed, name):
             expected = _Writer(skel)
             for e in idx:
                 _copy_run(arena, expected, node, node, e, e + 1)
-            with realisation(name):
-                out = _Columns(arena)
-                out.values[node] = _column(_take(arena.values[node], idx))
-                _gather_forest(
-                    arena, out, node, idx, range(len(skel.children[node]))
-                )
+            out = _Columns(arena)
+            out.values[node] = _column(_take(arena.values[node], idx))
+            _gather_forest(
+                arena, out, node, idx, range(len(skel.children[node]))
+            )
             for k in range(node, skel.end[node]):
                 assert list(out.values[k]) == list(expected.values[k])
                 assert _lists(out.lo[k]) == _lists(expected.child_lo[k])
@@ -93,9 +90,8 @@ def test_forest_gather_is_the_concatenation_of_one_entry_runs(seed, name):
 # -- mask cascade --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", REALISATIONS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_mask_cascade_is_the_selection_filter(seed, name):
+def test_mask_cascade_is_the_selection_filter(seed):
     fr = _arena(seed)
     arena, skel, pool = fr.rep, fr.rep.skel, fr.rep.pool
     rng = random.Random(seed)
@@ -109,12 +105,11 @@ def test_mask_cascade_is_the_selection_filter(seed, name):
         ]
         for kept in subsets:
             want = select_filter(arena, attribute, kept.__contains__)
-            mask = [pool[vid] in kept for vid in arena.values[node]]
-            with realisation(name):
-                if arena_kernels._np is not None:
-                    mask = arena_kernels._np.asarray(mask, dtype=bool)
-                out = _Columns(arena)
-                alive = _cascade(arena, out, {node: mask})
+            mask = np.array(
+                [pool[vid] in kept for vid in arena.values[node]], dtype=bool
+            )
+            out = _Columns(arena)
+            alive = _cascade(arena, out, {node: mask})
             if want is None:
                 assert not alive
                 emptied += 1

@@ -1,4 +1,5 @@
-"""Layering lint: one physical encoding, and the oracle stays outside.
+"""Layering lint: one physical encoding, the oracle stays outside, and
+numpy stays behind one module.
 
 The arena is the only representation ``src/repro`` produces, stores,
 ships or restructures.  The object representation lives on in
@@ -10,7 +11,11 @@ ships or restructures.  The object representation lives on in
 - there is no ``encoding`` to select: no callable takes a parameter of
   that name and no object carries an attribute of that name (the
   ``open(..., encoding="utf-8")`` *keyword* is somebody else's
-  parameter and is fine).
+  parameter and is fine);
+- numpy is a declared dependency with exactly one importer,
+  ``core/columns.py``, which imports it unconditionally: no
+  ``try``-guarded import and no ``_np is None`` branch anywhere picks a
+  second body for a column primitive.
 
 The walk is over the AST, so prose in docstrings and comments is free
 to explain what used to be.
@@ -41,11 +46,15 @@ FORBIDDEN_MODULES = ("repro.reference", "repro.core.frep")
 FORBIDDEN_NAMES = {"ProductRep", "UnionRep"}
 
 
-def _engine_sources() -> Iterator[Tuple[str, ast.AST]]:
+def _engine_sources(
+    with_reference: bool = False,
+) -> Iterator[Tuple[str, ast.AST]]:
     """(path relative to the package, parsed module) for every file of
-    ``src/repro`` that is not part of the reference implementation."""
+    ``src/repro`` -- outside the reference implementation unless
+    ``with_reference``."""
     for folder, dirs, files in os.walk(PACKAGE):
-        if os.path.relpath(folder, PACKAGE).split(os.sep)[0] == "reference":
+        top = os.path.relpath(folder, PACKAGE).split(os.sep)[0]
+        if top == "reference" and not with_reference:
             dirs[:] = []
             continue
         for name in sorted(files):
@@ -143,17 +152,82 @@ def test_nothing_in_the_engine_knows_the_reference_or_an_encoding():
         maintain.apply_deltas,
         worker.init_worker,
         worker.evaluate_join,
-        worker.evaluate_full,
         worker.evaluate_shard,
     ],
     ids=lambda func: func.__qualname__,
 )
-def test_the_ten_deknobbed_callables_take_no_encoding(func):
+def test_the_nine_deknobbed_callables_take_no_encoding(func):
     params = inspect.signature(func).parameters
     assert "encoding" not in params
     assert not any(
         p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
     ), "a **kwargs shim would swallow encoding= silently"
+
+
+def _numpy_imports(tree: ast.AST) -> List[Tuple[int, bool]]:
+    """``(line, inside a try)`` of every import of numpy in ``tree``."""
+    guarded = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Try)
+        for inner in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(module.split(".")[0] == "numpy" for module in modules):
+            found.append((node.lineno, id(node) in guarded))
+    return sorted(found)
+
+
+def _np_none_checks(tree: ast.AST) -> List[int]:
+    """Lines of every comparison of ``_np`` against ``None``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(
+                isinstance(o, ast.Name) and o.id == "_np" for o in operands
+            ) and any(
+                isinstance(o, ast.Constant) and o.value is None
+                for o in operands
+            ):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_numpy_lint_catches_what_it_is_meant_to_catch():
+    sample = ast.parse(
+        "try:\n"
+        "    import numpy as _np\n"
+        "except ImportError:\n"
+        "    _np = None\n"
+        "from numpy.linalg import norm\n"
+        "if _np is not None and x:\n"
+        "    pass\n"
+        "y = 1 if None is _np else 2\n"
+        "z = _np == 0\n"
+    )
+    assert _numpy_imports(sample) == [(2, True), (5, False)]
+    assert _np_none_checks(sample) == [6, 8]
+
+
+def test_numpy_is_imported_once_unconditionally_and_never_branched_on():
+    imports = {}
+    checks = []
+    for path, tree in _engine_sources(with_reference=True):
+        if _numpy_imports(tree):
+            imports[path] = _numpy_imports(tree)
+        checks.extend(f"{path}:{line}" for line in _np_none_checks(tree))
+    columns = os.path.join("core", "columns.py")
+    assert list(imports) == [columns], imports
+    assert [guarded for _, guarded in imports[columns]] == [False]
+    assert not checks, checks
 
 
 def test_a_relation_holds_exactly_one_representation():

@@ -382,6 +382,17 @@ def test_close_with_stuck_reader_warns_and_fails_pending(served):
     assert not client._reader.is_alive()
 
 
+def test_a_server_side_close_releases_the_client_socket():
+    server = ServerThread(QuerySession(_database(65)))
+    client = RemoteSession(server.address)
+    assert client.run("SELECT a00 FROM R0").count() >= 0
+    server.stop()  # the server closes first: the reader sees EOF
+    client._reader.join(timeout=10)
+    assert not client._reader.is_alive() and client.closed
+    client.close()
+    assert client._sock.fileno() == -1
+
+
 def test_clean_close_is_not_defunct(served):
     client = RemoteSession(served.address)
     client.close()

@@ -868,22 +868,6 @@ def test_mmap_arena_columns_survive_operators(tmp_path):
     assert mapped.count_distinct(attr) == fr.count_distinct(attr)
 
 
-def test_mmap_stdlib_fallback_path(tmp_path, monkeypatch):
-    """Without numpy the mapped load copies into array('q') -- same
-    answers, stdlib only."""
-    from array import array
-
-    from repro.persist import codec
-
-    fr = _arena_join_result()
-    path = str(tmp_path / "result.fdbp")
-    save(fr, path)
-    monkeypatch.setattr(codec, "_np", None)
-    mapped = load(path, mmap=True)
-    assert isinstance(mapped.rep.values[0], array)
-    assert list(mapped.rows()) == list(fr.rows())
-
-
 def test_mmap_non_arena_kinds_fall_back_to_checksummed_read(tmp_path):
     db = Database()
     db.add_rows("R", ("a", "b"), [(1, 2), (3, 4)])

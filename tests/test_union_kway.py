@@ -6,8 +6,7 @@
 committed unchanged.  The unioned arena is cached, persisted and
 shipped, so its bytes -- column contents, which value id survives when
 shards carry ``==``-equal values, the order a pool is extended in --
-are part of ``union_all``'s contract, for the numpy realisation of the
-kernel and for the stdlib one.
+are part of ``union_all``'s contract.
 
 The retained pairwise ``ops.union`` (the delta merge of ``repro.ivm``)
 is the differential oracle for the new kernel on random queries.
@@ -36,7 +35,7 @@ from repro.reference import to_object, to_product
 from repro.service import QuerySession
 from repro.storage import ShardedDatabase
 from repro.workloads import random_database, random_spj_query
-from tests.conftest import REALISATIONS, load_script, realisation
+from tests.conftest import load_script
 
 gen = load_script("gen_union_golden")
 arena_digest = gen.base.arena_digest
@@ -68,13 +67,11 @@ def test_corpus_meets_its_floor():
     assert sum(case["live"] == 8 for case in cases) >= 50
 
 
-@pytest.mark.parametrize("name", REALISATIONS)
-def test_union_all_writes_the_golden_arenas(name):
+def test_union_all_writes_the_golden_arenas():
     want = iter(GOLDEN["cases"])
-    with realisation(name):
-        for case, db, query, tree in gen.cases():
-            for got in gen.records_of(case, db, query, tree):
-                assert got == next(want), (name, got)
+    for case, db, query, tree in gen.cases():
+        for got in gen.records_of(case, db, query, tree):
+            assert got == next(want), got
     assert next(want, None) is None
 
 
@@ -113,10 +110,9 @@ def _fan_outs(draw):
     st.integers(1, 8),
     st.sampled_from(gen.STRATEGIES),
     st.sampled_from(gen.POOL_MODES),
-    st.sampled_from(REALISATIONS),
 )
 def test_union_all_is_the_fold_of_the_delta_merge(
-    fan_out, shards, strategy, mode, name
+    fan_out, shards, strategy, mode
 ):
     db, query, tree = fan_out
 
@@ -124,8 +120,7 @@ def test_union_all_is_the_fold_of_the_delta_merge(
         return gen.shard_parts(db, query, tree, shards, strategy, mode)
 
     folded = reduce(ops.union, parts())
-    with realisation(name):
-        merged = ops.union_all(parts())
+    merged = ops.union_all(parts())
     assert arena_digest(merged.rep) == arena_digest(folded.rep)
     whole = FDB(db).factorise_query(query, tree=tree)
     assert sorted(merged.rows()) == sorted(whole.rows())
@@ -181,8 +176,7 @@ def test_the_reference_union_folds_to_the_same_representation(parts):
     assert folded.data == to_product(ops.union_all(parts).rep)
 
 
-@pytest.mark.parametrize("name", REALISATIONS)
-def test_private_pools_are_interned_once_in_part_order(name):
+def test_private_pools_are_interned_once_in_part_order():
     skel = _skeleton_of(FTree.from_nested([("a", [])], [{"a"}]))
 
     def one_column(values, pool):
@@ -195,8 +189,7 @@ def test_private_pools_are_interned_once_in_part_order(name):
         one_column([3, 9], pools[1]),
         one_column([1, 7, 8], pools[2]),
     ]
-    with realisation(name):
-        merged = arena_kernels.union_arenas(arenas)
+    merged = arena_kernels.union_arenas(arenas)
     # The first pool, then the others' unseen values in part order --
     # used or not (True); 1 == True, but interning is per type.
     assert merged.pool == [7, 3, 9, True, 1, 8]
@@ -205,19 +198,17 @@ def test_private_pools_are_interned_once_in_part_order(name):
 
     shared = ValuePool(pools[0])
     arenas[0] = one_column([3, 7], shared)
-    with realisation(name):
-        merged = arena_kernels.union_arenas(arenas)
+    merged = arena_kernels.union_arenas(arenas)
     assert merged.pool is shared  # a shared pool is extended in place
     assert list(shared) == [7, 3, 9, True, 1, 8]
 
 
-@pytest.mark.parametrize("name", REALISATIONS)
-def test_child_ranges_that_do_not_tile_are_refused(parts, name):
+def test_child_ranges_that_do_not_tile_are_refused(parts):
     live = [part.rep for part in parts if not part.is_empty()]
     broken = live[1].copy()
     node = next(i for i, kids in enumerate(broken.skel.children) if kids)
     broken.child_hi[node][0][-1] += 1
-    with realisation(name), pytest.raises(ArenaError):
+    with pytest.raises(ArenaError):
         arena_kernels.union_arenas([live[0], broken])
 
 
