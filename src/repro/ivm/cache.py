@@ -8,7 +8,8 @@ version the stored representation is currently valid at, and
 since the entry was first computed.  A lookup against a database whose
 version moved tries to *catch the entry up* via
 :func:`repro.ivm.maintain.apply_deltas` -- factorising only the fresh
-rows over the entry's own f-tree and unioning them in -- and only
+rows that pass the query's constants, one term per relation, over the
+entry's own f-tree and unioning them in -- and only
 drops the entry when the gap is not absorbable (deletes/updates on a
 referenced relation, schema changes, or a truncated delta log).
 
@@ -50,7 +51,8 @@ class CachedResult:
     #: Serve-time projection memo: projection tuple -> (version,
     #: projected result).  Valid while the version matches
     #: :attr:`version`; repeated serves of the same projection at an
-    #: unchanged version skip the (expensive) project operator.
+    #: unchanged version skip the (expensive) project operator, and a
+    #: catch-up that merged nothing re-stamps the memo.
     projected: Dict[Tuple[str, ...], Tuple[int, FactorisedRelation]] = (
         field(default_factory=dict)
     )
@@ -64,8 +66,12 @@ class ResultCache:
     :class:`~repro.service.cache.PlanCache` policy).
 
     Counters (all monotone): ``hits``/``misses``/``evictions`` follow
-    the plan-cache convention; ``delta_merges`` and ``delta_rows``
-    count the folded delta results and the fresh rows they carried;
+    the plan-cache convention; ``delta_merges`` counts the delta terms
+    actually unioned into an entry (at most one per referenced
+    relation per catch-up) and ``delta_rows`` the fresh rows they
+    carried after constant filtering; ``delta_skips`` counts the terms
+    proven empty and never unioned -- no fresh row passed the query's
+    constants on that relation, or the term factorised to empty;
     ``invalidations`` counts entries dropped because a version gap was
     not absorbable.
     """
@@ -81,6 +87,7 @@ class ResultCache:
         self.misses = 0
         self.evictions = 0
         self.delta_merges = 0
+        self.delta_skips = 0
         self.delta_rows = 0
         self.invalidations = 0
 
@@ -113,8 +120,10 @@ class ResultCache:
                 self.invalidations += 1
                 self.misses += 1
                 return None
-            self.delta_merges += folded[0]
-            self.delta_rows += folded[1]
+            merges, skips, rows = folded
+            self.delta_merges += merges
+            self.delta_skips += skips
+            self.delta_rows += rows
         self._entries.move_to_end(key)
         entry.hits += 1
         self.hits += 1
@@ -166,6 +175,7 @@ class ResultCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "delta_merges": self.delta_merges,
+            "delta_skips": self.delta_skips,
             "delta_rows": self.delta_rows,
             "invalidations": self.invalidations,
             "size": len(self._entries),

@@ -20,6 +20,21 @@ at their *final* state ``D``.  Conversely each term only joins rows of
 ``D``, so the union never over-approximates; overlap between terms is
 absorbed by set semantics.
 
+The join is linear in each relation, so the deltas on one relation
+coalesce into one term::
+
+    Q(D[R -> I_1])  u  Q(D[R -> I_2])  =  Q(D[R -> I_1 u I_2])
+
+(both sides hold the other relations at ``D``): a range pays for at
+most one term per referenced relation, however many appends it holds.
+A constant condition on ``R`` is a selection on ``R`` alone, so it
+commutes with the substitution: ``Q(D[R -> I]) = Q(D[R -> s(I)])``
+where ``s`` keeps the rows of ``I`` passing every condition of ``Q``
+on ``R``.  Filtering the term's rows first -- the paper's "constant
+selections run first" -- proves a term empty before anything is
+factorised when ``s(I)`` is empty; such a term, and one that
+factorises to empty, is skipped rather than unioned in.
+
 Both sides factorise over the *same* f-tree, so the right-hand union
 is the factor-wise :func:`repro.ops.union.union` -- exact here by the
 path-constraint argument in :mod:`repro.ops.union`, since each delta
@@ -39,7 +54,15 @@ every mutation did before this module existed.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro import ops
 from repro.core.factorised import FactorisedRelation
@@ -134,35 +157,71 @@ def delta_result(
     return engine.factorise_query(join_query(query), tree=tree)
 
 
+def _delta_terms(
+    database: Database, query: Query, deltas: Sequence[Delta]
+) -> Dict[str, List[Tuple[object, ...]]]:
+    """The rows of each referenced relation's delta term: the fresh
+    rows of every delta on it in ``deltas``, coalesced, that pass all
+    of ``query``'s constant conditions on that relation.
+
+    A relation maps to ``[]`` when it received rows but none passes
+    the constants -- its term is provably empty.  Relations that
+    received no rows have no term.
+    """
+    inserted: Dict[str, List[Tuple[object, ...]]] = {}
+    referenced = set(query.relations)
+    for delta in deltas:
+        if delta.relation in referenced and delta.inserted:
+            inserted.setdefault(delta.relation, []).extend(delta.inserted)
+    terms: Dict[str, List[Tuple[object, ...]]] = {}
+    for name, rows in inserted.items():
+        schema = database[name].schema
+        tests = [
+            (schema.index_of(cond.attribute), cond.test)
+            for cond in query.constants
+            if cond.attribute in schema
+        ]
+        terms[name] = [
+            row for row in rows if all(test(row[i]) for i, test in tests)
+        ]
+    return terms
+
+
 def apply_deltas(
     entry: "CachedResult",
     database: Database,
     check_invariants: bool = False,
-) -> Optional[Tuple[int, int]]:
+) -> Optional[Tuple[int, int, int]]:
     """Catch ``entry`` up to ``database.version`` in place.
 
-    Returns ``(merges, delta_rows)`` on success -- how many delta
-    results were unioned in and how many fresh rows they carried --
-    or ``None`` when the gap cannot be absorbed (the caller must drop
-    the entry).  An already-current entry succeeds with ``(0, 0)``.
+    Returns ``(merges, skips, delta_rows)`` on success -- how many
+    delta terms were unioned in, how many were proven empty and
+    skipped (no row passed the constants, or the term factorised to
+    empty), and how many fresh rows the merged terms carried -- or
+    ``None`` when the gap cannot be absorbed (the caller must drop the
+    entry).  An already-current entry succeeds with ``(0, 0, 0)``.
     """
     deltas = database.changes_since(entry.version)
     if not absorbable(deltas, entry.query.relations):
         return None
-    referenced = set(entry.query.relations)
-    merges = rows_in = 0
+    merges = skips = rows_in = 0
     result = entry.result
-    for delta in deltas:
-        if delta.relation not in referenced or not delta.inserted:
+    terms = _delta_terms(database, entry.query, deltas)
+    for relation, rows in terms.items():
+        if not rows:
+            skips += 1
             continue
         extra = delta_result(
             database,
             entry.query,
             entry.tree,
-            delta.relation,
-            delta.inserted,
+            relation,
+            rows,
             check_invariants=check_invariants,
         )
+        if extra.is_empty():
+            skips += 1
+            continue
         if check_invariants:
             # Validate the small appended piece per merge; the full
             # unioned result is checked once after the loop.  (A full
@@ -171,10 +230,18 @@ def apply_deltas(
             extra.validate()
         result = ops.union(result, extra)
         merges += 1
-        rows_in += len(delta.inserted)
+        rows_in += len(rows)
     if check_invariants and merges:
         result.validate()
+    if not merges:
+        # The result is unchanged, so every projection memoised at the
+        # entry's old version still answers at the new one.
+        entry.projected = {
+            pkey: (database.version, projected)
+            for pkey, (version, projected) in entry.projected.items()
+            if version == entry.version
+        }
     entry.result = result
     entry.version = database.version
     entry.deltas_applied += len(deltas)
-    return merges, rows_in
+    return merges, skips, rows_in

@@ -24,6 +24,7 @@ def result_cache_line(counters: Optional[Dict[str, Any]]) -> Optional[str]:
         f"{counters['misses']} misses, "
         f"{counters['delta_merges']} delta merges "
         f"({counters['delta_rows']} rows), "
+        f"{counters['delta_skips']} skipped, "
         f"{counters['invalidations']} invalidated"
     )
 

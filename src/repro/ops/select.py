@@ -50,23 +50,23 @@ def select_constant(
 ) -> FactorisedRelation:
     """Apply ``sigma_{A theta c}`` to a factorised relation."""
     node = fr.tree.node_of(cond.attribute)
-    if fr.is_empty():
-        return FactorisedRelation(
-            select_constant_tree(fr.tree, cond), None
-        )
     if cond.op != "=":
         # Non-equality selections leave the tree untouched, so the
         # whole operator is the columnar filter kernel.
+        if fr.is_empty():
+            return fr
         filtered = arena_mod.select_filter(
             fr.rep, cond.attribute, cond.test
         )
         return FactorisedRelation(fr.tree, filtered)
     # Equality: the filter kernel leaves the node layout intact, then
     # the push-up kernels replay the normalisation trace of the
-    # constant tree.
+    # constant tree (prepared once per tree, empty input included).
     chain = arena_kernels.kernel_for(
         _constant_tree(fr.tree, node), "normalise"
     )
+    if fr.is_empty():
+        return FactorisedRelation(chain.out_tree, None)
     filtered = arena_mod.select_filter(fr.rep, cond.attribute, cond.test)
     if filtered is not None:
         filtered = chain.run(filtered)

@@ -21,7 +21,7 @@ from typing import (
 )
 
 from repro.relational.delta import DEFAULT_CAPACITY, Delta, DeltaLog
-from repro.relational.relation import Relation
+from repro.relational.relation import Relation, check_arity
 from repro.relational.schema import RelationSchema, SchemaError
 
 
@@ -141,26 +141,17 @@ class Database:
 
         Replaces the stored relation with one containing the union of
         old and new tuples and bumps :attr:`version`, so cached plans
-        and statistics over this database are invalidated.
+        and statistics over this database are invalidated.  Only the
+        genuinely fresh rows are sorted; they are merged into the
+        already-sorted old rows.
         """
         old = self[name]
-        existing = set(old.rows)
-        merged = self._store(
-            Relation.from_rows(
-                name,
-                old.attributes,
-                list(old.rows) + [tuple(r) for r in rows],
-            )
-        )
+        fresh = sorted({tuple(r) for r in rows} - set(old.rows))
+        check_arity(old.schema, fresh)
+        merged = self._store(old.with_rows(fresh))
         self._version += 1
         self._delta_log.record(
-            Delta(
-                version=self._version,
-                relation=name,
-                inserted=tuple(
-                    row for row in merged.rows if row not in existing
-                ),
-            )
+            Delta(version=self._version, relation=name, inserted=tuple(fresh))
         )
         return merged
 

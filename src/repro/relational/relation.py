@@ -38,6 +38,16 @@ TRIE_CACHE_SIZE = 16
 _TRIE_CACHE_LOCK = threading.Lock()
 
 
+def check_arity(schema: RelationSchema, rows: Iterable[Row]) -> None:
+    """Raise :class:`SchemaError` on the first row of the wrong width."""
+    for row in rows:
+        if len(row) != schema.arity:
+            raise SchemaError(
+                f"row {row!r} does not match arity {schema.arity} "
+                f"of {schema.name!r}"
+            )
+
+
 def _build_trie(rows: List[Row], groups: TrieGroups) -> dict:
     """The trie of :meth:`Relation.trie`, by one pass over ``rows``.
 
@@ -120,13 +130,18 @@ class Relation:
         """Normalise arbitrary row input: tuple-ify, dedupe, sort."""
         schema = RelationSchema(name, tuple(attributes))
         normalised = sorted({tuple(row) for row in rows})
-        for row in normalised:
-            if len(row) != schema.arity:
-                raise SchemaError(
-                    f"row {row!r} does not match arity {schema.arity} "
-                    f"of {name!r}"
-                )
+        check_arity(schema, normalised)
         return Relation(schema, normalised)
+
+    def with_rows(self, fresh: Sequence[Row]) -> "Relation":
+        """This relation plus ``fresh``, rows none of which is already
+        here.  Sorted ``fresh`` costs no re-sort: Timsort finds the two
+        sorted runs and merges them in one linear pass (in C, about
+        twice the speed of ``heapq.merge``)."""
+        rows = list(self._rows)
+        rows.extend(fresh)
+        rows.sort()
+        return Relation(self.schema, rows)
 
     @property
     def name(self) -> str:

@@ -201,25 +201,19 @@ class ShardedDatabase(Database):
     def _route_appended(
         self, name: str, fresh: Sequence[Tuple[object, ...]]
     ) -> None:
-        """Merge genuinely new rows into their hash shards only."""
+        """Merge genuinely new rows (sorted, as every recorded delta
+        holds them) into their hash shards only."""
         count = len(self._shard_dbs)
         buckets: List[List[Tuple[object, ...]]] = [
             [] for _ in range(count)
         ]
         for row in fresh:
             buckets[stable_row_hash(row) % count].append(row)
-        schema = self[name].schema
         for index, bucket in enumerate(buckets):
             if not bucket:
                 continue  # untouched shards keep their partition
             shard_db = self._shard_dbs[index]
-            part = shard_db[name]
-            shard_db._store(
-                Relation(
-                    schema,
-                    sorted(list(part.rows) + bucket),
-                )
-            )
+            shard_db._store(shard_db[name].with_rows(bucket))
 
     def delete_rows(self, name, rows=None, where=None) -> int:
         removed = super().delete_rows(name, rows=rows, where=where)

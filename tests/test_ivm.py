@@ -278,6 +278,24 @@ def test_harness_covers_at_least_fifty_sequences():
 # -- delta maintenance is actually exercised ---------------------------------
 
 
+def _joining_row(db: Database, query: Query) -> Tuple[str, tuple]:
+    """A fresh row that genuinely joins into ``query``'s result: the
+    base tuple of one result row, with ``9`` (outside ``DOMAIN``) in an
+    attribute no condition of the query names."""
+    named = {a for eq in query.equalities for a in (eq.left, eq.right)}
+    named |= {cond.attribute for cond in query.constants}
+    order, rows = fdb_rows(db, join_query(query))
+    assert rows, f"{query} has an empty result"
+    for name in query.relations:
+        attributes = db[name].attributes
+        free = [i for i, a in enumerate(attributes) if a not in named]
+        if free:
+            base = [rows[0][order.index(a)] for a in attributes]
+            base[free[0]] = 9
+            return name, tuple(base)
+    raise AssertionError(f"every attribute of {query} is constrained")
+
+
 @pytest.mark.parametrize(
     "recompute", [fdb_rows, reference_rows], ids=["fdb", "reference"]
 )
@@ -290,11 +308,8 @@ def test_append_requery_is_delta_maintained(recompute):
         for query in pool:
             session.run(query)
         target = pool[0]
-        name = target.relations[0]
-        relation = db[name]
-        db.extend_rows(
-            name, [tuple(9 for _ in relation.attributes)]
-        )
+        name, row = _joining_row(db, target)
+        db.extend_rows(name, [row])
         result = session.run(target)
         _, expected = recompute(db, target)
         assert result.rows() == expected
@@ -303,6 +318,164 @@ def test_append_requery_is_delta_maintained(recompute):
         assert counters["delta_merges"] >= 1
         assert counters["delta_rows"] >= 1
         assert session.stats.delta_refreshes == 1
+
+
+# -- one delta term per relation, constant-filtered ---------------------------
+
+
+def _shop() -> Database:
+    """R(a, rb) joins S(sb, c) on rb = sb, and S joins T(t, tc) on
+    c = t; the queries below keep ``c != 0``."""
+    db = Database()
+    db.add_rows("R", ("a", "rb"), [(1, 1), (2, 2), (3, 1)])
+    db.add_rows("S", ("sb", "c"), [(1, 5), (2, 6), (3, 0)])
+    db.add_rows("T", ("t", "tc"), [(5, 1), (6, 2), (0, 1)])
+    return db
+
+
+SHOP = Query.make(
+    ["R", "S"], equalities=[("rb", "sb")], constants=[("c", "!=", 0)]
+)
+SHOP_QUERIES = [
+    SHOP,
+    Query.make(
+        ["R", "S"],
+        equalities=[("rb", "sb")],
+        constants=[("c", "!=", 0), ("a", "<", 4)],
+        projection=["a", "c"],
+    ),
+    Query.make(
+        ["R", "S", "T"],
+        equalities=[("rb", "sb"), ("c", "t")],
+        constants=[("tc", "=", 1)],
+    ),
+]
+
+
+def test_constant_failing_append_is_skipped(monkeypatch):
+    """Fresh rows that all fail the query's constants make a term that
+    is provably empty before anything is factorised; a term whose rows
+    join nothing factorises to empty.  Both are skipped, nothing is
+    unioned, the answer stays exact."""
+    from repro.ivm import maintain
+
+    factorised = []
+    delta_result = maintain.delta_result
+    monkeypatch.setattr(
+        maintain,
+        "delta_result",
+        lambda *args, **kwargs: factorised.append(args[3])
+        or delta_result(*args, **kwargs),
+    )
+    db = _shop()
+    with QuerySession(db, check_invariants=True) as session:
+        session.run(SHOP)
+        db.extend_rows("S", [(1, 0), (2, 0)])  # c != 0 fails
+        result = session.run(SHOP)
+        assert result.cached
+        assert result.rows() == fdb_rows(db, SHOP)[1]
+        counters = session.cache_counters()["results"]
+        assert counters["delta_skips"] == 1
+        assert counters["delta_merges"] == 0
+        assert counters["delta_rows"] == 0
+        assert factorised == []
+
+        db.extend_rows("R", [(9, 9)])  # passes, but joins no S row
+        result = session.run(SHOP)
+        assert result.rows() == fdb_rows(db, SHOP)[1]
+        counters = session.cache_counters()["results"]
+        assert counters["delta_skips"] == 2
+        assert counters["delta_merges"] == 0
+        assert factorised == ["R"]
+
+
+def test_appends_to_one_relation_coalesce_into_one_merge():
+    db = _shop()
+    with QuerySession(db, check_invariants=True) as session:
+        session.run(SHOP)
+        for a in (4, 5, 6):
+            db.extend_rows("R", [(a, 2)])
+        result = session.run(SHOP)
+        assert result.cached
+        assert result.rows() == fdb_rows(db, SHOP)[1]
+        counters = session.cache_counters()["results"]
+        assert counters["delta_merges"] == 1
+        assert counters["delta_rows"] == 3
+
+
+def test_appends_to_two_relations_merge_at_most_twice():
+    db = _shop()
+    with QuerySession(db, check_invariants=True) as session:
+        session.run(SHOP)
+        db.extend_rows("R", [(4, 2)])
+        db.extend_rows("S", [(4, 7)])
+        db.extend_rows("R", [(5, 4)])
+        db.extend_rows("S", [(1, 8), (2, 0)])
+        result = session.run(SHOP)
+        assert result.rows() == fdb_rows(db, SHOP)[1]
+        counters = session.cache_counters()["results"]
+        assert counters["delta_merges"] == 2
+        assert counters["delta_skips"] == 0
+
+
+def test_noop_catch_up_keeps_the_projection(monkeypatch):
+    """A catch-up that merged no term leaves the result unchanged, so
+    the projection memoised before it is served again as is."""
+    from repro import ops
+
+    narrow = SHOP_QUERIES[1]
+    db = _shop()
+    with QuerySession(db, check_invariants=True) as session:
+        session.run(narrow)
+        before = session.run(narrow)  # served and memoised
+        assert before.cached
+        db.extend_rows("S", [(1, 0)])  # c != 0 fails: nothing merged
+        expected = fdb_rows(db, narrow)[1]
+        calls = []
+        project = ops.project
+        monkeypatch.setattr(
+            ops,
+            "project",
+            lambda *args: calls.append(args) or project(*args),
+        )
+        after = session.run(narrow)
+        assert after.cached
+        assert after.factorised is before.factorised
+        assert calls == []
+        assert after.rows() == expected
+        assert session.cache_counters()["results"]["delta_skips"] == 1
+
+
+shop_appends = st.lists(
+    st.tuples(
+        st.sampled_from(["R", "S", "T"]),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=len(SHOP_QUERIES)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@pytest.mark.parametrize("check_invariants", [True, False])
+@given(steps=shop_appends)
+@settings(max_examples=25, deadline=None)
+def test_interleaved_appends_match_recompute(check_invariants, steps):
+    """Appends to several relations, a share of them failing the
+    constants (``c = 0``, ``a >= 4``, ``tc != 1``), with 0..3 reads
+    between them: every served answer equals a recompute."""
+    db = _shop()
+    with QuerySession(db, check_invariants=check_invariants) as session:
+        for query in SHOP_QUERIES:
+            session.run(query)
+        for name, x, y, reads in steps:
+            db.extend_rows(name, [(x, y)])
+            for query in SHOP_QUERIES[:reads]:
+                assert session.run(query).rows() == fdb_rows(db, query)[1]
+        for query in SHOP_QUERIES:
+            assert session.run(query).rows() == fdb_rows(db, query)[1]
+        assert session.cache_counters()["results"]["invalidations"] == 0
 
 
 def test_delete_on_referenced_relation_invalidates_entry():
@@ -436,6 +609,45 @@ def test_version_monotone_and_log_reaches_present(ops):
     assert db.changes_since(db.version) == []
     # ... and refuses versions from the future.
     assert db.changes_since(db.version + 1) is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_extend_rows_matches_the_from_rows_formula(seed):
+    """``extend_rows`` merges only the fresh rows into the sorted old
+    ones, yet the stored relation and the recorded ``Delta`` are
+    exactly -- value types included, ``1`` / ``True`` / ``1.0``
+    collapsing onto the row already there -- what re-normalising
+    ``old + new`` through ``Relation.from_rows`` gives."""
+    from repro.relational.relation import Relation
+    from repro.relational.schema import SchemaError
+
+    rng = random.Random(seed)
+    values = [0, 1, 2, 3, True, 1.0, 2.5, False]
+
+    def rows(count):
+        return [
+            [rng.choice(values), rng.choice(values)] for _ in range(count)
+        ]
+
+    db = Database()
+    db.add_rows("R", ("a", "b"), rows(10))
+    for _ in range(8):
+        old = db["R"]
+        new = rows(rng.randint(0, 6))
+        expected = Relation.from_rows(
+            "R", old.attributes, list(old.rows) + [tuple(r) for r in new]
+        )
+        existing = set(old.rows)
+        merged = db.extend_rows("R", new)
+        assert repr(merged.rows) == repr(expected.rows)
+        assert db["R"] is merged
+        assert repr(db.delta_log.last().inserted) == repr(
+            tuple(row for row in expected.rows if row not in existing)
+        )
+    version = db.version
+    with pytest.raises(SchemaError):
+        db.extend_rows("R", [(7, 7, 7)])
+    assert db.version == version
 
 
 def test_delta_log_truncation_makes_gap_unexplainable():
@@ -588,7 +800,7 @@ def test_apply_deltas_on_current_entry_is_a_noop():
     fr = FDB(db).evaluate(query)
     cache = ResultCache()
     entry = cache.store(query, db, fr.tree, fr)
-    assert apply_deltas(entry, db) == (0, 0)
+    assert apply_deltas(entry, db) == (0, 0, 0)
     assert entry.deltas_applied == 0
 
 
@@ -673,11 +885,8 @@ def test_delta_merged_result_runs_fused_plans():
         for query in pool:
             session.run(query)
         target = pool[0]
-        name = target.relations[0]
-        relation = db[name]
-        db.extend_rows(
-            name, [tuple(9 for _ in relation.attributes)]
-        )
+        name, row = _joining_row(db, target)
+        db.extend_rows(name, [row])
         result = session.run(target)
         assert result.cached, "append-then-requery must serve warm"
         counters = session.cache_counters()["results"]

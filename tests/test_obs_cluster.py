@@ -23,7 +23,7 @@ from fault_injection import ChaosProxy
 from test_cluster import Cluster, _database, _queries
 
 from repro.cli import main
-from repro.net import RemoteSession, ReplicatedExecutor
+from repro.net import ClusterMap, RemoteSession, ReplicatedExecutor
 from repro.obs import ClusterFederation, FlightRecorder, MetricsRegistry, advise
 from repro.obs.report import cluster_lines
 from repro.service import QuerySession
@@ -253,10 +253,18 @@ def test_federation_scrapes_a_fleet_heat_and_rollup(tmp_path):
         view = fed.view()
         assert view["live_workers"] == 3
         assert view["shard_count"] == 4  # learned from the hello
+        ring = ClusterMap(cluster.keys, 4, 2).assignments()
         for worker in view["workers"].values():
             assert worker["live"] and worker["staleness"] < 30
             assert worker["server"]["requests"] >= 1
-            assert worker["ring_shards"]  # drawn against the ring
+            # Drawn against the ring -- which leaves a worker with no
+            # shard at all for some port draws.
+            assert worker["ring_shards"] == sorted(
+                ring.get(worker["address"], ())
+            )
+        # The chains cover every shard, twice.
+        owned = [s for shards in ring.values() for s in shards]
+        assert sorted(owned) == sorted(list(range(4)) * 2)
         # The heat map saw every shard the batch touched, attributed
         # to replica chains.
         shards = view["heat"]["shards"]

@@ -1,5 +1,7 @@
 """Unit tests for constant selection, projection and product."""
 
+import importlib
+
 import pytest
 
 from repro.core.build import factorise
@@ -69,6 +71,35 @@ def test_selection_on_empty_input():
     out = select_constant(empty, ConstantCondition("oid", "=", 1))
     assert out.is_empty()
     assert out.tree.node_of("oid").constant
+
+
+@pytest.mark.parametrize("op", ["=", "!="])
+def test_selection_on_empty_input_reuses_the_prepared_tree(
+    op, monkeypatch
+):
+    """An empty input gets the same output tree as
+    ``select_constant_tree`` -- from the prepared normalisation kernel
+    the non-empty path uses, not from a fresh ``normalise_tree``."""
+    # ``repro.ops`` re-exports functions named like these modules.
+    normalise = importlib.import_module("repro.ops.normalise")
+    select = importlib.import_module("repro.ops.select")
+
+    fr = q1_factorised()
+    cond = ConstantCondition("oid", op, 1)
+    expected = select.select_constant_tree(fr.tree, cond)
+    select_constant(fr, cond)  # prepares the kernel
+    calls = []
+    monkeypatch.setattr(
+        normalise, "normalise_tree", lambda tree: calls.append(tree)
+    )
+    monkeypatch.setattr(
+        select, "normalise_tree", lambda tree: calls.append(tree)
+    )
+    empty = FactorisedRelation(fr.tree, None)
+    out = select_constant(empty, cond)
+    assert out.is_empty()
+    assert out.tree.key() == expected.key()
+    assert calls == []
 
 
 def test_equality_then_requery_consistency():
