@@ -218,7 +218,12 @@ class _Skeleton:
 
 
 def _skeleton_of(tree: FTree) -> _Skeleton:
-    return _Skeleton(tree)
+    """``tree``'s skeleton, built once and kept on the (immutable)
+    tree, like its ``key()`` and attribute index."""
+    skel = tree._skel
+    if skel is None:
+        skel = tree._skel = _Skeleton(tree)
+    return skel
 
 
 # -- the arena ---------------------------------------------------------------
@@ -474,7 +479,7 @@ def validate_arena_bounds(
         return
     skel = arena.skel
     expected = _skeleton_of(tree)
-    if skel.labels != expected.labels:
+    if skel is not expected and skel.labels != expected.labels:
         raise ArenaError("arena skeleton does not match the f-tree")
     pool_size = len(arena.pool)
     for i in range(len(skel)):
@@ -650,7 +655,8 @@ def tuple_count(arena: Optional[ArenaRep]) -> int:
 # Compiled enumerators are cached by what their source text depends on
 # -- the skeleton's shape, its nodes' attributes and the output order
 # -- so every arena of that shape shares the machine-made loop nest,
-# whichever skeleton object it carries (each build makes a fresh one).
+# whichever skeleton object it carries (equal trees built apart, e.g.
+# decoded from different blobs, carry different ones).
 
 #: CPython rejects more than ~20 statically nested blocks; deeper
 #: skeletons use the recursive walk.

@@ -37,7 +37,9 @@ class FactorisedRelation:
     5
     """
 
-    __slots__ = ("tree", "rep")
+    # Weak-referenceable so a connection's pooled-payload memo
+    # (repro.persist.codec.ArenaPoolEncoder) dies with the result.
+    __slots__ = ("tree", "rep", "__weakref__")
 
     def __init__(self, tree: FTree, rep: Optional[ArenaRep]) -> None:
         self.tree = tree

@@ -123,7 +123,7 @@ class FNode:
 class FTree:
     """An immutable forest of :class:`FNode` plus dependency edges."""
 
-    __slots__ = ("roots", "edges", "_by_attr", "_parents", "_key")
+    __slots__ = ("roots", "edges", "_by_attr", "_parents", "_key", "_skel")
 
     def __init__(
         self,
@@ -137,6 +137,9 @@ class FTree:
         self._by_attr: Optional[Dict[str, FNode]] = None
         self._parents: Optional[Dict[Label, Optional[FNode]]] = None
         self._key: Optional[tuple] = None
+        #: The arena node layout, built on first use by
+        #: :func:`repro.core.arena._skeleton_of`.
+        self._skel = None
         seen: Set[str] = set()
         for node in self.iter_nodes():
             overlap = seen & node.label

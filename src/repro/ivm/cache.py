@@ -32,6 +32,18 @@ from repro.query.query import Query
 from repro.relational.database import Database
 
 
+def join_key(query: Query) -> Tuple:
+    """The canonical key of ``query``'s join (projection stripped),
+    read off ``query``'s own memoised key instead of re-keying a
+    stripped copy.
+
+    >>> q = Query.make(["R", "S"], [("a", "b")], projection=["a"])
+    >>> join_key(q) == join_query(q).canonical_key()
+    True
+    """
+    return query.canonical_key()[:3] + (None,)
+
+
 @dataclass
 class CachedResult:
     """One cached unprojected join result plus its maintenance state."""
@@ -104,7 +116,7 @@ class ResultCache:
         as an invalidation *and* a miss).  Served entries always
         satisfy ``entry.version == database.version``.
         """
-        key = join_query(query).canonical_key()
+        key = join_key(query)
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -138,11 +150,10 @@ class ResultCache:
     ) -> CachedResult:
         """Cache an unprojected join result computed at the database's
         current version; returns the new entry."""
-        stripped = join_query(query)
-        key = stripped.canonical_key()
+        key = join_key(query)
         entry = CachedResult(
             key=key,
-            query=stripped,
+            query=join_query(query),
             tree=tree,
             result=result,
             version=database.version,

@@ -56,9 +56,14 @@ from repro.obs import trace as obs_trace
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.query.parser import parse_query
+from repro.query.query import Query
 from repro.storage.sharded import ShardedDatabase
 
 DEFAULT_HOST = "127.0.0.1"
+
+#: Parsed statements a server keeps, SQL text -> ``Query`` (least
+#: recently used out).
+STATEMENT_MEMO_SIZE = 1024
 
 
 class OwnershipError(RuntimeError):
@@ -93,6 +98,11 @@ class ServerStats:
     pending: int = 0
     peak_pending: int = 0
     rejected_draining: int = 0
+    #: Statements answered from the parsed-statement memo.
+    statement_hits: int = 0
+    #: Pooled payloads whose column section came from the connection's
+    #: memo (see :class:`repro.persist.codec.ArenaPoolEncoder`).
+    payload_reuses: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
@@ -186,6 +196,8 @@ class QueryServer:
         self._writers: Set[asyncio.StreamWriter] = set()
         self._draining = False
         self._idle: Optional[asyncio.Event] = None
+        # Touched on the event loop only, so it needs no lock.
+        self._statements: Dict[str, Query] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -485,7 +497,7 @@ class QueryServer:
         trace = self._seed_trace(header)
         with obs_trace.activate(trace):
             with obs_trace.span("parse"):
-                query = parse_query(str(header["sql"]))
+                query = self._statement(str(header["sql"]))
         engine = str(header.get("engine") or "auto")
         future = self.session.submit(query, engine, trace=trace)
         result = await asyncio.wrap_future(future)
@@ -514,7 +526,7 @@ class QueryServer:
         trace = self._seed_trace(header)
         with obs_trace.activate(trace):
             with obs_trace.span("parse", statements=len(statements)):
-                queries = [parse_query(str(stmt)) for stmt in statements]
+                queries = [self._statement(str(stmt)) for stmt in statements]
         # One submit per query (not run_batch): that is what lets the
         # coalescer interleave *other* clients' queries with these.
         # Every statement shares the request's trace: its spans land
@@ -535,6 +547,19 @@ class QueryServer:
             )
 
         await self._send_packed(writer, lock, pool, pack)
+
+    def _statement(self, sql: str) -> Query:
+        """``sql`` parsed, from the statement memo when it was seen
+        before (a ``Query`` is frozen, so requests share one)."""
+        query = self._statements.pop(sql, None)
+        if query is None:
+            query = parse_query(sql)
+            while len(self._statements) >= STATEMENT_MEMO_SIZE:
+                del self._statements[next(iter(self._statements))]
+        else:
+            self.stats.statement_hits += 1
+        self._statements[sql] = query
+        return query
 
     def _seed_trace(
         self, header: Dict[str, Any]
@@ -568,9 +593,10 @@ class QueryServer:
             self.stats.shard_tasks += 1
         else:
             self.stats.execute_tasks += 1
+        query = self._statement(str(header["sql"]))
         loop = asyncio.get_running_loop()
         elapsed, fr, records = await loop.run_in_executor(
-            self._pool, self._run_worker_task, kind, header, payload
+            self._pool, self._run_worker_task, kind, header, payload, query
         )
         meta = {
             "id": header.get("id"),
@@ -606,7 +632,7 @@ class QueryServer:
         )
 
     def _run_worker_task(
-        self, kind: str, header: Dict[str, Any], payload: bytes
+        self, kind: str, header: Dict[str, Any], payload: bytes, query: Query
     ) -> Tuple[float, object, list]:
         """Thread-pool body of a ``shard``/``execute`` request."""
         ctx = header.get("trace")
@@ -618,7 +644,6 @@ class QueryServer:
                 f"{kind} payload holds a {type(tree).__name__}, "
                 f"not an f-tree"
             )
-        query = parse_query(str(header["sql"]))
         database = self.session.database
         check = self.session.check_invariants
         if kind == "shard":
@@ -894,7 +919,10 @@ class QueryServer:
         """
         async with lock:
             try:
+                reused = 0 if pool is None else pool.reuses
                 kind, header, payload = pack()
+                if pool is not None:
+                    self.stats.payload_reuses += pool.reuses - reused
                 frame = protocol.encode_frame(kind, header, payload)
             except Exception:
                 if pool is not None:

@@ -46,6 +46,7 @@ caller to re-evaluate and re-save.)
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import mmap as mmap_module
@@ -54,15 +55,16 @@ import shutil
 import struct
 import sys
 import tempfile
+import weakref
 import zlib
 from array import array
 from typing import Any, BinaryIO, Dict, List, Optional, Tuple
 
 from repro.core import arena as arena_mod
 from repro.core.arena import ArenaRep
-from repro.core.columns import _as_np, _column_bounds, _take
+from repro.core.columns import _as_np, _take
 from repro.core.factorised import FactorisedRelation
-from repro.core.ftree import FNode, FTree
+from repro.core.ftree import FNode, FTree, FTreeError
 from repro.optimiser.fplan import FPlan, Step
 from repro.query.hypergraph import Hypergraph
 from repro.relational.database import Database
@@ -198,11 +200,7 @@ def read_value(src: BinaryIO) -> object:
             raise PersistError("truncated float in payload")
         return struct.unpack(">d", data)[0]
     if tag == _TAG_STR:
-        length = _read_varint(src)
-        data = src.read(length)
-        if len(data) != length:
-            raise PersistError("truncated string in payload")
-        return data.decode("utf-8")
+        return _read_str(src)
     if tag == _TAG_BIGINT:
         length = _read_varint(src)
         data = src.read(length)
@@ -226,7 +224,10 @@ def _read_str(src: BinaryIO) -> str:
     data = src.read(length)
     if len(data) != length:
         raise PersistError("truncated string in payload")
-    return data.decode("utf-8")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PersistError(f"malformed string in payload: {exc}") from exc
 
 
 # -- blob container ----------------------------------------------------------
@@ -487,7 +488,10 @@ def _decode_ftree_from(src: BinaryIO) -> FTree:
     for _ in range(_read_varint(src)):
         width = _read_varint(src)
         edges.append({_read_str(src) for _ in range(width)})
-    return FTree(roots, Hypergraph(edges))
+    try:
+        return FTree(roots, Hypergraph(edges))
+    except FTreeError as exc:
+        raise PersistError(f"invalid persisted f-tree: {exc}") from exc
 
 
 def _decode_ftree(payload: bytes) -> FTree:
@@ -727,6 +731,33 @@ def _decode_arena_from(src, read_column) -> FactorisedRelation:
 # blobs when either end does not opt in.
 
 
+class _Sent:
+    """What a connection keeps of one result it has encoded: the
+    payload's fixed parts, ready to be written again."""
+
+    __slots__ = ("ref", "head", "seen", "columns")
+
+    def __init__(self, ref, head: bytes, seen: int, columns) -> None:
+        #: Weak reference to the result (its callback drops this entry).
+        self.ref = ref
+        #: Tree section plus the empty/non-empty flag byte.
+        self.head = head
+        #: How many of the result's own pool values are interned into
+        #: the connection pool (a shared pool may grow afterwards).
+        self.seen = seen
+        #: Node count, remapped value columns and child ranges; ``None``
+        #: for the empty relation.
+        self.columns: Optional[bytes] = columns
+
+
+def _forget(encoder_ref, key: int, ref) -> None:
+    """Weakref callback: a result died, so drop its memo entry (the
+    callback runs before the result's id can be handed out again)."""
+    encoder = encoder_ref()
+    if encoder is not None:
+        encoder._sent.pop(key, None)
+
+
 class ArenaPoolEncoder:
     """Sender side of one connection's shared wire pool.
 
@@ -740,14 +771,35 @@ class ArenaPoolEncoder:
     the peer with a hole in its pool.  Callers must serialise
     encode+send per connection (the server holds its per-connection
     write lock across both).
+
+    A result sent again on the same connection costs only its pool
+    delta and the CRC.  The first ``encode`` of a result keeps its tree
+    section and its *column section* -- the value columns already
+    remapped to connection-pool ids, plus the child ranges -- keyed by
+    the result's identity; a weakref callback drops the entry when the
+    result dies, so the memo holds the column bytes of live results
+    only.  Re-using the column section is sound because the connection
+    pool never remaps or removes an id, and because nothing writes into
+    an arena once it is constructed: operators build new columns (or
+    share old ones read-only) and ``ivm.apply_deltas`` replaces
+    ``entry.result`` with a new relation instead of touching the old
+    one.  Values a shared result pool gained since the last send are
+    interned first, in pool order, so the bytes equal a fresh
+    encode's; ``rollback`` only rewinds the watermark, so the next
+    payload re-ships the delta either way.  ``reuses`` counts the
+    payloads whose column section came from the memo.
     """
 
-    __slots__ = ("pool", "shipped", "_pending")
+    __slots__ = (
+        "pool", "shipped", "reuses", "_pending", "_sent", "__weakref__"
+    )
 
     def __init__(self) -> None:
         self.pool = arena_mod.ValuePool()
         self.shipped = 0
+        self.reuses = 0
         self._pending: Optional[int] = None
+        self._sent: Dict[int, _Sent] = {}
 
     def commit(self) -> None:
         """Publish the watermark cut by the last ``encode``."""
@@ -760,29 +812,52 @@ class ArenaPoolEncoder:
         self._pending = None
 
     def encode(self, fr: FactorisedRelation) -> bytes:
+        sent = self._sent.get(id(fr))
+        if sent is None or sent.ref() is not fr:
+            sent = self._remember(fr)
+        elif sent.columns is not None:
+            self.reuses += 1
+            src_pool = fr.rep.pool
+            if src_pool is not self.pool and len(src_pool) > sent.seen:
+                fresh = src_pool[sent.seen :]
+                for value in fresh:
+                    self.pool.intern(value)
+                sent.seen += len(fresh)
+        if sent.columns is None:
+            body = sent.head
+        else:
+            base = (
+                self.shipped if self._pending is None else self._pending
+            )
+            delta = self.pool.values_since(base)
+            out = io.BytesIO()
+            out.write(sent.head)
+            _write_varint(out, base)
+            _write_varint(out, len(delta))
+            for value in delta:
+                write_value(out, value)
+            out.write(sent.columns)
+            self._pending = base + len(delta)
+            body = out.getvalue()
+        return body + struct.pack(">I", zlib.crc32(body))
+
+    def _remember(self, fr: FactorisedRelation) -> _Sent:
+        """Encode ``fr``'s fixed sections once and keep them."""
         out = io.BytesIO()
         tree_bytes = _encode_ftree(fr.tree)
         _write_varint(out, len(tree_bytes))
         out.write(tree_bytes)
         rep = fr.rep
-        if rep is None:
-            out.write(bytes((0,)))
-        else:
-            out.write(bytes((1,)))
-            src_pool = rep.pool
-            if src_pool is self.pool:
-                vmap = None
-            else:
-                vmap = array("q", map(self.pool.intern, src_pool))
-            base = (
-                self.shipped if self._pending is None else self._pending
-            )
-            delta = self.pool.values_since(base)
-            _write_varint(out, base)
-            _write_varint(out, len(delta))
-            for value in delta:
-                write_value(out, value)
-            self._pending = base + len(delta)
+        out.write(bytes((0 if rep is None else 1,)))
+        head = out.getvalue()
+        seen = 0
+        columns = None
+        if rep is not None:
+            vmap = None
+            if rep.pool is not self.pool:
+                vmap = array("q", map(self.pool.intern, rep.pool))
+                seen = len(vmap)
+            out = io.BytesIO()
             skel = rep.skel
             _write_varint(out, len(skel))
             for i in range(len(skel)):
@@ -793,8 +868,17 @@ class ArenaPoolEncoder:
                 for j in range(len(skel.children[i])):
                     _write_i64_column(out, rep.child_lo[i][j])
                     _write_i64_column(out, rep.child_hi[i][j])
-        body = out.getvalue()
-        return body + struct.pack(">I", zlib.crc32(body))
+            columns = out.getvalue()
+        key = id(fr)
+        forget = functools.partial(_forget, weakref.ref(self), key)
+        ref = weakref.ref(fr, forget)
+        sent = self._sent[key] = _Sent(ref, head, seen, columns)
+        return sent
+
+
+#: Distinct f-tree sections an :class:`ArenaPoolDecoder` keeps decoded
+#: (oldest out).
+TREE_MEMO_SIZE = 256
 
 
 class ArenaPoolDecoder:
@@ -803,13 +887,28 @@ class ArenaPoolDecoder:
     Payloads must be decoded in the order they were encoded: each one
     states the pool size it expects (``base``) and appends its delta.
     Every decoded arena references the *same* growing value list, so
-    results from one connection recombine by id.
+    results from one connection recombine by id.  A payload that fails
+    to decode leaves the pool as it was.
+
+    Tree sections are decoded once per connection: equal bytes map to
+    one shared (immutable) :class:`FTree`, whose skeleton is therefore
+    built once too.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_trees")
 
     def __init__(self) -> None:
         self.values: List[object] = []
+        self._trees: Dict[bytes, FTree] = {}
+
+    def _tree(self, tree_bytes: bytes) -> FTree:
+        tree = self._trees.get(tree_bytes)
+        if tree is None:
+            tree = _decode_ftree(tree_bytes)
+            while len(self._trees) >= TREE_MEMO_SIZE:
+                del self._trees[next(iter(self._trees))]
+            self._trees[tree_bytes] = tree
+        return tree
 
     def decode(self, payload: bytes) -> FactorisedRelation:
         if len(payload) < 4:
@@ -823,7 +922,7 @@ class ArenaPoolDecoder:
         tree_bytes = src.read(tree_len)
         if len(tree_bytes) != tree_len:
             raise PersistError("truncated pooled arena tree")
-        tree = _decode_ftree(tree_bytes)
+        tree = self._tree(tree_bytes)
         flag = src.read(1)
         if not flag:
             raise PersistError("truncated pooled arena payload")
@@ -838,9 +937,18 @@ class ArenaPoolDecoder:
                 f"values but this connection holds {len(self.values)} "
                 f"(out-of-order or cross-connection payload)"
             )
-        self.values.extend(
-            read_value(src) for _ in range(_read_varint(src))
-        )
+        try:
+            self.values.extend(
+                read_value(src) for _ in range(_read_varint(src))
+            )
+            rep = self._columns(src, tree)
+        except BaseException:
+            del self.values[base:]
+            raise
+        return FactorisedRelation(tree, rep)
+
+    def _columns(self, src: BinaryIO, tree: FTree) -> ArenaRep:
+        """The column section, validated against the connection pool."""
         skel = arena_mod._skeleton_of(tree)
         node_count = _read_varint(src)
         if node_count != len(skel):
@@ -862,21 +970,15 @@ class ArenaPoolDecoder:
             child_hi.append(his)
         if src.read(1):
             raise PersistError("pooled arena payload has trailing bytes")
-        limit = len(self.values)
-        for column in values:
-            low, high = _column_bounds(column)
-            if low < 0 or high >= limit:
-                raise PersistError(
-                    "pooled arena value id outside the connection pool"
-                )
         rep = ArenaRep(skel, values, child_lo, child_hi, self.values)
         try:
+            # Also the check that every value id is inside the pool.
             arena_mod.validate_arena_bounds(tree, rep)
         except ValueError as exc:
             raise PersistError(
                 f"pooled arena violates its invariants: {exc}"
             ) from exc
-        return FactorisedRelation(tree, rep)
+        return rep
 
 
 # -- sharded databases (per-shard files + manifest) --------------------------

@@ -209,7 +209,9 @@ class Query:
 
         The key is the plan-cache index of the serving layer
         (:mod:`repro.service`): a hit means the cached f-tree/f-plan
-        answers the incoming query verbatim.
+        answers the incoming query verbatim.  It is computed once per
+        instance and kept outside the fields, so equality, hashing and
+        pickling never see it.
 
         >>> a = Query.make(["R", "S"], equalities=[("a", "b")])
         >>> b = Query.make(["S", "R"], equalities=[("b", "a")])
@@ -219,6 +221,13 @@ class Query:
         >>> a.canonical_key() == c.canonical_key()
         False
         """
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = self._derive_key()
+            object.__setattr__(self, "_key", key)
+        return key
+
+    def _derive_key(self) -> Tuple:
         classes = equality_partition(self.equalities)
         constants = tuple(
             sorted(
@@ -239,6 +248,13 @@ class Query:
             constants,
             projection,
         )
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Pickle (and copy) the fields only; the receiver re-derives
+        # the key on first use.
+        state = dict(self.__dict__)
+        state.pop("_key", None)
+        return state
 
     def validate_against(self, schema: Mapping[str, Sequence[str]]) -> None:
         """Check the query against ``schema`` (relation -> attributes).

@@ -15,6 +15,7 @@ import repro.costs.cost_model
 import repro.costs.edge_cover
 import repro.engine
 import repro.experiments.report
+import repro.ivm.cache
 import repro.optimiser.ftree_optimiser
 import repro.optimiser.ftree_space
 import repro.optimiser.greedy
@@ -40,6 +41,7 @@ MODULES = [
     repro.costs.edge_cover,
     repro.engine,
     repro.experiments.report,
+    repro.ivm.cache,
     repro.optimiser.ftree_optimiser,
     repro.optimiser.ftree_space,
     repro.optimiser.greedy,

@@ -231,7 +231,8 @@ def test_numpy_is_imported_once_unconditionally_and_never_branched_on():
 
 
 def test_a_relation_holds_exactly_one_representation():
-    assert FactorisedRelation.__slots__ == ("tree", "rep")
+    slots = FactorisedRelation.__slots__
+    assert tuple(s for s in slots if s != "__weakref__") == ("tree", "rep")
 
 
 def test_importing_the_engine_never_loads_the_reference():

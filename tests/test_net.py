@@ -574,3 +574,52 @@ def test_run_timeout_raises_neterror_and_releases_the_slot(served):
         client.close()
     finally:
         proxy.close()
+
+
+# -- hot-path memos ----------------------------------------------------------
+
+
+def test_a_repeated_query_reuses_its_statement_and_payload(served):
+    repeats = 5
+    with RemoteSession(served.address) as client:
+        before = client.stats()["server"]
+        for _ in range(repeats):
+            result = client.run("SELECT * FROM R0, R1 WHERE a00 = a02")
+        assert result.factorised is not None  # travelled pooled
+        after = client.stats()["server"]
+        for counter in ("statement_hits", "payload_reuses"):
+            assert after[counter] - before[counter] >= repeats - 1, counter
+        text = client.metrics_text()
+    assert "repro_server_statement_hits" in text
+    assert "repro_server_payload_reuses" in text
+
+
+def test_a_pooled_connection_never_reuses_a_stale_payload():
+    """Query, append through a ``mutate`` frame, re-query -- all on one
+    pooled connection: the re-query must see the appended row, exactly
+    as a local session over the same data does."""
+    sqls = (
+        "SELECT * FROM R0, R1 WHERE a00 = a02",
+        "SELECT a01, a03 FROM R0, R1 WHERE a00 = a02",
+    )
+    local = QuerySession(_database())
+    joining = local.database["R1"].rows[0][0]
+    appended = [(joining, 99)]  # joins, and 99 is a new pool value
+
+    def local_rows(sql):
+        return sorted(local.run(parse_query(sql)).rows())
+
+    with ServerThread(QuerySession(_database())) as server:
+        with RemoteSession(server.address) as client:
+            for _ in range(2):  # the second send reuses the memo
+                for sql in sqls:
+                    assert sorted(client.run(sql).rows()) == local_rows(sql)
+            receipt = client.extend_rows("R0", appended)
+            assert receipt["count"] == 1
+            local.database.extend_rows("R0", appended)
+            for _ in range(2):
+                for sql in sqls:
+                    rows = sorted(client.run(sql).rows())
+                    assert rows == local_rows(sql)
+                    assert any(99 in row for row in rows)
+    local.close()

@@ -12,11 +12,16 @@ from __future__ import annotations
 
 import io
 import os
+import gc
 import random
 import struct
+import weakref
+import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.arena import ValuePool
 from repro.core.build import factorise
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
@@ -33,7 +38,12 @@ from repro.persist import (
     save,
     schema_fingerprint,
 )
-from repro.persist.codec import read_blob, write_blob
+from repro.persist.codec import (
+    ArenaPoolDecoder,
+    ArenaPoolEncoder,
+    read_blob,
+    write_blob,
+)
 from repro.query.parser import parse_query
 from repro.query.query import Query
 from repro.reference import to_product
@@ -915,3 +925,230 @@ def test_mmap_tampered_columns_still_fail_bounds_check(tmp_path):
         write_blob(handle, "arena", header, bytes(bad))
     with pytest.raises(PersistError, match="invariants"):
         load(path, mmap=True)
+
+
+# -- pooled arena payloads (the wire's fdbp-pool form) ----------------------
+
+
+def _pool_db(extra: str = "") -> Database:
+    db = Database()
+    db.add_rows("Orders", ("oid", "o_key"), [(i, i % 5) for i in range(30)])
+    db.add_rows(
+        "Listings",
+        ("l_key", "label"),
+        [(i % 5, f"item-{extra}{i}") for i in range(20)],
+    )
+    db.add_rows(
+        "Notes", ("n_key", "note"), [(i % 3, i / 4) for i in range(9)]
+    )
+    return db
+
+
+_POOL_SQL = (
+    "SELECT * FROM Orders, Listings WHERE o_key = l_key",
+    "SELECT oid, label FROM Orders, Listings WHERE o_key = l_key AND oid < 12",
+    "SELECT * FROM Orders, Notes WHERE o_key = n_key",
+    "SELECT * FROM Listings WHERE l_key = 7",  # the empty relation
+)
+
+
+def _pool_results(shared=None, extra: str = ""):
+    engine = FDB(_pool_db(extra), shared_pool=shared)
+    return [engine.evaluate(parse_query(sql)) for sql in _POOL_SQL]
+
+
+def _recrc(body: bytes) -> bytes:
+    """``body`` with a fresh (valid) CRC: only the decoder's own checks
+    can refuse it."""
+    return body + struct.pack(">I", zlib.crc32(body))
+
+
+def _committed_payloads(steps: int = 60, seed: int = 3):
+    """The payloads a peer receives, in order, from a send sequence
+    with interleaved rollbacks."""
+    frs = _pool_results()
+    rng = random.Random(seed)
+    encoder = ArenaPoolEncoder()
+    committed = []
+    for _ in range(steps):
+        payload = encoder.encode(rng.choice(frs))
+        if rng.random() < 0.2:
+            encoder.rollback()
+        else:
+            encoder.commit()
+            committed.append(payload)
+    return committed
+
+
+def test_pooled_payloads_round_trip_over_one_connection_pool():
+    frs = _pool_results()
+    assert frs[-1].is_empty() and not frs[0].is_empty()
+    encoder, decoder = ArenaPoolEncoder(), ArenaPoolDecoder()
+    decoded = []
+    for fr in frs + frs:
+        payload = encoder.encode(fr)
+        encoder.commit()
+        got = decoder.decode(payload)
+        assert got.tree == fr.tree
+        assert sorted(got.rows()) == sorted(fr.rows())
+        if not got.is_empty():
+            got.validate()
+            # every arena of a connection references the one pool
+            assert got.rep.pool is decoder.values
+        decoded.append(got)
+    assert decoder.values == list(encoder.pool)
+    # The second round reused every column section (the empty relation
+    # has none) and decoded no tree or skeleton anew.
+    assert encoder.reuses == len(frs) - 1
+    for first, again in zip(decoded, decoded[len(frs) :]):
+        assert again.tree is first.tree
+        if not again.is_empty():
+            assert again.rep.skel is first.rep.skel
+
+
+def test_a_rolled_back_delta_is_reshipped_by_the_next_payload():
+    first, second = _pool_results()[:2]
+    encoder, decoder = ArenaPoolEncoder(), ArenaPoolDecoder()
+    dropped = encoder.encode(first)
+    encoder.rollback()  # e.g. the frame was oversized: never sent
+    again = encoder.encode(first)
+    assert again == dropped  # same base, same delta, same columns
+    encoder.rollback()
+    # A different result after the rollback carries the lost delta too.
+    payload = encoder.encode(second)
+    encoder.commit()
+    got = decoder.decode(payload)
+    assert sorted(got.rows()) == sorted(second.rows())
+    payload = encoder.encode(first)
+    encoder.commit()
+    assert sorted(decoder.decode(payload).rows()) == sorted(first.rows())
+
+
+def test_cross_connection_or_out_of_order_payloads_are_refused():
+    first, second = _pool_results()[:2]
+    encoder = ArenaPoolEncoder()
+    one = encoder.encode(first)
+    encoder.commit()
+    two = encoder.encode(second)
+    encoder.commit()
+    with pytest.raises(PersistError, match="out-of-order"):
+        ArenaPoolDecoder().decode(two)  # skips the first delta
+    decoder = ArenaPoolDecoder()
+    decoder.decode(one)
+    with pytest.raises(PersistError, match="out-of-order"):
+        decoder.decode(one)  # replayed: the pool already holds it
+    other = ArenaPoolEncoder()
+    foreign = other.encode(second)  # another connection's pool
+    other.commit()
+    with pytest.raises(PersistError, match="out-of-order"):
+        decoder.decode(foreign)
+    # none of the refusals moved the pool: the stream goes on
+    assert sorted(decoder.decode(two).rows()) == sorted(second.rows())
+
+
+def test_a_pooled_payload_failing_its_checksum_is_refused():
+    payload = bytearray(ArenaPoolEncoder().encode(_pool_results()[0]))
+    payload[len(payload) // 2] ^= 0x01
+    with pytest.raises(PersistError, match="checksum"):
+        ArenaPoolDecoder().decode(bytes(payload))
+
+
+def test_a_malformed_string_in_a_pooled_payload_is_a_persist_error():
+    body = ArenaPoolEncoder().encode(_pool_results()[0])[:-4]
+    assert body.count(b"item-0") == 1
+    body = body.replace(b"item-0", b"item-\xff")  # not UTF-8
+    bad = _recrc(body)
+    with pytest.raises(PersistError, match="malformed string"):
+        ArenaPoolDecoder().decode(bad)
+
+
+def test_an_out_of_pool_value_id_is_refused_by_the_bounds_check():
+    # One node holding one entry: the last 8 body bytes are its value id.
+    tree = FTree.from_nested([("a", [])], [{"a"}])
+    single = FactorisedRelation(
+        tree, factorise([Relation.from_rows("R", ("a",), [(5,)])], tree)
+    )
+    body = bytearray(ArenaPoolEncoder().encode(single)[:-4])
+    assert body[-8:] == struct.pack("<q", 0)
+    body[-8:] = struct.pack("<q", 1)  # one past the one-value pool
+    bad = _recrc(bytes(body))
+    decoder = ArenaPoolDecoder()
+    with pytest.raises(PersistError, match="invariants.*outside the pool"):
+        decoder.decode(bad)
+    assert decoder.values == []  # the failed payload's delta is undone
+
+
+def test_memoised_payloads_equal_a_fresh_encoders_byte_for_byte():
+    """The per-connection memo changes no wire byte: not for live
+    results over equal trees, and not when a shared result pool grows
+    between two sends of the same result."""
+    shared = ValuePool()
+    frs = (
+        _pool_results()
+        + _pool_results(extra="other-")  # same trees, other rows
+        + _pool_results(shared)
+    )
+    rng = random.Random(7)
+    memo, fresh = ArenaPoolEncoder(), ArenaPoolEncoder()
+    for step in range(120):
+        if step % 15 == 0:  # grows the pool ``shared`` results hold
+            _pool_results(shared, extra=f"s{step}-")
+        fr = rng.choice(frs)
+        fresh._sent.clear()
+        assert memo.encode(fr) == fresh.encode(fr), step
+        keep = rng.random() >= 0.2
+        for encoder in (memo, fresh):
+            encoder.commit() if keep else encoder.rollback()
+    assert memo.reuses > 60 and fresh.reuses == 0
+
+
+def test_the_payload_memo_dies_with_its_result():
+    encoder = ArenaPoolEncoder()
+    fr = _arena_join_result()
+    encoder.encode(fr)
+    encoder.commit()
+    assert len(encoder._sent) == 1
+    alive = weakref.ref(fr)
+    del fr
+    gc.collect()
+    assert alive() is None  # the memo never kept the result alive
+    assert not encoder._sent
+
+
+_HOSTILE_SENDS = _committed_payloads()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    index=st.integers(0, len(_HOSTILE_SENDS) - 1),
+    mode=st.sampled_from(["truncate", "flip", "truncate+crc", "flip+crc"]),
+    where=st.floats(0, 1, exclude_max=True),
+    bit=st.integers(0, 7),
+)
+def test_hostile_pooled_payloads_decode_or_raise_persist_error(
+    index, mode, where, bit
+):
+    """Truncated or bit-flipped payloads -- with the checksum left
+    stale, or recomputed so only the decoder's own checks stand in the
+    way -- decode or raise ``PersistError``, never anything else; and a
+    refused payload leaves the connection pool able to go on."""
+    decoder = ArenaPoolDecoder()
+    for payload in _HOSTILE_SENDS[:index]:
+        decoder.decode(payload)
+    before = list(decoder.values)
+    genuine = _HOSTILE_SENDS[index]
+    data = genuine[:-4] if mode.endswith("+crc") else genuine
+    at = int(where * len(data))
+    if mode.startswith("truncate"):
+        data = data[:at]
+    else:
+        flipped = bytearray(data)
+        flipped[at] ^= 1 << bit
+        data = bytes(flipped)
+    if mode.endswith("+crc"):
+        data = _recrc(data)
+    try:
+        decoder.decode(data)
+    except PersistError:
+        assert decoder.values == before
+        decoder.decode(genuine)

@@ -107,3 +107,32 @@ def test_class_partition_is_canonical():
     q2 = Query.make(["R"], equalities=[("b", "a")])
     attrs = ["a", "b", "c"]
     assert q1.class_partition(attrs) == q2.class_partition(attrs)
+
+
+def test_canonical_key_memo_never_leaks_into_equality_hash_or_pickle():
+    import dataclasses
+    import pickle
+
+    def build():
+        return Query.make(
+            ["S", "R"],
+            equalities=[("b", "a")],
+            constants=[("c", "<", 3)],
+            projection=["b", "a"],
+        )
+
+    query, fresh = build(), build()
+    key = query.canonical_key()
+    assert query.canonical_key() is key  # derived once, then kept
+    assert "_key" not in fresh.__dict__
+    assert query == fresh and hash(query) == hash(fresh)
+    assert repr(query) == repr(fresh)
+    # Pickling and copying carry the fields only; the key is re-derived.
+    clone = pickle.loads(pickle.dumps(query))
+    assert "_key" not in clone.__dict__
+    assert clone == query and clone.canonical_key() == key
+    # replace() builds a new instance: it never inherits a stale key.
+    assert dataclasses.replace(query).canonical_key() == key
+    stripped = dataclasses.replace(query, projection=None)
+    assert stripped.canonical_key() == key[:3] + (None,)
+    assert stripped != query
