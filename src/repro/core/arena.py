@@ -28,7 +28,7 @@ pre-order):
 One union entry therefore costs ``1 + 2 * #children`` machine-word
 array slots.  Columns are :class:`array.array` (``'q'``, int64) or
 int64 views of a mapped file, so they also serialise as raw bytes (see
-the ``arena`` blob kind in :mod:`repro.persist.codec`).  Whole-column
+the arena layout in :mod:`repro.persist.codec`).  Whole-column
 work -- counting, validation, the selection mask -- goes through the
 numpy primitives of :mod:`repro.core.columns`; counts switch to exact
 Python integers wherever int64 could overflow.

@@ -30,7 +30,6 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as _FutureTimeout
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
 from repro.net import protocol
 from repro.net.protocol import (
@@ -101,13 +100,6 @@ class RemoteSession:
         Seconds to wait for the TCP connect plus the server hello.
     max_frame:
         Reject inbound frames larger than this.
-    wire_pool:
-        Opt into the shared wire value pool (on by default, used only
-        when the server advertises it): factorised results arrive
-        as columns over one per-connection interned pool, shipped
-        incrementally, and all results on this connection share the
-        receiver pool -- so shard parts recombine by id in
-        ``ops.union``.  Set false to force plain self-contained blobs.
     reader_join_timeout:
         Seconds :meth:`close` waits for the reader thread to exit.  A
         reader still alive afterwards marks the session *defunct*
@@ -121,7 +113,6 @@ class RemoteSession:
         timeout: Optional[float] = 60.0,
         connect_timeout: float = 10.0,
         max_frame: int = DEFAULT_MAX_FRAME,
-        wire_pool: bool = True,
         reader_join_timeout: float = 10.0,
     ) -> None:
         self.address = parse_address(address)
@@ -159,12 +150,11 @@ class RemoteSession:
         #: The server's hello header: protocol version, shard layout,
         #: relation names, database version.
         self.server_info: Dict[str, Any] = hello[1]
-        #: The connection's shared wire pool (decoder side); responses
-        #: are decoded on the single reader thread, in arrival order,
-        #: which is exactly the order the server cut the pool deltas.
-        self._wire_pool = bool(
-            wire_pool and self.server_info.get("wire_pool")
-        )
+        #: The connection's shared wire pool (decoder side): factorised
+        #: results arrive as columns over it, shipped incrementally, so
+        #: shard parts recombine by id in ``ops.union``.  Responses are
+        #: decoded on the single reader thread, in arrival order, which
+        #: is exactly the order the server cut the pool deltas.
         self._pool_dec = protocol.ArenaPoolDecoder()
         self._sock.settimeout(None)
         self._reader = threading.Thread(
@@ -440,13 +430,6 @@ class RemoteSession:
     ) -> Tuple[int, Future]:
         rid = next(self._ids)
         future: Future = Future()
-        if self._wire_pool and kind in (
-            "query",
-            "batch",
-            "shard",
-            "execute",
-        ):
-            header = {**header, "pool": True}
         if kind in ("query", "batch", "shard", "execute", "mutate"):
             # Carry the caller's trace context (plus our request id)
             # to the server: its trace -- and its slow-query log
@@ -570,18 +553,9 @@ class RemoteSession:
                 context[1], header, payload, self._pool_dec
             )
         if kind == "result" and shape == "part":
-            if header.get("payload") == "fdbp-pool":
-                fr = protocol.unpack_pooled(payload, self._pool_dec)
-            else:
-                fr = protocol.unpack_blob(payload)
-            if not isinstance(fr, FactorisedRelation):
-                raise NetError(
-                    f"worker returned a {type(fr).__name__}, not a "
-                    f"factorised relation"
-                )
             return (
                 float(header.get("elapsed", 0.0)),
-                fr,
+                protocol.unpack_pooled(payload, self._pool_dec),
                 list(header.get("spans") or ()),
             )
         if kind == "batch-result" and shape == "batch":

@@ -33,23 +33,26 @@ Result framing
 :class:`~repro.service.session.SessionResult` into ``(meta, payload)``
 where ``meta["payload"]`` says how to read the bytes back:
 
-- ``"fdbp"``  -- one self-describing FDBP blob (``factorised``,
-  ``arena`` or ``relation`` kind; the blob's own header dispatches);
-- ``"fdbp-pool"`` -- an arena result against the connection's shared
-  value pool (:class:`~repro.persist.codec.ArenaPoolEncoder`): the
+- ``"fdbp-pool"`` -- every factorised result and shard part: the
+  codec's one arena body against the connection's value pool
+  (:class:`~repro.persist.codec.ArenaPoolEncoder`) plus a CRC32.  The
   pool ships once per connection as incremental deltas, columns
   reference it by id, and every decoded arena on the connection
   shares the receiver pool -- so streamed shard parts recombine in
-  ``ops.union`` without re-interning.  Clients opt in per request
-  with ``"pool": true``; either side falling back to ``"fdbp"`` is
-  always legal;
+  ``ops.union`` without re-interning.  It is the only result mode:
+  there is no per-request choice;
+- ``"fdbp"``  -- one self-describing FDBP blob, for flat ``relation``
+  results (and, on the request side, the f-tree of a ``shard`` or
+  ``execute`` task);
 - ``"rows"``  -- tagged value rows (the SQLite comparator's raw
   tuples, which have no factorised form);
 - ``"none"``  -- no payload (errors, pure-counter responses).
 
 :func:`unpack_result` is the exact inverse and rebuilds a
 ``SessionResult``, so remote callers receive the same object local
-callers do.
+callers do.  Called without a connection's encoder and decoder, the
+pair uses fresh ones: the payload then carries the result's whole
+pool.
 """
 
 from __future__ import annotations
@@ -292,14 +295,9 @@ def unpack_blob(data: bytes) -> object:
 
 
 def unpack_pooled(
-    payload: bytes, pool: Optional[ArenaPoolDecoder]
+    payload: bytes, pool: ArenaPoolDecoder
 ) -> FactorisedRelation:
     """Decode one ``fdbp-pool`` payload against the connection pool."""
-    if pool is None:
-        raise ProtocolError(
-            "received a pooled arena payload on a connection that "
-            "did not request wire pooling"
-        )
     try:
         return pool.decode(payload)
     except PersistError as exc:
@@ -313,8 +311,10 @@ def pack_result(
 ) -> Tuple[Dict[str, Any], bytes]:
     """(meta, payload) for one evaluated query (see module docstring).
 
-    With ``pool``, factorised results go out in the pooled form; the caller owns the encoder's commit/rollback (the
-    watermark may only advance once the frame actually went out).
+    Factorised results are encoded by ``pool``, the connection's
+    encoder, whose commit/rollback the caller owns (the watermark may
+    only advance once the frame actually went out); without one, by a
+    fresh encoder.
     """
     meta: Dict[str, Any] = {
         "engine": result.engine,
@@ -333,11 +333,10 @@ def pack_result(
     if include_spans and result.spans:
         meta["spans"] = result.spans
     if result.factorised is not None:
-        if pool is not None:
-            meta["payload"] = "fdbp-pool"
-            return meta, pool.encode(result.factorised)
-        meta["payload"] = "fdbp"
-        return meta, pack_blob(result.factorised)
+        if pool is None:
+            pool = ArenaPoolEncoder()
+        meta["payload"] = "fdbp-pool"
+        return meta, pool.encode(result.factorised)
     if result.flat is not None:
         meta["payload"] = "fdbp"
         return meta, pack_blob(result.flat)
@@ -353,7 +352,8 @@ def unpack_result(
     payload: bytes,
     pool: Optional[ArenaPoolDecoder] = None,
 ) -> SessionResult:
-    """Rebuild the :class:`SessionResult` a server packed."""
+    """Rebuild the :class:`SessionResult` a server packed; ``pool``
+    is the connection's decoder (a fresh one without it)."""
     try:
         engine = meta["engine"]
         cached = bool(meta["cached"])
@@ -374,21 +374,13 @@ def unpack_result(
             cached=cached,
             deduped=deduped,
             elapsed=elapsed,
-            factorised=unpack_pooled(payload, pool),
+            factorised=unpack_pooled(
+                payload, ArenaPoolDecoder() if pool is None else pool
+            ),
             **obs,
         )
     if payload_kind == "fdbp":
         obj = unpack_blob(payload)
-        if isinstance(obj, FactorisedRelation):
-            return SessionResult(
-                query=query,
-                engine=engine,
-                cached=cached,
-                deduped=deduped,
-                elapsed=elapsed,
-                factorised=obj,
-                **obs,
-            )
         if isinstance(obj, Relation):
             return SessionResult(
                 query=query,
@@ -400,8 +392,7 @@ def unpack_result(
                 **obs,
             )
         raise ProtocolError(
-            f"result blob holds a {type(obj).__name__}, not a "
-            f"relation or factorisation"
+            f"result blob holds a {type(obj).__name__}, not a relation"
         )
     if payload_kind == "rows":
         attributes = tuple(meta.get("attributes") or ())
@@ -420,11 +411,11 @@ def unpack_result(
 
 def pack_results(
     results: List[SessionResult],
-    pool: Optional[ArenaPoolEncoder] = None,
+    pool: ArenaPoolEncoder,
     include_spans: bool = True,
 ) -> Tuple[List[Dict[str, Any]], bytes]:
     """Frame a whole batch: per-result metas (with byte extents) plus
-    the concatenated payloads.  Pooled payloads within one batch chain
+    the concatenated payloads.  The pooled payloads of one batch chain
     their deltas in order; the decoder replays them the same way."""
     metas: List[Dict[str, Any]] = []
     parts: List[bytes] = []
@@ -440,7 +431,7 @@ def unpack_results(
     queries: List[Query],
     metas: List[Dict[str, Any]],
     payload: bytes,
-    pool: Optional[ArenaPoolDecoder] = None,
+    pool: ArenaPoolDecoder,
 ) -> List[SessionResult]:
     if len(queries) != len(metas):
         raise ProtocolError(

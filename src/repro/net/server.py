@@ -309,10 +309,6 @@ class QueryServer:
             # owns only those (the replicated coordinator routes
             # around the rest without a wasted round trip).
             "owned_shards": None if owned is None else list(owned),
-            # Arena results can travel against a per-connection shared
-            # value pool ("pool": true on the request) -- see
-            # repro.persist.codec.ArenaPoolEncoder.
-            "wire_pool": True,
         }
 
     async def _handle(
@@ -322,10 +318,10 @@ class QueryServer:
         self.stats.active_connections += 1
         self._writers.add(writer)
         lock = asyncio.Lock()
-        # One shared wire pool per connection: requests flagged
-        # "pool": true get arena results as incremental deltas against
-        # it (encode+send run under the connection lock, so deltas hit
-        # the wire in the order they were cut).
+        # One shared wire pool per connection: every factorised result
+        # goes out as an incremental delta against it (encode+send run
+        # under the connection lock, so deltas hit the wire in the
+        # order they were cut).
         pool_enc = protocol.ArenaPoolEncoder()
         try:
             await self._send(writer, lock, "hello", self._hello_header())
@@ -501,15 +497,14 @@ class QueryServer:
         engine = str(header.get("engine") or "auto")
         future = self.session.submit(query, engine, trace=trace)
         result = await asyncio.wrap_future(future)
-        pool = pool_enc if header.get("pool") else None
         spans = bool(header.get("trace") or header.get("spans"))
 
         def pack():
-            meta, payload = protocol.pack_result(result, pool, spans)
+            meta, payload = protocol.pack_result(result, pool_enc, spans)
             meta["id"] = header.get("id")
             return "result", meta, payload
 
-        await self._send_packed(writer, lock, pool, pack)
+        await self._send_packed(writer, lock, pool_enc, pack)
 
     async def _process_batch(
         self,
@@ -535,18 +530,17 @@ class QueryServer:
             self.session.submit(q, engine, trace=trace) for q in queries
         ]
         results = [await asyncio.wrap_future(f) for f in futures]
-        pool = pool_enc if header.get("pool") else None
         spans = bool(header.get("trace") or header.get("spans"))
 
         def pack():
-            metas, payload = protocol.pack_results(results, pool, spans)
+            metas, payload = protocol.pack_results(results, pool_enc, spans)
             return (
                 "batch-result",
                 {"id": header.get("id"), "results": metas},
                 payload,
             )
 
-        await self._send_packed(writer, lock, pool, pack)
+        await self._send_packed(writer, lock, pool_enc, pack)
 
     def _statement(self, sql: str) -> Query:
         """``sql`` parsed, from the statement memo when it was seen
@@ -604,31 +598,21 @@ class QueryServer:
             "cached": False,
             "deduped": False,
             "elapsed": elapsed,
+            # Pooled parts are what lets a RemoteExecutor coordinator
+            # union per-shard arenas by id: every part on this
+            # connection references the same client-side pool.
+            "payload": "fdbp-pool",
         }
         if records and (header.get("trace") or header.get("spans")):
             # Worker-host spans travel back in the part meta (only for
             # traced requests); the coordinator merges them prefixed
             # ``remote[i]:``.
             meta["spans"] = records
-        pool = pool_enc if header.get("pool") else None
-        if pool is not None:
-            # Pooled part results are what lets a RemoteExecutor
-            # coordinator union per-shard arenas by id: every part on
-            # this connection references the same client-side pool.
-            def pack():
-                return (
-                    "result",
-                    {**meta, "payload": "fdbp-pool"},
-                    pool.encode(fr),
-                )
-
-            await self._send_packed(writer, lock, pool, pack)
-            return
-        blob = await loop.run_in_executor(
-            self._pool, protocol.pack_blob, fr
-        )
-        await self._send(
-            writer, lock, "result", {**meta, "payload": "fdbp"}, blob
+        await self._send_packed(
+            writer,
+            lock,
+            pool_enc,
+            lambda: ("result", meta, pool_enc.encode(fr)),
         )
 
     def _run_worker_task(

@@ -32,16 +32,23 @@ time rather than round-tripping approximately.
 A factorised representation is *already* the compressed form of its
 relation, so no further compression pass is applied (see
 ``benchmarks/bench_persist.py`` for the size comparison against the
-flat CSV equivalent).  A factorised relation persists as an ``arena``
-blob (:mod:`repro.core.arena`): the interned value pool is tag-encoded
-once, and the per-node integer columns are written as raw
-little-endian int64 byte runs.  Loading is therefore ~O(bytes) --
-``array.frombytes`` plus a bounds check -- and a memory-mapped load
+flat CSV equivalent).  An arena (:mod:`repro.core.arena`) has one byte
+layout, written by :class:`ArenaPoolEncoder` and read by
+:class:`ArenaPoolDecoder`: the values first seen against a value pool,
+tag-encoded, then the per-node integer columns as raw little-endian
+int64 byte runs that reference the pool by id.  The network tier sends
+it against a per-connection pool (payload kind ``fdbp-pool``); a saved
+result -- blob kind ``pooled-arena`` -- is the same body cut by a fresh
+encoder against an empty pool, so its ids are the identity.  Loading is
+therefore ~O(bytes) -- ``array.frombytes``, a vectorised bounds scan
+and one value-order pass over the entries -- and a memory-mapped load
 (``load(path, mmap=True)``) does not even copy: each column is an
-int64 view into the mapping.  (The ``factorised`` kind --
-an object representation walked depth-first -- is retired: no build
-writes it, and reading one raises :class:`PersistError` telling the
-caller to re-evaluate and re-save.)
+int64 view into the mapping.  Kinds earlier builds wrote are listed in
+:data:`RETIRED_KINDS`; reading one raises :class:`PersistError`
+telling the caller to re-evaluate and re-save.
+
+Every length-prefixed field is read through one bounded read, so a
+hostile length is a :class:`PersistError` like any truncation.
 """
 
 from __future__ import annotations
@@ -81,10 +88,17 @@ KINDS = (
     "database",
     "ftree",
     "fplan",
-    "arena",
+    "pooled-arena",
     "plan-entry",
     "shard-manifest",
 )
+
+#: Kinds earlier builds wrote and this one refuses by name: kind ->
+#: what such a blob holds.
+RETIRED_KINDS = {
+    "factorised": "an object-encoded factorised result",
+    "arena": "a factorised result in the pre-pool column layout",
+}
 
 #: File names inside a sharded-database directory.
 MANIFEST_NAME = "manifest.fdbp"
@@ -138,6 +152,17 @@ def _read_varint(src: BinaryIO) -> int:
         shift += 7
         if shift > 70:
             raise PersistError("varint overflow in payload")
+
+
+def _exactly(src: BinaryIO, n: int, what: str) -> bytes:
+    """Exactly ``n`` bytes of ``src``: the one read behind every
+    length-prefixed field.  A length past ``sys.maxsize`` (on which
+    ``read`` itself raises ``OverflowError``) is refused like a short
+    read."""
+    data = src.read(n) if n <= sys.maxsize else b""
+    if len(data) != n:
+        raise PersistError(f"truncated input: short {what}")
+    return data
 
 
 def _zigzag(value: int) -> int:
@@ -202,10 +227,7 @@ def read_value(src: BinaryIO) -> object:
     if tag == _TAG_STR:
         return _read_str(src)
     if tag == _TAG_BIGINT:
-        length = _read_varint(src)
-        data = src.read(length)
-        if len(data) != length:
-            raise PersistError("truncated big integer in payload")
+        data = _exactly(src, _read_varint(src), "big integer")
         try:
             return int(data.decode("ascii"))
         except ValueError as exc:
@@ -220,10 +242,7 @@ def _write_str(out: BinaryIO, text: str) -> None:
 
 
 def _read_str(src: BinaryIO) -> str:
-    length = _read_varint(src)
-    data = src.read(length)
-    if len(data) != length:
-        raise PersistError("truncated string in payload")
+    data = _exactly(src, _read_varint(src), "string")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -233,19 +252,25 @@ def _read_str(src: BinaryIO) -> str:
 # -- blob container ----------------------------------------------------------
 
 
+def _check_kind(kind: str) -> None:
+    """Refuse a kind this build neither reads nor writes, naming a
+    retired one and what to do about it."""
+    if kind in RETIRED_KINDS:
+        raise PersistError(
+            f"blob kind {kind!r} is retired: it holds "
+            f"{RETIRED_KINDS[kind]}, which this build no longer reads; "
+            f"re-evaluate the query and save the result again (it is "
+            f"then written as a 'pooled-arena' blob)"
+        )
+    if kind not in KINDS:
+        raise PersistError(f"unknown blob kind {kind!r}")
+
+
 def write_blob(
     handle: BinaryIO, kind: str, header: Dict[str, Any], payload: bytes
 ) -> None:
     """Write one framed blob: magic, version, kind, header, payload."""
-    if kind == "factorised":  # written by earlier builds only
-        raise PersistError(
-            "blob kind 'factorised' is retired: it holds an "
-            "object-encoded factorised result, which this build no "
-            "longer reads; re-evaluate the query and save the result "
-            "again (it is then written as an 'arena' blob)"
-        )
-    if kind not in KINDS:
-        raise PersistError(f"unknown blob kind {kind!r}")
+    _check_kind(kind)
     kind_bytes = kind.encode("ascii")
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     handle.write(MAGIC)
@@ -257,13 +282,6 @@ def write_blob(
     handle.write(struct.pack(">I", zlib.crc32(payload)))
     handle.write(struct.pack(">Q", len(payload)))
     handle.write(payload)
-
-
-def _exactly(handle: BinaryIO, n: int, what: str) -> bytes:
-    data = handle.read(n)
-    if len(data) != n:
-        raise PersistError(f"truncated file: short {what}")
-    return data
 
 
 def read_header(handle: BinaryIO) -> Tuple[str, Dict[str, Any]]:
@@ -289,15 +307,7 @@ def read_header(handle: BinaryIO) -> Tuple[str, Dict[str, Any]]:
         kind = _exactly(handle, kind_len, "kind").decode("ascii")
     except UnicodeDecodeError as exc:
         raise PersistError("malformed blob kind") from exc
-    if kind == "factorised":  # written by earlier builds only
-        raise PersistError(
-            "blob kind 'factorised' is retired: it holds an "
-            "object-encoded factorised result, which this build no "
-            "longer reads; re-evaluate the query and save the result "
-            "again (it is then written as an 'arena' blob)"
-        )
-    if kind not in KINDS:
-        raise PersistError(f"unknown blob kind {kind!r}")
+    _check_kind(kind)
     (header_len,) = struct.unpack(">I", _exactly(handle, 4, "header length"))
     try:
         header = json.loads(
@@ -525,11 +535,9 @@ def _encode_fplan(plan: FPlan) -> Tuple[Dict[str, Any], bytes]:
 
 def _decode_fplan(payload: bytes) -> FPlan:
     src = io.BytesIO(payload)
-    tree_len = _read_varint(src)
-    tree_bytes = src.read(tree_len)
-    if len(tree_bytes) != tree_len:
-        raise PersistError("truncated f-plan input tree")
-    tree = _decode_ftree(tree_bytes)
+    tree = _decode_ftree(
+        _exactly(src, _read_varint(src), "f-plan input tree")
+    )
     steps = []
     for _ in range(_read_varint(src)):
         kind = _read_str(src)
@@ -545,11 +553,35 @@ def _decode_fplan(payload: bytes) -> FPlan:
         raise PersistError(f"invalid persisted f-plan: {exc}") from exc
 
 
-# -- factorised relations (arena blobs) ---------------------------------------
+# -- factorised relations: the one arena layout ------------------------------
+#
+# One *body* encodes an ArenaRep against a value pool the reader holds
+# the first ``base`` values of::
+#
+#     body    := varint tree length | f-tree | u8 flag (0 = empty)
+#                [ varint base | varint n | n tagged values | columns ]
+#     columns := varint node count, then per node (pre-order) its value
+#                column and a (child_lo, child_hi) pair per child
+#     column  := varint entry count | entries as little-endian int64
+#
+# Both ends keep the pool: the encoder interns the result's values into
+# it, the body carries only the values appended since ``base`` (the
+# *delta*), and the value columns reference the pool by id.
+#
+# - On the wire (payload kind ``fdbp-pool``) the pool is the
+#   connection's, so a stream of results (shard parts, batch answers,
+#   repeated queries) ships each value once, and every decoded arena
+#   shares the receiver's pool -- ``ops.union`` over shard parts merges
+#   columns by id without re-interning.  A payload is the body plus a
+#   CRC32 of it, and only the peer that has seen every earlier delta,
+#   in order, can decode it.
+# - On disk (blob kind ``pooled-arena``) the body is cut by a fresh
+#   encoder against an empty pool: base 0, the whole pool as the delta,
+#   ids the identity.  The blob frame carries the CRC.
 #
 # Columns are array('q') (exactly 8-byte signed on every CPython
-# platform) or int64 ndarrays; the file format fixes little-endian so
-# blobs are portable across hosts.
+# platform) or int64 ndarrays; fixing little-endian keeps the bytes
+# portable across hosts.
 
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -562,16 +594,18 @@ def _write_i64_column(out: BinaryIO, column) -> None:
     out.write(column.tobytes())
 
 
-def _read_i64_column(src: BinaryIO) -> array:
-    count = _read_varint(src)
-    data = src.read(8 * count)
-    if len(data) != 8 * count:
-        raise PersistError("truncated arena column")
+def _i64(data) -> array:
+    """Little-endian int64 bytes as an owned ``array('q')``."""
     column = array("q")
     column.frombytes(data)
     if _BIG_ENDIAN:  # pragma: no cover
         column.byteswap()
     return column
+
+
+def _read_i64_column(src: BinaryIO) -> array:
+    """A column copied into an owned ``array('q')``."""
+    return _i64(_exactly(src, 8 * _read_varint(src), "arena column"))
 
 
 class _BufferReader:
@@ -588,16 +622,14 @@ class _BufferReader:
         self._view = view
         self._pos = 0
 
-    def read(self, n: int = -1) -> bytes:
-        if n < 0:
-            n = len(self._view) - self._pos
+    def read(self, n: int) -> bytes:
         data = bytes(self._view[self._pos : self._pos + n])
         self._pos += len(data)
         return data
 
     def view(self, n: int) -> memoryview:
         if self._pos + n > len(self._view):
-            raise PersistError("truncated arena column")
+            raise PersistError("truncated input: short arena column")
         out = self._view[self._pos : self._pos + n]
         self._pos += n
         return out
@@ -608,132 +640,13 @@ def _read_i64_column_mapped(src: _BufferReader):
     *view* into the mapping -- bytes are only paged in when a kernel
     touches them.  (A big-endian host copies and byteswaps instead.)
     """
-    count = _read_varint(src)
-    raw = src.view(8 * count)
-    if not _BIG_ENDIAN:
-        return _as_np(raw)
-    column = array("q")
-    column.frombytes(raw)
-    if _BIG_ENDIAN:  # pragma: no cover
-        column.byteswap()
-    return column
-
-
-def _encode_arena(fr: FactorisedRelation) -> Tuple[Dict[str, Any], bytes]:
-    out = io.BytesIO()
-    tree_bytes = _encode_ftree(fr.tree)
-    _write_varint(out, len(tree_bytes))
-    out.write(tree_bytes)
-    rep = fr.rep
-    if rep is None:
-        out.write(bytes((0,)))
-        payload = out.getvalue()
-        return (
-            {
-                "attributes": list(fr.attributes),
-                "empty": True,
-                "singletons": 0,
-            },
-            payload,
-        )
-    out.write(bytes((1,)))
-    _write_varint(out, len(rep.pool))
-    for value in rep.pool:
-        write_value(out, value)
-    skel = rep.skel
-    _write_varint(out, len(skel))
-    for i in range(len(skel)):
-        _write_i64_column(out, rep.values[i])
-        for j in range(len(skel.children[i])):
-            _write_i64_column(out, rep.child_lo[i][j])
-            _write_i64_column(out, rep.child_hi[i][j])
-    header = {
-        "attributes": list(fr.attributes),
-        "empty": False,
-        "singletons": rep.singleton_count(),
-    }
-    return header, out.getvalue()
-
-
-def _decode_arena(payload: bytes) -> FactorisedRelation:
-    return _decode_arena_from(io.BytesIO(payload), _read_i64_column)
-
-
-def _decode_arena_mapped(view: memoryview) -> FactorisedRelation:
-    return _decode_arena_from(_BufferReader(view), _read_i64_column_mapped)
-
-
-def _decode_arena_from(src, read_column) -> FactorisedRelation:
-    tree_len = _read_varint(src)
-    tree_bytes = src.read(tree_len)
-    if len(tree_bytes) != tree_len:
-        raise PersistError("truncated arena-relation tree")
-    tree = _decode_ftree(tree_bytes)
-    flag = src.read(1)
-    if not flag:
-        raise PersistError("truncated arena payload")
-    if flag[0] == 0:
-        if src.read(1):
-            raise PersistError("arena payload has trailing bytes")
-        return FactorisedRelation(tree, None)
-    pool = [read_value(src) for _ in range(_read_varint(src))]
-    skel = arena_mod._skeleton_of(tree)
-    node_count = _read_varint(src)
-    if node_count != len(skel):
-        raise PersistError(
-            f"arena payload has {node_count} node columns for a "
-            f"{len(skel)}-node f-tree"
-        )
-    values: List[array] = []
-    child_lo: List[List[array]] = []
-    child_hi: List[List[array]] = []
-    for i in range(node_count):
-        values.append(read_column(src))
-        los: List[array] = []
-        his: List[array] = []
-        for _ in skel.children[i]:
-            los.append(read_column(src))
-            his.append(read_column(src))
-        child_lo.append(los)
-        child_hi.append(his)
-    if src.read(1):
-        raise PersistError("arena payload has trailing bytes")
-    rep = ArenaRep(skel, values, child_lo, child_hi, pool)
-    # Flat, vectorised integer bounds scans only: loading
-    # stays ~O(bytes).  Value-order validation is available explicitly
-    # via FactorisedRelation.validate().
-    try:
-        arena_mod.validate_arena_bounds(tree, rep)
-    except ValueError as exc:
-        raise PersistError(
-            f"persisted arena violates its invariants: {exc}"
-        ) from exc
-    return FactorisedRelation(tree, rep)
-
-
-# -- pooled arena payloads (the wire's shared value pool) --------------------
-#
-# A connection that streams many factorised results (per-shard
-# parts, batch answers, repeated queries) re-ships the same interned
-# values over and over in every ``arena`` blob.  The *pooled* payload
-# form below amortises that: both ends keep one value pool per
-# connection, each payload carries only the values first seen on this
-# connection (a contiguous *delta* of pool ids), and the integer
-# columns reference the connection pool by id.  Decoded arenas all
-# share the receiver's pool object, so client-side recombination
-# (``ops.union`` over shard parts) merges columns by id without
-# re-interning -- the wire analogue of the worker-process shared pool.
-#
-# The payload is self-checking (trailing CRC32) but *stateful*: it can
-# only be decoded by the peer pool that has seen every earlier delta
-# on the same connection, in order.  It is therefore a wire-only form,
-# never written to disk, and both sides fall back to plain ``arena``
-# blobs when either end does not opt in.
+    raw = src.view(8 * _read_varint(src))
+    return _i64(raw) if _BIG_ENDIAN else _as_np(raw)
 
 
 class _Sent:
-    """What a connection keeps of one result it has encoded: the
-    payload's fixed parts, ready to be written again."""
+    """What an encoder keeps of one result it has encoded: the body's
+    fixed parts, ready to be written again."""
 
     __slots__ = ("ref", "head", "seen", "columns")
 
@@ -743,7 +656,7 @@ class _Sent:
         #: Tree section plus the empty/non-empty flag byte.
         self.head = head
         #: How many of the result's own pool values are interned into
-        #: the connection pool (a shared pool may grow afterwards).
+        #: the encoder's pool (a shared pool may grow afterwards).
         self.seen = seen
         #: Node count, remapped value columns and child ranges; ``None``
         #: for the empty relation.
@@ -759,18 +672,19 @@ def _forget(encoder_ref, key: int, ref) -> None:
 
 
 class ArenaPoolEncoder:
-    """Sender side of one connection's shared wire pool.
+    """The one arena writer: the sender side of a value pool.
 
-    ``encode`` re-interns the result's private pool into the
-    connection pool, remaps the value columns, and emits only the
-    newly-appended pool values.  The watermark of shipped values moves
-    in two phases -- ``encode`` marks it pending, ``commit`` publishes
-    it once the frame carrying the payload actually reached the socket
-    -- so a payload dropped before sending (oversized frame, encode
-    error) is simply re-shipped by the next delta instead of leaving
-    the peer with a hole in its pool.  Callers must serialise
-    encode+send per connection (the server holds its per-connection
-    write lock across both).
+    ``body`` re-interns the result's private pool into this pool,
+    remaps the value columns, and emits only the newly-appended pool
+    values; ``encode`` adds the wire payload's CRC.  A server keeps one
+    encoder per connection; ``save`` uses a fresh one per result.  The
+    watermark of shipped values moves in two phases -- ``encode`` marks
+    it pending, ``commit`` publishes it once the frame carrying the
+    payload actually reached the socket -- so a payload dropped before
+    sending (oversized frame, encode error) is simply re-shipped by the
+    next delta instead of leaving the peer with a hole in its pool.
+    Callers must serialise encode+send per connection (the server holds
+    its per-connection write lock across both).
 
     A result sent again on the same connection costs only its pool
     delta and the CRC.  The first ``encode`` of a result keeps its tree
@@ -812,6 +726,12 @@ class ArenaPoolEncoder:
         self._pending = None
 
     def encode(self, fr: FactorisedRelation) -> bytes:
+        """``fr``'s wire payload: its body plus a CRC32 of the body."""
+        body = self.body(fr)
+        return body + struct.pack(">I", zlib.crc32(body))
+
+    def body(self, fr: FactorisedRelation) -> bytes:
+        """``fr``'s body against this pool (the layout above)."""
         sent = self._sent.get(id(fr))
         if sent is None or sent.ref() is not fr:
             sent = self._remember(fr)
@@ -824,22 +744,18 @@ class ArenaPoolEncoder:
                     self.pool.intern(value)
                 sent.seen += len(fresh)
         if sent.columns is None:
-            body = sent.head
-        else:
-            base = (
-                self.shipped if self._pending is None else self._pending
-            )
-            delta = self.pool.values_since(base)
-            out = io.BytesIO()
-            out.write(sent.head)
-            _write_varint(out, base)
-            _write_varint(out, len(delta))
-            for value in delta:
-                write_value(out, value)
-            out.write(sent.columns)
-            self._pending = base + len(delta)
-            body = out.getvalue()
-        return body + struct.pack(">I", zlib.crc32(body))
+            return sent.head
+        base = self.shipped if self._pending is None else self._pending
+        delta = self.pool.values_since(base)
+        out = io.BytesIO()
+        out.write(sent.head)
+        _write_varint(out, base)
+        _write_varint(out, len(delta))
+        for value in delta:
+            write_value(out, value)
+        out.write(sent.columns)
+        self._pending = base + len(delta)
+        return out.getvalue()
 
     def _remember(self, fr: FactorisedRelation) -> _Sent:
         """Encode ``fr``'s fixed sections once and keep them."""
@@ -882,13 +798,13 @@ TREE_MEMO_SIZE = 256
 
 
 class ArenaPoolDecoder:
-    """Receiver side of one connection's shared wire pool.
+    """The one arena reader: the receiver side of a value pool.
 
-    Payloads must be decoded in the order they were encoded: each one
-    states the pool size it expects (``base``) and appends its delta.
-    Every decoded arena references the *same* growing value list, so
-    results from one connection recombine by id.  A payload that fails
-    to decode leaves the pool as it was.
+    Bodies must be read in the order they were cut: each one states
+    the pool size it expects (``base``) and appends its delta.  Every
+    decoded arena references the *same* growing value list, so results
+    from one connection recombine by id.  A body that fails to decode
+    leaves the pool as it was.
 
     Tree sections are decoded once per connection: equal bytes map to
     one shared (immutable) :class:`FTree`, whose skeleton is therefore
@@ -911,24 +827,28 @@ class ArenaPoolDecoder:
         return tree
 
     def decode(self, payload: bytes) -> FactorisedRelation:
+        """One wire payload: its CRC checked, then its body read."""
         if len(payload) < 4:
             raise PersistError("truncated pooled arena payload")
         body = payload[:-4]
         (crc,) = struct.unpack(">I", payload[-4:])
         if zlib.crc32(body) != crc:
             raise PersistError("pooled arena payload failed its checksum")
-        src = io.BytesIO(body)
-        tree_len = _read_varint(src)
-        tree_bytes = src.read(tree_len)
-        if len(tree_bytes) != tree_len:
-            raise PersistError("truncated pooled arena tree")
-        tree = self._tree(tree_bytes)
+        return self.read(io.BytesIO(body))
+
+    def read(
+        self, src: BinaryIO, read_column=_read_i64_column
+    ) -> FactorisedRelation:
+        """One body, to the end of ``src``.  ``read_column`` reads each
+        column: :func:`_read_i64_column` copies it out of a stream,
+        :func:`_read_i64_column_mapped` views it in a mapping."""
+        tree = self._tree(_exactly(src, _read_varint(src), "arena tree"))
         flag = src.read(1)
         if not flag:
-            raise PersistError("truncated pooled arena payload")
+            raise PersistError("truncated input: short arena flag")
         if flag[0] == 0:
             if src.read(1):
-                raise PersistError("pooled arena payload has trailing bytes")
+                raise PersistError("arena payload has trailing bytes")
             return FactorisedRelation(tree, None)
         base = _read_varint(src)
         if base != len(self.values):
@@ -941,44 +861,72 @@ class ArenaPoolDecoder:
             self.values.extend(
                 read_value(src) for _ in range(_read_varint(src))
             )
-            rep = self._columns(src, tree)
+            rep = self._columns(src, tree, read_column)
         except BaseException:
             del self.values[base:]
             raise
         return FactorisedRelation(tree, rep)
 
-    def _columns(self, src: BinaryIO, tree: FTree) -> ArenaRep:
-        """The column section, validated against the connection pool."""
+    def _columns(self, src, tree: FTree, read_column) -> ArenaRep:
+        """The column section, validated against the pool."""
         skel = arena_mod._skeleton_of(tree)
         node_count = _read_varint(src)
         if node_count != len(skel):
             raise PersistError(
-                f"pooled arena payload has {node_count} node columns "
+                f"arena payload has {node_count} node columns "
                 f"for a {len(skel)}-node f-tree"
             )
         values: List[array] = []
         child_lo: List[List[array]] = []
         child_hi: List[List[array]] = []
         for i in range(node_count):
-            values.append(_read_i64_column(src))
+            values.append(read_column(src))
             los: List[array] = []
             his: List[array] = []
             for _ in skel.children[i]:
-                los.append(_read_i64_column(src))
-                his.append(_read_i64_column(src))
+                los.append(read_column(src))
+                his.append(read_column(src))
             child_lo.append(los)
             child_hi.append(his)
         if src.read(1):
-            raise PersistError("pooled arena payload has trailing bytes")
+            raise PersistError("arena payload has trailing bytes")
         rep = ArenaRep(skel, values, child_lo, child_hi, self.values)
         try:
-            # Also the check that every value id is inside the pool.
+            # Flat, vectorised integer scans, so decoding stays
+            # ~O(bytes); also the check that every value id is inside
+            # the pool.
             arena_mod.validate_arena_bounds(tree, rep)
         except ValueError as exc:
             raise PersistError(
-                f"pooled arena violates its invariants: {exc}"
+                f"arena payload violates its invariants: {exc}"
             ) from exc
         return rep
+
+
+def _read_saved(src, read_column=_read_i64_column) -> FactorisedRelation:
+    """A saved result: one body against an empty pool, checked whole.
+
+    A file may have been rewritten under a fresh checksum (and the
+    mmap path skips the checksum), so beyond the reader's bounds scan
+    it must pass ``FactorisedRelation.validate()`` -- the path
+    constraint and the value order, whose ``<`` raises ``TypeError``
+    on values that do not compare.
+    """
+    fr = ArenaPoolDecoder().read(src, read_column)
+    try:
+        return fr.validate()
+    except (ValueError, TypeError) as exc:
+        raise PersistError(
+            f"saved arena violates its invariants: {exc}"
+        ) from exc
+
+
+def _arena_header(fr: FactorisedRelation) -> Dict[str, Any]:
+    return {
+        "attributes": list(fr.attributes),
+        "empty": fr.rep is None,
+        "singletons": 0 if fr.rep is None else fr.rep.singleton_count(),
+    }
 
 
 # -- sharded databases (per-shard files + manifest) --------------------------
@@ -1169,8 +1117,8 @@ def encode(obj: object) -> Tuple[str, Dict[str, Any], bytes]:
         header, payload = _encode_fplan(obj)
         return "fplan", header, payload
     if isinstance(obj, FactorisedRelation):
-        header, payload = _encode_arena(obj)
-        return "arena", header, payload
+        body = ArenaPoolEncoder().body(obj)
+        return "pooled-arena", _arena_header(obj), body
     raise PersistError(
         f"cannot persist objects of type {type(obj).__name__}"
     )
@@ -1187,8 +1135,8 @@ def decode(kind: str, header: Dict[str, Any], payload: bytes) -> object:
             return _decode_ftree(payload)
         if kind == "fplan":
             return _decode_fplan(payload)
-        if kind == "arena":
-            return _decode_arena(payload)
+        if kind == "pooled-arena":
+            return _read_saved(io.BytesIO(payload))
     except PersistError:
         raise
     except (ValueError, KeyError, TypeError) as exc:
@@ -1227,16 +1175,16 @@ def load(path: str, mmap: bool = False) -> object:
     sharded databases); raises :class:`PersistError` for anything
     unreadable, truncated, corrupt or version-incompatible.
 
-    ``mmap=True`` memory-maps ``arena`` blobs instead of reading them:
-    the integer columns become zero-copy ``int64`` views into the
-    mapping, so opening a large persisted result costs ~O(page
-    faults) of the bytes actually touched rather than a full read.
-    Trade-off: the payload CRC is **not** verified up front (that
-    would page the whole file in); the structural bounds check still
-    runs, and framing/truncation errors are detected as usual.  Kinds
-    other than ``arena`` -- including sharded-database directories,
-    whose row payloads must be decoded value by value regardless --
-    fall back to the ordinary checksummed read.
+    ``mmap=True`` memory-maps ``pooled-arena`` blobs instead of
+    reading them: the integer columns become zero-copy ``int64`` views
+    into the mapping, so opening a large persisted result costs
+    ~O(page faults) of the bytes actually touched rather than a full
+    read.  Trade-off: the payload CRC is **not** verified up front
+    (that would page the whole file in); the structural bounds check
+    still runs, and framing/truncation errors are detected as usual.
+    Other kinds -- including sharded-database directories, whose row
+    payloads must be decoded value by value regardless -- fall back to
+    the ordinary checksummed read.
     """
     if os.path.isdir(path):
         return _load_sharded(path)
@@ -1258,7 +1206,7 @@ def _load_mapped(path: str) -> object:
         raise PersistError(f"cannot read {path!r}: {exc}") from exc
     with handle:
         kind, header = read_header(handle)
-        if kind != "arena":
+        if kind != "pooled-arena":
             handle.seek(0)
             kind, header, payload = read_blob(handle)
             return decode(kind, header, payload)
@@ -1272,7 +1220,7 @@ def _load_mapped(path: str) -> object:
         except (OSError, ValueError) as exc:
             raise PersistError(f"cannot mmap {path!r}: {exc}") from exc
     if offset + length > len(mapping):
-        raise PersistError("truncated file: short payload")
+        raise PersistError("truncated input: short payload")
     if offset + length < len(mapping):
         raise PersistError("arena file has trailing bytes")
     view = memoryview(mapping)[offset:]
@@ -1280,11 +1228,11 @@ def _load_mapped(path: str) -> object:
     # (each numpy view references the memoryview, which references the
     # mmap object); nothing to close explicitly.
     try:
-        return _decode_arena_mapped(view)
+        return _read_saved(_BufferReader(view), _read_i64_column_mapped)
     except PersistError:
         raise
     except (ValueError, KeyError, TypeError) as exc:
-        raise PersistError(f"malformed arena blob: {exc}") from exc
+        raise PersistError(f"malformed {kind} blob: {exc}") from exc
 
 
 def inspect(path: str) -> Dict[str, Any]:

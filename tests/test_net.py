@@ -623,3 +623,83 @@ def test_a_pooled_connection_never_reuses_a_stale_payload():
                     assert rows == local_rows(sql)
                     assert any(99 in row for row in rows)
     local.close()
+
+
+# -- one wire mode -----------------------------------------------------------
+
+
+def test_results_have_no_wire_mode_switch(served):
+    """Results have one wire mode: neither the client constructor nor
+    the server hello carries a pooling switch any more."""
+    import inspect
+
+    assert set(inspect.signature(RemoteSession).parameters) == {
+        "address",
+        "timeout",
+        "connect_timeout",
+        "max_frame",
+        "reader_join_timeout",
+    }
+    with RemoteSession(served.address) as client:
+        assert set(client.server_info) == {
+            "protocol",
+            "server",
+            "encoding",
+            "max_frame",
+            "sharded",
+            "shard_count",
+            "strategy",
+            "relations",
+            "db_version",
+            "owned_shards",
+        }
+
+
+def _assignments(fr):
+    return sorted(
+        tuple(sorted(zip(fr.attributes, row))) for row in fr.rows()
+    )
+
+
+def test_frames_without_a_pool_header_get_pooled_payloads():
+    """What an older client sends -- a ``query`` or ``shard`` frame with
+    no ``pool`` header -- is answered ``fdbp-pool`` all the same."""
+    from repro.engine import FDB
+
+    db = ShardedDatabase.from_database(_database(), shards=2)
+    sql = "SELECT * FROM R0, R1 WHERE a00 = a02"
+    query = parse_query(sql)
+    expected = _assignments(FDB(db).evaluate(query))
+    tree = FDB(db).optimal_tree(query)
+    fanout = db.fanout_relation(query.relations)
+    frames = [protocol.encode_frame("query", {"id": 0, "sql": sql})]
+    for shard in range(2):
+        frames.append(
+            protocol.encode_frame(
+                "shard",
+                {
+                    "id": 1 + shard,
+                    "sql": sql,
+                    "shard": shard,
+                    "fanout": fanout,
+                },
+                protocol.pack_blob(tree),
+            )
+        )
+    decoder = protocol.ArenaPoolDecoder()
+    got = {}
+    with ServerThread(QuerySession(db)) as server:
+        sock = _raw_connect(server.address)
+        try:
+            sock.sendall(b"".join(frames))
+            for _ in frames:
+                kind, header, payload = protocol.recv_frame(sock)
+                assert kind == "result", header
+                assert header["payload"] == "fdbp-pool"
+                got[header["id"]] = protocol.unpack_pooled(payload, decoder)
+        finally:
+            sock.close()
+    assert _assignments(got[0]) == expected
+    assert sorted(_assignments(got[1]) + _assignments(got[2])) == expected
+    for fr in got.values():
+        assert fr.rep is None or fr.rep.pool is decoder.values

@@ -21,12 +21,13 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.arena import ValuePool
+from repro.core.arena import ArenaWriter, ValuePool
 from repro.core.build import factorise
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
 from repro.engine import FDB
 from repro.exec import ParallelExecutor
+from repro.net.protocol import ProtocolError, unpack_rows
 from repro.persist import (
     FORMAT_VERSION,
     MAGIC,
@@ -38,6 +39,7 @@ from repro.persist import (
     save,
     schema_fingerprint,
 )
+from repro.persist import codec
 from repro.persist.codec import (
     ArenaPoolDecoder,
     ArenaPoolEncoder,
@@ -741,7 +743,7 @@ def test_arena_relation_round_trip(tmp_path):
     fr = _arena_join_result()
     path = str(tmp_path / "result.fdbp")
     save(fr, path)
-    assert inspect(path)["kind"] == "arena"
+    assert inspect(path)["kind"] == "pooled-arena"
     loaded = load(path)
     assert loaded.tree == fr.tree
     assert list(loaded.rows()) == list(fr.rows())
@@ -749,39 +751,53 @@ def test_arena_relation_round_trip(tmp_path):
     loaded.validate()
 
 
-#: An object-encoded result of R = {(1,1),(1,2),(2,2)} over a -> b,
-#: written by ``persist.save`` at the parent commit of the one-encoding
-#: PR -- the last build that could write blob kind ``factorised``.
-LEGACY_OBJECT_BLOB = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)),
-    "data",
-    "legacy_object_result.fdbp",
-)
-
-
-def test_retired_object_blob_is_refused_loudly_by_name():
-    """Nothing writes kind ``factorised`` any more; reading one must
-    say which kind it is and what to do about it -- a ``PersistError``,
-    never a ``KeyError``/``AttributeError`` from a missing decoder."""
-    from repro.persist import codec
-
-    assert os.path.getsize(LEGACY_OBJECT_BLOB) <= 1024
-    with open(LEGACY_OBJECT_BLOB, "rb") as handle:
-        blob = handle.read()
-    assert blob[:4] == codec.MAGIC and b"factorised" in blob[:20]
-    readers = (
-        lambda: load(LEGACY_OBJECT_BLOB),
-        lambda: load(LEGACY_OBJECT_BLOB, mmap=True),
-        lambda: inspect(LEGACY_OBJECT_BLOB),
-        lambda: read_blob(io.BytesIO(blob)),
+def _legacy(name: str) -> str:
+    return os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), "data", name
     )
-    for read in readers:
-        with pytest.raises(PersistError) as caught:
-            read()
-        message = str(caught.value)
-        assert "'factorised'" in message and "retired" in message
-        assert "re-evaluate" in message and "save" in message
-    assert "factorised" not in codec.KINDS
+
+
+#: Results of R = {(1,1),(1,2),(2,2)} over a -> b, each written by
+#: ``persist.save`` at the last build that could write its kind: kind
+#: ``factorised`` (an object representation) before the one-encoding
+#: change, kind ``arena`` (the pre-pool column layout) before the arena
+#: layout became the pooled one.
+LEGACY_BLOBS = {
+    "factorised": _legacy("legacy_object_result.fdbp"),
+    "arena": _legacy("legacy_arena_result.fdbp"),
+}
+
+
+def _read_blob_at(path: str):
+    with open(path, "rb") as handle:
+        return read_blob(handle)
+
+
+_LEGACY_READERS = {
+    "load": load,
+    "load-mmap": lambda path: load(path, mmap=True),
+    "inspect": inspect,
+    "read_blob": _read_blob_at,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_LEGACY_READERS))
+@pytest.mark.parametrize("kind", sorted(LEGACY_BLOBS))
+def test_retired_object_blob_is_refused_loudly_by_name(kind, reader):
+    """Nothing writes a retired kind any more; reading one must say
+    which kind it is and what to do about it -- a ``PersistError``,
+    never a ``KeyError``/``AttributeError`` from a missing decoder."""
+    path = LEGACY_BLOBS[kind]
+    assert os.path.getsize(path) <= 1024
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    assert blob[:4] == codec.MAGIC and kind.encode() in blob[:20]
+    with pytest.raises(PersistError) as caught:
+        _LEGACY_READERS[reader](path)
+    message = str(caught.value)
+    assert f"'{kind}'" in message and "retired" in message
+    assert "re-evaluate" in message and "save" in message
+    assert kind in codec.RETIRED_KINDS and kind not in codec.KINDS
 
 
 def test_empty_arena_relation_round_trip(tmp_path):
@@ -817,13 +833,13 @@ def test_tampered_arena_columns_fail_bounds_check(tmp_path):
 
     fr = _arena_join_result()
     kind, header, payload = codec.encode(fr)
-    assert kind == "arena"
+    assert kind == "pooled-arena"
     # Corrupt the last column byte (a child_hi offset) and re-frame
     # with a fresh CRC so only the bounds check can catch it.
     bad = bytearray(payload)
     bad[-1] = 0x7F
     out = io.BytesIO()
-    codec.write_blob(out, "arena", header, bytes(bad))
+    codec.write_blob(out, "pooled-arena", header, bytes(bad))
     out.seek(0)
     read_kind, read_header, read_payload = read_blob(out)
     assert zlib.crc32(read_payload) == zlib.crc32(bytes(bad))
@@ -922,9 +938,28 @@ def test_mmap_tampered_columns_still_fail_bounds_check(tmp_path):
     bad[-1] = 0x7F
     path = str(tmp_path / "bad.fdbp")
     with open(path, "wb") as handle:
-        write_blob(handle, "arena", header, bytes(bad))
+        write_blob(handle, "pooled-arena", header, bytes(bad))
     with pytest.raises(PersistError, match="invariants"):
         load(path, mmap=True)
+
+
+def test_mmap_loaded_columns_are_views_of_the_mapping_with_identity_ids(
+    tmp_path,
+):
+    """A saved result is cut against an empty pool, so its ids are the
+    identity: the mmap load hands out the very columns that were saved,
+    as views into the mapping -- no remapped copies."""
+    import mmap
+
+    fr = _arena_join_result()
+    path = str(tmp_path / "result.fdbp")
+    save(fr, path)
+    mapped = load(path, mmap=True)
+    assert mapped.rep.pool == list(fr.rep.pool)
+    for saved, column in zip(fr.rep.values, mapped.rep.values):
+        assert list(column) == list(saved)
+        assert isinstance(column.base, memoryview)
+        assert isinstance(column.base.obj, mmap.mmap)
 
 
 # -- pooled arena payloads (the wire's fdbp-pool form) ----------------------
@@ -1152,3 +1187,190 @@ def test_hostile_pooled_payloads_decode_or_raise_persist_error(
     except PersistError:
         assert decoder.values == before
         decoder.decode(genuine)
+
+
+# -- hostile saved results and length fields ---------------------------------
+
+
+def _saved_seed_blobs():
+    join = _arena_join_result()
+    seeds = [join, FactorisedRelation(join.tree, None)] + _pool_results()
+    return [codec.encode(fr) for fr in seeds]
+
+
+_SAVED_SEEDS = _saved_seed_blobs()
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "saved.fdbp")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    index=st.integers(0, len(_SAVED_SEEDS) - 1),
+    truncate=st.booleans(),
+    where=st.floats(0, 1, exclude_max=True),
+    bit=st.integers(0, 7),
+)
+def test_hostile_saved_arenas_load_valid_or_raise_persist_error(
+    fuzz_path, index, truncate, where, bit
+):
+    """Truncated or bit-flipped saved results, re-framed with a valid
+    checksum so only the reader's own checks stand in the way, either
+    load -- through ``load`` and the CRC-skipping ``load(mmap=True)``
+    alike -- as a relation that passes ``validate()``, or raise
+    ``PersistError``."""
+    kind, header, payload = _SAVED_SEEDS[index]
+    at = int(where * len(payload))
+    if truncate:
+        data = payload[:at]
+    else:
+        flipped = bytearray(payload)
+        flipped[at] ^= 1 << bit
+        data = bytes(flipped)
+    with open(fuzz_path, "wb") as handle:
+        write_blob(handle, kind, header, data)
+    for mapped in (False, True):
+        try:
+            loaded = load(fuzz_path, mmap=mapped)
+        except PersistError:
+            continue
+        loaded.validate()
+
+
+def _one_union(values):
+    """a -> b with one a-entry whose b-union holds ``values`` as given."""
+    tree = FTree.from_nested([("a", [("b", [])])], [{"a", "b"}])
+    writer = ArenaWriter(tree)
+    writer.extend_leaf(1, values)
+    writer.child_lo[0][0].append(0)
+    writer.child_hi[0][0].append(len(values))
+    writer.values[0].append(writer.intern(1))
+    return FactorisedRelation(tree, writer.finish())
+
+
+def _unsorted_union():
+    return _one_union([3, 2])
+
+
+def _a_union_of_values_that_do_not_compare():
+    return _one_union([5, "x"])
+
+
+def _two_values_under_a_constant_node():
+    from repro.core.ftree import FNode
+    from repro.query.hypergraph import Hypergraph
+
+    tree = FTree([FNode({"c"}, [], constant=True)], Hypergraph([{"c"}]))
+    writer = ArenaWriter(tree)
+    writer.extend_leaf(0, [5, 6])
+    return FactorisedRelation(tree, writer.finish())
+
+
+def _a_relation_split_across_branches():
+    tree = FTree.from_nested([("a", []), ("b", [])], [{"a", "b"}])
+    writer = ArenaWriter(tree)
+    writer.extend_leaf(0, [1])
+    writer.extend_leaf(1, [2])
+    return FactorisedRelation(tree, writer.finish())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _unsorted_union,
+        _a_union_of_values_that_do_not_compare,
+        _two_values_under_a_constant_node,
+        _a_relation_split_across_branches,
+    ],
+    ids=lambda build: build.__name__.strip("_"),
+)
+def test_a_saved_result_that_fails_validate_does_not_load(tmp_path, build):
+    """Bounds-clean bytes that break the value order, the constant-node
+    rule or the path constraint are refused on load, so what loads --
+    even memory-mapped, without the checksum -- passes ``validate()``."""
+    fr = build()
+    with pytest.raises((ValueError, TypeError)):
+        fr.validate()
+    path = str(tmp_path / "invalid.fdbp")
+    save(fr, path)
+    for mapped in (False, True):
+        with pytest.raises(PersistError, match="invariants"):
+            load(path, mmap=mapped)
+
+
+def _varint(value: int) -> bytes:
+    out = io.BytesIO()
+    codec._write_varint(out, value)
+    return out.getvalue()
+
+
+def _single_result():
+    """One node holding one entry: a body ends in its value column,
+    ``varint(1)`` plus one int64."""
+    tree = FTree.from_nested([("a", [])], [{"a"}])
+    return FactorisedRelation(
+        tree, factorise([Relation.from_rows("R", ("a",), [(5,)])], tree)
+    )
+
+
+def _hostile_string():
+    text = bytes([5]) + _varint(2**63)  # a str tag, then its length
+    with pytest.raises(ProtocolError, match="truncated"):
+        unpack_rows(_varint(1) + text, 1)
+    header = {"name": "R", "attributes": ["a"], "rows": 1}
+    codec.decode("relation", header, _varint(1) + text)
+
+
+def _hostile_big_integer():
+    digits = bytes([6]) + _varint(2**63)  # a big-int tag, then its length
+    with pytest.raises(ProtocolError, match="truncated"):
+        unpack_rows(_varint(1) + digits, 1)
+    header = {"name": "R", "attributes": ["a"], "rows": 1}
+    codec.decode("relation", header, _varint(1) + digits)
+
+
+def _hostile_column_count():
+    body = ArenaPoolEncoder().encode(_single_result())[:-4]
+    assert body[-9:] == _varint(1) + struct.pack("<q", 0)
+    with pytest.raises(PersistError, match="truncated"):
+        ArenaPoolDecoder().decode(_recrc(body[:-9] + _varint(2**60)))
+    kind, header, payload = codec.encode(_single_result())
+    codec.decode(kind, header, payload[:-9] + _varint(2**60))
+
+
+def _hostile_tree_length():
+    ArenaPoolDecoder().decode(_recrc(_varint(2**63)))
+
+
+def _hostile_payload_length():
+    out = io.BytesIO()
+    write_blob(out, "ftree", {}, b"")
+    blob = out.getvalue()[:-8] + struct.pack(">Q", 2**64 - 1)
+    read_blob(io.BytesIO(blob))
+
+
+def _hostile_fplan_tree_length():
+    codec.decode("fplan", {}, _varint(2**63))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        _hostile_string,
+        _hostile_big_integer,
+        _hostile_column_count,
+        _hostile_tree_length,
+        _hostile_payload_length,
+        _hostile_fplan_tree_length,
+    ],
+    ids=lambda field: field.__name__[len("_hostile_"):],
+)
+def test_a_length_field_past_any_buffer_is_a_clean_error(field):
+    """A length of 2**63 or more (a column count of 2**60: eight bytes
+    an entry) made ``read`` raise ``OverflowError`` straight through
+    the decoders; now every length-prefixed read refuses it as a
+    truncation."""
+    with pytest.raises(PersistError, match="truncated"):
+        field()
