@@ -36,7 +36,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Iterator, List, Optional, Sequence
 
 from repro import persist
 from repro.core.factorised import FactorisedRelation
@@ -58,6 +59,7 @@ from repro.net.protocol import DEFAULT_PORT
 from repro.obs import report
 from repro.obs.slowlog import SlowQueryLog
 from repro.query.parser import parse_query
+from repro.query.query import Query
 from repro.relational.budget import Budget, BudgetExceeded
 from repro.relational.csvio import load_database
 from repro.relational.database import Database
@@ -73,7 +75,7 @@ def _load(paths: Sequence[str]) -> Database:
 
 def _load_database_arg(args: argparse.Namespace) -> Database:
     """The input database: ``--db`` (persisted) beats ``--csv``."""
-    saved = getattr(args, "db", None)
+    saved = args.db
     if saved:
         try:
             loaded = persist.load(saved)
@@ -108,11 +110,39 @@ def _print_result(fr, flat: bool, limit: int) -> None:
         print(text)
 
 
+@contextmanager
+def _remote(args: argparse.Namespace, what: str) -> Iterator:
+    """A :class:`~repro.net.RemoteSession` to ``--connect``; a network
+    failure anywhere inside ends the command with one line."""
+    from repro.net import NetError, RemoteSession
+
+    try:
+        with RemoteSession(args.connect) as client:
+            yield client
+    except NetError as exc:
+        raise SystemExit(f"remote {what} failed: {exc}")
+
+
+def _cluster_workers(
+    spec: str, what: str, replication_factor: int
+) -> List[str]:
+    """The workers of a ``host:port,...`` list, checked together with
+    the ``--replication-factor`` they are laid out under."""
+    workers = [part.strip() for part in spec.split(",") if part.strip()]
+    if not workers:
+        raise SystemExit(f"{what} needs at least one host:port worker")
+    if replication_factor < 1:
+        raise SystemExit(
+            f"--replication-factor must be >= 1, got {replication_factor}"
+        )
+    return workers
+
+
 def cmd_query(args: argparse.Namespace) -> int:
     if args.connect:
         return _cmd_query_remote(args)
     db = _load(args.csv)
-    fdb = FDB(db, plan_search=args.planner)
+    fdb = FDB(db)
     query = parse_query(args.query)
     start = time.perf_counter()
     fr = fdb.evaluate(query)
@@ -123,73 +153,32 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_query_remote(args: argparse.Namespace) -> int:
-    from repro.net import NetError, RemoteSession
-
-    try:
-        with RemoteSession(args.connect) as client:
-            start = time.perf_counter()
-            result = client.run(parse_query(args.query))
-            elapsed = time.perf_counter() - start
-            if result.factorised is not None:
-                _print_result(result.factorised, args.flat, args.limit)
-            else:
-                rows = result.rows()
-                print(f"{', '.join(result.attributes)}")
-                for i, row in enumerate(rows):
-                    if i >= args.limit:
-                        print(f"... ({len(rows)} rows)")
-                        break
-                    print(" ", row)
-            host, port = client.address
-            print(
-                f"evaluated in {elapsed:.4f}s on {host}:{port} "
-                f"(engine {result.engine}, server-side "
-                f"{result.elapsed:.4f}s)"
-            )
-    except NetError as exc:
-        raise SystemExit(f"remote query failed: {exc}")
+    with _remote(args, "query") as client:
+        start = time.perf_counter()
+        result = client.run(parse_query(args.query))
+        elapsed = time.perf_counter() - start
+        if result.factorised is not None:
+            _print_result(result.factorised, args.flat, args.limit)
+        else:
+            rows = result.rows()
+            print(f"{', '.join(result.attributes)}")
+            for i, row in enumerate(rows):
+                if i >= args.limit:
+                    print(f"... ({len(rows)} rows)")
+                    break
+                print(" ", row)
+        host, port = client.address
+        print(
+            f"evaluated in {elapsed:.4f}s on {host}:{port} "
+            f"(engine {result.engine}, server-side "
+            f"{result.elapsed:.4f}s)"
+        )
     return 0
 
 
-def _cmd_batch_remote(args: argparse.Namespace) -> int:
-    from repro.net import NetError, RemoteSession
-
-    queries = [parse_query(stmt) for stmt in _read_batch_queries(args)]
-    queries = queries * args.repeat
-    try:
-        with RemoteSession(args.connect) as client:
-            start = time.perf_counter()
-            results = client.run_batch(queries, engine=args.engine)
-            elapsed = time.perf_counter() - start
-            if args.verbose:
-                for i, result in enumerate(results):
-                    flag = (
-                        "dedup"
-                        if result.deduped
-                        else ("hit" if result.cached else "miss")
-                    )
-                    print(
-                        f"[{i:3d}] {result.engine:6s} {flag:5s} "
-                        f"{result.count():8d} tuples  "
-                        f"{result.elapsed:.4f}s  {result.query}"
-                    )
-            host, port = client.address
-            print(
-                f"{len(results)} queries in {elapsed:.4f}s "
-                f"({len(results) / max(elapsed, 1e-9):.1f} q/s) "
-                f"[remote {host}:{port}]"
-            )
-            # The remote stats frame is the server's registry
-            # snapshot: the same structure session.snapshot() yields
-            # locally, rendered by the same formatter.
-            for line in report.session_lines(client.stats()):
-                print(line)
-    except NetError as exc:
-        raise SystemExit(f"remote batch failed: {exc}")
-    return 0
-
-
-def _read_batch_queries(args: argparse.Namespace) -> List[str]:
+def _batch_queries(args: argparse.Namespace) -> List[Query]:
+    """The batch workload: the query file's lines, then ``--sql``, the
+    whole of it ``--repeat`` times."""
     statements: List[str] = []
     if args.queries:
         if args.queries == "-":
@@ -206,12 +195,65 @@ def _read_batch_queries(args: argparse.Namespace) -> List[str]:
         raise SystemExit(
             "no queries: pass a query file (or '-') or --sql ..."
         )
-    return statements
+    return [parse_query(stmt) for stmt in statements] * args.repeat
 
 
-def cmd_batch(args: argparse.Namespace) -> int:
-    if args.connect:
-        return _cmd_batch_remote(args)
+def _print_batch(
+    args: argparse.Namespace,
+    results,
+    elapsed: float,
+    where: str,
+    snapshot,
+    **summary,
+) -> None:
+    """One batch's report, local or remote: a line per query with
+    ``-v``, the throughput line, then the counter summary of a registry
+    snapshot -- the local session's, or the server's stats frame, which
+    has the same keys (:func:`repro.obs.report.session_lines`)."""
+    if args.verbose:
+        for i, result in enumerate(results):
+            flag = (
+                "dedup"
+                if result.deduped
+                else ("hit" if result.cached else "miss")
+            )
+            print(
+                f"[{i:3d}] {result.engine:6s} {flag:5s} "
+                f"{result.count():8d} tuples  "
+                f"{result.elapsed:.4f}s  {result.query}"
+            )
+    print(
+        f"{len(results)} queries in {elapsed:.4f}s "
+        f"({len(results) / max(elapsed, 1e-9):.1f} q/s) [{where}]"
+    )
+    for line in report.session_lines(snapshot, **summary):
+        print(line)
+
+
+def _cmd_batch_remote(args: argparse.Namespace) -> int:
+    queries = _batch_queries(args)
+    with _remote(args, "batch") as client:
+        start = time.perf_counter()
+        results = client.run_batch(queries, engine=args.engine)
+        elapsed = time.perf_counter() - start
+        host, port = client.address
+        _print_batch(
+            args, results, elapsed, f"remote {host}:{port}", client.stats()
+        )
+    return 0
+
+
+def _local_session(
+    args: argparse.Namespace, executor=None, **options
+) -> QuerySession:
+    """The session ``batch`` and ``serve`` evaluate through.
+
+    Checks ``--shards`` / ``--workers`` / ``--cache-size``, loads
+    ``--db`` or ``--csv`` and shards the database -- a saved sharded
+    layout must agree with ``--shards`` -- then builds the executor and
+    the ``--plan-store``.  An ``executor`` given replaces the
+    ``--workers`` one; ``options`` go to :class:`QuerySession` as given.
+    """
     if args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     if args.workers < 1:
@@ -238,51 +280,47 @@ def cmd_batch(args: argparse.Namespace) -> int:
             db = ShardedDatabase.from_database(
                 db, shards=args.shards, strategy=args.strategy
             )
-    queries = [parse_query(stmt) for stmt in _read_batch_queries(args)]
-    queries = queries * args.repeat
-    budget = (
-        Budget(timeout_seconds=args.timeout)
-        if args.timeout is not None
-        else None
+    if executor is None:
+        executor = (
+            ParallelExecutor(max_workers=args.workers)
+            if args.workers > 1
+            else SerialExecutor()
+        )
+    return QuerySession(
+        db,
+        executor=executor,
+        fallback_budget=args.fallback_budget,
+        cache_size=args.cache_size,
+        plan_store=(
+            persist.PlanStore(args.plan_store) if args.plan_store else None
+        ),
+        **options,
     )
-    executor = (
-        ParallelExecutor(max_workers=args.workers)
-        if args.workers > 1
-        else SerialExecutor()
-    )
+
+
+def cmd_batch(args: argparse.Namespace) -> int:
+    if args.connect:
+        return _cmd_batch_remote(args)
+    queries = _batch_queries(args)
+    executor = None
     if args.cluster:
         from repro.net.cluster import ReplicatedExecutor
 
-        cluster_workers = [
-            part.strip()
-            for part in args.cluster.split(",")
-            if part.strip()
-        ]
-        if not cluster_workers:
-            raise SystemExit(
-                "--cluster needs at least one host:port worker"
-            )
-        if args.replication_factor < 1:
-            raise SystemExit(
-                f"--replication-factor must be >= 1, "
-                f"got {args.replication_factor}"
-            )
         executor = ReplicatedExecutor(
-            cluster_workers,
+            _cluster_workers(
+                args.cluster, "--cluster", args.replication_factor
+            ),
             replication_factor=args.replication_factor,
             flight_path=args.flight_log,
         )
-    plan_store = (
-        persist.PlanStore(args.plan_store) if args.plan_store else None
-    )
-    session = QuerySession(
-        db,
-        plan_search=args.planner,
-        fallback_budget=args.fallback_budget,
-        budget=budget,
+    session = _local_session(
+        args,
+        budget=(
+            Budget(timeout_seconds=args.timeout)
+            if args.timeout is not None
+            else None
+        ),
         executor=executor,
-        cache_size=args.cache_size,
-        plan_store=plan_store,
     )
     start = time.perf_counter()
     try:
@@ -292,39 +330,24 @@ def cmd_batch(args: argparse.Namespace) -> int:
     finally:
         session.close()
     elapsed = time.perf_counter() - start
-    if args.verbose:
-        for i, result in enumerate(results):
-            flag = (
-                "dedup"
-                if result.deduped
-                else ("hit" if result.cached else "miss")
-            )
-            print(
-                f"[{i:3d}] {result.engine:6s} {flag:5s} "
-                f"{result.count():8d} tuples  "
-                f"{result.elapsed:.4f}s  {result.query}"
-            )
+    db = session.database
     layout = []
     if isinstance(db, ShardedDatabase):
         layout.append(f"{db.shard_count} shards ({db.strategy})")
     layout.append(session.executor.describe())
-    print(
-        f"{len(results)} queries in {elapsed:.4f}s "
-        f"({len(results) / max(elapsed, 1e-9):.1f} q/s) "
-        f"[{', '.join(layout)}]"
-    )
-    # Counter reporting goes through the unified registry snapshot --
-    # the same lines a remote `batch --connect` renders from the
-    # server's stats frame (see repro.obs.report).
-    for line in report.session_lines(
+    plan_store = session.plan_store
+    _print_batch(
+        args,
+        results,
+        elapsed,
+        ", ".join(layout),
         session.snapshot(),
         total_queries=len(results),
         plan_store_path=(
             plan_store.path if plan_store is not None else None
         ),
-    ):
-        print(line)
-    if args.cluster:
+    )
+    if executor is not None:
         c = executor.counters()
         print(
             f"cluster: {c['healthy_workers']}/{c['workers']} workers "
@@ -344,8 +367,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.net.protocol import ProtocolError
     from repro.net.server import QueryServer
 
-    if args.shards < 1:
-        raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     owned_shards = None
     if args.own_shards:
         try:
@@ -361,37 +382,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"--own-shards expects comma-separated shard indices, "
                 f"got {args.own_shards!r}"
             )
-    if args.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
-    db = _load_database_arg(args)
-    if args.shards > 1 and not isinstance(db, ShardedDatabase):
-        db = ShardedDatabase.from_database(
-            db, shards=args.shards, strategy=args.strategy
-        )
-    executor = (
-        ParallelExecutor(max_workers=args.workers)
-        if args.workers > 1
-        else SerialExecutor()
+    session = _local_session(
+        args,
+        slow_log=SlowQueryLog(
+            threshold=args.slow_query_threshold,
+            path=args.slow_query_log or None,
+            max_bytes=args.slow_query_log_max_bytes,
+        ),
     )
-    # Warm starts by default: every served process shares compiled
-    # plans through the disk store (--plan-store '' disables).
-    plan_store = (
-        persist.PlanStore(args.plan_store) if args.plan_store else None
-    )
-    slow_log = SlowQueryLog(
-        threshold=args.slow_query_threshold,
-        path=args.slow_query_log or None,
-        max_bytes=args.slow_query_log_max_bytes,
-    )
-    session = QuerySession(
-        db,
-        plan_search=args.planner,
-        fallback_budget=args.fallback_budget,
-        executor=executor,
-        cache_size=args.cache_size,
-        plan_store=plan_store,
-        slow_log=slow_log,
-    )
+    db = session.database
+    plan_store = session.plan_store
 
     async def _main() -> int:
         try:
@@ -545,28 +545,21 @@ def _cmd_stats_remote(args: argparse.Namespace) -> int:
     """The unified observability snapshot of a running server."""
     import json
 
-    from repro.net import NetError, RemoteSession
-
-    try:
-        with RemoteSession(args.connect) as client:
-            if args.prometheus:
-                print(client.metrics_text(), end="")
-            elif getattr(args, "events", False):
-                # The flight recorder's ring, as JSONL -- it travels
-                # inside the metrics snapshot (the `flight` collector
-                # namespace), so no extra wire frame is needed.
-                snapshot = client.metrics()
-                flight = snapshot.get("flight") or {}
-                for event in flight.get("events") or []:
-                    print(
-                        json.dumps(event, sort_keys=True, default=str)
-                    )
-            else:
-                snapshot = client.metrics()
-                snapshot.pop("id", None)
-                print(json.dumps(snapshot, indent=2, sort_keys=True))
-    except NetError as exc:
-        raise SystemExit(f"remote stats failed: {exc}")
+    with _remote(args, "stats") as client:
+        if args.prometheus:
+            print(client.metrics_text(), end="")
+        elif args.events:
+            # The flight recorder's ring, as JSONL -- it travels inside
+            # the metrics snapshot (the `flight` collector namespace),
+            # so no extra wire frame is needed.
+            snapshot = client.metrics()
+            flight = snapshot.get("flight") or {}
+            for event in flight.get("events") or []:
+                print(json.dumps(event, sort_keys=True, default=str))
+        else:
+            snapshot = client.metrics()
+            snapshot.pop("id", None)
+            print(json.dumps(snapshot, indent=2, sort_keys=True))
     return 0
 
 
@@ -581,21 +574,11 @@ def cmd_cluster_status(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.obs import report
     from repro.obs.cluster import ClusterFederation, advise
 
-    workers = [
-        part.strip() for part in args.workers.split(",") if part.strip()
-    ]
-    if not workers:
-        raise SystemExit(
-            "cluster-status needs at least one host:port worker"
-        )
-    if args.replication_factor < 1:
-        raise SystemExit(
-            f"--replication-factor must be >= 1, "
-            f"got {args.replication_factor}"
-        )
+    workers = _cluster_workers(
+        args.workers, "cluster-status", args.replication_factor
+    )
     try:
         federation = ClusterFederation(
             workers,
@@ -641,7 +624,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from repro.obs.profile import profile_plan
     from repro.ops.union import COUNTERS as UNION_COUNTERS
     from repro.optimiser.bitspace import COUNTERS as OPTIMISER_COUNTERS
-    from repro.query.query import Query
 
     db = _load_database_arg(args)
     query = parse_query(args.query)
@@ -763,6 +745,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Arguments several sub-commands share, declared once each.
+
     def add_csv(p):
         p.add_argument(
             "--csv",
@@ -780,19 +764,69 @@ def build_parser() -> argparse.ArgumentParser:
             "of in-process (local data options are ignored)",
         )
 
+    def add_db(p):
+        p.add_argument(
+            "--db",
+            default=None,
+            help="use a database saved with 'repro save' (overrides "
+            "--csv; a sharded save keeps its layout)",
+        )
+
+    def add_shards(p):
+        p.add_argument(
+            "--shards",
+            type=int,
+            default=1,
+            help="partition the database over N shards (storage layer)",
+        )
+        p.add_argument(
+            "--strategy",
+            choices=list(PARTITION_STRATEGIES),
+            default="hash",
+            help="row-placement strategy for --shards > 1",
+        )
+
+    def add_session(p):
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="evaluate with a parallel executor over N pool workers",
+        )
+        p.add_argument(
+            "--cache-size",
+            type=int,
+            default=None,
+            help="LRU bound on the plan caches (default: unbounded)",
+        )
+        p.add_argument(
+            "--fallback-budget",
+            type=float,
+            default=None,
+            help="estimated-singleton cap before auto queries fall back "
+            "to the flat engine",
+        )
+
+    def add_replication_factor(p):
+        p.add_argument(
+            "--replication-factor",
+            type=int,
+            default=2,
+            help="replicas per shard on the hash ring (default 2, "
+            "clamped to the worker count)",
+        )
+
+    def add_rows(p):
+        p.add_argument(
+            "--flat", action="store_true", help="print flat rows"
+        )
+        p.add_argument("--limit", type=int, default=20)
+
     q = sub.add_parser("query", help="evaluate an SPJ query")
     add_csv(q)
     add_connect(q)
     q.add_argument("query")
-    q.add_argument(
-        "--planner",
-        choices=["exhaustive", "greedy"],
-        default="exhaustive",
-    )
-    q.add_argument(
-        "--flat", action="store_true", help="print flat rows"
-    )
-    q.add_argument("--limit", type=int, default=20)
+    add_rows(q)
     q.set_defaults(func=cmd_query)
 
     b = sub.add_parser(
@@ -801,6 +835,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_csv(b)
     add_connect(b)
+    add_db(b)
+    add_shards(b)
+    add_session(b)
+    add_replication_factor(b)
     b.add_argument(
         "queries",
         nargs="?",
@@ -812,21 +850,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="inline queries (appended to the file's, if any)",
     )
     b.add_argument(
-        "--planner",
-        choices=["exhaustive", "greedy"],
-        default="exhaustive",
-    )
-    b.add_argument(
         "--engine",
         choices=["auto", "fdb", "flat", "sqlite"],
         default="auto",
-    )
-    b.add_argument(
-        "--fallback-budget",
-        type=float,
-        default=None,
-        help="estimated-singleton cap before falling back to the "
-        "flat engine (auto mode)",
     )
     b.add_argument(
         "--timeout",
@@ -839,36 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="repeat the whole workload N times (warms the cache)",
-    )
-    b.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition the database over N shards (storage layer)",
-    )
-    b.add_argument(
-        "--strategy",
-        choices=list(PARTITION_STRATEGIES),
-        default="hash",
-        help="row-placement strategy for --shards > 1",
-    )
-    b.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="evaluate with a parallel executor over N pool workers",
-    )
-    b.add_argument(
-        "--cache-size",
-        type=int,
-        default=None,
-        help="LRU bound on the plan caches (default: unbounded)",
-    )
-    b.add_argument(
-        "--db",
-        default=None,
-        help="run against a database saved with 'repro save' "
-        "(overrides --csv; a sharded save keeps its layout)",
     )
     b.add_argument(
         "--plan-store",
@@ -884,13 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the replicated executor (retry on the next replica, "
         "quarantine, local degrade only when all replicas are down); "
         "workers must serve the same --db",
-    )
-    b.add_argument(
-        "--replication-factor",
-        type=int,
-        default=2,
-        help="replicas per shard on the --cluster hash ring "
-        "(default 2, clamped to the worker count)",
     )
     b.add_argument(
         "--flight-log",
@@ -913,13 +902,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a session over TCP (repro.net query server)",
     )
     add_csv(srv)
-    srv.add_argument(
-        "--db",
-        default=None,
-        help="serve a database saved with 'repro save' (overrides "
-        "--csv; a sharded save keeps its layout and enables the "
-        "RemoteExecutor shard-worker protocol)",
-    )
+    add_db(srv)
+    add_shards(srv)
+    add_session(srv)
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument(
         "--port",
@@ -928,45 +913,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (0 = ephemeral, printed on startup)",
     )
     srv.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition a --csv database over N shards",
-    )
-    srv.add_argument(
-        "--strategy",
-        choices=list(PARTITION_STRATEGIES),
-        default="hash",
-    )
-    srv.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="evaluate with a parallel executor over N pool workers",
-    )
-    srv.add_argument(
-        "--planner",
-        choices=["exhaustive", "greedy"],
-        default="exhaustive",
-    )
-    srv.add_argument(
         "--plan-store",
         default=".repro-plans",
         help="disk-backed plan store directory for cross-process warm "
         "starts (default '.repro-plans'; pass '' to disable)",
-    )
-    srv.add_argument(
-        "--cache-size",
-        type=int,
-        default=None,
-        help="LRU bound on the in-memory plan caches",
-    )
-    srv.add_argument(
-        "--fallback-budget",
-        type=float,
-        default=None,
-        help="estimated-singleton cap before auto queries fall back "
-        "to the flat engine",
     )
     srv.add_argument(
         "--max-pending",
@@ -1021,17 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_csv(sv)
     sv.add_argument("-o", "--output", required=True)
-    sv.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="save sharded: per-shard files plus a manifest",
-    )
-    sv.add_argument(
-        "--strategy",
-        choices=list(PARTITION_STRATEGIES),
-        default="hash",
-    )
+    add_shards(sv)
     sv.set_defaults(func=cmd_save)
 
     ld = sub.add_parser(
@@ -1091,13 +1031,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT,...",
         help="comma-separated worker addresses to scrape",
     )
-    cs.add_argument(
-        "--replication-factor",
-        type=int,
-        default=2,
-        help="replicas per shard on the ring the heat map is drawn "
-        "against (default 2; match the coordinator's)",
-    )
+    add_replication_factor(cs)
     cs.add_argument(
         "--watch",
         action="store_true",
@@ -1136,16 +1070,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_csv(ex)
     ex.add_argument("query")
-    ex.add_argument(
-        "--db",
-        default=None,
-        help="explain against a database saved with 'repro save' "
-        "(overrides --csv)",
-    )
+    add_db(ex)
     ex.add_argument(
         "--planner",
         choices=["exhaustive", "greedy"],
         default="exhaustive",
+        help="the f-plan search (Section 4.2 / 4.3); the f-tree "
+        "search has no such choice",
     )
     ex.add_argument(
         "--profile",
@@ -1174,8 +1105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sh = sub.add_parser("shell", help="interactive query prompt")
     add_csv(sh)
-    sh.add_argument("--flat", action="store_true")
-    sh.add_argument("--limit", type=int, default=20)
+    add_rows(sh)
     sh.set_defaults(func=cmd_shell)
 
     return parser

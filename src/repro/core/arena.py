@@ -67,12 +67,8 @@ from typing import (
 from repro.core.columns import (
     _as_np,
     _column_bounds,
-    _extend_ids,
-    _extend_shifted,
     _forest_counts,
     _i64,
-    _runs,
-    _value_mask,
 )
 from repro.core.ftree import FTree
 
@@ -163,8 +159,8 @@ class _Skeleton:
     """The canonical pre-order layout of one f-tree's nodes.
 
     Node ``i``'s descendants are exactly the contiguous index range
-    ``(i, end[i])`` -- the property every rollback and bulk-copy below
-    relies on.
+    ``(i, end[i])`` -- the property the factoriser's ancestor tests and
+    subtree-dropping projections rely on.
     """
 
     __slots__ = (
@@ -305,14 +301,11 @@ class ArenaWriter:
     """Append-only arena construction with subtree rollback.
 
     The ground-representation builder (:class:`repro.core.build.
-    Factoriser`) and the selection filter construct arenas entry by
-    entry: children are written first, and an entry whose children
-    forest turns out empty is *rolled back*.
-    Two ways to do that: :meth:`mark` / :meth:`rollback` record one
-    watermark per descendant column up front (pre-order makes
-    descendants a contiguous index range); :meth:`truncate` needs only
-    the watermark of a direct child and finds the deeper ones in the
-    columns themselves.
+    Factoriser`) constructs arenas entry by entry: children are written
+    first, and an entry whose children forest turns out empty is
+    *rolled back* by :meth:`truncate`, which needs only the watermark
+    of a direct child and finds the deeper ones in the columns
+    themselves.
     """
 
     __slots__ = (
@@ -363,25 +356,6 @@ class ArenaWriter:
             vid = table[value] = len(self.pool)
             self.pool.append(value)
         return vid
-
-    def mark(self, idx: int) -> List[int]:
-        """Watermarks of every descendant column of ``idx``."""
-        values = self.values
-        return [
-            len(values[k])
-            for k in range(idx + 1, self.skel.end[idx])
-        ]
-
-    def rollback(self, idx: int, marks: List[int]) -> None:
-        """Discard everything written below ``idx`` since :meth:`mark`."""
-        for k, watermark in zip(
-            range(idx + 1, self.skel.end[idx]), marks
-        ):
-            del self.values[k][watermark:]
-            for slot in self.child_lo[k]:
-                del slot[watermark:]
-            for slot in self.child_hi[k]:
-                del slot[watermark:]
 
     def truncate(self, idx: int, watermark: int) -> int:
         """Discard node ``idx``'s entries from ``watermark`` on, with
@@ -470,8 +444,9 @@ def validate_arena_bounds(
     The *contiguity* (exact tiling) check matters beyond tidiness:
     every construction path appends child unions in parent-entry
     order, so ``child_lo[0] == 0``, ``child_hi[e] == child_lo[e+1]``
-    and ``child_hi[-1] == len(child column)``.  The bulk-copy kernels
-    (:func:`select_filter`) rely on that layout, so a CRC-valid but
+    and ``child_hi[-1] == len(child column)``.  The column kernels
+    (the owner vectors and segment sums of the mask cascade, the bulk
+    runs of the delta merge) rely on that layout, so a CRC-valid but
     tampered blob with merely in-bounds ranges must be rejected here,
     not crash (or mis-answer) later.
     """
@@ -827,99 +802,6 @@ def iter_assignments(
 
 
 # -- operator kernels --------------------------------------------------------
-
-
-def select_filter(
-    arena: ArenaRep,
-    attribute: str,
-    predicate: Callable[[object], bool],
-) -> Optional[ArenaRep]:
-    """Keep only the entries of ``attribute``'s node passing
-    ``predicate``, cascading the pruning of emptied unions upward --
-    the arena kernel behind constant selections.
-
-    Subtrees that cannot contain the target node are copied wholesale
-    (contiguous column slices with offset fix-up) instead of entry by
-    entry, and the predicate itself is vectorised: it runs once per
-    distinct value id, the resulting boolean mask over the target
-    column is compacted into maximal kept runs, and each run is
-    bulk-copied (values, child ranges and subtrees alike).  Returns
-    ``None`` when the whole relation empties.
-    """
-    skel = arena.skel
-    target = skel.node_of_attr(attribute)
-    on_path = [False] * len(skel)
-    walk_up = target
-    while walk_up != -1:
-        on_path[walk_up] = True
-        walk_up = skel.parent[walk_up]
-
-    writer = ArenaWriter(skel)
-    new_values = writer.values
-    new_lo, new_hi = writer.child_lo, writer.child_hi
-    pool = arena.pool
-    # The output shares the input pool: value ids are copied verbatim.
-    writer.pool = pool  # type: ignore[attr-defined]
-
-    keep = _value_mask(arena.values[target], pool, predicate)
-
-    def copy_bulk(idx: int, lo: int, hi: int) -> None:
-        _extend_ids(new_values[idx], arena.values[idx], lo, hi)
-        for j, k in enumerate(skel.children[idx]):
-            los = arena.child_lo[idx][j]
-            his = arena.child_hi[idx][j]
-            child_lo = los[lo]
-            child_hi = his[hi - 1]
-            delta = len(new_values[k]) - child_lo
-            _extend_shifted(new_lo[idx][j], los, lo, hi, delta)
-            _extend_shifted(new_hi[idx][j], his, lo, hi, delta)
-            copy_bulk(k, child_lo, child_hi)
-
-    def copy_target(lo: int, hi: int) -> bool:
-        """Mask the target occurrence, bulk-copy the kept runs."""
-        mask = keep[lo:hi]
-        if mask.all():
-            copy_bulk(target, lo, hi)
-            return True
-        runs = _runs(mask)
-        for start, stop in runs:
-            copy_bulk(target, lo + start, lo + stop)
-        return bool(runs)
-
-    def copy_union(idx: int, lo: int, hi: int) -> bool:
-        if idx == target:
-            return copy_target(lo, hi)
-        if not on_path[idx]:
-            copy_bulk(idx, lo, hi)
-            return True
-        column = arena.values[idx]
-        kids = skel.children[idx]
-        kept = False
-        for e in range(lo, hi):
-            marks = writer.mark(idx)
-            ok = True
-            for j, k in enumerate(kids):
-                if not copy_union(
-                    k,
-                    arena.child_lo[idx][j][e],
-                    arena.child_hi[idx][j][e],
-                ):
-                    ok = False
-                    break
-            if not ok:
-                writer.rollback(idx, marks)
-                continue
-            for j, k in enumerate(kids):
-                new_lo[idx][j].append(marks[k - idx - 1])
-                new_hi[idx][j].append(len(new_values[k]))
-            new_values[idx].append(column[e])
-            kept = True
-        return kept
-
-    for r in skel.roots:
-        if not copy_union(r, 0, len(arena.values[r])):
-            return None
-    return ArenaRep(skel, new_values, new_lo, new_hi, pool)
 
 
 def drop_subtrees(

@@ -257,14 +257,3 @@ def _value_mask(column, pool, predicate: Callable[[object], bool]):
     for vid in np.unique(view).tolist():
         table[vid] = bool(predicate(pool[vid]))
     return table[view]
-
-
-def _runs(mask) -> List[Tuple[int, int]]:
-    """``[start, stop)`` of every maximal run of kept entries."""
-    hits = np.flatnonzero(mask)
-    if not len(hits):
-        return []
-    breaks = np.flatnonzero(np.diff(hits) > 1) + 1
-    return [
-        (int(run[0]), int(run[-1]) + 1) for run in np.split(hits, breaks)
-    ]

@@ -43,6 +43,11 @@ class FDB:
     plan_search:
         ``"exhaustive"`` (Section 4.2) or ``"greedy"`` (Section 4.3) --
         the optimiser used for f-plans over factorised inputs.
+    cost_model:
+        ``"asymptotic"`` (``s(T)``) or ``"estimates"`` (sizes from a
+        :class:`~repro.costs.cardinality.Statistics` catalogue of
+        ``database``) -- that search's cost measure.  The f-tree search
+        of :meth:`evaluate` reads neither knob.
     check_invariants:
         When true, every produced representation is validated against
         the structural invariants (for tests and debugging).
@@ -70,26 +75,19 @@ class FDB:
         plan_search: str = "exhaustive",
         check_invariants: bool = False,
         cost_model: str = "asymptotic",
-        statistics=None,
         shared_pool=None,
     ) -> None:
         if plan_search not in ("exhaustive", "greedy"):
             raise ValueError(f"unknown plan search {plan_search!r}")
         if cost_model not in ("asymptotic", "estimates"):
             raise ValueError(f"unknown cost model {cost_model!r}")
-        if statistics is not None and cost_model != "estimates":
-            raise ValueError(
-                "statistics only apply with cost_model='estimates'"
-            )
         self.database = database
         self.plan_search = plan_search
         self.check_invariants = check_invariants
         self.cost_model = cost_model
         self.shared_pool = shared_pool
-        # ``statistics`` lets a session share one catalogue across
-        # engines instead of rescanning the database per engine.
-        self._stats = statistics
-        if cost_model == "estimates" and self._stats is None:
+        self._stats = None
+        if cost_model == "estimates":
             from repro.costs.cardinality import Statistics
 
             self._stats = Statistics.of_database(database)

@@ -355,12 +355,7 @@ class ParallelExecutor(Executor):
                 pool = ProcessPoolExecutor(
                     max_workers=self.max_workers,
                     initializer=worker.init_worker,
-                    initargs=(
-                        session.database,
-                        session.plan_search,
-                        session.cost_model,
-                        session.check_invariants,
-                    ),
+                    initargs=(session.database, session.check_invariants),
                 )
                 pool.submit(worker.ping).result(timeout=60)
                 self._pool, self.pool_kind = pool, "process"
@@ -407,11 +402,8 @@ class ParallelExecutor(Executor):
             partial(
                 worker.compile_direct,
                 session.database,
-                session.plan_search,
-                session.cost_model,
                 session.check_invariants,
                 query,
-                statistics=session._fdb._stats,
             )
         )
 

@@ -60,21 +60,11 @@ def shared_pool_for(database) -> ValuePool:
     return pool
 
 
-def init_worker(
-    database,
-    plan_search: str,
-    cost_model: str,
-    check_invariants: bool,
-) -> None:
+def init_worker(database, check_invariants: bool) -> None:
     """Pool initializer: build one engine per worker process."""
     _STATE["database"] = database
     _STATE["check_invariants"] = check_invariants
-    _STATE["engine"] = FDB(
-        database,
-        plan_search=plan_search,
-        cost_model=cost_model,
-        check_invariants=check_invariants,
-    )
+    _STATE["engine"] = FDB(database, check_invariants=check_invariants)
 
 
 def ping() -> bool:
@@ -146,20 +136,9 @@ def pool_task(
 
 
 def compile_direct(
-    database,
-    plan_search: str,
-    cost_model: str,
-    check_invariants: bool,
-    query: Query,
-    statistics=None,
+    database, check_invariants: bool, query: Query
 ) -> FTree:
-    engine = FDB(
-        database,
-        plan_search=plan_search,
-        cost_model=cost_model,
-        check_invariants=check_invariants,
-        statistics=statistics if cost_model == "estimates" else None,
-    )
+    engine = FDB(database, check_invariants=check_invariants)
     return engine.optimal_tree(query)
 
 

@@ -192,7 +192,9 @@ def _cascade(
     over its column) rejects, everything they own and every ancestor
     entry they leave with an empty union.  ``False`` when the whole
     relation empties; otherwise every affected node's columns are
-    compacted into ``out``, once each.
+    compacted into ``out``, once each.  With one mask on the selected
+    node this is the whole of a constant selection
+    (:func:`repro.ops.select.select_constant`).
     """
     skel = arena.skel
     keep = {n: mask for n, mask in masks.items() if not mask.all()}

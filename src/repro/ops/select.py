@@ -4,9 +4,12 @@ One pass over the representation removes the entries of every union of
 ``A``'s node whose value fails the comparison; emptied unions prune
 their surrounding entries, cascading upward exactly like the paper's
 "if the union becomes empty ... we then remove that expression too".
-On the arena that pass is the mask-and-compact kernel
-:func:`repro.core.arena.select_filter` (the tree is unchanged by the
-filter itself -- the skeleton ignores constant flags).
+On the arena that pass is one keep mask over the node's value column
+(the comparison runs once per distinct value id) and one mask cascade,
+:func:`repro.ops.arena_kernels._cascade`, which compacts only the
+columns that lose entries and shares the rest with the input (the tree
+is unchanged by the filter itself -- the skeleton ignores constant
+flags).
 
 For an *equality* comparison the node becomes a constant: all its
 values equal ``c``, so it is independent of every other node -- its
@@ -19,7 +22,10 @@ tree's push-up trace is replayed through the prepared kernels of
 
 from __future__ import annotations
 
-from repro.core import arena as arena_mod
+from typing import Optional
+
+from repro.core.arena import ArenaRep
+from repro.core.columns import _value_mask
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FNode, FTree
 from repro.ops import arena_kernels
@@ -34,6 +40,19 @@ def _constant_tree(tree: FTree, node: FNode) -> FTree:
         return tree
     tree = tree.replace_node(node.label, [node.as_constant()])
     return tree.with_edges(tree.edges.without_attributes(node.label))
+
+
+def _filter(
+    arena: ArenaRep, cond: ConstantCondition
+) -> Optional[ArenaRep]:
+    """The entries of ``cond``'s node that pass it, with every union
+    they leave empty pruned upward; ``None`` when nothing passes."""
+    node = arena.skel.node_of_attr(cond.attribute)
+    mask = _value_mask(arena.values[node], arena.pool, cond.test)
+    out = arena_kernels._Columns(arena)
+    if not arena_kernels._cascade(arena, out, {node: mask}):
+        return None
+    return ArenaRep(arena.skel, out.values, out.lo, out.hi, arena.pool)
 
 
 def select_constant_tree(tree: FTree, cond: ConstantCondition) -> FTree:
@@ -55,10 +74,7 @@ def select_constant(
         # whole operator is the columnar filter kernel.
         if fr.is_empty():
             return fr
-        filtered = arena_mod.select_filter(
-            fr.rep, cond.attribute, cond.test
-        )
-        return FactorisedRelation(fr.tree, filtered)
+        return FactorisedRelation(fr.tree, _filter(fr.rep, cond))
     # Equality: the filter kernel leaves the node layout intact, then
     # the push-up kernels replay the normalisation trace of the
     # constant tree (prepared once per tree, empty input included).
@@ -67,7 +83,7 @@ def select_constant(
     )
     if fr.is_empty():
         return FactorisedRelation(chain.out_tree, None)
-    filtered = arena_mod.select_filter(fr.rep, cond.attribute, cond.test)
+    filtered = _filter(fr.rep, cond)
     if filtered is not None:
         filtered = chain.run(filtered)
     return FactorisedRelation(chain.out_tree, filtered)

@@ -48,7 +48,8 @@ int64 view into the mapping.  Kinds earlier builds wrote are listed in
 telling the caller to re-evaluate and re-save.
 
 Every length-prefixed field is read through one bounded read, so a
-hostile length is a :class:`PersistError` like any truncation.
+hostile length allocates no more than the input holds and is a
+:class:`PersistError` like any truncation.
 """
 
 from __future__ import annotations
@@ -125,6 +126,10 @@ _TAG_BIGINT = 6
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
+#: The most one read of a length-prefixed field asks for at once
+#: (see :func:`_exactly`).
+_READ_CHUNK = 1 << 20
+
 
 def _write_varint(out: BinaryIO, value: int) -> None:
     """Unsigned LEB128."""
@@ -156,13 +161,26 @@ def _read_varint(src: BinaryIO) -> int:
 
 def _exactly(src: BinaryIO, n: int, what: str) -> bytes:
     """Exactly ``n`` bytes of ``src``: the one read behind every
-    length-prefixed field.  A length past ``sys.maxsize`` (on which
-    ``read`` itself raises ``OverflowError``) is refused like a short
-    read."""
-    data = src.read(n) if n <= sys.maxsize else b""
-    if len(data) != n:
+    length-prefixed field.
+
+    A length is read from the input, so it may be forged: a buffered
+    file's ``read(n)`` allocates ``n`` bytes before it reads any, and
+    ``read`` raises ``OverflowError`` past ``sys.maxsize``.  Reading in
+    chunks of at most :data:`_READ_CHUNK` bytes allocates no more than
+    the input holds, and a length it does not hold is refused like any
+    short read."""
+    data = src.read(n if n < _READ_CHUNK else _READ_CHUNK)
+    if len(data) == n:
+        return data
+    chunks = [data]
+    left = n - len(data)
+    while data and left:
+        data = src.read(left if left < _READ_CHUNK else _READ_CHUNK)
+        chunks.append(data)
+        left -= len(data)
+    if left:
         raise PersistError(f"truncated input: short {what}")
-    return data
+    return b"".join(chunks)
 
 
 def _zigzag(value: int) -> int:

@@ -16,7 +16,7 @@ traffic therefore must not pay the optimiser per arriving query.
   :class:`~repro.service.cache.PlanCache`, so reformulated repeats
   (reordered ``FROM``/``WHERE``, flipped equalities) hit;
 - **statistics reuse**: one :class:`~repro.costs.cardinality.
-  Statistics` catalogue per session, shared by every engine and
+  Statistics` catalogue per session, behind the fallback estimates and
   rebuilt only when the :class:`~repro.relational.database.Database`
   version counter moves (row-level inserts, deletes and updates all
   bump it);
@@ -196,8 +196,6 @@ class QuerySession:
         store.  Sessions watch its
         :attr:`~repro.relational.database.Database.version` and drop
         every cache when it moves.
-    plan_search / cost_model:
-        Forwarded to :class:`~repro.engine.FDB`.
     fallback_budget:
         Estimated-singleton threshold above which ``auto`` queries are
         routed to the flat engine; ``None`` disables the fallback.
@@ -252,8 +250,6 @@ class QuerySession:
     def __init__(
         self,
         database: Database,
-        plan_search: str = "exhaustive",
-        cost_model: str = "asymptotic",
         fallback_budget: Optional[float] = None,
         budget: Optional[Budget] = None,
         check_invariants: bool = False,
@@ -266,8 +262,6 @@ class QuerySession:
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.database = database
-        self.plan_search = plan_search
-        self.cost_model = cost_model
         self.fallback_budget = fallback_budget
         self.budget = budget
         self.check_invariants = check_invariants
@@ -278,6 +272,10 @@ class QuerySession:
         self._sqlite: Optional[SQLiteEngine] = None
         self._submitter = None
         self._submitter_lock = threading.Lock()
+        #: The f-tree optimiser reads no per-version state, and the
+        #: f-plan search runs :class:`FDB`'s default (exhaustive, with
+        #: its greedy fallback), so one engine serves every version.
+        self._fdb = FDB(database, check_invariants=check_invariants)
         #: Delta-maintained unprojected results (:mod:`repro.ivm`);
         #: ``result_cache_size=0`` disables result caching entirely.
         self._results: Optional[ResultCache] = (
@@ -351,16 +349,6 @@ class QuerySession:
         if self._sqlite is not None:
             self._sqlite.close()
             self._sqlite = None
-        shared = None
-        if self.cost_model == "estimates":
-            shared = self.statistics()
-        self._fdb = FDB(
-            self.database,
-            plan_search=self.plan_search,
-            check_invariants=self.check_invariants,
-            cost_model=self.cost_model,
-            statistics=shared,
-        )
         self._flat = RelationalEngine(self.database, budget=self.budget)
         if self._results is not None:
             self._results.clear()
@@ -393,16 +381,6 @@ class QuerySession:
             self._sqlite = None
         for plan in self._plans.values():
             plan.estimated_size = None
-        if self.cost_model == "estimates":
-            # The engine pins a statistics catalogue; rebuild it over
-            # fresh statistics so estimate-based costs track the data.
-            self._fdb = FDB(
-                self.database,
-                plan_search=self.plan_search,
-                check_invariants=self.check_invariants,
-                cost_model=self.cost_model,
-                statistics=self.statistics(),
-            )
         self.executor.invalidate()
 
     def statistics(self) -> Statistics:

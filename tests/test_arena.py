@@ -318,20 +318,6 @@ def test_compiled_enumerator_cache_is_bounded(monkeypatch):
 # -- writer/validation internals ---------------------------------------------
 
 
-def test_writer_rollback_truncates_descendants():
-    tree = FTree.from_nested(
-        [("a", [("b", []), ("c", [])])],
-        edges=[{"a", "b"}, {"a", "c"}],
-    )
-    writer = ArenaWriter(tree)
-    index = writer.skel.index
-    root = index[frozenset({"a"})]
-    marks = writer.mark(root)
-    writer.extend_leaf(index[frozenset({"b"})], [1, 2])
-    writer.rollback(root, marks)
-    assert len(writer.values[index[frozenset({"b"})]]) == 0
-
-
 def test_intern_distinguishes_equal_values_of_different_types():
     tree = FTree.from_nested([("a", [])], edges=[])
     writer = ArenaWriter(tree)

@@ -8,6 +8,9 @@ import pytest
 
 from repro import persist
 from repro.cli import main
+from repro.engine import FDB
+from repro.query.parser import parse_query
+from repro.query.query import Query
 from repro.relational.csvio import dump_database
 from repro.workloads import grocery_database
 
@@ -53,17 +56,39 @@ def test_query_flat_output_with_limit(csv_dir, capsys):
 
 
 def test_query_greedy_planner(csv_dir, capsys):
-    code = main(
-        [
-            "query",
-            "SELECT oid FROM Orders",
-            "--csv",
-            csv_dir["Orders"],
-            "--planner",
-            "greedy",
-        ]
+    """``--planner`` picks the f-plan search, so only ``explain`` (the
+    one command that plans an f-plan) takes it, and it prints the plan
+    ``FDB(plan_search="greedy")`` chooses -- here not the exhaustive
+    one."""
+    sql = (
+        "SELECT * FROM Store, Disp, Serve "
+        "WHERE s_location = d_location AND d_location = v_location"
     )
+    query = parse_query(sql)
+    pairs = [(eq.left, eq.right) for eq in query.equalities]
+
+    def steps(plan_search):
+        fdb = FDB(grocery_database(), plan_search=plan_search)
+        base = Query.make(query.relations)
+        tree = fdb.factorise_query(base, fdb.optimal_tree(base)).tree
+        return [str(step) for step in fdb.plan_for(tree, pairs).steps]
+
+    paths = [csv_dir[name] for name in ("Store", "Disp", "Serve")]
+    code = main(["explain", sql, "--csv", *paths, "--planner", "greedy"])
     assert code == 0
+    out = capsys.readouterr().out
+    printed = [
+        line.split("] ", 1)[1]
+        for line in out.splitlines()
+        if line.startswith("  [")
+    ]
+    assert printed == steps("greedy") != steps("exhaustive")
+    for command in (["query", sql], ["batch", "--sql", sql], ["serve"]):
+        argv = command + ["--csv", *paths, "--planner", "greedy"]
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_compile_and_stats_round_trip(csv_dir, tmp_path, capsys):
@@ -356,9 +381,32 @@ def test_load_rejects_missing_path(tmp_path):
         main(["load", str(tmp_path / "missing.fdbp")])
 
 
+@pytest.fixture
+def no_socket(monkeypatch):
+    """A ``serve`` that got past its checks fails instead of serving."""
+    from repro.net.server import QueryServer
+
+    async def refuse(self):
+        raise AssertionError("serve opened a socket")
+
+    monkeypatch.setattr(QueryServer, "start", refuse)
+
+
+def _local_argv(command, *options):
+    """``batch`` (with one query) or ``serve`` over ``options``."""
+    argv = [command, *options]
+    if command == "batch":
+        argv += ["--sql", "SELECT oid FROM Orders"]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["batch", "serve"])
 def test_batch_rejects_conflicting_shard_layout(
-    csv_dir, tmp_path, capsys
+    command, csv_dir, tmp_path, capsys, no_socket
 ):
+    """``batch`` and ``serve`` build their session through one helper:
+    both refuse a ``--shards`` that contradicts a saved layout, and
+    ``serve`` does so before it opens a socket."""
     db_path = str(tmp_path / "sharded.fdbp")
     assert (
         main(
@@ -376,17 +424,7 @@ def test_batch_rejects_conflicting_shard_layout(
     )
     capsys.readouterr()
     with pytest.raises(SystemExit, match="conflicts with the saved"):
-        main(
-            [
-                "batch",
-                "--db",
-                db_path,
-                "--sql",
-                "SELECT oid FROM Orders",
-                "--shards",
-                "4",
-            ]
-        )
+        main(_local_argv(command, "--db", db_path, "--shards", "4"))
 
 
 def test_batch_without_queries_fails(csv_dir):
@@ -395,22 +433,18 @@ def test_batch_without_queries_fails(csv_dir):
 
 
 @pytest.mark.parametrize(
-    "flag,value",
-    [("--shards", "0"), ("--workers", "0"), ("--cache-size", "0")],
+    "command,flag",
+    [
+        pytest.param(command, flag, id=f"{prefix}{flag}-0")
+        for command, prefix in (("batch", ""), ("serve", "serve-"))
+        for flag in ("--shards", "--workers", "--cache-size")
+    ],
 )
-def test_batch_rejects_invalid_layout_values(csv_dir, flag, value):
-    with pytest.raises(SystemExit):
-        main(
-            [
-                "batch",
-                "--csv",
-                csv_dir["Orders"],
-                "--sql",
-                "SELECT oid FROM Orders",
-                flag,
-                value,
-            ]
-        )
+def test_batch_rejects_invalid_layout_values(
+    command, flag, csv_dir, no_socket
+):
+    with pytest.raises(SystemExit, match=f"{flag} must be >= 1"):
+        main(_local_argv(command, "--csv", csv_dir["Orders"], flag, "0"))
 
 
 def test_python_dash_m_repro_smoke():

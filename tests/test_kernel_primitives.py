@@ -3,9 +3,9 @@ that share no code with them, and the prepared-kernel cache.
 
 - the **forest gather** against the concatenation of one-entry
   ``_copy_run`` calls (the bulk-run copier the delta merge keeps);
-- the **mask cascade** against :func:`repro.core.arena.select_filter`
-  (the per-entry walk with ``mark`` / ``rollback`` behind constant
-  selections), with the same mask spelled as a predicate;
+- the **mask cascade** against the enumerated rows filtered by the
+  same mask spelled as a predicate: a valid arena over a fixed f-tree
+  is unique, so equal rows plus ``validate_arena`` pin every column;
 
 with every output checked by ``validate_arena`` (child ranges tile, no
 union is empty).
@@ -18,7 +18,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.arena import ArenaRep, select_filter, validate_arena
+from repro.core.arena import ArenaRep, iter_rows, validate_arena
 from repro.core.ftree import FTree
 from repro.engine import FDB
 from repro.obs.report import kernels_line, session_lines
@@ -94,37 +94,33 @@ def test_forest_gather_is_the_concatenation_of_one_entry_runs(seed):
 def test_mask_cascade_is_the_selection_filter(seed):
     fr = _arena(seed)
     arena, skel, pool = fr.rep, fr.rep.skel, fr.rep.pool
+    attributes = fr.attributes
+    rows = list(iter_rows(arena, attributes))
     rng = random.Random(seed)
     emptied = 0
     for node in range(len(skel)):
-        attribute = skel.attr_tuples[node][0]
+        at = attributes.index(skel.attr_tuples[node][0])
         present = sorted({pool[vid] for vid in arena.values[node]})
         subsets = [set(), set(present), {present[0]}] + [
             {value for value in present if rng.random() < 0.5}
             for _ in range(4)
         ]
         for kept in subsets:
-            want = select_filter(arena, attribute, kept.__contains__)
+            want = sorted(row for row in rows if row[at] in kept)
             mask = np.array(
                 [pool[vid] in kept for vid in arena.values[node]], dtype=bool
             )
             out = _Columns(arena)
             alive = _cascade(arena, out, {node: mask})
-            if want is None:
+            if not want:
                 assert not alive
                 emptied += 1
                 continue
             assert alive
             got = ArenaRep(skel, out.values, out.lo, out.hi, pool)
             validate_arena(fr.tree, got)
-            assert _lists(got.values) == _lists(want.values)
-            assert [_lists(s) for s in got.child_lo] == [
-                _lists(s) for s in want.child_lo
-            ]
-            assert [_lists(s) for s in got.child_hi] == [
-                _lists(s) for s in want.child_hi
-            ]
-            assert out.pruned == arena.entry_count - want.entry_count
+            assert sorted(iter_rows(got, attributes)) == want
+            assert out.pruned == arena.entry_count - got.entry_count
     assert emptied >= len(skel)  # the all-dropped mask, at every node
 
 

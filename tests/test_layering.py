@@ -164,6 +164,21 @@ def test_the_nine_deknobbed_callables_take_no_encoding(func):
     ), "a **kwargs shim would swallow encoding= silently"
 
 
+@pytest.mark.parametrize(
+    "func",
+    [QuerySession, worker.init_worker, worker.compile_direct],
+    ids=lambda func: func.__qualname__,
+)
+def test_the_serving_path_takes_no_planner_knobs(func):
+    """Only the f-plan search reads ``plan_search`` / ``cost_model``;
+    the serving path plans f-trees, so they stay on :class:`FDB`."""
+    params = inspect.signature(func).parameters
+    assert not {"plan_search", "cost_model", "statistics"} & set(params)
+    assert not any(
+        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
+    )
+
+
 def _numpy_imports(tree: ast.AST) -> List[Tuple[int, bool]]:
     """``(line, inside a try)`` of every import of numpy in ``tree``."""
     guarded = {

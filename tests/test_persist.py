@@ -1374,3 +1374,43 @@ def test_a_length_field_past_any_buffer_is_a_clean_error(field):
     truncation."""
     with pytest.raises(PersistError, match="truncated"):
         field()
+
+
+def _forged_payload_length(length: int) -> bytes:
+    out = io.BytesIO()
+    write_blob(out, "ftree", {}, b"")
+    return out.getvalue()[:-8] + struct.pack(">Q", length)
+
+
+def _forged_header_length(length: int) -> bytes:
+    out = io.BytesIO()
+    write_blob(out, "ftree", {}, b"")
+    blob = out.getvalue()
+    at = len(blob) - 4 - 2 - 4 - 8  # u32 header length, "{}", crc, length
+    return blob[:at] + struct.pack(">I", length) + blob[at + 4:]
+
+
+@pytest.mark.parametrize(
+    "forge,length",
+    [
+        (_forged_payload_length, 2**40),
+        (_forged_payload_length, 2**62),
+        (_forged_header_length, 2**32 - 1),
+    ],
+    ids=["payload-2^40", "payload-2^62", "header-2^32"],
+)
+@pytest.mark.parametrize("reader", ["load", "read_blob"])
+def test_a_forged_length_in_a_file_is_not_allocated(
+    tmp_path, forge, length, reader
+):
+    """A buffered file read allocates the length it is asked for before
+    reading a byte, so a forged length below 2**63 raised
+    ``MemoryError``; the bounded read asks for what the file holds."""
+    path = tmp_path / "forged.fdbp"
+    path.write_bytes(forge(length))
+    with pytest.raises(PersistError, match="truncated"):
+        if reader == "load":
+            load(str(path))
+        else:
+            with open(path, "rb") as handle:
+                read_blob(handle)

@@ -197,13 +197,6 @@ def test_statistics_built_once_per_version(session):
     assert session.stats.stats_builds == 1
 
 
-def test_estimates_cost_model_shares_session_statistics(db):
-    session = QuerySession(db, cost_model="estimates")
-    assert session.stats.stats_builds == 1
-    assert session._fdb._stats is session.statistics()
-    assert session.stats.stats_builds == 1
-
-
 def test_fallback_budget_routes_to_flat(db):
     session = QuerySession(db, fallback_budget=0.0)
     result = session.run(parse_query(JOIN))
