@@ -56,7 +56,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -71,6 +70,7 @@ from repro.core.columns import (
     _i64,
 )
 from repro.core.ftree import FTree
+from repro.obs.metrics import Tally
 
 #: Pre-multiplication bound under which int64 arithmetic cannot
 #: overflow; counts that may exceed it are computed with exact Python
@@ -97,8 +97,8 @@ class ValuePool:
     without any id remapping.  Interning is thread-safe (shard workers
     and the server's task pool intern concurrently); reads are
     lock-free, misses take a lock.  Ids are never remapped or removed
-    -- :meth:`ArenaWriter.finish` skips its pool compaction for shared
-    pools -- so ids handed out remain valid forever.
+    -- :meth:`ArenaWriter.finish` builds a pool only for private
+    arenas -- so ids handed out remain valid forever.
     """
 
     __slots__ = ("_values", "_intern", "_lock")
@@ -306,17 +306,16 @@ class ArenaWriter:
     *rolled back* by :meth:`truncate`, which needs only the watermark
     of a direct child and finds the deeper ones in the columns
     themselves.
+
+    Value columns under construction are plain lists.  With a private
+    pool (``pool=None``) they hold the raw value objects, and values
+    become ids only in :meth:`finish`, once per column.  With a shared
+    :class:`ValuePool` the caller interns each value as it writes it,
+    so the columns hold ids and the pool grows in write order,
+    rolled-back entries included.
     """
 
-    __slots__ = (
-        "skel",
-        "values",
-        "child_lo",
-        "child_hi",
-        "pool",
-        "_intern",
-        "_shared",
-    )
+    __slots__ = ("skel", "values", "child_lo", "child_hi", "pool")
 
     def __init__(self, tree_or_skel, pool: Optional[ValuePool] = None) -> None:
         skel = (
@@ -326,36 +325,14 @@ class ArenaWriter:
         )
         self.skel = skel
         n = len(skel)
-        self.values: List[array] = [_i64() for _ in range(n)]
+        self.values: List[list] = [[] for _ in range(n)]
         self.child_lo: List[List[array]] = [
             [_i64() for _ in skel.children[i]] for i in range(n)
         ]
         self.child_hi: List[List[array]] = [
             [_i64() for _ in skel.children[i]] for i in range(n)
         ]
-        self._shared = pool is not None
-        if self._shared:
-            self.pool = pool  # type: ignore[assignment]
-            self._intern = None  # type: ignore[assignment]
-            return
-        self.pool: List[object] = []
-        # One intern table per value *type*: True == 1 and 1.0 == 1
-        # must not collapse into one pool slot (decoding would change
-        # value types), and a per-type dict avoids allocating a
-        # (type, value) key tuple on the build hot path.
-        self._intern: Dict[type, Dict[object, int]] = {}
-
-    def intern(self, value: object) -> int:
-        if self._shared:
-            return self.pool.intern(value)  # type: ignore[union-attr]
-        table = self._intern.get(value.__class__)
-        if table is None:
-            table = self._intern[value.__class__] = {}
-        vid = table.get(value)
-        if vid is None:
-            vid = table[value] = len(self.pool)
-            self.pool.append(value)
-        return vid
+        self.pool = pool
 
     def truncate(self, idx: int, watermark: int) -> int:
         """Discard node ``idx``'s entries from ``watermark`` on, with
@@ -377,57 +354,44 @@ class ArenaWriter:
         del column[watermark:]
         return discarded
 
-    def extend_leaf(self, idx: int, leaf_values: Iterable[object]) -> None:
-        """Fast path: append a whole leaf union (no children, no marks)."""
-        column = self.values[idx]
-        if self._shared:
-            column.extend(map(self.pool.intern, leaf_values))  # type: ignore[union-attr]
-            return
-        # Candidate lists are homogeneous in practice: resolve the
-        # per-type intern table once per run of one type, not once per
-        # value.
-        tables, pool = self._intern, self.pool
-        table: Dict[object, int] = {}
-        current_class = None
-        for value in leaf_values:
-            if value.__class__ is not current_class:
-                current_class = value.__class__
-                table = tables.setdefault(current_class, {})
-            vid = table.get(value)
-            if vid is None:
-                vid = table[value] = len(pool)
-                pool.append(value)
-            column.append(vid)
-
     def finish(self) -> ArenaRep:
-        """Compact the pool to referenced values and freeze the arena.
+        """Freeze the arena.
 
-        Rollbacks may leave interned values no surviving entry uses;
-        remapping ids to first-use order keeps the pool tight and the
-        arena deterministic for a given construction order.  A
-        *shared* :class:`ValuePool` is never compacted: its ids are
-        also referenced by other arenas.
+        A private pool is built here: one pass per column, in node
+        order, gives every (type, value) its id at its first use, so
+        the pool holds only values that surviving entries reference,
+        and each slot keeps the first object seen.  A *shared*
+        :class:`ValuePool` is taken as it is: its ids are also
+        referenced by other arenas.
         """
-        if self._shared:
-            return ArenaRep(
-                self.skel,
-                self.values,
-                self.child_lo,
-                self.child_hi,
-                self.pool,
-            )
-        remap: Dict[int, int] = {}
-        pool: List[object] = []
-        for column in self.values:
-            for e, vid in enumerate(column):
-                new = remap.get(vid)
-                if new is None:
-                    new = remap[vid] = len(pool)
-                    pool.append(self.pool[vid])
-                column[e] = new
-        return ArenaRep(
-            self.skel, self.values, self.child_lo, self.child_hi, pool
-        )
+        values = self.values
+        if self.pool is not None:
+            columns = [array("q", column) for column in values]
+            pool = self.pool
+        else:
+            pool = []
+            tables: Dict[type, Dict[object, int]] = {}
+            columns = [_ids(column, tables, pool) for column in values]
+        return ArenaRep(self.skel, columns, self.child_lo, self.child_hi, pool)
+
+
+def _ids(
+    column: List[object],
+    tables: Dict[type, Dict[object, int]],
+    pool: List[object],
+) -> array:
+    """``column``'s values as pool ids, adding unseen values to ``pool``
+    in first-use order.  One table per value *type*: ``True == 1 ==
+    1.0``, yet decoding must not change a value's type."""
+    kinds = set(map(type, column))
+    if len(kinds) > 1:  # rare: one value at a time, each of one type
+        return array("q", [_ids([v], tables, pool)[0] for v in column])
+    table = tables.setdefault(kinds.pop(), {}) if kinds else {}
+    for value in dict.fromkeys(column):
+        if value not in table:
+            table[value] = len(pool)
+            pool.append(value)
+    return array("q", map(table.__getitem__, column))
 
 
 # -- validation --------------------------------------------------------------
@@ -650,6 +614,23 @@ _ENUM_CACHE: Dict[tuple, Callable[["ArenaRep"], Iterator[tuple]]] = {}
 # are lock-free).
 _ENUM_CACHE_LOCK = threading.Lock()
 
+#: The ``enumerator`` metrics namespace (see :func:`counters`),
+#: registered by every :class:`~repro.service.session.QuerySession`:
+#: ``cache_evictions`` counts the loop nests pushed out of the cache.
+COUNTERS = Tally(("cache_evictions",))
+
+
+def counters() -> Dict[str, int]:
+    """The ``enumerator`` collector: :data:`COUNTERS` plus the number of
+    loop nests currently compiled."""
+    return dict(COUNTERS.snapshot(), cache_size=len(_ENUM_CACHE))
+
+
+def _pool_list(pool) -> Sequence[object]:
+    """The list behind ``pool``: a shared :class:`ValuePool` is read
+    through its backing list, so a lookup is no Python-level call."""
+    return pool._values if isinstance(pool, ValuePool) else pool
+
 
 def _compile_rows(
     skel: _Skeleton, order: Tuple[str, ...]
@@ -661,14 +642,21 @@ def _compile_rows(
     if compiled is not None:
         return compiled
 
-    slot_of = {attr: i for i, attr in enumerate(order)}
+    # A node's value goes to a local of its own; a row is the tuple
+    # of those locals, in output order.
+    node_of = {
+        attr: idx
+        for idx, attrs in enumerate(skel.attr_tuples)
+        for attr in attrs
+    }
+    wanted = {node_of[attr] for attr in order}
+    row = "".join(f"_x{node_of[attr]}, " for attr in order)
     lines: List[str] = [
         "def _rows(arena):",
         "    _values = arena.values",
         "    _lo = arena.child_lo",
         "    _hi = arena.child_hi",
-        "    _pool = arena.pool",
-        f"    _buffer = [None] * {len(order)}",
+        "    _pool = _pool_list(arena.pool)",
     ]
     # Local binds: one name per column, resolved once.
     for idx in range(len(skel)):
@@ -680,7 +668,7 @@ def _compile_rows(
     def emit(units: List[Tuple[int, Optional[int]]], depth: int) -> None:
         pad = "    " * (depth + 1)
         if not units:
-            lines.append(f"{pad}yield tuple(_buffer)")
+            lines.append(f"{pad}yield ({row})")
             return
         (idx, parent), rest = units[0], units[1:]
         var = f"_e{idx}"
@@ -689,27 +677,25 @@ def _compile_rows(
         else:
             rng = f"range(_l{idx}[_e{parent}], _h{idx}[_e{parent}])"
         lines.append(f"{pad}for {var} in {rng}:")
-        body = "    " * (depth + 2)
-        slots = [
-            slot_of[attr]
-            for attr in skel.attr_tuples[idx]
-            if attr in slot_of
-        ]
-        if slots:
-            lines.append(f"{body}_x = _pool[_v{idx}[{var}]]")
-            for slot in slots:
-                lines.append(f"{body}_buffer[{slot}] = _x")
+        if idx in wanted:
+            body = "    " * (depth + 2)
+            lines.append(f"{body}_x{idx} = _pool[_v{idx}[{var}]]")
         children = [(k, idx) for k in skel.children[idx]]
         emit(children + rest, depth + 1)
 
     emit([(r, None) for r in skel.roots], 0)
-    namespace: Dict[str, object] = {}
+    namespace: Dict[str, object] = {"_pool_list": _pool_list}
     exec("\n".join(lines), namespace)  # noqa: S102 - self-generated
     compiled = namespace["_rows"]
+    evicted = 0
     with _ENUM_CACHE_LOCK:
-        while len(_ENUM_CACHE) >= _ENUM_CACHE_SIZE:
-            del _ENUM_CACHE[next(iter(_ENUM_CACHE))]
+        if key not in _ENUM_CACHE:  # (a racing compiler may have won)
+            while len(_ENUM_CACHE) >= _ENUM_CACHE_SIZE:
+                del _ENUM_CACHE[next(iter(_ENUM_CACHE))]
+                evicted += 1
         _ENUM_CACHE[key] = compiled
+    if evicted:
+        COUNTERS.add(cache_evictions=evicted)
     return compiled
 
 
@@ -729,7 +715,7 @@ def _iter_rows_walk(
         for attrs in skel.attr_tuples
     ]
     buffer: List[object] = [None] * len(order)
-    pool = arena.pool
+    pool = _pool_list(arena.pool)
     values = arena.values
     child_lo, child_hi = arena.child_lo, arena.child_hi
     children = skel.children
@@ -761,30 +747,30 @@ def _iter_rows_walk(
 def iter_rows(
     arena: Optional[ArenaRep], attributes: Sequence[str]
 ) -> Iterator[tuple]:
-    """Yield tuples projected onto ``attributes``, depth-first with
-    unions in value order.  Large arenas with shallow skeletons run
-    through the compiled per-skeleton loop nest; everything else takes
-    the recursive walk -- both produce identical sequences."""
+    """Tuples projected onto ``attributes``, depth-first with unions in
+    value order.  Large arenas with shallow skeletons run through the
+    compiled per-skeleton loop nest; everything else takes the
+    recursive walk -- both produce identical sequences.  The engine's
+    generator is returned as it is, so a row costs one generator frame,
+    and an unknown attribute raises :class:`KeyError` at call time."""
     if arena is None:
-        return
+        return iter(())
+    order = tuple(attributes)
     known = {
         attr
         for attrs in arena.skel.attr_tuples
         for attr in attrs
     }
-    for attr in attributes:
+    for attr in order:
         if attr not in known:
             # A silent None column would turn a typo into wrong data.
             raise KeyError(attr)
-    node_count = arena.node_count
     if (
-        0 < node_count <= _MAX_CODEGEN_NODES
+        0 < arena.node_count <= _MAX_CODEGEN_NODES
         and arena.entry_count >= _CODEGEN_MIN_ENTRIES
     ):
-        compiled = _compile_rows(arena.skel, tuple(attributes))
-        yield from compiled(arena)
-        return
-    yield from _iter_rows_walk(arena, attributes)
+        return _compile_rows(arena.skel, order)(arena)
+    return _iter_rows_walk(arena, order)
 
 
 def iter_assignments(

@@ -40,14 +40,20 @@ creates a new one, so a trie cannot go stale and is reclaimed with its
 relation; shard views and delta views share the database's relation
 objects and therefore its tries.
 
-Entries go straight into the arena's flat integer columns
-(:class:`~repro.core.arena.ArenaWriter`): children are written first,
-and an entry whose children forest comes up empty is rolled back by
-truncating what its earlier children wrote.  What gets written is
-contractual, not incidental: candidates are visited in a fixed order
-and values interned at fixed moments, so the arena -- column contents
-and pool order, private or shared pool -- is byte for byte what the
-per-node indexes this module used to build produced
+Entries are appended to the arena's columns
+(:class:`~repro.core.arena.ArenaWriter`) as raw values: a leaf union is
+one ``list.extend`` of its trie level, and a single-relation chain node
+whose only child is a leaf of the same relation writes both in one
+fused loop.  With a private pool values become ids only in
+:meth:`~repro.core.arena.ArenaWriter.finish`, once per column; a shared
+:class:`~repro.core.arena.ValuePool` interns each value as it is
+written, in walk order, because other arenas share its ids.  Children
+are written first, and an entry whose children forest comes up empty
+is rolled back by truncating what its earlier children wrote.  What
+gets written is contractual, not incidental: candidates are visited in
+a fixed order and ids assigned in a fixed order, so the arena --
+column contents and pool order, private or shared pool -- is byte for
+byte what the per-node indexes this module used to build produced
 (``tests/data/factorise_golden.json`` pins it).  Persisted blobs, wire
 frames and size ratios do not depend on the builder.
 """
@@ -227,28 +233,40 @@ class Factoriser:
         """
         skel = self._skel
         writer = ArenaWriter(skel, pool)
-        values = writer.values
-        intern = writer.intern if pool is None else pool.intern
-        extend_leaf, truncate = writer.extend_leaf, writer.truncate
+        values, truncate = writer.values, writer.truncate
         discarded = [0]
+        if pool is None:  # raw values: ``finish()`` assigns the ids
+
+            def writes(column: list) -> Tuple[Callable, Callable]:
+                return column.append, column.extend
+
+        else:  # a shared pool interns in walk order
+            intern = pool.intern
+
+            def writes(column: list) -> Tuple[Callable, Callable]:
+                return (
+                    lambda value: column.append(intern(value)),
+                    lambda found: column.extend(map(intern, found)),
+                )
 
         def make(idx, cursors, sources, kid_emits):
             """``emit()`` appends the node's union under the current
             cursors to its column; false when the union is empty."""
             candidates = _candidates_fn(cursors, sources)
+            column = values[idx]
+            put, put_all = writes(column)
             if not kid_emits:
 
                 def emit_leaf() -> bool:
                     found = candidates()
                     if not found:
                         return False
-                    extend_leaf(idx, found)
+                    put_all(found)
                     return True
 
                 return emit_leaf
 
             moves = _moves(sources)
-            column = values[idx]
             kid_ids = skel.children[idx]
             # Per child: its emitter, its column, this node's ranges.
             kids = [
@@ -265,6 +283,25 @@ class Factoriser:
                 # The commonest node by far: one relation, one child.
                 ((read, write),) = moves
                 ((kid, below, add_lo, add_hi),) = kids
+                (child,) = kid_ids
+                same = self._sources[child] == [(write, -1)]
+                if same and not skel.children[child]:
+                    # ... and that child a leaf of the same relation:
+                    # the child union is the trie level itself.
+                    _, fill = writes(below)
+
+                    def emit_chain_leaf() -> bool:
+                        before, end = len(column), len(below)
+                        for value, level in cursors[read].items():
+                            if level:  # (empty under an a = b class)
+                                add_lo(end)
+                                fill(level)
+                                end = len(below)
+                                add_hi(end)
+                                put(value)
+                        return len(column) > before
+
+                    return emit_chain_leaf
 
                 def emit_chain() -> bool:
                     before = len(column)
@@ -274,7 +311,7 @@ class Factoriser:
                         if kid():
                             add_lo(mark)
                             add_hi(len(below))
-                            column.append(intern(value))
+                            put(value)
                     return len(column) > before
 
                 return emit_chain
@@ -298,7 +335,7 @@ class Factoriser:
                         ):
                             add_lo(mark)
                             add_hi(len(below))
-                        column.append(intern(value))
+                        put(value)
                 return len(column) > before
 
             return emit

@@ -20,14 +20,11 @@ def from_product(
     skel = writer.skel
     values = writer.values
     child_lo, child_hi = writer.child_lo, writer.child_hi
-    intern = writer.intern
 
     def emit_union(idx: int, union: UnionRep) -> None:
         kids = skel.children[idx]
         if not kids:
-            values[idx].extend(
-                intern(value) for value, _ in union.entries
-            )
+            values[idx].extend(value for value, _ in union.entries)
             return
         for value, child in union.entries:
             starts = [len(values[k]) for k in kids]
@@ -36,7 +33,7 @@ def from_product(
             for j, k in enumerate(kids):
                 child_lo[idx][j].append(starts[j])
                 child_hi[idx][j].append(len(values[k]))
-            values[idx].append(intern(value))
+            values[idx].append(value)
 
     if len(product.factors) != len(skel.roots):
         raise ArenaError(

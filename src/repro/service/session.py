@@ -53,6 +53,7 @@ from repro import ops
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import SlowQueryLog
+from repro.core.arena import counters as enumerator_counters
 from repro.core.build import COUNTERS as FACTORISE_COUNTERS
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
@@ -296,11 +297,12 @@ class QuerySession:
         self._traces = self.registry.counter("traces_total")
         self.registry.register("session", self.stats.as_dict)
         self.registry.register("caches", self.cache_counters)
-        # Process-wide: the searches, the factoriser, the operator
-        # kernels and the shard union are plain functions with no
-        # session to report to.
+        # Process-wide: the searches, the factoriser, the enumerator
+        # cache, the operator kernels and the shard union are plain
+        # functions with no session to report to.
         self.registry.register("optimiser", OPTIMISER_COUNTERS.snapshot)
         self.registry.register("factorise", FACTORISE_COUNTERS.snapshot)
+        self.registry.register("enumerator", enumerator_counters)
         self.registry.register("kernels", kernel_counters)
         self.registry.register("union", UNION_COUNTERS.snapshot)
         self.registry.register(

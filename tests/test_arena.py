@@ -37,6 +37,8 @@ from repro.reference import (
 )
 from repro.reference import factorise as reference_factorise
 from repro.reference import ops as reference_ops
+from repro.relational.database import Database
+from repro.service import QuerySession
 from repro.workloads import random_database, random_spj_queries
 
 #: >= 50 seeded databases for the round-trip / order properties.
@@ -168,8 +170,6 @@ def test_arena_pickle_round_trip():
 
 
 def _grocery_like():
-    from repro.relational.database import Database
-
     db = Database()
     db.add_rows(
         "Orders",
@@ -306,6 +306,7 @@ def test_compiled_enumerator_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(arena, "_ENUM_CACHE_SIZE", 2)
     monkeypatch.setattr(arena, "_ENUM_CACHE", {})
     rep = _chain_arena(362)
+    before = arena.COUNTERS.snapshot()["cache_evictions"]
     orders = [("a00",), ("a01",), ("a02",), ("a00", "a01")]
     for order in orders:
         arena._compile_rows(rep.skel, order)
@@ -313,17 +314,45 @@ def test_compiled_enumerator_cache_is_bounded(monkeypatch):
     # Oldest out: the last two orders are the ones still compiled.
     kept = list(arena._ENUM_CACHE.values())
     assert [arena._compile_rows(rep.skel, o) for o in orders[2:]] == kept
+    # The cache is weighed in the session's ``enumerator`` namespace:
+    # two of the four insertions (the hits after them none) evicted.
+    with QuerySession(Database()) as session:
+        gauges = session.snapshot()["enumerator"]
+    assert gauges["cache_size"] == 2
+    assert gauges["cache_evictions"] - before == 2
 
 
 # -- writer/validation internals ---------------------------------------------
 
 
 def test_intern_distinguishes_equal_values_of_different_types():
-    tree = FTree.from_nested([("a", [])], edges=[])
+    """A private pool is built at ``finish()``: 1, 1.0 and True compare
+    equal but get three slots, in first-use order across the columns
+    (node order), and a slot keeps the first object it saw."""
+    tree = FTree.from_nested([("a", [("b", [])])], edges=[{"a", "b"}])
     writer = ArenaWriter(tree)
-    assert writer.intern(1) != writer.intern(True)
-    assert writer.intern(1) != writer.intern(1.0)
-    assert writer.intern(1) == writer.intern(1)
+    writer.values[0].extend([True, 1, -0.0])
+    writer.values[1].extend([1.0, 1, True, 0.0, 1.0])
+    for lo, hi in ((0, 2), (2, 4), (4, 5)):
+        writer.child_lo[0][0].append(lo)
+        writer.child_hi[0][0].append(hi)
+    rep = writer.finish()
+    assert [(type(v), repr(v)) for v in rep.pool] == [
+        (bool, "True"),
+        (int, "1"),
+        (float, "-0.0"),
+        (float, "1.0"),
+    ]
+    assert [list(column) for column in rep.values] == [
+        [0, 1, 2],
+        [3, 1, 0, 2, 3],
+    ]
+    # One column on its own: same slots, in that column's order.
+    single = ArenaWriter(FTree.from_nested([("a", [])], edges=[]))
+    single.values[0].extend([1.0, True, 1, 1.0, True])
+    rep = single.finish()
+    assert [type(v) for v in rep.pool] == [float, bool, int]
+    assert list(rep.values[0]) == [0, 1, 2, 0, 1]
 
 
 def test_validate_arena_rejects_mismatched_tree():
@@ -360,18 +389,18 @@ def test_validate_arena_enforces_the_constant_node_rule():
         Hypergraph([]),
     )
     good = ArenaWriter(tree)
-    good.extend_leaf(1, [7, 8])
+    good.values[1].extend([7, 8])
     good.child_lo[0][0].append(0)
     good.child_hi[0][0].append(2)
-    good.values[0].append(good.intern(5))
+    good.values[0].append(5)
     arena.validate_arena(tree, good.finish())
 
     bad = ArenaWriter(tree)
     for value, (lo, hi) in ((5, (0, 1)), (6, (1, 2))):
-        bad.extend_leaf(1, [value + 2])
+        bad.values[1].append(value + 2)
         bad.child_lo[0][0].append(lo)
         bad.child_hi[0][0].append(hi)
-        bad.values[0].append(bad.intern(value))
+        bad.values[0].append(value)
     rep = bad.finish()
     arena.validate_arena_bounds(tree, rep)  # structurally fine
     with pytest.raises(ArenaError, match="constant node"):
@@ -442,3 +471,7 @@ def test_iter_rows_unknown_attribute_raises_like_objects():
         list(fr.rows(["not_an_attribute"]))
     with pytest.raises(KeyError):
         list(fa.rows(["not_an_attribute"]))
+    # At call time, before a row is asked for, on either engine.
+    for rep in (fa.rep, _chain_arena(363)):
+        with pytest.raises(KeyError):
+            arena.iter_rows(rep, ["not_an_attribute"])

@@ -1243,10 +1243,10 @@ def _one_union(values):
     """a -> b with one a-entry whose b-union holds ``values`` as given."""
     tree = FTree.from_nested([("a", [("b", [])])], [{"a", "b"}])
     writer = ArenaWriter(tree)
-    writer.extend_leaf(1, values)
+    writer.values[1].extend(values)
     writer.child_lo[0][0].append(0)
     writer.child_hi[0][0].append(len(values))
-    writer.values[0].append(writer.intern(1))
+    writer.values[0].append(1)
     return FactorisedRelation(tree, writer.finish())
 
 
@@ -1264,15 +1264,15 @@ def _two_values_under_a_constant_node():
 
     tree = FTree([FNode({"c"}, [], constant=True)], Hypergraph([{"c"}]))
     writer = ArenaWriter(tree)
-    writer.extend_leaf(0, [5, 6])
+    writer.values[0].extend([5, 6])
     return FactorisedRelation(tree, writer.finish())
 
 
 def _a_relation_split_across_branches():
     tree = FTree.from_nested([("a", []), ("b", [])], [{"a", "b"}])
     writer = ArenaWriter(tree)
-    writer.extend_leaf(0, [1])
-    writer.extend_leaf(1, [2])
+    writer.values[0].append(1)
+    writer.values[1].append(2)
     return FactorisedRelation(tree, writer.finish())
 
 

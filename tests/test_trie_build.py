@@ -17,6 +17,7 @@ twice), and the ``factorise`` counters repeat exactly.
 
 import json
 import pickle
+import random
 import sys
 import threading
 from itertools import islice, permutations
@@ -24,7 +25,8 @@ from itertools import islice, permutations
 from hypothesis import given, settings, strategies as st
 
 from repro import persist
-from repro.core.arena import ValuePool, iter_rows
+from repro.core import build
+from repro.core.arena import ValuePool, iter_rows, validate_arena
 from repro.core.build import COUNTERS, Factoriser, factorise
 from repro.core.ftree import FNode, FTree
 from repro.optimiser.ftree_optimiser import optimal_ftree
@@ -38,6 +40,7 @@ from repro.relational.engine import RelationalEngine
 from repro.relational.relation import TRIE_CACHE_SIZE, Relation
 from repro.workloads import random_database, random_query
 from tests.conftest import load_script
+from tests.test_differential import BATCHES, _database, _queries
 
 gen = load_script("gen_factorise_golden")
 
@@ -72,6 +75,138 @@ def test_factorise_writes_the_golden_arenas():
         # The arena decodes to what the reference factoriser builds.
         decoded = to_product(Factoriser(relations, tree).run())
         assert gen.product_digest(decoded) == want["object"], case
+
+
+# -- when values become ids ----------------------------------------------------
+
+
+def _typed_rows(arena, order):
+    return [tuple(_typed(v) for v in row) for row in iter_rows(arena, order)]
+
+
+def _typed(value):
+    return type(value).__name__, value
+
+
+def test_a_column_of_ints_and_floats_keeps_its_types_in_either_pool():
+    """``1`` and ``1.0`` meet in one column.  A private pool numbers
+    them at ``finish()``, column by column in first-use order; a shared
+    pool interns them as the walk writes them (a leaf union before its
+    parent's value).  Either way both types survive decoding."""
+    r = Relation.from_rows(
+        "R", ("a", "b"), [(1, 1), (1, 2.5), (2, 1.0), (2, 3)]
+    )
+    s = Relation.from_rows("S", ("b", "c"), [(1.0, 7), (2.5, 8.0), (3, 9)])
+    chain = FTree.from_nested([("a", [("b", [])])], edges=[{"a", "b"}])
+    private = factorise([r], chain)
+    shared = factorise([r], chain, pool=ValuePool())
+    assert [(type(v), v) for v in private.pool] == [
+        (int, 1), (int, 2), (float, 2.5), (float, 1.0), (int, 3),
+    ]
+    assert [(type(v), v) for v in shared.pool] == [
+        (int, 1), (float, 2.5), (float, 1.0), (int, 3), (int, 2),
+    ]
+    want = [(1, 1), (1, 2.5), (2, 1.0), (2, 3)]
+    for rep in (private, shared):
+        assert _typed_rows(rep, ("a", "b")) == [
+            tuple(map(_typed, row)) for row in want
+        ]
+    # Through a two-relation join (the general emitter): b = 1 and
+    # b = 1.0 are one join value, typed by the smaller trie level.
+    deep = FTree.from_nested(
+        [("a", [("b", [("c", [])])])], edges=[{"a", "b"}, {"b", "c"}]
+    )
+    private = factorise([r, s], deep)
+    shared = factorise([r, s], deep, pool=ValuePool())
+    assert _typed_rows(private, ("a", "b", "c")) == _typed_rows(
+        shared, ("a", "b", "c")
+    )
+    assert len(private.pool) == len(set(map(_typed, private.pool)))
+    assert {type(private.pool[v]) for v in private.values[1]} == {int, float}
+
+
+def _spy_on_candidates(monkeypatch):
+    """Count calls per node of every candidates function a run makes,
+    keyed by the identity of the node's source list."""
+    calls = {}
+    real = build._candidates_fn
+
+    def spy(cursors, sources):
+        found = real(cursors, sources)
+        calls[id(sources)] = 0
+
+        def counted():
+            calls[id(sources)] += 1
+            return found()
+
+        return counted
+
+    monkeypatch.setattr(build, "_candidates_fn", spy)
+    return calls
+
+
+def _decoded(rep):
+    if rep is None:
+        return None
+    return (
+        [[_typed(rep.pool[v]) for v in column] for column in rep.values],
+        [[list(slot) for slot in slots] for slots in rep.child_lo],
+        [[list(slot) for slot in slots] for slots in rep.child_hi],
+    )
+
+
+def _agreement_cases():
+    """(relations, f-tree, intra) over the differential harness's
+    databases and queries, on the optimal tree and on one shuffled
+    chain; then chains ``a00 -> {a01, a02}`` over one relation, whose
+    class asserts an intra-relation equality (``intra`` is true)."""
+    for db_seed, query_seed, count in BATCHES:
+        db = _database(db_seed)
+        for i, query in enumerate(_queries(db, query_seed, count)):
+            relations = gen._relations_of(db, query)
+            tree, _ = optimal_ftree(db, query)
+            yield relations, tree, False
+            yield relations, gen._chain_tree(tree, random.Random(i)), False
+    for seed in range(5):
+        db = random_database(1, 3, tuples=8, domain=3, seed=seed)
+        query = Query.make(["R0"], equalities=[("a01", "a02")])
+        tree, _ = optimal_ftree(db, query)
+        chain = FTree([FNode({"a00"}, [FNode({"a01", "a02"})])], tree.edges)
+        yield [db["R0"]], chain, True
+
+
+def test_private_and_shared_pools_decode_to_the_same_arena(monkeypatch):
+    calls = _spy_on_candidates(monkeypatch)
+    fused = skipped = 0
+    for relations, tree, intra in _agreement_cases():
+        calls.clear()
+        factoriser = Factoriser(relations, tree)
+        private = factoriser.run()
+        shared = factoriser.run(ValuePool())
+        assert _decoded(private) == _decoded(shared)
+        assert to_product(private) == reference_factorise(relations, tree)
+        validate_arena(tree, private)
+        validate_arena(tree, shared)
+        if private is None:
+            continue
+        # A leaf whose candidates never ran was written by its parent's
+        # fused loop: one relation, one child, the child a leaf.
+        skel = private.skel
+        for idx, kids in enumerate(skel.children):
+            if not kids and not calls[id(factoriser._sources[idx])]:
+                fused += 1
+                parent = skel.parent[idx]
+                assert skel.children[parent] == (idx,)
+                assert len(factoriser._sources[parent]) == 1
+        if intra:
+            # Every a00 without an a01 = a02 row has an empty level
+            # under it: the fused loop skipped it and wrote nothing.
+            rows = relations[0].rows
+            kept = sorted({a00 for a00, a01, a02 in rows if a01 == a02})
+            skipped += len(kept) < len({row[0] for row in rows})
+            assert [private.pool[v] for v in private.values[0]] == kept
+    assert fused > 0
+    assert skipped > 0
 
 
 # -- the semantic property -----------------------------------------------------
