@@ -623,11 +623,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from repro.exec import worker
     from repro.obs.profile import profile_plan
     from repro.ops.union import COUNTERS as UNION_COUNTERS
-    from repro.optimiser.bitspace import COUNTERS as OPTIMISER_COUNTERS
+    from repro.optimiser import bitspace
 
     db = _load_database_arg(args)
     query = parse_query(args.query)
-    searched = OPTIMISER_COUNTERS.snapshot()
+    searched = bitspace.COUNTERS.snapshot()
     factorised = FACTORISE_COUNTERS.snapshot()
     unioned = UNION_COUNTERS.snapshot()
     fdb = FDB(db, plan_search=args.planner)
@@ -665,8 +665,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
             print(f"  [{i}] {step}")
     else:
         print("f-plan: identity (no restructuring needed)")
-    # What the two searches above cost (the tallies are process-wide).
-    print(report.optimiser_line(OPTIMISER_COUNTERS.since(searched)))
+    # What the two searches above cost (the memo gauges: process-wide).
+    spent = dict(bitspace.counters(), **bitspace.COUNTERS.since(searched))
+    print(report.optimiser_line(spent))
     result, profile = profile_plan(plan, fr)
     if query.projection is not None:
         result = ops.project(result, query.projection)

@@ -2,7 +2,8 @@
 
 - :mod:`repro.costs.edge_cover` -- exact fractional edge cover numbers
   via a Fraction-arithmetic simplex on the dual packing LP (the paper
-  used GLPK); integral covers for the non-weighted variant;
+  used GLPK), memoised as floats for the optimisers (``exact`` turns
+  them back); integral covers for the non-weighted variant;
 - :mod:`repro.costs.cost_model` -- ``s(T)``, the bottleneck plan cost
   ``s(f)`` and the lexicographic plan order of Section 4.1;
 - :mod:`repro.costs.cardinality` -- the estimate-based cost measure

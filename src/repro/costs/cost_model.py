@@ -11,24 +11,26 @@ Covers are memoised on the (path classes, edges) pair: during the
 optimiser's search thousands of trees share paths.  Behind that memo
 sits the process-wide signature-keyed LP memo of
 :mod:`repro.costs.edge_cover`, which the integer-coded optimisers
-(:mod:`repro.optimiser.bitspace`) consult directly.
+(:mod:`repro.optimiser.bitspace`) consult directly.  Both hold floats;
+:func:`path_cover` and :func:`s_tree` return exact ``Fraction`` values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, Sequence, Tuple, Union
 
 from repro.core.ftree import FTree, label_key
-from repro.costs.edge_cover import SIGNATURE_COVERS, CoverError
+from repro.costs.edge_cover import SIGNATURE_COVERS, CoverError, exact
 
 _Classes = Tuple[FrozenSet[str], ...]
 _Edges = FrozenSet[FrozenSet[str]]
+_Cost = Union[Fraction, float]
 
 
 @lru_cache(maxsize=262144)
-def _cover_cached(classes: _Classes, edges: _Edges) -> Fraction:
+def _cover_cached(classes: _Classes, edges: _Edges) -> float:
     # Edges numbered as SearchSpace numbers them, so both share entries.
     numbered = list(enumerate(sorted(edges, key=label_key)))
     return SIGNATURE_COVERS.cover(
@@ -39,12 +41,16 @@ def _cover_cached(classes: _Classes, edges: _Edges) -> Fraction:
     )
 
 
+def _path_cover(classes: Sequence[FrozenSet[str]], edges: _Edges) -> float:
+    canonical = tuple(sorted(set(classes), key=lambda c: tuple(sorted(c))))
+    return _cover_cached(canonical, edges)
+
+
 def path_cover(
     classes: Sequence[FrozenSet[str]], edges: _Edges
 ) -> Fraction:
     """Fractional cover of one path's classes (order-insensitive)."""
-    canonical = tuple(sorted(set(classes), key=lambda c: tuple(sorted(c))))
-    return _cover_cached(canonical, edges)
+    return exact(_path_cover(classes, edges))
 
 
 def s_tree(tree: FTree) -> Fraction:
@@ -57,20 +63,20 @@ def s_tree(tree: FTree) -> Fraction:
     Fraction(1, 1)
     """
     edges = tree.edges.edges
-    best = Fraction(0)
+    best = 0.0
     for path in tree.root_to_leaf_paths():
         classes = [node.label for node in path if not node.constant]
         if not classes:
             continue
         try:
-            cover = path_cover(classes, edges)
+            cover = _path_cover(classes, edges)
         except CoverError:
             # A class with no covering edge cannot occur for query
             # f-trees; treat it as infinitely expensive if it does.
             return Fraction(10**9)
         if cover > best:
             best = cover
-    return best
+    return exact(best)
 
 
 def s_plan(trees: Sequence[FTree]) -> Fraction:
@@ -90,14 +96,12 @@ class PlanCost:
 
     __slots__ = ("bottleneck", "final", "length")
 
-    def __init__(
-        self, bottleneck: Fraction, final: Fraction, length: int
-    ) -> None:
+    def __init__(self, bottleneck: _Cost, final: _Cost, length: int) -> None:
         self.bottleneck = bottleneck
         self.final = final
         self.length = length
 
-    def as_tuple(self) -> Tuple[Fraction, Fraction, int]:
+    def as_tuple(self) -> Tuple[_Cost, _Cost, int]:
         return (self.bottleneck, self.final, self.length)
 
     def __lt__(self, other: "PlanCost") -> bool:
@@ -136,7 +140,7 @@ class PlanCost:
         their own consistent order (they are never mixed in one
         optimiser run).
         """
-        return PlanCost(total, final, length)  # type: ignore[arg-type]
+        return PlanCost(total, final, length)
 
 
 def clear_cover_cache() -> None:

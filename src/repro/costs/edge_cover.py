@@ -19,7 +19,9 @@ we solve the LP dual -- the fractional *packing* problem
 
 whose origin is feasible, and rely on strong duality.  Bland's rule
 guarantees termination.  When SciPy is installed the test-suite
-cross-checks this solver against ``scipy.optimize.linprog``.
+cross-checks this solver against ``scipy.optimize.linprog``.  The
+optimisers search on the ``float`` covers of :class:`SignatureCoverMemo`
+(exact in order and ties); :func:`exact` turns them into ``Fraction``.
 
 The integral (non-weighted) edge cover number is provided for
 completeness via branch-free subset enumeration -- the instances here
@@ -40,7 +42,7 @@ from typing import (
     Tuple,
 )
 
-INFEASIBLE = Fraction(-1)  # sentinel; callers treat it as "no cover"
+MAX_DENOMINATOR, MAX_VALUE = 1 << 20, 1 << 10  # see SignatureCoverMemo
 
 
 class CoverError(ValueError):
@@ -166,9 +168,13 @@ class SignatureCoverMemo:
     signatures that contain another are dropped (their constraint is
     implied; on the golden corpus this alone takes a cold run from
     11.5k LPs to 0.4k), the rest split into groups sharing no edge (the LP is
-    separable, covers add up) -- and every piece is memoised under its
-    own reduced key too.  ``solves`` / ``hits`` are lifetime tallies
-    the ``optimiser`` metrics namespace reports per search.
+    separable, covers add up) -- and solved groups are kept exact.  A
+    key's value, the sum of its groups, is stored as a ``float`` if its
+    denominator is <= 2^20 and it is < 2^10, else :class:`CoverError`:
+    distinct such rationals lie >= 2^-40 apart and their doubles within
+    2^-43, so floats order and tie as the rationals do (the canonical
+    tie-breaks need that) and :func:`exact` recovers them.  ``solves``,
+    ``hits`` and ``drops`` are lifetime tallies for the metrics.
     """
 
     #: Entries kept before the memo is dropped wholesale (keys are a
@@ -176,14 +182,20 @@ class SignatureCoverMemo:
     LIMIT = 262144
 
     def __init__(self) -> None:
-        self._values: Dict[FrozenSet[int], Fraction] = {}
+        self._values: Dict[FrozenSet[int], float] = {}
+        self._groups: Dict[FrozenSet[int], Fraction] = {}
         self.solves = 0
         self.hits = 0
+        self.drops = 0
+
+    def __len__(self) -> int:
+        return len(self._values) + len(self._groups)
 
     def clear(self) -> None:
         self._values.clear()
+        self._groups.clear()
 
-    def cover(self, signatures: FrozenSet[int]) -> Fraction:
+    def cover(self, signatures: FrozenSet[int]) -> float:
         """Fractional edge cover number of classes with ``signatures``."""
         value = self._values.get(signatures)
         if value is not None:
@@ -191,20 +203,32 @@ class SignatureCoverMemo:
             return value
         if 0 in signatures:
             raise CoverError("a class has no covering edge")
-        total = Fraction(0)
+        total = 0  # an int until a solved group adds a Fraction
         for group in _independent_groups(signatures):
             if len(group) == 1:
                 total += 1  # one class: any one of its edges covers it
                 continue
-            value = self._values.get(group)
-            if value is None:
-                value = self._values[group] = _solve_signatures(group)
+            solved = self._groups.get(group)
+            if solved is None:
+                solved = self._groups[group] = _solve_signatures(group)
                 self.solves += 1
-            total += value
-        if len(self._values) >= self.LIMIT:
-            self._values.clear()
-        self._values[signatures] = total
-        return total
+            total += solved
+        if total.denominator > MAX_DENOMINATOR or total >= MAX_VALUE:
+            raise CoverError(f"cover number {total} has no exact float")
+        if len(self) >= self.LIMIT:
+            self.clear()
+            self.drops += 1
+        value = self._values[signatures] = float(total)
+        return value
+
+
+def exact(value: float) -> Fraction:
+    """The ``Fraction`` a memo float (or a max of them) stands for;
+    :class:`CoverError` for any other float."""
+    result = Fraction(value).limit_denominator(MAX_DENOMINATOR)
+    if float(result) != value:
+        raise CoverError(f"{value!r} is not an exact cover number")
+    return result
 
 
 def _independent_groups(

@@ -45,7 +45,9 @@ def optimiser_line(counters: Optional[Dict[str, Any]]) -> Optional[str]:
         f"({counters['fplan_states_expanded']} states expanded, "
         f"{counters['fplan_states_generated']} generated), "
         f"{counters['cover_lp_solves']} cover LPs solved, "
-        f"{counters['cover_memo_hits']} memo hits"
+        f"{counters['cover_memo_hits']} memo hits, "
+        f"memo size {counters['cover_memo_size']} "
+        f"({counters['cover_memo_drops']} drops)"
     )
 
 

@@ -18,7 +18,7 @@ once per query:
 - :meth:`~SearchSpace.components` is a flood fill over adjacency masks
   and :meth:`~SearchSpace.cover` the fractional edge cover number, both
   memoised per mask; covers fall through to the process-wide
-  signature-keyed LP memo of :mod:`repro.costs.edge_cover`.
+  signature-keyed LP memo of :mod:`repro.costs.edge_cover`, as floats.
 
 :data:`COUNTERS` is the ``optimiser`` metrics namespace: each search
 accumulates plain ints and flushes them here once, at its end.
@@ -26,7 +26,6 @@ accumulates plain ints and flushes them here once, at its end.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.core.ftree import label_key
@@ -57,6 +56,15 @@ COUNTERS = Tally(
         "cover_memo_hits",
     )
 )
+
+
+def counters() -> Dict[str, int]:
+    """The ``optimiser`` collector: :data:`COUNTERS` plus memo gauges."""
+    return dict(
+        COUNTERS.snapshot(),
+        cover_memo_size=len(SIGNATURE_COVERS),
+        cover_memo_drops=SIGNATURE_COVERS.drops,
+    )
 
 
 class CoverTally:
@@ -95,7 +103,7 @@ class SearchSpace:
     >>> space.components(0b111)     # {a, b} share an edge, {c} is alone
     (3, 4)
     >>> space.cover(0b111)
-    Fraction(2, 1)
+    2.0
     """
 
     __slots__ = (
@@ -137,7 +145,7 @@ class SearchSpace:
                 self.adjacent[i] |= touched
                 rest ^= low
         self._components: Dict[int, Tuple[int, ...]] = {}
-        self._covers: Dict[int, Fraction] = {}
+        self._covers: Dict[int, float] = {}
 
     def components(self, mask: int) -> Tuple[int, ...]:
         """Edge-connected components of the label set ``mask``.
@@ -164,7 +172,7 @@ class SearchSpace:
         out = self._components[mask] = tuple(groups)
         return out
 
-    def cover(self, mask: int) -> Fraction:
+    def cover(self, mask: int) -> float:
         """Fractional edge cover number of the label set ``mask``.
 
         Raises :class:`~repro.costs.edge_cover.CoverError` when a label

@@ -23,7 +23,6 @@ specification: they replay every returned plan, and
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.core.ftree import FNode, FTree
@@ -48,7 +47,7 @@ State = Tuple[int, ...]
 #: representative) -- the arguments of the :class:`Step` it stands for.
 Move = Tuple[str, int, int]
 
-_UNCOVERED = Fraction(10**9)  # s(T) of a tree with an uncoverable class
+_UNCOVERED = 1e9  # s(T) of a tree with an uncoverable class
 
 
 class SearchExhausted(RuntimeError):
@@ -330,7 +329,7 @@ class CompactForests:
             code[b] = parent
         return tuple(code)
 
-    def s(self, state: State) -> Fraction:
+    def s(self, state: State) -> float:
         """``s(T)`` of the coded forest: its worst root-to-leaf cover."""
         label = [0] * self.size
         inner = 0  # representatives that have children
@@ -342,7 +341,7 @@ class CompactForests:
                 if entry >= 0:
                     inner |= 1 << entry
         signature_of = self._signature_of
-        worst = Fraction(0)
+        worst = 0.0
         for leaf, entry in enumerate(state):
             if entry < -1 or inner >> leaf & 1:
                 continue

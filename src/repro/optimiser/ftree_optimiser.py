@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.ftree import FNode, FTree
+from repro.costs.edge_cover import exact
 from repro.optimiser.bitspace import COUNTERS, CoverTally, SearchSpace
 from repro.query.hypergraph import Hypergraph
 from repro.query.query import Query
@@ -35,7 +36,7 @@ from repro.relational.database import Database
 Label = FrozenSet[str]
 
 #: A solved subproblem: (cost, root bit, child components).
-_Solved = Tuple[Fraction, int, Tuple[int, ...]]
+_Solved = Tuple[float, int, Tuple[int, ...]]
 
 
 class FTreeOptimiser:
@@ -89,7 +90,7 @@ class FTreeOptimiser:
         solved_before = len(self._memo)
         pruned_before = self._pruned
         roots: List[FNode] = []
-        worst = Fraction(0)
+        worst = 0.0
         try:
             for component in space.components(space.full):
                 cost = self._best(component, 0)[0]
@@ -103,7 +104,7 @@ class FTreeOptimiser:
                 ftree_pruned=self._pruned - pruned_before,
                 **tally.counts(),
             )
-        return FTree(roots, self.edges), worst
+        return FTree(roots, self.edges), exact(worst)
 
     def _subtree(self, component: int, ancestors: int) -> FNode:
         """Materialise the memoised winner of a solved subproblem."""
@@ -130,7 +131,7 @@ class FTreeOptimiser:
         # more.  Sorting (cover, bit) pairs keeps equal covers in
         # canonical class order.
         seen = set()
-        scored: List[Tuple[Fraction, int]] = []
+        scored: List[Tuple[float, int]] = []
         rest = component
         while rest:
             low = rest & -rest
@@ -145,7 +146,7 @@ class FTreeOptimiser:
             and time.perf_counter() > self._deadline
         ):
             scored = scored[:1]  # greedy fallback past deadline
-        best_cost: Optional[Fraction] = None
+        best_cost: Optional[float] = None
         best_root = 0
         best_parts: Tuple[int, ...] = ()
         for tried, (lower, root) in enumerate(scored):
@@ -160,7 +161,7 @@ class FTreeOptimiser:
             else:
                 path = ancestors | root
                 parts = space.components(remainder)
-                cost = Fraction(0)
+                cost = 0.0
                 pruned = False
                 for part in parts:
                     part_cost = self._best(part, path)[0]

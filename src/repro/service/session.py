@@ -61,7 +61,7 @@ from repro.costs.cardinality import Statistics, estimate_representation_size
 from repro.engine import FDB
 from repro.exec import Executor, SerialExecutor
 from repro.ivm import ResultCache
-from repro.optimiser.bitspace import COUNTERS as OPTIMISER_COUNTERS
+from repro.optimiser.bitspace import counters as optimiser_counters
 from repro.optimiser.fplan import FPlan
 from repro.ops.arena_kernels import counters as kernel_counters
 from repro.ops.union import COUNTERS as UNION_COUNTERS
@@ -300,7 +300,7 @@ class QuerySession:
         # Process-wide: the searches, the factoriser, the enumerator
         # cache, the operator kernels and the shard union are plain
         # functions with no session to report to.
-        self.registry.register("optimiser", OPTIMISER_COUNTERS.snapshot)
+        self.registry.register("optimiser", optimiser_counters)
         self.registry.register("factorise", FACTORISE_COUNTERS.snapshot)
         self.registry.register("enumerator", enumerator_counters)
         self.registry.register("kernels", kernel_counters)

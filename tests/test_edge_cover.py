@@ -4,11 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from repro.costs.cost_model import path_cover, s_tree
 from repro.costs.edge_cover import (
     CoverError,
+    exact,
     fractional_edge_cover,
     integral_edge_cover,
+    SignatureCoverMemo,
 )
+from repro.optimiser import exhaustive_fplan, greedy_fplan
+from repro.optimiser.ftree_optimiser import FTreeOptimiser
+from repro.query.hypergraph import Hypergraph
 
 
 def test_single_edge_covers_everything():
@@ -107,3 +113,54 @@ def test_agreement_with_scipy_if_available():
         exact = fractional_edge_cover(classes, edges)
         approx = fractional_edge_cover_scipy(classes, edges)
         assert abs(float(exact) - approx) < 1e-9
+
+
+# -- the float contract -------------------------------------------------------
+
+TRIANGLE = frozenset({0b011, 0b110, 0b101})  # classes of the triangle query
+
+
+@pytest.mark.parametrize(
+    "forged", [Fraction(1, 2**20 + 1), Fraction(2**10)]
+)
+def test_memo_refuses_values_without_an_exact_float(forged):
+    memo = SignatureCoverMemo()
+    memo._groups[TRIANGLE] = forged
+    with pytest.raises(CoverError):
+        memo.cover(TRIANGLE)
+    with pytest.raises(CoverError):
+        memo.cover(TRIANGLE | {0b1000})  # plus an edge-disjoint class
+    assert len(memo) == 1 and memo.solves == 0
+
+
+def test_memo_stores_floats_and_exact_recovers_them():
+    memo = SignatureCoverMemo()
+    memo._groups[TRIANGLE] = Fraction(2**20 - 1, 2**20)  # at the bound
+    value = memo.cover(TRIANGLE | {0b1000})
+    assert isinstance(value, float)
+    assert exact(value) == Fraction(2**21 - 1, 2**20)
+    assert exact(memo.cover(TRIANGLE)) == Fraction(2**20 - 1, 2**20)
+    with pytest.raises(CoverError):
+        exact(1 / 3 + 2**-40)  # no rational of the memo's is this float
+
+
+# K4's triangles: every class is covered by three of the four edges, so
+# the cover number is 4/3 -- a value no double holds exactly.
+K4_CLASSES = [frozenset(c) for c in "abcd"]
+K4_EDGES = [{"b", "c", "d"}, {"a", "b", "c"}, {"a", "b", "d"}, {"a", "c", "d"}]
+
+
+def test_public_costs_are_exact_fractions():
+    edges = Hypergraph(K4_EDGES + [{"e"}, {"f"}])
+    tree, cost = FTreeOptimiser(
+        K4_CLASSES + [frozenset("e"), frozenset("f")], edges
+    ).optimise()
+    assert type(cost) is Fraction and cost == Fraction(4, 3)
+    assert type(s_tree(tree)) is Fraction and s_tree(tree) == cost
+    path = path_cover(K4_CLASSES, edges.edges)
+    assert type(path) is Fraction and path == Fraction(4, 3)
+    for search in (exhaustive_fplan, greedy_fplan):
+        plan = search(tree, [("e", "f")])
+        bottleneck, final = plan.cost.as_tuple()[:2]
+        assert type(bottleneck) is Fraction and type(final) is Fraction
+        assert (bottleneck, final) == (Fraction(4, 3), Fraction(4, 3))

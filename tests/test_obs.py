@@ -22,7 +22,7 @@ from repro.obs import (
 )
 from repro.obs import trace as obs_trace
 from repro.obs.profile import profile_plan
-from repro.obs.report import session_lines
+from repro.obs.report import optimiser_line, session_lines
 from repro.query.parser import parse_query
 from repro.service import QuerySession
 from repro.storage import ShardedDatabase
@@ -311,12 +311,12 @@ def test_report_session_lines_render_snapshot():
 
 def _optimiser_delta(run):
     """What one fresh session adds to the process-wide tallies."""
-    from repro.optimiser.bitspace import COUNTERS
+    from repro.optimiser.bitspace import COUNTERS, counters
 
     before = COUNTERS.snapshot()
     with QuerySession(_database()) as session:
         run(session)
-        assert session.snapshot()["optimiser"] == COUNTERS.snapshot()
+        assert session.snapshot()["optimiser"] == counters()
         lines = session_lines(session.snapshot())
     return COUNTERS.since(before), lines
 
@@ -348,6 +348,29 @@ def test_optimiser_counts_repeat_exactly_for_a_fixed_query():
     }
     assert second["cover_lp_solves"] == 0  # all solved the first time
     assert any(line.startswith("optimiser: ") for line in lines)
+
+
+def test_optimiser_namespace_weighs_the_cover_memo(monkeypatch):
+    from repro.costs.cost_model import clear_cover_cache
+    from repro.costs.edge_cover import SIGNATURE_COVERS, SignatureCoverMemo
+    from repro.optimiser.bitspace import counters
+
+    monkeypatch.setattr(SignatureCoverMemo, "LIMIT", 4)
+    clear_cover_cache()
+    drops = SIGNATURE_COVERS.drops
+    triangle = frozenset({0b011, 0b110, 0b101})
+    SIGNATURE_COVERS.cover(triangle)  # one solved group, one key
+    assert counters()["cover_memo_size"] == 2
+    for extra in (0b1000, 0b10000, 0b100000):
+        SIGNATURE_COVERS.cover(triangle | {extra})
+    gauges = counters()
+    # The last key found the memo full (group + three keys): it was
+    # dropped wholesale, and that key is all it holds.
+    assert gauges["cover_memo_drops"] == drops + 1
+    assert gauges["cover_memo_size"] == 1
+    line = optimiser_line(gauges)
+    assert line.endswith(f"memo size 1 ({drops + 1} drops)")
+    clear_cover_cache()
 
 
 # -- the factorise namespace ---------------------------------------------------

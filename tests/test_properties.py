@@ -8,7 +8,8 @@ databases, f-trees and operator applications:
 - normalisation never increases the representation size;
 - the measured representation size respects the ``O(|D|^{s(T)})``
   bound (with the constant made explicit);
-- swap's priority-queue algorithm agrees with the naive reference.
+- swap's priority-queue algorithm agrees with the naive reference;
+- the cover memo's floats order and tie exactly as exact covers do.
 """
 
 from __future__ import annotations
@@ -17,12 +18,17 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.build import factorise
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
 from repro.costs.cost_model import s_tree
+from repro.costs.edge_cover import (
+    exact,
+    fractional_edge_cover,
+    SIGNATURE_COVERS,
+)
 from repro.engine import FDB
 from repro.ops import (
     merge,
@@ -239,3 +245,55 @@ def test_constant_delay_enumeration_is_sorted_and_distinct(db):
     fr = FDB(db).evaluate(query)
     rows = list(fr.rows())
     assert rows == sorted(set(rows))
+
+
+@st.composite
+def covered_class_sets(draw):
+    """A random hypergraph (<= 8 edges over <= 10 one-attribute classes)
+    and two non-empty sets of covered classes.  Edges of 2-3 classes
+    make fractional (odd-cycle) covers common; all covered classes are
+    one likely pick."""
+    n = draw(st.integers(min_value=3, max_value=10))
+    edges = draw(
+        st.lists(
+            st.frozensets(st.integers(0, n - 1), min_size=2, max_size=3),
+            min_size=3,
+            max_size=8,
+        )
+    )
+    covered = frozenset().union(*edges)
+    picks = st.one_of(
+        st.just(covered),
+        st.frozensets(st.sampled_from(sorted(covered)), min_size=1),
+    )
+    return edges, draw(picks), draw(picks)
+
+
+# K4's triangles cover four classes 4/3 (no double holds it exactly);
+# any three of them 1.
+K4 = [frozenset(e) for e in ({1, 2, 3}, {0, 1, 2}, {0, 1, 3}, {0, 2, 3})]
+
+
+@settings(max_examples=200, deadline=None)
+@given(covered_class_sets())
+@example((K4, frozenset(range(4)), frozenset(range(3))))
+@example((K4, frozenset(range(4)), frozenset(range(4))))
+def test_memo_floats_keep_the_exact_order_and_ties(case):
+    """The optimisers search on the memo's floats: they must order and
+    tie exactly as the exact covers do, and ``exact`` recovers them."""
+    edges, left, right = case
+
+    def covers(classes):
+        signatures = frozenset(
+            sum(1 << j for j, edge in enumerate(edges) if i in edge)
+            for i in classes
+        )
+        value = SIGNATURE_COVERS.cover(signatures)
+        expected = fractional_edge_cover([{i} for i in classes], edges)
+        assert isinstance(value, float)
+        assert exact(value) == expected
+        return value, expected
+
+    (a, exact_a), (b, exact_b) = covers(left), covers(right)
+    assert (a < b) == (exact_a < exact_b)
+    assert (a == b) == (exact_a == exact_b)
