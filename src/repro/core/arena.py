@@ -63,6 +63,7 @@ from typing import (
     Tuple,
 )
 
+from repro.cache import LRUCache
 from repro.core.columns import (
     _as_np,
     _column_bounds,
@@ -70,7 +71,6 @@ from repro.core.columns import (
     _i64,
 )
 from repro.core.ftree import FTree
-from repro.obs.metrics import Tally
 
 #: Pre-multiplication bound under which int64 arithmetic cannot
 #: overflow; counts that may exceed it are computed with exact Python
@@ -605,25 +605,20 @@ _MAX_CODEGEN_NODES = 18
 #: one-off exec/compile cost dominates the loop savings.
 _CODEGEN_MIN_ENTRIES = 32
 
-#: Distinct loop nests kept compiled (oldest out).
+#: Distinct loop nests kept compiled (least recently used out).
 _ENUM_CACHE_SIZE = 256
 
-_ENUM_CACHE: Dict[tuple, Callable[["ArenaRep"], Iterator[tuple]]] = {}
-
-# Guards insertion and eviction (a miss compiles outside it; lookups
-# are lock-free).
-_ENUM_CACHE_LOCK = threading.Lock()
-
-#: The ``enumerator`` metrics namespace (see :func:`counters`),
-#: registered by every :class:`~repro.service.session.QuerySession`:
-#: ``cache_evictions`` counts the loop nests pushed out of the cache.
-COUNTERS = Tally(("cache_evictions",))
+_ENUM_CACHE = LRUCache(_ENUM_CACHE_SIZE)
 
 
 def counters() -> Dict[str, int]:
-    """The ``enumerator`` collector: :data:`COUNTERS` plus the number of
-    loop nests currently compiled."""
-    return dict(COUNTERS.snapshot(), cache_size=len(_ENUM_CACHE))
+    """The ``enumerator`` metrics namespace, registered by every
+    :class:`~repro.service.session.QuerySession`: the loop nests
+    pushed out of the cache and the number currently compiled."""
+    return {
+        "cache_evictions": _ENUM_CACHE.evictions,
+        "cache_size": len(_ENUM_CACHE),
+    }
 
 
 def _pool_list(pool) -> Sequence[object]:
@@ -687,15 +682,7 @@ def _compile_rows(
     namespace: Dict[str, object] = {"_pool_list": _pool_list}
     exec("\n".join(lines), namespace)  # noqa: S102 - self-generated
     compiled = namespace["_rows"]
-    evicted = 0
-    with _ENUM_CACHE_LOCK:
-        if key not in _ENUM_CACHE:  # (a racing compiler may have won)
-            while len(_ENUM_CACHE) >= _ENUM_CACHE_SIZE:
-                del _ENUM_CACHE[next(iter(_ENUM_CACHE))]
-                evicted += 1
-        _ENUM_CACHE[key] = compiled
-    if evicted:
-        COUNTERS.add(cache_evictions=evicted)
+    _ENUM_CACHE.put(key, compiled)
     return compiled
 
 

@@ -21,10 +21,10 @@ served answers against recompute-from-scratch and SQLite.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.cache import LRUCache
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
 from repro.ivm.maintain import apply_deltas, join_query
@@ -73,31 +73,22 @@ class CachedResult:
 class ResultCache:
     """An LRU of :class:`CachedResult`, caught up lazily on lookup.
 
-    ``capacity=None`` means unbounded; otherwise inserts beyond
-    capacity evict the least recently used entry (the
-    :class:`~repro.service.cache.PlanCache` policy).
+    The entries live in an :class:`~repro.cache.LRUCache` of
+    ``capacity`` (``None`` = unbounded), the one eviction policy.
 
-    Counters (all monotone): ``hits``/``misses``/``evictions`` follow
-    the plan-cache convention; ``delta_merges`` counts the delta terms
-    actually unioned into an entry (at most one per referenced
-    relation per catch-up) and ``delta_rows`` the fresh rows they
-    carried after constant filtering; ``delta_skips`` counts the terms
-    proven empty and never unioned -- no fresh row passed the query's
-    constants on that relation, or the term factorised to empty;
-    ``invalidations`` counts entries dropped because a version gap was
-    not absorbable.
+    Counters (all monotone): ``hits``/``misses``/``evictions`` are the
+    LRU's own (a dropped stale entry looks up as a miss);
+    ``delta_merges`` counts the delta terms actually unioned into an
+    entry (at most one per referenced relation per catch-up) and
+    ``delta_rows`` the fresh rows they carried after constant
+    filtering; ``delta_skips`` counts the terms proven empty and never
+    unioned -- no fresh row passed the query's constants on that
+    relation, or the term factorised to empty; ``invalidations``
+    counts entries dropped because a version gap was not absorbable.
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(
-                f"cache capacity must be positive or None, got {capacity}"
-            )
-        self.capacity = capacity
-        self._entries: "OrderedDict[Tuple, CachedResult]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self._entries = LRUCache(capacity)
         self.delta_merges = 0
         self.delta_skips = 0
         self.delta_rows = 0
@@ -117,28 +108,25 @@ class ResultCache:
         satisfy ``entry.version == database.version``.
         """
         key = join_key(query)
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        if entry.version != database.version:
+        entry = self._entries.peek(key)
+        if entry is not None and entry.version != database.version:
             folded = apply_deltas(
                 entry,
                 database,
                 check_invariants=check_invariants,
             )
             if folded is None:
-                del self._entries[key]
+                self._entries.pop(key)
                 self.invalidations += 1
-                self.misses += 1
-                return None
-            merges, skips, rows = folded
-            self.delta_merges += merges
-            self.delta_skips += skips
-            self.delta_rows += rows
-        self._entries.move_to_end(key)
-        entry.hits += 1
-        self.hits += 1
+            else:
+                merges, skips, rows = folded
+                self.delta_merges += merges
+                self.delta_skips += skips
+                self.delta_rows += rows
+        # The one hit-or-miss tally, and the recency refresh.
+        entry = self._entries.get(key)
+        if entry is not None:
+            entry.hits += 1
         return entry
 
     def store(
@@ -158,14 +146,7 @@ class ResultCache:
             result=result,
             version=database.version,
         )
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        if (
-            self.capacity is not None
-            and len(self._entries) > self.capacity
-        ):
-            self._entries.popitem(last=False)
-            self.evictions += 1
+        self._entries.put(key, entry)
         return entry
 
     def clear(self) -> None:
@@ -181,13 +162,14 @@ class ResultCache:
         return query_key in self._entries
 
     def counters(self) -> Dict[str, int]:
+        entries = self._entries
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
+            "hits": entries.hits,
+            "misses": entries.misses,
+            "evictions": entries.evictions,
             "delta_merges": self.delta_merges,
             "delta_skips": self.delta_skips,
             "delta_rows": self.delta_rows,
             "invalidations": self.invalidations,
-            "size": len(self._entries),
+            "size": len(entries),
         }

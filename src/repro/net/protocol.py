@@ -69,10 +69,6 @@ from repro.persist.codec import (
     ArenaPoolDecoder,
     ArenaPoolEncoder,
     PersistError,
-    _read_varint,
-    _write_varint,
-    read_value,
-    write_value,
 )
 from repro.query.query import Query
 from repro.relational.relation import Relation
@@ -232,26 +228,20 @@ def send_frame(
 
 
 def _encode_rows(rows: List[tuple], arity: int) -> bytes:
-    out = io.BytesIO()
-    _write_varint(out, len(rows))
     for row in rows:
         if len(row) != arity:
             raise ProtocolError(
                 f"row of arity {len(row)} in a {arity}-column result"
             )
-        for value in row:
-            write_value(out, value)
+    out = io.BytesIO()
+    codec._encode_rows(out, rows)
     return out.getvalue()
 
 
 def _decode_rows(payload: bytes, arity: int) -> List[tuple]:
     src = io.BytesIO(payload)
     try:
-        count = _read_varint(src)
-        rows = [
-            tuple(read_value(src) for _ in range(arity))
-            for _ in range(count)
-        ]
+        rows = codec._decode_rows(src, arity)
     except PersistError as exc:
         raise ProtocolError(f"malformed rows payload: {exc}") from exc
     if src.read(1):

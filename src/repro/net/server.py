@@ -48,6 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
+from repro.cache import LRUCache
 from repro.core.ftree import FTree
 from repro.exec import worker as worker_mod
 from repro.net import protocol
@@ -196,8 +197,7 @@ class QueryServer:
         self._writers: Set[asyncio.StreamWriter] = set()
         self._draining = False
         self._idle: Optional[asyncio.Event] = None
-        # Touched on the event loop only, so it needs no lock.
-        self._statements: Dict[str, Query] = {}
+        self._statements = LRUCache(STATEMENT_MEMO_SIZE)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -545,14 +545,12 @@ class QueryServer:
     def _statement(self, sql: str) -> Query:
         """``sql`` parsed, from the statement memo when it was seen
         before (a ``Query`` is frozen, so requests share one)."""
-        query = self._statements.pop(sql, None)
+        query = self._statements.get(sql)
         if query is None:
             query = parse_query(sql)
-            while len(self._statements) >= STATEMENT_MEMO_SIZE:
-                del self._statements[next(iter(self._statements))]
+            self._statements.put(sql, query)
         else:
             self.stats.statement_hits += 1
-        self._statements[sql] = query
         return query
 
     def _seed_trace(

@@ -14,7 +14,7 @@ tier.  :class:`MetricsRegistry` pulls them behind one snapshot:
   lock), created on demand and owned by the registry;
 - **collectors** -- callables registered under a namespace whose
   return dict is spliced into the snapshot verbatim.  Existing
-  counter owners (``SessionStats``, ``PlanCache``, ``ServerStats``)
+  counter owners (``SessionStats``, ``LRUCache``, ``ServerStats``)
   keep their own state and merely *register*; the hand-rolled merge
   sites disappear.
 

@@ -61,11 +61,11 @@ beat whole-column passes.  Both take value ids across pools through
 
 from __future__ import annotations
 
-import threading
 import weakref
 from array import array
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.cache import LRUCache
 from repro.core.arena import (
     ArenaError,
     ArenaRep,
@@ -104,8 +104,7 @@ from repro.obs.metrics import Tally
 #: tallies of operator-kernel runs, folded in once per run.
 #: ``entries_in`` / ``entries_out`` are whole-arena entry counts before
 #: and after, ``entries_pruned`` the entries mask cascades dropped,
-#: ``gathers`` the forest gathers issued, ``cache_evictions`` the
-#: prepared kernels pushed out of the cache.  All repeat exactly for a
+#: ``gathers`` the forest gathers issued.  All repeat exactly for a
 #: fixed sequence of calls.
 COUNTERS = Tally(
     (
@@ -114,15 +113,18 @@ COUNTERS = Tally(
         "entries_out",
         "entries_pruned",
         "gathers",
-        "cache_evictions",
     )
 )
 
 
 def counters() -> Dict[str, int]:
-    """The ``kernels`` collector: :data:`COUNTERS` plus the number of
-    prepared kernels currently cached."""
-    return dict(COUNTERS.snapshot(), cache_size=len(_KERNEL_CACHE))
+    """The ``kernels`` collector: :data:`COUNTERS` plus the prepared
+    kernels pushed out of the cache and the number currently cached."""
+    return dict(
+        COUNTERS.snapshot(),
+        cache_evictions=_KERNEL_CACHE.evictions,
+        cache_size=len(_KERNEL_CACHE),
+    )
 
 
 # -- the two forest primitives ------------------------------------------------
@@ -551,11 +553,9 @@ _PREPARERS: Dict[str, Callable[..., object]] = {
     "normalise": _normalise_chain,
 }
 
-#: Prepared kernels, least recently used first (a plain dict keeps
-#: insertion order; a hit re-inserts its entry).
-_KERNEL_CACHE: Dict[tuple, object] = {}
+#: Prepared kernels, least recently used out.
 _KERNEL_CACHE_MAX = 512
-_KERNEL_CACHE_LOCK = threading.Lock()
+_KERNEL_CACHE = LRUCache(_KERNEL_CACHE_MAX)
 
 
 def kernel_for(tree: FTree, kind: str, args: Sequence[str] = ()):
@@ -566,21 +566,10 @@ def kernel_for(tree: FTree, kind: str, args: Sequence[str] = ()):
     A full cache evicts its least recently used kernel, so a stream
     of never-repeating plans cannot flush the hot ones."""
     key = (tree.key(), kind, tuple(args))
-    with _KERNEL_CACHE_LOCK:
-        kernel = _KERNEL_CACHE.pop(key, None)
-        if kernel is not None:
-            _KERNEL_CACHE[key] = kernel
-            return kernel
-    kernel = _PREPARERS[kind](tree, *args)  # prepared outside the lock
-    evicted = 0
-    with _KERNEL_CACHE_LOCK:
-        if key not in _KERNEL_CACHE:  # (a racing preparer may have won)
-            while len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
-                del _KERNEL_CACHE[next(iter(_KERNEL_CACHE))]
-                evicted += 1
-        _KERNEL_CACHE[key] = kernel
-    if evicted:
-        COUNTERS.add(cache_evictions=evicted)
+    kernel = _KERNEL_CACHE.get(key)
+    if kernel is None:
+        kernel = _PREPARERS[kind](tree, *args)
+        _KERNEL_CACHE.put(key, kernel)
     return kernel
 
 

@@ -68,6 +68,7 @@ import zlib
 from array import array
 from typing import Any, BinaryIO, Dict, List, Optional, Tuple
 
+from repro.cache import LRUCache
 from repro.core import arena as arena_mod
 from repro.core.arena import ArenaRep
 from repro.core.columns import _as_np, _take
@@ -359,11 +360,12 @@ def read_blob(handle: BinaryIO) -> Tuple[str, Dict[str, Any], bytes]:
 # -- relations ---------------------------------------------------------------
 
 
-def _encode_rows(out: BinaryIO, relation: Relation) -> None:
+def _encode_rows(out: BinaryIO, rows: List[Tuple[object, ...]]) -> None:
     """Row-count varint followed by every row's tagged values -- the
-    one row codec shared by the relation and database blob kinds."""
-    _write_varint(out, len(relation.rows))
-    for row in relation.rows:
+    one row codec, shared by the relation and database blob kinds and
+    the wire's row payloads."""
+    _write_varint(out, len(rows))
+    for row in rows:
         for value in row:
             write_value(out, value)
 
@@ -378,7 +380,7 @@ def _decode_rows(src: BinaryIO, arity: int) -> List[Tuple[object, ...]]:
 
 def _encode_relation(relation: Relation) -> bytes:
     out = io.BytesIO()
-    _encode_rows(out, relation)
+    _encode_rows(out, relation.rows)
     return out.getvalue()
 
 
@@ -423,7 +425,7 @@ def _encode_database(db: Database) -> Tuple[Dict[str, Any], bytes]:
         _write_varint(out, len(relation.attributes))
         for attr in relation.attributes:
             _write_str(out, attr)
-        _encode_rows(out, relation)
+        _encode_rows(out, relation.rows)
     header = {
         "relations": {
             relation.name: list(relation.attributes)
@@ -811,7 +813,7 @@ class ArenaPoolEncoder:
 
 
 #: Distinct f-tree sections an :class:`ArenaPoolDecoder` keeps decoded
-#: (oldest out).
+#: (least recently used out).
 TREE_MEMO_SIZE = 256
 
 
@@ -833,15 +835,13 @@ class ArenaPoolDecoder:
 
     def __init__(self) -> None:
         self.values: List[object] = []
-        self._trees: Dict[bytes, FTree] = {}
+        self._trees = LRUCache(TREE_MEMO_SIZE)
 
     def _tree(self, tree_bytes: bytes) -> FTree:
         tree = self._trees.get(tree_bytes)
         if tree is None:
             tree = _decode_ftree(tree_bytes)
-            while len(self._trees) >= TREE_MEMO_SIZE:
-                del self._trees[next(iter(self._trees))]
-            self._trees[tree_bytes] = tree
+            self._trees.put(tree_bytes, tree)
         return tree
 
     def decode(self, payload: bytes) -> FactorisedRelation:
@@ -950,10 +950,21 @@ def _arena_header(fr: FactorisedRelation) -> Dict[str, Any]:
 # -- sharded databases (per-shard files + manifest) --------------------------
 
 
+def _fsync(path: str) -> None:
+    """Flush ``path`` -- a file, or a directory's entries -- to disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _save_sharded(db: ShardedDatabase, path: str) -> None:
     # Build the whole directory aside, then swap it in, so a crash
     # mid-save never tears an existing good copy (the directory-level
-    # analogue of the flat path's temp-file + atomic rename).
+    # analogue of the flat path's temp-file + atomic rename).  Every
+    # file and the staging directory are fsynced before the swap, the
+    # parent directory after it.
     staging = path + f".tmp-{os.getpid()}"
     if os.path.isdir(staging):
         shutil.rmtree(staging)
@@ -984,6 +995,8 @@ def _save_sharded(db: ShardedDatabase, path: str) -> None:
             os.path.join(staging, MANIFEST_NAME), "wb"
         ) as handle:
             write_blob(handle, "shard-manifest", manifest, b"")
+        for name in [*os.listdir(staging), os.curdir]:  # files, then dir
+            _fsync(os.path.join(staging, name))
         if os.path.isdir(path):
             # Directories cannot be renamed over each other: retire
             # the old copy first.  Worst case after a crash here is
@@ -994,6 +1007,7 @@ def _save_sharded(db: ShardedDatabase, path: str) -> None:
             shutil.rmtree(retired)
         else:
             os.rename(staging, path)
+        _fsync(os.path.dirname(os.path.abspath(path)))
     except BaseException:
         if os.path.isdir(staging):
             shutil.rmtree(staging)
@@ -1168,7 +1182,9 @@ def save(obj: object, path: str) -> None:
     A :class:`~repro.storage.sharded.ShardedDatabase` becomes a
     *directory* (per-shard database files plus a manifest); everything
     else becomes a single blob file.  Writes go through a temporary
-    file and an atomic rename, so readers never observe half a blob.
+    file and an atomic rename, so readers never observe half a blob;
+    the file is fsynced before the rename and its directory after it,
+    so a save that returned survives a crash.
     """
     if isinstance(obj, ShardedDatabase):
         _save_sharded(obj, path)
@@ -1179,7 +1195,10 @@ def save(obj: object, path: str) -> None:
     try:
         with os.fdopen(fd, "wb") as handle:
             write_blob(handle, kind, header, payload)
+            handle.flush()
+            os.fsync(fd)
         os.replace(tmp, path)
+        _fsync(directory)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -19,14 +19,16 @@ entry for the right query and schema but the wrong version *evicts*
 the file (stale plans are garbage, not history) and reports a miss.
 
 The store is a lower cache tier, not a session cache replacement:
-:class:`repro.service.session.QuerySession` keeps its in-memory LRU
-:class:`~repro.service.cache.PlanCache` as the hot tier and treats the
+:class:`repro.service.session.QuerySession` keeps its in-memory
+:class:`~repro.cache.LRUCache` of plans as the hot tier and treats the
 store as write-through backing (see ``QuerySession.lookup_plan`` /
 ``store_plan``).
 
 Concurrent use is safe in the usual cache sense: writes go through a
 unique temporary file plus an atomic rename, readers see either the
-whole entry or none, and a lost race merely costs a recompile.
+whole entry or none, and a lost race merely costs a recompile.  Unlike
+:func:`repro.persist.save`, an entry is not fsynced: one lost in a
+crash is just recompiled.
 
 The store can be *bounded* (``max_entries`` / ``max_bytes``): every
 insert runs a garbage collection that evicts least-recently-used

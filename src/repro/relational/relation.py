@@ -9,7 +9,6 @@ without re-sorting.
 
 from __future__ import annotations
 
-import threading
 from operator import itemgetter
 from typing import (
     Dict,
@@ -21,6 +20,7 @@ from typing import (
     Tuple,
 )
 
+from repro.cache import LRUCache
 from repro.relational.schema import RelationSchema, SchemaError
 
 Row = Tuple[object, ...]
@@ -30,12 +30,8 @@ Row = Tuple[object, ...]
 TrieGroups = Tuple[Tuple[int, ...], ...]
 
 #: Tries kept per relation; a relation queried along more distinct
-#: access paths than this drops its oldest trie.
+#: access paths than this drops its least recently used trie.
 TRIE_CACHE_SIZE = 16
-
-# Guards insertion into / eviction from the per-relation trie caches
-# (taken on a miss only; lookups are lock-free).
-_TRIE_CACHE_LOCK = threading.Lock()
 
 
 def check_arity(schema: RelationSchema, rows: Iterable[Row]) -> None:
@@ -111,7 +107,7 @@ class Relation:
         self.schema = schema
         self._rows = rows
         self._distinct_cache: Dict[str, int] = {}
-        self._tries: Dict[TrieGroups, dict] = {}
+        self._tries = LRUCache(TRIE_CACHE_SIZE)
 
     def __getstate__(self) -> Tuple[RelationSchema, List[Row]]:
         """Pickle the data only: the derived caches are rebuilt on
@@ -216,25 +212,21 @@ class Relation:
         and nothing at or below it.
 
         Tries are cached on the relation (at most
-        :data:`TRIE_CACHE_SIZE`, oldest out).  A relation is immutable
-        and every mutation path builds a new one, so a cached trie can
-        never go stale and dies with its relation.  Tries are
-        read-only once built; two threads missing at once both build,
-        and either result is kept.
+        :data:`TRIE_CACHE_SIZE`, least recently used out).  A relation
+        is immutable and every mutation path builds a new one, so a
+        cached trie can never go stale and dies with its relation.
+        Tries are read-only once built; two threads missing at once
+        both build, and either result is kept.
 
         >>> r = Relation.from_rows("R", ("a", "b"), [(2, 1), (1, 2), (1, 1)])
         >>> r.trie(((1,), (0,)))
         ({1: {1: None, 2: None}, 2: {1: None}}, False)
         """
-        tries = self._tries
-        trie = tries.get(groups)
+        trie = self._tries.get(groups)
         if trie is not None:
             return trie, True
         trie = _build_trie(self._rows, groups)
-        with _TRIE_CACHE_LOCK:
-            while len(tries) >= TRIE_CACHE_SIZE:
-                del tries[next(iter(tries))]
-            tries[groups] = trie
+        self._tries.put(groups, trie)
         return trie, False
 
     def values(self, attribute: str) -> List[object]:

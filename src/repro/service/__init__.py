@@ -7,7 +7,6 @@ evaluation to the execution layer (:mod:`repro.exec`) -- see
 """
 
 from repro.service.batching import BatchSubmitter
-from repro.service.cache import PlanCache
 from repro.service.session import (
     CachedPlan,
     QuerySession,
@@ -18,7 +17,6 @@ from repro.service.session import (
 __all__ = [
     "BatchSubmitter",
     "CachedPlan",
-    "PlanCache",
     "QuerySession",
     "SessionResult",
     "SessionStats",

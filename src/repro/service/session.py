@@ -12,8 +12,8 @@ traffic therefore must not pay the optimiser per arriving query.
 - **plan cache**: compiled plans (optimal f-trees for the flat input
   path, :class:`~repro.optimiser.fplan.FPlan` step sequences for the
   factorised input path) are cached under
-  :meth:`~repro.query.query.Query.canonical_key` in an LRU-bounded
-  :class:`~repro.service.cache.PlanCache`, so reformulated repeats
+  :meth:`~repro.query.query.Query.canonical_key` in an
+  :class:`~repro.cache.LRUCache`, so reformulated repeats
   (reordered ``FROM``/``WHERE``, flipped equalities) hit;
 - **statistics reuse**: one :class:`~repro.costs.cardinality.
   Statistics` catalogue per session, behind the fallback estimates and
@@ -50,6 +50,7 @@ if TYPE_CHECKING:  # import cycle guard: persist sits beside serving
     from repro.persist import PlanStore
 
 from repro import ops
+from repro.cache import LRUCache
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import SlowQueryLog
@@ -71,7 +72,6 @@ from repro.relational.database import Database
 from repro.relational.engine import RelationalEngine
 from repro.relational.relation import Relation
 from repro.relational.sqlite_engine import SQLiteEngine
-from repro.service.cache import PlanCache
 
 #: Engines a session can route a query to.  ``auto`` means "factorised
 #: unless the estimate says the factorisation explodes".
@@ -342,8 +342,8 @@ class QuerySession:
         """
         self._version = self.database.version
         if not hasattr(self, "_plans"):
-            self._plans: PlanCache = PlanCache(self.cache_size)
-            self._fplans: PlanCache = PlanCache(self.cache_size)
+            self._plans = LRUCache(self.cache_size)
+            self._fplans = LRUCache(self.cache_size)
         else:
             self._plans.clear()
             self._fplans.clear()

@@ -16,6 +16,7 @@ import pickle
 
 import pytest
 
+from repro.cache import LRUCache
 from repro.core import arena
 from repro.core.arena import ArenaError, ArenaRep, ArenaWriter
 from repro.core.build import factorise
@@ -303,15 +304,15 @@ def test_equal_skeletons_share_one_compiled_enumerator():
 
 
 def test_compiled_enumerator_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(arena, "_ENUM_CACHE_SIZE", 2)
-    monkeypatch.setattr(arena, "_ENUM_CACHE", {})
+    monkeypatch.setattr(arena, "_ENUM_CACHE", LRUCache(2))
     rep = _chain_arena(362)
-    before = arena.COUNTERS.snapshot()["cache_evictions"]
+    before = arena.counters()["cache_evictions"]
     orders = [("a00",), ("a01",), ("a02",), ("a00", "a01")]
     for order in orders:
         arena._compile_rows(rep.skel, order)
         assert len(arena._ENUM_CACHE) <= 2
-    # Oldest out: the last two orders are the ones still compiled.
+    # Least recently used out: the last two orders are the ones still
+    # compiled.
     kept = list(arena._ENUM_CACHE.values())
     assert [arena._compile_rows(rep.skel, o) for o in orders[2:]] == kept
     # The cache is weighed in the session's ``enumerator`` namespace:

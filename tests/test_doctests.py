@@ -9,6 +9,7 @@ import doctest
 import pytest
 
 import repro
+import repro.cache
 import repro.core.build
 import repro.core.factorised
 import repro.costs.cost_model
@@ -29,12 +30,12 @@ import repro.relational.engine
 import repro.relational.relation
 import repro.relational.schema
 import repro.relational.sqlite_engine
-import repro.service.cache
 import repro.service.session
 import repro.storage.sharded
 
 MODULES = [
     repro,
+    repro.cache,
     repro.core.build,
     repro.core.factorised,
     repro.costs.cost_model,
@@ -55,7 +56,6 @@ MODULES = [
     repro.relational.relation,
     repro.relational.schema,
     repro.relational.sqlite_engine,
-    repro.service.cache,
     repro.service.session,
     repro.storage.sharded,
 ]

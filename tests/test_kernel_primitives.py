@@ -127,28 +127,6 @@ def test_mask_cascade_is_the_selection_filter(seed):
 # -- the prepared-kernel cache -------------------------------------------------
 
 
-def test_a_hot_kernel_survives_cold_insertions():
-    hot_tree = _arena(SEEDS[0]).tree
-    child = next(
-        node
-        for node in hot_tree.iter_nodes()
-        if hot_tree.parent_of(node) is not None
-    )
-    args = (min(hot_tree.parent_of(child).label), min(child.label))
-    hot = kernel_for(hot_tree, "swap", args)
-    before = COUNTERS.snapshot()["cache_evictions"]
-    for i in range(600):
-        cold = FTree.from_nested([(f"c{i}", [(f"d{i}", [])])])
-        kernel_for(cold, "swap", (f"c{i}", f"d{i}"))
-        assert len(arena_kernels._KERNEL_CACHE) <= arena_kernels._KERNEL_CACHE_MAX
-        if i % 100 == 0:
-            assert kernel_for(hot_tree, "swap", args) is hot
-    assert kernel_for(hot_tree, "swap", args) is hot
-    snapshot = arena_kernels.counters()
-    assert snapshot["cache_size"] == arena_kernels._KERNEL_CACHE_MAX
-    assert snapshot["cache_evictions"] - before >= 600 - arena_kernels._KERNEL_CACHE_MAX
-
-
 def test_the_kernel_cache_holds_its_bound_under_concurrent_use():
     hot_tree = FTree.from_nested([("hot_a", [("hot_b", [])])])
     hot = kernel_for(hot_tree, "swap", ("hot_a", "hot_b"))

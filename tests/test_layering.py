@@ -15,7 +15,10 @@ ships or restructures.  The object representation lives on in
 - numpy is a declared dependency with exactly one importer,
   ``core/columns.py``, which imports it unconditionally: no
   ``try``-guarded import and no ``_np is None`` branch anywhere picks a
-  second body for a column primitive.
+  second body for a column primitive;
+- there is one eviction policy, :class:`repro.cache.LRUCache`: outside
+  ``cache.py`` no module reaches for ``OrderedDict``, ``.popitem(`` /
+  ``.move_to_end(`` or a ``del X[next(iter(X))]`` oldest-out loop.
 
 The walk is over the AST, so prose in docstrings and comments is free
 to explain what used to be.
@@ -243,6 +246,69 @@ def test_numpy_is_imported_once_unconditionally_and_never_branched_on():
     assert list(imports) == [columns], imports
     assert [guarded for _, guarded in imports[columns]] == [False]
     assert not checks, checks
+
+
+def _eviction_loops(tree: ast.AST) -> List[int]:
+    """Lines of every hand-rolled eviction idiom in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "OrderedDict":
+            found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in (
+            "OrderedDict",
+            "popitem",
+            "move_to_end",
+        ):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(
+            alias.name == "OrderedDict" for alias in node.names
+        ):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Delete):
+            for target in node.targets:
+                if not isinstance(target, ast.Subscript):
+                    continue
+                key = target.slice
+                if (
+                    isinstance(key, ast.Call)
+                    and isinstance(key.func, ast.Name)
+                    and key.func.id == "next"
+                    and len(key.args) == 1
+                    and isinstance(key.args[0], ast.Call)
+                    and isinstance(key.args[0].func, ast.Name)
+                    and key.args[0].func.id == "iter"
+                    and len(key.args[0].args) == 1
+                    and ast.dump(key.args[0].args[0])
+                    == ast.dump(target.value)
+                ):
+                    found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_the_eviction_lint_catches_what_it_is_meant_to_catch():
+    sample = ast.parse(
+        "from collections import OrderedDict\n"
+        "import collections\n"
+        "memo = collections.OrderedDict()\n"
+        "memo.move_to_end(key)\n"
+        "memo.popitem(last=False)\n"
+        "del self._memo[next(iter(self._memo))]\n"
+        "del memo[next(iter(other))]\n"
+        "first = next(iter(memo))\n"
+        "del memo[key]\n"
+    )
+    assert _eviction_loops(sample) == [1, 3, 4, 5, 6]
+
+
+def test_every_cache_evicts_through_the_one_lru():
+    found = [
+        f"{path}:{line}"
+        for path, tree in _engine_sources(with_reference=True)
+        if path != "cache.py"
+        for line in _eviction_loops(tree)
+    ]
+    assert not found, found
+    assert os.path.isfile(os.path.join(PACKAGE, "cache.py"))
 
 
 def test_a_relation_holds_exactly_one_representation():

@@ -398,6 +398,69 @@ def test_sharded_resave_over_existing_directory(tmp_path):
     _assert_database_equal(resaved, loaded)
 
 
+def _record_sync_order(monkeypatch):
+    """Patch ``os.fsync`` / ``os.replace`` / ``os.rename`` to log, in
+    call order, ``("fsync", inode)`` and ``("rename", dst, inode)``."""
+    events = []
+    fsync, replace, rename = os.fsync, os.replace, os.rename
+
+    def logged_fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def logged(move):
+        def wrapper(src, dst):
+            move(src, dst)
+            dst = os.path.abspath(dst)
+            events.append(("rename", dst, os.stat(dst).st_ino))
+
+        return wrapper
+
+    monkeypatch.setattr(os, "fsync", logged_fsync)
+    monkeypatch.setattr(os, "replace", logged(replace))
+    monkeypatch.setattr(os, "rename", logged(rename))
+    return events
+
+
+def _assert_published_durably(events, path):
+    """Every file under ``path`` (and ``path`` itself) was fsynced
+    before the rename that published ``path``, and the parent
+    directory after it; then forgets the logged events."""
+    path = os.path.abspath(path)
+    (publish,) = [
+        i
+        for i, event in enumerate(events)
+        if event[0] == "rename" and event[1] == path
+    ]
+    published = [path]
+    if os.path.isdir(path):
+        published += [os.path.join(path, name) for name in os.listdir(path)]
+    synced = [event[1] for event in events[:publish] if event[0] == "fsync"]
+    for name in published:
+        assert os.stat(name).st_ino in synced, name
+    parent = os.stat(os.path.dirname(path)).st_ino
+    assert ("fsync", parent) in events[publish + 1:]
+    events.clear()
+
+
+def test_saves_fsync_before_the_rename_that_publishes(tmp_path, monkeypatch):
+    events = _record_sync_order(monkeypatch)
+    db = random_database(2, 4, 10, seed=62)
+    flat = str(tmp_path / "db.fdbp")
+    save(db, flat)
+    _assert_published_durably(events, flat)
+    save(db, flat)  # over an existing file
+    _assert_published_durably(events, flat)
+    sharded = ShardedDatabase.from_database(db, shards=3)
+    directory = str(tmp_path / "sharded")
+    save(sharded, directory)
+    _assert_published_durably(events, directory)
+    save(ShardedDatabase.from_database(db, shards=2), directory)
+    _assert_published_durably(events, directory)  # the retire-and-swap
+    _assert_database_equal(db, load(flat))
+    assert load(directory).shard_count == 2
+
+
 # -- plan store --------------------------------------------------------------
 
 

@@ -320,9 +320,10 @@ def test_trie_cache_is_capped_per_relation():
         assert sorted(iter_rows(arena, attrs)) == wide.rows
         assert len(wide._tries) <= TRIE_CACHE_SIZE
     assert len(wide._tries) == TRIE_CACHE_SIZE
-    # Oldest out: the first access path is gone, the last one is kept.
+    # Least recently used out: the first access path is gone, the last
+    # one is kept.
     assert tuple((i,) for i in range(8)) not in wide._tries
-    assert next(reversed(wide._tries)) == tuple(
+    assert list(wide._tries)[-1] == tuple(
         (attrs.index(attr),) for attr in order
     )
 
