@@ -38,9 +38,14 @@ Label = FrozenSet[str]
 
 #: The ``optimiser`` metrics namespace, registered by every
 #: :class:`~repro.service.session.QuerySession`: process-wide tallies
-#: of optimiser work (one per process/worker).  Everything but the two
-#: ``cover_*`` counts is a deterministic function of the searches run:
-#: it repeats exactly for a fixed query, so a change in
+#: of optimiser work (one per process/worker).  ``ftree_subproblems``
+#: counts the distinct (component, ancestor chain) pairs an f-tree
+#: search entered, solved exactly or only bounded below by the
+#: caller's incumbent; ``ftree_pruned`` counts the candidate roots it
+#: dropped, untried because no root could beat the incumbent any more
+#: or abandoned when one child subproblem reached it.  Everything but
+#: the two ``cover_*`` counts is a deterministic function of the
+#: searches run: it repeats exactly for a fixed query, so a change in
 #: ``fplan_states_expanded`` means a different search, not a noisy
 #: machine.  The cover counts depend on how warm the process-wide LP
 #: memo was.

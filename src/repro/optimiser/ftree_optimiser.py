@@ -10,9 +10,16 @@ attributes, up to 8 relations, up to 9 equalities):
   a leaf path depends only on the *set* of classes along it;
 - **symmetry reduction**: classes covered by exactly the same edges
   are interchangeable, so only one per signature is tried as root;
-- **branch & bound**: the fractional cover is monotone in the class
-  set, so a root whose partial path already costs at least the best
-  known subtree can be pruned.
+- **branch & bound**: every subproblem is searched against a bound,
+  the cost its caller must beat (the caller's incumbent), and starts
+  its own incumbent there.  The cover is monotone in the class set
+  and every class lies on some leaf path, so no subtree costs less
+  than the largest partial-path cover of a single class: once the
+  incumbent is at that floor, the remaining roots are pruned.  A root
+  is also dropped as soon as one child subproblem reaches the
+  incumbent.  A sub-search that cannot get below its bound memoises
+  only that lower bound, which a later call with a higher bound
+  searches again.
 
 Covers themselves are decomposed into edge-connected groups before
 hitting the LP (the cover of a disconnected class set is the sum of
@@ -35,7 +42,10 @@ from repro.relational.database import Database
 
 Label = FrozenSet[str]
 
-#: A solved subproblem: (cost, root bit, child components).
+_INF = float("inf")
+
+#: A searched subproblem: (cost, root bit, child components).  Root
+#: bit 0 marks a lower bound: no subtree costs less than ``cost``.
 _Solved = Tuple[float, int, Tuple[int, ...]]
 
 
@@ -77,7 +87,7 @@ class FTreeOptimiser:
         self.time_budget = time_budget
         self._deadline: Optional[float] = None
         self._space = SearchSpace(self.classes, edges)
-        #: (component mask, ancestor mask) -> solved subproblem.
+        #: (component mask, ancestor mask) -> searched subproblem.
         self._memo: Dict[Tuple[int, int], _Solved] = {}
         self._pruned = 0
 
@@ -109,17 +119,21 @@ class FTreeOptimiser:
     def _subtree(self, component: int, ancestors: int) -> FNode:
         """Materialise the memoised winner of a solved subproblem."""
         _, root, parts = self._memo[(component, ancestors)]
+        assert root, "only exact subproblems are materialised"
         path = ancestors | root
         return FNode(
             self._space.labels[root.bit_length() - 1],
             [self._subtree(part, path) for part in parts],
         )
 
-    def _best(self, component: int, ancestors: int) -> _Solved:
-        """Cheapest subtree over ``component`` below chain ``ancestors``."""
+    def _best(
+        self, component: int, ancestors: int, bound: float = _INF
+    ) -> _Solved:
+        """Cheapest subtree over ``component`` below chain ``ancestors``
+        if it costs less than ``bound``, else a lower bound >= ``bound``."""
         key = (component, ancestors)
         cached = self._memo.get(key)
-        if cached is not None:
+        if cached is not None and (cached[1] or cached[0] >= bound):
             return cached
 
         space = self._space
@@ -141,17 +155,20 @@ class FTreeOptimiser:
                 seen.add(sig)
                 scored.append((cover(ancestors | low), low))
         scored.sort()
+        # Every class lies on some leaf path below ``ancestors``, so no
+        # subtree over ``component`` costs less than the largest score.
+        floor = scored[-1][0]
         if (
             self._deadline is not None
             and time.perf_counter() > self._deadline
         ):
             scored = scored[:1]  # greedy fallback past deadline
-        best_cost: Optional[float] = None
+        best_cost = bound
         best_root = 0
         best_parts: Tuple[int, ...] = ()
         for tried, (lower, root) in enumerate(scored):
-            if best_cost is not None and lower >= best_cost:
-                # monotone: no deeper path can be cheaper
+            if floor >= best_cost:
+                # no remaining root can be strictly cheaper
                 self._pruned += len(scored) - tried
                 break
             remainder = component ^ root
@@ -164,18 +181,17 @@ class FTreeOptimiser:
                 cost = 0.0
                 pruned = False
                 for part in parts:
-                    part_cost = self._best(part, path)[0]
+                    part_cost = self._best(part, path, best_cost)[0]
                     if part_cost > cost:
                         cost = part_cost
-                    if best_cost is not None and cost >= best_cost:
+                    if cost >= best_cost:
                         pruned = True
                         break
                 if pruned:
                     self._pruned += 1
                     continue
-            if best_cost is None or cost < best_cost:
+            if cost < best_cost:
                 best_cost, best_root, best_parts = cost, root, parts
-        assert best_cost is not None
         solved = self._memo[key] = (best_cost, best_root, best_parts)
         return solved
 

@@ -512,23 +512,25 @@ def _ftree_header(tree: FTree) -> Dict[str, Any]:
     }
 
 
-def _decode_ftree_from(src: BinaryIO) -> FTree:
+def _decode_ftree(payload: bytes) -> FTree:
+    """The f-tree ``payload`` encodes.  Only the canonical encoding is
+    read: bytes that would not re-encode to themselves (unsorted or
+    repeated attributes, nodes or edges, a constant flag other than
+    0/1, an over-long varint) raise :class:`PersistError`."""
+    src = io.BytesIO(payload)
     roots = [_decode_node(src) for _ in range(_read_varint(src))]
     edges = []
     for _ in range(_read_varint(src)):
         width = _read_varint(src)
         edges.append({_read_str(src) for _ in range(width)})
-    try:
-        return FTree(roots, Hypergraph(edges))
-    except FTreeError as exc:
-        raise PersistError(f"invalid persisted f-tree: {exc}") from exc
-
-
-def _decode_ftree(payload: bytes) -> FTree:
-    src = io.BytesIO(payload)
-    tree = _decode_ftree_from(src)
     if src.read(1):
         raise PersistError("f-tree payload has trailing bytes")
+    try:
+        tree = FTree(roots, Hypergraph(edges))
+    except FTreeError as exc:
+        raise PersistError(f"invalid persisted f-tree: {exc}") from exc
+    if _encode_ftree(tree) != payload:
+        raise PersistError("non-canonical f-tree payload")
     return tree
 
 
@@ -554,6 +556,8 @@ def _encode_fplan(plan: FPlan) -> Tuple[Dict[str, Any], bytes]:
 
 
 def _decode_fplan(payload: bytes) -> FPlan:
+    """The f-plan ``payload`` encodes; like :func:`_decode_ftree`, only
+    its canonical encoding is read."""
     src = io.BytesIO(payload)
     tree = _decode_ftree(
         _exactly(src, _read_varint(src), "f-plan input tree")
@@ -568,9 +572,12 @@ def _decode_fplan(payload: bytes) -> FPlan:
     try:
         # FPlan re-applies every step to rebuild the intermediate
         # trees, so an inconsistent step sequence fails here, loudly.
-        return FPlan(tree, steps)
+        plan = FPlan(tree, steps)
     except ValueError as exc:
         raise PersistError(f"invalid persisted f-plan: {exc}") from exc
+    if _encode_fplan(plan)[1] != payload:
+        raise PersistError("non-canonical f-plan payload")
+    return plan
 
 
 # -- factorised relations: the one arena layout ------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.ftree import FTree
 from repro.costs.cost_model import s_tree
+from repro.experiments.exp1 import run_experiment1
 from repro.optimiser.ftree_optimiser import (
     FTreeOptimiser,
     optimal_ftree,
@@ -24,6 +25,7 @@ from repro.workloads import (
     random_database,
     random_query,
 )
+from tests.conftest import load_script
 
 
 def lab(*attrs):
@@ -170,3 +172,62 @@ def test_random_queries_dp_vs_enumeration():
             for t in enumerate_normalised_ftrees(classes, edges)
         )
         assert cost == best
+
+
+# -- branch & bound: lower-bound memo entries --------------------------------
+
+
+def _fig5_cell():
+    """Classes and edges of Figure 5's smoke cell R=4, K=3, repeat 0."""
+    run_seed = 1000 * 4 + 10 * 3
+    db = random_database(4, 24, 10, seed=run_seed)
+    return query_classes_and_edges(db, random_query(db, 3, seed=run_seed + 1))
+
+
+def test_greedy_fallback_from_the_first_subproblem_is_a_valid_tree():
+    classes, edges = _fig5_cell()
+    _, optimum = FTreeOptimiser(classes, edges).optimise()
+    tree, cost = FTreeOptimiser(classes, edges, time_budget=0.0).optimise()
+    assert tree.is_normalised()
+    assert tree.satisfies_path_constraint()
+    assert sorted(map(sorted, (n.label for n in tree.iter_nodes()))) == (
+        sorted(map(sorted, classes))
+    )
+    assert s_tree(tree) == cost >= optimum
+
+
+def test_golden_8_relation_trees_materialise_only_exact_entries():
+    gen = load_script("gen_optimiser_golden")
+    cases = [
+        (db, query)
+        for case, db, query in gen.ftree_inputs()
+        if case["relations"] == 8
+    ]
+    assert cases
+    bounded = 0
+    for db, query in cases:
+        opt = FTreeOptimiser(*query_classes_and_edges(db, query))
+        visited = []
+        materialise = opt._subtree
+
+        def spy(component, ancestors):
+            visited.append(opt._memo[(component, ancestors)])
+            return materialise(component, ancestors)
+
+        opt._subtree = spy
+        tree, _ = opt.optimise()
+        assert len(visited) == sum(1 for _ in tree.iter_nodes())
+        assert all(root != 0 for _, root, _ in visited)
+        bounded += sum(1 for _, root, _ in opt._memo.values() if not root)
+    assert bounded  # the corpus does exercise lower-bound entries
+
+
+def test_incumbent_bound_cuts_fig5_subproblems():
+    (row,) = run_experiment1(
+        relations_values=(4,),
+        equalities_values=(3,),
+        attributes=24,
+        repeats=2,
+    )
+    # 5 272 at the parent commit, which solved every child exactly.
+    assert row.subproblems < 5272

@@ -11,6 +11,7 @@ yield wrong data); a stale store entry must be skipped and evicted.
 from __future__ import annotations
 
 import io
+import json
 import os
 import gc
 import random
@@ -24,10 +25,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.arena import ArenaWriter, ValuePool
 from repro.core.build import factorise
 from repro.core.factorised import FactorisedRelation
-from repro.core.ftree import FTree
+from repro.core.ftree import FNode, FTree
 from repro.engine import FDB
 from repro.exec import ParallelExecutor
 from repro.net.protocol import ProtocolError, unpack_rows
+from repro.optimiser.fplan import FPlan, Step
 from repro.persist import (
     FORMAT_VERSION,
     MAGIC,
@@ -46,6 +48,7 @@ from repro.persist.codec import (
     read_blob,
     write_blob,
 )
+from repro.query.hypergraph import Hypergraph
 from repro.query.parser import parse_query
 from repro.query.query import Query
 from repro.reference import to_product
@@ -1250,6 +1253,124 @@ def test_hostile_pooled_payloads_decode_or_raise_persist_error(
     except PersistError:
         assert decoder.values == before
         decoder.decode(genuine)
+
+
+# -- hostile f-tree and f-plan payloads --------------------------------------
+
+
+def _golden_node(key):
+    label, constant, children = key
+    return FNode(set(label), [_golden_node(c) for c in children], constant)
+
+
+def _golden_tree(key):
+    roots, edges = key
+    return FTree([_golden_node(r) for r in roots], Hypergraph(edges))
+
+
+def _golden_seed_payloads():
+    """Encoded trees and plans of the optimiser golden corpus: the
+    first f-tree per relation count, and the six longest f-plans."""
+    golden_path = os.path.join(
+        os.path.dirname(__file__), "data", "optimiser_golden.json"
+    )
+    with open(golden_path, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    firsts = {}
+    for case in golden["ftree"]:
+        firsts.setdefault(case["relations"], case["key"])
+    trees = [
+        ("ftree", codec._encode_ftree(_golden_tree(key)))
+        for _, key in sorted(firsts.items())
+    ]
+    longest = sorted(
+        golden["fplan"], key=lambda case: -len(case["asymptotic"]["steps"])
+    )[:6]
+    plans = [
+        (
+            "fplan",
+            codec._encode_fplan(
+                FPlan(
+                    _golden_tree(case["input_key"]),
+                    [
+                        Step(kind, tuple(args))
+                        for kind, args in case["asymptotic"]["steps"]
+                    ],
+                )
+            )[1],
+        )
+        for case in longest
+    ]
+    return trees + plans
+
+
+_GOLDEN_SEEDS = _golden_seed_payloads()
+_DECODERS = {
+    "ftree": (codec._decode_ftree, codec._encode_ftree),
+    "fplan": (codec._decode_fplan, lambda plan: codec._encode_fplan(plan)[1]),
+}
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    index=st.integers(0, len(_GOLDEN_SEEDS) - 1),
+    truncate=st.booleans(),
+    where=st.floats(0, 1, exclude_max=True),
+    bit=st.integers(0, 7),
+)
+def test_hostile_ftree_and_fplan_payloads_decode_canonically_or_raise(
+    index, truncate, where, bit
+):
+    """Truncated or bit-flipped f-tree and f-plan payloads -- read
+    without their blob frame, so no checksum stands in the way --
+    either decode to a value that re-encodes to the very same bytes or
+    raise ``PersistError``."""
+    kind, payload = _GOLDEN_SEEDS[index]
+    decode, encode = _DECODERS[kind]
+    at = int(where * len(payload))
+    if truncate:
+        data = payload[:at]
+    else:
+        flipped = bytearray(payload)
+        flipped[at] ^= 1 << bit
+        data = bytes(flipped)
+    try:
+        value = decode(data)
+    except PersistError:
+        return
+    assert encode(value) == data
+
+
+#: ``a(b)`` over the edge {a, b}: roots, node a (label, constant flag,
+#: children), node b, edges.
+_CANONICAL_TREE = (
+    b"\x01" b"\x01\x01a\x00\x01" b"\x01\x01b\x00\x00" b"\x01\x02\x01a\x01b"
+)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        _CANONICAL_TREE.replace(b"a\x00", b"a\x02"),  # constant flag 2
+        _CANONICAL_TREE[:-4] + b"\x01b\x01a",  # edge {b, a}
+        _CANONICAL_TREE[:-5] + b"\x03\x01a\x01b\x01b",  # edge {a, b, b}
+        b"\x81\x00" + _CANONICAL_TREE[1:],  # over-long root count
+    ],
+    ids=["constant-flag", "unsorted-edge", "repeated-attribute", "long-varint"],
+)
+def test_non_canonical_ftree_payloads_are_refused(payload):
+    assert codec._decode_ftree(_CANONICAL_TREE).key() == FTree.from_nested(
+        [("a", [("b", [])])], [{"a", "b"}]
+    ).key()
+    with pytest.raises(PersistError, match="non-canonical"):
+        codec._decode_ftree(payload)
+
+
+def test_non_canonical_fplan_payloads_are_refused():
+    header = bytes((len(_CANONICAL_TREE),)) + _CANONICAL_TREE
+    assert codec._decode_fplan(header + b"\x00").steps == ()
+    with pytest.raises(PersistError, match="non-canonical"):
+        codec._decode_fplan(header + b"\x80\x00")  # over-long step count
 
 
 # -- hostile saved results and length fields ---------------------------------
