@@ -478,7 +478,7 @@ def cmd_save(args: argparse.Namespace) -> int:
 def cmd_load(args: argparse.Namespace) -> int:
     try:
         info = persist.inspect(args.path)
-        loaded = persist.load(args.path, mmap=args.mmap)
+        loaded = persist.load(args.path)
     except persist.PersistError as exc:
         raise SystemExit(f"cannot load {args.path!r}: {exc}")
     print(f"kind: {info['kind']}")
@@ -979,12 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
         "load", help="inspect (and query) a persisted FDBP file"
     )
     ld.add_argument("path")
-    ld.add_argument(
-        "--mmap",
-        action="store_true",
-        help="memory-map arena blobs (zero-copy column views) "
-        "instead of reading them",
-    )
     ld.add_argument(
         "--sql",
         nargs="+",

@@ -26,9 +26,9 @@ pre-order):
 - ``pool`` -- the interned distinct values; ids are indices into it.
 
 One union entry therefore costs ``1 + 2 * #children`` machine-word
-array slots.  Columns are :class:`array.array` (``'q'``, int64) or
-int64 views of a mapped file, so they also serialise as raw bytes (see
-the arena layout in :mod:`repro.persist.codec`).  Whole-column
+array slots.  Columns are :class:`array.array` (``'q'``, int64), so
+they also serialise as raw bytes (see the arena layout in
+:mod:`repro.persist.codec`).  Whole-column
 work -- counting, validation, the selection mask -- goes through the
 numpy primitives of :mod:`repro.core.columns`; counts switch to exact
 Python integers wherever int64 could overflow.

@@ -8,10 +8,9 @@ declared dependency; this is the only module under ``src/repro`` that
 imports it, so how a column operation is realised is decided here and
 nowhere else.
 
-Vocabulary: a *column* is what an arena holds -- an ``array('q')``
-(what every writer appends to) or an mmap-backed int64 ndarray (what
-:func:`repro.persist.load` with ``mmap=True`` hands out); a *vector* is
-an int64 (a *mask*: bool) ndarray, a transient of one pass.
+Vocabulary: a *column* is what an arena holds -- an ``array('q')``,
+what every writer appends to and every reader fills; a *vector* is an
+int64 (a *mask*: bool) ndarray, a transient of one pass.
 :func:`_column` turns a vector into a column, :func:`_as_np` views a
 column as a vector without copying.
 """

@@ -113,9 +113,6 @@ class FNode:
     def with_children(self, children: Sequence["FNode"]) -> "FNode":
         return FNode(self.label, children, self.constant)
 
-    def with_label(self, label: AbstractSet[str]) -> "FNode":
-        return FNode(label, self.children, self.constant)
-
     def as_constant(self) -> "FNode":
         return FNode(self.label, self.children, True)
 
@@ -368,9 +365,6 @@ class FTree:
         return "\n".join(lines)
 
     # -- structural editing (used by the operators) --------------------------
-
-    def with_roots(self, roots: Sequence[FNode]) -> "FTree":
-        return FTree(roots, self.edges)
 
     def with_edges(self, edges: Hypergraph) -> "FTree":
         return FTree(self.roots, edges)

@@ -1,11 +1,11 @@
-"""Executors: the strategy objects that run compiled queries.
+"""Executors: where the tasks of a session's evaluation run.
 
-The serving layer (:mod:`repro.service`) owns *what* to run -- plan
-caching, deduplication, fallback routing -- and delegates *how* to run
-it to an :class:`Executor`.  Every executor evaluates through the one
-loop of :meth:`Executor.execute` (plans, explosion fallback, result
-cache, one whole-query task or one task per shard, union, cache,
-projection); the subclasses keep only where a task runs:
+The serving layer (:mod:`repro.service`) owns the evaluation: plan
+caching, deduplication, fallback routing, the result cache, the union
+and the projection all run in the one loop of
+:class:`~repro.service.session.QuerySession`.  An :class:`Executor`
+only *places* that loop's tasks -- f-tree compiles and evaluations of a
+whole query or of one (query, shard) pair -- and gathers them back:
 
 - :class:`SerialExecutor` runs each query as one task in the calling
   process, a :class:`~repro.storage.ShardedDatabase` through its
@@ -15,33 +15,32 @@ projection); the subclasses keep only where a task runs:
   *compiled* in parallel (Figure 9: the optimiser dominates per-query
   cost, so parallelising it is what moves throughput), then evaluated
   in parallel -- per query on a flat database, per (query, shard) on a
-  sharded one, whose partial factorised results are unioned via
-  :mod:`repro.ops.union` before projection;
+  sharded one, whose partial factorised results the session unions
+  via :mod:`repro.ops.union` before projection;
 - :class:`repro.net.RemoteExecutor` and
   :class:`repro.net.ReplicatedExecutor` submit to shard-worker servers
   over the wire.
 
-Executors never construct result objects themselves; they hand
-factorised results back through the session's wrapper hooks, keeping
-the layering storage -> execution -> serving acyclic.
+An executor reads only the public ``database``, ``check_invariants``
+and ``registry`` of the session it is handed, and never imports the
+serving layer: the layering storage -> execution -> serving stays
+acyclic.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import (
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
 from functools import partial
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.exec import worker
 from repro.obs import trace as obs_trace
 from repro.query.query import Query
-from repro.storage.sharded import ShardedDatabase
 
 #: Accepted ``pool`` arguments for :class:`ParallelExecutor`.
 POOL_KINDS = ("auto", "process", "thread")
@@ -85,28 +84,22 @@ def _in_caller(fn, *args) -> Tuple[float, object, List[dict]]:
 
 
 class Executor:
-    """How a session evaluates its (already deduplicated) queries.
+    """Where a session's tasks run.
 
-    :meth:`execute` is the whole evaluation sequence, shared by every
-    executor.  Its ``session`` argument is a
-    :class:`~repro.service.session.QuerySession`; the loop uses its
-    documented executor hooks (``lookup_plan`` / ``store_plan`` /
-    ``_optimise`` / ``_would_explode`` / ``_fallback_result`` /
-    ``_flat_result`` / ``_sqlite_result`` / ``_serve_cached`` /
-    ``_cache_result`` / ``_wrap_fdb_result``) and never touches
-    engines directly.
-
-    A subclass says only how a task is submitted and gathered:
+    The session's evaluation loop calls, per batch of (already
+    deduplicated) queries:
 
     - ``_prepare(session)`` -- per-call setup before any submission;
     - ``_submit_compile(session, query)`` -> a future of the f-tree
-      (default: the session's optimiser, in the caller);
+      (default: the optimiser, in the caller);
     - ``_submit(session, query, tree, shard=None, fanout=None)`` -> a
       pending task: the whole query, or one shard, unprojected;
     - ``_gather(pending)`` -> ``(seconds, result)`` (default: a future
       of :func:`~repro.exec.worker.traced_call`'s triple);
 
-    plus two fixed properties, :attr:`fans_out` and :attr:`times_add`.
+    and reads two fixed properties, :attr:`fans_out` and
+    :attr:`times_add`.  A subclass overrides these and the lifecycle
+    methods (:meth:`invalidate`, :meth:`close`, :meth:`describe`).
     """
 
     name = "base"
@@ -118,137 +111,18 @@ class Executor:
     #: back on the caller) rather than overlap.
     times_add = False
 
-    def execute(self, session, queries: Sequence[Query], engine: str):
-        """Evaluate ``queries`` (unique within the call), returning
-        results in order."""
-        if engine == "flat":
-            return [
-                session._flat_result(q, time.perf_counter(), cached=False)
-                for q in queries
-            ]
-        if engine == "sqlite":
-            return [
-                session._sqlite_result(q, time.perf_counter())
-                for q in queries
-            ]
-        if not queries:
-            return []
-        self._prepare(session)
-        database = session.database
-        shards = (
-            database.shard_count
-            if self.fans_out and isinstance(database, ShardedDatabase)
-            else 1
-        )
-
-        # Plans.  A miss is validated here, so a schema error raises in
-        # the caller and not inside a task, then compiled; the misses
-        # resolve as one wave.  ``planning`` is each query's own share
-        # of the caller's clock (lookup, plus a compile run in the
-        # caller), never its wait on the shared wave.
-        plans: List = []
-        planning: List[float] = []
-        misses: List[Tuple[int, Future]] = []
-        for i, query in enumerate(queries):
-            start = time.perf_counter()
-            plans.append(session.lookup_plan(query))
-            if plans[i] is None:
-                query.validate_against(database.schema())
-                misses.append((i, self._submit_compile(session, query)))
-            planning.append(time.perf_counter() - start)
-        hits = [plan is not None for plan in plans]
-        if misses:
-            with obs_trace.span("compile-wave", misses=len(misses)):
-                for i, future in misses:
-                    plans[i] = session.store_plan(
-                        queries[i], future.result()
-                    )
-
-        # Fan out: every task is submitted before the first is awaited.
-        # Explosion fallbacks run on the flat engine in the gather loop;
-        # a warm (or caught-up) result-cache entry needs no task.
-        jobs: List[Tuple[str, object]] = []
-        for query, plan in zip(queries, plans):
-            if engine == "auto" and session._would_explode(plan):
-                jobs.append(("fallback", None))
-                continue
-            start = time.perf_counter()
-            with obs_trace.span("result-cache"):
-                served = session._serve_cached(query)
-            if served is not None:
-                jobs.append(
-                    ("served", (time.perf_counter() - start, served))
-                )
-            elif shards > 1:
-                fanout = database.fanout_relation(query.relations)
-                tasks = [
-                    self._submit(session, query, plan.tree, s, fanout)
-                    for s in range(shards)
-                ]
-                jobs.append(("tasks", tasks))
-            else:
-                jobs.append(
-                    ("tasks", [self._submit(session, query, plan.tree)])
-                )
-
-        # Gather.  ``elapsed`` is the query's planning share plus its
-        # evaluation: task times (summed where they ran back to back,
-        # else the slowest) and recombination.  Queueing behind other
-        # queries and the shared compile wave are excluded.
-        results = []
-        for query, plan, hit, planned, (kind, payload) in zip(
-            queries, plans, hits, planning, jobs
-        ):
-            if kind == "fallback":
-                results.append(
-                    session._fallback_result(
-                        query, time.perf_counter() - planned, cached=hit
-                    )
-                )
-                continue
-            if kind == "served":
-                seconds, fr = payload
-                results.append(
-                    session._wrap_fdb_result(
-                        query, fr, cached=True, elapsed=planned + seconds
-                    )
-                )
-                continue
-            parts = [self._gather(pending) for pending in payload]
-            start = time.perf_counter()
-            if len(parts) == 1:
-                fr = parts[0][1]
-            else:
-                fr = worker.combine_shards(
-                    [part for _, part in parts],
-                    query,
-                    session.check_invariants,
-                    project=False,
-                )
-            session._cache_result(query, plan.tree, fr)
-            fr = worker.project_result(
-                fr, query, session.check_invariants
-            )
-            total = sum if self.times_add else max
-            elapsed = (
-                planned
-                + total(seconds for seconds, _ in parts)
-                + (time.perf_counter() - start)
-            )
-            results.append(
-                session._wrap_fdb_result(
-                    query, fr, cached=hit, elapsed=elapsed
-                )
-            )
-        return results
-
     # -- the submit / gather hooks -----------------------------------------
 
     def _prepare(self, session) -> None:
         """Per-call setup before the first submission."""
 
     def _submit_compile(self, session, query: Query) -> Future:
-        return _CALLER.submit(session._optimise, query)
+        return _CALLER.submit(
+            worker.compile_in_caller,
+            session.database,
+            session.check_invariants,
+            query,
+        )
 
     def _submit(
         self,

@@ -1,8 +1,9 @@
 """Task bodies shared by every executor.
 
-Every :class:`~repro.exec.executor.Executor` evaluates through the one
-loop of :meth:`~repro.exec.executor.Executor.execute`; a *task* is one
-call of :func:`evaluate` -- a whole query, or one (query, shard) pair
+The session's evaluation loop
+(:class:`~repro.service.session.QuerySession`) hands its tasks to an
+:class:`~repro.exec.executor.Executor`; a *task* is one call of
+:func:`evaluate` -- a whole query, or one (query, shard) pair
 -- returning the **unprojected** result the coordinator unions, caches
 and projects.  Where it runs is the executor's business: in the caller
 (``SerialExecutor``), in a pool worker (``ParallelExecutor``), or on a
@@ -140,6 +141,15 @@ def compile_direct(
 ) -> FTree:
     engine = FDB(database, check_invariants=check_invariants)
     return engine.optimal_tree(query)
+
+
+def compile_in_caller(
+    database, check_invariants: bool, query: Query
+) -> FTree:
+    """:func:`compile_direct` under an ``optimise`` span of the
+    caller's trace."""
+    with obs_trace.span("optimise"):
+        return compile_direct(database, check_invariants, query)
 
 
 def evaluate_join(

@@ -215,15 +215,6 @@ def recv_frame(
     return decode_body(recv_exact(sock, length))
 
 
-def send_frame(
-    sock: socket.socket,
-    kind: str,
-    header: Dict[str, Any],
-    payload: bytes = b"",
-) -> None:
-    sock.sendall(encode_frame(kind, header, payload))
-
-
 # -- result packing ----------------------------------------------------------
 
 

@@ -4,12 +4,12 @@
 multiple hosts" item.  It is an :class:`~repro.exec.Executor`, so a
 :class:`~repro.service.session.QuerySession` adopts it like any other
 (``QuerySession(db, executor=RemoteExecutor([...]))``): plans, the
-result cache, the union and the projection run in the coordinator
-through the one loop of :meth:`~repro.exec.Executor.execute`, and only
-the tasks travel -- the ``shard`` / ``execute`` half of the wire
-protocol, to a fleet of *shard workers*: ordinary ``repro serve``
-processes, each of which loaded the same sharded database from its
-per-shard FDBP files (``repro serve --db saved-dir/``).
+result cache, the union and the projection run in the coordinator's
+session, in its one evaluation loop, and only the tasks travel -- the
+``shard`` / ``execute`` half of the wire protocol, to a fleet of
+*shard workers*: ordinary ``repro serve`` processes, each of which
+loaded the same sharded database from its per-shard FDBP files
+(``repro serve --db saved-dir/``).
 
 - each (query, shard) task goes to the shard's *chain* of workers --
   here every worker, starting at ``workers[s % n]``; the worker

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 
 @dataclass
@@ -47,22 +47,6 @@ class PlanProfile:
     in_singletons: int = 0
     empty: bool = False
     pruned_at: Optional[int] = None  # kernel index that emptied the run
-
-    def as_dicts(self) -> List[Dict[str, Any]]:
-        return [
-            {
-                "index": r.index,
-                "op": r.op,
-                "kind": r.kind,
-                "kernel": r.kernel,
-                "seconds": r.seconds,
-                "out_entries": r.out_entries,
-                "out_singletons": r.out_singletons,
-                "out_nbytes": r.out_nbytes,
-                "singletons_per_second": r.singletons_per_second,
-            }
-            for r in self.rows
-        ]
 
     def format_table(self) -> str:
         """The per-operator table ``repro explain --profile`` prints."""

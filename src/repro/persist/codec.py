@@ -41,11 +41,9 @@ it against a per-connection pool (payload kind ``fdbp-pool``); a saved
 result -- blob kind ``pooled-arena`` -- is the same body cut by a fresh
 encoder against an empty pool, so its ids are the identity.  Loading is
 therefore ~O(bytes) -- ``array.frombytes``, a vectorised bounds scan
-and one value-order pass over the entries -- and a memory-mapped load
-(``load(path, mmap=True)``) does not even copy: each column is an
-int64 view into the mapping.  Kinds earlier builds wrote are listed in
-:data:`RETIRED_KINDS`; reading one raises :class:`PersistError`
-telling the caller to re-evaluate and re-save.
+and one value-order pass over the entries.  Kinds earlier builds wrote
+are listed in :data:`RETIRED_KINDS`; reading one raises
+:class:`PersistError` telling the caller to re-evaluate and re-save.
 
 Every length-prefixed field is read through one bounded read, so a
 hostile length allocates no more than the input holds and is a
@@ -57,7 +55,6 @@ from __future__ import annotations
 import functools
 import io
 import json
-import mmap as mmap_module
 import os
 import shutil
 import struct
@@ -635,42 +632,6 @@ def _read_i64_column(src: BinaryIO) -> array:
     return _i64(_exactly(src, 8 * _read_varint(src), "arena column"))
 
 
-class _BufferReader:
-    """A minimal binary reader over a memoryview (e.g. an mmap).
-
-    ``read`` copies (for the small varint/value pieces the tagged
-    decoders consume); ``view`` hands out zero-copy slices for the
-    bulk integer columns.
-    """
-
-    __slots__ = ("_view", "_pos")
-
-    def __init__(self, view: memoryview) -> None:
-        self._view = view
-        self._pos = 0
-
-    def read(self, n: int) -> bytes:
-        data = bytes(self._view[self._pos : self._pos + n])
-        self._pos += len(data)
-        return data
-
-    def view(self, n: int) -> memoryview:
-        if self._pos + n > len(self._view):
-            raise PersistError("truncated input: short arena column")
-        out = self._view[self._pos : self._pos + n]
-        self._pos += n
-        return out
-
-
-def _read_i64_column_mapped(src: _BufferReader):
-    """A column straight off a mapped buffer: a zero-copy ``int64``
-    *view* into the mapping -- bytes are only paged in when a kernel
-    touches them.  (A big-endian host copies and byteswaps instead.)
-    """
-    raw = src.view(8 * _read_varint(src))
-    return _i64(raw) if _BIG_ENDIAN else _as_np(raw)
-
-
 class _Sent:
     """What an encoder keeps of one result it has encoded: the body's
     fixed parts, ready to be written again."""
@@ -861,12 +822,8 @@ class ArenaPoolDecoder:
             raise PersistError("pooled arena payload failed its checksum")
         return self.read(io.BytesIO(body))
 
-    def read(
-        self, src: BinaryIO, read_column=_read_i64_column
-    ) -> FactorisedRelation:
-        """One body, to the end of ``src``.  ``read_column`` reads each
-        column: :func:`_read_i64_column` copies it out of a stream,
-        :func:`_read_i64_column_mapped` views it in a mapping."""
+    def read(self, src: BinaryIO) -> FactorisedRelation:
+        """One body, to the end of ``src``."""
         tree = self._tree(_exactly(src, _read_varint(src), "arena tree"))
         flag = src.read(1)
         if not flag:
@@ -886,13 +843,13 @@ class ArenaPoolDecoder:
             self.values.extend(
                 read_value(src) for _ in range(_read_varint(src))
             )
-            rep = self._columns(src, tree, read_column)
+            rep = self._columns(src, tree)
         except BaseException:
             del self.values[base:]
             raise
         return FactorisedRelation(tree, rep)
 
-    def _columns(self, src, tree: FTree, read_column) -> ArenaRep:
+    def _columns(self, src, tree: FTree) -> ArenaRep:
         """The column section, validated against the pool."""
         skel = arena_mod._skeleton_of(tree)
         node_count = _read_varint(src)
@@ -905,12 +862,12 @@ class ArenaPoolDecoder:
         child_lo: List[List[array]] = []
         child_hi: List[List[array]] = []
         for i in range(node_count):
-            values.append(read_column(src))
+            values.append(_read_i64_column(src))
             los: List[array] = []
             his: List[array] = []
             for _ in skel.children[i]:
-                los.append(read_column(src))
-                his.append(read_column(src))
+                los.append(_read_i64_column(src))
+                his.append(_read_i64_column(src))
             child_lo.append(los)
             child_hi.append(his)
         if src.read(1):
@@ -928,16 +885,16 @@ class ArenaPoolDecoder:
         return rep
 
 
-def _read_saved(src, read_column=_read_i64_column) -> FactorisedRelation:
+def _read_saved(src) -> FactorisedRelation:
     """A saved result: one body against an empty pool, checked whole.
 
-    A file may have been rewritten under a fresh checksum (and the
-    mmap path skips the checksum), so beyond the reader's bounds scan
-    it must pass ``FactorisedRelation.validate()`` -- the path
-    constraint and the value order, whose ``<`` raises ``TypeError``
-    on values that do not compare.
+    A file may have been rewritten under a fresh checksum, so beyond
+    the reader's bounds scan it must pass
+    ``FactorisedRelation.validate()`` -- the path constraint and the
+    value order, whose ``<`` raises ``TypeError`` on values that do not
+    compare.
     """
-    fr = ArenaPoolDecoder().read(src, read_column)
+    fr = ArenaPoolDecoder().read(src)
     try:
         return fr.validate()
     except (ValueError, TypeError) as exc:
@@ -1212,71 +1169,21 @@ def save(obj: object, path: str) -> None:
         raise
 
 
-def load(path: str, mmap: bool = False) -> object:
+def load(path: str) -> object:
     """Load whatever :func:`save` put at ``path``.
 
     Dispatches on the blob's self-described kind (directories load as
     sharded databases); raises :class:`PersistError` for anything
     unreadable, truncated, corrupt or version-incompatible.
-
-    ``mmap=True`` memory-maps ``pooled-arena`` blobs instead of
-    reading them: the integer columns become zero-copy ``int64`` views
-    into the mapping, so opening a large persisted result costs
-    ~O(page faults) of the bytes actually touched rather than a full
-    read.  Trade-off: the payload CRC is **not** verified up front
-    (that would page the whole file in); the structural bounds check
-    still runs, and framing/truncation errors are detected as usual.
-    Other kinds -- including sharded-database directories, whose row
-    payloads must be decoded value by value regardless -- fall back to
-    the ordinary checksummed read.
     """
     if os.path.isdir(path):
         return _load_sharded(path)
-    if mmap:
-        return _load_mapped(path)
     try:
         with open(path, "rb") as handle:
             kind, header, payload = read_blob(handle)
     except OSError as exc:
         raise PersistError(f"cannot read {path!r}: {exc}") from exc
     return decode(kind, header, payload)
-
-
-def _load_mapped(path: str) -> object:
-    """The ``mmap=True`` path of :func:`load` (files only)."""
-    try:
-        handle = open(path, "rb")
-    except OSError as exc:
-        raise PersistError(f"cannot read {path!r}: {exc}") from exc
-    with handle:
-        kind, header = read_header(handle)
-        if kind != "pooled-arena":
-            handle.seek(0)
-            kind, header, payload = read_blob(handle)
-            return decode(kind, header, payload)
-        _exactly(handle, 4, "payload checksum")  # deliberately unused
-        (length,) = struct.unpack(">Q", _exactly(handle, 8, "payload length"))
-        offset = handle.tell()
-        try:
-            mapping = mmap_module.mmap(
-                handle.fileno(), 0, access=mmap_module.ACCESS_READ
-            )
-        except (OSError, ValueError) as exc:
-            raise PersistError(f"cannot mmap {path!r}: {exc}") from exc
-    if offset + length > len(mapping):
-        raise PersistError("truncated input: short payload")
-    if offset + length < len(mapping):
-        raise PersistError("arena file has trailing bytes")
-    view = memoryview(mapping)[offset:]
-    # The mapping stays alive exactly as long as the column views do
-    # (each numpy view references the memoryview, which references the
-    # mmap object); nothing to close explicitly.
-    try:
-        return _read_saved(_BufferReader(view), _read_i64_column_mapped)
-    except PersistError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise PersistError(f"malformed {kind} blob: {exc}") from exc
 
 
 def inspect(path: str) -> Dict[str, Any]:

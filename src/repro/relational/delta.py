@@ -52,11 +52,6 @@ class Delta:
     #: such deltas cannot be absorbed incrementally by any consumer.
     schema_change: bool = False
 
-    @property
-    def insert_only(self) -> bool:
-        """True when this delta only ever added rows."""
-        return not self.schema_change and not self.removed
-
 
 @dataclass
 class DeltaLog:

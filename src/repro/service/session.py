@@ -32,11 +32,17 @@ traffic therefore must not pay the optimiser per arriving query.
   LRU), compiles are written through to it -- so a fresh session, or a
   fresh *process*, starts with every previously compiled plan.
 
-The *mechanism* -- how the deduplicated queries actually run -- lives
-in the injected :class:`~repro.exec.Executor`: serial in-process by
-default, or :class:`~repro.exec.ParallelExecutor` for pool-parallel
-compilation and (on a :class:`~repro.storage.ShardedDatabase`)
-per-shard fan-out.
+Every query it evaluates runs through one loop, :meth:`QuerySession.
+_evaluate`, which both :meth:`~QuerySession.run` and
+:meth:`~QuerySession.run_batch` funnel into: engine routing, plan
+lookup and the compile wave, the explosion fallback, the result cache,
+one task per query or per (query, shard), the union, the unprojected
+cache store and the projection.  The injected
+:class:`~repro.exec.Executor` only decides *where* a task runs: in the
+caller by default, on a pool with :class:`~repro.exec.ParallelExecutor`
+(pool-parallel compilation and, on a
+:class:`~repro.storage.ShardedDatabase`, per-shard fan-out), or on
+shard workers with :class:`repro.net.RemoteExecutor`.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
 from repro.costs.cardinality import Statistics, estimate_representation_size
 from repro.engine import FDB
-from repro.exec import Executor, SerialExecutor
+from repro.exec import Executor, SerialExecutor, worker
 from repro.ivm import ResultCache
 from repro.optimiser.bitspace import counters as optimiser_counters
 from repro.optimiser.fplan import FPlan
@@ -72,6 +78,7 @@ from repro.relational.database import Database
 from repro.relational.engine import RelationalEngine
 from repro.relational.relation import Relation
 from repro.relational.sqlite_engine import SQLiteEngine
+from repro.storage.sharded import ShardedDatabase
 
 #: Engines a session can route a query to.  ``auto`` means "factorised
 #: unless the estimate says the factorisation explodes".
@@ -103,12 +110,6 @@ class SessionStats:
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
-
-    @property
-    def hit_rate(self) -> float:
-        """Plan-cache hit rate over flat-path queries (0.0 when idle)."""
-        total = self.plan_hits + self.plan_misses
-        return self.plan_hits / total if total else 0.0
 
     def __str__(self) -> str:
         parts = [f"{k}={v}" for k, v in self.as_dict().items()]
@@ -438,8 +439,8 @@ class QuerySession:
     def lookup_plan(self, query: Query) -> Optional[CachedPlan]:
         """The cached flat-path plan for ``query``, or ``None``.
 
-        Executor hook: a hit updates recency and the hit counters; a
-        miss only counts (callers compile and :meth:`store_plan`).
+        A hit updates recency and the hit counters; a miss only counts
+        (callers compile and :meth:`store_plan`).
 
         With a :attr:`plan_store`, an LRU miss falls through to the
         disk tier: a disk hit is promoted into the LRU and reported as
@@ -468,7 +469,7 @@ class QuerySession:
             return None
 
     def store_plan(self, query: Query, tree: FTree) -> CachedPlan:
-        """Executor hook: cache a freshly compiled f-tree.
+        """Cache a freshly compiled f-tree.
 
         Write-through: with a :attr:`plan_store` the plan also lands
         on disk, so other sessions and processes warm-start from it.
@@ -493,22 +494,10 @@ class QuerySession:
         if cached is not None:
             return cached, True
         query.validate_against(self.database.schema())
-        return self.store_plan(query, self._optimise(query)), False
-
-    def _optimise(self, query: Query) -> FTree:
-        """Executor hook: run the f-tree optimiser for a validated
-        plan-cache miss (callers :meth:`store_plan` the tree)."""
-        with obs_trace.span("optimise"):
-            return self._fdb.optimal_tree(query)
-
-    def _would_explode(self, plan: CachedPlan) -> bool:
-        if self.fallback_budget is None:
-            return False
-        if plan.estimated_size is None:
-            plan.estimated_size = estimate_representation_size(
-                plan.tree, self.statistics()
-            )
-        return plan.estimated_size > self.fallback_budget
+        tree = worker.compile_in_caller(
+            self.database, self.check_invariants, query
+        )
+        return self.store_plan(query, tree), False
 
     # -- execution ---------------------------------------------------------
 
@@ -520,7 +509,7 @@ class QuerySession:
         self.stats.queries += 1
         trace = self._begin_trace()
         with obs_trace.activate(trace):
-            result = self.executor.execute(self, [query], engine)[0]
+            result = self._evaluate([query], engine)[0]
         self._observe(
             result,
             trace=trace if trace is not None else obs_trace.current(),
@@ -596,7 +585,7 @@ class QuerySession:
         self.stats.queries += len(unique)
         trace = self._begin_trace() if observe else None
         with obs_trace.activate(trace):
-            evaluated = self.executor.execute(self, unique, engine)
+            evaluated = self._evaluate(unique, engine)
         out: List[SessionResult] = []
         for query, (key, deduped) in zip(queries, slots):
             result = evaluated[position[key]]
@@ -684,56 +673,178 @@ class QuerySession:
         )
         return result
 
-    # -- executor hooks ----------------------------------------------------
-    #
-    # Executors evaluate queries through these; they encapsulate result
-    # construction and engine access so the execution layer never
-    # imports the serving layer.
+    # -- the evaluation loop -----------------------------------------------
 
-    def _flat_result(
-        self, query: Query, start: float, cached: bool
-    ) -> SessionResult:
-        flat = self._flat.evaluate(query)
-        return SessionResult(
-            query=query,
-            engine="flat",
-            cached=cached,
-            elapsed=time.perf_counter() - start,
-            flat=flat,
+    def _evaluate(
+        self, queries: Sequence[Query], engine: str
+    ) -> List[SessionResult]:
+        """Evaluate ``queries`` (unique within the call), in order.
+
+        The one evaluation sequence of every executor: engine routing,
+        plan lookup (misses validated here, so a schema error raises
+        in the caller and not inside a task, then compiled as one
+        wave), the explosion fallback, the result cache, one task per
+        query or per (query, shard), the union, the unprojected cache
+        store and the projection.  The executor only places the tasks.
+        """
+        results: List[SessionResult] = []
+        if engine in ("flat", "sqlite"):
+            for query in queries:
+                start = time.perf_counter()
+                if engine == "flat":
+                    result = SessionResult(
+                        query=query,
+                        engine="flat",
+                        cached=False,
+                        elapsed=0.0,
+                        flat=self._flat.evaluate(query),
+                    )
+                else:
+                    query.validate_against(self.database.schema())
+                    if self._sqlite is None:
+                        self._sqlite = SQLiteEngine(
+                            self.database, budget=self.budget
+                        )
+                    result = SessionResult(
+                        query=query,
+                        engine="sqlite",
+                        cached=False,
+                        elapsed=0.0,
+                        raw=self._sqlite.evaluate(query),
+                        raw_attributes=(
+                            query.projection
+                            if query.projection is not None
+                            else tuple(
+                                attr
+                                for name in query.relations
+                                for attr in self.database[name].attributes
+                            )
+                        ),
+                    )
+                result.elapsed = time.perf_counter() - start
+                results.append(result)
+            return results
+        if not queries:
+            return results
+        executor = self.executor
+        executor._prepare(self)
+        database = self.database
+        shards = (
+            database.shard_count
+            if executor.fans_out and isinstance(database, ShardedDatabase)
+            else 1
         )
 
-    def _fallback_result(
-        self, query: Query, start: float, cached: bool
-    ) -> SessionResult:
-        """Route an exploding ``auto`` query to the flat engine."""
-        self.stats.fallbacks += 1
-        return self._flat_result(query, start, cached=cached)
+        # Plans.  ``planning`` is each query's own share of the
+        # caller's clock (lookup, plus a compile run in the caller),
+        # never its wait on the shared wave.
+        plans: List[Optional[CachedPlan]] = []
+        planning: List[float] = []
+        misses = []
+        for i, query in enumerate(queries):
+            start = time.perf_counter()
+            plans.append(self.lookup_plan(query))
+            if plans[i] is None:
+                query.validate_against(database.schema())
+                misses.append((i, executor._submit_compile(self, query)))
+            planning.append(time.perf_counter() - start)
+        hits = [plan is not None for plan in plans]
+        if misses:
+            with obs_trace.span("compile-wave", misses=len(misses)):
+                for i, future in misses:
+                    plans[i] = self.store_plan(queries[i], future.result())
 
-    def _sqlite_result(self, query: Query, start: float) -> SessionResult:
-        query.validate_against(self.database.schema())
-        rows = self._sqlite_engine().evaluate(query)
-        if query.projection is not None:
-            columns = query.projection
-        else:
-            columns = tuple(
-                attr
-                for name in query.relations
-                for attr in self.database[name].attributes
+        # Fan out: every task is submitted before the first is awaited.
+        # A job is ``None`` for an exploding ``auto`` query, which runs
+        # on the flat engine in the gather loop; ``(seconds, result)``
+        # for a warm (or caught-up) result-cache entry, which needs no
+        # task; else the list of its pending tasks.
+        jobs = []
+        for query, plan in zip(queries, plans):
+            if engine == "auto" and self.fallback_budget is not None:
+                if plan.estimated_size is None:
+                    plan.estimated_size = estimate_representation_size(
+                        plan.tree, self.statistics()
+                    )
+                if plan.estimated_size > self.fallback_budget:
+                    jobs.append(None)
+                    continue
+            start = time.perf_counter()
+            with obs_trace.span("result-cache"):
+                served = self._serve_cached(query)
+            if served is not None:
+                jobs.append((time.perf_counter() - start, served))
+            elif shards > 1:
+                fanout = database.fanout_relation(query.relations)
+                jobs.append(
+                    [
+                        executor._submit(self, query, plan.tree, s, fanout)
+                        for s in range(shards)
+                    ]
+                )
+            else:
+                jobs.append([executor._submit(self, query, plan.tree)])
+
+        # Gather.  ``elapsed`` is the query's planning share plus its
+        # evaluation: task times (summed where they ran back to back,
+        # else the slowest) and recombination.  Queueing behind other
+        # queries and the shared compile wave are excluded.
+        for query, plan, hit, planned, job in zip(
+            queries, plans, hits, planning, jobs
+        ):
+            if job is None:
+                self.stats.fallbacks += 1
+                start = time.perf_counter()
+                flat = self._flat.evaluate(query)
+                results.append(
+                    SessionResult(
+                        query=query,
+                        engine="flat",
+                        cached=hit,
+                        elapsed=planned + time.perf_counter() - start,
+                        flat=flat,
+                    )
+                )
+                continue
+            if isinstance(job, tuple):
+                seconds, fr = job
+                cached = True
+            else:
+                parts = [executor._gather(pending) for pending in job]
+                start = time.perf_counter()
+                if len(parts) == 1:
+                    fr = parts[0][1]
+                else:
+                    fr = worker.combine_shards(
+                        [part for _, part in parts],
+                        query,
+                        self.check_invariants,
+                        project=False,
+                    )
+                if self._results is not None:
+                    self._results.store(query, database, plan.tree, fr)
+                fr = worker.project_result(fr, query, self.check_invariants)
+                total = sum if executor.times_add else max
+                seconds = total(took for took, _ in parts) + (
+                    time.perf_counter() - start
+                )
+                cached = hit
+            results.append(
+                SessionResult(
+                    query=query,
+                    engine="fdb",
+                    cached=cached,
+                    elapsed=planned + seconds,
+                    factorised=fr,
+                )
             )
-        return SessionResult(
-            query=query,
-            engine="sqlite",
-            cached=False,
-            elapsed=time.perf_counter() - start,
-            raw=rows,
-            raw_attributes=columns,
-        )
+        return results
 
     def _serve_cached(
         self, query: Query
     ) -> Optional[FactorisedRelation]:
-        """Executor hook: serve ``query`` from the delta-maintained
-        result cache, or ``None`` on a miss.
+        """Serve ``query`` from the delta-maintained result cache, or
+        ``None`` on a miss.
 
         The cache stores unprojected join results (union of delta
         terms does not commute with projection, see
@@ -764,30 +875,6 @@ class QuerySession:
                 fr.validate()
             entry.projected[pkey] = (entry.version, fr)
         return fr
-
-    def _cache_result(
-        self, query: Query, tree: FTree, fr: FactorisedRelation
-    ) -> None:
-        """Executor hook: cache a freshly evaluated **unprojected**
-        join result for delta maintenance (no-op when disabled)."""
-        if self._results is not None:
-            self._results.store(query, self.database, tree, fr)
-
-    def _wrap_fdb_result(
-        self,
-        query: Query,
-        factorised: FactorisedRelation,
-        cached: bool,
-        elapsed: float,
-    ) -> SessionResult:
-        """Executor hook: package a factorised result."""
-        return SessionResult(
-            query=query,
-            engine="fdb",
-            cached=cached,
-            elapsed=elapsed,
-            factorised=factorised,
-        )
 
     # -- observability -----------------------------------------------------
 
@@ -857,10 +944,3 @@ class QuerySession:
         if entry is None:
             return None
         return entry.tree.pretty()
-
-    # -- helpers -----------------------------------------------------------
-
-    def _sqlite_engine(self) -> SQLiteEngine:
-        if self._sqlite is None:
-            self._sqlite = SQLiteEngine(self.database, budget=self.budget)
-        return self._sqlite

@@ -18,7 +18,10 @@ ships or restructures.  The object representation lives on in
   second body for a column primitive;
 - there is one eviction policy, :class:`repro.cache.LRUCache`: outside
   ``cache.py`` no module reaches for ``OrderedDict``, ``.popitem(`` /
-  ``.move_to_end(`` or a ``del X[next(iter(X))]`` oldest-out loop.
+  ``.move_to_end(`` or a ``del X[next(iter(X))]`` oldest-out loop;
+- the session runs the one evaluation loop and executors only place
+  its tasks: nothing under ``exec/`` or ``net/`` reads a private
+  ``session._*`` attribute, only the session's public ones.
 
 The walk is over the AST, so prose in docstrings and comments is free
 to explain what used to be.
@@ -336,3 +339,43 @@ def test_importing_the_engine_never_loads_the_reference():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def _private_session_reads(tree: ast.AST) -> List[int]:
+    """Lines of every ``session._x`` / ``self.session._x`` in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ):
+            continue
+        owner = node.value
+        if (isinstance(owner, ast.Name) and owner.id == "session") or (
+            isinstance(owner, ast.Attribute) and owner.attr == "session"
+        ):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_session_lint_catches_what_it_is_meant_to_catch():
+    sample = ast.parse(
+        "session._flat_result(q)\n"
+        "self.session._observe(r)\n"
+        "session.database.version\n"
+        "self._session.run(q)\n"
+        "session.__class__\n"
+        "served = session._serve_cached\n"
+    )
+    assert _private_session_reads(sample) == [1, 2, 6]
+
+
+def test_executors_and_the_wire_read_only_public_session_attributes():
+    found = [
+        f"{path}:{line}"
+        for path, tree in _engine_sources()
+        if path.split(os.sep)[0] in ("exec", "net")
+        for line in _private_session_reads(tree)
+    ]
+    assert not found, found

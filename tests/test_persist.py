@@ -841,7 +841,6 @@ def _read_blob_at(path: str):
 
 _LEGACY_READERS = {
     "load": load,
-    "load-mmap": lambda path: load(path, mmap=True),
     "inspect": inspect,
     "read_blob": _read_blob_at,
 }
@@ -911,121 +910,6 @@ def test_tampered_arena_columns_fail_bounds_check(tmp_path):
     assert zlib.crc32(read_payload) == zlib.crc32(bytes(bad))
     with pytest.raises(PersistError, match="invariants"):
         codec.decode(read_kind, read_header, read_payload)
-
-
-# -- memory-mapped arena loads ----------------------------------------------
-
-
-def test_mmap_arena_load_round_trips(tmp_path):
-    fr = _arena_join_result()
-    path = str(tmp_path / "result.fdbp")
-    save(fr, path)
-    mapped = load(path, mmap=True)
-    assert mapped.tree == fr.tree
-    assert list(mapped.rows()) == list(fr.rows())
-    assert mapped.count() == fr.count()
-    assert mapped.size() == fr.size()
-    mapped.validate()
-
-
-def test_mmap_arena_columns_survive_operators(tmp_path):
-    """Mapped columns must behave exactly like owned ones through the
-    arena fast paths: selection, projection, aggregation, and the
-    compiled enumeration loop nests."""
-    from repro import ops
-    from repro.query.query import ConstantCondition
-
-    fr = _arena_join_result()
-    path = str(tmp_path / "result.fdbp")
-    save(fr, path)
-    mapped = load(path, mmap=True)
-    attr = mapped.attributes[0]
-    value = sorted(set(fr.rows((attr,))))[0][0]
-    selected = ops.select_constant(
-        mapped, ConstantCondition(attr, ">=", value)
-    )
-    selected.validate()
-    assert sorted(set(selected.rows())) == sorted(
-        set(
-            ops.select_constant(
-                fr, ConstantCondition(attr, ">=", value)
-            ).rows()
-        )
-    )
-    projected = ops.project(mapped, (attr,))
-    projected.validate()
-    assert sorted(set(projected.rows((attr,)))) == sorted(
-        set(fr.rows((attr,)))
-    )
-    assert mapped.count_distinct(attr) == fr.count_distinct(attr)
-
-
-def test_mmap_non_arena_kinds_fall_back_to_checksummed_read(tmp_path):
-    db = Database()
-    db.add_rows("R", ("a", "b"), [(1, 2), (3, 4)])
-    path = str(tmp_path / "db.fdbp")
-    save(db, path)
-    loaded = load(path, mmap=True)
-    assert isinstance(loaded, Database)
-    assert loaded.total_size == 2
-
-
-def test_mmap_truncated_arena_file_raises(tmp_path):
-    fr = _arena_join_result()
-    path = str(tmp_path / "result.fdbp")
-    save(fr, path)
-    with open(path, "rb") as handle:
-        data = handle.read()
-    with open(path, "wb") as handle:
-        handle.write(data[:-6])  # chop the final column short
-    with pytest.raises(PersistError):
-        load(path, mmap=True)
-
-
-def test_mmap_trailing_bytes_raise(tmp_path):
-    fr = _arena_join_result()
-    path = str(tmp_path / "result.fdbp")
-    save(fr, path)
-    with open(path, "ab") as handle:
-        handle.write(b"\x00\x00")
-    with pytest.raises(PersistError, match="trailing"):
-        load(path, mmap=True)
-
-
-def test_mmap_tampered_columns_still_fail_bounds_check(tmp_path):
-    """Skipping the CRC must not skip the structural bounds check."""
-    import zlib
-
-    from repro.persist import codec
-
-    fr = _arena_join_result()
-    kind, header, payload = codec.encode(fr)
-    bad = bytearray(payload)
-    bad[-1] = 0x7F
-    path = str(tmp_path / "bad.fdbp")
-    with open(path, "wb") as handle:
-        write_blob(handle, "pooled-arena", header, bytes(bad))
-    with pytest.raises(PersistError, match="invariants"):
-        load(path, mmap=True)
-
-
-def test_mmap_loaded_columns_are_views_of_the_mapping_with_identity_ids(
-    tmp_path,
-):
-    """A saved result is cut against an empty pool, so its ids are the
-    identity: the mmap load hands out the very columns that were saved,
-    as views into the mapping -- no remapped copies."""
-    import mmap
-
-    fr = _arena_join_result()
-    path = str(tmp_path / "result.fdbp")
-    save(fr, path)
-    mapped = load(path, mmap=True)
-    assert mapped.rep.pool == list(fr.rep.pool)
-    for saved, column in zip(fr.rep.values, mapped.rep.values):
-        assert list(column) == list(saved)
-        assert isinstance(column.base, memoryview)
-        assert isinstance(column.base.obj, mmap.mmap)
 
 
 # -- pooled arena payloads (the wire's fdbp-pool form) ----------------------
@@ -1402,8 +1286,7 @@ def test_hostile_saved_arenas_load_valid_or_raise_persist_error(
 ):
     """Truncated or bit-flipped saved results, re-framed with a valid
     checksum so only the reader's own checks stand in the way, either
-    load -- through ``load`` and the CRC-skipping ``load(mmap=True)``
-    alike -- as a relation that passes ``validate()``, or raise
+    load as a relation that passes ``validate()`` or raise
     ``PersistError``."""
     kind, header, payload = _SAVED_SEEDS[index]
     at = int(where * len(payload))
@@ -1415,12 +1298,11 @@ def test_hostile_saved_arenas_load_valid_or_raise_persist_error(
         data = bytes(flipped)
     with open(fuzz_path, "wb") as handle:
         write_blob(handle, kind, header, data)
-    for mapped in (False, True):
-        try:
-            loaded = load(fuzz_path, mmap=mapped)
-        except PersistError:
-            continue
-        loaded.validate()
+    try:
+        loaded = load(fuzz_path)
+    except PersistError:
+        return
+    loaded.validate()
 
 
 def _one_union(values):
@@ -1472,16 +1354,15 @@ def _a_relation_split_across_branches():
 )
 def test_a_saved_result_that_fails_validate_does_not_load(tmp_path, build):
     """Bounds-clean bytes that break the value order, the constant-node
-    rule or the path constraint are refused on load, so what loads --
-    even memory-mapped, without the checksum -- passes ``validate()``."""
+    rule or the path constraint are refused on load, so what loads
+    passes ``validate()``."""
     fr = build()
     with pytest.raises((ValueError, TypeError)):
         fr.validate()
     path = str(tmp_path / "invalid.fdbp")
     save(fr, path)
-    for mapped in (False, True):
-        with pytest.raises(PersistError, match="invariants"):
-            load(path, mmap=mapped)
+    with pytest.raises(PersistError, match="invariants"):
+        load(path)
 
 
 def _varint(value: int) -> bytes:
