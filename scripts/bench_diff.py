@@ -67,9 +67,11 @@ IGNORED_KEYS = {
 PROVENANCE_KEYS = ("benchmark", "bench_schema", "scale", "workload")
 
 #: Substrings marking a metric as timing-derived (informational unless
-#: --strict-timing).  Speedups are ratios *of timings*, so they inherit
-#: the noise.
-TIMING_MARKERS = ("seconds", "speedup", "elapsed", "time", "q_per_s")
+#: --strict-timing).  Speedups and gains are ratios *of timings*, so
+#: they inherit the noise.
+TIMING_MARKERS = (
+    "seconds", "speedup", "gain", "elapsed", "time", "q_per_s"
+)
 
 #: Substrings marking a metric as environment-bound (never gated).
 ENVIRONMENT_MARKERS = ("memory",)

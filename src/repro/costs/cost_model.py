@@ -144,6 +144,11 @@ class PlanCost:
 
 
 def clear_cover_cache() -> None:
-    """Reset the memoised covers (between benchmark configurations)."""
+    """Reset the memoised covers (between benchmark configurations),
+    and the f-plan search spaces that keep s(T) values computed from
+    them."""
+    from repro.optimiser.bitspace import FPLAN_SPACES  # imports costs
+
     _cover_cached.cache_clear()
     SIGNATURE_COVERS.clear()
+    FPLAN_SPACES.clear()

@@ -22,12 +22,15 @@ once per query:
 
 :data:`COUNTERS` is the ``optimiser`` metrics namespace: each search
 accumulates plain ints and flushes them here once, at its end.
+:data:`FPLAN_SPACES` holds the f-plan search graphs that outlive one
+search (:class:`repro.optimiser.exhaustive.ForestSpace`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
+from repro.cache import LRUCache
 from repro.core.ftree import label_key
 from repro.costs.edge_cover import SIGNATURE_COVERS
 from repro.obs.metrics import Tally
@@ -63,12 +66,34 @@ COUNTERS = Tally(
 )
 
 
+#: Input f-trees whose f-plan search graph the process keeps: the
+#: goal-independent half of every search from one tree (per process /
+#: worker; cleared with the cover memo by
+#: :func:`repro.costs.cost_model.clear_cover_cache`).  A space holds
+#: about half a kilobyte per state, at most
+#: :data:`~repro.optimiser.exhaustive.SPACE_STATE_CAP` states.
+FPLAN_SPACE_CAPACITY = 32
+
+#: ``(atoms, edges)`` key -> :class:`~repro.optimiser.exhaustive.ForestSpace`.
+FPLAN_SPACES = LRUCache(capacity=FPLAN_SPACE_CAPACITY)
+
+
 def counters() -> Dict[str, int]:
-    """The ``optimiser`` collector: :data:`COUNTERS` plus memo gauges."""
+    """The ``optimiser`` collector: :data:`COUNTERS` plus memo gauges.
+
+    The gauges are the cover memo's and the f-plan spaces' occupancy
+    and lifetime LRU counts; none of them is a function of the searches
+    alone, so they stay out of the :data:`COUNTERS` tally.
+    """
     return dict(
         COUNTERS.snapshot(),
         cover_memo_size=len(SIGNATURE_COVERS),
         cover_memo_drops=SIGNATURE_COVERS.drops,
+        fplan_spaces=len(FPLAN_SPACES),
+        fplan_space_states=sum(len(space) for space in FPLAN_SPACES.values()),
+        fplan_space_hits=FPLAN_SPACES.hits,
+        fplan_space_misses=FPLAN_SPACES.misses,
+        fplan_space_evictions=FPLAN_SPACES.evictions,
     )
 
 
