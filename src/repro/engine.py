@@ -4,8 +4,9 @@ Ties the layers together into the two evaluation paths of the paper:
 
 - :meth:`FDB.evaluate` -- an SPJ query over a *flat* database: find an
   optimal f-tree for the query result (Section 4 / Experiment 1),
-  factorise the join directly from the input relations (Experiment 3),
-  then apply constant selections and the projection;
+  push the constant selections into the input relations, factorise
+  the join directly from them over the constant-marked tree
+  (Experiment 3), then apply the projection;
 - :meth:`FDB.evaluate_on` -- an SPJ query over a *factorised* input:
   optimise an f-plan (exhaustive or greedy, Section 4.2/4.3) and
   execute its operator sequence on the representation (Experiment 4).
@@ -19,6 +20,7 @@ from repro import ops
 from repro.core.build import factorise
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
+from repro.ops.select import selected_tree
 from repro.optimiser.exhaustive import SearchExhausted, exhaustive_fplan
 from repro.optimiser.fplan import FPlan
 from repro.optimiser.ftree_optimiser import (
@@ -108,28 +110,35 @@ class FDB:
     ) -> FactorisedRelation:
         """Factorised equi-join result over ``tree`` (constants applied).
 
-        Constant conditions are pushed into the base relations before
-        factorisation (they are the cheapest operators and evaluated
-        first, Section 4); equality conditions then additionally mark
-        the node constant so it floats to the root and drops out of
-        the cost parameter.
+        Constant conditions are the cheapest operators and run first
+        (Section 4): each one, closed over its equality class
+        (:meth:`Query.closed_constants` -- ``a = b AND b = 5`` also
+        binds ``a = 5``), is pushed into every relation holding one of
+        the class's attributes.  An equality additionally marks its
+        node constant, so the node floats to the root and drops out of
+        the cost parameter; the result is factorised directly over
+        that constant tree (:func:`repro.ops.select.selected_tree`),
+        with no selection on the arena afterwards.  The closure is
+        what makes this exact: a relation meeting several branches of
+        the constant tree is split into one trie per path, which
+        factorises it exactly only if all of its rows carry the
+        constant.
         """
         query.validate_against(self.database.schema())
         if tree is None:
             tree = self.optimal_tree(query)
+        constants = query.closed_constants()
         relations: List[Relation] = []
         for name in query.relations:
             relation = self.database[name]
-            for cond in query.constants:
+            for cond in constants:
                 if cond.attribute in relation.schema:
                     relation = flat_select(relation, cond)
             relations.append(relation)
+        tree = selected_tree(tree, query.constants)
         fr = FactorisedRelation(
             tree, factorise(relations, tree, pool=self.shared_pool)
         )
-        for cond in query.constants:
-            if cond.op == "=":
-                fr = ops.select_constant(fr, cond)
         if self.check_invariants:
             fr.validate()
         return fr

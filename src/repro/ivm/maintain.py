@@ -30,9 +30,14 @@ most one term per referenced relation, however many appends it holds.
 A constant condition on ``R`` is a selection on ``R`` alone, so it
 commutes with the substitution: ``Q(D[R -> I]) = Q(D[R -> s(I)])``
 where ``s`` keeps the rows of ``I`` passing every condition of ``Q``
-on ``R``.  Filtering the term's rows first -- the paper's "constant
-selections run first" -- proves a term empty before anything is
-factorised when ``s(I)`` is empty; such a term, and one that
+on ``R``.  That holds for the *class-closed* conditions too
+(:meth:`~repro.query.query.Query.closed_constants`): ``a = b AND
+b = 5`` implies ``a = 5`` on every result tuple, whichever relation
+holds ``a``, so adding the implied condition changes neither side.
+Filtering the term's rows first -- the paper's "constant selections
+run first" -- proves a term empty before anything is factorised when
+``s(I)`` is empty, also when its rows only fail a constant stated on
+a class-mate in another relation; such a term, and one that
 factorises to empty, is skipped rather than unioned in.
 
 Both sides factorise over the *same* f-tree, so the right-hand union
@@ -162,7 +167,7 @@ def _delta_terms(
 ) -> Dict[str, List[Tuple[object, ...]]]:
     """The rows of each referenced relation's delta term: the fresh
     rows of every delta on it in ``deltas``, coalesced, that pass all
-    of ``query``'s constant conditions on that relation.
+    of ``query``'s class-closed constant conditions on that relation.
 
     A relation maps to ``[]`` when it received rows but none passes
     the constants -- its term is provably empty.  Relations that
@@ -173,17 +178,14 @@ def _delta_terms(
     for delta in deltas:
         if delta.relation in referenced and delta.inserted:
             inserted.setdefault(delta.relation, []).extend(delta.inserted)
+    constants = query.closed_constants()
     terms: Dict[str, List[Tuple[object, ...]]] = {}
     for name, rows in inserted.items():
         schema = database[name].schema
-        tests = [
-            (schema.index_of(cond.attribute), cond.test)
-            for cond in query.constants
-            if cond.attribute in schema
-        ]
-        terms[name] = [
-            row for row in rows if all(test(row[i]) for i, test in tests)
-        ]
+        for cond in constants:
+            if cond.attribute in schema:
+                rows = cond.filter_rows(rows, schema.index_of(cond.attribute))
+        terms[name] = rows
     return terms
 
 

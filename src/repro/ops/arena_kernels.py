@@ -537,6 +537,15 @@ def _normalise_chain(tree: FTree) -> KernelChain:
     return KernelChain(kernels, current)
 
 
+def _constant_chain(tree: FTree, attribute: str) -> KernelChain:
+    """The tree half of an equality selection on ``attribute``: the
+    push-ups normalising ``tree`` once that node is constant (the
+    value filter is :func:`repro.ops.select._filter`)."""
+    from repro.ops.select import _constant_tree
+
+    return _normalise_chain(_constant_tree(tree, tree.node_of(attribute)))
+
+
 def _absorb_chain(tree: FTree, a_attr: str, b_attr: str) -> KernelChain:
     restrict = RestrictKernel(tree, a_attr, b_attr)
     tail = _normalise_chain(restrict.out_tree)
@@ -551,6 +560,7 @@ _PREPARERS: Dict[str, Callable[..., object]] = {
     "push": PushKernel,
     "absorb": _absorb_chain,
     "normalise": _normalise_chain,
+    "constant": _constant_chain,
 }
 
 #: Prepared kernels, least recently used out.
@@ -560,8 +570,8 @@ _KERNEL_CACHE = LRUCache(_KERNEL_CACHE_MAX)
 
 def kernel_for(tree: FTree, kind: str, args: Sequence[str] = ()):
     """The prepared arena kernel for ``kind`` (``swap``/``merge``/
-    ``push``/``absorb``/``normalise``) on ``tree``, cached by the
-    tree's canonical key so plan replays and repeated shard/delta
+    ``push``/``absorb``/``normalise``/``constant``) on ``tree``, cached
+    by the tree's canonical key so plan replays and repeated shard/delta
     executions skip preparation (and share destination skeletons).
     A full cache evicts its least recently used kernel, so a stream
     of never-repeating plans cannot flush the hot ones."""

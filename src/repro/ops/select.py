@@ -18,11 +18,19 @@ attributes are removed from the dependency edges, the node is marked
 towards the root, as described at the end of Section 3.3: the constant
 tree's push-up trace is replayed through the prepared kernels of
 :mod:`repro.ops.arena_kernels`.
+
+The arena operator serves *factorised* inputs only: follow-up queries
+(:meth:`repro.engine.FDB.evaluate_on`, :meth:`repro.service.
+QuerySession.run_on`) and ``repro explain``.  A query over flat
+relations never runs it: :meth:`repro.engine.FDB.factorise_query`
+pushes the class-closed constants into the relations and factorises
+straight over :func:`selected_tree`, the tree this module's kernels
+would have produced.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.core.arena import ArenaRep
 from repro.core.columns import _value_mask
@@ -55,6 +63,22 @@ def _filter(
     return ArenaRep(arena.skel, out.values, out.lo, out.hi, arena.pool)
 
 
+def selected_tree(
+    tree: FTree, constants: Iterable[ConstantCondition]
+) -> FTree:
+    """The f-tree of a relation over ``tree`` once ``constants`` hold:
+    each equality in turn marks its node constant and normalises, as
+    :func:`select_constant` would (the other comparisons leave the tree
+    alone).  The trees come from the prepared chains' ``out_tree``."""
+    for cond in constants:
+        if cond.op == "=":
+            chain = arena_kernels.kernel_for(
+                tree, "constant", (cond.attribute,)
+            )
+            tree = chain.out_tree
+    return tree
+
+
 def select_constant_tree(tree: FTree, cond: ConstantCondition) -> FTree:
     """Tree-level effect: equality turns the node constant."""
     node = tree.node_of(cond.attribute)
@@ -68,7 +92,7 @@ def select_constant(
     fr: FactorisedRelation, cond: ConstantCondition
 ) -> FactorisedRelation:
     """Apply ``sigma_{A theta c}`` to a factorised relation."""
-    node = fr.tree.node_of(cond.attribute)
+    fr.tree.node_of(cond.attribute)  # an unknown attribute raises here
     if cond.op != "=":
         # Non-equality selections leave the tree untouched, so the
         # whole operator is the columnar filter kernel.
@@ -79,7 +103,7 @@ def select_constant(
     # the push-up kernels replay the normalisation trace of the
     # constant tree (prepared once per tree, empty input included).
     chain = arena_kernels.kernel_for(
-        _constant_tree(fr.tree, node), "normalise"
+        fr.tree, "constant", (cond.attribute,)
     )
     if fr.is_empty():
         return FactorisedRelation(chain.out_tree, None)

@@ -79,6 +79,17 @@ class ConstantCondition:
         """Evaluate the condition on a single attribute value."""
         return COMPARATORS[self.op](value, self.value)
 
+    def filter_rows(
+        self, rows: Iterable[Sequence[object]], index: int
+    ) -> list:
+        """The rows whose ``index``-th value passes :meth:`test`, in
+        order -- one comprehension, with no call per row for ``=``."""
+        value = self.value
+        if self.op == "=":
+            return [row for row in rows if row[index] == value]
+        compare = COMPARATORS[self.op]
+        return [row for row in rows if compare(row[index], value)]
+
     def __str__(self) -> str:
         return f"{self.attribute} {self.op} {self.value!r}"
 
@@ -176,6 +187,44 @@ class Query:
         """The classes as a canonical frozenset-of-frozensets."""
         return frozenset(self.attribute_classes(attributes))
 
+    def closed_constants(self) -> Tuple[ConstantCondition, ...]:
+        """The constant conditions closed over the equality classes.
+
+        ``a = b AND b = 5`` also binds ``a = 5``: on the join result
+        the attributes of a class are equal, so a comparison on one of
+        them holds on every one.  Each condition is followed by its
+        copies on its class-mates (sorted); a condition equal to an
+        earlier one (``a = 1.0`` after ``a = 1``) is dropped.  Without
+        equalities this is :attr:`constants`.  Like
+        :meth:`canonical_key`, it is derived once per instance.
+
+        >>> q = Query.make(["R", "S"], equalities=[("a", "b")],
+        ...                constants=[("b", "=", 5)])
+        >>> [str(c) for c in q.closed_constants()]
+        ['b = 5', 'a = 5']
+        """
+        closed = self.__dict__.get("_closed")
+        if closed is None:
+            closed = self._close_constants()
+            object.__setattr__(self, "_closed", closed)
+        return closed
+
+    def _close_constants(self) -> Tuple[ConstantCondition, ...]:
+        if not self.equalities or not self.constants:
+            return self.constants
+        mates: Dict[str, Tuple[str, ...]] = {}
+        for cls in equality_partition(self.equalities):
+            for attr in cls:
+                mates[attr] = cls
+        closed: Dict[ConstantCondition, None] = {}
+        for cond in self.constants:
+            closed[cond] = None
+            for attr in mates.get(cond.attribute, ()):
+                closed.setdefault(
+                    ConstantCondition(attr, cond.op, cond.value), None
+                )
+        return tuple(closed)
+
     def nonredundant_equalities(
         self, attributes: Iterable[str]
     ) -> Tuple[EqualityCondition, ...]:
@@ -251,9 +300,10 @@ class Query:
 
     def __getstate__(self) -> Dict[str, object]:
         # Pickle (and copy) the fields only; the receiver re-derives
-        # the key on first use.
+        # the key and the closed constants on first use.
         state = dict(self.__dict__)
         state.pop("_key", None)
+        state.pop("_closed", None)
         return state
 
     def validate_against(self, schema: Mapping[str, Sequence[str]]) -> None:

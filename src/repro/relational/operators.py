@@ -23,8 +23,7 @@ from repro.relational.schema import RelationSchema
 def select_constant(relation: Relation, cond: ConstantCondition) -> Relation:
     """``sigma_{A theta c}`` on a flat relation."""
     idx = relation.schema.index_of(cond.attribute)
-    rows = [row for row in relation.rows if cond.test(row[idx])]
-    return Relation(relation.schema, rows)
+    return Relation(relation.schema, cond.filter_rows(relation.rows, idx))
 
 
 def select_equality(relation: Relation, cond: EqualityCondition) -> Relation:

@@ -389,6 +389,60 @@ def test_constant_failing_append_is_skipped(monkeypatch):
         assert factorised == ["R"]
 
 
+#: ``sb = 1`` binds its class-mate ``rb`` too.
+CLASSMATE = Query.make(
+    ["R", "S"], equalities=[("rb", "sb")], constants=[("sb", "=", 1)]
+)
+
+
+def test_classmate_constant_failing_append_is_skipped(monkeypatch):
+    """Fresh R rows carry no attribute the constant names, but they
+    fail it on ``rb``, a class-mate of ``sb``: the class-closed
+    constants prove the term empty before a view is built or anything
+    is factorised."""
+    from repro.ivm import maintain
+
+    factorised = []
+    delta_result = maintain.delta_result
+    monkeypatch.setattr(
+        maintain,
+        "delta_result",
+        lambda *args, **kwargs: factorised.append(args[3])
+        or delta_result(*args, **kwargs),
+    )
+    db = _shop()
+    with QuerySession(db, check_invariants=True) as session:
+        session.run(CLASSMATE)
+        db.extend_rows("R", [(4, 2), (5, 3)])  # rb != 1 fails sb = 1
+        result = session.run(CLASSMATE)
+        assert result.cached
+        assert result.rows() == fdb_rows(db, CLASSMATE)[1]
+        counters = session.cache_counters()["results"]
+        assert counters["delta_skips"] == 1
+        assert counters["delta_merges"] == 0
+        assert factorised == []
+
+
+@pytest.mark.parametrize("query", [CLASSMATE, SHOP_QUERIES[2]])
+def test_constant_reads_run_no_arena_kernel(query):
+    """A result miss with an ``=`` constant factorises straight over
+    the constant tree, and so does the delta term a catch-up folds in:
+    neither runs an arena kernel (the merge's union has its own
+    counters)."""
+    from repro.ops import arena_kernels
+
+    db = _shop()
+    with QuerySession(db, check_invariants=True) as session:
+        runs = arena_kernels.COUNTERS.snapshot()["runs"]
+        session.run(query)
+        db.extend_rows("R", [(4, 1)])  # joins S's (1, 5), then T's (5, 1)
+        result = session.run(query)
+        assert result.cached
+        assert result.rows() == fdb_rows(db, query)[1]
+        assert session.cache_counters()["results"]["delta_merges"] == 1
+        assert arena_kernels.COUNTERS.snapshot()["runs"] == runs
+
+
 def test_appends_to_one_relation_coalesce_into_one_merge():
     db = _shop()
     with QuerySession(db, check_invariants=True) as session:
