@@ -16,16 +16,24 @@ share of the parent's, and the README's verdict:
 - ``unresolved`` -- the parent's own spread exceeds that bound;
 - ``ok`` otherwise.
 
+With ``--trace-pairs N`` it then runs N more alternating pairs with
+``--trace 1`` (seeds after the plain pairs') and prints each side's
+median of every per-layer metric of ``BENCHMARK.json`` that is
+non-zero on either side -- the traced run that shows in which layer a
+saving sits.
+
 Each run is a fresh process in its own checkout, so each side measures
 its own ``src``; nothing here imports ``repro`` or edits the benchmark.
 
 Usage::
 
     python scripts/paired_e2e.py --parent ../parent --change . \\
-        --workload flat_join --pairs 10 --seeds 2801 --seconds 10
+        --workload flat_join --pairs 10 --seeds 2801 --seconds 10 \\
+        --trace-pairs 2
 
-``--seeds S`` is the first seed: pair ``i`` runs seed ``S + i``.  Exit
-code 1 if any op failed on either side.
+``--seeds S`` is the first seed: pair ``i`` runs seed ``S + i``, traced
+pair ``i`` seed ``S + pairs + i``.  Exit code 1 if any op failed on
+either side.
 """
 
 from __future__ import annotations
@@ -49,22 +57,31 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=int, required=True, help="first seed")
     parser.add_argument("--seconds", type=float, default=10)
+    parser.add_argument(
+        "--trace-pairs",
+        type=int,
+        default=0,
+        help="extra alternating --trace 1 pairs: per-layer medians",
+    )
     return parser.parse_args(argv)
 
 
-def metric_specs(checkout: str) -> List[dict]:
-    """The end-to-end metrics (name, unit, better, bound) of a checkout."""
+def metric_specs(checkout: str, kind: str = "end_to_end") -> List[dict]:
+    """The ``end_to_end`` metrics (name, unit, better, bound) of a
+    checkout, or its ``per_layer`` ones (name, unit, better)."""
     with open(os.path.join(checkout, "BENCHMARK.json")) as handle:
-        return json.load(handle)["end_to_end"]
+        return json.load(handle)[kind]
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(
+    checkout: str, workload: str, seed: int, seconds: float, trace: int = 0
+) -> dict:
     """One ``run.py`` process in ``checkout``; its last stdout line."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     argv = [
         sys.executable, os.path.join("benchmarks", "e2e", "run.py"),
         "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", "0",
+        "--seconds", str(seconds), "--trace", str(trace),
     ]  # fmt: skip
     done = subprocess.run(
         argv, cwd=checkout, env=env, capture_output=True, text=True
@@ -110,6 +127,35 @@ def verdict(spec: dict, parent: List[float], change: List[float]) -> dict:
     )
 
 
+def run_pair(args, i: int, seed: int, trace: int) -> Tuple[tuple, dict]:
+    """Pair ``i`` on ``seed``: the order the sides ran in (the parent
+    first in even pairs) and each side's result document."""
+    order = SIDES if i % 2 == 0 else SIDES[::-1]
+    docs = {
+        side: run_once(
+            getattr(args, side), args.workload, seed, args.seconds, trace
+        )
+        for side in order
+    }
+    return order, docs
+
+
+def layer_medians(specs: List[dict], runs: Dict[str, List[dict]]):
+    """``(name, unit, parent median, change median)`` of every per-layer
+    metric that every traced run reports and that is non-zero on
+    either side; ``runs`` holds per side the runs' ``metrics``."""
+    for spec in specs:
+        name = spec["name"]
+        if not all(name in run for side in SIDES for run in runs[side]):
+            continue
+        parent, change = (
+            statistics.median(run[name]["value"] for run in runs[side])
+            for side in SIDES
+        )
+        if parent or change:
+            yield name, spec["unit"], parent, change
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     specs = metric_specs(args.change)
@@ -122,15 +168,12 @@ def main(argv=None) -> int:
     print("pair seed first   " + "  ".join(f"{n:>21}" for n in names))
     for i in range(args.pairs):
         seed = args.seeds + i
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        docs = {}
-        for side in order:
-            checkout = getattr(args, side)
-            docs[side] = run_once(checkout, args.workload, seed, args.seconds)
+        order, docs = run_pair(args, i, seed, 0)
         for side in SIDES:
             failed += docs[side]["failed"]
             for name in names:
-                series[side][name].append(docs[side]["metrics"][name]["value"])
+                value = docs[side]["metrics"][name]["value"]
+                series[side][name].append(value)
         cells = [
             f"{series['parent'][n][-1]:>10.4g} ->{series['change'][n][-1]:>9.4g}"
             for n in names
@@ -152,6 +195,23 @@ def main(argv=None) -> int:
             f"{row['wins']:>3}/{args.pairs:<2} {row['delta']:>+8.1%}  "
             f"{row['verdict']}"
         )
+    if args.trace_pairs > 0:
+        first = args.seeds + args.pairs
+        traced: Dict[str, List[dict]] = {side: [] for side in SIDES}
+        for i in range(args.trace_pairs):
+            _, docs = run_pair(args, i, first + i, 1)
+            for side in SIDES:
+                failed += docs[side]["failed"]
+                traced[side].append(docs[side]["metrics"])
+        print()
+        print(
+            f"traced, {args.trace_pairs} pairs from seed {first}: "
+            "per-layer medians non-zero on either side"
+        )
+        print(f"{'metric':<28} {'unit':>6} {'parent':>12} {'change':>12}")
+        layers = metric_specs(args.change, "per_layer")
+        for name, unit, parent, change in layer_medians(layers, traced):
+            print(f"{name:<28} {unit:>6} {parent:>12.4g} {change:>12.4g}")
     if failed:
         print(f"failed ops: {failed}")
     return 1 if failed else 0

@@ -10,10 +10,12 @@ every layer may use it.
 Entries live in an insertion-ordered ``dict``: a hit re-inserts its
 entry at the back and an insertion into a full cache evicts from the
 front, so a stream of never-repeating keys cannot flush an entry that
-is still being hit.  One lock per cache keeps the bound under
-concurrent ``get`` / ``put``.  Callers build a missing value outside
-it: two threads that miss at once both build, and the later ``put``
-wins.
+is still being hit.  The eviction comes before the insertion, so the
+cache never holds more than ``capacity`` entries, not even for the
+unlocked readers ``len`` and ``counters``.  One lock per cache keeps
+the bound under concurrent ``get`` / ``put``.  Callers build a missing
+value outside it: two threads that miss at once both build, and the
+later ``put`` wins.
 """
 
 from __future__ import annotations
@@ -76,13 +78,16 @@ class LRUCache:
         insertion evicted, if the cache was full."""
         with self._lock:
             entries = self._entries
-            entries.pop(key, None)
+            evicted = None
+            if (
+                entries.pop(key, None) is None
+                and self.capacity is not None
+                and len(entries) >= self.capacity
+            ):
+                evicted = next(iter(entries))
+                del entries[evicted]
+                self.evictions += 1
             entries[key] = value
-            if self.capacity is None or len(entries) <= self.capacity:
-                return None
-            evicted = next(iter(entries))
-            del entries[evicted]
-            self.evictions += 1
             return evicted
 
     def peek(self, key: Hashable) -> Optional[object]:

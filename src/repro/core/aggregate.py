@@ -28,10 +28,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.arena import (
     ArenaRep,
-    _column_total,
     _entry_counts,
     _ints,
     _prefix,
+    _range_total,
 )
 
 
@@ -151,7 +151,10 @@ def group_count(
     target = _require_attribute(arena, attribute)
     skel = arena.skel
     counts = _entry_counts(arena)
-    totals = {r: _column_total(counts[r]) for r in skel.roots}
+    totals = {
+        r: _range_total(counts, r, 0, len(arena.values[r]))
+        for r in skel.roots
+    }
 
     # Root-to-target path.
     path = [target]
@@ -167,11 +170,12 @@ def group_count(
     above: List[int] = [context] * len(arena.values[root])
 
     def seg_count(idx: int, j: int, e: int) -> int:
-        k = skel.children[idx][j]
-        child = counts[k]
-        lo = arena.child_lo[idx][j][e]
-        hi = arena.child_hi[idx][j][e]
-        return _column_total(child[lo:hi])
+        return _range_total(
+            counts,
+            skel.children[idx][j],
+            arena.child_lo[idx][j][e],
+            arena.child_hi[idx][j][e],
+        )
 
     for step, idx in enumerate(path[:-1]):
         next_node = path[step + 1]
@@ -190,7 +194,8 @@ def group_count(
 
     pool = arena.pool
     column = arena.values[target]
-    below = _ints(counts[target])
+    below = counts[target]  # None: a leaf, one tuple per entry
+    below = [1] * len(column) if below is None else _ints(below)
     out: Dict[object, int] = {}
     for e, vid in enumerate(column):
         value = pool[vid]

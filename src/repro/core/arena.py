@@ -528,42 +528,60 @@ def _ints(counts) -> List[int]:
 
 def _entry_counts(arena: ArenaRep) -> List[object]:
     """Per node, per entry: tuples represented below-and-including the
-    entry (the children-forest product).  Bottom-up; one vectorised
-    pass per node (an int64 vector) while the segment sums provably fit
-    int64, exact Python integers (a list) from there up."""
+    entry (the children-forest product).  A leaf's is ``None``: one
+    tuple per entry, so a parent counts a leaf child union as its range
+    width and no per-leaf vector is built.  Bottom-up; one vectorised
+    pass per inner node (an int64 vector, :func:`_forest_counts`) while
+    the products provably fit int64, exact Python integers (a list)
+    from there up.  Like the segment sums it rests on, it needs child
+    ranges that are non-empty and tile their column, as every arena's
+    are (:func:`validate_arena_bounds`)."""
     skel = arena.skel
     n = len(skel)
     counts: List[object] = [None] * n
     for idx in range(n - 1, -1, -1):
-        m = len(arena.values[idx])
-        below = [counts[k] for k in skel.children[idx]]
+        kids = skel.children[idx]
+        if not kids:
+            continue
+        below = [counts[k] for k in kids]
         bound = 1
-        for child in below:
-            if isinstance(child, list):
+        for k, child in zip(kids, below):
+            if child is None:  # a segment of a leaf: at most its column
+                peak = len(arena.values[k])
+            elif isinstance(child, list):
                 break
-            peak = int(child.max()) if len(child) else 0
-            bound *= max(peak * len(child), 1)
+            else:
+                peak = int(child.max()) * len(child) if len(child) else 0
+            bound *= max(peak, 1)
             if bound > _INT64_SAFE:
                 break
         else:
             counts[idx] = _forest_counts(
-                below, arena.child_lo[idx], arena.child_hi[idx], m
+                below, arena.child_lo[idx], arena.child_hi[idx]
             )
             continue
-        total = [1] * m
+        total = [1] * len(arena.values[idx])
         for child, los, his in zip(
             below, arena.child_lo[idx], arena.child_hi[idx]
         ):
+            if child is None:
+                for e, (lo, hi) in enumerate(zip(los, his)):
+                    total[e] *= hi - lo
+                continue
             prefix = _prefix(_ints(child))
-            for e in range(m):
-                total[e] *= prefix[his[e]] - prefix[los[e]]
+            for e, (lo, hi) in enumerate(zip(los, his)):
+                total[e] *= prefix[hi] - prefix[lo]
         counts[idx] = total
     return counts
 
 
-def _column_total(column) -> int:
-    """Exact Python-int sum of a per-entry count column."""
-    return sum(_ints(column))
+def _range_total(counts: List[object], idx: int, lo: int, hi: int) -> int:
+    """Exact Python-int tuples below the entries ``lo .. hi-1`` of node
+    ``idx``, read off :func:`_entry_counts`."""
+    column = counts[idx]
+    if column is None:
+        return hi - lo
+    return sum(_ints(column[lo:hi]))
 
 
 def tuple_count(arena: Optional[ArenaRep]) -> int:
@@ -573,7 +591,7 @@ def tuple_count(arena: Optional[ArenaRep]) -> int:
     counts = _entry_counts(arena)
     total = 1
     for r in arena.skel.roots:
-        total *= _column_total(counts[r])
+        total *= _range_total(counts, r, 0, len(arena.values[r]))
         if total == 0:
             return 0
     return total

@@ -199,24 +199,37 @@ def _count_slots(slots, n: int):
     return np.bincount(slots, minlength=n)
 
 
-def _segment_sums(weights, lo, hi):
-    """For every entry of the slot ``(lo, hi)``, the sum of ``weights``
-    (one per child entry) over its child range: a cumulative sum read
-    at both ends.  With a keep mask for weights, the child entries the
-    mask keeps."""
-    total = np.zeros(len(weights) + 1, dtype=np.int64)
-    np.cumsum(weights, out=total[1:])
-    return total[_as_np(hi)] - total[_as_np(lo)]
+def _segment_sums(weights, lo):
+    """For every entry of a slot whose child ranges start at ``lo``,
+    the sum of ``weights`` (one per child entry) over its child range:
+    one ``np.add.reduceat``.  With a keep mask for weights, the child
+    entries the mask keeps.
+
+    Precondition: the ranges are non-empty and tile the child column
+    (``lo[0] == 0``, each range ends where the next starts, the last at
+    ``len(weights)``).  Every arena holds that -- builders prune empty
+    unions and :func:`repro.core.arena.validate_arena_bounds` rejects
+    ``lo >= hi`` and gaps on every load -- so the range ends are not
+    read: a range ends where the next one starts.
+    """
+    return np.add.reduceat(weights, _as_np(lo), dtype=np.int64)
 
 
-def _forest_counts(weights: Sequence[object], los, his, m: int):
-    """For every one of a node's ``m`` entries, the product over its
-    child slots of the slot's ``weights`` summed over the entry's child
-    range (:func:`_segment_sums`); ``1`` each for a leaf.  The caller
-    guarantees the products fit int64."""
-    total = np.ones(m, dtype=np.int64)
-    for weight, lo, hi in zip(weights, los, his):
-        total *= _segment_sums(weight, lo, hi)
+def _forest_counts(weights: Sequence[object], los, his):
+    """For every entry of a node with at least one child slot, the
+    product over its slots of the slot's ``weights`` summed over the
+    entry's child range (:func:`_segment_sums`).  A leaf child's
+    weights are ``None`` -- one tuple per child entry -- and it
+    contributes its range width ``hi - lo``, with no pass over the
+    leaf's column.  The caller guarantees the products fit int64."""
+    parts = [
+        _segment_sums(weight, lo) if weight is not None
+        else _as_np(hi) - _as_np(lo)
+        for weight, lo, hi in zip(weights, los, his)
+    ]
+    total = parts[0]
+    for part in parts[1:]:
+        total *= part
     return total
 
 

@@ -211,7 +211,7 @@ def _cascade(
             continue
         p, j = _hangs_in(skel, node)
         counts = counted[node] = _segment_sums(
-            keep[node], arena.child_lo[p][j], arena.child_hi[p][j]
+            keep[node], arena.child_lo[p][j]
         )
         alive = counts > 0
         if not alive.all():
@@ -237,9 +237,7 @@ def _cascade(
         if p != -1:
             counts = counted.get(node)
             if counts is None:
-                counts = _segment_sums(
-                    mask, arena.child_lo[p][j], arena.child_hi[p][j]
-                )
+                counts = _segment_sums(mask, arena.child_lo[p][j])
             if p in keep:
                 counts = _compress(counts, keep[p])
             out.lo[p][j], out.hi[p][j] = _ranges(counts)

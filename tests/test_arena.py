@@ -15,6 +15,7 @@ from __future__ import annotations
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache import LRUCache
 from repro.core import arena
@@ -31,6 +32,7 @@ from repro.reference import (
     ObjectRelation,
     ProductRep,
     ReferenceEngine,
+    UnionRep,
     from_object,
     from_product,
     to_object,
@@ -476,3 +478,88 @@ def test_iter_rows_unknown_attribute_raises_like_objects():
     for rep in (fa.rep, _chain_arena(363)):
         with pytest.raises(KeyError):
             arena.iter_rows(rep, ["not_an_attribute"])
+
+
+# -- counting ----------------------------------------------------------------
+#
+# A leaf counts as its range width and an inner node's segment sums are
+# one ``reduceat`` over its tiled child ranges; the properties below pin
+# that against enumeration and the object reference over arbitrary
+# shapes: forests, roots that are all leaves, deep chains.
+
+
+@st.composite
+def _shapes(draw):
+    """Parent index per node (``-1``: a root) of a random forest."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["any", "chain", "leaves"]))
+    if kind == "chain":
+        return [i - 1 for i in range(n)]
+    if kind == "leaves":
+        return [-1] * n
+    return [draw(st.integers(-1, i - 1)) for i in range(n)]
+
+
+@st.composite
+def _counted(draw):
+    """``(tree, product)``: a random f-tree over ``a0 ..`` and random
+    data over it, every union non-empty and sorted."""
+    parents = draw(_shapes())
+    kids = {i: [] for i in range(-1, len(parents))}
+    for k, p in enumerate(parents):
+        kids[p].append(k)
+
+    def spec(i):
+        return (f"a{i}", [spec(k) for k in kids[i]])
+
+    tree = FTree.from_nested(
+        [spec(r) for r in kids[-1]],
+        [{f"a{p}", f"a{k}"} for k, p in enumerate(parents) if p != -1],
+    )
+
+    def union(node):
+        values = sorted(
+            draw(st.sets(st.integers(0, 9), min_size=1, max_size=3))
+        )
+        return UnionRep(
+            (value, ProductRep(union(child) for child in node.children))
+            for value in values
+        )
+
+    return tree, ProductRep(union(root) for root in tree.roots)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_counted())
+def test_counts_agree_with_enumeration_and_the_reference(case):
+    tree, product = case
+    rep = from_product(tree, product)
+    order = tuple(sorted(tree.attributes()))
+    reference = ObjectRelation(tree, product)
+    count = arena.tuple_count(rep)
+    assert count == len(list(arena.iter_rows(rep, order)))
+    assert count == reference.count()
+    fa = FactorisedRelation(tree, rep)
+    for attribute in order:
+        assert fa.group_count(attribute) == reference.group_count(attribute)
+
+
+@pytest.mark.parametrize("inner", [False, True])
+def test_a_count_past_int64_is_exact(inner):
+    """A root over eight 300-wide leaves -- or over eight one-entry
+    nodes that each own one -- represents 300^8 > 2^63 tuples: the
+    root is counted with exact Python integers (below it, with int64
+    vectors when ``inner``)."""
+    wide = UnionRep((v, ProductRep()) for v in range(300))
+    if inner:
+        spec = [("r", [(f"b{i}", [(f"c{i}", [])]) for i in range(8)])]
+        factors = [UnionRep([(0, ProductRep([wide]))]) for _ in range(8)]
+    else:
+        spec = [("r", [(f"c{i}", []) for i in range(8)])]
+        factors = [wide] * 8
+    tree = FTree.from_nested(spec)
+    root = UnionRep([(0, ProductRep(factors))])
+    rep = from_product(tree, ProductRep([root]))
+    assert 300**8 > 2**63
+    assert arena.tuple_count(rep) == 300**8
+    assert FactorisedRelation(tree, rep).group_count("r") == {0: 300**8}

@@ -272,3 +272,30 @@ def test_the_bound_and_counters_hold_under_concurrent_use():
     assert len(cache) == 8
     assert cache.hits + cache.misses == workers * rounds
     assert cache.evictions == workers * rounds - 8
+
+
+class _BoundedEntries(dict):
+    """An entry dict that fails the moment it holds more than
+    ``bound`` entries."""
+
+    bound = 0
+
+    def __setitem__(self, key, value) -> None:
+        super().__setitem__(key, value)
+        assert len(self) <= self.bound, f"{len(self)} entries"
+
+
+def test_a_full_cache_evicts_before_it_inserts():
+    """``len`` and ``counters`` read without the lock, so the cache must
+    never hold ``capacity + 1`` entries even between two statements of
+    ``put``: a new key into a full cache evicts first."""
+    cache = LRUCache(3)
+    entries = cache._entries = _BoundedEntries()
+    entries.bound = 3
+    for i in range(10):
+        assert cache.put(i, i + 1) == (i - 3 if i >= 3 else None)
+        cache.put(i, i + 2)  # a key already held: no eviction
+    assert list(cache) == [7, 8, 9]
+    assert cache.counters() == {
+        "hits": 0, "misses": 0, "evictions": 7, "size": 3
+    }

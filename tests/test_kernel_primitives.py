@@ -6,6 +6,10 @@ that share no code with them, and the prepared-kernel cache.
 - the **mask cascade** against the enumerated rows filtered by the
   same mask spelled as a predicate: a valid arena over a fixed f-tree
   is unique, so equal rows plus ``validate_arena`` pin every column;
+- the **segment sums** and **forest counts** (one ``reduceat`` per
+  slot, a leaf child as its range width) against a prefix sum read at
+  both range ends, and ``tuple_count`` against enumeration and the
+  reference engine;
 
 with every output checked by ``validate_arena`` (child ranges tile, no
 union is empty).
@@ -17,13 +21,20 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.arena import ArenaRep, iter_rows, validate_arena
+from repro.core.arena import ArenaRep, iter_rows, tuple_count, validate_arena
 from repro.core.ftree import FTree
 from repro.engine import FDB
 from repro.obs.report import kernels_line, session_lines
 from repro.ops import arena_kernels
-from repro.core.columns import _column, _take
+from repro.core.columns import (
+    _column,
+    _forest_counts,
+    _ranges,
+    _segment_sums,
+    _take,
+)
 from repro.ops.arena_kernels import (
     COUNTERS,
     _cascade,
@@ -34,8 +45,9 @@ from repro.ops.arena_kernels import (
     kernel_for,
 )
 from repro.query.query import Query
+from repro.reference import ReferenceEngine
 from repro.service import QuerySession
-from repro.workloads import random_database
+from repro.workloads import random_database, random_spj_queries
 
 SEEDS = [11, 12, 13, 14, 15, 16]
 
@@ -122,6 +134,95 @@ def test_mask_cascade_is_the_selection_filter(seed):
             assert sorted(iter_rows(got, attributes)) == want
             assert out.pruned == arena.entry_count - got.entry_count
     assert emptied >= len(skel)  # the all-dropped mask, at every node
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SEEDS), st.integers(0, 6), st.randoms())
+def test_cascade_outputs_count_their_rows(seed, node, rng):
+    """The count of a cascaded arena is the number of rows it keeps."""
+    fr = _arena(seed)
+    arena = fr.rep
+    node %= len(arena.skel)
+    mask = np.array(
+        [rng.random() < 0.6 for _ in arena.values[node]], dtype=bool
+    )
+    out = _Columns(arena)
+    if not _cascade(arena, out, {node: mask}):
+        return
+    got = ArenaRep(arena.skel, out.values, out.lo, out.hi, arena.pool)
+    assert tuple_count(got) == len(list(iter_rows(got, fr.attributes)))
+
+
+# -- counting ------------------------------------------------------------------
+
+
+def _prefix_sums(weights, lo, hi):
+    """The segment sums as a cumulative sum read at both range ends --
+    an oracle that reads ``hi`` and needs no tiling."""
+    total = np.zeros(len(weights) + 1, dtype=np.int64)
+    np.cumsum(weights, out=total[1:])
+    return total[np.asarray(hi)] - total[np.asarray(lo)]
+
+
+#: Per-entry child counts of one slot: every range non-empty.
+_widths = st.lists(st.integers(1, 6), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_widths, st.booleans(), st.randoms())
+def test_segment_sums_are_the_prefix_sum_differences(widths, masks, rng):
+    lo, hi = _ranges(np.array(widths, dtype=np.int64))
+    n = sum(widths)
+    if masks:
+        weights = np.array([rng.random() < 0.5 for _ in range(n)], bool)
+    else:
+        weights = np.array([rng.randrange(1 << 40) for _ in range(n)])
+    got = _segment_sums(weights, lo)
+    assert got.dtype == np.int64
+    assert got.tolist() == _prefix_sums(weights, lo, hi).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(1, 6), min_size=1, max_size=40),
+        min_size=1,
+        max_size=3,
+    ),
+    st.randoms(),
+)
+def test_forest_counts_take_a_leaf_as_its_range_width(slots, rng):
+    """Slots over leaves (weights ``None``) count as if every leaf entry
+    weighed 1; the other slots' counts multiply in."""
+    m = min(len(widths) for widths in slots)
+    los, his, weights, ones = [], [], [], []
+    for j, widths in enumerate(slots):
+        lo, hi = _ranges(np.array(widths[:m], dtype=np.int64))
+        los.append(lo)
+        his.append(hi)
+        n = sum(widths[:m])
+        ones.append(np.ones(n, dtype=np.int64))
+        drawn = np.array([rng.randrange(50) for _ in range(n)])
+        weights.append(None if j % 2 == 0 else drawn)
+    want = np.ones(m, dtype=np.int64)
+    for weight, one, lo, hi in zip(weights, ones, los, his):
+        want *= _prefix_sums(one if weight is None else weight, lo, hi)
+    assert _forest_counts(weights, los, his).tolist() == want.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_counts_agree_with_enumeration_and_the_reference_engine(seed):
+    db = random_database(
+        relations=3, attributes=6, tuples=10, domain=3, seed=seed
+    )
+    query = random_spj_queries(
+        db, 1, seed=seed + 1, max_relations=3, max_equalities=2
+    )[0]
+    fr = FDB(db).evaluate(query)
+    count = fr.count()
+    assert count == ReferenceEngine(db).evaluate(query).count()
+    assert count == len(list(iter_rows(fr.rep, fr.attributes)))
 
 
 # -- the prepared-kernel cache -------------------------------------------------
