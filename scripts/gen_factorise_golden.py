@@ -95,16 +95,21 @@ def _typed(value: object) -> List[str]:
 
 
 def arena_digest(arena: Optional[ArenaRep]) -> str:
+    """The digest of an arena's columns and pool.  It hashes each child
+    slot as the (range starts, range ends) list pair the arena stored
+    before it kept one offsets column per slot -- ``off[:-1]`` and
+    ``off[1:]`` -- so the committed corpora did not move with the
+    layout."""
     if arena is None:
         return "empty"
     return _sha(
         dict(
             values=[list(column) for column in arena.values],
             child_lo=[
-                [list(slot) for slot in slots] for slots in arena.child_lo
+                [list(off[:-1]) for off in slots] for slots in arena.offsets
             ],
             child_hi=[
-                [list(slot) for slot in slots] for slots in arena.child_hi
+                [list(off[1:]) for off in slots] for slots in arena.offsets
             ],
             pool=[_typed(value) for value in arena.pool],
         )

@@ -67,9 +67,8 @@ def _count_sum(
         for e in range(m):
             forest_count = 1
             forest_sum = 0.0
-            for j, k in enumerate(kids):
-                lo = arena.child_lo[idx][j][e]
-                hi = arena.child_hi[idx][j][e]
+            for off, k in zip(arena.offsets[idx], kids):
+                lo, hi = off[e], off[e + 1]
                 part_count = cnt_prefix[k][hi] - cnt_prefix[k][lo]
                 part_sum = sum_prefix[k][hi] - sum_prefix[k][lo]
                 forest_sum = (
@@ -170,11 +169,9 @@ def group_count(
     above: List[int] = [context] * len(arena.values[root])
 
     def seg_count(idx: int, j: int, e: int) -> int:
+        off = arena.offsets[idx][j]
         return _range_total(
-            counts,
-            skel.children[idx][j],
-            arena.child_lo[idx][j][e],
-            arena.child_hi[idx][j][e],
+            counts, skel.children[idx][j], off[e], off[e + 1]
         )
 
     for step, idx in enumerate(path[:-1]):
@@ -186,9 +183,8 @@ def group_count(
             for j in range(len(skel.children[idx])):
                 if j != slot:
                     others *= seg_count(idx, j, e)
-            lo = arena.child_lo[idx][slot][e]
-            hi = arena.child_hi[idx][slot][e]
-            for t in range(lo, hi):
+            off = arena.offsets[idx][slot]
+            for t in range(off[e], off[e + 1]):
                 next_above[t] = others
         above = next_above
 

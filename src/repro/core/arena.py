@@ -20,14 +20,21 @@ pre-order):
 - ``values[i]`` -- one interned value id per union entry of node ``i``,
   across *all* occurrences of that node's unions, in DFS order (so each
   single union occupies a contiguous run, sorted by value);
-- ``child_lo[i][j]`` / ``child_hi[i][j]`` -- per entry, the half-open
-  range of entries in child ``j``'s columns holding that entry's child
-  union (DFS construction makes every child union contiguous);
+- ``offsets[i][j]`` -- one CSR-style offsets column per child slot
+  ``j``: ``len(values[i]) + 1`` entries starting at 0, entry ``e``'s
+  child union being the half-open range ``[off[e], off[e+1])`` of
+  child ``j``'s columns (DFS construction makes every child union
+  contiguous, and child unions tile their column in parent-entry
+  order);
 - ``pool`` -- the interned distinct values; ids are indices into it.
 
-One union entry therefore costs ``1 + 2 * #children`` machine-word
-array slots.  Columns are :class:`array.array` (``'q'``, int64), so
-they also serialise as raw bytes (see the arena layout in
+One union entry therefore costs ``1 + #children`` machine-word array
+slots (plus one leading 0 per child slot).  Offsets are structural:
+the layout itself says that child ranges tile their column, so no
+range can overlap another or leave a gap, and the one invariant left
+to check is that offsets strictly increase (no union is empty).
+Columns are :class:`array.array` (``'q'``, int64), so they also
+serialise as raw bytes (see the arena layout in
 :mod:`repro.persist.codec`).  Whole-column
 work -- counting, validation, the selection mask -- goes through the
 numpy primitives of :mod:`repro.core.columns`; counts switch to exact
@@ -65,10 +72,10 @@ from typing import (
 
 from repro.cache import LRUCache
 from repro.core.columns import (
-    _as_np,
     _column_bounds,
     _forest_counts,
     _i64,
+    _widths,
 )
 from repro.core.ftree import FTree
 
@@ -228,20 +235,18 @@ def _skeleton_of(tree: FTree) -> _Skeleton:
 class ArenaRep:
     """A flat, columnar f-representation (see the module docstring)."""
 
-    __slots__ = ("skel", "values", "child_lo", "child_hi", "pool")
+    __slots__ = ("skel", "values", "offsets", "pool")
 
     def __init__(
         self,
         skel: _Skeleton,
         values: List[array],
-        child_lo: List[List[array]],
-        child_hi: List[List[array]],
+        offsets: List[List[array]],
         pool: List[object],
     ) -> None:
         self.skel = skel
         self.values = values
-        self.child_lo = child_lo
-        self.child_hi = child_hi
+        self.offsets = offsets
         self.pool = pool
 
     # -- introspection -----------------------------------------------------
@@ -267,9 +272,8 @@ class ArenaRep:
         total = 0
         for i, column in enumerate(self.values):
             total += column.itemsize * len(column)
-            for lo, hi in zip(self.child_lo[i], self.child_hi[i]):
-                total += lo.itemsize * len(lo)
-                total += hi.itemsize * len(hi)
+            for off in self.offsets[i]:
+                total += off.itemsize * len(off)
         return total
 
     def attributes(self) -> Tuple[str, ...]:
@@ -288,8 +292,7 @@ class ArenaRep:
         return ArenaRep(
             self.skel,
             [array("q", column) for column in self.values],
-            [[array("q", a) for a in slots] for slots in self.child_lo],
-            [[array("q", a) for a in slots] for slots in self.child_hi],
+            [[array("q", a) for a in slots] for slots in self.offsets],
             list(self.pool),
         )
 
@@ -300,24 +303,27 @@ class ArenaRep:
 class ArenaWriter:
     """Append-only arena construction with subtree rollback.
 
-    The ground-representation builder (:class:`repro.core.build.
-    Factoriser`) constructs arenas entry by entry: children are written
-    first, and an entry whose children forest turns out empty is
-    *rolled back* by :meth:`truncate`, which needs only the watermark
-    of a direct child and finds the deeper ones in the columns
-    themselves.
+    The builders -- the factoriser (:class:`repro.core.build.
+    Factoriser`) and the delta merge (:func:`repro.ops.arena_kernels.
+    union_arena`) -- construct arenas entry by entry: children are
+    written first, then the entry itself (:meth:`commit`: its value,
+    and per child slot one offset, the child column's length).  An
+    entry whose children forest turns out empty is *rolled back* by
+    :meth:`truncate`, which needs only the watermark of a direct child
+    and finds the deeper ones in the offsets.
 
-    Value columns under construction are plain lists.  With a private
-    pool (``pool=None``) they hold the raw value objects, and values
-    become ids only in :meth:`finish`, once per column.  With a shared
-    :class:`ValuePool` the caller interns each value as it writes it,
-    so the columns hold ids and the pool grows in write order,
-    rolled-back entries included.
+    With a private pool (``pool=None``) value columns under
+    construction are plain lists holding the raw value objects, and
+    values become ids only in :meth:`finish`, once per column.  Given
+    a pool -- a shared :class:`ValuePool`, or the output pool of a
+    merge -- the columns are ``array('q')`` from the start and the
+    caller writes ids (a shared pool then grows in write order,
+    rolled-back entries included).
     """
 
-    __slots__ = ("skel", "values", "child_lo", "child_hi", "pool")
+    __slots__ = ("skel", "values", "offsets", "pool")
 
-    def __init__(self, tree_or_skel, pool: Optional[ValuePool] = None) -> None:
+    def __init__(self, tree_or_skel, pool=None) -> None:
         skel = (
             tree_or_skel
             if isinstance(tree_or_skel, _Skeleton)
@@ -325,32 +331,35 @@ class ArenaWriter:
         )
         self.skel = skel
         n = len(skel)
-        self.values: List[list] = [[] for _ in range(n)]
-        self.child_lo: List[List[array]] = [
-            [_i64() for _ in skel.children[i]] for i in range(n)
-        ]
-        self.child_hi: List[List[array]] = [
-            [_i64() for _ in skel.children[i]] for i in range(n)
+        column = list if pool is None else _i64
+        self.values: List = [column() for _ in range(n)]
+        self.offsets: List[List[array]] = [
+            [array("q", (0,)) for _ in skel.children[i]] for i in range(n)
         ]
         self.pool = pool
+
+    def commit(self, idx: int, value) -> None:
+        """Append an entry to node ``idx`` whose children forest was
+        just written: its child ranges end at the child columns' ends."""
+        values = self.values
+        for off, k in zip(self.offsets[idx], self.skel.children[idx]):
+            off.append(len(values[k]))
+        values[idx].append(value)
 
     def truncate(self, idx: int, watermark: int) -> int:
         """Discard node ``idx``'s entries from ``watermark`` on, with
         everything they own below; returns the entries discarded.
 
         Needs no watermark per descendant: the first discarded entry's
-        ``child_lo`` *is* each child column's watermark, because child
-        unions tile their column in parent-entry order.
+        offset ``off[watermark]`` *is* each child column's watermark.
         """
         column = self.values[idx]
         discarded = len(column) - watermark
         if not discarded:
             return 0
-        los, his = self.child_lo[idx], self.child_hi[idx]
-        for j, k in enumerate(self.skel.children[idx]):
-            discarded += self.truncate(k, los[j][watermark])
-            del los[j][watermark:]
-            del his[j][watermark:]
+        for off, k in zip(self.offsets[idx], self.skel.children[idx]):
+            discarded += self.truncate(k, off[watermark])
+            del off[watermark + 1 :]
         del column[watermark:]
         return discarded
 
@@ -360,19 +369,15 @@ class ArenaWriter:
         A private pool is built here: one pass per column, in node
         order, gives every (type, value) its id at its first use, so
         the pool holds only values that surviving entries reference,
-        and each slot keeps the first object seen.  A *shared*
-        :class:`ValuePool` is taken as it is: its ids are also
-        referenced by other arenas.
+        and each slot keeps the first object seen.  A given pool is
+        taken as it is: its ids may also be referenced by other arenas.
         """
-        values = self.values
         if self.pool is not None:
-            columns = [array("q", column) for column in values]
-            pool = self.pool
-        else:
-            pool = []
-            tables: Dict[type, Dict[object, int]] = {}
-            columns = [_ids(column, tables, pool) for column in values]
-        return ArenaRep(self.skel, columns, self.child_lo, self.child_hi, pool)
+            return ArenaRep(self.skel, self.values, self.offsets, self.pool)
+        pool: List[object] = []
+        tables: Dict[type, Dict[object, int]] = {}
+        columns = [_ids(column, tables, pool) for column in self.values]
+        return ArenaRep(self.skel, columns, self.offsets, pool)
 
 
 def _ids(
@@ -400,19 +405,18 @@ def _ids(
 def validate_arena_bounds(
     tree: FTree, arena: Optional[ArenaRep]
 ) -> None:
-    """Flat structural checks: skeleton alignment, column parallelism,
-    id and range bounds, and DFS contiguity.  O(entries) vectorised
-    integer scans, so the persistence layer can afford them on every
-    load.
+    """Flat structural checks: skeleton alignment, id bounds and, per
+    child slot, an offsets column of ``n + 1`` entries that starts at
+    0, strictly increases and ends at the child column's length.
+    O(entries) vectorised integer scans, so the persistence layer can
+    afford them on every load.
 
-    The *contiguity* (exact tiling) check matters beyond tidiness:
-    every construction path appends child unions in parent-entry
-    order, so ``child_lo[0] == 0``, ``child_hi[e] == child_lo[e+1]``
-    and ``child_hi[-1] == len(child column)``.  The column kernels
-    (the owner vectors and segment sums of the mask cascade, the bulk
-    runs of the delta merge) rely on that layout, so a CRC-valid but
-    tampered blob with merely in-bounds ranges must be rejected here,
-    not crash (or mis-answer) later.
+    Overlaps and gaps cannot be spelled in offsets; what the checks
+    rule out is a range reaching outside its child column and an empty
+    range (a repeated offset), which the column kernels (the segment
+    sums of the mask cascade, the bulk runs of the delta merge) rely on
+    never seeing -- a CRC-valid but tampered blob must be rejected
+    here, not crash (or mis-answer) later.
     """
     if arena is None:
         return
@@ -429,34 +433,22 @@ def validate_arena_bounds(
                 f"node {i}: value ids outside the pool "
                 f"[{low}, {high}] vs {pool_size}"
             )
-        for j, k in enumerate(skel.children[i]):
-            los = arena.child_lo[i][j]
-            his = arena.child_hi[i][j]
-            if len(los) != len(column) or len(his) != len(column):
+        for off, k in zip(arena.offsets[i], skel.children[i]):
+            if len(off) != len(column) + 1:
                 raise ArenaError(
-                    f"node {i}: child ranges not parallel to values"
+                    f"node {i}: {len(off)} child offsets for "
+                    f"{len(column)} entries (want one more)"
                 )
             limit = len(arena.values[k])
-            if not len(column):
-                if limit:
-                    raise ArenaError(
-                        f"node {k}: orphaned child entries (parent "
-                        f"node {i} has none)"
-                    )
-                continue
-            if los[0] != 0 or his[-1] != limit:
+            if off[0] != 0 or off[-1] != limit:
                 raise ArenaError(
-                    f"node {i}: child ranges do not tile the child "
-                    f"column [0, {limit})"
+                    f"node {i}: child offsets do not run from 0 to "
+                    f"the child column's length {limit}"
                 )
-            lo_view, hi_view = _as_np(los), _as_np(his)
-            if not (
-                (lo_view < hi_view).all()
-                and (lo_view[1:] == hi_view[:-1]).all()
-            ):
+            if not (_widths(off) > 0).all():
                 raise ArenaError(
-                    f"node {i}: child ranges are empty, overlap or "
-                    f"leave gaps (unions must tile in DFS order)"
+                    f"node {i}: child offsets not strictly increasing "
+                    f"(an empty union)"
                 )
 
 
@@ -497,13 +489,9 @@ def validate_arena(tree: FTree, arena: Optional[ArenaRep]) -> None:
                     f"node {idx}: union values not strictly "
                     f"increasing at entry {e}"
                 )
-        for j, k in enumerate(skel.children[idx]):
+        for off, k in zip(arena.offsets[idx], skel.children[idx]):
             for e in range(lo, hi):
-                check_union(
-                    k,
-                    arena.child_lo[idx][j][e],
-                    arena.child_hi[idx][j][e],
-                )
+                check_union(k, off[e], off[e + 1])
 
     for r in skel.roots:
         check_union(r, 0, len(arena.values[r]))
@@ -534,8 +522,8 @@ def _entry_counts(arena: ArenaRep) -> List[object]:
     pass per inner node (an int64 vector, :func:`_forest_counts`) while
     the products provably fit int64, exact Python integers (a list)
     from there up.  Like the segment sums it rests on, it needs child
-    ranges that are non-empty and tile their column, as every arena's
-    are (:func:`validate_arena_bounds`)."""
+    ranges that are non-empty, as every arena's are
+    (:func:`validate_arena_bounds`)."""
     skel = arena.skel
     n = len(skel)
     counts: List[object] = [None] * n
@@ -556,21 +544,15 @@ def _entry_counts(arena: ArenaRep) -> List[object]:
             if bound > _INT64_SAFE:
                 break
         else:
-            counts[idx] = _forest_counts(
-                below, arena.child_lo[idx], arena.child_hi[idx]
-            )
+            counts[idx] = _forest_counts(below, arena.offsets[idx])
             continue
         total = [1] * len(arena.values[idx])
-        for child, los, his in zip(
-            below, arena.child_lo[idx], arena.child_hi[idx]
-        ):
-            if child is None:
-                for e, (lo, hi) in enumerate(zip(los, his)):
-                    total[e] *= hi - lo
-                continue
-            prefix = _prefix(_ints(child))
-            for e, (lo, hi) in enumerate(zip(los, his)):
-                total[e] *= prefix[hi] - prefix[lo]
+        for child, off in zip(below, arena.offsets[idx]):
+            if child is not None:  # tuples below, not child entries
+                prefix = _prefix(_ints(child))
+                off = [prefix[end] for end in off]
+            for e in range(len(total)):
+                total[e] *= off[e + 1] - off[e]
         counts[idx] = total
     return counts
 
@@ -667,16 +649,14 @@ def _compile_rows(
     lines: List[str] = [
         "def _rows(arena):",
         "    _values = arena.values",
-        "    _lo = arena.child_lo",
-        "    _hi = arena.child_hi",
+        "    _off = arena.offsets",
         "    _pool = _pool_list(arena.pool)",
     ]
     # Local binds: one name per column, resolved once.
     for idx in range(len(skel)):
         lines.append(f"    _v{idx} = _values[{idx}]")
         for j, k in enumerate(skel.children[idx]):
-            lines.append(f"    _l{k} = _lo[{idx}][{j}]")
-            lines.append(f"    _h{k} = _hi[{idx}][{j}]")
+            lines.append(f"    _o{k} = _off[{idx}][{j}]")
 
     def emit(units: List[Tuple[int, Optional[int]]], depth: int) -> None:
         pad = "    " * (depth + 1)
@@ -688,7 +668,7 @@ def _compile_rows(
         if parent is None:
             rng = f"range(len(_v{idx}))"
         else:
-            rng = f"range(_l{idx}[_e{parent}], _h{idx}[_e{parent}])"
+            rng = f"range(_o{idx}[_e{parent}], _o{idx}[_e{parent} + 1])"
         lines.append(f"{pad}for {var} in {rng}:")
         if idx in wanted:
             body = "    " * (depth + 2)
@@ -722,7 +702,7 @@ def _iter_rows_walk(
     buffer: List[object] = [None] * len(order)
     pool = _pool_list(arena.pool)
     values = arena.values
-    child_lo, child_hi = arena.child_lo, arena.child_hi
+    offsets = arena.offsets
     children = skel.children
 
     def walk(units: Tuple[Tuple[int, int, int], ...]) -> Iterator[tuple]:
@@ -734,13 +714,13 @@ def _iter_rows_walk(
         column = values[idx]
         slots = node_slots[idx]
         kids = children[idx]
-        los, his = child_lo[idx], child_hi[idx]
+        offs = offsets[idx]
         for e in range(lo, hi):
             value = pool[column[e]]
             for s in slots:
                 buffer[s] = value
             child_units = tuple(
-                (k, los[j][e], his[j][e]) for j, k in enumerate(kids)
+                (k, off[e], off[e + 1]) for off, k in zip(offs, kids)
             )
             yield from walk(child_units + rest)
 
@@ -817,14 +797,12 @@ def drop_subtrees(
             "dropped subtrees do not line up with the projected f-tree"
         )
     values = [arena.values[i] for i in kept]
-    child_lo: List[List[array]] = []
-    child_hi: List[List[array]] = []
-    for i in kept:
-        keep_slots = [
-            j
-            for j, k in enumerate(skel.children[i])
+    offsets = [
+        [
+            off
+            for off, k in zip(arena.offsets[i], skel.children[i])
             if k not in gone
         ]
-        child_lo.append([arena.child_lo[i][j] for j in keep_slots])
-        child_hi.append([arena.child_hi[i][j] for j in keep_slots])
-    return ArenaRep(new_skel, values, child_lo, child_hi, arena.pool)
+        for i in kept
+    ]
+    return ArenaRep(new_skel, values, offsets, arena.pool)

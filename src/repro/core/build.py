@@ -49,12 +49,13 @@ fused loop.  With a private pool values become ids only in
 :class:`~repro.core.arena.ValuePool` interns each value as it is
 written, in walk order, because other arenas share its ids.  Children
 are written first, and an entry whose children forest comes up empty
-is rolled back by truncating what its earlier children wrote.  What
-gets written is contractual, not incidental: candidates are visited in
-a fixed order and ids assigned in a fixed order, so the arena --
-column contents and pool order, private or shared pool -- is byte for
-byte what the per-node indexes this module used to build produced
-(``tests/data/factorise_golden.json`` pins it).  Persisted blobs, wire
+is rolled back by truncating what its earlier children wrote; a
+committed one appends, per child slot, one offset: the child column's
+length.  What gets written is contractual, not incidental: candidates
+are visited in a fixed order and ids assigned in a fixed order, so the
+arena -- column contents and pool order, private or shared pool -- is
+byte for byte what the per-node indexes this module used to build
+produced (``tests/data/factorise_golden.json`` pins it).  Persisted blobs, wire
 frames and size ratios do not depend on the builder.
 """
 
@@ -268,21 +269,18 @@ class Factoriser:
 
             moves = _moves(sources)
             kid_ids = skel.children[idx]
-            # Per child: its emitter, its column, this node's ranges.
+            # Per child: its emitter, its column, this node's offsets.
             kids = [
-                (emit, values[k], lo.append, hi.append)
-                for emit, k, lo, hi in zip(
-                    kid_emits,
-                    kid_ids,
-                    writer.child_lo[idx],
-                    writer.child_hi[idx],
+                (emit, values[k], off.append)
+                for emit, k, off in zip(
+                    kid_emits, kid_ids, writer.offsets[idx]
                 )
             ]
 
             if len(kids) == 1 and len(moves) == len(sources) == 1:
                 # The commonest node by far: one relation, one child.
                 ((read, write),) = moves
-                ((kid, below, add_lo, add_hi),) = kids
+                ((kid, below, add),) = kids
                 (child,) = kid_ids
                 same = self._sources[child] == [(write, -1)]
                 if same and not skel.children[child]:
@@ -291,13 +289,11 @@ class Factoriser:
                     _, fill = writes(below)
 
                     def emit_chain_leaf() -> bool:
-                        before, end = len(column), len(below)
+                        before = len(column)
                         for value, level in cursors[read].items():
                             if level:  # (empty under an a = b class)
-                                add_lo(end)
                                 fill(level)
-                                end = len(below)
-                                add_hi(end)
+                                add(len(below))
                                 put(value)
                         return len(column) > before
 
@@ -307,10 +303,8 @@ class Factoriser:
                     before = len(column)
                     for value, level in cursors[read].items():
                         cursors[write] = level
-                        mark = len(below)
                         if kid():
-                            add_lo(mark)
-                            add_hi(len(below))
+                            add(len(below))
                             put(value)
                     return len(column) > before
 
@@ -330,11 +324,8 @@ class Factoriser:
                                 discarded[0] += truncate(k, mark)
                             break
                     else:
-                        for (_, below, add_lo, add_hi), mark in zip(
-                            kids, marks
-                        ):
-                            add_lo(mark)
-                            add_hi(len(below))
+                        for _, below, add in kids:
+                            add(len(below))
                         put(value)
                 return len(column) > before
 

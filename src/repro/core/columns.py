@@ -1,7 +1,7 @@
 """Column primitives: the one place the engine speaks numpy.
 
 An arena (:mod:`repro.core.arena`) is parallel int64 columns -- value
-ids and child ranges per f-tree node -- and everything that rewrites,
+ids and child offsets per f-tree node -- and everything that rewrites,
 counts, validates or serialises it whole-column at a time is spelled
 with the primitives below, each with one numpy body.  numpy is a
 declared dependency; this is the only module under ``src/repro`` that
@@ -56,8 +56,8 @@ def _extend_ids(dest: array, source, lo: int, hi: int, vmap=None) -> None:
 
 
 def _extend_shifted(dest: array, source, lo: int, hi: int, delta: int) -> None:
-    """Append ``source[lo:hi] + delta`` to ``dest`` (child ranges moved
-    to where their child entries land in the destination)."""
+    """Append ``source[lo:hi] + delta`` to ``dest`` (offsets moved to
+    where their child entries land in the destination)."""
     if delta == 0:
         _extend_ids(dest, source, lo, hi)
     else:
@@ -77,37 +77,45 @@ def _take(column, idx):
     return _as_np(column)[idx]
 
 
-def _spread(slots, los: Sequence[object], his: Sequence[object]):
+def _widths(off):
+    """Per entry of a child slot, the width of its child range: the
+    differences of the slot's offsets."""
+    return np.diff(_as_np(off))
+
+
+def _spread(slots, offsets: Sequence[object]):
     """``slots[e]`` repeated once per child entry of input entry ``e``
-    (child ranges ``[lo, hi)`` given per part, end to end): the owner
-    vector of the child column, valid because child ranges tile it."""
-    widths = np.concatenate(
-        [_as_np(hi) - _as_np(lo) for lo, hi in zip(los, his)]
-    )
+    (offsets columns given per part, end to end): the owner vector of
+    the child column, valid because child ranges tile it."""
+    widths = np.concatenate([_widths(off) for off in offsets])
     return np.repeat(slots, widths)
 
 
-def _owners(lo, hi, of=None):
-    """For every child entry of the slot ``(lo, hi)``, the index of
-    the entry that owns it -- or what ``of`` holds at that index."""
+def _owners(off, of=None):
+    """For every child entry of the slot with offsets ``off``, the
+    index of the entry that owns it -- or what ``of`` holds at that
+    index."""
     if of is None:
-        of = np.arange(len(lo), dtype=np.int64)
-    return _spread(of, [lo], [hi])
+        of = np.arange(len(off) - 1, dtype=np.int64)
+    return _spread(of, [off])
 
 
-def _ranges(counts) -> Tuple[array, array]:
-    """Tiling ``(child_lo, child_hi)`` for per-entry child counts."""
-    his = np.cumsum(counts)
-    return _column(his - counts), _column(his)
+def _ranges(counts) -> array:
+    """The offsets column of per-entry child counts: 0, then the
+    running sum."""
+    off = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=off[1:])
+    return _column(off)
 
 
-def _expand(lo, hi, idx):
+def _expand(off, idx):
     """``(widths, inner)``: the number of child entries of each of the
-    entries ``idx`` of one child slot, and the indices of those child
-    entries, run after run."""
+    entries ``idx`` of the child slot with offsets ``off``, and the
+    indices of those child entries, run after run."""
     idx = np.asarray(idx, dtype=np.int64)
-    first = _as_np(lo)[idx]
-    widths = _as_np(hi)[idx] - first
+    view = _as_np(off)
+    first = view[idx]
+    widths = view[idx + 1] - first
     ends = np.cumsum(widths)
     first -= ends - widths
     inner = np.repeat(first, widths)
@@ -199,33 +207,33 @@ def _count_slots(slots, n: int):
     return np.bincount(slots, minlength=n)
 
 
-def _segment_sums(weights, lo):
-    """For every entry of a slot whose child ranges start at ``lo``,
-    the sum of ``weights`` (one per child entry) over its child range:
-    one ``np.add.reduceat``.  With a keep mask for weights, the child
-    entries the mask keeps.
+def _segment_sums(weights, off):
+    """For every entry of the slot with offsets ``off``, the sum of
+    ``weights`` (one per child entry) over its child range: one
+    ``np.add.reduceat`` over the range starts ``off[:-1]``.  With a
+    keep mask for weights, the child entries the mask keeps.
 
-    Precondition: the ranges are non-empty and tile the child column
-    (``lo[0] == 0``, each range ends where the next starts, the last at
-    ``len(weights)``).  Every arena holds that -- builders prune empty
-    unions and :func:`repro.core.arena.validate_arena_bounds` rejects
-    ``lo >= hi`` and gaps on every load -- so the range ends are not
-    read: a range ends where the next one starts.
+    Exact because no range is empty: offsets strictly increase in every
+    arena -- builders prune empty unions and
+    :func:`repro.core.arena.validate_arena_bounds` rejects a repeated
+    offset on every load -- and ``reduceat`` reads a range's end as the
+    next range's start.
     """
-    return np.add.reduceat(weights, _as_np(lo), dtype=np.int64)
+    return np.add.reduceat(weights, _as_np(off)[:-1], dtype=np.int64)
 
 
-def _forest_counts(weights: Sequence[object], los, his):
+def _forest_counts(weights: Sequence[object], offsets):
     """For every entry of a node with at least one child slot, the
     product over its slots of the slot's ``weights`` summed over the
     entry's child range (:func:`_segment_sums`).  A leaf child's
     weights are ``None`` -- one tuple per child entry -- and it
-    contributes its range width ``hi - lo``, with no pass over the
-    leaf's column.  The caller guarantees the products fit int64."""
+    contributes its range width (:func:`_widths`), with no pass over
+    the leaf's column.  The caller guarantees the products fit
+    int64."""
     parts = [
-        _segment_sums(weight, lo) if weight is not None
-        else _as_np(hi) - _as_np(lo)
-        for weight, lo, hi in zip(weights, los, his)
+        _segment_sums(weight, off) if weight is not None
+        else _widths(off)
+        for weight, off in zip(weights, offsets)
     ]
     total = parts[0]
     for part in parts[1:]:

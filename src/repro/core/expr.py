@@ -176,11 +176,7 @@ class Product(Expression):
 def expression_of(arena: ArenaRep) -> Expression:
     """AST of a (non-empty) arena: one walk over its columns."""
     skel, pool = arena.skel, arena.pool
-    values, child_lo, child_hi = (
-        arena.values,
-        arena.child_lo,
-        arena.child_hi,
-    )
+    values, offsets = arena.values, arena.offsets
 
     def forest(units: List[Tuple[int, int, int]]) -> Expression:
         """``units``: one (node, lo, hi) union occurrence per tree."""
@@ -203,8 +199,8 @@ def expression_of(arena: ArenaRep) -> Expression:
                 singletons.append(
                     forest(
                         [
-                            (k, child_lo[idx][j][e], child_hi[idx][j][e])
-                            for j, k in enumerate(kids)
+                            (k, off[e], off[e + 1])
+                            for off, k in zip(offsets[idx], kids)
                         ]
                     )
                 )

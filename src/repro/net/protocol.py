@@ -14,7 +14,11 @@ reader knows, before buffering anything, whether the peer is about to
 exceed :data:`DEFAULT_MAX_FRAME` and can reject the frame without
 reading it (oversized frames are a denial-of-service vector, not a
 protocol feature).  The two magic bytes and the version byte reject
-foreign or future peers before any JSON is parsed.
+foreign, older and newer peers before any JSON is parsed.  Version 2
+ships arenas with one offsets column per child slot; a version-1 peer
+(two range columns per slot) is refused at the frame header rather
+than misread, as is any other version -- there is no compatibility
+reader.
 
 ``kind`` names the message (:data:`REQUEST_KINDS` /
 :data:`RESPONSE_KINDS`); the JSON *header* carries the small,
@@ -34,7 +38,8 @@ Result framing
 where ``meta["payload"]`` says how to read the bytes back:
 
 - ``"fdbp-pool"`` -- every factorised result and shard part: the
-  codec's one arena body against the connection's value pool
+  codec's one arena body (value columns and one offsets column per
+  child slot) against the connection's value pool
   (:class:`~repro.persist.codec.ArenaPoolEncoder`) plus a CRC32.  The
   pool ships once per connection as incremental deltas, columns
   reference it by id, and every decoded arena on the connection
@@ -75,7 +80,7 @@ from repro.relational.relation import Relation
 from repro.service.session import SessionResult
 
 MAGIC = b"FN"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Default upper bound on one frame (header + payload), either way.
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
@@ -171,7 +176,10 @@ def decode_body(body: bytes) -> Tuple[str, Dict[str, Any], bytes]:
         raise ProtocolError("truncated frame: short header")
     try:
         header = json.loads(body[offset : offset + header_len])
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # Beyond JSON syntax and encodings (both ValueErrors), a
+        # header of 5 000 digits exceeds int()'s digit limit and one
+        # nested 100 000 deep exceeds the recursion limit.
         raise ProtocolError("malformed frame header") from exc
     if not isinstance(header, dict):
         raise ProtocolError("frame header must be a JSON object")

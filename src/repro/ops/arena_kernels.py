@@ -14,11 +14,11 @@ per f-tree node over whole columns, never a walk per entry.
   forests of entries ``idx`` of one node -- any order, repeats allowed
   -- as, per descendant node, one indexed read of the value column, a
   child index vector expanded from the gathered ranges, and child
-  ranges that are prefix sums of the gathered widths.  The **mask
+  offsets that are prefix sums of the gathered widths.  The **mask
   cascade** (:func:`_cascade`) takes keep masks on some columns,
   carries them up the ancestor chain (an entry survives iff its
-  continuation union keeps an entry: a cumulative keep count read at
-  ``hi`` and ``lo``), down to every descendant, and compacts each
+  continuation union keeps an entry: a keep count summed over its
+  child range), down to every descendant, and compacts each
   affected node once -- the eager pruning of emptied unions that is the
   contract of :func:`repro.reference.ops.rewrite_at_level`;
 - each operator then is index arithmetic on its own level's columns
@@ -51,7 +51,7 @@ The union comes in two kernels with one result (see
 :mod:`repro.ops.union` for the two contracts): :func:`union_arenas`
 recombines k shard results in one level-synchronous pass -- per f-tree
 node, the k value columns end to end, one sort-and-group on
-(output parent, value rank), child ranges as prefix sums -- and
+(output parent, value rank), child offsets as prefix sums -- and
 :func:`union_arena` is the pairwise two-pointer merge kept for delta
 maintenance, where one side is tiny and bulk runs (:func:`_copy_run`)
 beat whole-column passes.  Both take value ids across pools through
@@ -69,6 +69,7 @@ from repro.cache import LRUCache
 from repro.core.arena import (
     ArenaError,
     ArenaRep,
+    ArenaWriter,
     ValuePool,
     _skeleton_of,
     _Skeleton,
@@ -146,12 +147,11 @@ class _Columns:
     ``pruned`` and ``gathers`` are the run's tallies.
     """
 
-    __slots__ = ("values", "lo", "hi", "pruned", "gathers")
+    __slots__ = ("values", "offsets", "pruned", "gathers")
 
     def __init__(self, arena: ArenaRep) -> None:
         self.values = list(arena.values)
-        self.lo = [list(slots) for slots in arena.child_lo]
-        self.hi = [list(slots) for slots in arena.child_hi]
+        self.offsets = [list(slots) for slots in arena.offsets]
         self.pruned = 0
         self.gathers = 0
 
@@ -166,7 +166,7 @@ def _gather_forest(
     """The forest gather: the child forests in ``slots`` of entries
     ``idx`` of ``node`` (any order, repeats allowed, possibly none).
 
-    Writes the gathered child ranges of those slots (aligned with
+    Writes the gathered child offsets of those slots (aligned with
     ``idx``) and every column below them; ``node``'s own value column
     is its caller's business.  One node at a time, each index vector
     dropped as soon as its children's are expanded from it.
@@ -176,10 +176,8 @@ def _gather_forest(
     pending = [(node, j, idx) for j in slots]
     while pending:
         node, j, idx = pending.pop()
-        widths, inner = _expand(
-            arena.child_lo[node][j], arena.child_hi[node][j], idx
-        )
-        out.lo[node][j], out.hi[node][j] = _ranges(widths)
+        widths, inner = _expand(arena.offsets[node][j], idx)
+        out.offsets[node][j] = _ranges(widths)
         child = children[node][j]
         out.values[child] = _column(_take(arena.values[child], inner))
         pending.extend(
@@ -211,7 +209,7 @@ def _cascade(
             continue
         p, j = _hangs_in(skel, node)
         counts = counted[node] = _segment_sums(
-            keep[node], arena.child_lo[p][j]
+            keep[node], arena.offsets[p][j]
         )
         alive = counts > 0
         if not alive.all():
@@ -223,12 +221,10 @@ def _cascade(
     for node in range(min(keep, default=0) + 1, len(skel)):
         if skel.parent[node] in keep:
             p, j = _hangs_in(skel, node)
-            below = _owners(
-                arena.child_lo[p][j], arena.child_hi[p][j], keep[p]
-            )
+            below = _owners(arena.offsets[p][j], keep[p])
             keep[node] = _both(keep.get(node), below)
     # Compact: every masked node rewrites its value column and the
-    # ranges of the slot it hangs in (its parent may have lost nothing).
+    # offsets of the slot it hangs in (its parent may have lost nothing).
     for node, mask in keep.items():
         column = _column(_compress(arena.values[node], mask))
         out.pruned += len(mask) - len(column)
@@ -237,10 +233,10 @@ def _cascade(
         if p != -1:
             counts = counted.get(node)
             if counts is None:
-                counts = _segment_sums(mask, arena.child_lo[p][j])
+                counts = _segment_sums(mask, arena.offsets[p][j])
             if p in keep:
                 counts = _compress(counts, keep[p])
-            out.lo[p][j], out.hi[p][j] = _ranges(counts)
+            out.offsets[p][j] = _ranges(counts)
     return True
 
 
@@ -254,7 +250,7 @@ class _Kernel:
     sit -- in every occurrence at once -- and leaves every other column
     alone.  Preparation resolves where each destination column comes
     from: destination node ``d`` takes the value column of source node
-    ``value_src[d]`` and, per child, the range columns of source slot
+    ``value_src[d]`` and, per child, the offsets column of source slot
     ``slot_src[d][child]`` -- by default the slot that child's label
     hangs in in the source tree.  :meth:`run` lets the subclass's
     :meth:`rewrite` replace working columns, then relabels.
@@ -274,7 +270,7 @@ class _Kernel:
     ) -> None:
         """``renamed``: destination label -> source node, for labels
         the source tree does not have; ``slot_of``: source node ->
-        the source slot whose ranges its destination node takes over,
+        the source slot whose offsets its destination node takes over,
         where that is not the node's own."""
         self.src_tree = tree
         self.out_tree = out_tree
@@ -305,8 +301,10 @@ class _Kernel:
             result = ArenaRep(
                 self.dskel,
                 [out.values[s] for s in self.value_src],
-                [[out.lo[s][j] for s, j in row] for row in self.slot_src],
-                [[out.hi[s][j] for s, j in row] for row in self.slot_src],
+                [
+                    [out.offsets[s][j] for s, j in row]
+                    for row in self.slot_src
+                ],
                 arena.pool,
             )
         COUNTERS.add(
@@ -324,7 +322,7 @@ class _Kernel:
         p, pos = _hangs_in(self.sskel, node)
         if p == -1:
             return None
-        return _owners(arena.child_lo[p][pos], arena.child_hi[p][pos])
+        return _owners(arena.offsets[p][pos])
 
 
 class SwapKernel(_Kernel):
@@ -373,7 +371,7 @@ class SwapKernel(_Kernel):
 
     def rewrite(self, arena: ArenaRep, out: _Columns) -> bool:
         sa, sb, j_b = self.sa, self.sb, self.j_b
-        owner = _owners(arena.child_lo[sa][j_b], arena.child_hi[sa][j_b])
+        owner = _owners(arena.offsets[sa][j_b])
         (rank_b,), stride = _rank_columns(arena.pool, [arena.values[sb]])
         occurrence = self._occurrences(arena, sa)  # of every A entry ...
         if occurrence is not None:
@@ -385,10 +383,10 @@ class SwapKernel(_Kernel):
         pairs_a = _take(owner, order)
         out.values[sa] = _column(_take(arena.values[sa], pairs_a))
         out.values[sb] = _column(_take(arena.values[sb], heads))
-        out.lo[sa][j_b], out.hi[sa][j_b] = _ranges(counts)
+        out.offsets[sa][j_b] = _ranges(counts)
         if occurrence is not None:
             p, pos = _hangs_in(self.sskel, sa)
-            out.lo[p][pos], out.hi[p][pos] = _ranges(
+            out.offsets[p][pos] = _ranges(
                 _count_slots(
                     _take(occurrence, heads), len(arena.values[p])
                 )
@@ -455,7 +453,8 @@ class PushKernel(_Kernel):
 
     def rewrite(self, arena: ArenaRep, out: _Columns) -> bool:
         p, pos = _hangs_in(self.sskel, self.sa)
-        firsts = [0] if p == -1 else arena.child_lo[p][pos]
+        # The first entry of every occurrence: its range start.
+        firsts = [0] if p == -1 else _as_np(arena.offsets[p][pos])[:-1]
         _gather_forest(arena, out, self.sa, firsts, (self.j_b,))
         return True
 
@@ -491,9 +490,7 @@ class RestrictKernel(_Kernel):
     def rewrite(self, arena: ArenaRep, out: _Columns) -> bool:
         owner = None  # the A entry above every entry of the path node
         for node, j in self.path:
-            owner = _owners(
-                arena.child_lo[node][j], arena.child_hi[node][j], owner
-            )
+            owner = _owners(arena.offsets[node][j], owner)
         (rank_a, rank_b), _ = _rank_columns(
             arena.pool, [arena.values[self.sa], arena.values[self.sb]]
         )
@@ -709,49 +706,9 @@ def _pool_remaps(pools: Sequence[object]):
     return out_pool, vmaps
 
 
-class _Writer:
-    """Append-only column writer for the delta merge: value ids go in
-    verbatim (no intern table), and an entry is committed after its
-    children with the watermarks taken before them."""
-
-    __slots__ = ("skel", "values", "child_lo", "child_hi")
-
-    def __init__(self, skel: _Skeleton) -> None:
-        n = len(skel)
-        self.skel = skel
-        self.values: List[array] = [_i64() for _ in range(n)]
-        self.child_lo: List[List[array]] = [
-            [_i64() for _ in skel.children[i]] for i in range(n)
-        ]
-        self.child_hi: List[List[array]] = [
-            [_i64() for _ in skel.children[i]] for i in range(n)
-        ]
-
-    def mark_children(self, idx: int) -> List[int]:
-        """Watermarks of ``idx``'s direct child columns."""
-        values = self.values
-        return [len(values[k]) for k in self.skel.children[idx]]
-
-    def commit_children(
-        self, idx: int, vid: int, cmarks: List[int]
-    ) -> None:
-        values = self.values
-        child_lo = self.child_lo[idx]
-        child_hi = self.child_hi[idx]
-        for j, k in enumerate(self.skel.children[idx]):
-            child_lo[j].append(cmarks[j])
-            child_hi[j].append(len(values[k]))
-        values[idx].append(vid)
-
-    def finish(self, pool) -> ArenaRep:
-        return ArenaRep(
-            self.skel, self.values, self.child_lo, self.child_hi, pool
-        )
-
-
 def _copy_run(
     src: ArenaRep,
-    w: _Writer,
+    w: ArenaWriter,
     si: int,
     di: int,
     lo: int,
@@ -765,22 +722,21 @@ def _copy_run(
     (same labels; canonical child sorting then makes the child orders
     coincide, so the recursion is positional).  Values copy verbatim,
     or through ``vmap`` (an id remap table) for cross-pool copies;
-    child ranges copy with one constant shift per (slot, run).
+    offsets copy with one constant shift per (slot, run).
     """
     if hi <= lo:
         return
     _extend_ids(w.values[di], src.values[si], lo, hi, vmap)
-    skids = src.skel.children[si]
-    dkids = w.skel.children[di]
-    for j in range(len(skids)):
-        los = src.child_lo[si][j]
-        his = src.child_hi[si][j]
-        c_lo = los[lo]
-        c_hi = his[hi - 1]
-        delta = len(w.values[dkids[j]]) - c_lo
-        _extend_shifted(w.child_lo[di][j], los, lo, hi, delta)
-        _extend_shifted(w.child_hi[di][j], his, lo, hi, delta)
-        _copy_run(src, w, skids[j], dkids[j], c_lo, c_hi, vmap)
+    for off, dest, sk, dk in zip(
+        src.offsets[si],
+        w.offsets[di],
+        src.skel.children[si],
+        w.skel.children[di],
+    ):
+        c_lo, c_hi = off[lo], off[hi]
+        delta = len(w.values[dk]) - c_lo
+        _extend_shifted(dest, off, lo + 1, hi + 1, delta)
+        _copy_run(src, w, sk, dk, c_lo, c_hi, vmap)
 
 
 def union_arena(left: ArenaRep, right: ArenaRep) -> ArenaRep:
@@ -795,15 +751,14 @@ def union_arena(left: ArenaRep, right: ArenaRep) -> ArenaRep:
     through one table.  Exactness needs branch-compatible inputs, as
     in :func:`repro.ops.union.union`."""
     skel = left.skel
-    w = _Writer(skel)
     out_pool, (_, vmap) = _pool_remaps((left.pool, right.pool))
+    w = ArenaWriter(skel, out_pool)
     lpool = left.pool
     rpool = right.pool
 
     def merge(si: int, llo: int, lhi: int, rlo: int, rhi: int) -> None:
         lvals = left.values[si]
         rvals = right.values[si]
-        kids = skel.children[si]
         i, j = llo, rlo
         while i < lhi and j < rhi:
             lv = lpool[lvals[i]]
@@ -821,16 +776,11 @@ def union_arena(left: ArenaRep, right: ArenaRep) -> ArenaRep:
                 _copy_run(right, w, si, si, j, stop, vmap)
                 j = stop
             else:
-                marks = w.mark_children(si)
-                for js, k in enumerate(kids):
-                    merge(
-                        k,
-                        left.child_lo[si][js][i],
-                        left.child_hi[si][js][i],
-                        right.child_lo[si][js][j],
-                        right.child_hi[si][js][j],
-                    )
-                w.commit_children(si, lvals[i], marks)
+                for k, loff, roff in zip(
+                    skel.children[si], left.offsets[si], right.offsets[si]
+                ):
+                    merge(k, loff[i], loff[i + 1], roff[j], roff[j + 1])
+                w.commit(si, lvals[i])
                 i += 1
                 j += 1
         if i < lhi:
@@ -842,7 +792,7 @@ def union_arena(left: ArenaRep, right: ArenaRep) -> ArenaRep:
         merge(
             r, 0, len(left.values[r]), 0, len(right.values[r])
         )
-    return w.finish(out_pool)
+    return w.finish()
 
 
 # -- the k-way shard union: one pass per f-tree node ---------------------------
@@ -853,7 +803,7 @@ def _group(ids, owners, n_owners: int, pool):
     counts)`` -- the output column, the output index of every input
     entry, and the number of output entries per owner (the output
     index of the parent entry; ``owners=None`` for a root, which has
-    no ranges to count for).
+    no offsets to count for).
 
     Entries with one owner and ``==``-equal values form one output
     entry, emitted in (owner, value) order and carrying the id of the
@@ -863,7 +813,7 @@ def _group(ids, owners, n_owners: int, pool):
     order, starts, sizes = _sort_groups(_keys(owners, rank, ranks))
     winners = _take(order, starts)
     # In sorted order every entry's output slot is its group's index.
-    slots = _scatter(order, _owners(starts, starts + sizes))
+    slots = _scatter(order, _owners(_ranges(sizes)))
     counts = (
         None
         if owners is None
@@ -880,7 +830,7 @@ def union_arenas(parts: Sequence[ArenaRep]) -> ArenaRep:
     end to end (ids taken into the output pool, see
     :func:`_pool_remaps`), every entry tagged with the output index of
     its parent entry, and :func:`_group` sorts and merges them in one
-    go; the parent's child ranges are prefix sums of the per-parent
+    go; the parent's child offsets are prefix sums of the per-parent
     group counts, and each child column inherits its owner vector
     through :func:`_spread`.  O(#nodes) column operations, every
     output column written once --
@@ -892,8 +842,7 @@ def union_arenas(parts: Sequence[ArenaRep]) -> ArenaRep:
     out_pool, vmaps = _pool_remaps([part.pool for part in parts])
     n = len(skel)
     values: List[array] = [None] * n  # type: ignore[list-item]
-    child_lo: List[List[array]] = [[] for _ in range(n)]
-    child_hi: List[List[array]] = [[] for _ in range(n)]
+    offsets: List[List[array]] = [[] for _ in range(n)]
     #: Per node, left by its parent: (owner vector, number of output
     #: entries the parent has); a root has one virtual owner.
     pending: List[Tuple[object, int]] = [(None, 1)] * n
@@ -911,18 +860,12 @@ def union_arenas(parts: Sequence[ArenaRep]) -> ArenaRep:
         p = skel.parent[i]
         if p != -1:
             # Children are visited in slot order, so appending lines
-            # the ranges up with ``skel.children[p]``.
-            lo, hi = _ranges(counts)
-            child_lo[p].append(lo)
-            child_hi[p].append(hi)
+            # the offsets up with ``skel.children[p]``.
+            offsets[p].append(_ranges(counts))
         for j, k in enumerate(skel.children[i]):
-            spread = _spread(
-                slots,
-                [part.child_lo[i][j] for part in parts],
-                [part.child_hi[i][j] for part in parts],
-            )
+            spread = _spread(slots, [part.offsets[i][j] for part in parts])
             pending[k] = (spread, len(out_ids))
-    return ArenaRep(skel, values, child_lo, child_hi, out_pool)
+    return ArenaRep(skel, values, offsets, out_pool)
 
 
 def product_arena(
@@ -935,8 +878,7 @@ def product_arena(
     dskel = _skeleton_of(out_tree)
     n = len(dskel)
     values: List[array] = [None] * n  # type: ignore[list-item]
-    child_lo: List[List[array]] = [None] * n  # type: ignore[list-item]
-    child_hi: List[List[array]] = [None] * n  # type: ignore[list-item]
+    offsets: List[List[array]] = [None] * n  # type: ignore[list-item]
     shared = left.pool is right.pool
     if shared:
         pool = left.pool
@@ -957,9 +899,8 @@ def product_arena(
                     shifted, src.values[i], 0, len(src.values[i]), delta
                 )
                 values[di] = shifted
-            child_lo[di] = list(src.child_lo[i])
-            child_hi[di] = list(src.child_hi[i])
+            offsets[di] = list(src.offsets[i])
 
     adopt(left, 0)
     adopt(right, shift)
-    return ArenaRep(dskel, values, child_lo, child_hi, pool)
+    return ArenaRep(dskel, values, offsets, pool)

@@ -91,8 +91,7 @@ def _reduce_labels(
 
     n = len(dskel)
     values = [None] * n
-    child_lo = [None] * n
-    child_hi = [None] * n
+    offsets = [None] * n
     for si in range(len(sskel)):
         di = dskel.index[shrunk(sskel.labels[si])]
         values[di] = arena.values[si]
@@ -100,17 +99,12 @@ def _reduce_labels(
             shrunk(sskel.labels[k]): j
             for j, k in enumerate(sskel.children[si])
         }
-        child_lo[di] = [
-            arena.child_lo[si][src_slot[dskel.labels[dk]]]
-            for dk in dskel.children[di]
-        ]
-        child_hi[di] = [
-            arena.child_hi[si][src_slot[dskel.labels[dk]]]
+        offsets[di] = [
+            arena.offsets[si][src_slot[dskel.labels[dk]]]
             for dk in dskel.children[di]
         ]
     return FactorisedRelation(
-        new_tree,
-        arena_mod.ArenaRep(dskel, values, child_lo, child_hi, arena.pool),
+        new_tree, arena_mod.ArenaRep(dskel, values, offsets, arena.pool)
     )
 
 

@@ -60,7 +60,7 @@ def _filter(
     out = arena_kernels._Columns(arena)
     if not arena_kernels._cascade(arena, out, {node: mask}):
         return None
-    return ArenaRep(arena.skel, out.values, out.lo, out.hi, arena.pool)
+    return ArenaRep(arena.skel, out.values, out.offsets, arena.pool)
 
 
 def selected_tree(

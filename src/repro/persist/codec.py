@@ -36,9 +36,10 @@ flat CSV equivalent).  An arena (:mod:`repro.core.arena`) has one byte
 layout, written by :class:`ArenaPoolEncoder` and read by
 :class:`ArenaPoolDecoder`: the values first seen against a value pool,
 tag-encoded, then the per-node integer columns as raw little-endian
-int64 byte runs that reference the pool by id.  The network tier sends
+int64 byte runs that reference the pool by id, one offsets column per
+child slot.  The network tier sends
 it against a per-connection pool (payload kind ``fdbp-pool``); a saved
-result -- blob kind ``pooled-arena`` -- is the same body cut by a fresh
+result -- blob kind ``offset-arena`` -- is the same body cut by a fresh
 encoder against an empty pool, so its ids are the identity.  Loading is
 therefore ~O(bytes) -- ``array.frombytes``, a vectorised bounds scan
 and one value-order pass over the entries.  Kinds earlier builds wrote
@@ -87,7 +88,7 @@ KINDS = (
     "database",
     "ftree",
     "fplan",
-    "pooled-arena",
+    "offset-arena",
     "plan-entry",
     "shard-manifest",
 )
@@ -97,6 +98,10 @@ KINDS = (
 RETIRED_KINDS = {
     "factorised": "an object-encoded factorised result",
     "arena": "a factorised result in the pre-pool column layout",
+    "pooled-arena": (
+        "a factorised result whose child ranges are (child_lo, "
+        "child_hi) column pairs"
+    ),
 }
 
 #: File names inside a sharded-database directory.
@@ -142,6 +147,9 @@ def _write_varint(out: BinaryIO, value: int) -> None:
 
 
 def _read_varint(src: BinaryIO) -> int:
+    """Unsigned LEB128, minimal only: :func:`_write_varint` never ends
+    a varint in a zero byte after the first, so such bytes are not
+    read as a second spelling of a smaller number."""
     result = 0
     shift = 0
     while True:
@@ -151,6 +159,8 @@ def _read_varint(src: BinaryIO) -> int:
         byte = raw[0]
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
+            if shift and not byte:
+                raise PersistError("non-canonical (over-long) varint")
             return result
         shift += 7
         if shift > 70:
@@ -222,7 +232,9 @@ def write_value(out: BinaryIO, value: object) -> None:
 
 
 def read_value(src: BinaryIO) -> object:
-    """Decode one tagged value."""
+    """Decode one tagged value, spelled as :func:`write_value` spells
+    it: an integer inside int64 never takes the big-int escape, and a
+    big integer's digits are ``str(value)``'s."""
     raw = src.read(1)
     if not raw:
         raise PersistError("truncated value in payload")
@@ -234,7 +246,10 @@ def read_value(src: BinaryIO) -> object:
     if tag == _TAG_FALSE:
         return False
     if tag == _TAG_INT:
-        return _unzigzag(_read_varint(src))
+        zigzag = _read_varint(src)
+        if zigzag >> 64:
+            raise PersistError("integer varint beyond int64 in payload")
+        return _unzigzag(zigzag)
     if tag == _TAG_FLOAT:
         data = src.read(8)
         if len(data) != 8:
@@ -245,9 +260,13 @@ def read_value(src: BinaryIO) -> object:
     if tag == _TAG_BIGINT:
         data = _exactly(src, _read_varint(src), "big integer")
         try:
-            return int(data.decode("ascii"))
+            text = data.decode("ascii")
+            value = int(text)
         except ValueError as exc:
             raise PersistError(f"malformed big integer {data!r}") from exc
+        if _INT64_MIN <= value <= _INT64_MAX or str(value) != text:
+            raise PersistError(f"non-canonical big integer {data!r}")
+        return value
     raise PersistError(f"unknown value tag {tag}")
 
 
@@ -276,7 +295,7 @@ def _check_kind(kind: str) -> None:
             f"blob kind {kind!r} is retired: it holds "
             f"{RETIRED_KINDS[kind]}, which this build no longer reads; "
             f"re-evaluate the query and save the result again (it is "
-            f"then written as a 'pooled-arena' blob)"
+            f"then written as an 'offset-arena' blob)"
         )
     if kind not in KINDS:
         raise PersistError(f"unknown blob kind {kind!r}")
@@ -585,7 +604,9 @@ def _decode_fplan(payload: bytes) -> FPlan:
 #     body    := varint tree length | f-tree | u8 flag (0 = empty)
 #                [ varint base | varint n | n tagged values | columns ]
 #     columns := varint node count, then per node (pre-order) its value
-#                column and a (child_lo, child_hi) pair per child
+#                column and one offsets column per child slot (entry
+#                count + 1 offsets, 0 first, the child column's length
+#                last: entry e's child union is [off[e], off[e+1]))
 #     column  := varint entry count | entries as little-endian int64
 #
 # Both ends keep the pool: the encoder interns the result's values into
@@ -599,7 +620,7 @@ def _decode_fplan(payload: bytes) -> FPlan:
 #   columns by id without re-interning.  A payload is the body plus a
 #   CRC32 of it, and only the peer that has seen every earlier delta,
 #   in order, can decode it.
-# - On disk (blob kind ``pooled-arena``) the body is cut by a fresh
+# - On disk (blob kind ``offset-arena``) the body is cut by a fresh
 #   encoder against an empty pool: base 0, the whole pool as the delta,
 #   ids the identity.  The blob frame carries the CRC.
 #
@@ -646,7 +667,7 @@ class _Sent:
         #: How many of the result's own pool values are interned into
         #: the encoder's pool (a shared pool may grow afterwards).
         self.seen = seen
-        #: Node count, remapped value columns and child ranges; ``None``
+        #: Node count, remapped value columns and offsets; ``None``
         #: for the empty relation.
         self.columns: Optional[bytes] = columns
 
@@ -677,7 +698,7 @@ class ArenaPoolEncoder:
     A result sent again on the same connection costs only its pool
     delta and the CRC.  The first ``encode`` of a result keeps its tree
     section and its *column section* -- the value columns already
-    remapped to connection-pool ids, plus the child ranges -- keyed by
+    remapped to connection-pool ids, plus the offsets -- keyed by
     the result's identity; a weakref callback drops the entry when the
     result dies, so the memo holds the column bytes of live results
     only.  Re-using the column section is sound because the connection
@@ -769,9 +790,8 @@ class ArenaPoolEncoder:
                 if vmap is not None:
                     column = _take(vmap, _as_np(column))
                 _write_i64_column(out, column)
-                for j in range(len(skel.children[i])):
-                    _write_i64_column(out, rep.child_lo[i][j])
-                    _write_i64_column(out, rep.child_hi[i][j])
+                for off in rep.offsets[i]:
+                    _write_i64_column(out, off)
             columns = out.getvalue()
         key = id(fr)
         forget = functools.partial(_forget, weakref.ref(self), key)
@@ -797,12 +817,21 @@ class ArenaPoolDecoder:
     Tree sections are decoded once per connection: equal bytes map to
     one shared (immutable) :class:`FTree`, whose skeleton is therefore
     built once too.
+
+    Only the canonical body -- the bytes an :class:`ArenaPoolEncoder`
+    writes -- is read, so a body that decodes re-encodes to itself: the
+    tree section must be canonical, the flag 0 or 1, every varint and
+    value minimally spelled, and no pool value may arrive twice (a
+    sender's pool interns, per type, as :class:`~repro.core.arena.
+    ValuePool` does; ``_seen`` holds the values this pool has, per
+    type).
     """
 
-    __slots__ = ("values", "_trees")
+    __slots__ = ("values", "_seen", "_trees")
 
     def __init__(self) -> None:
         self.values: List[object] = []
+        self._seen: Dict[type, set] = {}
         self._trees = LRUCache(TREE_MEMO_SIZE)
 
     def _tree(self, tree_bytes: bytes) -> FTree:
@@ -828,6 +857,8 @@ class ArenaPoolDecoder:
         flag = src.read(1)
         if not flag:
             raise PersistError("truncated input: short arena flag")
+        if flag[0] > 1:
+            raise PersistError(f"arena flag {flag[0]} is neither 0 nor 1")
         if flag[0] == 0:
             if src.read(1):
                 raise PersistError("arena payload has trailing bytes")
@@ -839,13 +870,22 @@ class ArenaPoolDecoder:
                 f"values but this connection holds {len(self.values)} "
                 f"(out-of-order or cross-connection payload)"
             )
+        seen, values = self._seen, self.values
         try:
-            self.values.extend(
-                read_value(src) for _ in range(_read_varint(src))
-            )
+            for _ in range(_read_varint(src)):
+                value = read_value(src)
+                kind = seen.get(value.__class__)
+                if kind is None:
+                    kind = seen[value.__class__] = set()
+                elif value in kind:
+                    raise PersistError(f"pool value {value!r} shipped twice")
+                kind.add(value)
+                values.append(value)
             rep = self._columns(src, tree)
         except BaseException:
-            del self.values[base:]
+            for value in values[base:]:
+                seen[value.__class__].discard(value)
+            del values[base:]
             raise
         return FactorisedRelation(tree, rep)
 
@@ -859,20 +899,13 @@ class ArenaPoolDecoder:
                 f"for a {len(skel)}-node f-tree"
             )
         values: List[array] = []
-        child_lo: List[List[array]] = []
-        child_hi: List[List[array]] = []
-        for i in range(node_count):
+        offsets: List[List[array]] = []
+        for kids in skel.children:
             values.append(_read_i64_column(src))
-            los: List[array] = []
-            his: List[array] = []
-            for _ in skel.children[i]:
-                los.append(_read_i64_column(src))
-                his.append(_read_i64_column(src))
-            child_lo.append(los)
-            child_hi.append(his)
+            offsets.append([_read_i64_column(src) for _ in kids])
         if src.read(1):
             raise PersistError("arena payload has trailing bytes")
-        rep = ArenaRep(skel, values, child_lo, child_hi, self.values)
+        rep = ArenaRep(skel, values, offsets, self.values)
         try:
             # Flat, vectorised integer scans, so decoding stays
             # ~O(bytes); also the check that every value id is inside
@@ -1114,7 +1147,7 @@ def encode(obj: object) -> Tuple[str, Dict[str, Any], bytes]:
         return "fplan", header, payload
     if isinstance(obj, FactorisedRelation):
         body = ArenaPoolEncoder().body(obj)
-        return "pooled-arena", _arena_header(obj), body
+        return "offset-arena", _arena_header(obj), body
     raise PersistError(
         f"cannot persist objects of type {type(obj).__name__}"
     )
@@ -1131,7 +1164,7 @@ def decode(kind: str, header: Dict[str, Any], payload: bytes) -> object:
             return _decode_ftree(payload)
         if kind == "fplan":
             return _decode_fplan(payload)
-        if kind == "pooled-arena":
+        if kind == "offset-arena":
             return _read_saved(io.BytesIO(payload))
     except PersistError:
         raise

@@ -18,22 +18,13 @@ def from_product(
         return None
     writer = ArenaWriter(tree)
     skel = writer.skel
-    values = writer.values
-    child_lo, child_hi = writer.child_lo, writer.child_hi
 
     def emit_union(idx: int, union: UnionRep) -> None:
         kids = skel.children[idx]
-        if not kids:
-            values[idx].extend(value for value, _ in union.entries)
-            return
         for value, child in union.entries:
-            starts = [len(values[k]) for k in kids]
             for k, factor in zip(kids, child.factors):
                 emit_union(k, factor)
-            for j, k in enumerate(kids):
-                child_lo[idx][j].append(starts[j])
-                child_hi[idx][j].append(len(values[k]))
-            values[idx].append(value)
+            writer.commit(idx, value)
 
     if len(product.factors) != len(skel.roots):
         raise ArenaError(
@@ -50,21 +41,17 @@ def to_product(arena: Optional[ArenaRep]) -> Optional[ProductRep]:
     if arena is None:
         return None
     skel, pool = arena.skel, arena.pool
-    values, child_lo, child_hi = (
-        arena.values,
-        arena.child_lo,
-        arena.child_hi,
-    )
+    values, offsets = arena.values, arena.offsets
 
     def build_union(idx: int, lo: int, hi: int) -> UnionRep:
         kids = skel.children[idx]
         column = values[idx]
-        los, his = child_lo[idx], child_hi[idx]
+        offs = offsets[idx]
         entries = []
         for e in range(lo, hi):
             factors = [
-                build_union(k, los[j][e], his[j][e])
-                for j, k in enumerate(kids)
+                build_union(k, off[e], off[e + 1])
+                for off, k in zip(offs, kids)
             ]
             entries.append((pool[column[e]], ProductRep(factors)))
         return UnionRep(entries)

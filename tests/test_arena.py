@@ -13,6 +13,7 @@ and the nullary tuple (``ProductRep([])`` / a zero-node arena).
 from __future__ import annotations
 
 import pickle
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -336,9 +337,7 @@ def test_intern_distinguishes_equal_values_of_different_types():
     writer = ArenaWriter(tree)
     writer.values[0].extend([True, 1, -0.0])
     writer.values[1].extend([1.0, 1, True, 0.0, 1.0])
-    for lo, hi in ((0, 2), (2, 4), (4, 5)):
-        writer.child_lo[0][0].append(lo)
-        writer.child_hi[0][0].append(hi)
+    writer.offsets[0][0].extend([2, 4, 5])  # after the leading 0
     rep = writer.finish()
     assert [(type(v), repr(v)) for v in rep.pool] == [
         (bool, "True"),
@@ -372,9 +371,9 @@ def test_validate_arena_rejects_bad_ranges():
     db, query = _grocery_like()
     fa = FDB(db).evaluate(query)
     broken = fa.rep.copy()
-    for slots in broken.child_hi:
-        if slots and len(slots[0]):
-            slots[0][0] = 10_000_000
+    for slots in broken.offsets:
+        if slots and len(slots[0]) > 1:
+            slots[0][1] = 10_000_000
             break
     with pytest.raises(ArenaError):
         arena.validate_arena_bounds(fa.tree, broken)
@@ -393,17 +392,13 @@ def test_validate_arena_enforces_the_constant_node_rule():
     )
     good = ArenaWriter(tree)
     good.values[1].extend([7, 8])
-    good.child_lo[0][0].append(0)
-    good.child_hi[0][0].append(2)
-    good.values[0].append(5)
+    good.commit(0, 5)
     arena.validate_arena(tree, good.finish())
 
     bad = ArenaWriter(tree)
-    for value, (lo, hi) in ((5, (0, 1)), (6, (1, 2))):
+    for value in (5, 6):
         bad.values[1].append(value + 2)
-        bad.child_lo[0][0].append(lo)
-        bad.child_hi[0][0].append(hi)
-        bad.values[0].append(value)
+        bad.commit(0, value)
     rep = bad.finish()
     arena.validate_arena_bounds(tree, rep)  # structurally fine
     with pytest.raises(ArenaError, match="constant node"):
@@ -439,32 +434,49 @@ def test_count_distinct_collapses_equal_values_of_different_types():
     assert fo.count_distinct("c") == fa.count_distinct("c") == 2
 
 
-def test_bounds_check_rejects_non_contiguous_ranges():
-    """In-bounds but non-DFS-tiling child ranges (what a CRC-valid
-    tampered blob could carry) must fail validation -- the bulk-copy
-    selection kernel relies on the tiling."""
+def _chain_of_pairs():
+    """``a -> b`` over three a-values with two b-values each: offsets
+    ``[0, 2, 4, 6]``."""
     from repro.relational.relation import Relation
 
     r = Relation.from_rows(
-        "R", ("a", "b"), [(1, 1), (1, 2), (2, 3), (2, 4)]
+        "R", ("a", "b"), [(a, 2 * a + d) for a in (1, 2, 3) for d in (0, 1)]
     )
     tree = FTree.from_nested([("a", [("b", [])])], [{"a", "b"}])
     rep = factorise([r], tree)
+    assert list(rep.offsets[0][0]) == [0, 2, 4, 6]
     arena.validate_arena_bounds(tree, rep)  # healthy baseline
-    # Swap the two a-entries' b-ranges: [0,2) and [2,4) become [2,4)
-    # and [0,2) -- every offset stays in bounds and non-empty, but the
-    # layout is no longer the DFS tiling.
+    return tree, rep
+
+
+def test_bounds_check_rejects_non_contiguous_ranges():
+    """Offsets that go back -- an entry's range ending before it starts,
+    every offset still inside the child column (what a CRC-valid
+    tampered blob could carry) -- must fail validation: the bulk-copy
+    and segment-sum kernels rely on ranges that follow each other."""
+    tree, rep = _chain_of_pairs()
     broken = rep.copy()
-    los, his = broken.child_lo[0][0], broken.child_hi[0][0]
-    los[0], los[1] = los[1], los[0]
-    his[0], his[1] = his[1], his[0]
-    with pytest.raises(ArenaError, match="tile"):
+    broken.offsets[0][0][1] = 5  # [0, 5, 4, 6]: [5, 4) runs backwards
+    with pytest.raises(ArenaError, match="strictly increasing"):
         arena.validate_arena_bounds(tree, broken)
-    # Overlapping ranges with correct endpoints are caught too.
-    overlap = rep.copy()
-    overlap.child_lo[0][0][1] = 1
-    with pytest.raises(ArenaError, match="tile|gaps"):
-        arena.validate_arena_bounds(tree, overlap)
+
+
+@pytest.mark.parametrize(
+    "offsets, message",
+    [
+        ([0, 2, 4], "child offsets for 3 entries"),  # one too short
+        ([1, 2, 4, 6], "from 0"),  # first offset not 0
+        ([0, 2, 2, 6], "strictly increasing"),  # an empty range
+        ([0, 2, 4, 5], "child column's length 6"),  # last not the end
+    ],
+    ids=["too-short", "first-not-0", "repeated", "last-not-length"],
+)
+def test_bounds_check_rejects_malformed_offsets(offsets, message):
+    tree, rep = _chain_of_pairs()
+    broken = rep.copy()
+    broken.offsets[0][0] = array("q", offsets)
+    with pytest.raises(ArenaError, match=message):
+        arena.validate_arena_bounds(tree, broken)
 
 
 def test_iter_rows_unknown_attribute_raises_like_objects():

@@ -107,7 +107,7 @@ def test_compile_and_stats_round_trip(csv_dir, tmp_path, capsys):
     )
     assert code == 0
     assert os.path.exists(out_path)
-    assert persist.inspect(out_path)["kind"] == "pooled-arena"
+    assert persist.inspect(out_path)["kind"] == "offset-arena"
 
     code = main(["stats", out_path])
     assert code == 0

@@ -87,7 +87,7 @@ def test_copy_is_independent(fr):
     clone = fr.copy()
     # Drop the a=2 entry (and the b-union below it) from the clone.
     rep = clone.rep
-    for column in (rep.values[0], rep.child_lo[0][0], rep.child_hi[0][0]):
+    for column in (rep.values[0], rep.offsets[0][0]):
         column.pop()
     rep.values[1].pop()
     assert fr.count() == 3

@@ -11,8 +11,8 @@ that share no code with them, and the prepared-kernel cache.
   both range ends, and ``tuple_count`` against enumeration and the
   reference engine;
 
-with every output checked by ``validate_arena`` (child ranges tile, no
-union is empty).
+with every output checked by ``validate_arena`` (offsets run from 0 to
+the child column's length and strictly increase: no union is empty).
 """
 
 import random
@@ -23,7 +23,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.arena import ArenaRep, iter_rows, tuple_count, validate_arena
+from repro.core.arena import (
+    ArenaRep,
+    ArenaWriter,
+    iter_rows,
+    tuple_count,
+    validate_arena,
+)
 from repro.core.ftree import FTree
 from repro.engine import FDB
 from repro.obs.report import kernels_line, session_lines
@@ -41,7 +47,6 @@ from repro.ops.arena_kernels import (
     _Columns,
     _copy_run,
     _gather_forest,
-    _Writer,
     kernel_for,
 )
 from repro.query.query import Query
@@ -84,7 +89,7 @@ def test_forest_gather_is_the_concatenation_of_one_entry_runs(seed):
             [rng.randrange(n) for _ in range(2 * n)],
         ]
         for idx in draws:
-            expected = _Writer(skel)
+            expected = ArenaWriter(skel, arena.pool)
             for e in idx:
                 _copy_run(arena, expected, node, node, e, e + 1)
             out = _Columns(arena)
@@ -94,8 +99,7 @@ def test_forest_gather_is_the_concatenation_of_one_entry_runs(seed):
             )
             for k in range(node, skel.end[node]):
                 assert list(out.values[k]) == list(expected.values[k])
-                assert _lists(out.lo[k]) == _lists(expected.child_lo[k])
-                assert _lists(out.hi[k]) == _lists(expected.child_hi[k])
+                assert _lists(out.offsets[k]) == _lists(expected.offsets[k])
             assert out.gathers == 1
 
 
@@ -129,7 +133,7 @@ def test_mask_cascade_is_the_selection_filter(seed):
                 emptied += 1
                 continue
             assert alive
-            got = ArenaRep(skel, out.values, out.lo, out.hi, pool)
+            got = ArenaRep(skel, out.values, out.offsets, pool)
             validate_arena(fr.tree, got)
             assert sorted(iter_rows(got, attributes)) == want
             assert out.pruned == arena.entry_count - got.entry_count
@@ -149,19 +153,20 @@ def test_cascade_outputs_count_their_rows(seed, node, rng):
     out = _Columns(arena)
     if not _cascade(arena, out, {node: mask}):
         return
-    got = ArenaRep(arena.skel, out.values, out.lo, out.hi, arena.pool)
+    got = ArenaRep(arena.skel, out.values, out.offsets, arena.pool)
     assert tuple_count(got) == len(list(iter_rows(got, fr.attributes)))
 
 
 # -- counting ------------------------------------------------------------------
 
 
-def _prefix_sums(weights, lo, hi):
+def _prefix_sums(weights, off):
     """The segment sums as a cumulative sum read at both range ends --
-    an oracle that reads ``hi`` and needs no tiling."""
+    an oracle that reads every range's end, not just its start."""
+    off = np.asarray(off)
     total = np.zeros(len(weights) + 1, dtype=np.int64)
     np.cumsum(weights, out=total[1:])
-    return total[np.asarray(hi)] - total[np.asarray(lo)]
+    return total[off[1:]] - total[off[:-1]]
 
 
 #: Per-entry child counts of one slot: every range non-empty.
@@ -171,15 +176,16 @@ _widths = st.lists(st.integers(1, 6), max_size=40)
 @settings(max_examples=200, deadline=None)
 @given(_widths, st.booleans(), st.randoms())
 def test_segment_sums_are_the_prefix_sum_differences(widths, masks, rng):
-    lo, hi = _ranges(np.array(widths, dtype=np.int64))
+    off = _ranges(np.array(widths, dtype=np.int64))
+    assert list(off) == [sum(widths[:e]) for e in range(len(widths) + 1)]
     n = sum(widths)
     if masks:
         weights = np.array([rng.random() < 0.5 for _ in range(n)], bool)
     else:
         weights = np.array([rng.randrange(1 << 40) for _ in range(n)])
-    got = _segment_sums(weights, lo)
+    got = _segment_sums(weights, off)
     assert got.dtype == np.int64
-    assert got.tolist() == _prefix_sums(weights, lo, hi).tolist()
+    assert got.tolist() == _prefix_sums(weights, off).tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -195,19 +201,17 @@ def test_forest_counts_take_a_leaf_as_its_range_width(slots, rng):
     """Slots over leaves (weights ``None``) count as if every leaf entry
     weighed 1; the other slots' counts multiply in."""
     m = min(len(widths) for widths in slots)
-    los, his, weights, ones = [], [], [], []
+    offsets, weights, ones = [], [], []
     for j, widths in enumerate(slots):
-        lo, hi = _ranges(np.array(widths[:m], dtype=np.int64))
-        los.append(lo)
-        his.append(hi)
+        offsets.append(_ranges(np.array(widths[:m], dtype=np.int64)))
         n = sum(widths[:m])
         ones.append(np.ones(n, dtype=np.int64))
         drawn = np.array([rng.randrange(50) for _ in range(n)])
         weights.append(None if j % 2 == 0 else drawn)
     want = np.ones(m, dtype=np.int64)
-    for weight, one, lo, hi in zip(weights, ones, los, his):
-        want *= _prefix_sums(one if weight is None else weight, lo, hi)
-    assert _forest_counts(weights, los, his).tolist() == want.tolist()
+    for weight, one, off in zip(weights, ones, offsets):
+        want *= _prefix_sums(one if weight is None else weight, off)
+    assert _forest_counts(weights, offsets).tolist() == want.tolist()
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,7 +16,10 @@ import struct
 import threading
 import time
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import persist
 from repro.net import (
@@ -84,6 +87,122 @@ def test_decode_rejects_foreign_and_corrupt_bodies():
         protocol.decode_body(good[: len(good) - 3])
     with pytest.raises(ProtocolError):
         protocol.decode_body(b"")
+
+
+def test_a_version_1_frame_is_refused_naming_both_versions():
+    """Version 1 peers shipped arenas as two range columns per child
+    slot; version 2 ships offsets.  An old frame is refused at its
+    header, never read as the new layout."""
+    assert protocol.PROTOCOL_VERSION == 2
+    good = protocol.encode_frame("stats", {"id": 1})[4:]
+    old = good[:2] + b"\x01" + good[3:]
+    with pytest.raises(ProtocolError, match=r"version 1 .*version 2"):
+        protocol.decode_body(old)
+
+
+def _recv_body(sock) -> bytes:
+    (length,) = struct.unpack(">I", protocol.recv_exact(sock, 4))
+    return protocol.recv_exact(sock, length)
+
+
+@pytest.fixture(scope="module")
+def real_bodies():
+    """Frame bodies a live server sent: its hello, an error frame and
+    a result frame carrying a pooled arena."""
+    with ServerThread(QuerySession(_database())) as server:
+        sock = socket.create_connection(server.address, timeout=10)
+        try:
+            bodies = [_recv_body(sock)]
+            for rid, sql in ((5, "SELEC nonsense"), (6, "SELECT * FROM R0")):
+                sock.sendall(
+                    protocol.encode_frame("query", {"id": rid, "sql": sql})
+                )
+                bodies.append(_recv_body(sock))
+        finally:
+            sock.close()
+    kinds = [protocol.decode_body(body)[0] for body in bodies]
+    assert kinds == ["hello", "error", "result"]
+    return bodies
+
+
+def _header_bytes(body: bytes) -> bytes:
+    at = 4 + body[3]
+    (length,) = struct.unpack(">I", body[at : at + 4])
+    return body[at + 4 : at + 4 + length]
+
+
+def _decodes_or_raises(body: bytes) -> None:
+    """``body`` either raises ``ProtocolError`` or decodes to a triple
+    that ``encode_frame`` writes canonically: re-encoded, it decodes to
+    the same frame again, and a body whose header is already spelled
+    the way ``encode_frame`` spells it re-encodes byte for byte."""
+    try:
+        kind, header, payload = protocol.decode_body(body)
+    except ProtocolError:
+        return
+    frame = protocol.encode_frame(kind, header, payload)
+    assert protocol.encode_frame(*protocol.decode_body(frame[4:])) == frame
+    canonical = json.dumps(header, sort_keys=True).encode("utf-8")
+    if _header_bytes(body) == canonical:
+        assert frame[4:] == body
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    index=st.integers(0, 2),
+    mode=st.sampled_from(["truncate", "flip", "insert"]),
+    where=st.floats(0, 1, exclude_max=True),
+    byte=st.integers(0, 255),
+)
+def test_hostile_frame_bodies_decode_canonically_or_raise(
+    real_bodies, index, mode, where, byte
+):
+    body = real_bodies[index]
+    _decodes_or_raises(body)
+    at = int(where * len(body))
+    if mode == "truncate":
+        body = body[:at]
+    elif mode == "flip":
+        body = body[:at] + bytes((body[at] ^ (byte or 1),)) + body[at + 1 :]
+    else:
+        body = body[:at] + bytes((byte,)) + body[at:]
+    _decodes_or_raises(body)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(protocol._KINDS)),
+    header=st.binary(max_size=40),
+    payload=st.binary(max_size=8),
+)
+def test_arbitrary_headers_decode_canonically_or_raise(kind, header, payload):
+    _decodes_or_raises(
+        protocol.MAGIC
+        + bytes((protocol.PROTOCOL_VERSION, len(kind)))
+        + kind.encode("ascii")
+        + struct.pack(">I", len(header))
+        + header
+        + payload
+    )
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b'{"id": ' + b"1" * 5000 + b"}", b"[" * 100_000 + b"]" * 100_000],
+    ids=["over-long-integer", "deep-nesting"],
+)
+def test_a_header_json_cannot_parse_is_a_protocol_error(header):
+    """Past ``int()``'s digit limit or the recursion limit ``json``
+    raised a bare ``ValueError`` / ``RecursionError`` out of the
+    decoder."""
+    with pytest.raises(ProtocolError, match="malformed frame header"):
+        protocol.decode_body(
+            protocol.MAGIC
+            + bytes((protocol.PROTOCOL_VERSION, 5))
+            + b"stats"
+            + struct.pack(">I", len(header))
+            + header
+        )
 
 
 def test_result_pack_unpack_round_trips_all_payload_kinds():

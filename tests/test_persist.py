@@ -809,7 +809,7 @@ def test_arena_relation_round_trip(tmp_path):
     fr = _arena_join_result()
     path = str(tmp_path / "result.fdbp")
     save(fr, path)
-    assert inspect(path)["kind"] == "pooled-arena"
+    assert inspect(path)["kind"] == "offset-arena"
     loaded = load(path)
     assert loaded.tree == fr.tree
     assert list(loaded.rows()) == list(fr.rows())
@@ -817,20 +817,23 @@ def test_arena_relation_round_trip(tmp_path):
     loaded.validate()
 
 
+_DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
 def _legacy(name: str) -> str:
-    return os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "data", name
-    )
+    return os.path.join(_DATA_DIR, name)
 
 
 #: Results of R = {(1,1),(1,2),(2,2)} over a -> b, each written by
 #: ``persist.save`` at the last build that could write its kind: kind
 #: ``factorised`` (an object representation) before the one-encoding
 #: change, kind ``arena`` (the pre-pool column layout) before the arena
-#: layout became the pooled one.
+#: layout became the pooled one, kind ``pooled-arena`` (two range
+#: columns per child slot) before child ranges became offsets.
 LEGACY_BLOBS = {
     "factorised": _legacy("legacy_object_result.fdbp"),
     "arena": _legacy("legacy_arena_result.fdbp"),
+    "pooled-arena": _legacy("legacy_pooled_arena_result.fdbp"),
 }
 
 
@@ -898,13 +901,13 @@ def test_tampered_arena_columns_fail_bounds_check(tmp_path):
 
     fr = _arena_join_result()
     kind, header, payload = codec.encode(fr)
-    assert kind == "pooled-arena"
-    # Corrupt the last column byte (a child_hi offset) and re-frame
+    assert kind == "offset-arena"
+    # Corrupt the last column byte (the last child offset) and re-frame
     # with a fresh CRC so only the bounds check can catch it.
     bad = bytearray(payload)
     bad[-1] = 0x7F
     out = io.BytesIO()
-    codec.write_blob(out, "pooled-arena", header, bytes(bad))
+    codec.write_blob(out, "offset-arena", header, bytes(bad))
     out.seek(0)
     read_kind, read_header, read_payload = read_blob(out)
     assert zlib.crc32(read_payload) == zlib.crc32(bytes(bad))
@@ -1305,14 +1308,165 @@ def test_hostile_saved_arenas_load_valid_or_raise_persist_error(
     loaded.validate()
 
 
+# -- the offset-arena body: decode canonically or raise ----------------------
+
+
+def _committed_payload(path: str) -> bytes:
+    """The payload of a committed FDBP file, cut out of its frame by
+    offset (its kind may be retired, so ``read_blob`` would refuse)."""
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    at = 7 + blob[6]  # magic, version, kind length, kind
+    (header_len,) = struct.unpack(">I", blob[at : at + 4])
+    at += 4 + header_len + 4  # header length, header, CRC
+    (length,) = struct.unpack(">Q", blob[at : at + 8])
+    return blob[at + 8 : at + 8 + length]
+
+
+#: Arena bodies against an empty pool: every committed ``.fdbp`` file's
+#: payload (each in a layout this build no longer reads) and the saved
+#: results above.
+_BODY_SEEDS = [
+    _committed_payload(_legacy(name))
+    for name in sorted(os.listdir(_DATA_DIR))
+    if name.endswith(".fdbp")
+] + [payload for _, _, payload in _SAVED_SEEDS]
+
+
+def _mutated(data: bytes, mode: str, where: float, bit: int) -> bytes:
+    at = int(where * len(data))
+    if mode == "truncate":
+        return data[:at]
+    if mode == "flip" and data:
+        flipped = bytearray(data)
+        flipped[at] ^= 1 << bit
+        return bytes(flipped)
+    return data[:at] + bytes((bit * 37 % 256,)) + data[at:]  # insert
+
+
+_MUTATIONS = dict(
+    mode=st.sampled_from(["truncate", "flip", "insert"]),
+    where=st.floats(0, 1, exclude_max=True),
+    bit=st.integers(0, 7),
+)
+
+
+def _decodes_canonically_on_disk(data: bytes) -> None:
+    """``data`` as a saved result's payload either raises
+    ``PersistError`` or decodes to a relation that saves back to
+    exactly ``data``."""
+    try:
+        fr = codec.decode("offset-arena", {}, data)
+    except PersistError:
+        return
+    assert codec.encode(fr) == ("offset-arena", codec._arena_header(fr), data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(index=st.integers(0, len(_BODY_SEEDS) - 1), **_MUTATIONS)
+def test_offset_arena_bodies_on_disk_decode_canonically_or_raise(
+    index, mode, where, bit
+):
+    _decodes_canonically_on_disk(
+        _mutated(_BODY_SEEDS[index], mode, where, bit)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=80))
+def test_arbitrary_bytes_as_a_saved_arena_decode_canonically_or_raise(data):
+    _decodes_canonically_on_disk(data)
+
+
+def _decodes_canonically_on_the_wire(sent, data: bytes) -> None:
+    """After the payloads ``sent``, ``data`` either raises
+    ``PersistError`` and leaves the pool as it was, or decodes to a
+    relation that an encoder holding the same pool re-encodes to
+    exactly ``data``."""
+    decoder = ArenaPoolDecoder()
+    for payload in sent:
+        decoder.decode(payload)
+    before = list(decoder.values)
+    try:
+        fr = decoder.decode(data)
+    except PersistError:
+        assert decoder.values == before
+        return
+    encoder = ArenaPoolEncoder()
+    for value in before:
+        encoder.pool.intern(value)
+    encoder.shipped = len(before)
+    assert encoder.encode(fr) == data
+
+
+#: (payloads sent before, one more payload): the tail of a committed
+#: send sequence, and every empty-pool body as a connection's first.
+_WIRE_SEEDS = [
+    (_HOSTILE_SENDS[:i], _HOSTILE_SENDS[i]) for i in range(0, 30, 3)
+] + [((), _recrc(body)) for body in _BODY_SEEDS]
+
+
+@settings(max_examples=400, deadline=None)
+@given(index=st.integers(0, len(_WIRE_SEEDS) - 1), **_MUTATIONS)
+def test_offset_arena_bodies_on_the_wire_decode_canonically_or_raise(
+    index, mode, where, bit
+):
+    sent, payload = _WIRE_SEEDS[index]
+    _decodes_canonically_on_the_wire(
+        sent, _recrc(_mutated(payload[:-4], mode, where, bit))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=80))
+def test_arbitrary_bytes_as_a_first_payload_decode_canonically_or_raise(data):
+    _decodes_canonically_on_the_wire((), _recrc(data))
+
+
+def test_a_two_column_body_is_refused_not_misread():
+    """The payload of a saved ``pooled-arena`` result (two range
+    columns per child slot) read as an offset-arena body: its columns
+    do not line up, so it is refused."""
+    body = _committed_payload(_legacy("legacy_pooled_arena_result.fdbp"))
+    with pytest.raises(PersistError):
+        codec.decode("offset-arena", {}, body)
+    with pytest.raises(PersistError):
+        ArenaPoolDecoder().decode(_recrc(body))
+
+
+#: The f-tree section of the empty forest (no roots, no edges): its
+#: arena has no node columns, so a body's pool is all there is to it.
+_NULLARY = b"\x02\x00\x00"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (_NULLARY + b"\x02", "neither 0 nor 1"),  # flag 2
+        (_NULLARY + b"\x01\x80\x00", "non-canonical"),  # base 0 in 2 bytes
+        (_NULLARY + b"\x01\x00\x02\x03\x02\x03\x02\x00", "twice"),  # 1, 1
+        (_NULLARY + b"\x01\x00\x01\x06\x017\x00", "non-canonical big"),
+        (
+            _NULLARY + b"\x01\x00\x01\x03" + b"\xff" * 9 + b"\x7f\x00",
+            "beyond int64",
+        ),
+    ],
+    ids=["flag", "long-varint", "repeated-value", "small-big-int", "wide-int"],
+)
+def test_non_canonical_arena_bodies_are_refused(body, message):
+    """Each body is one spelling away from a canonical one; the reader
+    refuses it rather than decode a relation that re-encodes to other
+    bytes."""
+    with pytest.raises(PersistError, match=message):
+        codec.decode("offset-arena", {}, body)
+
+
 def _one_union(values):
     """a -> b with one a-entry whose b-union holds ``values`` as given."""
     tree = FTree.from_nested([("a", [("b", [])])], [{"a", "b"}])
     writer = ArenaWriter(tree)
     writer.values[1].extend(values)
-    writer.child_lo[0][0].append(0)
-    writer.child_hi[0][0].append(len(values))
-    writer.values[0].append(1)
+    writer.commit(0, 1)
     return FactorisedRelation(tree, writer.finish())
 
 

@@ -150,8 +150,7 @@ def _decoded(rep):
         return None
     return (
         [[_typed(rep.pool[v]) for v in column] for column in rep.values],
-        [[list(slot) for slot in slots] for slots in rep.child_lo],
-        [[list(slot) for slot in slots] for slots in rep.child_hi],
+        [[list(slot) for slot in slots] for slots in rep.offsets],
     )
 
 

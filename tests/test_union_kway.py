@@ -181,7 +181,7 @@ def test_private_pools_are_interned_once_in_part_order():
 
     def one_column(values, pool):
         ids = array("q", [list(pool).index(v) for v in values])
-        return ArenaRep(skel, [ids], [[]], [[]], pool)
+        return ArenaRep(skel, [ids], [[]], pool)
 
     pools = [[7, 3], [9, 3, True], [1, 8, 7]]
     arenas = [
@@ -207,7 +207,7 @@ def test_child_ranges_that_do_not_tile_are_refused(parts):
     live = [part.rep for part in parts if not part.is_empty()]
     broken = live[1].copy()
     node = next(i for i, kids in enumerate(broken.skel.children) if kids)
-    broken.child_hi[node][0][-1] += 1
+    broken.offsets[node][0][-1] += 1
     with pytest.raises(ArenaError):
         arena_kernels.union_arenas([live[0], broken])
 
