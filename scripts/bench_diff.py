@@ -15,7 +15,9 @@ Metric classes
   -- anything reproducible from the seeded workloads.  A deviation
   beyond the threshold in *either* direction fails: it means the
   benchmark's behaviour changed, which must be an intentional baseline
-  update, never an accident.
+  update, never an accident.  So does a baseline metric the current
+  run no longer emits (a missing timing or environment metric is a
+  note).
 - **timing-derived** (informational by default): wall-clock seconds
   and the speedups computed from them.  Shared CI runners are too
   noisy to gate on; pass ``--strict-timing`` to gate them too (useful
@@ -138,10 +140,15 @@ def compare_documents(
     base_metrics = dict(walk_metrics(baseline))
     curr_metrics = dict(walk_metrics(current))
     for path in sorted(base_metrics):
-        if path not in curr_metrics:
-            notes.append(f"{name}:{path}: metric missing in current run")
-            continue
         kind = classify(path)
+        if path not in curr_metrics:
+            # A gated count that stops being emitted must not pass.
+            line = f"{name}:{path}: metric missing in current run"
+            if kind == "deterministic":
+                regressions.append(line + " [deterministic]")
+            else:
+                notes.append(line + f" [{kind}, informational]")
+            continue
         base_value = base_metrics[path]
         curr_value = curr_metrics[path]
         change = relative_change(base_value, curr_value)

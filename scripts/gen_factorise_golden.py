@@ -99,17 +99,20 @@ def arena_digest(arena: Optional[ArenaRep]) -> str:
     slot as the (range starts, range ends) list pair the arena stored
     before it kept one offsets column per slot -- ``off[:-1]`` and
     ``off[1:]`` -- so the committed corpora did not move with the
-    layout."""
+    layout.  Columns are read through ``tolist()``, so the hash sees
+    Python ints."""
     if arena is None:
         return "empty"
     return _sha(
         dict(
-            values=[list(column) for column in arena.values],
+            values=[column.tolist() for column in arena.values],
             child_lo=[
-                [list(off[:-1]) for off in slots] for slots in arena.offsets
+                [off[:-1].tolist() for off in slots]
+                for slots in arena.offsets
             ],
             child_hi=[
-                [list(off[1:]) for off in slots] for slots in arena.offsets
+                [off[1:].tolist() for off in slots]
+                for slots in arena.offsets
             ],
             pool=[_typed(value) for value in arena.pool],
         )

@@ -32,6 +32,7 @@ from repro.core.arena import (
     _ints,
     _prefix,
     _range_total,
+    _views,
 )
 
 
@@ -57,17 +58,17 @@ def _count_sum(
     cnt_prefix: List[List[int]] = [[] for _ in range(n)]
     sum_prefix: List[List[float]] = [[] for _ in range(n)]
     pool = arena.pool
+    values, offsets = _views(arena)
     for idx in range(n - 1, -1, -1):
-        m = len(arena.values[idx])
         kids = skel.children[idx]
         here = attribute in skel.labels[idx]
-        column = arena.values[idx]
+        column = values[idx]
         cnts: List[int] = []
         sums: List[float] = []
-        for e in range(m):
+        for e in range(len(column)):
             forest_count = 1
             forest_sum = 0.0
-            for off, k in zip(arena.offsets[idx], kids):
+            for off, k in zip(offsets[idx], kids):
                 lo, hi = off[e], off[e + 1]
                 part_count = cnt_prefix[k][hi] - cnt_prefix[k][lo]
                 part_sum = sum_prefix[k][hi] - sum_prefix[k][lo]
@@ -120,7 +121,7 @@ def extreme(arena: Optional[ArenaRep], attribute: str, minimum: bool):
         return None
     idx = _require_attribute(arena, attribute)
     pool = arena.pool
-    found = (pool[vid] for vid in arena.values[idx])
+    found = (pool[vid] for vid in arena.values[idx].data)
     return min(found) if minimum else max(found)
 
 
@@ -133,7 +134,7 @@ def count_distinct(arena: Optional[ArenaRep], attribute: str) -> int:
     # True occupy distinct slots), but COUNT(DISTINCT) uses value
     # equality, under which they collapse.
     pool = arena.pool
-    return len({pool[vid] for vid in set(arena.values[idx])})
+    return len({pool[vid] for vid in set(arena.values[idx].data)})
 
 
 def group_count(
@@ -149,9 +150,10 @@ def group_count(
         return {}
     target = _require_attribute(arena, attribute)
     skel = arena.skel
+    values, offsets = _views(arena)
     counts = _entry_counts(arena)
     totals = {
-        r: _range_total(counts, r, 0, len(arena.values[r]))
+        r: _range_total(counts, r, 0, len(values[r]))
         for r in skel.roots
     }
 
@@ -166,10 +168,10 @@ def group_count(
     for r in skel.roots:
         if r != root:
             context *= totals[r]
-    above: List[int] = [context] * len(arena.values[root])
+    above: List[int] = [context] * len(values[root])
 
     def seg_count(idx: int, j: int, e: int) -> int:
-        off = arena.offsets[idx][j]
+        off = offsets[idx][j]
         return _range_total(
             counts, skel.children[idx][j], off[e], off[e + 1]
         )
@@ -177,19 +179,19 @@ def group_count(
     for step, idx in enumerate(path[:-1]):
         next_node = path[step + 1]
         slot = skel.children[idx].index(next_node)
-        next_above: List[int] = [0] * len(arena.values[next_node])
-        for e in range(len(arena.values[idx])):
+        next_above: List[int] = [0] * len(values[next_node])
+        for e in range(len(values[idx])):
             others = above[e]
             for j in range(len(skel.children[idx])):
                 if j != slot:
                     others *= seg_count(idx, j, e)
-            off = arena.offsets[idx][slot]
+            off = offsets[idx][slot]
             for t in range(off[e], off[e + 1]):
                 next_above[t] = others
         above = next_above
 
     pool = arena.pool
-    column = arena.values[target]
+    column = values[target]
     below = counts[target]  # None: a leaf, one tuple per entry
     below = [1] * len(column) if below is None else _ints(below)
     out: Dict[object, int] = {}

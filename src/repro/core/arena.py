@@ -33,11 +33,11 @@ slots (plus one leading 0 per child slot).  Offsets are structural:
 the layout itself says that child ranges tile their column, so no
 range can overlap another or leave a gap, and the one invariant left
 to check is that offsets strictly increase (no union is empty).
-Columns are :class:`array.array` (``'q'``, int64), so they also
-serialise as raw bytes (see the arena layout in
-:mod:`repro.persist.codec`).  Whole-column
-work -- counting, validation, the selection mask -- goes through the
-numpy primitives of :mod:`repro.core.columns`; counts switch to exact
+Every column is a read-only int64 ndarray, so it also serialises as
+raw bytes (see the arena layout in :mod:`repro.persist.codec`).
+Whole-column work -- counting, validation, the selection mask -- goes
+through the numpy primitives of :mod:`repro.core.columns`, per-entry
+walks through memoryviews (:func:`_views`); counts switch to exact
 Python integers wherever int64 could overflow.
 
 Conventions: the *empty* relation is encoded as ``None`` (never as an
@@ -46,9 +46,10 @@ operators prune eagerly); the nullary tuple (a forest with no trees) is
 an arena with zero nodes, which counts one tuple and enumerates a
 single empty row.
 
-The arena is immutable by convention: operators never mutate columns in
+The arena is immutable: :class:`ArenaRep` marks every column
+read-only as it takes it, so operators cannot write into a column in
 place, and derived arenas (selection filters, subtree-dropping
-projections) may *share* column arrays and the value pool with their
+projections) may *share* columns and the value pool with their
 source.  The pool may contain values that no surviving entry references
 (rolled-back build entries, filtered selections); decoding simply never
 visits them.
@@ -74,7 +75,7 @@ from repro.cache import LRUCache
 from repro.core.columns import (
     _column_bounds,
     _forest_counts,
-    _i64,
+    _frozen,
     _widths,
 )
 from repro.core.ftree import FTree
@@ -233,21 +234,27 @@ def _skeleton_of(tree: FTree) -> _Skeleton:
 
 
 class ArenaRep:
-    """A flat, columnar f-representation (see the module docstring)."""
+    """A flat, columnar f-representation (see the module docstring);
+    every column it is given is published read-only, uncopied."""
 
     __slots__ = ("skel", "values", "offsets", "pool")
 
     def __init__(
         self,
         skel: _Skeleton,
-        values: List[array],
-        offsets: List[List[array]],
-        pool: List[object],
+        values: Sequence[object],
+        offsets: Sequence[Sequence[object]],
+        pool: Sequence[object],
     ) -> None:
         self.skel = skel
-        self.values = values
-        self.offsets = offsets
+        self.values = [_frozen(column) for column in values]
+        self.offsets = [[_frozen(off) for off in slots] for slots in offsets]
         self.pool = pool
+
+    def __reduce__(self):
+        # Unpickling (process-pool task results) goes through
+        # ``__init__``, so the columns arrive read-only again.
+        return (ArenaRep, (self.skel, self.values, self.offsets, self.pool))
 
     # -- introspection -----------------------------------------------------
 
@@ -291,10 +298,21 @@ class ArenaRep:
     def copy(self) -> "ArenaRep":
         return ArenaRep(
             self.skel,
-            [array("q", column) for column in self.values],
-            [[array("q", a) for a in slots] for slots in self.offsets],
+            [column.copy() for column in self.values],
+            [[off.copy() for off in slots] for slots in self.offsets],
             list(self.pool),
         )
+
+
+def _views(arena: ArenaRep) -> Tuple[list, List[list]]:
+    """``(values, offsets)``: every column of ``arena`` as its ``.data``
+    memoryview, bound in O(1) each.  Per-entry walks index these: an
+    item of one is a Python int, where an ndarray read makes a numpy
+    scalar at twice the cost."""
+    return (
+        [column.data for column in arena.values],
+        [[off.data for off in slots] for slots in arena.offsets],
+    )
 
 
 # -- incremental construction ------------------------------------------------
@@ -312,13 +330,14 @@ class ArenaWriter:
     :meth:`truncate`, which needs only the watermark of a direct child
     and finds the deeper ones in the offsets.
 
-    With a private pool (``pool=None``) value columns under
-    construction are plain lists holding the raw value objects, and
-    values become ids only in :meth:`finish`, once per column.  Given
-    a pool -- a shared :class:`ValuePool`, or the output pool of a
-    merge -- the columns are ``array('q')`` from the start and the
-    caller writes ids (a shared pool then grows in write order,
-    rolled-back entries included).
+    The writer is the one place columns grow: as ``array('q')``
+    buffers, which :meth:`finish` hands over uncopied.  With a private
+    pool (``pool=None``) value columns under construction are plain
+    lists holding the raw value objects, and values become ids only in
+    :meth:`finish`, once per column.  Given a pool -- a shared
+    :class:`ValuePool`, or the output pool of a merge -- they are
+    buffers from the start and the caller writes ids (a shared pool
+    then grows in write order, rolled-back entries included).
     """
 
     __slots__ = ("skel", "values", "offsets", "pool")
@@ -331,8 +350,9 @@ class ArenaWriter:
         )
         self.skel = skel
         n = len(skel)
-        column = list if pool is None else _i64
-        self.values: List = [column() for _ in range(n)]
+        self.values: List = [
+            [] if pool is None else array("q") for _ in range(n)
+        ]
         self.offsets: List[List[array]] = [
             [array("q", (0,)) for _ in skel.children[i]] for i in range(n)
         ]
@@ -469,11 +489,12 @@ def validate_arena(tree: FTree, arena: Optional[ArenaRep]) -> None:
     validate_arena_bounds(tree, arena)
     skel = arena.skel
     pool = arena.pool
+    values, offsets = _views(arena)
     constant = {node.label for node in tree.iter_nodes() if node.constant}
     single = [label in constant for label in skel.labels]
 
     def check_union(idx: int, lo: int, hi: int) -> None:
-        column = arena.values[idx]
+        column = values[idx]
         if lo >= hi:
             raise ArenaError(
                 f"node {idx}: empty union inside a non-empty arena"
@@ -489,12 +510,12 @@ def validate_arena(tree: FTree, arena: Optional[ArenaRep]) -> None:
                     f"node {idx}: union values not strictly "
                     f"increasing at entry {e}"
                 )
-        for off, k in zip(arena.offsets[idx], skel.children[idx]):
+        for off, k in zip(offsets[idx], skel.children[idx]):
             for e in range(lo, hi):
                 check_union(k, off[e], off[e + 1])
 
     for r in skel.roots:
-        check_union(r, 0, len(arena.values[r]))
+        check_union(r, 0, len(values[r]))
 
 
 # -- size and counting -------------------------------------------------------
@@ -548,6 +569,7 @@ def _entry_counts(arena: ArenaRep) -> List[object]:
             continue
         total = [1] * len(arena.values[idx])
         for child, off in zip(below, arena.offsets[idx]):
+            off = off.data  # Python ints: these products may pass int64
             if child is not None:  # tuples below, not child entries
                 prefix = _prefix(_ints(child))
                 off = [prefix[end] for end in off]
@@ -648,8 +670,7 @@ def _compile_rows(
     row = "".join(f"_x{node_of[attr]}, " for attr in order)
     lines: List[str] = [
         "def _rows(arena):",
-        "    _values = arena.values",
-        "    _off = arena.offsets",
+        "    _values, _off = _views(arena)",
         "    _pool = _pool_list(arena.pool)",
     ]
     # Local binds: one name per column, resolved once.
@@ -677,7 +698,10 @@ def _compile_rows(
         emit(children + rest, depth + 1)
 
     emit([(r, None) for r in skel.roots], 0)
-    namespace: Dict[str, object] = {"_pool_list": _pool_list}
+    namespace: Dict[str, object] = {
+        "_pool_list": _pool_list,
+        "_views": _views,
+    }
     exec("\n".join(lines), namespace)  # noqa: S102 - self-generated
     compiled = namespace["_rows"]
     _ENUM_CACHE.put(key, compiled)
@@ -701,8 +725,7 @@ def _iter_rows_walk(
     ]
     buffer: List[object] = [None] * len(order)
     pool = _pool_list(arena.pool)
-    values = arena.values
-    offsets = arena.offsets
+    values, offsets = _views(arena)
     children = skel.children
 
     def walk(units: Tuple[Tuple[int, int, int], ...]) -> Iterator[tuple]:
@@ -784,7 +807,7 @@ def drop_subtrees(
     remove; ``new_tree`` must be the input tree with exactly those
     subtrees deleted (same labels, same relative order), which the
     caller (:func:`repro.ops.project.project`) guarantees.  Shares the
-    surviving column arrays and the pool with the source arena.
+    surviving columns and the pool with the source arena.
     """
     skel = arena.skel
     gone = set()

@@ -8,79 +8,68 @@ declared dependency; this is the only module under ``src/repro`` that
 imports it, so how a column operation is realised is decided here and
 nowhere else.
 
-Vocabulary: a *column* is what an arena holds -- an ``array('q')``,
-what every writer appends to and every reader fills; a *vector* is an
-int64 (a *mask*: bool) ndarray, a transient of one pass.
-:func:`_column` turns a vector into a column, :func:`_as_np` views a
-column as a vector without copying.
+Vocabulary: a *column* is a read-only int64 ndarray, what every arena
+holds and every primitive reads; a *mask* is a bool ndarray.  A kernel
+builds its output columns as fresh int64 vectors and hands them to
+:class:`~repro.core.arena.ArenaRep`, which publishes each through
+:func:`_frozen` -- no copy, and from then on no writes.  Only
+:class:`~repro.core.arena.ArenaWriter` appends, to ``array('q')``
+buffers of its own that :func:`_frozen` views in place once the arena
+is finished.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 
-def _i64() -> array:
-    """A new, empty arena column."""
-    return array("q")
+def _frozen(column):
+    """``column`` as a published arena column: a read-only int64
+    ndarray -- the vector itself, or a view of any other int64 buffer
+    (a writer's), never a copy of either."""
+    column = np.asarray(column, dtype=np.int64)
+    column.setflags(write=False)
+    return column
 
 
-def _as_np(column):
-    """An int64 ndarray view of a column (no copy)."""
-    if isinstance(column, np.ndarray):
-        return column
-    return np.frombuffer(column, dtype=np.int64)
+def _vector(ints: Iterable[int]):
+    """An int64 vector of ``ints`` (an id table, say)."""
+    return np.fromiter(ints, dtype=np.int64)
 
 
-def _column(vector) -> array:
-    """A vector as an arena column."""
-    out = _i64()
-    if len(vector):  # (an empty memoryview cannot be cast)
-        vector = np.ascontiguousarray(vector, dtype=np.int64)
-        out.frombytes(vector.data.cast("B"))
-    return out
+def _from_le_bytes(data):
+    """Little-endian int64 bytes as a column, viewed in place."""
+    return np.frombuffer(data, dtype="<i8")
 
 
-def _extend_ids(dest: array, source, lo: int, hi: int, vmap=None) -> None:
-    """Append ``source[lo:hi]`` to ``dest`` -- verbatim, or taken through
-    the id table ``vmap`` (cross-pool copies)."""
-    if vmap is not None:
-        dest.frombytes(_as_np(vmap)[_as_np(source)[lo:hi]].tobytes())
-    elif isinstance(source, np.ndarray):
-        dest.frombytes(source[lo:hi].tobytes())
-    else:
-        dest.extend(source[lo:hi])
+def _le_bytes(column) -> bytes:
+    """A column as little-endian int64 bytes."""
+    return column.astype("<i8", copy=False).tobytes()
 
 
-def _extend_shifted(dest: array, source, lo: int, hi: int, delta: int) -> None:
-    """Append ``source[lo:hi] + delta`` to ``dest`` (offsets moved to
-    where their child entries land in the destination)."""
-    if delta == 0:
-        _extend_ids(dest, source, lo, hi)
-    else:
-        dest.frombytes((_as_np(source)[lo:hi] + delta).tobytes())
+def _append(dest, vector) -> None:
+    """Append an int64 vector to a writer's ``array('q')`` buffer."""
+    dest.frombytes(vector.tobytes())
 
 
 def _column_bounds(column) -> Tuple[int, int]:
     """``(min, max)`` of a column; ``(0, -1)`` when it is empty."""
     if not len(column):
         return 0, -1
-    view = _as_np(column)
-    return int(view.min()), int(view.max())
+    return int(column.min()), int(column.max())
 
 
 def _take(column, idx):
     """``column[idx]`` for an index vector (any order, repeats)."""
-    return _as_np(column)[idx]
+    return column[idx]
 
 
 def _widths(off):
     """Per entry of a child slot, the width of its child range: the
     differences of the slot's offsets."""
-    return np.diff(_as_np(off))
+    return np.diff(off)
 
 
 def _spread(slots, offsets: Sequence[object]):
@@ -100,12 +89,12 @@ def _owners(off, of=None):
     return _spread(of, [off])
 
 
-def _ranges(counts) -> array:
+def _ranges(counts):
     """The offsets column of per-entry child counts: 0, then the
     running sum."""
     off = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=off[1:])
-    return _column(off)
+    return off
 
 
 def _expand(off, idx):
@@ -113,9 +102,8 @@ def _expand(off, idx):
     entries ``idx`` of the child slot with offsets ``off``, and the
     indices of those child entries, run after run."""
     idx = np.asarray(idx, dtype=np.int64)
-    view = _as_np(off)
-    first = view[idx]
-    widths = view[idx + 1] - first
+    first = off[idx]
+    widths = off[idx + 1] - first
     ends = np.cumsum(widths)
     first -= ends - widths
     inner = np.repeat(first, widths)
@@ -150,15 +138,14 @@ def _rank_columns(pool, columns: Sequence[object]):
     the values of every attribute of the database, comparable with
     these or not -- so ``TypeError`` means incomparable values *within*
     the compared columns."""
-    views = [_as_np(column) for column in columns]
     present = np.zeros(len(pool), dtype=bool)
-    for view in views:
-        present[view] = True
+    for column in columns:
+        present[column] = True
     distinct = np.flatnonzero(present)
     rank, ranks = _value_ranks(distinct.tolist(), pool)
     table = np.empty(len(present), dtype=np.int64)
     table[distinct] = rank
-    return [table[view] for view in views], ranks
+    return [table[column] for column in columns], ranks
 
 
 def _keys(owners, ranks, stride: int):
@@ -219,7 +206,7 @@ def _segment_sums(weights, off):
     offset on every load -- and ``reduceat`` reads a range's end as the
     next range's start.
     """
-    return np.add.reduceat(weights, _as_np(off)[:-1], dtype=np.int64)
+    return np.add.reduceat(weights, off[:-1], dtype=np.int64)
 
 
 def _forest_counts(weights: Sequence[object], offsets):
@@ -250,7 +237,7 @@ def _both(mask, other):
 
 def _compress(vector, mask):
     """The entries of ``vector`` (or column) that ``mask`` keeps."""
-    return _as_np(vector)[mask]
+    return vector[mask]
 
 
 def _gather(columns: Sequence[object], vmaps: Sequence[object]):
@@ -258,7 +245,7 @@ def _gather(columns: Sequence[object], vmaps: Sequence[object]):
     (``None``: verbatim)."""
     return np.concatenate(
         [
-            _as_np(column) if vmap is None else _take(vmap, _as_np(column))
+            column if vmap is None else _take(vmap, column)
             for column, vmap in zip(columns, vmaps)
         ]
     )
@@ -272,8 +259,7 @@ def _value_mask(column, pool, predicate: Callable[[object], bool]):
     attribute, on which the predicate could be meaningless), and the
     per-entry test is one table lookup.
     """
-    view = _as_np(column)
     table = np.zeros(len(pool), dtype=bool)
-    for vid in np.unique(view).tolist():
+    for vid in np.unique(column).tolist():
         table[vid] = bool(predicate(pool[vid]))
-    return table[view]
+    return table[column]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from repro.core.arena import ArenaRep
+from repro.core.arena import ArenaRep, _views
 
 
 class ExprError(ValueError):
@@ -176,7 +176,7 @@ class Product(Expression):
 def expression_of(arena: ArenaRep) -> Expression:
     """AST of a (non-empty) arena: one walk over its columns."""
     skel, pool = arena.skel, arena.pool
-    values, offsets = arena.values, arena.offsets
+    values, offsets = _views(arena)
 
     def forest(units: List[Tuple[int, int, int]]) -> Expression:
         """``units``: one (node, lo, hi) union occurrence per tree."""

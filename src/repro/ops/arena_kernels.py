@@ -62,7 +62,6 @@ beat whole-column passes.  Both take value ids across pools through
 from __future__ import annotations
 
 import weakref
-from array import array
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache import LRUCache
@@ -73,18 +72,15 @@ from repro.core.arena import (
     ValuePool,
     _skeleton_of,
     _Skeleton,
+    _views,
 )
 from repro.core.columns import (
-    _as_np,
+    _append,
     _both,
-    _column,
     _compress,
     _count_slots,
     _expand,
-    _extend_ids,
-    _extend_shifted,
     _gather,
-    _i64,
     _keys,
     _match,
     _owners,
@@ -95,6 +91,7 @@ from repro.core.columns import (
     _sort_groups,
     _spread,
     _take,
+    _vector,
 )
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
@@ -179,7 +176,7 @@ def _gather_forest(
         widths, inner = _expand(arena.offsets[node][j], idx)
         out.offsets[node][j] = _ranges(widths)
         child = children[node][j]
-        out.values[child] = _column(_take(arena.values[child], inner))
+        out.values[child] = _take(arena.values[child], inner)
         pending.extend(
             (child, k, inner) for k in range(len(children[child]))
         )
@@ -226,7 +223,7 @@ def _cascade(
     # Compact: every masked node rewrites its value column and the
     # offsets of the slot it hangs in (its parent may have lost nothing).
     for node, mask in keep.items():
-        column = _column(_compress(arena.values[node], mask))
+        column = _compress(arena.values[node], mask)
         out.pruned += len(mask) - len(column)
         out.values[node] = column
         p, j = _hangs_in(skel, node)
@@ -381,8 +378,8 @@ class SwapKernel(_Kernel):
         )
         heads = _take(order, starts)
         pairs_a = _take(owner, order)
-        out.values[sa] = _column(_take(arena.values[sa], pairs_a))
-        out.values[sb] = _column(_take(arena.values[sb], heads))
+        out.values[sa] = _take(arena.values[sa], pairs_a)
+        out.values[sb] = _take(arena.values[sb], heads)
         out.offsets[sa][j_b] = _ranges(counts)
         if occurrence is not None:
             p, pos = _hangs_in(self.sskel, sa)
@@ -454,7 +451,7 @@ class PushKernel(_Kernel):
     def rewrite(self, arena: ArenaRep, out: _Columns) -> bool:
         p, pos = _hangs_in(self.sskel, self.sa)
         # The first entry of every occurrence: its range start.
-        firsts = [0] if p == -1 else _as_np(arena.offsets[p][pos])[:-1]
+        firsts = [0] if p == -1 else arena.offsets[p][pos][:-1]
         _gather_forest(arena, out, self.sa, firsts, (self.j_b,))
         return True
 
@@ -702,7 +699,7 @@ def _pool_remaps(pools: Sequence[object]):
         if pool is first:
             vmaps.append(None)
             continue
-        vmaps.append(_as_np(array("q", map(intern_value, pool))))
+        vmaps.append(_vector(map(intern_value, pool)))
     return out_pool, vmaps
 
 
@@ -726,7 +723,8 @@ def _copy_run(
     """
     if hi <= lo:
         return
-    _extend_ids(w.values[di], src.values[si], lo, hi, vmap)
+    ids = src.values[si][lo:hi]
+    _append(w.values[di], ids if vmap is None else _take(vmap, ids))
     for off, dest, sk, dk in zip(
         src.offsets[si],
         w.offsets[di],
@@ -734,8 +732,7 @@ def _copy_run(
         w.skel.children[di],
     ):
         c_lo, c_hi = off[lo], off[hi]
-        delta = len(w.values[dk]) - c_lo
-        _extend_shifted(dest, off, lo + 1, hi + 1, delta)
+        _append(dest, off[lo + 1 : hi + 1] + (len(w.values[dk]) - c_lo))
         _copy_run(src, w, sk, dk, c_lo, c_hi, vmap)
 
 
@@ -755,10 +752,12 @@ def union_arena(left: ArenaRep, right: ArenaRep) -> ArenaRep:
     w = ArenaWriter(skel, out_pool)
     lpool = left.pool
     rpool = right.pool
+    lvalues, loffsets = _views(left)
+    rvalues, roffsets = _views(right)
 
     def merge(si: int, llo: int, lhi: int, rlo: int, rhi: int) -> None:
-        lvals = left.values[si]
-        rvals = right.values[si]
+        lvals = lvalues[si]
+        rvals = rvalues[si]
         i, j = llo, rlo
         while i < lhi and j < rhi:
             lv = lpool[lvals[i]]
@@ -777,7 +776,7 @@ def union_arena(left: ArenaRep, right: ArenaRep) -> ArenaRep:
                 j = stop
             else:
                 for k, loff, roff in zip(
-                    skel.children[si], left.offsets[si], right.offsets[si]
+                    skel.children[si], loffsets[si], roffsets[si]
                 ):
                     merge(k, loff[i], loff[i + 1], roff[j], roff[j + 1])
                 w.commit(si, lvals[i])
@@ -841,8 +840,8 @@ def union_arenas(parts: Sequence[ArenaRep]) -> ArenaRep:
     skel = parts[0].skel
     out_pool, vmaps = _pool_remaps([part.pool for part in parts])
     n = len(skel)
-    values: List[array] = [None] * n  # type: ignore[list-item]
-    offsets: List[List[array]] = [[] for _ in range(n)]
+    values: List[object] = [None] * n
+    offsets: List[List[object]] = [[] for _ in range(n)]
     #: Per node, left by its parent: (owner vector, number of output
     #: entries the parent has); a root has one virtual owner.
     pending: List[Tuple[object, int]] = [(None, 1)] * n
@@ -856,7 +855,7 @@ def union_arenas(parts: Sequence[ArenaRep]) -> ArenaRep:
                 f"the column of node {i}"
             )
         out_ids, slots, counts = _group(ids, owners, n_owners, out_pool)
-        values[i] = _column(out_ids)
+        values[i] = out_ids
         p = skel.parent[i]
         if p != -1:
             # Children are visited in slot order, so appending lines
@@ -877,8 +876,8 @@ def product_arena(
     concatenated pool with one vectorised shift)."""
     dskel = _skeleton_of(out_tree)
     n = len(dskel)
-    values: List[array] = [None] * n  # type: ignore[list-item]
-    offsets: List[List[array]] = [None] * n  # type: ignore[list-item]
+    values: List[object] = [None] * n
+    offsets: List[List[object]] = [None] * n  # type: ignore[list-item]
     shared = left.pool is right.pool
     if shared:
         pool = left.pool
@@ -891,14 +890,7 @@ def product_arena(
         sskel = src.skel
         for i in range(len(sskel)):
             di = dskel.index[sskel.labels[i]]
-            if delta == 0:
-                values[di] = src.values[i]
-            else:
-                shifted = _i64()
-                _extend_shifted(
-                    shifted, src.values[i], 0, len(src.values[i]), delta
-                )
-                values[di] = shifted
+            values[di] = src.values[i] + delta if delta else src.values[i]
             offsets[di] = list(src.offsets[i])
 
     adopt(left, 0)

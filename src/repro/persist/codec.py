@@ -41,10 +41,11 @@ child slot.  The network tier sends
 it against a per-connection pool (payload kind ``fdbp-pool``); a saved
 result -- blob kind ``offset-arena`` -- is the same body cut by a fresh
 encoder against an empty pool, so its ids are the identity.  Loading is
-therefore ~O(bytes) -- ``array.frombytes``, a vectorised bounds scan
-and one value-order pass over the entries.  Kinds earlier builds wrote
-are listed in :data:`RETIRED_KINDS`; reading one raises
-:class:`PersistError` telling the caller to re-evaluate and re-save.
+therefore ~O(bytes) -- columns are viewed in the bytes read, not
+copied, then one vectorised bounds scan and one value-order pass over
+the entries.  Kinds earlier builds wrote are listed in
+:data:`RETIRED_KINDS`; reading one raises :class:`PersistError`
+telling the caller to re-evaluate and re-save.
 
 Every length-prefixed field is read through one bounded read, so a
 hostile length allocates no more than the input holds and is a
@@ -59,17 +60,15 @@ import json
 import os
 import shutil
 import struct
-import sys
 import tempfile
 import weakref
 import zlib
-from array import array
 from typing import Any, BinaryIO, Dict, List, Optional, Tuple
 
 from repro.cache import LRUCache
 from repro.core import arena as arena_mod
 from repro.core.arena import ArenaRep
-from repro.core.columns import _as_np, _take
+from repro.core.columns import _from_le_bytes, _le_bytes, _take, _vector
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FNode, FTree, FTreeError
 from repro.optimiser.fplan import FPlan, Step
@@ -624,33 +623,21 @@ def _decode_fplan(payload: bytes) -> FPlan:
 #   encoder against an empty pool: base 0, the whole pool as the delta,
 #   ids the identity.  The blob frame carries the CRC.
 #
-# Columns are array('q') (exactly 8-byte signed on every CPython
-# platform) or int64 ndarrays; fixing little-endian keeps the bytes
-# portable across hosts.
-
-_BIG_ENDIAN = sys.byteorder == "big"
+# Columns are read-only int64 ndarrays; on the wire and on disk they
+# are always little-endian, so the bytes are portable across hosts.  A
+# decoded column is a view of the bytes read, not a copy.
 
 
 def _write_i64_column(out: BinaryIO, column) -> None:
     _write_varint(out, len(column))
-    if _BIG_ENDIAN:  # pragma: no cover - little-endian dev machines
-        column = array("q", column)
-        column.byteswap()
-    out.write(column.tobytes())
+    out.write(_le_bytes(column))
 
 
-def _i64(data) -> array:
-    """Little-endian int64 bytes as an owned ``array('q')``."""
-    column = array("q")
-    column.frombytes(data)
-    if _BIG_ENDIAN:  # pragma: no cover
-        column.byteswap()
-    return column
-
-
-def _read_i64_column(src: BinaryIO) -> array:
-    """A column copied into an owned ``array('q')``."""
-    return _i64(_exactly(src, 8 * _read_varint(src), "arena column"))
+def _read_i64_column(src: BinaryIO):
+    """A column viewed in place in the bytes it was read as."""
+    return _from_le_bytes(
+        _exactly(src, 8 * _read_varint(src), "arena column")
+    )
 
 
 class _Sent:
@@ -780,7 +767,7 @@ class ArenaPoolEncoder:
         if rep is not None:
             vmap = None
             if rep.pool is not self.pool:
-                vmap = array("q", map(self.pool.intern, rep.pool))
+                vmap = _vector(map(self.pool.intern, rep.pool))
                 seen = len(vmap)
             out = io.BytesIO()
             skel = rep.skel
@@ -788,7 +775,7 @@ class ArenaPoolEncoder:
             for i in range(len(skel)):
                 column = rep.values[i]
                 if vmap is not None:
-                    column = _take(vmap, _as_np(column))
+                    column = _take(vmap, column)
                 _write_i64_column(out, column)
                 for off in rep.offsets[i]:
                     _write_i64_column(out, off)
@@ -898,8 +885,8 @@ class ArenaPoolDecoder:
                 f"arena payload has {node_count} node columns "
                 f"for a {len(skel)}-node f-tree"
             )
-        values: List[array] = []
-        offsets: List[List[array]] = []
+        values: List[object] = []
+        offsets: List[List[object]] = []
         for kids in skel.children:
             values.append(_read_i64_column(src))
             offsets.append([_read_i64_column(src) for _ in kids])

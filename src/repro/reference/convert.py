@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.arena import ArenaError, ArenaRep, ArenaWriter
+from repro.core.arena import ArenaError, ArenaRep, ArenaWriter, _views
 from repro.core.ftree import FTree
 from repro.reference.frep import ProductRep, UnionRep
 
@@ -41,7 +41,7 @@ def to_product(arena: Optional[ArenaRep]) -> Optional[ProductRep]:
     if arena is None:
         return None
     skel, pool = arena.skel, arena.pool
-    values, offsets = arena.values, arena.offsets
+    values, offsets = _views(arena)
 
     def build_union(idx: int, lo: int, hi: int) -> UnionRep:
         kids = skel.children[idx]

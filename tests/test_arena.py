@@ -13,7 +13,6 @@ and the nullary tuple (``ProductRep([])`` / a zero-node arena).
 from __future__ import annotations
 
 import pickle
-from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -370,11 +369,14 @@ def test_validate_arena_rejects_mismatched_tree():
 def test_validate_arena_rejects_bad_ranges():
     db, query = _grocery_like()
     fa = FDB(db).evaluate(query)
-    broken = fa.rep.copy()
-    for slots in broken.offsets:
+    rep = fa.rep
+    offsets = [list(slots) for slots in rep.offsets]
+    for slots in offsets:
         if slots and len(slots[0]) > 1:
+            slots[0] = slots[0].copy()  # a writable copy to tamper with
             slots[0][1] = 10_000_000
             break
+    broken = ArenaRep(rep.skel, rep.values, offsets, rep.pool)
     with pytest.raises(ArenaError):
         arena.validate_arena_bounds(fa.tree, broken)
 
@@ -449,14 +451,21 @@ def _chain_of_pairs():
     return tree, rep
 
 
+def _with_root_offsets(rep, offsets):
+    """``rep`` with the root's one offsets column replaced (columns are
+    read-only, so a tampered arena is a new one)."""
+    return ArenaRep(
+        rep.skel, rep.values, [[offsets]] + rep.offsets[1:], rep.pool
+    )
+
+
 def test_bounds_check_rejects_non_contiguous_ranges():
     """Offsets that go back -- an entry's range ending before it starts,
     every offset still inside the child column (what a CRC-valid
     tampered blob could carry) -- must fail validation: the bulk-copy
     and segment-sum kernels rely on ranges that follow each other."""
     tree, rep = _chain_of_pairs()
-    broken = rep.copy()
-    broken.offsets[0][0][1] = 5  # [0, 5, 4, 6]: [5, 4) runs backwards
+    broken = _with_root_offsets(rep, [0, 5, 4, 6])  # [5, 4) runs backwards
     with pytest.raises(ArenaError, match="strictly increasing"):
         arena.validate_arena_bounds(tree, broken)
 
@@ -473,8 +482,7 @@ def test_bounds_check_rejects_non_contiguous_ranges():
 )
 def test_bounds_check_rejects_malformed_offsets(offsets, message):
     tree, rep = _chain_of_pairs()
-    broken = rep.copy()
-    broken.offsets[0][0] = array("q", offsets)
+    broken = _with_root_offsets(rep, offsets)
     with pytest.raises(ArenaError, match=message):
         arena.validate_arena_bounds(tree, broken)
 

@@ -40,3 +40,26 @@ def test_every_gain_in_the_baselines_is_timing_derived():
         bench_diff.classify(gain.split(":", 1)[1]) == "timing"
         for gain in gains
     )
+
+
+def test_a_missing_deterministic_metric_is_a_regression():
+    baseline = {
+        "rows": [{"entries": 12, "eval_seconds": 0.5}],
+        "peak_memory_mb": 40.0,
+    }
+    regressions, notes = bench_diff.compare_documents(
+        "BENCH_x.json", baseline, {"rows": [{}]}, 0.2, False
+    )
+    assert regressions == [
+        "BENCH_x.json:rows[0].entries: metric missing in current run "
+        "[deterministic]"
+    ]
+    assert notes == [
+        "BENCH_x.json:peak_memory_mb: metric missing in current run "
+        "[environment, informational]",
+        "BENCH_x.json:rows[0].eval_seconds: metric missing in current "
+        "run [timing, informational]",
+    ]
+    assert bench_diff.compare_documents(
+        "BENCH_x.json", baseline, baseline, 0.2, False
+    ) == ([], [])

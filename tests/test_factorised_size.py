@@ -1,5 +1,6 @@
 """Unit tests for FactorisedRelation and the size measures."""
 
+import numpy as np
 import pytest
 
 from repro.core import FRepError
@@ -83,15 +84,19 @@ def test_pretty_is_definition1_text(fr):
     assert fr.pretty(unicode_glyphs=False).startswith("<")
 
 
+def _columns(rep):
+    return [*rep.values, *(off for slots in rep.offsets for off in slots)]
+
+
 def test_copy_is_independent(fr):
     clone = fr.copy()
-    # Drop the a=2 entry (and the b-union below it) from the clone.
-    rep = clone.rep
-    for column in (rep.values[0], rep.offsets[0][0]):
-        column.pop()
-    rep.values[1].pop()
-    assert fr.count() == 3
-    assert clone.count() != 3
+    # Arena columns are read-only, so the clone cannot be edited in
+    # place; what it must not do is share a buffer with ``fr``.
+    for mine, theirs in zip(_columns(clone.rep), _columns(fr.rep)):
+        assert not np.shares_memory(mine, theirs)
+        with pytest.raises(ValueError):
+            mine[0] = 0
+    assert clone.count() == fr.count() == 3
     obj = to_object(fr)
     obj_clone = obj.copy()
     obj_clone.data.factors[0].entries.pop()

@@ -35,7 +35,6 @@ from repro.engine import FDB
 from repro.obs.report import kernels_line, session_lines
 from repro.ops import arena_kernels
 from repro.core.columns import (
-    _column,
     _forest_counts,
     _ranges,
     _segment_sums,
@@ -93,7 +92,7 @@ def test_forest_gather_is_the_concatenation_of_one_entry_runs(seed):
             for e in idx:
                 _copy_run(arena, expected, node, node, e, e + 1)
             out = _Columns(arena)
-            out.values[node] = _column(_take(arena.values[node], idx))
+            out.values[node] = _take(arena.values[node], idx)
             _gather_forest(
                 arena, out, node, idx, range(len(skel.children[node]))
             )

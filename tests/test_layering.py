@@ -16,6 +16,9 @@ ships or restructures.  The object representation lives on in
   ``core/columns.py``, which imports it unconditionally: no
   ``try``-guarded import and no ``_np is None`` branch anywhere picks a
   second body for a column primitive;
+- an arena column has one type, a read-only int64 ndarray: the
+  ``array`` module is imported only by ``core/arena.py``, whose
+  ``ArenaWriter`` grows its columns in ``array('q')`` buffers;
 - there is one eviction policy, :class:`repro.cache.LRUCache`: outside
   ``cache.py`` no module reaches for ``OrderedDict``, ``.popitem(`` /
   ``.move_to_end(`` or a ``del X[next(iter(X))]`` oldest-out loop;
@@ -249,6 +252,42 @@ def test_numpy_is_imported_once_unconditionally_and_never_branched_on():
     assert list(imports) == [columns], imports
     assert [guarded for _, guarded in imports[columns]] == [False]
     assert not checks, checks
+
+
+def _array_imports(tree: ast.AST) -> List[int]:
+    """Lines of every import of the stdlib ``array`` module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module or ""]
+        else:
+            continue
+        if "array" in modules:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_array_lint_catches_what_it_is_meant_to_catch():
+    sample = ast.parse(
+        "from array import array\n"
+        "import os, array as arr\n"
+        "from numpy import array\n"
+        "from .array import thing\n"
+        "def f():\n"
+        "    import array\n"
+    )
+    assert _array_imports(sample) == [1, 2, 6]
+
+
+def test_only_the_arena_writer_imports_array():
+    found = {
+        path: _array_imports(tree)
+        for path, tree in _engine_sources(with_reference=True)
+        if _array_imports(tree)
+    }
+    assert list(found) == [os.path.join("core", "arena.py")], found
 
 
 def _eviction_loops(tree: ast.AST) -> List[int]:

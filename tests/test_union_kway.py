@@ -205,9 +205,12 @@ def test_private_pools_are_interned_once_in_part_order():
 
 def test_child_ranges_that_do_not_tile_are_refused(parts):
     live = [part.rep for part in parts if not part.is_empty()]
-    broken = live[1].copy()
-    node = next(i for i, kids in enumerate(broken.skel.children) if kids)
-    broken.offsets[node][0][-1] += 1
+    rep = live[1]
+    node = next(i for i, kids in enumerate(rep.skel.children) if kids)
+    offsets = [list(slots) for slots in rep.offsets]
+    offsets[node][0] = offsets[node][0].copy()  # writable, to tamper with
+    offsets[node][0][-1] += 1
+    broken = ArenaRep(rep.skel, rep.values, offsets, rep.pool)
     with pytest.raises(ArenaError):
         arena_kernels.union_arenas([live[0], broken])
 
