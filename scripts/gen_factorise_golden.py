@@ -95,14 +95,15 @@ def _typed(value: object) -> List[str]:
 
 
 def arena_digest(arena: Optional[ArenaRep]) -> str:
-    """The digest of an arena's columns and pool.  It hashes each child
-    slot as the (range starts, range ends) list pair the arena stored
-    before it kept one offsets column per slot -- ``off[:-1]`` and
-    ``off[1:]`` -- so the committed corpora did not move with the
-    layout.  Columns are read through ``tolist()``, so the hash sees
-    Python ints."""
+    """The digest of an arena's plain form (:meth:`ArenaRep.dense`):
+    its columns and pool.  It hashes each child slot as the (range
+    starts, range ends) list pair the arena stored before it kept one
+    offsets column per slot -- ``off[:-1]`` and ``off[1:]`` -- so the
+    committed corpora did not move with the layout.  Columns are read
+    through ``tolist()``, so the hash sees Python ints."""
     if arena is None:
         return "empty"
+    arena = arena.dense()
     return _sha(
         dict(
             values=[column.tolist() for column in arena.values],

@@ -116,7 +116,8 @@ def apply_step(
 
 
 def _state(fr: FactorisedRelation) -> dict:
-    arena = fr.rep
+    """The plain form's digest, entries and tuple count."""
+    arena = None if fr.rep is None else fr.rep.dense()
     return dict(
         arena=base.arena_digest(arena),
         entries=0 if arena is None else arena.entry_count,

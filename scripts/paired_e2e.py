@@ -179,22 +179,23 @@ def main(argv=None) -> int:
             for n in names
         ]
         print(f"{i + 1:>4} {seed:>4} {order[0]:<7} " + "  ".join(cells))
-    print()
-    print(
-        f"{'metric':<12} {'parent q1/median/q3':>30} "
-        f"{'change q1/median/q3':>30} {'wins':>6} {'delta':>8}  verdict"
-    )
-    for spec in specs:
-        name = spec["name"]
-        row = verdict(spec, series["parent"][name], series["change"][name])
-        sides = [
-            "/".join(f"{v:.4g}" for v in row[side]) for side in SIDES
-        ]
+    if args.pairs > 0:  # no untraced series, no verdicts
+        print()
         print(
-            f"{name:<12} {sides[0]:>30} {sides[1]:>30} "
-            f"{row['wins']:>3}/{args.pairs:<2} {row['delta']:>+8.1%}  "
-            f"{row['verdict']}"
+            f"{'metric':<12} {'parent q1/median/q3':>30} "
+            f"{'change q1/median/q3':>30} {'wins':>6} {'delta':>8}  verdict"
         )
+        for spec in specs:
+            name = spec["name"]
+            row = verdict(spec, series["parent"][name], series["change"][name])
+            sides = [
+                "/".join(f"{v:.4g}" for v in row[side]) for side in SIDES
+            ]
+            print(
+                f"{name:<12} {sides[0]:>30} {sides[1]:>30} "
+                f"{row['wins']:>3}/{args.pairs:<2} {row['delta']:>+8.1%}  "
+                f"{row['verdict']}"
+            )
     if args.trace_pairs > 0:
         first = args.seeds + args.pairs
         traced: Dict[str, List[dict]] = {side: [] for side in SIDES}

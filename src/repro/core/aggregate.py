@@ -6,7 +6,9 @@ processing"; counting is the canonical example (and the follow-up work
 on FDB -- F and LMFAO -- is built around factorised aggregation).  The
 functions here evaluate the standard SQL aggregates over an
 :class:`~repro.core.arena.ArenaRep` *without enumerating tuples*, one
-bottom-up pass over the per-node columns each:
+bottom-up pass over the per-node columns each (of the plain form,
+:meth:`~repro.core.arena.ArenaRep.dense`: a whole-column read must not
+see the entries no range reaches):
 
 - ``COUNT(*)`` is a sum-product (:func:`repro.core.arena.tuple_count`);
 - ``SUM(A)`` pairs every entry with (count, sum) and combines them
@@ -98,6 +100,7 @@ def sum_of(arena: Optional[ArenaRep], attribute: str) -> float:
     """``SUM(attribute)`` over all represented tuples."""
     if arena is None:
         return 0.0
+    arena = arena.dense()
     _require_attribute(arena, attribute)
     return _count_sum(arena, attribute)[1]
 
@@ -108,6 +111,7 @@ def average(
     """``AVG(attribute)``; ``None`` on the empty relation."""
     if arena is None:
         return None
+    arena = arena.dense()
     _require_attribute(arena, attribute)
     total_count, total_sum = _count_sum(arena, attribute)
     return total_sum / total_count if total_count else None
@@ -119,6 +123,7 @@ def extreme(arena: Optional[ArenaRep], attribute: str, minimum: bool):
     node's whole value column is the answer."""
     if arena is None:
         return None
+    arena = arena.dense()
     idx = _require_attribute(arena, attribute)
     pool = arena.pool
     found = (pool[vid] for vid in arena.values[idx].data)
@@ -129,6 +134,7 @@ def count_distinct(arena: Optional[ArenaRep], attribute: str) -> int:
     """``COUNT(DISTINCT attribute)``."""
     if arena is None:
         return 0
+    arena = arena.dense()
     idx = _require_attribute(arena, attribute)
     # Decode through the pool: interning is per *type* (1, 1.0 and
     # True occupy distinct slots), but COUNT(DISTINCT) uses value
@@ -148,6 +154,7 @@ def group_count(
     """
     if arena is None:
         return {}
+    arena = arena.dense()
     target = _require_attribute(arena, attribute)
     skel = arena.skel
     values, offsets = _views(arena)

@@ -26,6 +26,12 @@ pre-order):
   child ``j``'s columns (DFS construction makes every child union
   contiguous, and child unions tile their column in parent-entry
   order);
+- ``refs[i][j]`` -- ``None`` for a *plain* slot, as above; otherwise
+  the slot is *shared*: ``refs[i][j]`` holds one range index per entry
+  of node ``i``, and entry ``e``'s child union is the range
+  ``[off[r], off[r+1])`` with ``r = refs[i][j][e]``.  The ranges of
+  ``off`` still tile the child column, but an entry may share its
+  range with other entries, and a range may belong to no entry at all;
 - ``pool`` -- the interned distinct values; ids are indices into it.
 
 One union entry therefore costs ``1 + #children`` machine-word array
@@ -33,6 +39,20 @@ slots (plus one leading 0 per child slot).  Offsets are structural:
 the layout itself says that child ranges tile their column, so no
 range can overlap another or leave a gap, and the one invariant left
 to check is that offsets strictly increase (no union is empty).
+
+Shared slots are how the restructuring kernels move forests without
+copying them: a swap hands each of its output entries the forest of
+an input entry by writing that entry's index into ``refs``, and every
+column below stays the input's own (the d-representations of
+Olteanu and Závodný store such repeats once, too).  The *plain form*
+of an arena (:meth:`ArenaRep.dense`) gathers every shared slot, one
+level at a time from the roots down; it is what the eager forest
+copies used to build, and what the codec, the unions, the aggregates
+and every other reader that walks whole columns take.  Counting,
+enumeration, projection, the constant filter and the kernels read
+shared slots as they are.  Sizes stay logical: :meth:`ArenaRep.
+singleton_count` is the plain form's, while :attr:`ArenaRep.
+entry_count` and :meth:`ArenaRep.nbytes` count what the arena holds.
 Every column is a read-only int64 ndarray, so it also serialises as
 raw bytes (see the arena layout in :mod:`repro.persist.codec`).
 Whole-column work -- counting, validation, the selection mask -- goes
@@ -48,11 +68,12 @@ single empty row.
 
 The arena is immutable: :class:`ArenaRep` marks every column
 read-only as it takes it, so operators cannot write into a column in
-place, and derived arenas (selection filters, subtree-dropping
-projections) may *share* columns and the value pool with their
-source.  The pool may contain values that no surviving entry references
-(rolled-back build entries, filtered selections); decoding simply never
-visits them.
+place, and derived arenas (kernel outputs, selection filters,
+subtree-dropping projections) may *share* columns and the value pool
+with their source.  A shared result therefore pins its source's
+columns, the entries no range of it reaches included.  The pool may
+contain values that no surviving entry references (rolled-back build
+entries, filtered selections); decoding simply never visits them.
 """
 
 from __future__ import annotations
@@ -74,8 +95,12 @@ from typing import (
 from repro.cache import LRUCache
 from repro.core.columns import (
     _column_bounds,
+    _expand,
     _forest_counts,
     _frozen,
+    _ranges,
+    _reach,
+    _take,
     _widths,
 )
 from repro.core.ftree import FTree
@@ -235,9 +260,11 @@ def _skeleton_of(tree: FTree) -> _Skeleton:
 
 class ArenaRep:
     """A flat, columnar f-representation (see the module docstring);
-    every column it is given is published read-only, uncopied."""
+    every column it is given is published read-only, uncopied.
+    ``refs`` defaults to every slot plain; :attr:`shared` holds the
+    nodes that hang in a shared slot (empty: a plain arena)."""
 
-    __slots__ = ("skel", "values", "offsets", "pool")
+    __slots__ = ("skel", "values", "offsets", "refs", "shared", "pool")
 
     def __init__(
         self,
@@ -245,16 +272,50 @@ class ArenaRep:
         values: Sequence[object],
         offsets: Sequence[Sequence[object]],
         pool: Sequence[object],
+        refs: Optional[Sequence[Sequence[object]]] = None,
     ) -> None:
         self.skel = skel
         self.values = [_frozen(column) for column in values]
         self.offsets = [[_frozen(off) for off in slots] for slots in offsets]
+        if refs is None:
+            self.refs = [[None] * len(slots) for slots in offsets]
+            self.shared: FrozenSet[int] = frozenset()
+        else:
+            self.refs = [
+                [None if ref is None else _frozen(ref) for ref in slots]
+                for slots in refs
+            ]
+            self.shared = frozenset(
+                k
+                for kids, slots in zip(skel.children, self.refs)
+                for k, ref in zip(kids, slots)
+                if ref is not None
+            )
         self.pool = pool
 
     def __reduce__(self):
         # Unpickling (process-pool task results) goes through
-        # ``__init__``, so the columns arrive read-only again.
-        return (ArenaRep, (self.skel, self.values, self.offsets, self.pool))
+        # ``__init__``, so the columns arrive read-only again -- in the
+        # plain form, which holds no unreferenced entries.
+        plain = self.dense()
+        return (
+            ArenaRep,
+            (plain.skel, plain.values, plain.offsets, plain.pool),
+        )
+
+    def dense(self) -> "ArenaRep":
+        """The plain form: every shared slot gathered (the arena
+        itself when it has none).  Top-down, one level per slot
+        (:func:`_gather_slot`), so each column is gathered once."""
+        if not self.shared:
+            return self
+        values = list(self.values)
+        offsets = [list(slots) for slots in self.offsets]
+        refs = [list(slots) for slots in self.refs]
+        for i in range(len(self.skel)):  # pre-order: parents first
+            for j in range(len(refs[i])):
+                _gather_slot(self.skel, values, offsets, refs, i, j)
+        return ArenaRep(self.skel, values, offsets, self.pool)
 
     # -- introspection -----------------------------------------------------
 
@@ -264,23 +325,25 @@ class ArenaRep:
 
     @property
     def entry_count(self) -> int:
-        """Total union entries across all columns."""
+        """Union entries held across all columns (shared ones once)."""
         return sum(len(column) for column in self.values)
 
     def singleton_count(self) -> int:
-        """The paper's ``|E|``: entries weighted by label width."""
+        """The paper's ``|E|``: the plain form's entries weighted by
+        label width, exact (see :func:`_plain_lengths`)."""
         return sum(
-            len(column) * len(self.skel.labels[i])
-            for i, column in enumerate(self.values)
+            length * len(label)
+            for length, label in zip(_plain_lengths(self), self.skel.labels)
         )
 
     def nbytes(self) -> int:
-        """Approximate bytes held by the integer columns."""
+        """Approximate bytes held by the integer columns, refs
+        included."""
         total = 0
         for i, column in enumerate(self.values):
-            total += column.itemsize * len(column)
-            for off in self.offsets[i]:
-                total += off.itemsize * len(off)
+            total += column.nbytes
+            for off, ref in zip(self.offsets[i], self.refs[i]):
+                total += off.nbytes + (0 if ref is None else ref.nbytes)
         return total
 
     def attributes(self) -> Tuple[str, ...]:
@@ -296,12 +359,60 @@ class ArenaRep:
         )
 
     def copy(self) -> "ArenaRep":
+        """A plain copy that shares nothing with this arena."""
+        plain = self.dense()
         return ArenaRep(
             self.skel,
-            [column.copy() for column in self.values],
-            [[off.copy() for off in slots] for slots in self.offsets],
+            [column.copy() for column in plain.values],
+            [[off.copy() for off in slots] for slots in plain.offsets],
             list(self.pool),
         )
+
+
+def _gather_slot(
+    skel: _Skeleton,
+    values: List[object],
+    offsets: List[List[object]],
+    refs: List[List[object]],
+    node: int,
+    j: int,
+) -> None:
+    """Make child slot ``j`` of ``node`` plain, one level deep, in the
+    working lists given: the child column is gathered range by range
+    through the slot's refs, its offsets become the prefix sums of the
+    gathered widths, and every slot of the child takes the gathered
+    indices as (or into) its refs -- nothing further down is copied.
+    A plain slot is left as it is."""
+    ref = refs[node][j]
+    if ref is None:
+        return
+    widths, inner = _expand(offsets[node][j], ref)
+    offsets[node][j] = _ranges(widths)
+    refs[node][j] = None
+    k = skel.children[node][j]
+    values[k] = _take(values[k], inner)
+    refs[k] = [inner if r is None else _take(r, inner) for r in refs[k]]
+
+
+def _plain_lengths(arena: ArenaRep) -> List[int]:
+    """Per node, its entry count in the plain form: top-down, every
+    entry weighted by the plain entries it stands for (:func:`_reach`;
+    no weights below plain slots under a plain parent).  The weights
+    are int64 while the child's total provably fits, exact Python
+    integers from there down."""
+    skel = arena.skel
+    weights: List[object] = [None] * len(skel)
+    lengths: List[int] = []
+    for i, column in enumerate(arena.values):  # pre-order
+        weight = weights[i]
+        lengths.append(len(column) if weight is None else int(weight.sum()))
+        for off, ref, k in zip(
+            arena.offsets[i], arena.refs[i], skel.children[i]
+        ):
+            if weight is not None or ref is not None:
+                exact = lengths[i] * len(arena.values[k]) > _INT64_SAFE
+                weights[k] = _reach(weight, off, ref, exact)
+    return lengths
 
 
 def _views(arena: ArenaRep) -> Tuple[list, List[list]]:
@@ -426,10 +537,11 @@ def validate_arena_bounds(
     tree: FTree, arena: Optional[ArenaRep]
 ) -> None:
     """Flat structural checks: skeleton alignment, id bounds and, per
-    child slot, an offsets column of ``n + 1`` entries that starts at
-    0, strictly increases and ends at the child column's length.
-    O(entries) vectorised integer scans, so the persistence layer can
-    afford them on every load.
+    child slot, an offsets column that starts at 0, strictly increases
+    and ends at the child column's length -- with ``n + 1`` entries
+    for a plain slot, and for a shared one ``n`` refs, each the index
+    of one of its ranges.  O(entries) vectorised integer scans, so the
+    persistence layer can afford them on every load.
 
     Overlaps and gaps cannot be spelled in offsets; what the checks
     rule out is a range reaching outside its child column and an empty
@@ -453,14 +565,18 @@ def validate_arena_bounds(
                 f"node {i}: value ids outside the pool "
                 f"[{low}, {high}] vs {pool_size}"
             )
-        for off, k in zip(arena.offsets[i], skel.children[i]):
-            if len(off) != len(column) + 1:
+        for off, ref, k in zip(
+            arena.offsets[i], arena.refs[i], skel.children[i]
+        ):
+            if ref is None and len(off) != len(column) + 1:
                 raise ArenaError(
                     f"node {i}: {len(off)} child offsets for "
                     f"{len(column)} entries (want one more)"
                 )
+            if ref is not None:
+                _check_refs(i, ref, len(column), len(off) - 1)
             limit = len(arena.values[k])
-            if off[0] != 0 or off[-1] != limit:
+            if not len(off) or off[0] != 0 or off[-1] != limit:
                 raise ArenaError(
                     f"node {i}: child offsets do not run from 0 to "
                     f"the child column's length {limit}"
@@ -470,6 +586,20 @@ def validate_arena_bounds(
                     f"node {i}: child offsets not strictly increasing "
                     f"(an empty union)"
                 )
+
+
+def _check_refs(node: int, ref, entries: int, ranges: int) -> None:
+    """A shared slot's refs: one per entry, each a range index."""
+    if len(ref) != entries:
+        raise ArenaError(
+            f"node {node}: {len(ref)} child refs for {entries} entries"
+        )
+    low, high = _column_bounds(ref)
+    if entries and not (0 <= low and high < ranges):
+        raise ArenaError(
+            f"node {node}: child refs outside the slot's ranges "
+            f"[{low}, {high}] vs {ranges}"
+        )
 
 
 def validate_tree(tree: FTree) -> None:
@@ -483,7 +613,8 @@ def validate_tree(tree: FTree) -> None:
 def validate_arena(tree: FTree, arena: Optional[ArenaRep]) -> None:
     """Full structural checks: bounds, no empty union, the per-union
     strict value order, and exactly one value per union of a
-    ``constant`` node."""
+    ``constant`` node.  Every union is checked once where it is held:
+    per range of the slot its node hangs in, shared or not."""
     if arena is None:
         return
     validate_arena_bounds(tree, arena)
@@ -491,31 +622,30 @@ def validate_arena(tree: FTree, arena: Optional[ArenaRep]) -> None:
     pool = arena.pool
     values, offsets = _views(arena)
     constant = {node.label for node in tree.iter_nodes() if node.constant}
-    single = [label in constant for label in skel.labels]
 
-    def check_union(idx: int, lo: int, hi: int) -> None:
-        column = values[idx]
-        if lo >= hi:
-            raise ArenaError(
-                f"node {idx}: empty union inside a non-empty arena"
-            )
-        if single[idx] and hi - lo != 1:
-            raise ArenaError(
-                f"constant node {sorted(skel.labels[idx])} holds "
-                f"{hi - lo} values"
-            )
-        for e in range(lo + 1, hi):
-            if not pool[column[e - 1]] < pool[column[e]]:
+    for idx, column in enumerate(values):
+        p = skel.parent[idx]
+        if p == -1:
+            bounds = [0, len(column)]
+        else:
+            bounds = offsets[p][skel.children[p].index(idx)]
+        single = skel.labels[idx] in constant
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo >= hi:
                 raise ArenaError(
-                    f"node {idx}: union values not strictly "
-                    f"increasing at entry {e}"
+                    f"node {idx}: empty union inside a non-empty arena"
                 )
-        for off, k in zip(offsets[idx], skel.children[idx]):
-            for e in range(lo, hi):
-                check_union(k, off[e], off[e + 1])
-
-    for r in skel.roots:
-        check_union(r, 0, len(values[r]))
+            if single and hi - lo != 1:
+                raise ArenaError(
+                    f"constant node {sorted(skel.labels[idx])} holds "
+                    f"{hi - lo} values"
+                )
+            for e in range(lo + 1, hi):
+                if not pool[column[e - 1]] < pool[column[e]]:
+                    raise ArenaError(
+                        f"node {idx}: union values not strictly "
+                        f"increasing at entry {e}"
+                    )
 
 
 # -- size and counting -------------------------------------------------------
@@ -542,8 +672,9 @@ def _entry_counts(arena: ArenaRep) -> List[object]:
     width and no per-leaf vector is built.  Bottom-up; one vectorised
     pass per inner node (an int64 vector, :func:`_forest_counts`) while
     the products provably fit int64, exact Python integers (a list)
-    from there up.  Like the segment sums it rests on, it needs child
-    ranges that are non-empty, as every arena's are
+    from there up.  Counts are per entry *held*: a shared slot's range
+    sums are taken through its refs.  Like the segment sums it rests
+    on, it needs child ranges that are non-empty, as every arena's are
     (:func:`validate_arena_bounds`)."""
     skel = arena.skel
     n = len(skel)
@@ -565,16 +696,22 @@ def _entry_counts(arena: ArenaRep) -> List[object]:
             if bound > _INT64_SAFE:
                 break
         else:
-            counts[idx] = _forest_counts(below, arena.offsets[idx])
+            counts[idx] = _forest_counts(
+                below, arena.offsets[idx], arena.refs[idx]
+            )
             continue
         total = [1] * len(arena.values[idx])
-        for child, off in zip(below, arena.offsets[idx]):
+        for child, off, ref in zip(
+            below, arena.offsets[idx], arena.refs[idx]
+        ):
             off = off.data  # Python ints: these products may pass int64
             if child is not None:  # tuples below, not child entries
                 prefix = _prefix(_ints(child))
                 off = [prefix[end] for end in off]
-            for e in range(len(total)):
-                total[e] *= off[e + 1] - off[e]
+            sums = [hi - lo for lo, hi in zip(off, off[1:])]
+            if ref is not None:
+                sums = [sums[r] for r in ref.data]
+            total = [t * w for t, w in zip(total, sums)]
         counts[idx] = total
     return counts
 
@@ -614,8 +751,10 @@ def tuple_count(arena: Optional[ArenaRep]) -> int:
 #   and friends) apply to aggregation, applied here to enumeration.
 #
 # Compiled enumerators are cached by what their source text depends on
-# -- the skeleton's shape, its nodes' attributes and the output order
-# -- so every arena of that shape shares the machine-made loop nest,
+# -- the skeleton's shape, its nodes' attributes, which slots are
+# shared (a shared slot reads its range through one more index) and
+# the output order -- so every arena of that shape shares the
+# machine-made loop nest,
 # whichever skeleton object it carries (equal trees built apart, e.g.
 # decoded from different blobs, carry different ones).
 
@@ -650,11 +789,19 @@ def _pool_list(pool) -> Sequence[object]:
 
 
 def _compile_rows(
-    skel: _Skeleton, order: Tuple[str, ...]
+    skel: _Skeleton,
+    order: Tuple[str, ...],
+    shared: FrozenSet[int] = frozenset(),
 ) -> Callable[[ArenaRep], Iterator[tuple]]:
-    """Build (or fetch) the compiled enumerator for one skeleton and
-    output attribute order."""
-    key = (skel.roots, tuple(skel.children), tuple(skel.attr_tuples), order)
+    """Build (or fetch) the compiled enumerator for one skeleton, the
+    nodes hanging in shared slots and one output attribute order."""
+    key = (
+        skel.roots,
+        tuple(skel.children),
+        tuple(skel.attr_tuples),
+        order,
+        shared,
+    )
     compiled = _ENUM_CACHE.get(key)
     if compiled is not None:
         return compiled
@@ -672,12 +819,15 @@ def _compile_rows(
         "def _rows(arena):",
         "    _values, _off = _views(arena)",
         "    _pool = _pool_list(arena.pool)",
+        "    _refs = arena.refs",
     ]
     # Local binds: one name per column, resolved once.
     for idx in range(len(skel)):
         lines.append(f"    _v{idx} = _values[{idx}]")
         for j, k in enumerate(skel.children[idx]):
             lines.append(f"    _o{k} = _off[{idx}][{j}]")
+            if k in shared:
+                lines.append(f"    _r{k} = _refs[{idx}][{j}].data")
 
     def emit(units: List[Tuple[int, Optional[int]]], depth: int) -> None:
         pad = "    " * (depth + 1)
@@ -688,6 +838,9 @@ def _compile_rows(
         var = f"_e{idx}"
         if parent is None:
             rng = f"range(len(_v{idx}))"
+        elif idx in shared:
+            lines.append(f"{pad}_q{idx} = _r{idx}[_e{parent}]")
+            rng = f"range(_o{idx}[_q{idx}], _o{idx}[_q{idx} + 1])"
         else:
             rng = f"range(_o{idx}[_e{parent}], _o{idx}[_e{parent} + 1])"
         lines.append(f"{pad}for {var} in {rng}:")
@@ -726,6 +879,10 @@ def _iter_rows_walk(
     buffer: List[object] = [None] * len(order)
     pool = _pool_list(arena.pool)
     values, offsets = _views(arena)
+    refs = [
+        [None if ref is None else ref.data for ref in slots]
+        for slots in arena.refs
+    ]
     children = skel.children
 
     def walk(units: Tuple[Tuple[int, int, int], ...]) -> Iterator[tuple]:
@@ -736,16 +893,16 @@ def _iter_rows_walk(
         rest = units[1:]
         column = values[idx]
         slots = node_slots[idx]
-        kids = children[idx]
-        offs = offsets[idx]
+        kids = tuple(zip(children[idx], offsets[idx], refs[idx]))
         for e in range(lo, hi):
             value = pool[column[e]]
             for s in slots:
                 buffer[s] = value
-            child_units = tuple(
-                (k, off[e], off[e + 1]) for off, k in zip(offs, kids)
-            )
-            yield from walk(child_units + rest)
+            child_units = []
+            for k, off, ref in kids:
+                r = e if ref is None else ref[e]
+                child_units.append((k, off[r], off[r + 1]))
+            yield from walk(tuple(child_units) + rest)
 
     yield from walk(
         tuple((r, 0, len(values[r])) for r in skel.roots)
@@ -777,7 +934,7 @@ def iter_rows(
         0 < arena.node_count <= _MAX_CODEGEN_NODES
         and arena.entry_count >= _CODEGEN_MIN_ENTRIES
     ):
-        return _compile_rows(arena.skel, order)(arena)
+        return _compile_rows(arena.skel, order, arena.shared)(arena)
     return _iter_rows_walk(arena, order)
 
 
@@ -807,7 +964,7 @@ def drop_subtrees(
     remove; ``new_tree`` must be the input tree with exactly those
     subtrees deleted (same labels, same relative order), which the
     caller (:func:`repro.ops.project.project`) guarantees.  Shares the
-    surviving columns and the pool with the source arena.
+    surviving columns, refs and the pool with the source arena.
     """
     skel = arena.skel
     gone = set()
@@ -820,12 +977,15 @@ def drop_subtrees(
             "dropped subtrees do not line up with the projected f-tree"
         )
     values = [arena.values[i] for i in kept]
-    offsets = [
+    offsets, refs = (
         [
-            off
-            for off, k in zip(arena.offsets[i], skel.children[i])
-            if k not in gone
+            [
+                slot
+                for slot, k in zip(slots[i], skel.children[i])
+                if k not in gone
+            ]
+            for i in kept
         ]
-        for i in kept
-    ]
-    return ArenaRep(new_skel, values, offsets, arena.pool)
+        for slots in (arena.offsets, arena.refs)
+    )
+    return ArenaRep(new_skel, values, offsets, arena.pool, refs)

@@ -1,9 +1,10 @@
 """Column primitives: the one place the engine speaks numpy.
 
 An arena (:mod:`repro.core.arena`) is parallel int64 columns -- value
-ids and child offsets per f-tree node -- and everything that rewrites,
-counts, validates or serialises it whole-column at a time is spelled
-with the primitives below, each with one numpy body.  numpy is a
+ids, child offsets and the refs of shared slots per f-tree node -- and
+everything that rewrites, counts, validates or serialises it
+whole-column at a time is spelled with the primitives below, each with
+one numpy body.  numpy is a
 declared dependency; this is the only module under ``src/repro`` that
 imports it, so how a column operation is realised is decided here and
 nowhere else.
@@ -209,23 +210,56 @@ def _segment_sums(weights, off):
     return np.add.reduceat(weights, off[:-1], dtype=np.int64)
 
 
-def _forest_counts(weights: Sequence[object], offsets):
+def _forest_counts(weights: Sequence[object], offsets, refs):
     """For every entry of a node with at least one child slot, the
     product over its slots of the slot's ``weights`` summed over the
-    entry's child range (:func:`_segment_sums`).  A leaf child's
-    weights are ``None`` -- one tuple per child entry -- and it
-    contributes its range width (:func:`_widths`), with no pass over
-    the leaf's column.  The caller guarantees the products fit
-    int64."""
-    parts = [
-        _segment_sums(weight, off) if weight is not None
-        else _widths(off)
-        for weight, off in zip(weights, offsets)
-    ]
-    total = parts[0]
-    for part in parts[1:]:
-        total *= part
+    entry's child range (:func:`_segment_sums` per range, read through
+    the slot's refs where it has them).  A leaf child's weights are
+    ``None`` -- one tuple per child entry -- and it contributes its
+    range width (:func:`_widths`), with no pass over the leaf's
+    column.  The caller guarantees the products fit int64."""
+    total = None
+    for weight, off, ref in zip(weights, offsets, refs):
+        part = (
+            _segment_sums(weight, off) if weight is not None
+            else _widths(off)
+        )
+        if ref is not None:
+            part = part[ref]
+        total = part if total is None else total * part
     return total
+
+
+def _reach(weights, off, ref, exact: bool):
+    """For every child entry of a slot, how many entries of the plain
+    form it stands for: the ``weights`` of the parent entries whose
+    range holds it, summed (``None`` weights: one each).  Python ints
+    (an object vector) when ``exact``, int64 otherwise."""
+    dtype = object if exact else np.int64
+    if weights is None:
+        weights = np.ones(len(off) - 1 if ref is None else len(ref), dtype)
+    else:
+        weights = weights.astype(dtype, copy=False)
+    if ref is not None:
+        per_range = np.zeros(len(off) - 1, dtype)
+        np.add.at(per_range, ref, weights)
+        weights = per_range
+    return np.repeat(weights, _widths(off))
+
+
+def _survivors(mask):
+    """The indices ``mask`` keeps, in order."""
+    return np.flatnonzero(mask)
+
+
+def _live_ranges(counts, ref):
+    """``(offsets, ref)`` of a shared slot whose ranges kept ``counts``
+    entries each: the ranges left empty are dropped and ``ref`` is
+    renumbered onto the rest (no kept entry refers to an empty one)."""
+    live = counts > 0
+    if live.all():
+        return _ranges(counts), ref
+    return _ranges(counts[live]), (np.cumsum(live) - 1)[ref]
 
 
 def _both(mask, other):

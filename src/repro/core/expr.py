@@ -174,7 +174,8 @@ class Product(Expression):
 
 
 def expression_of(arena: ArenaRep) -> Expression:
-    """AST of a (non-empty) arena: one walk over its columns."""
+    """AST of a (non-empty) arena: one walk over its plain form."""
+    arena = arena.dense()
     skel, pool = arena.skel, arena.pool
     values, offsets = _views(arena)
 

@@ -9,31 +9,41 @@ per f-tree node over whole columns, never a walk per entry.
   input's pool), so no interning happens on the hot path;
 - columns an operator does not touch are not copied at all: the output
   arena shares them with its input (arenas are immutable);
-- what an operator does rewrite is spelled with two column primitives.
-  The **forest gather** (:func:`_gather_forest`) takes the child
-  forests of entries ``idx`` of one node -- any order, repeats allowed
-  -- as, per descendant node, one indexed read of the value column, a
-  child index vector expanded from the gathered ranges, and child
-  offsets that are prefix sums of the gathered widths.  The **mask
-  cascade** (:func:`_cascade`) takes keep masks on some columns,
-  carries them up the ancestor chain (an entry survives iff its
-  continuation union keeps an entry: a keep count summed over its
-  child range), down to every descendant, and compacts each
-  affected node once -- the eager pruning of emptied unions that is the
-  contract of :func:`repro.reference.ops.rewrite_at_level`;
+- what an operator does rewrite is spelled with three primitives on
+  the run's working columns (:class:`_Columns`).  The **forest
+  gather** (:meth:`_Columns.share`) hands the child forests of
+  entries ``idx`` of one node -- any order, repeats allowed -- to the
+  output entries by writing ``idx`` into the slots' refs (through the
+  refs already there): one index vector per slot, and every column
+  below stays shared.  The **one-level gather** (:meth:`_Columns.
+  plain`) makes one shared slot plain where a kernel must know every
+  child entry's owner: the child column is read by the expanded
+  ranges, and the child's own slots take the expanded indices as refs.
+  The **mask cascade** (:func:`_cascade`) takes keep masks on some
+  columns, carries them up the ancestor chain (an entry survives iff
+  its continuation union keeps an entry: a keep count summed over its
+  child range), one level down where a plain slot joins two masked
+  nodes, and compacts each masked node once; the slots below a
+  compacted node keep their columns and lose only the refs of the
+  dropped entries -- the eager pruning of emptied unions that is the
+  contract of :func:`repro.reference.ops.rewrite_at_level`, with the
+  pruned forests left unreferenced rather than copied around;
 - each operator then is index arithmetic on its own level's columns
   over composite (occurrence, value-rank) keys: swap is one stable
-  sort of the (a, b) pairs plus three gathers, merge a sorted
+  sort of the (a, b) pairs plus three forest gathers, merge a sorted
   intersection plus one cascade, absorb an owner vector from ``A``
-  down to ``B``, an equality mask and one cascade, push-up one gather
-  of the first copies.  Only the distinct ids of the compared columns
-  are ever decoded and ranked (:func:`~repro.core.columns._rank_columns`),
-  never the pool.
+  down to ``B``, an equality mask and one cascade, push-up one forest
+  gather of the first copies.  An occurrence is a union as it is
+  held: a range of the slot the level hangs in, which refs may share
+  among many entries -- each is rewritten once.  Only the distinct ids
+  of the compared columns are ever decoded and ranked
+  (:func:`~repro.core.columns._rank_columns`), never the pool.
 
 The whole-column operations they are built from (take, expand, rank,
 sort-and-group, sorted intersection, segment sums, compress) are the
 primitives of :mod:`repro.core.columns`; this module holds only the
-two forest primitives, the operator kernels and the unions.
+working columns with their gathers, the cascade, the operator kernels
+and the unions.
 
 Every kernel is *prepared* once per (f-tree, operator, args) -- node
 indices, child-slot mappings and the destination skeleton are resolved
@@ -54,8 +64,9 @@ node, the k value columns end to end, one sort-and-group on
 (output parent, value rank), child offsets as prefix sums -- and
 :func:`union_arena` is the pairwise two-pointer merge kept for delta
 maintenance, where one side is tiny and bulk runs (:func:`_copy_run`)
-beat whole-column passes.  Both take value ids across pools through
-:func:`_pool_remaps` when the inputs do not share one;
+beat whole-column passes.  Both read their inputs' plain forms, and
+both take value ids across pools through :func:`_pool_remaps` when the
+inputs do not share one;
 :func:`product_arena` covers the remaining binary operator.
 """
 
@@ -70,6 +81,7 @@ from repro.core.arena import (
     ArenaRep,
     ArenaWriter,
     ValuePool,
+    _gather_slot,
     _skeleton_of,
     _Skeleton,
     _views,
@@ -79,9 +91,9 @@ from repro.core.columns import (
     _both,
     _compress,
     _count_slots,
-    _expand,
     _gather,
     _keys,
+    _live_ranges,
     _match,
     _owners,
     _rank_columns,
@@ -90,6 +102,7 @@ from repro.core.columns import (
     _segment_sums,
     _sort_groups,
     _spread,
+    _survivors,
     _take,
     _vector,
 )
@@ -100,10 +113,14 @@ from repro.obs.metrics import Tally
 #: The ``kernels`` metrics namespace (see :func:`counters`), registered
 #: by every :class:`~repro.service.session.QuerySession`: process-wide
 #: tallies of operator-kernel runs, folded in once per run.
-#: ``entries_in`` / ``entries_out`` are whole-arena entry counts before
-#: and after, ``entries_pruned`` the entries mask cascades dropped,
-#: ``gathers`` the forest gathers issued.  All repeat exactly for a
-#: fixed sequence of calls.
+#: ``entries_in`` / ``entries_out`` are the entries the input and the
+#: output arena hold (:attr:`~repro.core.arena.ArenaRep.entry_count`:
+#: a shared column counts once, however many refs reach it),
+#: ``entries_pruned`` the held entries mask cascades compacted away,
+#: ``gathers`` the forest gathers issued.  They count the work, not the
+#: plain form: ``repro explain --profile`` reports the plain size
+#: (``|E|``) per step.  All repeat exactly for a fixed sequence of
+#: calls.
 COUNTERS = Tally(
     (
         "runs",
@@ -125,7 +142,7 @@ def counters() -> Dict[str, int]:
     )
 
 
-# -- the two forest primitives ------------------------------------------------
+# -- the working columns and the cascade -------------------------------------
 
 
 def _hangs_in(skel: _Skeleton, node: int) -> Tuple[int, int]:
@@ -141,62 +158,74 @@ class _Columns:
     They start out as the input arena's own columns, shared and never
     mutated; the primitives replace the ones an operator rewrites, and
     :meth:`_Kernel.run` relabels the lot into the destination skeleton.
-    ``pruned`` and ``gathers`` are the run's tallies.
+    Kernels read their operands here, not in the input, so that what a
+    gather made plain is what they see.  ``pruned`` and ``gathers`` are
+    the run's tallies.
     """
 
-    __slots__ = ("values", "offsets", "pruned", "gathers")
+    __slots__ = ("skel", "values", "offsets", "refs", "pruned", "gathers")
 
     def __init__(self, arena: ArenaRep) -> None:
+        self.skel = arena.skel
         self.values = list(arena.values)
         self.offsets = [list(slots) for slots in arena.offsets]
+        self.refs = [list(slots) for slots in arena.refs]
         self.pruned = 0
         self.gathers = 0
 
+    def share(self, node: int, idx, slots: Sequence[int]) -> None:
+        """The forest gather: output entry ``e`` of ``node`` takes the
+        child forests in ``slots`` of entry ``idx[e]`` (any order,
+        repeats allowed, possibly none).  Writes only the slots' refs,
+        ``(refs or identity)[idx]``; ``node``'s own value column is its
+        caller's business."""
+        self.gathers += 1
+        refs = self.refs[node]
+        for j in slots:
+            refs[j] = idx if refs[j] is None else _take(refs[j], idx)
 
-def _gather_forest(
-    arena: ArenaRep,
-    out: _Columns,
-    node: int,
-    idx,
-    slots: Sequence[int],
-) -> None:
-    """The forest gather: the child forests in ``slots`` of entries
-    ``idx`` of ``node`` (any order, repeats allowed, possibly none).
-
-    Writes the gathered child offsets of those slots (aligned with
-    ``idx``) and every column below them; ``node``'s own value column
-    is its caller's business.  One node at a time, each index vector
-    dropped as soon as its children's are expanded from it.
-    """
-    out.gathers += 1
-    children = arena.skel.children
-    pending = [(node, j, idx) for j in slots]
-    while pending:
-        node, j, idx = pending.pop()
-        widths, inner = _expand(arena.offsets[node][j], idx)
-        out.offsets[node][j] = _ranges(widths)
-        child = children[node][j]
-        out.values[child] = _take(arena.values[child], inner)
-        pending.extend(
-            (child, k, inner) for k in range(len(children[child]))
+    def plain(self, node: int, j: int) -> None:
+        """Make slot ``j`` of ``node`` plain, one level deep
+        (:func:`~repro.core.arena._gather_slot`)."""
+        _gather_slot(
+            self.skel, self.values, self.offsets, self.refs, node, j
         )
 
+    def occurrences(self, node: int):
+        """The occurrence of every entry of ``node``: the index of the
+        range holding it in the slot it hangs in; ``None`` at the root
+        level, where there is one."""
+        p, pos = _hangs_in(self.skel, node)
+        if p == -1:
+            return None
+        return _owners(self.offsets[p][pos])
 
-def _cascade(
-    arena: ArenaRep, out: _Columns, masks: Dict[int, object]
-) -> bool:
+    def arena(self, pool) -> ArenaRep:
+        """The working columns as an arena over the source skeleton."""
+        return ArenaRep(self.skel, self.values, self.offsets, pool, self.refs)
+
+
+def _cascade(out: _Columns, masks: Dict[int, object]) -> bool:
     """The mask cascade: drop the entries ``masks`` (node -> keep mask
     over its column) rejects, everything they own and every ancestor
     entry they leave with an empty union.  ``False`` when the whole
-    relation empties; otherwise every affected node's columns are
-    compacted into ``out``, once each.  With one mask on the selected
-    node this is the whole of a constant selection
-    (:func:`repro.ops.select.select_constant`).
+    relation empties; otherwise every masked node's column is
+    compacted in ``out``, once, and what hangs below it is shared:
+    its slots keep their offsets and take the survivors' refs.  With
+    one mask on the selected node this is the whole of a constant
+    selection (:func:`repro.ops.select.select_constant`).
+
+    A mask is over the entries a column holds; a shared slot reads
+    range sums through its refs on the way up, and a compacted child
+    of one drops the ranges it emptied (no surviving entry refers to
+    them).  Masks that depend on an entry's owner (a merge's, an
+    absorb's) must come from plain slots, which their kernels make.
     """
-    skel = arena.skel
+    skel = out.skel
     keep = {n: mask for n, mask in masks.items() if not mask.all()}
-    #: Kept child entries per parent entry, by child node.  Still right
-    #: after the way down: that only drops entries of dropped parents.
+    #: Kept child entries per range, by child node.  Still right after
+    #: the one-level drop below: that only drops entries of dropped
+    #: parents.
     counted = {}
     # Up, children before parents: an entry survives iff each masked
     # child union of it keeps an entry.  A level that loses nothing
@@ -206,31 +235,43 @@ def _cascade(
             continue
         p, j = _hangs_in(skel, node)
         counts = counted[node] = _segment_sums(
-            keep[node], arena.offsets[p][j]
+            keep[node], out.offsets[p][j]
         )
-        alive = counts > 0
+        ref = out.refs[p][j]
+        alive = (counts if ref is None else _take(counts, ref)) > 0
         if not alive.all():
             keep[p] = _both(keep.get(p), alive)
     for r in skel.roots:
         if r in keep and not keep[r].any():
             return False
-    # Down, parents before children: a dropped entry takes its forest.
-    for node in range(min(keep, default=0) + 1, len(skel)):
-        if skel.parent[node] in keep:
-            p, j = _hangs_in(skel, node)
-            below = _owners(arena.offsets[p][j], keep[p])
-            keep[node] = _both(keep.get(node), below)
-    # Compact: every masked node rewrites its value column and the
-    # offsets of the slot it hangs in (its parent may have lost nothing).
-    for node, mask in keep.items():
-        column = _compress(arena.values[node], mask)
+    # Compact, parents before children.  A plain slot between two
+    # masked nodes first drops the child entries of dropped parents.
+    for node in sorted(keep):
+        p, j = _hangs_in(skel, node)
+        if p in keep and out.refs[p][j] is None:
+            keep[node] = _both(
+                keep[node], _owners(out.offsets[p][j], keep[p])
+            )
+        mask = keep[node]
+        column = _compress(out.values[node], mask)
         out.pruned += len(mask) - len(column)
         out.values[node] = column
-        p, j = _hangs_in(skel, node)
-        if p != -1:
-            counts = counted.get(node)
-            if counts is None:
-                counts = _segment_sums(mask, arena.offsets[p][j])
+        refs = out.refs[node]
+        for slot, k in enumerate(skel.children[node]):
+            if refs[slot] is not None:
+                refs[slot] = _compress(refs[slot], mask)
+            elif k not in keep:  # a masked child re-tiles this slot
+                refs[slot] = _survivors(mask)
+        if p == -1:
+            continue
+        counts = counted.get(node)
+        if counts is None:
+            counts = _segment_sums(mask, out.offsets[p][j])
+        if out.refs[p][j] is not None:
+            out.offsets[p][j], out.refs[p][j] = _live_ranges(
+                counts, out.refs[p][j]
+            )
+        else:
             if p in keep:
                 counts = _compress(counts, keep[p])
             out.offsets[p][j] = _ranges(counts)
@@ -303,6 +344,7 @@ class _Kernel:
                     for row in self.slot_src
                 ],
                 arena.pool,
+                [[out.refs[s][j] for s, j in row] for row in self.slot_src],
             )
         COUNTERS.add(
             runs=1,
@@ -313,14 +355,6 @@ class _Kernel:
         )
         return result
 
-    def _occurrences(self, arena: ArenaRep, node: int):
-        """The occurrence (parent entry) of every entry of a level
-        member; ``None`` at the root level, where there is one."""
-        p, pos = _hangs_in(self.sskel, node)
-        if p == -1:
-            return None
-        return _owners(arena.offsets[p][pos])
-
 
 class SwapKernel(_Kernel):
     """``chi_{A,B}`` on columns (Figure 4, all occurrences at once).
@@ -329,9 +363,13 @@ class SwapKernel(_Kernel):
     by (occurrence, rank of b) gives the output order: runs of equal
     keys are the new ``B`` entries, headed by their first pair (the
     smallest ``a``, as the heap merge pops it), the pairs themselves
-    the new ``A`` entries.  The payloads follow by forest gather:
-    ``E_a`` by the pairs' ``A`` index, ``T_ab`` by their ``B`` index,
-    ``T_b`` by the heads' ``B`` index.  A swap never prunes.
+    the new ``A`` entries.  The payloads follow by forest gather
+    -- shared, not copied: ``E_a`` by the pairs' ``A`` index, ``T_ab``
+    by their ``B`` index, ``T_b`` by the heads' ``B`` index.  Only the
+    slot from ``A`` to ``B`` is made plain first (the pairs are its
+    entries); an occurrence of ``A`` is a union as held, so a shared
+    one is swapped once for every entry that refers to it.  A swap
+    never prunes.
     """
 
     __slots__ = ("sa", "sb", "j_b", "e_slots", "tb_slots", "tab_slots")
@@ -368,9 +406,10 @@ class SwapKernel(_Kernel):
 
     def rewrite(self, arena: ArenaRep, out: _Columns) -> bool:
         sa, sb, j_b = self.sa, self.sb, self.j_b
-        owner = _owners(arena.offsets[sa][j_b])
-        (rank_b,), stride = _rank_columns(arena.pool, [arena.values[sb]])
-        occurrence = self._occurrences(arena, sa)  # of every A entry ...
+        out.plain(sa, j_b)
+        owner = _owners(out.offsets[sa][j_b])
+        (rank_b,), stride = _rank_columns(arena.pool, [out.values[sb]])
+        occurrence = out.occurrences(sa)  # of every A entry ...
         if occurrence is not None:
             occurrence = _take(occurrence, owner)  # ... of every pair
         order, starts, counts = _sort_groups(
@@ -378,19 +417,19 @@ class SwapKernel(_Kernel):
         )
         heads = _take(order, starts)
         pairs_a = _take(owner, order)
-        out.values[sa] = _take(arena.values[sa], pairs_a)
-        out.values[sb] = _take(arena.values[sb], heads)
+        out.values[sa] = _take(out.values[sa], pairs_a)
+        out.values[sb] = _take(out.values[sb], heads)
         out.offsets[sa][j_b] = _ranges(counts)
         if occurrence is not None:
             p, pos = _hangs_in(self.sskel, sa)
             out.offsets[p][pos] = _ranges(
                 _count_slots(
-                    _take(occurrence, heads), len(arena.values[p])
+                    _take(occurrence, heads), len(out.offsets[p][pos]) - 1
                 )
             )
-        _gather_forest(arena, out, sa, pairs_a, self.e_slots)
-        _gather_forest(arena, out, sb, order, self.tab_slots)
-        _gather_forest(arena, out, sb, heads, self.tb_slots)
+        out.share(sa, pairs_a, self.e_slots)
+        out.share(sb, order, self.tab_slots)
+        out.share(sb, heads, self.tb_slots)
         return True
 
 
@@ -400,7 +439,9 @@ class MergeKernel(_Kernel):
     masks, one cascade prunes what they reject (and the occurrences
     they empty), and the survivors -- equally many on both sides of
     every occurrence, in the same order -- become the merged node:
-    ``A``'s value ids, both child-slot sets."""
+    ``A``'s value ids, both child-slot sets.  The occurrences pair an
+    ``A`` union with a ``B`` union per parent entry, so the two slots
+    they hang in are made plain first."""
 
     __slots__ = ("sa", "sb")
 
@@ -420,21 +461,27 @@ class MergeKernel(_Kernel):
 
     def rewrite(self, arena: ArenaRep, out: _Columns) -> bool:
         sa, sb = self.sa, self.sb
+        for node in (sa, sb):
+            p, pos = _hangs_in(self.sskel, node)
+            if p != -1:
+                out.plain(p, pos)
         (rank_a, rank_b), stride = _rank_columns(
-            arena.pool, [arena.values[sa], arena.values[sb]]
+            arena.pool, [out.values[sa], out.values[sb]]
         )
         keep_a, keep_b = _match(
-            _keys(self._occurrences(arena, sa), rank_a, stride),
-            _keys(self._occurrences(arena, sb), rank_b, stride),
+            _keys(out.occurrences(sa), rank_a, stride),
+            _keys(out.occurrences(sb), rank_b, stride),
         )
-        return _cascade(arena, out, {sa: keep_a, sb: keep_b})
+        return _cascade(out, {sa: keep_a, sb: keep_b})
 
 
 class PushKernel(_Kernel):
     """``psi_B`` on columns: ``B``'s union does not depend on ``A``, so
     all its copies within one occurrence are equal; gather the one
-    below each occurrence's first ``A`` entry as the hoisted ``B``, and
-    let ``A`` keep its other columns verbatim."""
+    below each occurrence's first ``A`` entry as the hoisted ``B`` (a
+    forest gather per entry of ``A``'s parent, through the refs of the
+    slot ``A`` hangs in), and let ``A`` keep its other columns
+    verbatim.  A hoisted root is one union, so it is made plain."""
 
     __slots__ = ("sa", "j_b")
 
@@ -450,9 +497,16 @@ class PushKernel(_Kernel):
 
     def rewrite(self, arena: ArenaRep, out: _Columns) -> bool:
         p, pos = _hangs_in(self.sskel, self.sa)
-        # The first entry of every occurrence: its range start.
-        firsts = [0] if p == -1 else arena.offsets[p][pos][:-1]
-        _gather_forest(arena, out, self.sa, firsts, (self.j_b,))
+        if p == -1:
+            out.share(self.sa, _vector((0,)), (self.j_b,))
+            out.plain(self.sa, self.j_b)
+            return True
+        # The first entry of every occurrence (its range start), per
+        # entry of the parent.
+        firsts = out.offsets[p][pos][:-1]
+        if out.refs[p][pos] is not None:
+            firsts = _take(firsts, out.refs[p][pos])
+        out.share(self.sa, firsts, (self.j_b,))
         return True
 
 
@@ -462,7 +516,8 @@ class RestrictKernel(_Kernel):
     every ``B`` entry; the ``B`` entries whose value equals it are
     kept, one cascade prunes the rest (up to the root where unions
     empty), and the survivors -- one per surviving entry of ``B``'s
-    parent -- hand their child slots to that parent."""
+    parent -- hand their child slots to that parent.  The owner vector
+    needs the slots on the path plain; ``A``'s own may stay shared."""
 
     __slots__ = ("sa", "sb", "path")
 
@@ -487,12 +542,13 @@ class RestrictKernel(_Kernel):
     def rewrite(self, arena: ArenaRep, out: _Columns) -> bool:
         owner = None  # the A entry above every entry of the path node
         for node, j in self.path:
-            owner = _owners(arena.offsets[node][j], owner)
+            out.plain(node, j)
+            owner = _owners(out.offsets[node][j], owner)
         (rank_a, rank_b), _ = _rank_columns(
-            arena.pool, [arena.values[self.sa], arena.values[self.sb]]
+            arena.pool, [out.values[self.sa], out.values[self.sb]]
         )
         keep = _take(rank_a, owner) == rank_b
-        return _cascade(arena, out, {self.sb: keep})
+        return _cascade(out, {self.sb: keep})
 
 
 class KernelChain:
@@ -747,6 +803,7 @@ def union_arena(left: ArenaRep, right: ArenaRep) -> ArenaRep:
     when both inputs already do; otherwise right ids are remapped
     through one table.  Exactness needs branch-compatible inputs, as
     in :func:`repro.ops.union.union`."""
+    left, right = left.dense(), right.dense()
     skel = left.skel
     out_pool, (_, vmap) = _pool_remaps((left.pool, right.pool))
     w = ArenaWriter(skel, out_pool)
@@ -837,6 +894,7 @@ def union_arenas(parts: Sequence[ArenaRep]) -> ArenaRep:
     :func:`union_arena`, whose output this reproduces byte for byte.
     Exactness needs branch-compatible inputs, as there.
     """
+    parts = [part.dense() for part in parts]
     skel = parts[0].skel
     out_pool, vmaps = _pool_remaps([part.pool for part in parts])
     n = len(skel)
@@ -873,11 +931,13 @@ def product_arena(
     """Cartesian product: the output forest adopts both input column
     sets verbatim (zero copies when the pools are already shared;
     otherwise the right value columns are re-based onto the
-    concatenated pool with one vectorised shift)."""
+    concatenated pool with one vectorised shift), shared slots
+    included."""
     dskel = _skeleton_of(out_tree)
     n = len(dskel)
     values: List[object] = [None] * n
     offsets: List[List[object]] = [None] * n  # type: ignore[list-item]
+    refs: List[List[object]] = [None] * n  # type: ignore[list-item]
     shared = left.pool is right.pool
     if shared:
         pool = left.pool
@@ -892,7 +952,8 @@ def product_arena(
             di = dskel.index[sskel.labels[i]]
             values[di] = src.values[i] + delta if delta else src.values[i]
             offsets[di] = list(src.offsets[i])
+            refs[di] = list(src.refs[i])
 
     adopt(left, 0)
     adopt(right, shift)
-    return ArenaRep(dskel, values, offsets, pool)
+    return ArenaRep(dskel, values, offsets, pool, refs)

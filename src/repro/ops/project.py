@@ -92,6 +92,7 @@ def _reduce_labels(
     n = len(dskel)
     values = [None] * n
     offsets = [None] * n
+    refs = [None] * n
     for si in range(len(sskel)):
         di = dskel.index[shrunk(sskel.labels[si])]
         values[di] = arena.values[si]
@@ -99,12 +100,12 @@ def _reduce_labels(
             shrunk(sskel.labels[k]): j
             for j, k in enumerate(sskel.children[si])
         }
-        offsets[di] = [
-            arena.offsets[si][src_slot[dskel.labels[dk]]]
-            for dk in dskel.children[di]
-        ]
+        slots = [src_slot[dskel.labels[dk]] for dk in dskel.children[di]]
+        offsets[di] = [arena.offsets[si][j] for j in slots]
+        refs[di] = [arena.refs[si][j] for j in slots]
     return FactorisedRelation(
-        new_tree, arena_mod.ArenaRep(dskel, values, offsets, arena.pool)
+        new_tree,
+        arena_mod.ArenaRep(dskel, values, offsets, arena.pool, refs),
     )
 
 

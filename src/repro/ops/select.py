@@ -58,9 +58,9 @@ def _filter(
     node = arena.skel.node_of_attr(cond.attribute)
     mask = _value_mask(arena.values[node], arena.pool, cond.test)
     out = arena_kernels._Columns(arena)
-    if not arena_kernels._cascade(arena, out, {node: mask}):
+    if not arena_kernels._cascade(out, {node: mask}):
         return None
-    return ArenaRep(arena.skel, out.values, out.offsets, arena.pool)
+    return out.arena(arena.pool)
 
 
 def selected_tree(

@@ -15,7 +15,10 @@ the sorted inner unions of one occurrence through a min-priority queue
 keyed by the next ``B``-value of every ``A``-group, the kernel sorts
 every (a, b) pair of the column once, stably, by (occurrence, rank of
 b) -- the same order, the same quasilinear ``O(N log N)`` bound of
-Proposition 2 -- and moves the subtree payloads by forest gather.
+Proposition 2 -- and moves the subtree payloads by forest gather: the
+output entries refer to their input entries' forests through shared
+child slots, so the work is linear in the (a, b) pairs, not in the
+forests below them.
 """
 
 from __future__ import annotations

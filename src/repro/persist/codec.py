@@ -759,7 +759,7 @@ class ArenaPoolEncoder:
         tree_bytes = _encode_ftree(fr.tree)
         _write_varint(out, len(tree_bytes))
         out.write(tree_bytes)
-        rep = fr.rep
+        rep = None if fr.rep is None else fr.rep.dense()
         out.write(bytes((0 if rep is None else 1,)))
         head = out.getvalue()
         seen = 0

@@ -40,6 +40,7 @@ def to_product(arena: Optional[ArenaRep]) -> Optional[ProductRep]:
     """Decode an arena back to the object encoding (``None`` = empty)."""
     if arena is None:
         return None
+    arena = arena.dense()
     skel, pool = arena.skel, arena.pool
     values, offsets = _views(arena)
 

@@ -1,8 +1,9 @@
-"""The two column primitives of the f-plan kernels, against oracles
-that share no code with them, and the prepared-kernel cache.
+"""The column primitives of the f-plan kernels, against oracles that
+share no code with them, and the prepared-kernel cache.
 
-- the **forest gather** against the concatenation of one-entry
-  ``_copy_run`` calls (the bulk-run copier the delta merge keeps);
+- the **forest gather** (shared slots, then made plain level by
+  level) against the concatenation of one-entry ``_copy_run`` calls
+  (the bulk-run copier the delta merge keeps);
 - the **mask cascade** against the enumerated rows filtered by the
   same mask spelled as a predicate: a valid arena over a fixed f-tree
   is unique, so equal rows plus ``validate_arena`` pin every column;
@@ -24,7 +25,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.arena import (
-    ArenaRep,
     ArenaWriter,
     iter_rows,
     tuple_count,
@@ -45,7 +45,6 @@ from repro.ops.arena_kernels import (
     _cascade,
     _Columns,
     _copy_run,
-    _gather_forest,
     kernel_for,
 )
 from repro.query.query import Query
@@ -93,9 +92,16 @@ def test_forest_gather_is_the_concatenation_of_one_entry_runs(seed):
                 _copy_run(arena, expected, node, node, e, e + 1)
             out = _Columns(arena)
             out.values[node] = _take(arena.values[node], idx)
-            _gather_forest(
-                arena, out, node, idx, range(len(skel.children[node]))
+            out.share(node, idx, range(len(skel.children[node])))
+            # Only refs are written: every column below stays shared.
+            assert all(
+                mine is theirs
+                for mine, theirs in zip(out.values, arena.values)
+                if mine is not out.values[node]
             )
+            for k in range(node, skel.end[node]):  # parents first
+                for j in range(len(skel.children[k])):
+                    out.plain(k, j)
             for k in range(node, skel.end[node]):
                 assert list(out.values[k]) == list(expected.values[k])
                 assert _lists(out.offsets[k]) == _lists(expected.offsets[k])
@@ -126,13 +132,13 @@ def test_mask_cascade_is_the_selection_filter(seed):
                 [pool[vid] in kept for vid in arena.values[node]], dtype=bool
             )
             out = _Columns(arena)
-            alive = _cascade(arena, out, {node: mask})
+            alive = _cascade(out, {node: mask})
             if not want:
                 assert not alive
                 emptied += 1
                 continue
             assert alive
-            got = ArenaRep(skel, out.values, out.offsets, pool)
+            got = out.arena(pool)
             validate_arena(fr.tree, got)
             assert sorted(iter_rows(got, attributes)) == want
             assert out.pruned == arena.entry_count - got.entry_count
@@ -150,9 +156,9 @@ def test_cascade_outputs_count_their_rows(seed, node, rng):
         [rng.random() < 0.6 for _ in arena.values[node]], dtype=bool
     )
     out = _Columns(arena)
-    if not _cascade(arena, out, {node: mask}):
+    if not _cascade(out, {node: mask}):
         return
-    got = ArenaRep(arena.skel, out.values, out.offsets, arena.pool)
+    got = out.arena(arena.pool)
     assert tuple_count(got) == len(list(iter_rows(got, fr.attributes)))
 
 
@@ -210,7 +216,8 @@ def test_forest_counts_take_a_leaf_as_its_range_width(slots, rng):
     want = np.ones(m, dtype=np.int64)
     for weight, one, off in zip(weights, ones, offsets):
         want *= _prefix_sums(one if weight is None else weight, off)
-    assert _forest_counts(weights, offsets).tolist() == want.tolist()
+    plain = [None] * len(offsets)
+    assert _forest_counts(weights, offsets, plain).tolist() == want.tolist()
 
 
 @settings(max_examples=40, deadline=None)

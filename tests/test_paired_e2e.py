@@ -108,3 +108,22 @@ def test_no_traced_pairs_by_default(checkouts, capsys):
     assert "ops_per_s" in out and "gain" not in out  # 2 pairs: no claim
     for root in checkouts:
         assert all(trace == 0 for _, trace in _calls(root))
+
+
+def test_traced_only_run_prints_layers_and_no_verdict(checkouts, capsys):
+    """``--pairs 0 --trace-pairs N``: no untraced series to compare, so
+    no verdict table -- just the traced per-layer medians."""
+    parent, change = checkouts
+    argv = [
+        "--parent", parent, "--change", change, "--workload", "w",
+        "--pairs", "0", "--trace-pairs", "2", "--seeds", "7",
+        "--seconds", "0.1",
+    ]  # fmt: skip
+    assert paired_e2e.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "verdict" not in out
+    for root in checkouts:
+        assert _calls(root) == [(7, 1), (8, 1)]
+    table = out.split("per-layer medians", 1)[1].splitlines()
+    rows = {line.split()[0]: line.split()[1:] for line in table[2:]}
+    assert rows["core.consume_ms"] == ["ms", "1.3", "0.65"]
